@@ -20,7 +20,6 @@
 use crate::dram::{MemoryModel, Placement};
 use crate::platforms::{CoreKind, Platform};
 use crate::trace::TrafficSummary;
-use spmv_parallel::affinity::{AffinityPolicy, MemoryAffinity};
 
 /// Which optimizations are enabled — the rungs of Figure 1's per-platform ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,18 +377,6 @@ impl PerformanceModel {
         } else {
             Placement::NumaAware
         };
-        self.bandwidth_limit_with_placement(workload, opt, scope, placement)
-    }
-
-    /// The bandwidth bound for an explicit page-placement assumption (the hook
-    /// the affinity-policy interpretation uses).
-    fn bandwidth_limit_with_placement(
-        &self,
-        workload: &WorkloadProfile,
-        opt: &OptimizationLevel,
-        scope: &ParallelScope,
-        placement: Placement,
-    ) -> f64 {
         // If the whole problem (vectors included) fits in the aggregate on-chip
         // storage, repeated SpMV calls stream from cache, not DRAM: the bandwidth
         // bound effectively disappears (Clovertown/Economics superlinearity). The
@@ -409,45 +396,6 @@ impl PerformanceModel {
         estimate.sustained_gbs * workload.flop_byte() / scope.load_imbalance.max(1.0)
     }
 
-    /// Map an executor [`AffinityPolicy`] onto the memory model's page-placement
-    /// assumption. Local memory affinity only yields NUMA-aware placement when
-    /// the threads are also bound (otherwise the scheduler can migrate a thread
-    /// away from the node its block was first-touched on); interleaving is
-    /// honoured as such; default (OS) placement lands everything on one node.
-    pub fn placement_for_affinity(policy: &AffinityPolicy) -> Placement {
-        match policy.memory {
-            MemoryAffinity::Local if policy.is_fully_local() => Placement::NumaAware,
-            MemoryAffinity::Interleaved => Placement::Interleaved,
-            MemoryAffinity::Local | MemoryAffinity::Default => Placement::SingleNode,
-        }
-    }
-
-    /// [`PerformanceModel::predict`] with the NUMA assumptions derived from a
-    /// concrete executor [`AffinityPolicy`] (e.g. `SpmvEngine::affinity`)
-    /// instead of the coarse [`OptimizationLevel::numa_aware`] flag: the policy
-    /// decides both the placement fed to the bandwidth model and the
-    /// `numa_aware` rung.
-    pub fn predict_with_affinity(
-        &self,
-        workload: &WorkloadProfile,
-        opt: &OptimizationLevel,
-        scope: &ParallelScope,
-        policy: &AffinityPolicy,
-    ) -> Prediction {
-        let opt = OptimizationLevel {
-            numa_aware: policy.is_fully_local(),
-            ..*opt
-        };
-        let placement = if !self.platform.memory.numa {
-            Placement::NumaAware
-        } else {
-            Self::placement_for_affinity(policy)
-        };
-        let compute = self.compute_limit_gflops(workload, &opt, scope);
-        let bandwidth = self.bandwidth_limit_with_placement(workload, &opt, scope, placement);
-        Self::combine(workload, compute, bandwidth)
-    }
-
     /// Predict performance: the minimum of the two bounds.
     pub fn predict(
         &self,
@@ -457,11 +405,6 @@ impl PerformanceModel {
     ) -> Prediction {
         let compute = self.compute_limit_gflops(workload, opt, scope);
         let bandwidth = self.bandwidth_limit_gflops(workload, opt, scope);
-        Self::combine(workload, compute, bandwidth)
-    }
-
-    /// Fold the two bounds into a [`Prediction`].
-    fn combine(workload: &WorkloadProfile, compute: f64, bandwidth: f64) -> Prediction {
         let gflops = compute.min(bandwidth);
         let time_s = if gflops > 0.0 {
             workload.flops() / (gflops * 1e9)
@@ -715,57 +658,6 @@ mod tests {
             &scope,
         );
         assert!(with.gflops > without.gflops);
-    }
-
-    #[test]
-    fn affinity_policy_interpretation_orders_placements() {
-        use spmv_parallel::affinity::AffinityPolicy;
-        // Pinned + local beats interleaved beats OS default on a NUMA machine.
-        let w = dense_workload_x86();
-        let amd = model(PlatformId::AmdX2);
-        let scope = ParallelScope::full_system(amd.platform());
-        let opt = OptimizationLevel::full();
-        let local = amd.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::numa_aware());
-        let inter = amd.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::interleaved());
-        let default = amd.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::none());
-        assert!(
-            local.gflops > inter.gflops,
-            "{} vs {}",
-            local.gflops,
-            inter.gflops
-        );
-        // On a two-socket machine interleaving and node-0 placement sustain the
-        // same aggregate in this model (one local + one remote share either way);
-        // interleaving must never be *worse*.
-        assert!(
-            inter.gflops >= default.gflops,
-            "{} vs {}",
-            inter.gflops,
-            default.gflops
-        );
-        assert!(local.gflops > default.gflops);
-        // Fully-local affinity reproduces the numa_aware=true prediction.
-        assert_eq!(local, amd.predict(&w, &opt, &scope));
-        // First-touch without pinning must not be credited as NUMA-aware.
-        let ft = amd.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::first_touch());
-        assert!(ft.gflops < local.gflops);
-        assert_eq!(
-            PerformanceModel::placement_for_affinity(&AffinityPolicy::first_touch()),
-            Placement::SingleNode
-        );
-    }
-
-    #[test]
-    fn affinity_is_irrelevant_on_uniform_memory_platforms() {
-        use spmv_parallel::affinity::AffinityPolicy;
-        // Clovertown's FSB is not NUMA: every policy predicts the same.
-        let w = dense_workload_x86();
-        let clover = model(PlatformId::Clovertown);
-        let scope = ParallelScope::full_system(clover.platform());
-        let opt = OptimizationLevel::full();
-        let a = clover.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::numa_aware());
-        let b = clover.predict_with_affinity(&w, &opt, &scope, &AffinityPolicy::none());
-        assert_eq!(a.gflops, b.gflops);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::cache::CacheSim;
 use crate::platforms::CacheConfig;
 use spmv_core::formats::CsrMatrix;
-use spmv_core::tuning::TunedMatrix;
+use spmv_core::tuning::BlockDecision;
 use spmv_core::MatrixShape;
 
 /// DRAM traffic generated by one SpMV, split by stream.
@@ -64,10 +64,13 @@ pub fn simulate_csr_traffic(
     )
 }
 
-/// Simulate the vector traffic of a cache-blocked traversal: blocks are visited in
-/// storage order, and within each block the rows of the block are visited in order.
+/// Simulate the vector traffic of a cache-blocked traversal: the blocks of
+/// `decisions` (global row/column ranges over `csr`, e.g. a one-thread plan's)
+/// are visited in order, and within each block the rows of the block are visited
+/// in order; `matrix_bytes` is charged for the streamed structure.
 pub fn simulate_blocked_traffic(
-    tuned: &TunedMatrix,
+    decisions: &[BlockDecision],
+    matrix_bytes: usize,
     csr: &CsrMatrix,
     cache_cfg: &CacheConfig,
     cache_share: f64,
@@ -79,7 +82,7 @@ pub fn simulate_blocked_traffic(
     // Build the blocked visit order from the tuning decisions: for each block, every
     // (row, col) of the original matrix falling inside it, in row-major order.
     let mut order: Vec<(usize, usize)> = Vec::with_capacity(csr.nnz());
-    for d in &tuned.report().decisions {
+    for d in decisions {
         for row in d.rows.clone() {
             for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
                 let col = csr.col_idx()[k] as usize;
@@ -94,7 +97,7 @@ pub fn simulate_blocked_traffic(
         csr.nrows(),
         csr.ncols(),
         csr.nnz(),
-        tuned.footprint_bytes(),
+        matrix_bytes,
         &mut cache,
     )
 }
@@ -212,7 +215,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spmv_core::formats::CooMatrix;
-    use spmv_core::tuning::{tune_csr, TuningConfig};
+    use spmv_core::tuning::{TunePlan, TuningConfig};
 
     fn cache_cfg() -> CacheConfig {
         PlatformId::AmdX2.platform().cache.unwrap()
@@ -243,8 +246,14 @@ mod tests {
         let csr = random_csr(4000, 800_000, 120_000, 2);
         let unblocked = simulate_csr_traffic(&csr, csr.footprint_bytes(), &cache_cfg(), 1.0);
         // Cache-blocked traversal of the same matrix must generate less source traffic.
-        let tuned = tune_csr(&csr, &TuningConfig::full());
-        let blocked = simulate_blocked_traffic(&tuned, &csr, &cache_cfg(), 1.0);
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let blocked = simulate_blocked_traffic(
+            &plan.threads[0].decisions,
+            plan.planned_bytes(),
+            &csr,
+            &cache_cfg(),
+            1.0,
+        );
         assert!(
             blocked.source_bytes < unblocked.source_bytes,
             "blocked {} vs unblocked {}",

@@ -138,13 +138,14 @@ mod tests {
         // The paper's footprint-minimizing heuristic (with 16-bit indices and BCOO
         // available) should never produce a larger structure than OSKI's
         // 32-bit-index BCSR choice.
-        use spmv_core::tuning::{tune_csr, TuningConfig};
+        use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
         for (csr, label) in [
             (fem_like(80, 4), "fem"),
             (random_csr(400, 3000, 2), "random"),
         ] {
             let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
-            let ours = tune_csr(&csr, &TuningConfig::full());
+            let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+            let ours = PreparedMatrix::materialize(&csr, &plan).unwrap();
             assert!(
                 ours.footprint_bytes() <= oski.footprint_bytes(),
                 "{label}: ours {} vs OSKI {}",

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
+//! Ablation benchmarks for the paper's data-structure design choices (§4.2–4.3):
 //!
 //! * footprint-minimizing one-pass heuristic vs OSKI-style search,
 //! * sparse (touched-cache-lines) vs dense (fixed-span) cache blocking,
@@ -12,17 +12,21 @@ use spmv_core::blocking::cache::CacheBlockingConfig;
 use spmv_core::formats::index::IndexWidth;
 use spmv_core::formats::{BcooMatrix, BcsrMatrix, CsrMatrix, GcsrMatrix, SpMv};
 use spmv_core::tuning::search::DenseProfile;
-use spmv_core::tuning::{tune_csr, TuningConfig};
+use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_matrices::suite::{Scale, SuiteMatrix};
-use spmv_parallel::executor::ParallelCsr;
-use spmv_parallel::ThreadPool;
+use spmv_parallel::SpmvEngine;
 use std::hint::black_box;
+
+/// The serial tuned form: a one-thread plan, materialized.
+fn tuned_serial(csr: &CsrMatrix, config: &TuningConfig) -> PreparedMatrix {
+    PreparedMatrix::materialize(csr, &TunePlan::new(csr, 1, config)).expect("fresh plan")
+}
 
 fn heuristic_vs_search(c: &mut Criterion) {
     let csr = CsrMatrix::from_coo(&SuiteMatrix::FemCantilever.generate(Scale::Small));
     let x: Vec<f64> = (0..csr.ncols()).map(|i| (i % 11) as f64).collect();
-    let heuristic = tune_csr(&csr, &TuningConfig::full());
+    let heuristic = tuned_serial(&csr, &TuningConfig::full());
     let search = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
     let mut group = c.benchmark_group("ablation/heuristic_vs_search");
     group.throughput(Throughput::Elements(csr.nnz() as u64));
@@ -55,8 +59,8 @@ fn sparse_vs_dense_cache_blocking(c: &mut Criterion) {
         }),
         ..TuningConfig::full()
     };
-    let sparse = tune_csr(&csr, &sparse_cfg);
-    let dense = tune_csr(&csr, &dense_cfg);
+    let sparse = tuned_serial(&csr, &sparse_cfg);
+    let dense = tuned_serial(&csr, &dense_cfg);
     let mut group = c.benchmark_group("ablation/cache_blocking");
     group.throughput(Throughput::Elements(csr.nnz() as u64));
     group.bench_function("sparse_blocking", |b| {
@@ -108,15 +112,14 @@ fn partitioning(c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(1)
         .max(2);
-    let balanced = ParallelCsr::new(&csr, threads);
-    let pool = ThreadPool::new(threads);
+    let mut balanced = SpmvEngine::new(&csr, threads);
     let petsc_like = OskiPetsc_equal_rows(&csr, threads);
     let mut group = c.benchmark_group("ablation/partitioning");
     group.throughput(Throughput::Elements(csr.nnz() as u64));
     group.bench_function("nonzero_balanced", |b| {
         let mut y = vec![0.0; csr.nrows()];
         b.iter(|| {
-            balanced.spmv_pool(&pool, black_box(&x), &mut y);
+            balanced.spmv(black_box(&x), &mut y);
             black_box(&y);
         });
     });

@@ -7,12 +7,16 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use spmv_baseline::oski::OskiMatrix;
 use spmv_core::formats::{CsrMatrix, SpMv};
 use spmv_core::tuning::search::DenseProfile;
-use spmv_core::tuning::{tune_csr, TuningConfig};
+use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_matrices::suite::{Scale, SuiteMatrix};
-use spmv_parallel::executor::ParallelTuned;
-use spmv_parallel::ThreadPool;
+use spmv_parallel::SpmvEngine;
 use std::hint::black_box;
+
+/// The serial tuned form: a one-thread plan, materialized.
+fn tuned_serial(csr: &CsrMatrix, config: &TuningConfig) -> PreparedMatrix {
+    PreparedMatrix::materialize(csr, &TunePlan::new(csr, 1, config)).expect("fresh plan")
+}
 
 fn bench_suite(c: &mut Criterion) {
     let threads = std::thread::available_parallelism()
@@ -21,11 +25,11 @@ fn bench_suite(c: &mut Criterion) {
     for matrix in SuiteMatrix::all() {
         let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
         let x: Vec<f64> = (0..csr.ncols()).map(|i| (i % 29) as f64 * 0.1).collect();
-        let rb = tune_csr(&csr, &TuningConfig::register_only());
-        let full = tune_csr(&csr, &TuningConfig::full());
+        let rb = tuned_serial(&csr, &TuningConfig::register_only());
+        let full = tuned_serial(&csr, &TuningConfig::full());
         let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
-        let parallel = ParallelTuned::new(&csr, threads, &TuningConfig::full());
-        let pool = ThreadPool::new(threads);
+        let mut parallel =
+            SpmvEngine::tuned(&csr, threads, &TuningConfig::full()).expect("fresh plan");
 
         let mut group = c.benchmark_group(format!("figure1/{}", matrix.id()));
         group.throughput(Throughput::Elements(csr.nnz() as u64));
@@ -62,7 +66,7 @@ fn bench_suite(c: &mut Criterion) {
             |b| {
                 let mut y = vec![0.0; csr.nrows()];
                 b.iter(|| {
-                    parallel.spmv_pool(&pool, black_box(&x), &mut y);
+                    parallel.spmv(black_box(&x), &mut y);
                     black_box(&y);
                 });
             },

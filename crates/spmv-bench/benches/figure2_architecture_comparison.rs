@@ -9,11 +9,10 @@ use spmv_baseline::oski::OskiMatrix;
 use spmv_baseline::petsc::OskiPetsc;
 use spmv_core::formats::{CsrMatrix, SpMv};
 use spmv_core::tuning::search::DenseProfile;
-use spmv_core::tuning::{tune_csr, TuningConfig};
+use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_matrices::suite::{Scale, SuiteMatrix};
-use spmv_parallel::executor::ParallelTuned;
-use spmv_parallel::ThreadPool;
+use spmv_parallel::SpmvEngine;
 use std::hint::black_box;
 
 /// The paper summarizes per-architecture behaviour with the median matrix; FEM/Ship
@@ -31,9 +30,9 @@ fn bench_architecture_comparison(c: &mut Criterion) {
         .unwrap_or(1);
 
     let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
-    let tuned = tune_csr(&csr, &TuningConfig::full());
-    let parallel = ParallelTuned::new(&csr, threads, &TuningConfig::full());
-    let pool = ThreadPool::new(threads);
+    let tuned = PreparedMatrix::materialize(&csr, &TunePlan::new(&csr, 1, &TuningConfig::full()))
+        .expect("fresh plan");
+    let mut parallel = SpmvEngine::tuned(&csr, threads, &TuningConfig::full()).expect("fresh plan");
     let petsc = OskiPetsc::new(&csr, threads, &DenseProfile::synthetic());
 
     let mut group = c.benchmark_group("figure2/median_matrix");
@@ -64,7 +63,7 @@ fn bench_architecture_comparison(c: &mut Criterion) {
         |b| {
             let mut y = vec![0.0; csr.nrows()];
             b.iter(|| {
-                parallel.spmv_pool(&pool, black_box(&x), &mut y);
+                parallel.spmv(black_box(&x), &mut y);
                 black_box(&y);
             });
         },

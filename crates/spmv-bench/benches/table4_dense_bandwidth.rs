@@ -5,22 +5,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use spmv_core::formats::{CsrMatrix, SpMv};
-use spmv_core::tuning::{tune_csr, TuningConfig};
+use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_matrices::suite::{Scale, SuiteMatrix};
-use spmv_parallel::executor::ParallelTuned;
-use spmv_parallel::ThreadPool;
+use spmv_parallel::SpmvEngine;
 use std::hint::black_box;
 
 fn bench_dense_bandwidth(c: &mut Criterion) {
     let csr = CsrMatrix::from_coo(&SuiteMatrix::Dense.generate(Scale::Small));
     let x: Vec<f64> = (0..csr.ncols()).map(|i| 1.0 + (i % 13) as f64).collect();
-    let tuned = tune_csr(&csr, &TuningConfig::full());
+    let tuned = PreparedMatrix::materialize(&csr, &TunePlan::new(&csr, 1, &TuningConfig::full()))
+        .expect("fresh plan");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let parallel = ParallelTuned::new(&csr, threads, &TuningConfig::full());
-    let pool = ThreadPool::new(threads);
+    let mut parallel = SpmvEngine::tuned(&csr, threads, &TuningConfig::full()).expect("fresh plan");
 
     let mut group = c.benchmark_group("table4_dense");
     group.throughput(Throughput::Elements(csr.nnz() as u64));
@@ -41,7 +40,7 @@ fn bench_dense_bandwidth(c: &mut Criterion) {
     group.bench_function(format!("tuned_parallel_{threads}threads"), |b| {
         let mut y = vec![0.0; csr.nrows()];
         b.iter(|| {
-            parallel.spmv_pool(&pool, black_box(&x), &mut y);
+            parallel.spmv(black_box(&x), &mut y);
             black_box(&y);
         });
     });

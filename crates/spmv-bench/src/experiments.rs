@@ -15,7 +15,7 @@ use spmv_baseline::oski::OskiMatrix;
 use spmv_baseline::petsc::OskiPetsc;
 use spmv_core::formats::CsrMatrix;
 use spmv_core::tuning::search::DenseProfile;
-use spmv_core::tuning::{tune_csr, TuningConfig};
+use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_matrices::suite::SuiteMatrix;
 
@@ -250,16 +250,14 @@ fn cache_platform_workload(
     scope: &ParallelScope,
     ex: &Extrapolation,
 ) -> (WorkloadProfile, usize) {
-    let tuned = tune_csr(csr, config);
+    // The serial tuned form: a one-thread plan, materialized.
+    let plan = TunePlan::new(csr, 1, config);
+    let tuned = PreparedMatrix::materialize(csr, &plan).expect("fresh plan matches its matrix");
     let footprint = ex.bytes(tuned.footprint_bytes());
-    let decisions = tuned.report().decisions.len().max(1);
+    let block_decisions = &plan.threads[0].decisions;
+    let decisions = block_decisions.len().max(1);
     let row_panels = {
-        let mut starts: Vec<usize> = tuned
-            .report()
-            .decisions
-            .iter()
-            .map(|d| d.rows.start)
-            .collect();
+        let mut starts: Vec<usize> = block_decisions.iter().map(|d| d.rows.start).collect();
         starts.sort_unstable();
         starts.dedup();
         starts.len().max(1)

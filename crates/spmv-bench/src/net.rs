@@ -1,7 +1,7 @@
 //! Networked request-stream replay: the `serve-net-*` row family.
 //!
 //! Mirrors the in-process `serve-*` replay of [`crate::serve`], but drives a
-//! real loopback [`NetServer`]: per scenario, one poll-loop server is spawned
+//! real loopback [`ShardedNetServer`]: per scenario, a one-shard server is spawned
 //! over a shared [`MatrixRegistry`] and `clients` threads each open their own
 //! TCP connection and pipeline flights of spmv requests through the wire
 //! protocol. What the rows add over the in-process family:
@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmv_core::formats::CsrMatrix;
 use spmv_core::tuning::TuningConfig;
-use spmv_net::{NetClient, NetServer, Response, ServerConfig, ShardedNetServer};
+use spmv_net::{NetClient, Response, ServerConfig, ShardedNetServer};
 use spmv_serve::{BatchPolicy, MatrixRegistry};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -319,9 +319,10 @@ fn replay_net_scenario(
         },
         ..ServerConfig::default()
     };
-    let server =
-        NetServer::bind(Arc::clone(registry), "127.0.0.1:0", config).expect("bind loopback server");
-    let mut handle = server.spawn().expect("spawn server thread");
+    let mut handle = ShardedNetServer::bind(Arc::clone(registry), "127.0.0.1:0", config, 1)
+        .expect("bind loopback server")
+        .spawn()
+        .expect("spawn server thread");
     let addr = handle.addr();
 
     let evictions_before = registry.evictions();
@@ -511,13 +512,15 @@ pub fn run_serve_net_coldstart(matrices: &[(&'static str, CsrMatrix)], nthreads:
         .map(|name| registry.get(name).expect("registered matrix").ncols())
         .collect();
 
-    let server = NetServer::bind(
+    let mut handle = ShardedNetServer::bind(
         Arc::clone(&registry),
         "127.0.0.1:0",
         ServerConfig::default(),
+        1,
     )
-    .expect("bind loopback server");
-    let mut handle = server.spawn().expect("spawn server thread");
+    .expect("bind loopback server")
+    .spawn()
+    .expect("spawn server thread");
 
     let rebuilds_before = registry.cold_rebuilds();
     let evictions_before = registry.evictions();

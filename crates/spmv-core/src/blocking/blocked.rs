@@ -1,16 +1,17 @@
-//! The cache-blocked matrix container.
+//! Independently formatted cache blocks.
 //!
 //! After the cache/TLB blocking passes split the matrix into a grid of blocks, the
 //! register-blocking heuristic is applied *independently to each cache block*
 //! (Section 4.2: "it is possible for some cache blocks to be stored in 1x4 BCOO with
 //! 32-bit indices, and others in 4x1 BCSR with 16-bit indices"). This module holds
-//! that per-block choice and executes the blocked SpMV.
+//! that per-block choice; `tuning::prepared::PreparedBlock` owns and executes the
+//! blocks.
 
 use crate::formats::bcoo::BcooMatrix;
 use crate::formats::bcsr::BcsrAuto;
 use crate::formats::csr::CompressedCsr;
 use crate::formats::gcsr::GcsrMatrix;
-use crate::formats::traits::{check_dims, MatrixShape, SpMv};
+use crate::formats::traits::{MatrixShape, SpMv};
 use std::ops::Range;
 
 /// The storage format selected for one cache block.
@@ -28,16 +29,6 @@ pub enum BlockFormat {
 }
 
 impl BlockFormat {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BlockFormat::Csr(_) => "CSR",
-            BlockFormat::Bcsr(_) => "BCSR",
-            BlockFormat::Bcoo(_) => "BCOO",
-            BlockFormat::Gcsr(_) => "GCSR",
-        }
-    }
-
     /// Bytes of matrix data in this block.
     pub fn footprint_bytes(&self) -> usize {
         match self {
@@ -113,79 +104,6 @@ impl CacheBlock {
     }
 }
 
-/// A full matrix stored as a grid of independently-formatted cache blocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheBlockedMatrix {
-    nrows: usize,
-    ncols: usize,
-    logical_nnz: usize,
-    blocks: Vec<CacheBlock>,
-}
-
-impl CacheBlockedMatrix {
-    /// Assemble from blocks. The caller (the tuner) is responsible for the blocks
-    /// tiling the matrix; overlapping blocks would double-count contributions.
-    pub fn new(nrows: usize, ncols: usize, blocks: Vec<CacheBlock>) -> Self {
-        let logical_nnz = blocks.iter().map(|b| b.format.nnz()).sum();
-        CacheBlockedMatrix {
-            nrows,
-            ncols,
-            logical_nnz,
-            blocks,
-        }
-    }
-
-    /// The cache blocks in execution order (row-panel major).
-    pub fn blocks(&self) -> &[CacheBlock] {
-        &self.blocks
-    }
-
-    /// Number of cache blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// A histogram of block format names, for the tuning report.
-    pub fn format_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for b in &self.blocks {
-            let name = b.format.name();
-            match counts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((name, 1)),
-            }
-        }
-        counts
-    }
-}
-
-impl MatrixShape for CacheBlockedMatrix {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn stored_entries(&self) -> usize {
-        self.blocks.iter().map(|b| b.format.stored_entries()).sum()
-    }
-    fn nnz(&self) -> usize {
-        self.logical_nnz
-    }
-    fn footprint_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.format.footprint_bytes()).sum()
-    }
-}
-
-impl SpMv for CacheBlockedMatrix {
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        check_dims(self.nrows, self.ncols, x, y);
-        for block in &self.blocks {
-            block.spmv_global(x, y);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,72 +128,52 @@ mod tests {
     }
 
     /// Build a 2x2 grid of cache blocks with mixed formats by hand.
-    fn hand_blocked(coo: &CooMatrix) -> CacheBlockedMatrix {
+    fn hand_blocked(coo: &CooMatrix) -> Vec<CacheBlock> {
         let nrows = coo.nrows();
         let ncols = coo.ncols();
         let rmid = nrows / 2;
         let cmid = ncols / 2;
-        let mut blocks = Vec::new();
         let specs = [
             (0..rmid, 0..cmid),
             (0..rmid, cmid..ncols),
             (rmid..nrows, 0..cmid),
             (rmid..nrows, cmid..ncols),
         ];
-        for (i, (rows, cols)) in specs.into_iter().enumerate() {
-            let sub = coo.sub_block(rows.clone(), cols.clone());
-            let csr = CsrMatrix::from_coo(&sub);
-            let format = match i {
-                0 => BlockFormat::Csr(CompressedCsr::from_csr(&csr)),
-                1 => BlockFormat::Bcsr(BcsrAuto::from_csr(&csr, 2, 2, IndexWidth::U16).unwrap()),
-                2 => BlockFormat::Bcoo(BcooMatrix::from_csr(&csr, 1, 2, IndexWidth::U16).unwrap()),
-                _ => BlockFormat::Gcsr(GcsrMatrix::from_csr(&csr, IndexWidth::U16).unwrap()),
-            };
-            blocks.push(CacheBlock { rows, cols, format });
-        }
-        CacheBlockedMatrix::new(nrows, ncols, blocks)
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (rows, cols))| {
+                let sub = coo.sub_block(rows.clone(), cols.clone());
+                let csr = CsrMatrix::from_coo(&sub);
+                let format = match i {
+                    0 => BlockFormat::Csr(CompressedCsr::from_csr(&csr)),
+                    1 => {
+                        BlockFormat::Bcsr(BcsrAuto::from_csr(&csr, 2, 2, IndexWidth::U16).unwrap())
+                    }
+                    2 => BlockFormat::Bcoo(
+                        BcooMatrix::from_csr(&csr, 1, 2, IndexWidth::U16).unwrap(),
+                    ),
+                    _ => BlockFormat::Gcsr(GcsrMatrix::from_csr(&csr, IndexWidth::U16).unwrap()),
+                };
+                CacheBlock { rows, cols, format }
+            })
+            .collect()
     }
 
     #[test]
     fn mixed_format_blocks_match_reference() {
         let coo = random_coo(60, 80, 700, 12);
         let reference = CsrMatrix::from_coo(&coo);
-        let blocked = hand_blocked(&coo);
+        let blocks = hand_blocked(&coo);
         let x: Vec<f64> = (0..80).map(|i| (i as f64 * 0.13).sin()).collect();
-        assert!(max_abs_diff(&reference.spmv_alloc(&x), &blocked.spmv_alloc(&x)) < 1e-10);
-        assert_eq!(blocked.nnz(), reference.nnz());
-        assert_eq!(blocked.num_blocks(), 4);
-    }
-
-    #[test]
-    fn format_histogram_reports_each_kind() {
-        let coo = random_coo(40, 40, 300, 13);
-        let blocked = hand_blocked(&coo);
-        let hist = blocked.format_histogram();
-        let total: usize = hist.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 4);
-        assert!(hist.iter().any(|(n, _)| *n == "BCSR"));
-        assert!(hist.iter().any(|(n, _)| *n == "BCOO"));
-    }
-
-    #[test]
-    fn footprint_sums_blocks() {
-        let coo = random_coo(30, 30, 100, 14);
-        let blocked = hand_blocked(&coo);
-        let sum: usize = blocked
-            .blocks()
-            .iter()
-            .map(|b| b.format.footprint_bytes())
-            .sum();
-        assert_eq!(blocked.footprint_bytes(), sum);
-        assert!(blocked.stored_entries() >= blocked.nnz());
-    }
-
-    #[test]
-    fn empty_blocked_matrix() {
-        let m = CacheBlockedMatrix::new(10, 10, vec![]);
-        assert_eq!(m.spmv_alloc(&[1.0; 10]), vec![0.0; 10]);
-        assert_eq!(m.footprint_bytes(), 0);
-        assert_eq!(m.num_blocks(), 0);
+        let mut y = vec![0.0; 60];
+        for block in &blocks {
+            block.spmv_global(&x, &mut y);
+        }
+        assert!(max_abs_diff(&reference.spmv_alloc(&x), &y) < 1e-10);
+        let nnz: usize = blocks.iter().map(|b| b.format.nnz()).sum();
+        assert_eq!(nnz, reference.nnz());
+        let stored: usize = blocks.iter().map(|b| b.format.stored_entries()).sum();
+        assert!(stored >= nnz);
     }
 }

@@ -7,15 +7,15 @@
 //!   the same number of lines even though the column spans differ.
 //! * [`tlb`] — the same idea at page granularity, applied between the row and column
 //!   cache-blocking passes, to bound TLB misses.
-//! * [`blocked`] — the cache-blocked matrix container whose per-block storage format
-//!   is chosen independently by the tuning heuristic.
+//! * [`blocked`] — one cache block and its storage format, chosen independently
+//!   per block by the tuning heuristic.
 
 pub mod blocked;
 pub mod cache;
 pub mod register;
 pub mod tlb;
 
-pub use blocked::{BlockFormat, CacheBlock, CacheBlockedMatrix};
+pub use blocked::{BlockFormat, CacheBlock};
 pub use cache::{CacheBlocking, CacheBlockingConfig};
 pub use register::{estimate_fill, register_block_candidates, FillEstimate};
 pub use tlb::{TlbBlocking, TlbConfig};

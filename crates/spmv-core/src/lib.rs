@@ -61,7 +61,7 @@ pub use multivec::{MultiVec, MultiVecMut};
 pub use solver::{SerialCg, SerialPower};
 pub use tuning::{
     MatrixFingerprint, PreparedBlock, PreparedMatrix, SearchBudget, TuneCache, TunePlan,
-    TunedMatrix, TuningConfig,
+    TuningConfig,
 };
 
 /// Size in bytes of a double-precision matrix value.

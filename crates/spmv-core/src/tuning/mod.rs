@@ -11,7 +11,7 @@
 //!    ([`crate::blocking::register`]), combine with the index-width and
 //!    BCSR/BCOO/GCSR choice, and pick the smallest encoding
 //!    ([`heuristic`]).
-//! 3. Materialize the winning choice per block into a [`crate::blocking::CacheBlockedMatrix`].
+//! 3. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! [`search`] provides the OSKI-style register-shape search used by the ablation
 //! study and the baseline crate; [`autotune`] lifts that idea to **measured
@@ -23,8 +23,9 @@
 //! amortized: [`plan`] produces a serializable [`TunePlan`] (row partition +
 //! per-thread per-cache-block decisions + prefetch annotation), and [`prepared`]
 //! materializes a plan into kernel-bound [`PreparedBlock`]s — on the executing
-//! thread, for first-touch NUMA placement. [`tune_csr`] composes both phases for
-//! the serial single-call case.
+//! thread, for first-touch NUMA placement. The serial tuned form is the same
+//! pipeline at one thread: `TunePlan::new(csr, 1, cfg)` materialized by
+//! [`PreparedMatrix`].
 
 pub mod autotune;
 pub mod footprint;
@@ -40,8 +41,7 @@ pub use autotune::{
 };
 pub use footprint::{FormatChoice, FormatKind};
 pub use heuristic::{
-    materialize_decisions, plan_block_decisions, plan_symmetric_thread, tune, tune_csr,
-    BlockDecision, TunedMatrix, TuningConfig, TuningReport,
+    materialize_decisions, plan_block_decisions, plan_symmetric_thread, BlockDecision, TuningConfig,
 };
 pub use plan::{ThreadPlan, TunePlan};
 pub use prepared::{reduce_into, reduce_tree, PreparedBlock, PreparedMatrix, SymBlock};

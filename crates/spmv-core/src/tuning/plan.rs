@@ -128,13 +128,8 @@ impl TunePlan {
 
     /// The symmetric planning pass: one lower-triangle slab decision per thread,
     /// chosen by footprint among `SymCsr`/`SymBcsr` × shapes × index widths.
-    /// The caller has already established symmetry (crate-visible so `tune_csr`
-    /// does not pay the O(nnz) detection twice).
-    pub(crate) fn symmetric_plan(
-        csr: &CsrMatrix,
-        nthreads: usize,
-        config: &TuningConfig,
-    ) -> TunePlan {
+    /// The caller has already established symmetry.
+    fn symmetric_plan(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
         let partition = partition_rows_balanced(csr, nthreads);
         Self::plan_over_partition(csr, &partition.ranges, true, |local, range| {
             let decision =
@@ -153,8 +148,8 @@ impl TunePlan {
         })
     }
 
-    /// Plan `csr` over an explicit row partition (the NUMA decomposition passes
-    /// its hierarchical node × core partition through here).
+    /// Plan `csr` over an explicit row partition (general pipeline only), for
+    /// callers that balance rows by something other than nonzero count.
     pub fn from_partition(
         csr: &CsrMatrix,
         ranges: &[Range<usize>],

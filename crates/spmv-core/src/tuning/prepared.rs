@@ -168,15 +168,11 @@ impl PreparedBlock {
                 sym: Some(sym),
             });
         }
-        let matrix = crate::tuning::heuristic::materialize_decisions(local, &plan.decisions)?;
-        let nnz = matrix.nnz();
-        // CacheBlockedMatrix is only a validated container here; the prepared
-        // block owns the raw cache blocks so execute can bind kernels itself.
-        let blocks = matrix.blocks().to_vec();
+        let blocks = crate::tuning::heuristic::materialize_decisions(local, &plan.decisions)?;
         Ok(PreparedBlock {
             rows: plan.rows.clone(),
             ncols: local.ncols(),
-            nnz,
+            nnz: blocks.iter().map(|b| b.format.nnz()).sum(),
             stream_variant: plan.stream_variant(),
             simd: plan.simd,
             blocks,

@@ -1,6 +1,6 @@
 //! CI smoke driver: a real loopback server under concurrent client load.
 //!
-//! Spawns one poll-loop [`NetServer`] over a registry whose hot set is capped
+//! Spawns a one-shard [`ShardedNetServer`] over a registry whose hot set is capped
 //! *below* the suite size (so LRU evictions and cold rebuilds happen for
 //! real), then hammers it from several client threads mixing pipelined spmv
 //! flights, spmm blocks, and solver sessions. Asserts the invariants the
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_core::tuning::TuningConfig;
-use spmv_net::{NetClient, NetServer, Response, ServerConfig};
+use spmv_net::{NetClient, Response, ServerConfig, ShardedNetServer};
 use spmv_serve::{BatchPolicy, MatrixRegistry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,7 +71,7 @@ fn main() {
         },
         ..ServerConfig::default()
     };
-    let mut handle = NetServer::bind(Arc::clone(&registry), "127.0.0.1:0", config)
+    let mut handle = ShardedNetServer::bind(Arc::clone(&registry), "127.0.0.1:0", config, 1)
         .expect("bind loopback")
         .spawn()
         .expect("spawn server");
@@ -177,17 +177,16 @@ fn main() {
         served_total, expected,
         "all submitted requests must be served (got {served_total}, want {expected})"
     );
-    let stats = Arc::clone(handle.stats());
     handle.shutdown();
+    let totals = handle.totals();
     assert_eq!(
-        stats.sheds(),
-        sheds_total,
+        totals.sheds, sheds_total,
         "client and server shed counts agree"
     );
 
     // The live telemetry header: registry + network families in one snapshot.
     let mut snap = registry.metrics_snapshot();
-    stats.fold_into(&mut snap);
+    handle.fold_into(&mut snap);
     let header = snap.to_prometheus();
     for family in [
         "spmv_net_requests_total",
@@ -201,7 +200,7 @@ fn main() {
             "telemetry header lacks the {family} family"
         );
     }
-    assert!(stats.requests() >= expected, "request counter is live");
+    assert!(totals.requests >= expected, "request counter is live");
     assert!(
         registry.evictions() > 0 && registry.cold_rebuilds() > 0,
         "capped hot set must have evicted and rebuilt under rotation \

@@ -7,8 +7,9 @@
 //! * [`protocol`] — length-prefixed binary frames: requests name a matrix and
 //!   an op (`spmv`, `spmm`, `solver-iterate`), responses carry the result or
 //!   a typed error (including load-shed with a retry-after hint).
-//! * [`server::NetServer`] — a poll-loop server: one thread multiplexes a
-//!   non-blocking listener and per-connection read/write state machines; no
+//! * [`shard::ShardedNetServer`] — the one server: a listener thread hands
+//!   connections to `shards` poll loops ([`server`]), each multiplexing its
+//!   per-connection read/write state machines from a single thread; no
 //!   thread is ever spawned per request or per connection. Requests are
 //!   admitted through bounded per-matrix [`Batcher`](spmv_serve::Batcher)
 //!   queues ([`Batcher::submit_bounded`](spmv_serve::Batcher::submit_bounded)),
@@ -31,7 +32,7 @@ pub mod shardmap;
 
 pub use client::NetClient;
 pub use protocol::{Op, Request, Response};
-pub use server::{NetServer, NetServerHandle, NetStats, ServerConfig};
+pub use server::{NetStats, ServerConfig};
 pub use shard::{NetTotals, ShardedNetServer, ShardedNetServerHandle};
 pub use shardmap::{RoutedClient, ShardMap};
 

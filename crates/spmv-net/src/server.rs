@@ -1,10 +1,10 @@
-//! The poll-loop server: one thread, many connections, bounded queues.
+//! The poll loop of one shard: one thread, many connections, bounded queues.
 //!
-//! [`NetServer`] multiplexes a non-blocking [`TcpListener`] and every accepted
-//! connection from a single thread — there is no per-connection thread and no
-//! per-request thread. Each iteration of the loop:
+//! A `ShardCore` multiplexes every connection handed to its shard from a single
+//! thread — there is no per-connection thread and no per-request thread. Each
+//! iteration of [`crate::shard::ShardedNetServer`]'s shard loop:
 //!
-//! 1. **accepts** any waiting connections (non-blocking),
+//! 1. **adopts** any connections the listener thread handed off,
 //! 2. **reads** whatever bytes each connection has, peeling complete frames
 //!    off its receive buffer and dispatching the requests,
 //! 3. **polls** the in-flight batcher tickets ([`Ticket::try_wait`]) and
@@ -38,10 +38,8 @@ use spmv_serve::batcher::Ticket;
 use spmv_serve::{BatchPolicy, Batcher, MatrixRegistry, ServeError, SolverSession};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tunables of one server instance.
@@ -150,22 +148,6 @@ impl NetStats {
         self.bytes_out.get()
     }
 
-    /// Fold the connection/shed counters into a [`MetricsSnapshot`] under
-    /// `spmv_net_*` families — scraped alongside
-    /// [`MatrixRegistry::metrics_snapshot`].
-    pub fn fold_into(&self, snap: &mut MetricsSnapshot) {
-        snap.counter("spmv_net_connections_accepted_total", self.accepted());
-        snap.counter("spmv_net_connections_closed_total", self.closed());
-        snap.gauge("spmv_net_connections_active", self.active() as f64);
-        snap.counter("spmv_net_requests_total", self.requests());
-        snap.counter("spmv_net_responses_total", self.responses());
-        snap.counter("spmv_net_sheds_total", self.sheds());
-        snap.counter("spmv_net_errors_total", self.errors());
-        snap.counter("spmv_net_unauthorized_total", self.unauthorized());
-        snap.counter("spmv_net_bytes_in_total", self.bytes_in());
-        snap.counter("spmv_net_bytes_out_total", self.bytes_out());
-    }
-
     /// Fold this shard's counters into a [`MetricsSnapshot`] under the
     /// per-shard `spmv_net_shard_*` families, labeled with the shard index —
     /// the sharded server scrapes one of these per poll shard next to the
@@ -246,9 +228,9 @@ impl Conn {
 }
 
 /// The single-threaded heart of one poll loop: a connection set, the
-/// per-matrix batcher cache, and the shared registry. [`NetServer`] runs one
-/// of these behind its own listener; [`crate::shard::ShardedNetServer`] runs
-/// one per shard thread, feeding each from a listener-thread handoff queue.
+/// per-matrix batcher cache, and the shared registry.
+/// [`crate::shard::ShardedNetServer`] runs one per shard thread, feeding each
+/// from a listener-thread handoff queue.
 pub(crate) struct ShardCore {
     registry: Arc<MatrixRegistry>,
     config: ServerConfig,
@@ -325,137 +307,6 @@ impl ShardCore {
             .closed
             .add(self.conns.iter().filter(|c| !c.dead).count() as u64);
         self.conns.clear();
-    }
-}
-
-/// A bound, not-yet-running server. [`NetServer::run`] blocks the calling
-/// thread in the poll loop; [`NetServer::spawn`] moves it to a background
-/// thread and returns a [`NetServerHandle`].
-pub struct NetServer {
-    listener: TcpListener,
-    registry: Arc<MatrixRegistry>,
-    config: ServerConfig,
-    stats: Arc<NetStats>,
-    shutdown: Arc<AtomicBool>,
-}
-
-/// Handle to a spawned server: address, shared stats, and shutdown.
-pub struct NetServerHandle {
-    addr: SocketAddr,
-    stats: Arc<NetStats>,
-    shutdown: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl NetServerHandle {
-    /// The address the server is listening on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The server's live counters.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
-    }
-
-    /// Stop the poll loop: in-flight batches are flushed (every accepted
-    /// request gets its response or a typed error — no stranded tickets),
-    /// buffered output is written, then connections close. Blocks until the
-    /// server thread exits. Idempotent.
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for NetServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl NetServer {
-    /// Bind to `addr` (use port 0 for an ephemeral port) over `registry`.
-    pub fn bind(
-        registry: Arc<MatrixRegistry>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> std::io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(NetServer {
-            listener,
-            registry,
-            config,
-            stats: Arc::new(NetStats::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
-    }
-
-    /// The bound address (the ephemeral port when bound to port 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The server's live counters.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
-    }
-
-    /// Run the poll loop on a background thread.
-    pub fn spawn(self) -> std::io::Result<NetServerHandle> {
-        let addr = self.local_addr()?;
-        let stats = Arc::clone(&self.stats);
-        let shutdown = Arc::clone(&self.shutdown);
-        let join = std::thread::Builder::new()
-            .name("spmv-net-server".into())
-            .spawn(move || self.run())?;
-        Ok(NetServerHandle {
-            addr,
-            stats,
-            shutdown,
-            join: Some(join),
-        })
-    }
-
-    /// Run the poll loop on the calling thread until shutdown is requested.
-    pub fn run(self) {
-        let NetServer {
-            listener,
-            registry,
-            config,
-            stats,
-            shutdown,
-        } = self;
-        let idle_poll = config.idle_poll;
-        let mut core = ShardCore::new(registry, config, stats);
-
-        while !shutdown.load(Ordering::Acquire) {
-            let mut progress = false;
-
-            // 1. Accept everything waiting.
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        core.adopt(stream);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-
-            // 2–4. Pump every connection.
-            progress |= core.pump_all();
-
-            if !progress {
-                std::thread::sleep(idle_poll);
-            }
-        }
-
-        core.drain(Instant::now() + DRAIN_BOUND);
     }
 }
 
@@ -796,14 +647,5 @@ fn serve_error_to_response(id: u64, e: &ServeError, retry_after_ms: u32) -> Resp
         code,
         retry_after_ms: retry,
         message: e.to_string(),
-    }
-}
-
-impl std::fmt::Debug for NetServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetServer")
-            .field("addr", &self.listener.local_addr().ok())
-            .field("queue_depth", &self.config.queue_depth)
-            .finish()
     }
 }

@@ -1,22 +1,22 @@
 //! The sharded server: N independent poll loops behind one listener.
 //!
-//! [`ShardedNetServer`] scales the single poll thread of
-//! [`NetServer`](crate::NetServer) out to `shards` threads. One **listener
-//! thread** owns the accepting socket and hands each new connection to a
-//! shard over a dedicated SPSC handoff queue (an [`std::sync::mpsc`] channel
-//! with exactly one producer); the target shard is the one with the fewest
-//! active connections at accept time (ties broken round-robin), so long-lived
-//! connections spread evenly without any rebalancing machinery. Each shard
-//! thread then runs the same read → dispatch → poll-tickets → write cycle as
-//! the single server over *its own* connection set and *its own* per-matrix
-//! batcher cache, while every shard shares one
+//! [`ShardedNetServer`] runs `shards` poll threads (one is the plain
+//! single-loop server). One **listener thread** owns the accepting socket
+//! and hands each new connection to a shard over a dedicated SPSC handoff
+//! queue (an [`std::sync::mpsc`] channel with exactly one producer); the
+//! target shard is the one with the fewest active connections at accept
+//! time (ties broken round-robin), so long-lived connections spread evenly
+//! without any rebalancing machinery. Each shard thread then runs the
+//! read → dispatch → poll-tickets → write cycle of [`crate::server`] over
+//! *its own* connection set and *its own* per-matrix batcher cache, while
+//! every shard shares one
 //! [`MatrixRegistry`](spmv_serve::MatrixRegistry) — so cross-shard requests
 //! for the same matrix still resolve to the same engines and the same LRU hot
 //! set, and a shard's batcher coalesces the traffic of its own connections.
 //!
 //! A connection lives on one shard for its whole life: solver sessions,
 //! partial frames, and in-flight tickets never migrate, so every invariant of
-//! the single-threaded server holds per shard by construction.
+//! a single-threaded poll loop holds per shard by construction.
 //!
 //! **Why a handoff listener and not per-shard listeners?** `SO_REUSEPORT`
 //! accept spreading is not portable std, and a userspace handoff gives
@@ -26,15 +26,13 @@
 //!
 //! **Observability.** Each shard owns a [`NetStats`]; the handle aggregates
 //! them into [`NetTotals`] and folds both views into a metrics snapshot —
-//! aggregated `spmv_net_*` families (same names as the single server, so
-//! dashboards don't care which server variant runs) plus per-shard
-//! `spmv_net_shard_*{shard="i"}` families.
+//! aggregated `spmv_net_*` families (the same names at every shard count)
+//! plus per-shard `spmv_net_shard_*{shard="i"}` families.
 //!
 //! **Shutdown.** [`ShardedNetServerHandle::shutdown`] stops the listener
 //! first (no new connections), then every shard runs the same bounded
-//! graceful drain as the single server: batchers flush everything admitted,
-//! tickets resolve, buffered responses are written — zero stranded tickets,
-//! generalized to N shards.
+//! graceful drain: batchers flush everything admitted, tickets resolve,
+//! buffered responses are written — zero stranded tickets on any shard.
 
 use crate::server::{NetStats, ServerConfig, ShardCore, DRAIN_BOUND};
 use spmv_obs::MetricsSnapshot;
@@ -60,8 +58,7 @@ pub struct ShardedNetServer {
 impl ShardedNetServer {
     /// Bind to `addr` (port 0 for ephemeral) with `shards` poll shards over
     /// the shared `registry`. `shards` is clamped to at least 1; one shard is
-    /// behaviorally identical to [`NetServer`](crate::NetServer) plus the
-    /// handoff hop.
+    /// a single poll loop plus the handoff hop.
     pub fn bind(
         registry: Arc<MatrixRegistry>,
         addr: impl ToSocketAddrs,
@@ -101,15 +98,27 @@ impl ShardedNetServer {
         } = self;
         let addr = listener.local_addr()?;
 
+        // The handle exists before any thread does, so a failed
+        // `thread::Builder::spawn` below drops it on the `?` path: `Drop` sets
+        // `shutdown` and joins the threads already started. Shard loops exit
+        // only on that flag — returning without it would leave them spinning
+        // forever, each pinning the registry `Arc`.
+        let mut handle = ShardedNetServerHandle {
+            addr,
+            shard_stats: shard_stats.clone(),
+            shutdown: Arc::clone(&shutdown),
+            listener_join: None,
+            shard_joins: Vec::with_capacity(nshards),
+        };
+
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(nshards);
-        let mut shard_joins: Vec<JoinHandle<()>> = Vec::with_capacity(nshards);
         for (i, stats) in shard_stats.iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
             senders.push(tx);
             let mut core = ShardCore::new(Arc::clone(&registry), config.clone(), Arc::clone(stats));
             let shutdown = Arc::clone(&shutdown);
             let idle_poll = config.idle_poll;
-            shard_joins.push(
+            handle.shard_joins.push(
                 std::thread::Builder::new()
                     .name(format!("spmv-net-shard-{i}"))
                     .spawn(move || {
@@ -118,8 +127,8 @@ impl ShardedNetServer {
             );
         }
 
-        let listener_stats: Vec<Arc<NetStats>> = shard_stats.clone();
-        let listener_shutdown = Arc::clone(&shutdown);
+        let listener_stats = shard_stats;
+        let listener_shutdown = shutdown;
         let idle_poll = config.idle_poll;
         let listener_join = std::thread::Builder::new()
             .name("spmv-net-listener".into())
@@ -154,14 +163,8 @@ impl ShardedNetServer {
                     }
                 }
             })?;
-
-        Ok(ShardedNetServerHandle {
-            addr,
-            shard_stats,
-            shutdown,
-            listener_join: Some(listener_join),
-            shard_joins,
-        })
+        handle.listener_join = Some(listener_join);
+        Ok(handle)
     }
 }
 
@@ -266,9 +269,9 @@ impl ShardedNetServerHandle {
         t
     }
 
-    /// Fold the aggregated `spmv_net_*` families (same names as the single
-    /// server) plus the per-shard `spmv_net_shard_*{shard="i"}` families and
-    /// a `spmv_net_shards` gauge into `snap` — scraped alongside
+    /// Fold the aggregated `spmv_net_*` families plus the per-shard
+    /// `spmv_net_shard_*{shard="i"}` families and a `spmv_net_shards` gauge
+    /// into `snap` — scraped alongside
     /// [`MatrixRegistry::metrics_snapshot`](spmv_serve::MatrixRegistry::metrics_snapshot).
     pub fn fold_into(&self, snap: &mut MetricsSnapshot) {
         let t = self.totals();

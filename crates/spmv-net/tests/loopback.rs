@@ -5,8 +5,9 @@ use rand::{Rng, SeedableRng};
 use spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_core::tuning::TuningConfig;
 use spmv_core::SpMv;
-use spmv_net::server::{NetServer, NetServerHandle, ServerConfig};
-use spmv_net::{protocol, NetClient, NetError, Response};
+use spmv_net::{
+    protocol, NetClient, NetError, Response, ServerConfig, ShardedNetServer, ShardedNetServerHandle,
+};
 use spmv_serve::{BatchPolicy, MatrixRegistry};
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -38,8 +39,8 @@ fn spd_csr(n: usize) -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
-fn serve(registry: Arc<MatrixRegistry>, config: ServerConfig) -> NetServerHandle {
-    NetServer::bind(registry, "127.0.0.1:0", config)
+fn serve(registry: Arc<MatrixRegistry>, config: ServerConfig) -> ShardedNetServerHandle {
+    ShardedNetServer::bind(registry, "127.0.0.1:0", config, 1)
         .expect("bind loopback")
         .spawn()
         .expect("spawn server")
@@ -72,8 +73,8 @@ fn spmv_and_spmm_round_trip_bit_identical() {
         );
     }
 
-    assert!(handle.stats().requests() >= 2);
-    assert_eq!(handle.stats().errors(), 0);
+    assert!(handle.shard_stats()[0].requests() >= 2);
+    assert_eq!(handle.shard_stats()[0].errors(), 0);
     handle.shutdown();
 }
 
@@ -121,7 +122,7 @@ fn overload_sheds_with_retry_after_and_recovers() {
     let err = client.spmv("m", &[1.0; 20]).unwrap_err();
     assert!(err.is_overloaded());
     assert_eq!(err.retry_after(), Some(Duration::from_millis(7)));
-    assert_eq!(handle.stats().sheds(), 1);
+    assert_eq!(handle.shard_stats()[0].sheds(), 1);
     // The shed shows up in the registry's per-matrix counters too.
     assert!(registry
         .metrics()
@@ -202,15 +203,19 @@ fn concurrent_clients_pipeline_without_stranding() {
         .collect();
     let total: usize = clients.into_iter().map(|c| c.join().unwrap()).sum();
     assert_eq!(total, 160);
-    assert_eq!(handle.stats().requests(), 160);
-    assert_eq!(handle.stats().responses(), 160);
-    assert_eq!(handle.stats().errors(), 0);
+    assert_eq!(handle.shard_stats()[0].requests(), 160);
+    assert_eq!(handle.shard_stats()[0].responses(), 160);
+    assert_eq!(handle.shard_stats()[0].errors(), 0);
     // Cross-connection coalescing: 160 requests took fewer than 160 batches.
     let report = registry.get("a").unwrap().serve_stats().snapshot();
     assert_eq!(report.requests, 160);
     assert!(report.batches <= 160);
     handle.shutdown();
-    assert_eq!(handle.stats().active(), 0, "all connections accounted for");
+    assert_eq!(
+        handle.shard_stats()[0].active(),
+        0,
+        "all connections accounted for"
+    );
 }
 
 #[test]
@@ -350,9 +355,9 @@ fn auth_token_gates_requests_and_refusals_keep_the_connection() {
     bare.set_token(Some(b"open-sesame".to_vec()));
     assert_eq!(bare.spmv("m", &[1.0; 12]).unwrap().len(), 12);
 
-    assert_eq!(handle.stats().unauthorized(), 2);
+    assert_eq!(handle.shard_stats()[0].unauthorized(), 2);
     assert_eq!(
-        handle.stats().requests(),
+        handle.shard_stats()[0].requests(),
         3,
         "refusals still count as requests"
     );
@@ -372,6 +377,6 @@ fn tokened_client_against_tokenless_server_is_transparent() {
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
     let y = client.spmv("m", &[2.0; 10]).unwrap();
     assert_eq!(y, registry.get("m").unwrap().spmv_now(&[2.0; 10]).unwrap());
-    assert_eq!(handle.stats().unauthorized(), 0);
+    assert_eq!(handle.shard_stats()[0].unauthorized(), 0);
     handle.shutdown();
 }

@@ -14,8 +14,7 @@
 
 use spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_core::tuning::TuningConfig;
-use spmv_net::server::{NetServer, NetServerHandle, ServerConfig};
-use spmv_net::{NetClient, NetError};
+use spmv_net::{NetClient, NetError, ServerConfig, ShardedNetServer, ShardedNetServerHandle};
 use spmv_serve::MatrixRegistry;
 use spmv_testutil::netfault::{ConnScript, Fault, FaultProxy};
 use std::sync::Arc;
@@ -34,13 +33,14 @@ fn tridiag(n: usize) -> CsrMatrix {
 }
 
 /// A served registry with one 24×24 matrix named "m".
-fn serve() -> (Arc<MatrixRegistry>, NetServerHandle) {
+fn serve() -> (Arc<MatrixRegistry>, ShardedNetServerHandle) {
     let registry = Arc::new(MatrixRegistry::new(1, TuningConfig::naive()));
     registry.insert("m", &tridiag(24)).unwrap();
-    let handle = NetServer::bind(
+    let handle = ShardedNetServer::bind(
         Arc::clone(&registry),
         "127.0.0.1:0",
         ServerConfig::default(),
+        1,
     )
     .expect("bind")
     .spawn()
@@ -57,9 +57,9 @@ fn expected(registry: &MatrixRegistry, x: &[f64]) -> Vec<f64> {
 }
 
 /// Wait (bounded) until the server has closed every accepted connection.
-fn wait_conns_drained(handle: &NetServerHandle) {
+fn wait_conns_drained(handle: &ShardedNetServerHandle) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().active() > 0 && Instant::now() < deadline {
+    while handle.shard_stats()[0].active() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
 }
@@ -89,7 +89,7 @@ fn scenario_01_request_dropped_mid_frame_leaves_server_serving() {
         expected(&registry, &x24())
     );
     assert_eq!(
-        handle.stats().errors(),
+        handle.shard_stats()[0].errors(),
         0,
         "no error response for a frame that never arrived"
     );
@@ -116,7 +116,7 @@ fn scenario_02_request_truncated_then_close_drops_conn_cleanly() {
 
     wait_conns_drained(&handle);
     assert_eq!(
-        handle.stats().requests(),
+        handle.shard_stats()[0].requests(),
         0,
         "truncated frame never dispatched"
     );
@@ -185,7 +185,7 @@ fn scenario_04_request_opcode_corruption_answers_malformed_and_conn_survives() {
         client.spmv("m", &x24()).unwrap(),
         expected(&registry, &x24())
     );
-    assert_eq!(handle.stats().errors(), 1);
+    assert_eq!(handle.shard_stats()[0].errors(), 1);
     proxy.shutdown();
     handle.shutdown();
 }
@@ -208,7 +208,7 @@ fn scenario_05_request_length_prefix_corruption_drops_conn() {
         Err(NetError::ConnectionClosed) => {}
         other => panic!("expected the server to cut the connection, got {other:?}"),
     }
-    assert_eq!(handle.stats().requests(), 0);
+    assert_eq!(handle.shard_stats()[0].requests(), 0);
     let mut clean = NetClient::connect(handle.addr()).unwrap();
     clean.set_timeout(Some(Duration::from_secs(30))).unwrap();
     assert_eq!(
@@ -234,7 +234,11 @@ fn scenario_06_immediate_close_churn_leaves_server_healthy() {
         let _ = c.spmv("m", &x24()); // severed instantly
     }
     wait_conns_drained(&handle);
-    assert_eq!(handle.stats().active(), 0, "no leaked connection slots");
+    assert_eq!(
+        handle.shard_stats()[0].active(),
+        0,
+        "no leaked connection slots"
+    );
     let mut clean = NetClient::connect(handle.addr()).unwrap();
     clean.set_timeout(Some(Duration::from_secs(30))).unwrap();
     assert_eq!(
@@ -393,11 +397,11 @@ fn scenario_11_responses_in_flight_survive_shutdown_then_typed_close() {
         client.submit_spmv("m", &x).unwrap(),
     ];
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.stats().responses() < 3 && Instant::now() < deadline {
+    while handle.shard_stats()[0].responses() < 3 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(
-        handle.stats().responses(),
+        handle.shard_stats()[0].responses(),
         3,
         "server flushed every response"
     );

@@ -320,8 +320,8 @@ fn routed_client_reconnects_through_a_server_restart() {
 
 #[test]
 fn single_shard_matches_the_single_server_contract() {
-    // shards=1 is the degenerate case: same behavior as NetServer, including
-    // pipelining and typed errors on one connection.
+    // shards=1 is the degenerate case: a single poll loop, with pipelining
+    // and typed errors on one connection.
     let registry = Arc::new(MatrixRegistry::new(1, TuningConfig::naive()));
     registry.insert("m", &random_csr(20, 20, 100, 41)).unwrap();
     let mut handle = serve_sharded(Arc::clone(&registry), ServerConfig::default(), 1);

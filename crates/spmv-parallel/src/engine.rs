@@ -33,11 +33,6 @@
 //!   pairwise tree reduction** (log₂ rounds under a generation barrier). The
 //!   reduction order is exactly the serial `PreparedMatrix`'s, so symmetric
 //!   parallel output stays bit-identical to the symmetric serial reference.
-//! * **Affinity as metadata** — every constructor records an
-//!   [`AffinityPolicy`] (default: [`AffinityPolicy::first_touch`], which is what
-//!   worker-side materialization actually achieves). The policy is carried in
-//!   the [`EngineFootprint`] report and interpreted by the `spmv-archsim`
-//!   performance model to charge local vs. remote DRAM traffic.
 //!
 //! Three ways to build one:
 //!
@@ -48,7 +43,6 @@
 //! * [`SpmvEngine::new`] / [`SpmvEngine::with_variant`] — plain width-compressed
 //!   CSR blocks running one code variant; the untuned baseline.
 
-use crate::affinity::AffinityPolicy;
 use spmv_core::error::{Error, Result};
 use spmv_core::formats::CsrMatrix;
 use spmv_core::kernels::KernelVariant;
@@ -382,23 +376,13 @@ impl BlockSpec {
 }
 
 /// The engine's materialized-footprint report: how many bytes each persistent
-/// worker's thread block occupies, under which affinity policy they were placed.
-///
-/// The policy is advisory placement *metadata* (a portable user-space library
-/// cannot pin threads or pages), but it is what the `spmv-archsim` performance
-/// model interprets to charge local vs. remote DRAM traffic — see
-/// `PerformanceModel::predict_with_affinity`.
+/// worker's first-touch-materialized thread block occupies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineFootprint {
     /// Sum of the workers' materialized block footprints.
     pub total_bytes: usize,
     /// Bytes of worker `i`'s first-touch-materialized thread block.
     pub per_worker_bytes: Vec<usize>,
-    /// The affinity policy the engine was constructed under.
-    pub affinity: AffinityPolicy,
-    /// Whether the policy gives every worker node-local memory for its block
-    /// (process binding plus local memory affinity).
-    pub fully_local: bool,
 }
 
 /// One worker's share of the profiled work: its nonzeros and its cumulative
@@ -524,7 +508,6 @@ pub struct SpmvEngine {
     /// The single code variant of a plain engine; `None` for tuned engines, whose
     /// kernels are bound per cache block by the plan.
     variant: Option<KernelVariant>,
-    affinity: AffinityPolicy,
     /// Whether the workers run the symmetric scratch-reduction path.
     symmetric: bool,
     footprint_bytes: usize,
@@ -555,17 +538,6 @@ impl SpmvEngine {
     ///
     /// Panics if `nthreads == 0` or the variant is not a CSR code variant.
     pub fn with_variant(csr: &CsrMatrix, nthreads: usize, variant: KernelVariant) -> Self {
-        Self::with_variant_and_affinity(csr, nthreads, variant, AffinityPolicy::first_touch())
-    }
-
-    /// [`SpmvEngine::with_variant`] with an explicit [`AffinityPolicy`] recorded
-    /// for the construction (see [`SpmvEngine::footprint`]).
-    pub fn with_variant_and_affinity(
-        csr: &CsrMatrix,
-        nthreads: usize,
-        variant: KernelVariant,
-        affinity: AffinityPolicy,
-    ) -> Self {
         assert!(nthreads > 0, "engine requires at least one worker");
         assert!(
             variant.runs_on_csr(),
@@ -581,7 +553,7 @@ impl SpmvEngine {
                 variant,
             })
             .collect();
-        Self::build(csr, partition, Some(variant), affinity, specs, false)
+        Self::build(csr, partition, Some(variant), specs, false)
             .expect("plain block construction is infallible")
     }
 
@@ -593,33 +565,14 @@ impl SpmvEngine {
     ///
     /// Panics if `nthreads == 0`.
     pub fn tuned(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> Result<Self> {
-        Self::tuned_with_affinity(csr, nthreads, config, AffinityPolicy::first_touch())
-    }
-
-    /// [`SpmvEngine::tuned`] with an explicit [`AffinityPolicy`].
-    pub fn tuned_with_affinity(
-        csr: &CsrMatrix,
-        nthreads: usize,
-        config: &TuningConfig,
-        affinity: AffinityPolicy,
-    ) -> Result<Self> {
         assert!(nthreads > 0, "engine requires at least one worker");
-        Self::from_plan_with_affinity(csr, &TunePlan::new(csr, nthreads, config), affinity)
+        Self::from_plan(csr, &TunePlan::new(csr, nthreads, config))
     }
 
     /// Materialize an existing [`TunePlan`] (typically produced earlier or loaded
     /// from a saved profile) into a running engine. Fails if the plan does not
     /// match the matrix or a worker cannot build its block.
     pub fn from_plan(csr: &CsrMatrix, plan: &TunePlan) -> Result<Self> {
-        Self::from_plan_with_affinity(csr, plan, AffinityPolicy::first_touch())
-    }
-
-    /// [`SpmvEngine::from_plan`] with an explicit [`AffinityPolicy`].
-    pub fn from_plan_with_affinity(
-        csr: &CsrMatrix,
-        plan: &TunePlan,
-        affinity: AffinityPolicy,
-    ) -> Result<Self> {
         plan.validate_for(csr)?;
         if plan.num_threads() == 0 {
             return Err(Error::InvalidStructure(
@@ -635,7 +588,7 @@ impl SpmvEngine {
                 plan: t.clone(),
             })
             .collect();
-        Self::build(csr, partition, None, affinity, specs, plan.symmetric)
+        Self::build(csr, partition, None, specs, plan.symmetric)
     }
 
     /// Common construction: spawn one worker per spec, wait for every block build,
@@ -644,7 +597,6 @@ impl SpmvEngine {
         csr: &CsrMatrix,
         partition: RowPartition,
         variant: Option<KernelVariant>,
-        affinity: AffinityPolicy,
         specs: Vec<BlockSpec>,
         symmetric: bool,
     ) -> Result<Self> {
@@ -718,7 +670,6 @@ impl SpmvEngine {
             nnz: csr.nnz(),
             partition,
             variant,
-            affinity,
             symmetric,
             footprint_bytes: per_worker_bytes.iter().sum(),
             per_worker_bytes,
@@ -782,19 +733,11 @@ impl SpmvEngine {
         self.footprint_bytes
     }
 
-    /// The affinity policy the engine was constructed under.
-    pub fn affinity(&self) -> AffinityPolicy {
-        self.affinity
-    }
-
-    /// The full footprint report: per-worker block bytes plus the affinity
-    /// policy they were placed under.
+    /// The full footprint report: total and per-worker block bytes.
     pub fn footprint(&self) -> EngineFootprint {
         EngineFootprint {
             total_bytes: self.footprint_bytes,
             per_worker_bytes: self.per_worker_bytes.clone(),
-            affinity: self.affinity,
-            fully_local: self.affinity.is_fully_local(),
         }
     }
 
@@ -1660,7 +1603,14 @@ mod tests {
         assert_eq!(engine.nnz(), csr.nnz());
         assert_eq!(engine.variant(), Some(KernelVariant::Unrolled4));
         assert!(engine.partition().covers(64));
-        assert!(engine.footprint_bytes() > 0);
+        let report = engine.footprint();
+        assert_eq!(report.total_bytes, engine.footprint_bytes());
+        assert_eq!(report.per_worker_bytes.len(), 4);
+        assert_eq!(
+            report.per_worker_bytes.iter().sum::<usize>(),
+            report.total_bytes
+        );
+        assert!(report.per_worker_bytes.iter().all(|&b| b > 0));
     }
 
     // --- tuned-engine tests: the two-phase pipeline behind the same engine ---
@@ -1952,32 +1902,5 @@ mod tests {
             .unwrap()
             .spmv(&x, &mut b);
         assert_eq!(a, b);
-    }
-
-    // --- affinity metadata ----------------------------------------------------
-
-    #[test]
-    fn engine_carries_and_reports_affinity() {
-        let csr = random_csr(120, 120, 1400, 22);
-        let engine = SpmvEngine::tuned(&csr, 3, &TuningConfig::full()).unwrap();
-        assert_eq!(engine.affinity(), AffinityPolicy::first_touch());
-        let report = engine.footprint();
-        assert!(!report.fully_local, "unpinned threads are not fully local");
-        assert_eq!(report.per_worker_bytes.len(), 3);
-        assert_eq!(
-            report.per_worker_bytes.iter().sum::<usize>(),
-            engine.footprint_bytes()
-        );
-        assert!(report.per_worker_bytes.iter().all(|&b| b > 0));
-
-        let pinned = SpmvEngine::tuned_with_affinity(
-            &csr,
-            2,
-            &TuningConfig::full(),
-            AffinityPolicy::numa_aware(),
-        )
-        .unwrap();
-        assert!(pinned.footprint().fully_local);
-        assert_eq!(pinned.affinity(), AffinityPolicy::numa_aware());
     }
 }

@@ -4,14 +4,13 @@
 //!
 //! The paper parallelizes SpMV with explicitly managed Pthreads: the matrix is row
 //! partitioned with nonzeros balanced across threads, each thread's block is further
-//! cache/TLB/register blocked, and on NUMA systems both the thread (process affinity)
-//! and its matrix block (memory affinity) are pinned to the socket that owns the
-//! data. This crate reproduces that execution model on `std` threads alone (no
-//! external runtime, no work stealing — deterministic block-to-thread assignment
-//! like the paper's Pthreads code):
+//! cache/TLB/register blocked, and on NUMA systems both the thread and its matrix
+//! block are pinned to the socket that owns the data. This crate reproduces that
+//! execution model on `std` threads alone (no external runtime, no work stealing —
+//! deterministic block-to-thread assignment like the paper's Pthreads code), with
+//! one executor. Nothing here pins a thread or a page: placement is first-touch
+//! only (each worker materializes its own block), and no API claims otherwise.
 //!
-//! * [`pool`] — a persistent worker pool with per-thread work descriptors, the
-//!   Pthreads analogue.
 //! * [`engine`] — the zero-overhead steady-state executor: persistent workers,
 //!   first-touch-placed **fully tuned** `PreparedBlock`s (register blocked, index
 //!   compressed, cache/TLB blocked, prefetch annotated — the heuristic's
@@ -23,26 +22,9 @@
 //!   the vector updates — under a **single** epoch over engine-resident,
 //!   first-touch-placed vector slabs, bit-identical to the serial
 //!   `spmv_core::solver` references.
-//! * [`executor`] — row-partitioned parallel SpMV drivers (scoped-thread and
-//!   pooled) over the same plan/prepared pipeline, plus the serial bit-identical
-//!   reference.
-//! * [`numa`] — NUMA-aware thread blocks: the hierarchical node × core
-//!   decomposition fed through the shared plan pipeline, with explicit placement
-//!   metadata (the placement itself is advisory on a host OS, but the data
-//!   decomposition and the bookkeeping match the paper's implementation).
-//! * [`affinity`] — process/memory affinity policies as data, mirroring the paper's
-//!   use of `numactl`, Linux and Solaris scheduling controls.
 
-pub mod affinity;
 pub mod engine;
-pub mod executor;
-pub mod numa;
-pub mod pool;
 pub mod solver;
 
-pub use affinity::{AffinityPolicy, MemoryAffinity, ProcessAffinity};
 pub use engine::{EngineFootprint, EngineProfile, SpmvEngine, WorkerProfile};
-pub use executor::{ParallelCsr, ParallelTuned};
-pub use numa::{NumaAwareMatrix, NumaTopology};
-pub use pool::ThreadPool;
 pub use solver::{FusedCg, FusedPower};

@@ -33,7 +33,6 @@ use spmv_core::tuning::plan::TunePlan;
 use spmv_core::tuning::TuningConfig;
 use spmv_core::MatrixShape;
 use spmv_obs::{Counter, MetricsSnapshot, TraceKind};
-use spmv_parallel::affinity::AffinityPolicy;
 use spmv_parallel::engine::{EngineFootprint, EngineProfile};
 use spmv_parallel::SpmvEngine;
 use std::collections::HashMap;
@@ -56,7 +55,6 @@ pub struct ServedMatrix {
     ncols: usize,
     nnz: usize,
     config: TuningConfig,
-    affinity: AffinityPolicy,
     /// The plan the serving engine was materialized from. Updated under the
     /// engine lock by [`ServedMatrix::swap_plan`], so plan and engine never
     /// disagree.
@@ -83,10 +81,9 @@ impl ServedMatrix {
         csr: Arc<CsrMatrix>,
         plan: TunePlan,
         config: TuningConfig,
-        affinity: AffinityPolicy,
         stats: Arc<ServeStats>,
     ) -> Result<ServedMatrix> {
-        let engine = SpmvEngine::from_plan_with_affinity(&csr, &plan, affinity)?;
+        let engine = SpmvEngine::from_plan(&csr, &plan)?;
         Ok(ServedMatrix {
             name: name.to_string(),
             fingerprint: MatrixFingerprint::compute(&csr),
@@ -95,7 +92,6 @@ impl ServedMatrix {
             nnz: csr.nnz(),
             csr,
             config,
-            affinity,
             plan: RwLock::new(plan),
             engine: Mutex::new(engine),
             retunes: AtomicU64::new(0),
@@ -230,12 +226,7 @@ impl ServedMatrix {
         &self.csr
     }
 
-    /// The affinity policy session-private engines must honour.
-    pub(crate) fn affinity_policy(&self) -> AffinityPolicy {
-        self.affinity
-    }
-
-    /// The engine's footprint report (per-worker bytes + affinity policy).
+    /// The engine's footprint report (total and per-worker bytes).
     pub fn footprint(&self) -> EngineFootprint {
         self.engine().footprint()
     }
@@ -283,7 +274,7 @@ impl ServedMatrix {
     /// `spmm_now` callers observe either the old engine or the new one,
     /// never a stall and never a torn state.
     pub fn swap_plan(&self, plan: TunePlan) -> Result<()> {
-        let replacement = SpmvEngine::from_plan_with_affinity(&self.csr, &plan, self.affinity)?;
+        let replacement = SpmvEngine::from_plan(&self.csr, &plan)?;
         let old = {
             let mut engine = self.engine();
             let old = engine.swap_with(replacement);
@@ -365,7 +356,6 @@ pub struct MatrixRegistry {
     matrices: RwLock<HashMap<String, Slot>>,
     nthreads: usize,
     config: TuningConfig,
-    affinity: AffinityPolicy,
     budget: SearchBudget,
     cache: Option<Arc<TuneCache>>,
     /// Max hot (engine-resident) matrices; `None` = unbounded (every entry hot).
@@ -378,27 +368,16 @@ pub struct MatrixRegistry {
 }
 
 impl MatrixRegistry {
-    /// A registry whose engines run `nthreads` workers, tuned with `config`,
-    /// under the engine's default first-touch affinity. Inserts use the
-    /// one-pass heuristic ([`SearchBudget::Heuristic`]) and no cache; see
+    /// A registry whose engines run `nthreads` workers, tuned with `config`.
+    /// Inserts use the one-pass heuristic ([`SearchBudget::Heuristic`]) and no
+    /// cache; see
     /// [`MatrixRegistry::with_budget`] / [`MatrixRegistry::with_cache`].
     pub fn new(nthreads: usize, config: TuningConfig) -> MatrixRegistry {
-        Self::with_affinity(nthreads, config, AffinityPolicy::first_touch())
-    }
-
-    /// [`MatrixRegistry::new`] with an explicit [`AffinityPolicy`] recorded on
-    /// every engine built by this registry.
-    pub fn with_affinity(
-        nthreads: usize,
-        config: TuningConfig,
-        affinity: AffinityPolicy,
-    ) -> MatrixRegistry {
         assert!(nthreads > 0, "registry engines need at least one worker");
         MatrixRegistry {
             matrices: RwLock::new(HashMap::new()),
             nthreads,
             config,
-            affinity,
             budget: SearchBudget::Heuristic,
             cache: None,
             hot_capacity: None,
@@ -507,7 +486,6 @@ impl MatrixRegistry {
             csr,
             plan,
             self.config,
-            self.affinity,
             Arc::new(ServeStats::new()),
         )?);
         served.touch.store(self.next_stamp(), Ordering::Relaxed);
@@ -654,16 +632,9 @@ impl MatrixRegistry {
         // The retained plan validated against this matrix when it first
         // served, so the rebuild is infallible in practice; a genuine failure
         // (resource exhaustion) reads as "not found" rather than a panic.
-        let served = ServedMatrix::build(
-            name,
-            cold.csr,
-            cold.plan,
-            self.config,
-            self.affinity,
-            cold.stats,
-        )
-        .ok()
-        .map(Arc::new)?;
+        let served = ServedMatrix::build(name, cold.csr, cold.plan, self.config, cold.stats)
+            .ok()
+            .map(Arc::new)?;
         served.retunes.store(cold.retunes, Ordering::Relaxed);
         served.solver_sessions.add(cold.solver_sessions);
         served.solver_iterations.add(cold.solver_iterations);

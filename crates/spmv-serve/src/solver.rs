@@ -198,14 +198,9 @@ impl ServedMatrix {
         SolverSession::create(Arc::clone(self), b)
     }
 
-    /// Build a fresh engine on the current plan for a solver session,
-    /// honouring the registry's affinity policy.
+    /// Build a fresh engine on the current plan for a solver session.
     pub(crate) fn build_solver_engine(&self) -> Result<SpmvEngine> {
-        Ok(SpmvEngine::from_plan_with_affinity(
-            self.csr_arc(),
-            &self.plan(),
-            self.affinity_policy(),
-        )?)
+        Ok(SpmvEngine::from_plan(self.csr_arc(), &self.plan())?)
     }
 }
 

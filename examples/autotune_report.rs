@@ -10,7 +10,9 @@
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::stats::MatrixStats;
+use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
 use spmv_multicore::spmv_core::tuning::search::DenseProfile;
+use std::collections::BTreeMap;
 
 fn main() {
     println!(
@@ -21,7 +23,9 @@ fn main() {
         let coo = matrix.generate(Scale::Small);
         let csr = CsrMatrix::from_coo(&coo);
         let stats = MatrixStats::compute(&csr);
-        let tuned = tune_csr(&csr, &TuningConfig::full());
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let tuned = PreparedMatrix::materialize(&csr, &plan).expect("fresh plan fits");
+        let decisions = &plan.threads[0].decisions;
         let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
 
         println!(
@@ -30,20 +34,22 @@ fn main() {
             csr.nnz(),
             stats.nnz_per_row_mean,
             tuned.footprint_bytes() as f64 / 1e6,
-            tuned.report().csr_bytes as f64 / 1e6,
-            tuned.report().compression_ratio(),
+            csr_bytes(&csr) as f64 / 1e6,
+            tuned.footprint_bytes() as f64 / csr_bytes(&csr) as f64,
             oski.block_shape.0,
             oski.block_shape.1,
         );
 
         // Detail line: which block formats and register shapes dominate.
         let mut shape_counts: Vec<((usize, usize), usize)> = Vec::new();
-        for d in &tuned.report().decisions {
+        let mut formats = BTreeMap::new();
+        for d in decisions {
             let key = (d.choice.r, d.choice.c);
             match shape_counts.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, c)) => *c += 1,
                 None => shape_counts.push((key, 1)),
             }
+            *formats.entry(d.choice.kind.token()).or_insert(0usize) += 1;
         }
         shape_counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         let shapes: Vec<String> = shape_counts
@@ -51,7 +57,6 @@ fn main() {
             .take(3)
             .map(|((r, c), n)| format!("{n}x {r}x{c}"))
             .collect();
-        let formats = tuned.format_histogram();
         println!(
             "    register shapes: {} | block formats: {:?}",
             shapes.join(", "),

@@ -42,7 +42,7 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
-    let tuned = ParallelTuned::new(&a, threads, &TuningConfig::full());
+    let mut tuned = SpmvEngine::tuned(&a, threads, &TuningConfig::full()).expect("fresh plan fits");
 
     // Right-hand side chosen so the exact solution is all-ones.
     let ones = vec![1.0; n];
@@ -62,7 +62,7 @@ fn main() {
     let mut converged_at = None;
     for iter in 0..max_iters {
         let mut ap = vec![0.0; n];
-        tuned.spmv_scoped(&p, &mut ap);
+        tuned.spmv(&p, &mut ap);
         spmv_calls += 1;
         let alpha = rs_old / dot(&p, &ap).max(1e-300);
         axpy(alpha, &p, &mut x);

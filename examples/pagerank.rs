@@ -11,6 +11,8 @@
 //! ```
 
 use spmv_multicore::prelude::*;
+use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn main() {
@@ -41,12 +43,17 @@ fn main() {
 
     // Tune the transition matrix: short rows and many empty rows mean the tuner
     // should pick BCOO/GCSR-style storage for most cache blocks.
-    let tuned = tune_csr(&pt, &TuningConfig::full());
+    let plan = TunePlan::new(&pt, 1, &TuningConfig::full());
+    let tuned = PreparedMatrix::materialize(&pt, &plan).expect("fresh plan fits");
+    let mut formats = BTreeMap::new();
+    for d in &plan.threads[0].decisions {
+        *formats.entry(d.choice.kind.token()).or_insert(0usize) += 1;
+    }
     println!(
         "tuned footprint {:.2} MB (CSR {:.2} MB); block formats: {:?}",
         tuned.footprint_bytes() as f64 / 1e6,
-        tuned.report().csr_bytes as f64 / 1e6,
-        tuned.format_histogram()
+        csr_bytes(&pt) as f64 / 1e6,
+        formats
     );
 
     let damping = 0.85;

@@ -7,6 +7,8 @@
 //! ```
 
 use spmv_multicore::prelude::*;
+use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn time_gflops<F: FnMut()>(nnz: usize, reps: usize, mut f: F) -> f64 {
@@ -31,17 +33,23 @@ fn main() {
     );
 
     // Tune: register blocking + 16-bit indices + cache/TLB blocking, chosen per
-    // cache block by the one-pass footprint heuristic.
-    let tuned = tune_csr(&csr, &TuningConfig::full());
-    let report = tuned.report();
+    // cache block by the one-pass footprint heuristic. The serial tuned form is
+    // a one-thread plan, materialized.
+    let serial_plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+    let tuned = PreparedMatrix::materialize(&csr, &serial_plan).expect("fresh plan fits");
     println!(
         "tuned footprint: {:.2} MB vs CSR {:.2} MB  (compression {:.2}x)",
         tuned.footprint_bytes() as f64 / 1e6,
-        report.csr_bytes as f64 / 1e6,
-        report.csr_bytes as f64 / tuned.footprint_bytes() as f64
+        csr_bytes(&csr) as f64 / 1e6,
+        csr_bytes(&csr) as f64 / tuned.footprint_bytes() as f64
     );
-    println!("cache blocks: {}", tuned.num_blocks());
-    for (format, count) in tuned.format_histogram() {
+    let decisions = &serial_plan.threads[0].decisions;
+    println!("cache blocks: {}", decisions.len());
+    let mut formats = BTreeMap::new();
+    for d in decisions {
+        *formats.entry(d.choice.kind.token()).or_insert(0usize) += 1;
+    }
+    for (format, count) in formats {
         println!("  {count:>4} blocks stored as {format}");
     }
 
@@ -59,15 +67,12 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let parallel = ParallelTuned::new(&csr, threads, &TuningConfig::full());
 
     let reps = 20;
     let mut y = vec![0.0; csr.nrows()];
     let naive = time_gflops(csr.nnz(), reps, || csr.spmv(&x, &mut y));
     let mut y = vec![0.0; csr.nrows()];
     let tuned_rate = time_gflops(csr.nnz(), reps, || tuned.spmv(&x, &mut y));
-    let mut y = vec![0.0; csr.nrows()];
-    let parallel_rate = time_gflops(csr.nnz(), reps, || parallel.spmv_scoped(&x, &mut y));
 
     // The steady-state path: plan once (serializable — see TunePlan::save/load),
     // then a persistent engine whose workers materialize their fully tuned blocks
@@ -79,6 +84,5 @@ fn main() {
 
     println!("naive CSR:        {naive:.2} Gflop/s");
     println!("tuned (serial):   {tuned_rate:.2} Gflop/s");
-    println!("tuned ({threads} threads): {parallel_rate:.2} Gflop/s");
     println!("engine ({threads} threads): {engine_rate:.2} Gflop/s (persistent workers)");
 }

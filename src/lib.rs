@@ -9,7 +9,8 @@
 //! * [`spmv_core`] — sparse formats, kernels, blocking heuristics, and the
 //!   footprint-minimizing autotuner (the paper's primary contribution).
 //! * [`spmv_matrices`] — the synthetic Table 3 matrix suite and MatrixMarket I/O.
-//! * [`spmv_parallel`] — thread-parallel, NUMA-aware SpMV execution.
+//! * [`spmv_parallel`] — thread-parallel SpMV execution: the persistent-worker
+//!   engine over first-touch-placed prepared thread blocks.
 //! * [`spmv_archsim`] — machine models of the five evaluated platforms and the
 //!   analytic performance model behind the table/figure reproductions.
 //! * [`spmv_baseline`] — the OSKI and OSKI-PETSc baselines.
@@ -17,7 +18,7 @@
 //!   log-bucketed latency histograms, shared timing helpers, and the
 //!   `SPMV_TRACE`-gated event ring.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory, and
+//! See `README.md` for a quickstart and the system inventory, and
 //! `EXPERIMENTS.md` for the paper-versus-measured comparison of every table and
 //! figure.
 
@@ -41,13 +42,12 @@ pub mod prelude {
     pub use spmv_core::formats::{CooMatrix, CsrMatrix};
     pub use spmv_core::multivec::MultiVec;
     pub use spmv_core::tuning::{
-        autotune, tune, tune_csr, MatrixFingerprint, PreparedMatrix, SearchBudget, TuneCache,
-        TunePlan, TunedMatrix, TuningConfig,
+        autotune, MatrixFingerprint, PreparedMatrix, SearchBudget, TuneCache, TunePlan,
+        TuningConfig,
     };
     pub use spmv_core::{MatrixShape, SpMv};
     pub use spmv_matrices::suite::{Scale, SuiteMatrix};
-    pub use spmv_parallel::executor::{ParallelCsr, ParallelTuned};
-    pub use spmv_parallel::{AffinityPolicy, SpmvEngine};
+    pub use spmv_parallel::SpmvEngine;
     pub use spmv_serve::{BatchPolicy, Batcher, MatrixRegistry};
 }
 
@@ -59,7 +59,8 @@ mod tests {
     fn prelude_exposes_an_end_to_end_path() {
         let coo = SuiteMatrix::Circuit.generate(Scale::Tiny);
         let csr = CsrMatrix::from_coo(&coo);
-        let tuned = tune_csr(&csr, &TuningConfig::full());
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let tuned = PreparedMatrix::materialize(&csr, &plan).unwrap();
         let x = vec![1.0; csr.ncols()];
         let y_ref = csr.spmv_alloc(&x);
         let y_tuned = tuned.spmv_alloc(&x);

@@ -3,9 +3,8 @@
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_archsim::platforms::PlatformId;
+use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
 use spmv_multicore::spmv_core::tuning::search::DenseProfile;
-use spmv_multicore::spmv_parallel::affinity::AffinityPolicy;
-use spmv_multicore::spmv_parallel::numa::{NumaAwareMatrix, NumaTopology};
 use spmv_testutil::{assert_bit_identical, max_abs_diff};
 
 fn reference_and_x(matrix: SuiteMatrix) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
@@ -21,7 +20,8 @@ fn reference_and_x(matrix: SuiteMatrix) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
 fn every_suite_matrix_survives_the_full_tuning_pipeline() {
     for matrix in SuiteMatrix::all() {
         let (csr, x, reference) = reference_and_x(matrix);
-        let tuned = tune_csr(&csr, &TuningConfig::full());
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let tuned = PreparedMatrix::materialize(&csr, &plan).unwrap();
         let y = tuned.spmv_alloc(&x);
         assert!(
             max_abs_diff(&reference, &y) < 1e-9,
@@ -35,7 +35,7 @@ fn every_suite_matrix_survives_the_full_tuning_pipeline() {
             matrix.id()
         );
         assert!(
-            tuned.footprint_bytes() <= (tuned.report().csr_bytes as f64 * 1.10) as usize,
+            tuned.footprint_bytes() <= (csr_bytes(&csr) as f64 * 1.10) as usize,
             "{}: tuned structure should not be much larger than CSR",
             matrix.id()
         );
@@ -46,9 +46,9 @@ fn every_suite_matrix_survives_the_full_tuning_pipeline() {
 fn parallel_execution_matches_serial_for_every_suite_matrix() {
     for matrix in SuiteMatrix::all() {
         let (csr, x, reference) = reference_and_x(matrix);
-        let parallel = ParallelTuned::new(&csr, 4, &TuningConfig::full());
+        let mut parallel = SpmvEngine::tuned(&csr, 4, &TuningConfig::full()).unwrap();
         let mut y = vec![0.0; csr.nrows()];
-        parallel.spmv_scoped(&x, &mut y);
+        parallel.spmv(&x, &mut y);
         assert!(
             max_abs_diff(&reference, &y) < 1e-9,
             "{}: parallel SpMV diverged",
@@ -62,7 +62,6 @@ fn parallel_execution_matches_serial_for_every_suite_matrix() {
 /// (the same plan materialized and executed sequentially).
 #[test]
 fn tuned_engine_bit_identical_to_serial_tuned_path_on_every_suite_matrix() {
-    use spmv_multicore::spmv_parallel::SpmvEngine;
     for matrix in SuiteMatrix::all() {
         let (csr, x, _) = reference_and_x(matrix);
         for threads in [1, 3] {
@@ -90,7 +89,6 @@ fn tuned_engine_bit_identical_to_serial_tuned_path_on_every_suite_matrix() {
 /// the same bits (the save/load amortization workflow).
 #[test]
 fn saved_plan_round_trips_through_text_for_suite_matrices() {
-    use spmv_multicore::spmv_parallel::SpmvEngine;
     for matrix in [SuiteMatrix::FemCantilever, SuiteMatrix::Lp] {
         let (csr, x, _) = reference_and_x(matrix);
         let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
@@ -125,18 +123,27 @@ fn baselines_agree_with_reference_results() {
     }
 }
 
+/// A plan over a hand-made *uneven* row partition (an empty range, a one-row
+/// range, lopsided shares — what measured-time repartitioning produces) drives
+/// the engine to the same bits as the serial prepared path, and both agree
+/// with plain CSR.
 #[test]
-fn numa_decomposition_matches_reference() {
+fn uneven_partition_plan_runs_bit_identically_on_engine_and_serial_paths() {
     let (csr, x, reference) = reference_and_x(SuiteMatrix::FemHarbor);
-    for (topology, policy) in [
-        (NumaTopology::amd_x2(), AffinityPolicy::numa_aware()),
-        (NumaTopology::cell_blade(), AffinityPolicy::interleaved()),
-    ] {
-        let numa = NumaAwareMatrix::new(&csr, topology, policy, &TuningConfig::full());
-        let mut y = vec![0.0; csr.nrows()];
-        numa.spmv(&x, &mut y);
-        assert!(max_abs_diff(&reference, &y) < 1e-9);
-    }
+    let n = csr.nrows();
+    let ranges = [0..0, 0..1, 1..n / 7, n / 7..n / 7, n / 7..n - 3, n - 3..n];
+    let plan = TunePlan::from_partition(&csr, &ranges, &TuningConfig::full());
+    assert_eq!(plan.num_threads(), ranges.len());
+
+    let serial = PreparedMatrix::materialize(&csr, &plan).unwrap();
+    let mut expected = vec![0.0; n];
+    serial.spmv(&x, &mut expected);
+    assert!(max_abs_diff(&reference, &expected) < 1e-9);
+
+    let mut engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
+    let mut y = vec![0.0; n];
+    engine.spmv(&x, &mut y);
+    assert_bit_identical(&expected, &y, "uneven partition (engine vs serial)");
 }
 
 #[test]

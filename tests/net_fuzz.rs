@@ -15,8 +15,9 @@
 
 use spmv_multicore::spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_multicore::spmv_core::tuning::TuningConfig;
-use spmv_multicore::spmv_net::server::{NetServer, NetServerHandle, ServerConfig};
-use spmv_multicore::spmv_net::{protocol, NetClient};
+use spmv_multicore::spmv_net::{
+    protocol, NetClient, ServerConfig, ShardedNetServer, ShardedNetServerHandle,
+};
 use spmv_multicore::spmv_serve::MatrixRegistry;
 use std::io::Write;
 use std::net::TcpStream;
@@ -56,10 +57,10 @@ fn tridiag(n: usize) -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
-fn serve() -> NetServerHandle {
+fn serve() -> ShardedNetServerHandle {
     let registry = Arc::new(MatrixRegistry::new(1, TuningConfig::naive()));
     registry.insert("m", &tridiag(8)).unwrap();
-    NetServer::bind(registry, "127.0.0.1:0", ServerConfig::default())
+    ShardedNetServer::bind(registry, "127.0.0.1:0", ServerConfig::default(), 1)
         .expect("bind")
         .spawn()
         .expect("spawn")
@@ -75,7 +76,7 @@ fn valid_frame() -> Vec<u8> {
 }
 
 /// The server is alive iff a fresh connection round-trips.
-fn assert_server_alive(handle: &NetServerHandle, context: &str) {
+fn assert_server_alive(handle: &ShardedNetServerHandle, context: &str) {
     let mut c = NetClient::connect(handle.addr()).unwrap_or_else(|e| panic!("{context}: {e}"));
     c.set_timeout(Some(Duration::from_secs(30))).unwrap();
     let y = c
@@ -151,7 +152,7 @@ fn every_truncation_of_a_valid_frame_leaves_the_server_serving() {
     }
     assert_server_alive(&handle, "after per-byte truncation sweep");
     assert_eq!(
-        handle.stats().requests(),
+        handle.totals().requests,
         1,
         "no truncated prefix ever dispatched as a request (the 1 is the liveness probe)"
     );

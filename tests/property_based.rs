@@ -17,7 +17,6 @@ use spmv_multicore::spmv_core::formats::{
 use spmv_multicore::spmv_core::kernels::KernelVariant;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::partition::segmented::{partition_nonzeros, segmented_spmv};
-use spmv_multicore::spmv_parallel::SpmvEngine;
 use spmv_testutil::{cases, max_abs_diff, test_x};
 
 #[test]
@@ -135,7 +134,7 @@ fn every_kernel_variant_matches_dense_reference() {
 #[test]
 fn tuner_preserves_nonzeros_and_results() {
     for (i, case) in cases(24, 0xD3).iter().enumerate() {
-        let (coo, csr) = (case.coo(), case.csr());
+        let csr = case.csr();
         let x = test_x(case.ncols);
         let expected = case.dense_reference(&x);
         for config in [
@@ -143,7 +142,8 @@ fn tuner_preserves_nonzeros_and_results() {
             TuningConfig::register_only(),
             TuningConfig::full(),
         ] {
-            let tuned = tune(&coo, &config);
+            let plan = TunePlan::new(&csr, 1, &config);
+            let tuned = PreparedMatrix::materialize(&csr, &plan).unwrap();
             assert_eq!(tuned.nnz(), csr.nnz(), "case {i}");
             assert!(
                 max_abs_diff(&tuned.spmv_alloc(&x), &expected) < 1e-9,
@@ -181,11 +181,6 @@ fn partitions_cover_and_preserve_results() {
             max_abs_diff(&segmented_spmv(&csr, &seg, &x), &expected) < 1e-9,
             "case {i}"
         );
-
-        let parallel = ParallelCsr::new(&csr, parts);
-        let mut y = vec![0.0; case.nrows];
-        parallel.spmv_scoped(&x, &mut y);
-        assert!(max_abs_diff(&y, &expected) < 1e-9, "case {i}");
 
         let mut engine = SpmvEngine::new(&csr, parts);
         let mut y_engine = vec![0.0; case.nrows];

@@ -268,25 +268,26 @@ fn symmetric_matrix_market_round_trip_matches_expanded_general() {
 }
 
 /// The symmetrize → tune → serve pipeline picks the symmetric path up
-/// automatically end-to-end (tune_csr and the engine alike).
+/// automatically end-to-end (the serial prepared path and the engine alike).
 #[test]
 fn tuner_picks_up_symmetry_automatically_on_suite_matrices() {
     for matrix in [SuiteMatrix::FemCantilever, SuiteMatrix::FemShip] {
         let sym_coo = matrix.generate_symmetric(Scale::Tiny).unwrap();
         let csr = CsrMatrix::from_coo(&sym_coo);
-        let tuned = tune_csr(&csr, &TuningConfig::full());
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let tuned = PreparedMatrix::materialize(&csr, &plan).unwrap();
         assert!(tuned.is_symmetric(), "{}", matrix.id());
-        assert!(tuned
-            .format_histogram()
+        assert!(plan
+            .threads
             .iter()
-            .all(|(name, _)| *name == "SymCSR" || *name == "SymBCSR"));
-        let general = tune_csr(
-            &csr,
-            &TuningConfig {
-                exploit_symmetry: false,
-                ..TuningConfig::full()
-            },
-        );
+            .flat_map(|t| &t.decisions)
+            .all(|d| d.choice.kind.is_symmetric()));
+        let general_config = TuningConfig {
+            exploit_symmetry: false,
+            ..TuningConfig::full()
+        };
+        let general =
+            PreparedMatrix::materialize(&csr, &TunePlan::new(&csr, 1, &general_config)).unwrap();
         assert!(
             tuned.footprint_bytes() < general.footprint_bytes() * 3 / 4,
             "{}: symmetric tuning must shrink the footprint ({} vs {})",
