@@ -7,19 +7,29 @@
 //! module reproduces that execution model exactly, now unified with the tuning
 //! ladder through the two-phase `TunePlan` → [`PreparedBlock`] pipeline:
 //!
-//! * **Persistent workers** — spawned once in [`SpmvEngine::new`], reused by every
-//!   [`SpmvEngine::spmv`] call, joined on drop.
-//! * **First-touch placement** — each worker *materializes its own*
-//!   [`PreparedBlock`] inside its thread during construction, so on a first-touch
-//!   NUMA OS the pages of that block land on the worker's node. A tuned engine's
-//!   blocks are register-blocked, index-compressed, cache/TLB blocked, and
-//!   prefetch-annotated, exactly as the footprint heuristic decided.
+//! * **Persistent workers, and the caller is one of them** — an engine of `n`
+//!   thread blocks spawns `n − 1` workers once (joined on drop); the thread that
+//!   calls [`SpmvEngine::spmv`] is participant 0 of that epoch and runs block 0
+//!   itself. A one-block engine spawns nothing and an epoch is a plain call.
+//! * **First-touch placement** — each participant *materializes its own*
+//!   [`PreparedBlock`] on its own thread during construction, so on a
+//!   first-touch NUMA OS the pages of that block land on that thread's node. A
+//!   tuned engine's blocks are register-blocked, index-compressed, cache/TLB
+//!   blocked, and prefetch-annotated, exactly as the footprint heuristic decided.
 //! * **Precomputed disjoint `y` slices** — the row partition is fixed at
 //!   construction; each steady-state call just offsets the destination pointer.
-//! * **No per-call allocation, no steady-state atomics in the compute loop** — the
-//!   per-iteration operand exchange is two condvar-guarded epoch bumps (launch and
-//!   completion barrier); the compute loop itself dispatches straight into the
-//!   prepared, monomorphized kernels with no per-call branching.
+//! * **Atomics-only epochs, no per-call allocation** — the caller writes the
+//!   operand views, stores an epoch word and unparks whoever sleeps (the private
+//!   `sync` module); workers wait for the next epoch with a short spin before
+//!   they park, so back-to-back epochs never enter the kernel. The compute loop
+//!   dispatches straight into the prepared, monomorphized kernels.
+//! * **Claimed blocks** — in an SpMV/SpMM epoch of a general plan a block is run
+//!   by whoever claims it first (one `fetch_max`): its owner when it wakes, or
+//!   the caller once block 0 is done. An epoch therefore costs at most the
+//!   serial time plus one claim per block however late a worker's CPU arrives,
+//!   and the output is the same bit for bit: whoever runs block *i* writes the
+//!   same rows with the same kernel. Symmetric and fused-solver epochs need
+//!   every participant (they meet at a barrier), so there seat *i* runs block *i*.
 //! * **Batched apply** — [`SpmvEngine::spmm`] runs the multi-vector (SpMM)
 //!   kernels over the same disjoint y-slices: each worker writes its row range
 //!   of every column of a column-major k-vector block, amortizing all index
@@ -30,7 +40,7 @@
 //!   computes into its own full-length scratch vector (allocated first-touch at
 //!   construction, grown once for wider SpMM batches, zero steady-state
 //!   allocation), and the workers combine scratches with a **deterministic
-//!   pairwise tree reduction** (log₂ rounds under a generation barrier). The
+//!   pairwise tree reduction** (log₂ rounds under a sense-reversing barrier). The
 //!   reduction order is exactly the serial `PreparedMatrix`'s, so symmetric
 //!   parallel output stays bit-identical to the symmetric serial reference.
 //!
@@ -43,6 +53,7 @@
 //! * [`SpmvEngine::new`] / [`SpmvEngine::with_variant`] — plain width-compressed
 //!   CSR blocks running one code variant; the untuned baseline.
 
+use crate::sync::{epoch_word, EpochGate, EpochKind, Turn};
 use spmv_core::error::{Error, Result};
 use spmv_core::formats::CsrMatrix;
 use spmv_core::kernels::KernelVariant;
@@ -55,13 +66,15 @@ use spmv_core::MatrixShape;
 use spmv_obs::{Histogram, HistogramSnapshot, TraceKind};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// The per-iteration operand block: raw views of `x` and `y` published by the
-/// caller before the epoch bump. Workers read it only between the launch barrier
-/// and the completion barrier, during which the caller's borrow is live.
+/// caller through the epoch gate. A participant dereferences them only while it
+/// holds an unchecked-in share of that epoch, during which the caller's borrow
+/// is live (the caller cannot leave the epoch, even by unwinding, before every
+/// share is checked in).
 ///
 /// For an SpMM epoch, `x`/`y` are column-major blocks of `k` vectors with
 /// leading dimensions `x_ld`/`y_ld`; for SpMV, `k == 1` and the strides are
@@ -89,11 +102,10 @@ impl Operands {
     };
 }
 
-// SAFETY: Operands is a plain pointer pair; the engine's barrier protocol (epoch
-// bump happens-before worker read; completion barrier happens-after worker write)
-// provides the synchronization that makes sharing it sound.
+// SAFETY: Operands is a plain pointer pair; the epoch gate (epoch-word store
+// happens-before a participant's read; its check-in happens-before the caller's
+// return) provides the synchronization that makes handing it over sound.
 unsafe impl Send for Operands {}
-unsafe impl Sync for Operands {}
 
 /// What the engine asks workers to do when the epoch advances.
 #[derive(Clone, Copy, PartialEq)]
@@ -123,7 +135,6 @@ enum Command {
     /// One fused power-iteration step: `w ← A·q`, Rayleigh + norm partials,
     /// `q ← w/‖w‖`, all under this single epoch.
     PowerStep,
-    Shutdown,
 }
 
 impl Command {
@@ -139,11 +150,11 @@ impl Command {
     }
 }
 
-/// Launch state: bumped epoch + the command and operands for that epoch. The
-/// kernel itself is *not* here — it was bound into each worker's
-/// [`PreparedBlock`] at construction.
-struct Launch {
-    epoch: u64,
+/// What one epoch carries from the caller to whoever runs a block. The kernel
+/// itself is *not* here — it was bound into each [`PreparedBlock`] at
+/// construction.
+#[derive(Clone, Copy)]
+struct Job {
     command: Command,
     operands: Operands,
     /// Base pointers of the resident solver slabs for solver epochs (the slabs
@@ -152,9 +163,7 @@ struct Launch {
 }
 
 /// Published views of the engine-resident solver vectors for one solver epoch.
-/// Same synchronization contract as [`Operands`]: written by the caller under
-/// the launch lock before the epoch bump, read by workers only between the
-/// launch and completion barriers.
+/// Same synchronization contract as [`Operands`].
 #[derive(Clone, Copy)]
 struct SolverOps {
     x: *mut f64,
@@ -174,12 +183,10 @@ impl SolverOps {
     };
 }
 
-// SAFETY: plain pointers into the engine-owned slabs; the epoch protocol (launch
-// mutex release happens-before worker reads, completion barrier happens-after
-// worker writes) synchronizes all access, and workers write only disjoint row
-// slices (or barrier-ordered full-slab phases).
+// SAFETY: plain pointers into the engine-owned slabs; the epoch gate orders all
+// access as for `Operands`, and participants write only disjoint row slices (or
+// barrier-ordered full-slab phases).
 unsafe impl Send for SolverOps {}
-unsafe impl Sync for SolverOps {}
 
 /// The engine-resident iterative-solver vectors: the iterate `x`, residual `r`,
 /// search direction `p` (doubling as the power iterate `q`), and the SpMV
@@ -197,44 +204,6 @@ struct SolverVectors {
     w: Vec<f64>,
 }
 
-/// A reusable generation-counting barrier for the symmetric reduction rounds.
-///
-/// Every worker of a symmetric engine calls [`RoundBarrier::wait`] once per
-/// reduction round (plus once before round 0, separating compute from
-/// reduction); the last arrival bumps the generation and wakes the rest. The
-/// barrier is only touched on the symmetric path, so general engines pay
-/// nothing for it.
-struct RoundBarrier {
-    state: Mutex<(u64, usize)>,
-    cv: Condvar,
-    n: usize,
-}
-
-impl RoundBarrier {
-    fn new(n: usize) -> RoundBarrier {
-        RoundBarrier {
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    fn wait(&self) {
-        let mut state = self.state.lock().unwrap();
-        let gen = state.0;
-        state.1 += 1;
-        if state.1 == self.n {
-            state.1 = 0;
-            state.0 += 1;
-            self.cv.notify_all();
-        } else {
-            while state.0 == gen {
-                state = self.cv.wait(state).unwrap();
-            }
-        }
-    }
-}
-
 /// One worker's full-length scratch destination for the symmetric path.
 ///
 /// The vector is allocated (and grown, for wider SpMM batches) *by its owning
@@ -244,7 +213,7 @@ struct ScratchSlot(std::cell::UnsafeCell<Vec<f64>>);
 
 // SAFETY: access is disciplined by the reduction protocol — a slot is written
 // only by its owning worker (compute + absorbing rounds) and read by at most
-// one partner per round, with a RoundBarrier::wait separating every round.
+// one partner per round, with a gate barrier separating every round.
 unsafe impl Sync for ScratchSlot {}
 
 /// One worker's partial-dot slot, padded to a cache line so the per-phase
@@ -256,17 +225,15 @@ struct ScalarSlot(std::cell::UnsafeCell<f64>);
 // read by the others only after it; the barrier orders every access.
 unsafe impl Sync for ScalarSlot {}
 
-/// Shared state of the fused solver epochs: per-worker partial-dot slots and
-/// the phase barrier separating compute from the scalar reductions. Always
-/// present (a few cache lines); the resident vector slabs live on the engine
-/// side ([`SolverVectors`]) and are published per epoch via [`SolverOps`].
+/// Shared state of the fused solver epochs: per-worker partial-dot slots,
+/// ordered by the gate barrier between the fused phases. Always present (a few
+/// cache lines); the resident vector slabs live on the engine side
+/// ([`SolverVectors`]) and are published per epoch via [`SolverOps`].
 struct SolverShared {
     /// First partial per worker: `pᵀw` (CG) or the Rayleigh `qᵀw` (power).
     slots_a: Vec<ScalarSlot>,
     /// Second partial per worker: `rᵀr` (CG) or `wᵀw` (power).
     slots_b: Vec<ScalarSlot>,
-    /// Orders the fused phases within one solver epoch.
-    barrier: RoundBarrier,
 }
 
 /// Fold the per-worker scalar slots in the deterministic pairwise tree order of
@@ -296,51 +263,24 @@ unsafe fn tree_sum_slots(slots: &[ScalarSlot]) -> f64 {
     }
 }
 
-/// Shared state of the symmetric scratch reduction.
-struct SymShared {
-    slots: Vec<ScratchSlot>,
-    barrier: RoundBarrier,
-}
-
-impl SymShared {
-    /// Number of pairwise reduction rounds for `count` scratch buffers.
-    fn rounds(count: usize) -> usize {
-        let mut rounds = 0usize;
-        while (1usize << rounds) < count {
-            rounds += 1;
-        }
-        rounds
-    }
-}
-
-/// Construction/completion barrier state.
-struct Done {
-    /// Epoch the counter belongs to (0 during construction).
-    epoch: u64,
-    /// Workers checked in for `epoch`.
-    count: usize,
-    /// Workers whose block build failed (populated during construction only).
-    failed: usize,
-    /// Per-worker materialized block footprints (populated during construction).
-    footprints: Vec<usize>,
-}
-
-/// Shared synchronization state between the caller and the workers.
+/// State shared by the caller and the workers.
 struct Shared {
-    launch: Mutex<Launch>,
-    launch_cv: Condvar,
-    done: Mutex<Done>,
-    done_cv: Condvar,
-    /// Scratch slots + reduction barrier; `Some` only for symmetric engines.
-    sym: Option<SymShared>,
-    /// Partial-dot slots + phase barrier for the fused solver epochs.
+    /// The epoch protocol: publication, claims, check-in, barrier.
+    gate: EpochGate<Job>,
+    /// Thread block `i`, set once by participant `i` during construction (first
+    /// touch) and read by whoever runs block `i` afterwards. Unset = its build
+    /// failed.
+    blocks: Vec<OnceLock<PreparedBlock>>,
+    /// Per-participant scratch destinations; `Some` only for symmetric engines.
+    sym: Option<Vec<ScratchSlot>>,
+    /// Partial-dot slots for the fused solver epochs.
     solver: SolverShared,
-    /// Per-worker kernel nanoseconds of the most recent epoch, cache-line
-    /// padded so a worker's store never bounces another worker's line. Written
-    /// by each worker before its completion check-in (the done mutex orders the
-    /// relaxed stores before the caller's read), read and folded caller-side.
+    /// Kernel nanoseconds block `i` took in the most recent epoch, cache-line
+    /// padded so one store never bounces another block's line. Written by
+    /// whoever ran the block before its check-in, read and folded caller-side
+    /// after the epoch completes.
     prof: Vec<ProfSlot>,
-    /// Whether workers take per-epoch timestamps; off, an epoch pays a single
+    /// Whether block runs take timestamps; off, an epoch pays a single
     /// relaxed load.
     profiling: AtomicBool,
 }
@@ -349,7 +289,7 @@ struct Shared {
 #[repr(align(64))]
 struct ProfSlot(AtomicU64);
 
-/// What a worker materializes during construction (on its own thread, for
+/// What a participant materializes during construction (on its own thread, for
 /// first-touch placement).
 enum BlockSpec {
     /// Plain width-compressed CSR running one code variant.
@@ -385,28 +325,29 @@ pub struct EngineFootprint {
     pub per_worker_bytes: Vec<usize>,
 }
 
-/// One worker's share of the profiled work: its nonzeros and its cumulative
-/// kernel and barrier-wait time.
+/// One thread block's share of the profiled work: its nonzeros and its
+/// cumulative kernel and barrier-wait time. Slot `i` describes block `i`,
+/// whichever thread ran it in a given epoch (its owner, or the caller).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerProfile {
-    /// Logical nonzeros of the worker's thread block.
+    /// Logical nonzeros of the thread block.
     pub nnz: usize,
-    /// Cumulative nanoseconds this worker spent computing epochs (for solver
-    /// and symmetric epochs this includes the in-epoch reduction rounds).
+    /// Cumulative nanoseconds spent computing this block (for solver and
+    /// symmetric epochs this includes the in-epoch reduction rounds).
     pub kernel_ns: u64,
-    /// Cumulative nanoseconds this worker spent finished-but-waiting for the
-    /// slowest worker of each epoch — the per-epoch load imbalance, measured
-    /// as `max_over_workers(kernel) - own kernel` and summed across epochs.
+    /// Cumulative nanoseconds this block was finished-but-waiting for the
+    /// slowest block of each epoch — the per-epoch load imbalance, measured
+    /// as `max_over_blocks(kernel) - own kernel` and summed across epochs.
     pub barrier_ns: u64,
 }
 
 /// The engine's runtime telemetry report, the companion of
 /// [`EngineFootprint`]: where the epochs' cycles went, per worker.
 ///
-/// Per-epoch worker kernel times are taken by the workers themselves
-/// (two monotonic-clock reads per worker per epoch, ~50ns, off unless
+/// Per-epoch block kernel times are taken by whoever runs the block
+/// (two monotonic-clock reads per block per epoch, ~50ns, off unless
 /// profiling is enabled — see [`SpmvEngine::set_profiling`]); the caller folds
-/// them after each completion barrier, so reading the profile never touches
+/// them after each epoch completes, so reading the profile never touches
 /// the workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
@@ -423,6 +364,14 @@ pub struct EngineProfile {
     /// Histogram of whole-epoch wall nanoseconds (launch to completion), as
     /// observed by the calling thread.
     pub epoch_ns: HistogramSnapshot,
+    /// Waits (for the next epoch, for completion, at a barrier) that outlasted
+    /// the spin and yield phases and parked the thread, over all participants.
+    pub parks: u64,
+    /// Waits that ended while the waiter was still spinning.
+    pub spin_hits: u64,
+    /// Blocks other than block 0 that the calling thread ran because their
+    /// owner had not claimed them by the time the caller got to them.
+    pub stolen_blocks: u64,
 }
 
 impl EngineProfile {
@@ -460,8 +409,8 @@ impl EngineProfile {
 }
 
 /// Caller-side epoch telemetry accumulators (plain fields: every entry point
-/// takes `&mut self`, and the completion barrier already ordered the workers'
-/// slot writes before the fold).
+/// takes `&mut self`, and the epoch's completion already ordered the block
+/// runners' slot writes before the fold).
 struct EngineTelemetry {
     enabled: bool,
     epochs: u64,
@@ -471,6 +420,7 @@ struct EngineTelemetry {
     worker_kernel_ns: Vec<u64>,
     worker_barrier_ns: Vec<u64>,
     epoch_hist: Histogram,
+    stolen_blocks: u64,
 }
 
 impl EngineTelemetry {
@@ -484,6 +434,7 @@ impl EngineTelemetry {
             worker_kernel_ns: vec![0; nworkers],
             worker_barrier_ns: vec![0; nworkers],
             epoch_hist: Histogram::new(),
+            stolen_blocks: 0,
         }
     }
 }
@@ -513,6 +464,7 @@ pub struct SpmvEngine {
     footprint_bytes: usize,
     per_worker_bytes: Vec<usize>,
     shared: Arc<Shared>,
+    /// The spawned participants `1..n`; the caller of each epoch is participant 0.
     workers: Vec<JoinHandle<()>>,
     epoch: u64,
     /// Resident solver slabs, allocated on first solver use (`None` until then).
@@ -525,9 +477,9 @@ pub struct SpmvEngine {
 
 impl SpmvEngine {
     /// Build a plain (untuned) engine: partition rows balancing nonzeros, spawn one
-    /// persistent worker per partition, and let **each worker construct its own
-    /// compressed block** (index width chosen once per block) so first-touch places
-    /// the pages locally.
+    /// persistent worker per partition but the first, and let **each participant
+    /// construct its own compressed block** (index width chosen once per block) so
+    /// first-touch places the pages locally.
     pub fn new(csr: &CsrMatrix, nthreads: usize) -> Self {
         Self::with_variant(csr, nthreads, KernelVariant::SingleLoop)
     }
@@ -591,8 +543,9 @@ impl SpmvEngine {
         Self::build(csr, partition, None, specs, plan.symmetric)
     }
 
-    /// Common construction: spawn one worker per spec, wait for every block build,
-    /// and surface build failures as an error instead of a hang.
+    /// Common construction: spawn a worker for every spec but the first, build
+    /// block 0 here, wait for every block build, and surface build failures as an
+    /// error instead of a hang.
     fn build(
         csr: &CsrMatrix,
         partition: RowPartition,
@@ -600,7 +553,7 @@ impl SpmvEngine {
         specs: Vec<BlockSpec>,
         symmetric: bool,
     ) -> Result<Self> {
-        let nworkers = specs.len();
+        let n = specs.len();
         let per_worker_nnz: Vec<usize> = specs
             .iter()
             .map(|spec| match spec {
@@ -608,62 +561,55 @@ impl SpmvEngine {
                 BlockSpec::Planned { slice, .. } => slice.nnz(),
             })
             .collect();
+        let scalar_slots = || -> Vec<ScalarSlot> {
+            (0..n)
+                .map(|_| ScalarSlot(std::cell::UnsafeCell::new(0.0)))
+                .collect()
+        };
+        let idle = Job {
+            command: Command::Spmv,
+            operands: Operands::EMPTY,
+            solver: SolverOps::EMPTY,
+        };
         let shared = Arc::new(Shared {
-            launch: Mutex::new(Launch {
-                epoch: 0,
-                command: Command::Spmv,
-                operands: Operands::EMPTY,
-                solver: SolverOps::EMPTY,
-            }),
-            launch_cv: Condvar::new(),
-            done: Mutex::new(Done {
-                epoch: 0,
-                count: 0,
-                failed: 0,
-                footprints: vec![0; nworkers],
-            }),
-            done_cv: Condvar::new(),
-            sym: symmetric.then(|| SymShared {
-                slots: (0..nworkers)
+            gate: EpochGate::new(n, idle),
+            blocks: (0..n).map(|_| OnceLock::new()).collect(),
+            sym: symmetric.then(|| {
+                (0..n)
                     .map(|_| ScratchSlot(std::cell::UnsafeCell::new(Vec::new())))
-                    .collect(),
-                barrier: RoundBarrier::new(nworkers),
+                    .collect()
             }),
             solver: SolverShared {
-                slots_a: (0..nworkers)
-                    .map(|_| ScalarSlot(std::cell::UnsafeCell::new(0.0)))
-                    .collect(),
-                slots_b: (0..nworkers)
-                    .map(|_| ScalarSlot(std::cell::UnsafeCell::new(0.0)))
-                    .collect(),
-                barrier: RoundBarrier::new(nworkers),
+                slots_a: scalar_slots(),
+                slots_b: scalar_slots(),
             },
-            prof: (0..nworkers).map(|_| ProfSlot(AtomicU64::new(0))).collect(),
+            prof: (0..n).map(|_| ProfSlot(AtomicU64::new(0))).collect(),
             profiling: AtomicBool::new(profiling_default()),
         });
 
-        let mut workers = Vec::with_capacity(nworkers);
-        for (tid, spec) in specs.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("spmv-engine-{tid}"))
-                .spawn(move || worker_loop(shared, tid, spec))
-                .expect("spawn engine worker");
-            workers.push(handle);
-        }
+        let mut specs = specs.into_iter();
+        let own_spec = specs.next().expect("callers pass at least one block");
+        let workers = specs
+            .enumerate()
+            .map(|(i, spec)| {
+                let (tid, shared) = (i + 1, Arc::clone(&shared));
+                std::thread::Builder::new()
+                    .name(format!("spmv-engine-{tid}"))
+                    .spawn(move || worker_loop(shared, tid, spec))
+                    .expect("spawn engine worker")
+            })
+            .collect();
+        // Block 0 is built here, alongside the workers building theirs; the
+        // gate's construction handshake then waits for every worker.
+        build_block(&shared, 0, own_spec);
+        shared.gate.wait_ready();
 
-        // Construction handshake: workers signal block readiness (or build
-        // failure) through `done` as pseudo-epoch-0 completions, reporting their
-        // block's footprint so the engine can account bytes without owning blocks.
-        let (failed, per_worker_bytes) = {
-            let mut done = shared.done.lock().unwrap();
-            while done.count < workers.len() {
-                done = shared.done_cv.wait(done).unwrap();
-            }
-            done.count = 0;
-            (done.failed, done.footprints.clone())
-        };
-
+        let per_worker_bytes: Vec<usize> = shared
+            .blocks
+            .iter()
+            .map(|b| b.get().map_or(0, PreparedBlock::footprint_bytes))
+            .collect();
+        let failed = shared.blocks.iter().filter(|b| b.get().is_none()).count();
         let engine = SpmvEngine {
             nrows: csr.nrows(),
             ncols: csr.ncols(),
@@ -678,7 +624,7 @@ impl SpmvEngine {
             epoch: 0,
             solver: None,
             per_worker_nnz,
-            telemetry: EngineTelemetry::new(nworkers, profiling_default()),
+            telemetry: EngineTelemetry::new(n, profiling_default()),
         };
         if failed > 0 {
             // Dropping joins the surviving workers; the failed ones already exited.
@@ -690,9 +636,10 @@ impl SpmvEngine {
         Ok(engine)
     }
 
-    /// Number of persistent workers.
+    /// Number of thread blocks, and of threads an epoch can occupy: the spawned
+    /// workers plus the calling thread.
     pub fn num_threads(&self) -> usize {
-        self.workers.len()
+        self.shared.blocks.len()
     }
 
     /// Rows of the served matrix.
@@ -741,9 +688,9 @@ impl SpmvEngine {
         }
     }
 
-    /// Publish one epoch (operands + current solver slab views), bump, and wait
-    /// for the completion barrier. The single launch/wait round-trip every
-    /// steady-state entry point shares.
+    /// Run one epoch: publish the operands and the current solver slab views,
+    /// take part as participant 0, and return once every block is checked in.
+    /// The single round-trip every steady-state entry point shares.
     fn launch_and_wait(&mut self, command: Command, operands: Operands) {
         let solver = match self.solver.as_mut() {
             Some(s) => SolverOps {
@@ -755,20 +702,35 @@ impl SpmvEngine {
             },
             None => SolverOps::EMPTY,
         };
+        let job = Job {
+            command,
+            operands,
+            solver,
+        };
         self.epoch += 1;
         let t0 = self.telemetry.enabled.then(Instant::now);
+        let shared = &*self.shared;
+        // Symmetric and solver epochs need every participant at their in-epoch
+        // barriers, so seat i runs block i; otherwise blocks are claimed.
+        let rendezvous = self.symmetric || command.is_solver();
+        let kind = if rendezvous {
+            EpochKind::Rendezvous
+        } else {
+            EpochKind::Claim
+        };
         {
-            let mut launch = self.shared.launch.lock().unwrap();
-            launch.epoch = self.epoch;
-            launch.command = command;
-            launch.operands = operands;
-            launch.solver = solver;
-            self.shared.launch_cv.notify_all();
-        }
-        {
-            let mut done = self.shared.done.lock().unwrap();
-            while !(done.epoch == self.epoch && done.count == self.workers.len()) {
-                done = self.shared.done_cv.wait(done).unwrap();
+            // The guard waits, when dropped, for every share of the epoch —
+            // also if a kernel below unwinds — so `x`/`y` cannot be released
+            // under a running worker.
+            let mut epoch = shared.gate.open(epoch_word(self.epoch, kind), job);
+            // Block 0 first (nobody else claims it), then, in a claim epoch,
+            // whatever no owner has claimed yet.
+            let claimable = if rendezvous { 1 } else { shared.blocks.len() };
+            for block in 0..claimable {
+                if epoch.claim(block) {
+                    run_block(shared, block, &job);
+                    self.telemetry.stolen_blocks += (block > 0) as u64;
+                }
             }
         }
         if let Some(t0) = t0 {
@@ -776,9 +738,9 @@ impl SpmvEngine {
         }
     }
 
-    /// Fold the finished epoch into the telemetry accumulators: per-worker
+    /// Fold the finished epoch into the telemetry accumulators: per-block
     /// kernel time from the profiling slots, barrier wait as the gap to the
-    /// epoch's slowest worker, and the whole-epoch wall time histogram.
+    /// epoch's slowest block, and the whole-epoch wall time histogram.
     fn observe_epoch(&mut self, command: Command, wall_ns: u64) {
         let t = &mut self.telemetry;
         t.epochs += 1;
@@ -796,8 +758,9 @@ impl SpmvEngine {
                 2
             }
         };
-        // The completion barrier ordered every worker's slot store before this
-        // read, and no epoch runs concurrently with the fold (`&mut self`).
+        // Relaxed: each runner's check-in ordered its slot store before the
+        // completion this thread observed, and no epoch runs concurrently with
+        // the fold (`&mut self`).
         let mut max = 0u64;
         for (i, slot) in self.shared.prof.iter().enumerate() {
             let ns = slot.0.load(Ordering::Relaxed);
@@ -812,7 +775,7 @@ impl SpmvEngine {
         spmv_obs::trace::trace(TraceKind::EngineEpoch, cmd_code, wall_ns);
     }
 
-    /// Enable or disable per-epoch profiling. Off, workers skip their two
+    /// Enable or disable per-epoch profiling. Off, block runs skip their two
     /// monotonic-clock reads per epoch and the caller skips the fold — the
     /// "uninstrumented" side of the bench overhead ablation. The default is
     /// on (overridable process-wide with `SPMV_PROF=off`).
@@ -829,12 +792,13 @@ impl SpmvEngine {
     /// The runtime telemetry report accumulated so far (see [`EngineProfile`]).
     pub fn profile(&self) -> EngineProfile {
         let t = &self.telemetry;
+        let waits = self.shared.gate.wait_counts();
         EngineProfile {
             epochs: t.epochs,
             spmv_epochs: t.spmv_epochs,
             spmm_epochs: t.spmm_epochs,
             solver_epochs: t.solver_epochs,
-            workers: (0..self.workers.len())
+            workers: (0..self.num_threads())
                 .map(|i| WorkerProfile {
                     nnz: self.per_worker_nnz[i],
                     kernel_ns: t.worker_kernel_ns[i],
@@ -842,11 +806,15 @@ impl SpmvEngine {
                 })
                 .collect(),
             epoch_ns: t.epoch_hist.snapshot(),
+            parks: waits.parks,
+            spin_hits: waits.spin_hits,
+            stolen_blocks: t.stolen_blocks,
         }
     }
 
-    /// `y ← y + A·x`, steady state: publish operands, bump the epoch, wait for the
-    /// completion barrier. No allocation, no locks in the compute loop.
+    /// `y ← y + A·x`, steady state: publish operands, open the epoch, run block 0
+    /// (and any block left unclaimed), wait for the rest. No allocation, no
+    /// locks in the compute loop.
     pub fn spmv(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "source vector length mismatch");
         assert_eq!(y.len(), self.nrows, "destination vector length mismatch");
@@ -924,12 +892,12 @@ impl SpmvEngine {
             ..Operands::EMPTY
         };
         self.launch_and_wait(Command::CgInit, operands);
-        // SAFETY: the completion wait above ordered every slot write before us.
+        // SAFETY: the epoch's completion above ordered every slot write before us.
         unsafe { tree_sum_slots(&self.shared.solver.slots_b) }
     }
 
     /// `steps` whole fused CG iterations — SpMV, both dot products, both
-    /// vector updates each — under a **single** launch/completion epoch. `rr`
+    /// vector updates each — under a **single** epoch. `rr`
     /// is the squared residual from the previous step (or
     /// [`SpmvEngine::cg_init`]); returns the one after the last iteration.
     /// Bit-identical to `steps` calls of
@@ -1001,7 +969,7 @@ impl SpmvEngine {
 
     /// Read the resident solver state `(x, r, p)` — the extraction point of a
     /// stateful session (and the donor side of a hot swap). The last epoch's
-    /// completion wait ordered all worker writes before this read.
+    /// completion ordered all participants' writes before this read.
     pub fn solver_state(&self) -> Option<(&[f64], &[f64], &[f64])> {
         self.solver
             .as_ref()
@@ -1025,211 +993,204 @@ impl SpmvEngine {
     }
 }
 
+/// Handles on the schedule hook for the stress tests in `sync`.
+#[cfg(test)]
+impl SpmvEngine {
+    pub(crate) fn set_chaos(&self, seed: u64, starve_owners: bool) {
+        self.shared.gate.set_chaos(seed, starve_owners);
+    }
+
+    pub(crate) fn parked_workers(&self) -> usize {
+        self.shared.gate.parked_workers()
+    }
+}
+
 impl Drop for SpmvEngine {
     fn drop(&mut self) {
-        {
-            let mut launch = self.shared.launch.lock().unwrap();
-            launch.epoch = self.epoch + 1;
-            launch.command = Command::Shutdown;
-            self.shared.launch_cv.notify_all();
-        }
+        self.shared
+            .gate
+            .shutdown(epoch_word(self.epoch + 1, EpochKind::Shutdown));
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The worker body: materialize the block (first touch), signal readiness — or a
-/// build failure, so construction errors instead of hanging — then serve epochs
-/// until shutdown.
-fn worker_loop(shared: Arc<Shared>, tid: usize, spec: BlockSpec) {
-    // First-touch construction: the block's index and value pages are allocated
-    // and written on this thread. Both clean `Err`s and panics inside the build
-    // are reported through the handshake.
+/// Materialize block `i` on the calling thread (first touch) and publish it;
+/// a build that fails or panics leaves the slot unset, which construction
+/// reports as an error. Symmetric participants also allocate their full-length
+/// scratch destination here, so its pages land on the same node. (SpMM batches
+/// grow it on first use of a wider batch — steady state allocates nothing.)
+fn build_block(shared: &Shared, i: usize, spec: BlockSpec) -> bool {
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.build()));
-    let block = match built {
-        Ok(Ok(block)) => Some(block),
-        _ => None,
+    let Ok(Ok(block)) = built else {
+        return false;
     };
-
-    // Readiness: count into the epoch-0 completion barrier.
-    {
-        let mut done = shared.done.lock().unwrap();
-        match &block {
-            Some(b) => done.footprints[tid] = b.footprint_bytes(),
-            None => done.failed += 1,
-        }
-        done.count += 1;
-        shared.done_cv.notify_all();
+    debug_assert_eq!(block.is_symmetric(), shared.sym.is_some());
+    if let Some(slots) = &shared.sym {
+        // SAFETY: no other thread touches slot `i` before the first epoch's
+        // reduction rounds, which construction's handshake precedes.
+        unsafe { *slots[i].0.get() = vec![0.0; block.ncols()] };
     }
-    let Some(block) = block else {
+    shared.blocks[i].set(block).is_ok()
+}
+
+/// The worker body: materialize the block (first touch), check in to the
+/// construction handshake — also after a failed build, so construction errors
+/// instead of hanging — then serve epochs until shutdown.
+fn worker_loop(shared: Arc<Shared>, tid: usize, spec: BlockSpec) {
+    let built = build_block(&shared, tid, spec);
+    shared.gate.check_in(tid, 1);
+    if !built {
         return;
-    };
-    let rows = block.rows();
-    let row_offset = rows.start;
-    let row_count = rows.end - rows.start;
-
-    // Symmetric workers own a full-length scratch destination; allocate it here
-    // so first-touch places its pages on this worker's node. (SpMM batches grow
-    // it on first use of a wider batch — steady state allocates nothing.)
-    let sym_shared = shared.sym.as_ref().filter(|_| block.is_symmetric());
-    if let Some(sym) = sym_shared {
-        // SAFETY: no other thread touches this worker's slot until the first
-        // epoch's reduction rounds, which happen strictly later.
-        unsafe { *sym.slots[tid].0.get() = vec![0.0; block.ncols()] };
     }
-
-    let mut seen_epoch = 0u64;
+    let mut seen = 0u64;
     loop {
-        // Wait for the next epoch. The mutex is held only across the epoch check,
-        // never across the compute.
-        let (command, operands, solver_ops) = {
-            let mut launch = shared.launch.lock().unwrap();
-            while launch.epoch == seen_epoch {
-                launch = shared.launch_cv.wait(launch).unwrap();
+        match shared.gate.next_turn(tid, &mut seen) {
+            Turn::Shutdown => return,
+            Turn::Stolen => {}
+            Turn::Run(job) => {
+                run_block(&shared, tid, &job);
+                shared.gate.check_in(tid, 1);
             }
-            seen_epoch = launch.epoch;
-            (launch.command, launch.operands, launch.solver)
-        };
-        let prof_t0 = shared.profiling.load(Ordering::Relaxed).then(Instant::now);
-        match command {
-            Command::Shutdown => return,
-            cmd if cmd.is_solver() => {
-                solver_epoch(
-                    &shared,
-                    sym_shared,
-                    tid,
-                    &block,
-                    cmd,
-                    &solver_ops,
-                    &operands,
-                );
-            }
-            Command::Spmv if sym_shared.is_some() => {
-                let sym = sym_shared.expect("checked by the guard");
-                // SAFETY: this worker owns its slot outside the reduction
-                // rounds; the caller's x view is valid for this epoch.
-                let scratch = unsafe { &mut *sym.slots[tid].0.get() };
-                let need = operands.y_len;
-                if scratch.len() < need {
-                    scratch.resize(need, 0.0);
-                }
-                scratch[..need].fill(0.0);
-                let x = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-                block.execute_full(x, &mut scratch[..need]);
-                sym_reduce(sym, tid, need, &operands);
-            }
-            Command::Spmm if sym_shared.is_some() => {
-                let sym = sym_shared.expect("checked by the guard");
-                // SAFETY: as above; x column `j` is the contiguous slice at
-                // `x_ptr + j*x_ld` of x_ld (= ncols) elements.
-                let scratch = unsafe { &mut *sym.slots[tid].0.get() };
-                let need = operands.y_ld * operands.k;
-                if scratch.len() < need {
-                    scratch.resize(need, 0.0);
-                }
-                scratch[..need].fill(0.0);
-                for j in 0..operands.k {
-                    let x_col = unsafe {
-                        std::slice::from_raw_parts(
-                            operands.x_ptr.add(j * operands.x_ld),
-                            operands.x_ld,
-                        )
-                    };
-                    block.execute_full(
-                        x_col,
-                        &mut scratch[j * operands.y_ld..(j + 1) * operands.y_ld],
-                    );
-                }
-                sym_reduce(sym, tid, need, &operands);
-            }
-            Command::Spmv => {
-                // SAFETY: the caller published valid x/y views for exactly this
-                // epoch and blocks on the completion barrier below before
-                // reclaiming them; this worker writes only its precomputed
-                // disjoint row range of y.
-                let (x, y_block) = unsafe {
-                    let x = std::slice::from_raw_parts(operands.x_ptr, operands.x_len);
-                    debug_assert!(row_offset + row_count <= operands.y_len);
-                    let y_block =
-                        std::slice::from_raw_parts_mut(operands.y_ptr.add(row_offset), row_count);
-                    (x, y_block)
-                };
-                block.execute(x, y_block);
-            }
-            Command::Spmm => {
-                // SAFETY: same epoch/barrier argument as above. The worker's
-                // write set is its row range of every column — the column ranges
-                // `y_ptr[row_offset + j*y_ld ..][..row_count]` — which are
-                // disjoint from every other worker's because the row partition
-                // is disjoint and row_count ≤ y_ld.
-                let x = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-                debug_assert!(row_offset + row_count <= operands.y_ld);
-                let mut y_cols = unsafe {
-                    MultiVecMut::from_raw_parts(
-                        operands.y_ptr.add(row_offset),
-                        operands.y_ld,
-                        row_count,
-                        operands.k,
-                    )
-                };
-                block.spmm(x, operands.x_ld, &mut y_cols);
-            }
-            // Solver commands are consumed by the `is_solver` guard arm above.
-            _ => unreachable!("solver command escaped the is_solver guard"),
         }
-
-        // Kernel time for this epoch (includes in-epoch reduction rounds on
-        // the symmetric and solver paths — the time the worker was busy, which
-        // is what the imbalance report wants). The relaxed store is ordered
-        // before the caller's read by the done mutex below.
-        if let Some(t0) = prof_t0 {
-            shared.prof[tid]
-                .0
-                .store(spmv_obs::saturating_nanos(t0.elapsed()), Ordering::Relaxed);
-        }
-
-        // Completion barrier: last worker of the epoch wakes the caller.
-        let mut done = shared.done.lock().unwrap();
-        if done.epoch != seen_epoch {
-            done.epoch = seen_epoch;
-            done.count = 0;
-        }
-        done.count += 1;
-        shared.done_cv.notify_all();
     }
 }
 
-/// The symmetric epilogue every worker runs after computing its scratch
-/// contribution: the deterministic pairwise tree reduction, then worker 0
-/// accumulates the root scratch into the caller's destination.
+/// One block's share of an epoch, on whichever thread claimed block `i` (or
+/// sits in seat `i` of a rendezvous epoch).
+fn run_block(shared: &Shared, i: usize, job: &Job) {
+    let block = shared.blocks[i]
+        .get()
+        .expect("construction fails unless every block is built");
+    let operands = &job.operands;
+    let rows = block.rows();
+    let row_offset = rows.start;
+    let row_count = rows.end - rows.start;
+    // Relaxed: a mode switch; a run that misses a toggle is merely (un)timed.
+    let prof_t0 = shared.profiling.load(Ordering::Relaxed).then(Instant::now);
+    match (job.command, &shared.sym) {
+        (cmd, _) if cmd.is_solver() => solver_epoch(shared, i, block, cmd, &job.solver, operands),
+        (Command::Spmv | Command::Spmm, Some(slots)) => {
+            // An SpMV is the one-column batch (`k = 1`, `x_ld = ncols`).
+            let need = operands.y_ld * operands.k;
+            // SAFETY: seat `i` owns its slot outside the reduction rounds.
+            let scratch = unsafe { zeroed_scratch(slots, i, need) };
+            for j in 0..operands.k {
+                // SAFETY: the caller's x view is valid for this epoch; column
+                // `j` is the contiguous slice at `x_ptr + j*x_ld` of x_ld
+                // (= ncols) elements.
+                debug_assert!((j + 1) * operands.x_ld <= operands.x_len);
+                let x_col = unsafe {
+                    std::slice::from_raw_parts(operands.x_ptr.add(j * operands.x_ld), operands.x_ld)
+                };
+                block.execute_full(
+                    x_col,
+                    &mut scratch[j * operands.y_ld..(j + 1) * operands.y_ld],
+                );
+            }
+            sym_reduce(shared, slots, i, need, operands);
+        }
+        (Command::Spmv, None) => {
+            // SAFETY: the caller published valid x/y views for exactly this
+            // epoch and cannot leave it before this block is checked in;
+            // block `i` is run by exactly one thread per epoch (its claim),
+            // which writes only the block's precomputed disjoint row range.
+            let (x, y_block) = unsafe {
+                let x = std::slice::from_raw_parts(operands.x_ptr, operands.x_len);
+                debug_assert!(row_offset + row_count <= operands.y_len);
+                let y_block =
+                    std::slice::from_raw_parts_mut(operands.y_ptr.add(row_offset), row_count);
+                (x, y_block)
+            };
+            block.execute(x, y_block);
+        }
+        (Command::Spmm, None) => {
+            // SAFETY: same epoch/claim argument as above. The block's write
+            // set is its row range of every column — the column ranges
+            // `y_ptr[row_offset + j*y_ld ..][..row_count]` — which are
+            // disjoint from every other block's because the row partition
+            // is disjoint and row_count ≤ y_ld.
+            let x = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
+            debug_assert!(row_offset + row_count <= operands.y_ld);
+            let mut y_cols = unsafe {
+                MultiVecMut::from_raw_parts(
+                    operands.y_ptr.add(row_offset),
+                    operands.y_ld,
+                    row_count,
+                    operands.k,
+                )
+            };
+            block.spmm(x, operands.x_ld, &mut y_cols);
+        }
+        // Solver commands are consumed by the `is_solver` guard arm above.
+        _ => unreachable!("solver command escaped the is_solver guard"),
+    }
+
+    // Kernel time for this epoch (includes in-epoch reduction rounds on
+    // the symmetric and solver paths — the time the runner was busy, which
+    // is what the imbalance report wants). Relaxed: the check-in (or, on the
+    // caller, program order) orders the store before the caller's fold.
+    if let Some(t0) = prof_t0 {
+        shared.prof[i]
+            .0
+            .store(spmv_obs::saturating_nanos(t0.elapsed()), Ordering::Relaxed);
+    }
+}
+
+/// Seat `i`'s scratch destination, grown to `need` if a wider batch asks for it
+/// (once; steady state allocates nothing) and zeroed.
 ///
-/// The schedule — stride 1, 2, 4, … while `stride < workers`; in each round
-/// buffer `i` (with `i % (2·stride) == 0`, `i + stride < workers`) absorbs
-/// buffer `i + stride` — is **exactly** the order the serial
+/// # Safety
+///
+/// Only seat `i` may call this, and only outside the reduction rounds of an
+/// epoch, when no partner reads the slot.
+#[allow(clippy::mut_from_ref)]
+unsafe fn zeroed_scratch(slots: &[ScratchSlot], i: usize, need: usize) -> &mut [f64] {
+    let scratch = &mut *slots[i].0.get();
+    if scratch.len() < need {
+        scratch.resize(need, 0.0);
+    }
+    scratch[..need].fill(0.0);
+    &mut scratch[..need]
+}
+
+/// The deterministic pairwise tree reduction over the participants' scratch
+/// slots, leaving the total in slot 0.
+///
+/// The schedule — stride 1, 2, 4, … while `stride < participants`; in each
+/// round buffer `i` (with `i % (2·stride) == 0`, `i + stride < participants`)
+/// absorbs buffer `i + stride` — is **exactly** the order the serial
 /// [`spmv_core::tuning::prepared::PreparedMatrix`] applies, so the parallel
-/// result is bit-identical to the serial one. A [`RoundBarrier::wait`] opens
-/// every round: the first separates compute from reduction, the later ones
-/// order round `r`'s reads after round `r-1`'s writes.
-fn sym_reduce(sym: &SymShared, tid: usize, len: usize, operands: &Operands) {
-    let count = sym.slots.len();
+/// result is bit-identical to the serial one. A gate barrier opens every
+/// round: the first separates compute from reduction, the later ones order
+/// round `r`'s reads after round `r-1`'s writes.
+fn tree_reduce(shared: &Shared, slots: &[ScratchSlot], tid: usize, len: usize) {
+    let count = slots.len();
     let mut stride = 1usize;
-    for _ in 0..SymShared::rounds(count) {
-        sym.barrier.wait();
+    while stride < count {
+        shared.gate.barrier(tid);
         if tid.is_multiple_of(2 * stride) && tid + stride < count {
             // SAFETY: the partner finished writing its slot before arriving at
             // this round's barrier and does not touch it again this epoch.
-            let src = unsafe { &*sym.slots[tid + stride].0.get() };
-            let dst = unsafe { &mut *sym.slots[tid].0.get() };
+            let src = unsafe { &*slots[tid + stride].0.get() };
+            let dst = unsafe { &mut *slots[tid].0.get() };
             spmv_core::tuning::reduce_into(&mut dst[..len], &src[..len]);
         }
         stride *= 2;
     }
+}
+
+/// The symmetric epilogue every participant runs after computing its scratch
+/// contribution: [`tree_reduce`], then participant 0 accumulates the root
+/// scratch into the caller's destination.
+fn sym_reduce(shared: &Shared, slots: &[ScratchSlot], tid: usize, len: usize, operands: &Operands) {
+    tree_reduce(shared, slots, tid, len);
     if tid == 0 {
-        // SAFETY: every other worker's last access to slot 0 (none) and to y
-        // (none on the symmetric path) is ordered before this; the caller's y
-        // view stays valid until the completion barrier below.
-        let root = unsafe { &*sym.slots[0].0.get() };
+        // SAFETY: the last round's barrier ordered every write to slot 0, no
+        // other participant touches y on the symmetric path, and the caller's
+        // y view stays valid until the epoch completes.
+        let root = unsafe { &*slots[0].0.get() };
         let y = unsafe { std::slice::from_raw_parts_mut(operands.y_ptr, len) };
         spmv_core::tuning::reduce_into(y, &root[..len]);
     }
@@ -1240,27 +1201,21 @@ fn sym_reduce(sym: &SymShared, tid: usize, len: usize, operands: &Operands) {
 ///
 /// General engines write disjoint row slices of `w` exactly like an SpMV epoch.
 /// Symmetric engines compute into their scratch slots, run the same
-/// deterministic pairwise tree rounds as [`sym_reduce`], have worker 0 rebuild
+/// deterministic pairwise [`tree_reduce`] rounds, have participant 0 rebuild
 /// the full `w` from the root scratch, and pay **one extra barrier** so every
-/// worker's subsequent dot reads the finished `w`. Both paths mirror
+/// participant's subsequent dot reads the finished `w`. Both paths mirror
 /// [`spmv_core::solver::SerialCg`]'s apply op-for-op, so the fused step stays
 /// bit-identical to the serial reference.
-fn solver_apply(
-    solver: &SolverShared,
-    sym_shared: Option<&SymShared>,
-    tid: usize,
-    block: &PreparedBlock,
-    ops: &SolverOps,
-) {
+fn solver_apply(shared: &Shared, tid: usize, block: &PreparedBlock, ops: &SolverOps) {
     let n = ops.n;
     let rows = block.rows();
     // SAFETY (for all raw derefs here): the caller published valid slab views
-    // for exactly this epoch and blocks on the completion barrier before
-    // reclaiming them; `p` is only read during this phase (its writers run
+    // for exactly this epoch and cannot leave it before every participant has
+    // checked in; `p` is only read during this phase (its writers run
     // strictly later, after the phase barriers), and `w` writes are either
-    // disjoint row slices or the barrier-ordered worker-0 rebuild.
+    // disjoint row slices or the barrier-ordered participant-0 rebuild.
     let p = unsafe { std::slice::from_raw_parts(ops.p as *const f64, n) };
-    match sym_shared {
+    match &shared.sym {
         None => {
             let w_s = unsafe {
                 std::slice::from_raw_parts_mut(ops.w.add(rows.start), rows.end - rows.start)
@@ -1268,47 +1223,28 @@ fn solver_apply(
             w_s.fill(0.0);
             block.execute(p, w_s);
         }
-        Some(sym) => {
-            let count = sym.slots.len();
-            {
-                // SAFETY: this worker owns its slot outside the reduction rounds.
-                let scratch = unsafe { &mut *sym.slots[tid].0.get() };
-                if scratch.len() < n {
-                    scratch.resize(n, 0.0);
-                }
-                scratch[..n].fill(0.0);
-                block.execute_full(p, &mut scratch[..n]);
-            }
-            let mut stride = 1usize;
-            for _ in 0..SymShared::rounds(count) {
-                solver.barrier.wait();
-                if tid.is_multiple_of(2 * stride) && tid + stride < count {
-                    // SAFETY: as in sym_reduce — the partner finished its slot
-                    // before this round's barrier and won't touch it again.
-                    let src = unsafe { &*sym.slots[tid + stride].0.get() };
-                    let dst = unsafe { &mut *sym.slots[tid].0.get() };
-                    spmv_core::tuning::reduce_into(&mut dst[..n], &src[..n]);
-                }
-                stride *= 2;
-            }
+        Some(slots) => {
+            // SAFETY: seat `tid` owns its slot outside the reduction rounds.
+            block.execute_full(p, unsafe { zeroed_scratch(slots, tid, n) });
+            tree_reduce(shared, slots, tid, n);
             if tid == 0 {
                 // SAFETY: the last round's barrier ordered every write to slot 0;
-                // no other worker touches `w` until the barrier below.
-                let root = unsafe { &*sym.slots[0].0.get() };
+                // no other participant touches `w` until the barrier below.
+                let root = unsafe { &*slots[0].0.get() };
                 let w = unsafe { std::slice::from_raw_parts_mut(ops.w, n) };
                 w.fill(0.0);
                 spmv_core::tuning::reduce_into(w, &root[..n]);
             }
             // The extra sync the symmetric path pays: the dots that follow read
-            // the full `w` worker 0 just rebuilt.
-            solver.barrier.wait();
+            // the full `w` participant 0 just rebuilt.
+            shared.gate.barrier(tid);
         }
     }
 }
 
 /// One fused solver epoch on this worker: the entire CG (or power-iteration)
-/// step — SpMV, both dot products, both vector updates — between a single
-/// launch and a single completion barrier. Scalar partials travel through the
+/// step — SpMV, both dot products, both vector updates — inside a single
+/// epoch. Scalar partials travel through the
 /// cache-line-padded [`ScalarSlot`]s; after each phase barrier **every** worker
 /// folds them with the same deterministic [`tree_sum_slots`] order and derives
 /// α/β (or the normalizer) locally, so no scalar broadcast is needed and the
@@ -1316,7 +1252,6 @@ fn solver_apply(
 /// [`spmv_core::solver::SerialPower`] op-for-op.
 fn solver_epoch(
     shared: &Shared,
-    sym_shared: Option<&SymShared>,
     tid: usize,
     block: &PreparedBlock,
     command: Command,
@@ -1353,7 +1288,7 @@ fn solver_epoch(
             own_mut!(ops.w).fill(0.0);
             own_mut!(ops.r).copy_from_slice(b_s);
             own_mut!(ops.p).copy_from_slice(b_s);
-            // SAFETY: slot `tid` is ours; read only after the completion barrier.
+            // SAFETY: slot `tid` is ours; read only after the epoch completes.
             unsafe { *solver.slots_b[tid].0.get() = kernels::dot(b_s, b_s) };
         }
         Command::CgLoad => {
@@ -1374,15 +1309,15 @@ fn solver_epoch(
                     // this iteration's full-slab read of p in solver_apply.
                     // Within one epoch this replaces the completion+launch
                     // round-trip that separated single-step epochs.
-                    solver.barrier.wait();
+                    shared.gate.barrier(tid);
                 }
                 // Phase A: w ← A·p, partial p·w.
-                solver_apply(solver, sym_shared, tid, block, ops);
+                solver_apply(shared, tid, block, ops);
                 let pw_partial = kernels::dot(own_ref!(ops.p), own_ref!(ops.w));
                 // SAFETY: slot `tid` is ours; partners read it only after the
                 // barrier (and overwrite it only after two more barriers).
                 unsafe { *solver.slots_a[tid].0.get() = pw_partial };
-                solver.barrier.wait();
+                shared.gate.barrier(tid);
                 // Phase B: every worker folds the same tree, derives the same
                 // α, then fuses x += α·p, r -= α·w with the partial r·r.
                 // SAFETY: the barrier ordered all slot-a writes before these reads.
@@ -1396,7 +1331,7 @@ fn solver_epoch(
                     own_mut!(ops.r),
                 );
                 unsafe { *solver.slots_b[tid].0.get() = rr_partial };
-                solver.barrier.wait();
+                shared.gate.barrier(tid);
                 // Phase C: same folded rr′ everywhere, p ← r + β·p on own
                 // rows; the scalar recurrence carries to the next iteration
                 // locally (the caller reads the final slots after completion).
@@ -1416,22 +1351,22 @@ fn solver_epoch(
             own_mut!(ops.w).fill(0.0);
             // SAFETY: slot writes before / tree reads after the barrier.
             unsafe { *solver.slots_b[tid].0.get() = kernels::dot(v0_s, v0_s) };
-            solver.barrier.wait();
+            shared.gate.barrier(tid);
             let inv = 1.0 / unsafe { tree_sum_slots(&solver.slots_b) }.sqrt();
             kernels::scale_from(v0_s, inv, own_mut!(ops.p));
         }
         Command::PowerStep => {
             // w ← A·q, Rayleigh partial q·w and norm partial w·w, then every
             // worker derives the same normalizer and writes q ← w/‖w‖.
-            solver_apply(solver, sym_shared, tid, block, ops);
+            solver_apply(shared, tid, block, ops);
             let (q_s, w_s) = (own_ref!(ops.p), own_ref!(ops.w));
             // SAFETY: slot writes before / tree reads after the barrier; the
-            // caller reads slot a (λ) only after the completion barrier.
+            // caller reads slot a (λ) only after the epoch completes.
             unsafe {
                 *solver.slots_a[tid].0.get() = kernels::dot(q_s, w_s);
                 *solver.slots_b[tid].0.get() = kernels::dot(w_s, w_s);
             }
-            solver.barrier.wait();
+            shared.gate.barrier(tid);
             let inv = 1.0 / unsafe { tree_sum_slots(&solver.slots_b) }.sqrt();
             kernels::scale_from(own_ref!(ops.w), inv, own_mut!(ops.p));
         }
@@ -1587,6 +1522,26 @@ mod tests {
             csr.spmv(&x, &mut expected);
         }
         assert!(max_abs_diff(&expected, &y) < 1e-9);
+    }
+
+    /// The caller is participant 0: a one-block engine spawns nothing and an
+    /// `n`-block engine spawns `n − 1` workers.
+    #[test]
+    fn one_thread_engine_holds_no_join_handle() {
+        let csr = random_csr(50, 50, 400, 14);
+        let mut single = SpmvEngine::tuned(&csr, 1, &TuningConfig::full()).unwrap();
+        assert!(single.workers.is_empty());
+        assert_eq!(single.num_threads(), 1);
+        let x = vec![1.5; 50];
+        let mut y = vec![0.0; 50];
+        single.spmv(&x, &mut y);
+        assert_eq!(y, {
+            let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+            PreparedMatrix::materialize(&csr, &plan)
+                .unwrap()
+                .spmv_alloc(&x)
+        });
+        assert_eq!(SpmvEngine::new(&csr, 4).workers.len(), 3);
     }
 
     #[test]

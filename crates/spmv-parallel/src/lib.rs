@@ -6,12 +6,15 @@
 //! partitioned with nonzeros balanced across threads, each thread's block is further
 //! cache/TLB/register blocked, and on NUMA systems both the thread and its matrix
 //! block are pinned to the socket that owns the data. This crate reproduces that
-//! execution model on `std` threads alone (no external runtime, no work stealing —
-//! deterministic block-to-thread assignment like the paper's Pthreads code), with
+//! execution model on `std` threads alone (no external runtime; fixed thread
+//! blocks like the paper's Pthreads code, each run by its owner unless the
+//! calling thread gets to it first — same rows, same kernel, same bits), with
 //! one executor. Nothing here pins a thread or a page: placement is first-touch
-//! only (each worker materializes its own block), and no API claims otherwise.
+//! only (each participant materializes its own block), and no API claims
+//! otherwise.
 //!
-//! * [`engine`] — the zero-overhead steady-state executor: persistent workers,
+//! * [`engine`] — the zero-overhead steady-state executor: persistent workers
+//!   plus the calling thread as participant 0, atomics-only spin-then-park epochs,
 //!   first-touch-placed **fully tuned** `PreparedBlock`s (register blocked, index
 //!   compressed, cache/TLB blocked, prefetch annotated — the heuristic's
 //!   decisions, bound at construction), precomputed disjoint `y` slices, and no
@@ -25,6 +28,7 @@
 
 pub mod engine;
 pub mod solver;
+mod sync;
 
 pub use engine::{EngineFootprint, EngineProfile, SpmvEngine, WorkerProfile};
 pub use solver::{FusedCg, FusedPower};

@@ -859,6 +859,11 @@ impl MatrixRegistry {
                     );
                     snap.counter(tag("spmv_engine_kernel_ns_total"), profile.kernel_ns());
                     snap.counter(tag("spmv_engine_barrier_ns_total"), profile.barrier_ns());
+                    snap.counter(tag("spmv_engine_parks_total"), profile.parks);
+                    snap.counter(
+                        tag("spmv_engine_stolen_blocks_total"),
+                        profile.stolen_blocks,
+                    );
                     snap.gauge(tag("spmv_engine_time_imbalance"), profile.time_imbalance());
                     snap.gauge(tag("spmv_engine_nnz_imbalance"), profile.nnz_imbalance());
                     snap.gauge(tag("spmv_engine_workers"), profile.workers.len() as f64);

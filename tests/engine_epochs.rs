@@ -1,0 +1,93 @@
+//! The engine's epoch protocol seen from outside: whichever way an epoch is
+//! entered — workers still spinning from the call before, workers parked after
+//! an idle gap, blocks run by their owner or stolen by the caller, the caller
+//! itself a different thread than last time — the output is the serial
+//! `PreparedMatrix`'s, bit for bit.
+
+use spmv_multicore::prelude::*;
+use spmv_testutil::{assert_bit_identical, random_csr, random_symmetric_csr, test_x, xblock};
+use std::time::Duration;
+
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+const CALLS: usize = 6;
+
+/// `CALLS` accumulating SpMV and SpMM (k = 3) calls on the engine and on the
+/// serial reference of the same plan, `gap` apart.
+fn engine_tracks_serial(csr: &CsrMatrix, threads: usize, gap: Option<Duration>, what: &str) {
+    let plan = TunePlan::new(csr, threads, &TuningConfig::full());
+    let serial = PreparedMatrix::materialize(csr, &plan).expect("a fresh plan fits its matrix");
+    let mut engine = SpmvEngine::from_plan(csr, &plan).expect("a fresh plan fits its matrix");
+    let context = format!("{what}, threads={threads}, gap={gap:?}");
+
+    let x = test_x(csr.ncols());
+    let (mut y, mut want) = (vec![0.5; csr.nrows()], vec![0.5; csr.nrows()]);
+    let xs = xblock(csr.ncols(), 3);
+    let mut ys = MultiVec::zeros(csr.nrows(), 3);
+    let mut wants = MultiVec::zeros(csr.nrows(), 3);
+    for call in 0..CALLS {
+        if let Some(gap) = gap {
+            std::thread::sleep(gap);
+        }
+        engine.spmv(&x, &mut y);
+        serial.spmv(&x, &mut want);
+        assert_bit_identical(&y, &want, &format!("spmv call {call}, {context}"));
+        engine.spmm(&xs, &mut ys);
+        serial.spmm(&xs, &mut wants);
+        assert_bit_identical(
+            ys.data(),
+            wants.data(),
+            &format!("spmm call {call}, {context}"),
+        );
+    }
+}
+
+#[test]
+fn back_to_back_epochs_match_the_serial_path() {
+    let general = random_csr(173, 151, 2400, 61);
+    let symmetric = random_symmetric_csr(137, 900, 62);
+    for threads in THREADS {
+        engine_tracks_serial(&general, threads, None, "general");
+        engine_tracks_serial(&symmetric, threads, None, "symmetric");
+    }
+}
+
+/// 2 ms between calls is some sixty spin budgets: every worker has parked by
+/// the time the next epoch opens.
+#[test]
+fn epochs_after_an_idle_gap_match_the_serial_path() {
+    let general = random_csr(173, 151, 2400, 63);
+    let symmetric = random_symmetric_csr(137, 900, 64);
+    let gap = Some(Duration::from_millis(2));
+    for threads in THREADS {
+        engine_tracks_serial(&general, threads, gap, "general");
+        engine_tracks_serial(&symmetric, threads, gap, "symmetric");
+    }
+}
+
+/// Participant 0 is whoever calls: the same engines serve two threads in turn.
+#[test]
+fn an_engine_serves_callers_on_different_threads_in_turn() {
+    let csr = random_csr(120, 120, 1500, 65);
+    let x = test_x(120);
+    for threads in [1, 3] {
+        let plan = TunePlan::new(&csr, threads, &TuningConfig::full());
+        let want = PreparedMatrix::materialize(&csr, &plan)
+            .expect("a fresh plan fits its matrix")
+            .spmv_alloc(&x);
+        let mut engine = SpmvEngine::from_plan(&csr, &plan).expect("a fresh plan fits its matrix");
+        for turn in 0..4 {
+            // Each turn runs on a new thread; the scope's join hands the
+            // engine to the next.
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut y = vec![0.0; 120];
+                    engine.spmv(&x, &mut y);
+                    assert_bit_identical(&y, &want, &format!("threads={threads} turn {turn}"));
+                });
+            });
+            let mut y = vec![0.0; 120];
+            engine.spmv(&x, &mut y);
+            assert_bit_identical(&y, &want, &format!("threads={threads} main, turn {turn}"));
+        }
+    }
+}

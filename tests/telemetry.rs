@@ -147,6 +147,8 @@ fn registry_scrape_covers_every_layer() {
         "spmv_engine_epochs_total",
         "spmv_engine_kernel_ns_total",
         "spmv_engine_time_imbalance",
+        "spmv_engine_parks_total",
+        "spmv_engine_stolen_blocks_total",
         "spmv_serve_requests_total",
         "spmv_serve_batch_occupancy_count",
         "spmv_solver_iterations_total",
@@ -167,6 +169,46 @@ fn registry_scrape_covers_every_layer() {
     drop(registry);
     drop(registry2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The epoch counters move and reach the scrape: workers left idle park, and a
+/// caller that finds a block unclaimed after its own runs it. An 8-block engine
+/// woken from sleep gives the caller a head start on the last-woken owners, so
+/// a steal shows up within a few epochs; the loop only bounds the wait.
+#[test]
+fn parks_and_stolen_blocks_move_and_are_scraped() {
+    let registry = MatrixRegistry::new(8, TuningConfig::full());
+    let csr = random_csr(96, 96, 900, 17);
+    let served = registry.insert("epochs", &csr).expect("insert");
+    let x = test_x(csr.ncols());
+    let reference = served.spmv_now(&x).expect("spmv_now");
+    let moved =
+        |p: &spmv_multicore::spmv_parallel::EngineProfile| p.parks > 0 && p.stolen_blocks > 0;
+    for _ in 0..5000 {
+        if moved(&served.engine_profile()) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let y = served.spmv_now(&x).expect("spmv_now");
+        assert_bit_identical(&y, &reference, "whoever ran each block");
+    }
+    let profile = served.engine_profile();
+    assert!(
+        moved(&profile),
+        "parks and steals must register: {profile:?}"
+    );
+
+    let text = registry.metrics();
+    let scraped = |family: &str| -> u64 {
+        let series = format!("{family}{{matrix=\"epochs\"}} ");
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&series))
+            .unwrap_or_else(|| panic!("{family} missing from:\n{text}"));
+        line[series.len()..].trim().parse().expect("counter value")
+    };
+    assert!(scraped("spmv_engine_parks_total") >= profile.parks);
+    assert!(scraped("spmv_engine_stolen_blocks_total") >= profile.stolen_blocks);
 }
 
 #[test]
