@@ -1,9 +1,12 @@
 //! Regenerate paper Table 1: architectural summary of the evaluated platforms.
 
 use spmv_archsim::platforms::PlatformId;
-use spmv_bench::format::render_table;
+use spmv_bench::format::{parse_scale_arg, render_table};
 
 fn main() {
+    // Table 1 does not depend on the scale; the argument is still checked, so a
+    // typo fails the same way in all six binaries.
+    parse_scale_arg(spmv_matrices::suite::Scale::Small);
     let header = [
         "System",
         "Sockets",

@@ -1,7 +1,7 @@
 //! Regenerate paper Table 2: the optimization × architecture capability matrix,
 //! annotated with the module of this reproduction implementing each row.
 
-use spmv_bench::format::render_table;
+use spmv_bench::format::{parse_scale_arg, render_table};
 use spmv_core::tuning::optimizations::{table2, Applicability, OptimizationClass};
 
 fn mark(a: Applicability) -> &'static str {
@@ -14,6 +14,9 @@ fn mark(a: Applicability) -> &'static str {
 }
 
 fn main() {
+    // Table 2 does not depend on the scale; the argument is still checked, so a
+    // typo fails the same way in all six binaries.
+    parse_scale_arg(spmv_matrices::suite::Scale::Small);
     for class in [
         OptimizationClass::Code,
         OptimizationClass::DataStructure,

@@ -1,4 +1,6 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering and the scale argument for the experiment binaries.
+
+use spmv_matrices::suite::Scale;
 
 /// Render a table with a header row and aligned columns, in the style of the paper's
 /// tables (fixed-width plain text suitable for a terminal or a lab notebook).
@@ -58,22 +60,29 @@ pub fn gflops_with_pct(v: f64, peak: f64) -> String {
     format!("{:.2} ({:.1}%)", v, 100.0 * v / peak)
 }
 
-/// Parse the scale argument accepted by every binary (`full`, `quarter`, `small`,
-/// `tiny`); unknown values fall back to the given default with a warning on stderr.
-pub fn parse_scale_arg(default: spmv_matrices::suite::Scale) -> spmv_matrices::suite::Scale {
-    use spmv_matrices::suite::Scale;
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("full") => Scale::Full,
-        Some("quarter") => Scale::Quarter,
-        Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        Some(other) => {
-            eprintln!("unknown scale '{other}', using default");
-            default
-        }
-        None => default,
+/// Parse a scale name (`full`, `quarter`, `small`, `tiny`); no argument means
+/// `default`. Anything else is an error naming the offending argument — a typo
+/// must not silently run another scale.
+pub fn parse_scale(arg: Option<&str>, default: Scale) -> Result<Scale, String> {
+    match arg {
+        None => Ok(default),
+        Some("full") => Ok(Scale::Full),
+        Some("quarter") => Ok(Scale::Quarter),
+        Some("small") => Ok(Scale::Small),
+        Some("tiny") => Ok(Scale::Tiny),
+        Some(other) => Err(format!("unknown scale '{other}'")),
     }
+}
+
+/// The scale argument of the running binary (its first argument), or `default`
+/// without one; on an unknown name, one usage line on stderr and exit status 2.
+pub fn parse_scale_arg(default: Scale) -> Scale {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_scale(args.next().as_deref(), default).unwrap_or_else(|err| {
+        eprintln!("usage: {bin} [full|quarter|small|tiny] ({err})");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -100,5 +109,22 @@ mod tests {
         assert_eq!(gflops(1.234), "1.23");
         assert_eq!(gbs_with_pct(5.4, 10.8), "5.40 (50%)");
         assert_eq!(gflops_with_pct(1.0, 4.0), "1.00 (25.0%)");
+    }
+
+    #[test]
+    fn scale_names_parse_and_everything_else_is_an_error() {
+        for (name, scale) in [
+            ("full", Scale::Full),
+            ("quarter", Scale::Quarter),
+            ("small", Scale::Small),
+            ("tiny", Scale::Tiny),
+        ] {
+            assert_eq!(parse_scale(Some(name), Scale::Small), Ok(scale));
+        }
+        assert_eq!(parse_scale(None, Scale::Quarter), Ok(Scale::Quarter));
+        for bad in ["--scale", "", "TINY"] {
+            let err = parse_scale(Some(bad), Scale::Tiny).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! # spmv-bench
 //!
 //! The experiment harness that regenerates every table and figure of the paper's
-//! evaluation, plus Criterion benchmarks that measure the *native* (host-machine)
-//! performance of the actual Rust kernels.
+//! evaluation, plus Criterion benchmarks that time the actual Rust kernels on the
+//! host, variant by variant.
 //!
 //! Two kinds of numbers come out of this crate, and they answer different questions:
 //!
@@ -15,26 +15,13 @@
 //!   "do the optimizations implemented here actually speed up SpMV on real hardware
 //!   today?" — the native analogue of Figure 1's per-matrix ladders.
 //!
+//! Neither carries a performance claim: the repo's one yardstick is the standalone
+//! `benchmark/` package that `BENCHMARK.json` declares.
+//!
 //! Shared logic lives in [`experiments`] (optimization ladders, workload-profile
-//! construction), [`format`] (plain-text table rendering), [`perf`] (the native
-//! perf harness behind the `spmv_bench` binary and `BENCH_spmv.json`),
-//! [`serve`] (batched-apply rows and the request-stream replay behind the
-//! `serve_bench` binary), [`net`] (the same replay driven over loopback TCP
-//! through `spmv-net`, behind the `serve-net-*` rows), [`obs`] (the
-//! instrumentation-overhead ablation and the artifact's telemetry header) and
-//! [`json`] (the dependency-free JSON writer for benchmark artifacts).
+//! construction) and [`format`] (plain-text table rendering, the scale argument).
 
 pub mod experiments;
 pub mod format;
-pub mod json;
-pub mod net;
-pub mod obs;
-pub mod perf;
-pub mod serve;
-pub mod solver;
 
 pub use experiments::{ladder_for, run_ladder, run_rung, ExperimentResult, Rung, RungKind};
-pub use net::{run_serve_net_scenarios, NetReplayLoad};
-pub use perf::{run_harness, PerfResult};
-pub use serve::{run_serve_scenarios, ReplayLoad};
-pub use solver::{build_solver_suite, run_solver_harness};

@@ -4,8 +4,8 @@
 //! ([`IndexStorage`]): `CsrMatrix<u32>` (the default) is the conventional format,
 //! `CsrMatrix<u16>` is the paper's 16-bit index-compressed variant. The width is a
 //! *compile-time* parameter, so every kernel instantiation reads its indices with a
-//! single zero-extending load — the enum-tag branch of the seed implementation
-//! ([`crate::formats::index::EnumDispatchCsr`]) is gone from the hot path.
+//! single zero-extending load — no per-access branch on a runtime width tag
+//! ([`crate::formats::index::IndexArray`] keeps that form for the cold formats).
 //!
 //! [`CompressedCsr`] packages the runtime decision: it inspects the column span
 //! **once** at construction and stores the narrowest monomorphized matrix.

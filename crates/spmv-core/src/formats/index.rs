@@ -10,12 +10,11 @@
 //! * [`IndexArray`] — a runtime-width enum used by the cold formats (BCOO, GCSR)
 //!   and by footprint accounting, where per-access dispatch cost is irrelevant.
 //!
-//! [`EnumDispatchCsr`] preserves the old per-access enum-dispatch CSR exactly as the
-//! seed implemented it, as a benchmark baseline demonstrating what monomorphization
-//! buys (see `spmv-bench/benches/index_monomorphization.rs`).
+//! What monomorphization buys over consulting the [`IndexArray`] tag on every
+//! column-index fetch is timed by `spmv-bench/benches/index_monomorphization.rs`,
+//! which keeps a per-access enum-dispatch CSR of its own to compare against.
 
 use crate::error::{Error, Result};
-use crate::formats::traits::MatrixShape;
 
 /// The width of the stored indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,72 +225,9 @@ impl IndexArray {
     }
 }
 
-/// The seed's per-access enum-dispatch CSR, preserved as a benchmark baseline.
-///
-/// Every column-index fetch matches on the [`IndexArray`] tag — the exact code the
-/// monomorphized [`crate::formats::CsrMatrix`] replaces. Kept so the
-/// `index_monomorphization` bench can quantify the win; not used by any tuned path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnumDispatchCsr {
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: IndexArray,
-    values: Vec<f64>,
-}
-
-impl EnumDispatchCsr {
-    /// Build from a CSR matrix at the requested runtime width.
-    pub fn from_csr(csr: &crate::formats::csr::CsrMatrix, width: IndexWidth) -> Result<Self> {
-        if !width.fits(csr.ncols()) {
-            return Err(Error::IndexWidthOverflow {
-                dimension: csr.ncols(),
-            });
-        }
-        let cols: Vec<usize> = csr.col_idx().iter().map(|&c| c.to_usize()).collect();
-        Ok(EnumDispatchCsr {
-            nrows: csr.nrows(),
-            ncols: csr.ncols(),
-            row_ptr: csr.row_ptr().to_vec(),
-            col_idx: IndexArray::from_usize(&cols, width)?,
-            values: csr.values().to_vec(),
-        })
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `y ← y + A·x` with the enum tag consulted on every index fetch.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "source vector length mismatch");
-        assert_eq!(y.len(), self.nrows, "destination vector length mismatch");
-        for (row, yv) in y.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-                sum += self.values[k] * x[self.col_idx.get(k)];
-            }
-            *yv += sum;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::csr::CsrMatrix;
-    use crate::formats::CooMatrix;
 
     #[test]
     fn narrowest_width_selection() {
@@ -379,29 +315,5 @@ mod tests {
         let a = IndexArray::from_usize(&[], IndexWidth::U16).unwrap();
         assert!(a.is_empty());
         assert_eq!(a.bytes(), 0);
-    }
-
-    #[test]
-    fn enum_dispatch_csr_matches_reference() {
-        let coo =
-            CooMatrix::from_triplets(3, 4, vec![(0, 0, 1.0), (0, 3, 2.0), (2, 1, 3.0)]).unwrap();
-        let csr = CsrMatrix::from_coo(&coo);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        for width in [IndexWidth::U16, IndexWidth::U32] {
-            let enum_csr = EnumDispatchCsr::from_csr(&csr, width).unwrap();
-            let mut y = vec![0.0; 3];
-            enum_csr.spmv(&x, &mut y);
-            assert_eq!(y, vec![9.0, 0.0, 6.0]);
-            assert_eq!(enum_csr.nnz(), 3);
-            assert_eq!((enum_csr.nrows(), enum_csr.ncols()), (3, 4));
-        }
-    }
-
-    #[test]
-    fn enum_dispatch_csr_rejects_narrow_width() {
-        let coo = CooMatrix::from_triplets(2, 100_000, vec![(0, 99_999, 1.0)]).unwrap();
-        let csr = CsrMatrix::from_coo(&coo);
-        assert!(EnumDispatchCsr::from_csr(&csr, IndexWidth::U16).is_err());
-        assert!(EnumDispatchCsr::from_csr(&csr, IndexWidth::U32).is_ok());
     }
 }

@@ -24,7 +24,7 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::{CompressedCsr, CsrMatrix};
 pub use gcsr::GcsrMatrix;
-pub use index::{EnumDispatchCsr, IndexArray, IndexStorage, IndexWidth};
+pub use index::{IndexArray, IndexStorage, IndexWidth};
 pub use symbcsr::SymBcsr;
 pub use symcsr::{is_symmetric, SymCsr};
 pub use traits::{MatrixShape, SpMv};

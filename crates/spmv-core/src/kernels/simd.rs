@@ -42,8 +42,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Short token naming the feature set, used in the tune-cache platform key
-    /// and the bench harness metadata.
+    /// Short token naming the feature set, used in the tune-cache platform key.
     pub fn suffix(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",

@@ -118,9 +118,8 @@ impl DenseProfile {
 
 /// The reps-stable estimator every measured search in this crate uses (the
 /// OSKI dense profile, the timed shape search, and the whole-plan autotuner)
-/// so a single preempted run cannot flip a decision. Re-exported from the
-/// shared measurement primitive in `spmv-obs`, which the bench harness and
-/// solver gates use too.
+/// so a single preempted run cannot flip a decision. Re-exported from
+/// `spmv-obs`.
 pub use spmv_obs::timing::median_timing;
 
 /// OSKI's heuristic: pick the shape minimizing `fill_ratio / dense_throughput`,

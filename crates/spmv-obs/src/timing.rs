@@ -1,18 +1,10 @@
 //! The one measurement primitive every timed decision in the workspace uses.
 //!
-//! Three estimators, three jobs:
-//!
-//! * [`median_timing`] — reps-stable median for *comparisons* (the OSKI dense
-//!   profile, the timed shape search, the whole-plan autotuner): a single
-//!   preempted run cannot flip a decision.
-//! * [`time_adaptive`] — budgeted rate measurement for *throughput rows*: the
-//!   iteration count is calibrated so the timed region lasts at least the
-//!   budget, amortizing timer overhead and warmup.
-//! * [`best_of`] — best-of-N over [`time_adaptive`] for *gated* rates: CI
-//!   gates compare ratios of short windows, and keeping the fastest
-//!   repetition is the standard cure for one-off scheduling blips.
+//! [`median_timing`] is the reps-stable median for *comparisons* (the OSKI dense
+//! profile, the timed shape search, the whole-plan autotuner): a single
+//! preempted run cannot flip a decision.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fold a [`Duration`] to whole nanoseconds as `u64`, saturating at
 /// `u64::MAX` (≈584 years) instead of silently truncating the high bits the
@@ -28,38 +20,6 @@ pub fn median_timing(runs: usize, mut time_once: impl FnMut() -> f64) -> f64 {
     let mut samples: Vec<f64> = (0..runs.max(1)).map(|_| time_once()).collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     samples[samples.len() / 2]
-}
-
-/// Time `f` adaptively: calibrate the iteration count so the timed region
-/// lasts at least `budget_ms`, then return `(seconds, iterations)`.
-pub fn time_adaptive(budget_ms: u64, mut f: impl FnMut()) -> (f64, usize) {
-    // Calibration: run once, then scale.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((budget_ms as f64 / 1e3) / once).ceil().max(1.0) as usize;
-    let t1 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    (t1.elapsed().as_secs_f64().max(1e-12), iters)
-}
-
-/// Repeat [`time_adaptive`] `reps` times and keep the repetition with the
-/// highest iteration rate, returning its `(seconds, iterations)`.
-pub fn best_of(reps: usize, budget_ms: u64, mut f: impl FnMut()) -> (f64, usize) {
-    let mut best: Option<(f64, usize)> = None;
-    for _ in 0..reps.max(1) {
-        let (secs, iters) = time_adaptive(budget_ms, &mut f);
-        let better = match best {
-            Some((bs, bi)) => (iters as f64 / secs) > (bi as f64 / bs),
-            None => true,
-        };
-        if better {
-            best = Some((secs, iters));
-        }
-    }
-    best.expect("at least one repetition ran")
 }
 
 #[cfg(test)]
@@ -98,22 +58,5 @@ mod tests {
         });
         assert_eq!(calls, 1);
         assert_eq!(m, 2.0);
-    }
-
-    #[test]
-    fn adaptive_timing_returns_positive_rate() {
-        let mut n = 0u64;
-        let (secs, iters) = time_adaptive(1, || n = n.wrapping_add(1));
-        assert!(secs > 0.0);
-        assert!(iters >= 1);
-        assert!(n >= iters as u64);
-    }
-
-    #[test]
-    fn best_of_keeps_a_repetition() {
-        let (secs, iters) = best_of(3, 1, || {
-            std::hint::black_box(0);
-        });
-        assert!(secs > 0.0 && iters >= 1);
     }
 }

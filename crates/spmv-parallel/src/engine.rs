@@ -440,7 +440,6 @@ impl EngineTelemetry {
 }
 
 /// Whether engines profile by default: yes, unless `SPMV_PROF=off` (or `0`).
-/// The overhead ablation in `spmv-bench` measures exactly this toggle.
 fn profiling_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| {

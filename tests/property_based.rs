@@ -12,7 +12,7 @@ use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::formats::bcsr::ALLOWED_BLOCK_DIMS;
 use spmv_multicore::spmv_core::formats::index::IndexWidth;
 use spmv_multicore::spmv_core::formats::{
-    BcooMatrix, BcsrMatrix, CompressedCsr, CscMatrix, EnumDispatchCsr, GcsrMatrix,
+    BcooMatrix, BcsrMatrix, CompressedCsr, CscMatrix, GcsrMatrix,
 };
 use spmv_multicore::spmv_core::kernels::KernelVariant;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
@@ -45,13 +45,6 @@ fn every_format_matches_dense_reference() {
                     &expected
                 ) < 1e-9,
                 "gcsr {width:?} case {i}"
-            );
-            assert!(
-                max_abs_diff(
-                    &spmv_alloc_enum(&EnumDispatchCsr::from_csr(&csr, width).unwrap(), &x),
-                    &expected
-                ) < 1e-9,
-                "enum-dispatch {width:?} case {i}"
             );
         }
         assert!(
@@ -210,12 +203,4 @@ fn footprint_reported_matches_accounting() {
         // Flop:byte of CSR never exceeds the 0.25 bound from the paper.
         assert!(csr.flop_byte_ratio() <= 0.25 + 1e-12, "case {i}");
     }
-}
-
-/// `EnumDispatchCsr` is a bench baseline without an `SpMv` impl; allocate-and-run
-/// helper for the comparisons above.
-fn spmv_alloc_enum(m: &EnumDispatchCsr, x: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; m.nrows()];
-    m.spmv(x, &mut y);
-    y
 }

@@ -4,11 +4,12 @@
 //!    counts by command, per-worker kernel/barrier time, the epoch-latency
 //!    histogram, and the imbalance ratios next to `EngineFootprint`.
 //! 2. **Zero-perturbation toggle** — profiling on vs. off is bit-identical
-//!    (the 2% throughput bound is `bench_check`'s job; bit-identity is
-//!    checkable everywhere).
+//!    (a throughput bound is not a test's job; bit-identity is checkable
+//!    everywhere).
 //! 3. **Registry scrape** — `MatrixRegistry::metrics()` exports every layer:
 //!    engine epochs, tune-cache hits/misses, batch occupancy, solver
-//!    iterations, fleet footprint — after driving each layer once.
+//!    iterations, fleet footprint — after driving each layer once — and the
+//!    JSON rendering of the same snapshot is well-formed.
 //! 4. **Fleet aggregation** — `fleet_resident_bytes` is the sum of the served
 //!    engines' footprints and tracks removal.
 //! 5. **Trace ring** — bounded, lossy-by-overwrite, and ordered; the global
@@ -18,6 +19,161 @@ use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_obs::trace::TraceRing;
 use spmv_multicore::spmv_obs::TraceKind;
 use spmv_testutil::{assert_bit_identical, random_csr, random_symmetric_csr, test_x};
+
+/// Structural JSON check for `MetricsSnapshot::to_json`: balanced objects and
+/// arrays, string escapes, the number grammar (so no `NaN`/`inf` tokens), no
+/// trailing commas, nothing after the document. Returns every `"key": number`
+/// member, keys unescaped.
+fn json_number_members(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let mut check = JsonCheck {
+        rest: text.chars().peekable(),
+        numbers: Vec::new(),
+    };
+    check.value(None)?;
+    check.skip_ws();
+    match check.rest.next() {
+        None => Ok(check.numbers),
+        Some(c) => Err(format!("trailing {c:?} after the document")),
+    }
+}
+
+struct JsonCheck<'a> {
+    rest: std::iter::Peekable<std::str::Chars<'a>>,
+    numbers: Vec<(String, f64)>,
+}
+
+impl JsonCheck<'_> {
+    fn skip_ws(&mut self) {
+        while self.rest.next_if(|c| c.is_ascii_whitespace()).is_some() {}
+    }
+
+    fn expect(&mut self, want: char) -> Result<(), String> {
+        match self.rest.next() {
+            Some(c) if c == want => Ok(()),
+            got => Err(format!("expected {want:?}, got {got:?}")),
+        }
+    }
+
+    fn value(&mut self, key: Option<&str>) -> Result<(), String> {
+        self.skip_ws();
+        match self.rest.peek().copied() {
+            Some('{') => self.sequence('}', |check| {
+                let key = check.string()?;
+                check.skip_ws();
+                check.expect(':')?;
+                check.value(Some(&key))
+            }),
+            Some('[') => self.sequence(']', |check| check.value(None)),
+            Some('"') => self.string().map(drop),
+            Some('-' | '0'..='9') => {
+                let v = self.number()?;
+                if let Some(key) = key {
+                    self.numbers.push((key.to_string(), v));
+                }
+                Ok(())
+            }
+            _ => {
+                let word: String =
+                    std::iter::from_fn(|| self.rest.next_if(|c| c.is_ascii_alphabetic())).collect();
+                match word.as_str() {
+                    "true" | "false" | "null" => Ok(()),
+                    _ => Err(format!(
+                        "expected a value, got {word:?} then {:?}",
+                        self.rest.peek()
+                    )),
+                }
+            }
+        }
+    }
+
+    /// `open item (, item)* close` or `open close`; a comma must be followed by an item.
+    fn sequence(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.rest.next();
+        self.skip_ws();
+        if self.rest.next_if_eq(&close).is_some() {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.rest.next() {
+                Some(',') => self.skip_ws(),
+                Some(c) if c == close => return Ok(()),
+                got => return Err(format!("expected ',' or {close:?}, got {got:?}")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect('"')?;
+        let mut out = String::new();
+        loop {
+            match self.rest.next() {
+                None => return Err("unterminated string".into()),
+                Some('"') => return Ok(out),
+                Some(c) if (c as u32) < 0x20 => return Err(format!("raw control {c:?}")),
+                Some('\\') => match self.rest.next() {
+                    Some(c @ ('"' | '\\' | '/')) => out.push(c),
+                    Some('b') => out.push('\u{8}'),
+                    Some('f') => out.push('\u{c}'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('u') => {
+                        let hex: String = self.rest.by_ref().take(4).collect();
+                        if hex.len() != 4 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
+                            return Err(format!("bad \\u escape {hex:?}"));
+                        }
+                        let code = u32::from_str_radix(&hex, 16).expect("four hex digits");
+                        out.push(char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER));
+                    }
+                    got => return Err(format!("bad escape {got:?}")),
+                },
+                Some(c) => out.push(c),
+            }
+        }
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, finite.
+    fn number(&mut self) -> Result<f64, String> {
+        let mut text = String::new();
+        text.extend(self.rest.next_if_eq(&'-'));
+        let int_at = text.len();
+        self.digits(&mut text)?;
+        if text.len() > int_at + 1 && text[int_at..].starts_with('0') {
+            return Err(format!("leading zero in {text:?}"));
+        }
+        if let Some(dot) = self.rest.next_if_eq(&'.') {
+            text.push(dot);
+            self.digits(&mut text)?;
+        }
+        if let Some(e) = self.rest.next_if(|c| matches!(c, 'e' | 'E')) {
+            text.push(e);
+            text.extend(self.rest.next_if(|c| matches!(c, '+' | '-')));
+            self.digits(&mut text)?;
+        }
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(format!("number {text:?} is not finite")),
+        }
+    }
+
+    /// One or more digits, appended to `text`.
+    fn digits(&mut self, text: &mut String) -> Result<(), String> {
+        let before = text.len();
+        text.extend(std::iter::from_fn(|| {
+            self.rest.next_if(|c| c.is_ascii_digit())
+        }));
+        if text.len() == before {
+            return Err(format!("digits expected after {text:?}"));
+        }
+        Ok(())
+    }
+}
 
 /// An SPD shift of a symmetric matrix (A + (1 + max row sum) I) so CG inside
 /// `SolverSession` is well-posed.
@@ -165,6 +321,19 @@ fn registry_scrape_covers_every_layer() {
         text.contains("matrix=\"scrape\""),
         "per-matrix series must be labeled"
     );
+
+    // The JSON rendering of the full registry: labelled names with embedded
+    // quotes, non-empty histograms and gauges must come out well-formed.
+    let snapshot = registry.metrics_snapshot();
+    assert!(snapshot.histograms.iter().any(|(_, h)| h.count > 0));
+    assert!(!snapshot.gauges.is_empty());
+    let json = snapshot.to_json();
+    let members = json_number_members(&json).unwrap_or_else(|e| panic!("{e} in:\n{json}"));
+    let epochs = members
+        .iter()
+        .find(|(key, _)| key == "spmv_engine_epochs_total{matrix=\"scrape\"}")
+        .unwrap_or_else(|| panic!("engine epochs series missing from:\n{json}"));
+    assert!(epochs.1 > 0.0, "{epochs:?}");
 
     drop(registry);
     drop(registry2);
