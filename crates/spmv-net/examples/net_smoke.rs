@@ -65,10 +65,7 @@ fn main() {
 
     let config = ServerConfig {
         queue_depth: 16, // small enough that bursts shed for real
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(300),
-        },
+        batch: BatchPolicy { max_batch: 8 },
         ..ServerConfig::default()
     };
     let mut handle = ShardedNetServer::bind(Arc::clone(&registry), "127.0.0.1:0", config, 1)

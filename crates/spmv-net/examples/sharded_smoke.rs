@@ -64,10 +64,7 @@ fn main() {
 
     let config = ServerConfig {
         queue_depth: 16,
-        batch: BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(300),
-        },
+        batch: BatchPolicy { max_batch: 8 },
         ..ServerConfig::default()
     }
     .with_auth_token(TOKEN.to_vec());

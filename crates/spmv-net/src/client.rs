@@ -6,7 +6,8 @@
 //! ([`NetClient::submit_spmv`] / [`NetClient::recv`]) lets a load generator
 //! keep a window of requests in flight on one connection — responses carry
 //! the request id, so the caller matches them up — which is how the
-//! `serve-net-*` benchmarks drive the server at full batch occupancy.
+//! benchmark's capacity probe (`benchmark/`, workload `net-open`) keeps the
+//! server's batches full.
 
 use crate::protocol::{self, Op, Request, Response};
 use crate::{NetError, Result};
@@ -90,6 +91,11 @@ impl NetClient {
     /// Read one complete response frame (blocking). A connection the server
     /// closed (or reset) mid-pipeline surfaces as the typed, retryable
     /// [`NetError::ConnectionClosed`] — resubmit on a fresh connection.
+    ///
+    /// Order when pipelining (the rule of [`crate::protocol`]): every response
+    /// carries its request's id; on one connection, `Spmv`/`Spmm` replies for
+    /// the same matrix arrive in submission order, anything else in
+    /// completion order.
     pub fn recv(&mut self) -> Result<Response> {
         loop {
             if let Some((body, used)) = protocol::take_frame(&self.rbuf, self.max_frame)? {

@@ -12,19 +12,27 @@
 //!   per-connection read/write state machines from a single thread; no
 //!   thread is ever spawned per request or per connection. Requests are
 //!   admitted through bounded per-matrix [`Batcher`](spmv_serve::Batcher)
-//!   queues ([`Batcher::submit_bounded`](spmv_serve::Batcher::submit_bounded)),
+//!   queues
+//!   ([`Batcher::submit_block_bounded`](spmv_serve::Batcher::submit_block_bounded)),
 //!   so an overloaded matrix sheds load in O(1) with
 //!   [`protocol::ERR_OVERLOADED`] instead of queueing without bound — and the
 //!   registry's LRU hot set keeps engine residency capped underneath.
 //! * [`client::NetClient`] — a blocking client with a pipelined submit/recv
 //!   mode for load generators.
 //!
-//! The crate is pure `std`: no async runtime, no epoll binding — the poll
-//! loop is a non-blocking accept + drain cycle with a short idle sleep, which
-//! measures well into the hundreds of thousands of frames/s on loopback and
-//! keeps the whole stack dependency-free.
+//! The crate is pure `std` plus one `poll(2)` declaration, no dependency: no
+//! async runtime, no epoll binding. Every thread of the server blocks on the
+//! event that ends its wait — bytes on a socket, a writable socket that owes
+//! output, or a poke on its wake pipe (`poller.rs`) — and nothing on the
+//! request path sleeps or polls on a timer. That makes the crate **unix-only**
+//! (CI and every host it runs on are Linux); there is no fallback sleep loop
+//! for other platforms to drift out of date.
+
+#[cfg(not(unix))]
+compile_error!("spmv-net blocks in poll(2) and needs a unix target");
 
 pub mod client;
+mod poller;
 pub mod protocol;
 pub mod server;
 pub mod shard;

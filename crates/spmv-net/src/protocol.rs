@@ -41,6 +41,15 @@
 //! [`ERR_OVERLOADED`] — the server's backoff hint) then a `u16`-prefixed
 //! UTF-8 message. Load-shed is therefore a *typed, bounded* response: an
 //! overloaded server answers in O(1) instead of queueing without bound.
+//!
+//! ## Response order
+//!
+//! Every response carries its request's id; on one connection, `Spmv`/`Spmm`
+//! replies for the same matrix arrive in submission order, anything else in
+//! completion order. So a typed error, a solver reply or another matrix's
+//! result may overtake an `Spmv` that is still in a batch — a pipelining
+//! client matches responses to requests by id — but it never has to reorder
+//! the results of one matrix.
 
 use crate::{NetError, Result};
 

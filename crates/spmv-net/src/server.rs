@@ -7,23 +7,29 @@
 //! 1. **adopts** any connections the listener thread handed off,
 //! 2. **reads** whatever bytes each connection has, peeling complete frames
 //!    off its receive buffer and dispatching the requests,
-//! 3. **polls** the in-flight batcher tickets ([`Ticket::try_wait`]) and
-//!    encodes finished results into the connection's write buffer,
+//! 3. **collects** the in-flight batcher tickets that resolved, in submission
+//!    order per matrix, and encodes them into the connection's write buffer,
 //! 4. **writes** as much buffered output as each socket accepts,
+//! 5. **blocks** in `ShardCore::wait` until something can change the outcome
+//!    of the next pass: bytes arrive on a connection, a socket with buffered
+//!    output becomes writable, or the shard's `Waker` (`poller.rs`) fires — a
+//!    batcher finished a batch, the listener handed over a connection,
+//!    `shutdown()` was called.
 //!
-//! and sleeps briefly only when a full pass made no progress. The actual
-//! matrix work never runs on the poll thread: spmv/spmm requests are
-//! submitted to per-matrix [`Batcher`]s (each with its background service
-//! thread), which coalesce concurrent requests — possibly from *different
-//! connections* — into fused SpMM batches exactly as in-process callers do.
+//! Nothing on this path sleeps or polls on a timer. The actual matrix work
+//! never runs on the poll thread: spmv/spmm requests are submitted to
+//! per-matrix [`Batcher`]s (each with its background service thread, each
+//! waking this shard once per finished batch), which coalesce concurrent
+//! requests — possibly from *different connections* — into fused SpMM batches
+//! exactly as in-process callers do.
 //!
 //! **Admission control.** Submits go through
-//! [`Batcher::submit_bounded`] with the configured
-//! [`ServerConfig::queue_depth`]: when a matrix's queue is full the request
-//! is refused *under the queue lock* (the bound is exact, not
-//! check-then-act) and the client gets a typed
-//! [`ERR_OVERLOADED`](crate::protocol::ERR_OVERLOADED) response carrying a
-//! retry-after hint — the server's costs stay O(connections + queue_depth)
+//! [`Batcher::submit_block_bounded`] with the configured
+//! [`ServerConfig::queue_depth`]: when a matrix's queue cannot take the
+//! request — every column of an `Spmm`, or none — it is refused *under the
+//! queue lock* (the bound is exact, not check-then-act) and the client gets a
+//! typed [`ERR_OVERLOADED`](crate::protocol::ERR_OVERLOADED) response carrying
+//! a retry-after hint — the server's costs stay O(connections + queue_depth)
 //! no matter the offered load.
 //!
 //! **Registry LRU.** Every request resolves its matrix through
@@ -32,6 +38,7 @@
 //! (pointer inequality) and rotates the batcher onto it, dropping its pin on
 //! the evicted engine.
 
+use crate::poller::{Poller, Waker, READ, WRITE};
 use crate::protocol::{self, Op, Request, Response};
 use spmv_obs::{Counter, MetricsSnapshot};
 use spmv_serve::batcher::Ticket;
@@ -39,6 +46,7 @@ use spmv_serve::{BatchPolicy, Batcher, MatrixRegistry, ServeError, SolverSession
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,8 +62,6 @@ pub struct ServerConfig {
     pub retry_after_ms: u32,
     /// Maximum accepted frame body size.
     pub max_frame: u32,
-    /// Sleep between poll passes that made no progress.
-    pub idle_poll: Duration,
     /// When set, every request must carry this token on its frame header
     /// (compared in constant time); requests without it are answered with the
     /// typed [`crate::protocol::ERR_UNAUTHORIZED`] and never reach a batcher.
@@ -69,7 +75,6 @@ impl Default for ServerConfig {
             batch: BatchPolicy::default(),
             retry_after_ms: 1,
             max_frame: protocol::MAX_FRAME,
-            idle_poll: Duration::from_micros(100),
             auth_token: None,
         }
     }
@@ -95,6 +100,7 @@ pub struct NetStats {
     unauthorized: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
+    wakeups: Counter,
 }
 
 impl NetStats {
@@ -148,6 +154,13 @@ impl NetStats {
         self.bytes_out.get()
     }
 
+    /// Returns of the shard thread from its blocking wait: each one is
+    /// followed by one pass over the shard's connections, so an idle shard
+    /// holds still and a busy one counts a small multiple of its requests.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.get()
+    }
+
     /// Fold this shard's counters into a [`MetricsSnapshot`] under the
     /// per-shard `spmv_net_shard_*` families, labeled with the shard index —
     /// the sharded server scrapes one of these per poll shard next to the
@@ -185,21 +198,47 @@ impl NetStats {
             format!("spmv_net_shard_bytes_out_total{{shard=\"{shard}\"}}"),
             self.bytes_out(),
         );
+        snap.counter(
+            format!("spmv_net_shard_wakeups_total{{shard=\"{shard}\"}}"),
+            self.wakeups(),
+        );
     }
 }
 
-/// One in-flight (submitted, unanswered) request of a connection.
-enum Pending {
-    Spmv {
-        id: u64,
-        ticket: Ticket,
-    },
-    Spmm {
-        id: u64,
-        tickets: Vec<Ticket>,
-        /// Resolved columns, in request order; `None` = still in flight.
-        done: Vec<Option<Vec<f64>>>,
-    },
+/// One in-flight (submitted, unanswered) `Spmv` or `Spmm` of a connection.
+struct Pending {
+    id: u64,
+    /// The matrix it went to: replies for one matrix keep submission order.
+    matrix: String,
+    /// Answer as a block (`Spmm`) or as the one vector (`Spmv`).
+    spmm: bool,
+    /// One ticket per column, in column order.
+    tickets: Vec<Ticket>,
+    /// Columns resolved so far. The batcher is FIFO and a block is queued
+    /// contiguously, so these are always a prefix of `tickets`.
+    done: Vec<Vec<f64>>,
+}
+
+impl Pending {
+    /// The response, once every column has resolved (or one has failed);
+    /// `None` while the batcher still owes a column.
+    fn try_finish(&mut self) -> Option<Response> {
+        while let Some(ticket) = self.tickets.get(self.done.len()) {
+            match ticket.try_wait()? {
+                Ok(y) => self.done.push(y),
+                Err(e) => return Some(serve_error_to_response(self.id, &e, 0)),
+            }
+        }
+        let mut cols = std::mem::take(&mut self.done);
+        Some(if self.spmm {
+            Response::Spmm { id: self.id, cols }
+        } else {
+            Response::Spmv {
+                id: self.id,
+                y: cols.pop().expect("an Spmv holds exactly one ticket"),
+            }
+        })
+    }
 }
 
 /// Per-connection state: socket, codec buffers, in-flight tickets, and the
@@ -227,16 +266,24 @@ impl Conn {
     }
 }
 
-/// The single-threaded heart of one poll loop: a connection set, the
-/// per-matrix batcher cache, and the shared registry.
-/// [`crate::shard::ShardedNetServer`] runs one per shard thread, feeding each
-/// from a listener-thread handoff queue.
-pub(crate) struct ShardCore {
+/// What request handling needs besides the connection itself.
+struct Serving {
     registry: Arc<MatrixRegistry>,
     config: ServerConfig,
     stats: Arc<NetStats>,
-    conns: Vec<Conn>,
     batchers: HashMap<String, Batcher>,
+    /// Poked by every batcher of this shard when a batch is done.
+    waker: Arc<Waker>,
+}
+
+/// The single-threaded heart of one poll loop: a connection set, the
+/// per-matrix batcher cache, the shared registry, and the blocking wait.
+/// [`crate::shard::ShardedNetServer`] runs one per shard thread, feeding each
+/// from a listener-thread handoff queue.
+pub(crate) struct ShardCore {
+    serving: Serving,
+    conns: Vec<Conn>,
+    poller: Poller,
 }
 
 impl ShardCore {
@@ -244,13 +291,18 @@ impl ShardCore {
         registry: Arc<MatrixRegistry>,
         config: ServerConfig,
         stats: Arc<NetStats>,
+        poller: Poller,
     ) -> ShardCore {
         ShardCore {
-            registry,
-            config,
-            stats,
+            serving: Serving {
+                registry,
+                config,
+                stats,
+                batchers: HashMap::new(),
+                waker: poller.waker(),
+            },
             conns: Vec::new(),
-            batchers: HashMap::new(),
+            poller,
         }
     }
 
@@ -259,51 +311,61 @@ impl ShardCore {
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
         self.conns.push(Conn::new(stream));
-        self.stats.accepted.inc();
+        self.serving.stats.accepted.inc();
     }
 
-    /// One full pass over every connection (read + dispatch, poll tickets,
-    /// write, reap the dead). Returns whether any progress was made.
-    pub(crate) fn pump_all(&mut self) -> bool {
-        let mut progress = false;
+    /// One full pass over every connection (read + dispatch, collect
+    /// tickets, write, reap the dead).
+    pub(crate) fn pump_all(&mut self) {
         for conn in &mut self.conns {
-            progress |= pump(
-                conn,
-                &self.registry,
-                &mut self.batchers,
-                &self.config,
-                &self.stats,
-            );
+            pump(conn, &mut self.serving);
         }
         let before = self.conns.len();
         self.conns.retain(|c| !c.dead);
-        self.stats.closed.add((before - self.conns.len()) as u64);
-        progress
+        let stats = &self.serving.stats;
+        stats.closed.add((before - self.conns.len()) as u64);
+    }
+
+    /// Block until the next pass can make progress: a connection has bytes
+    /// (when `reading`), a socket with buffered output accepts more, the
+    /// shard's waker fires, or `deadline` passes. Write interest is
+    /// registered only while output is buffered — an idle socket is always
+    /// writable and would turn the wait into a spin.
+    pub(crate) fn wait(&mut self, reading: bool, deadline: Option<Instant>) {
+        let sockets = self.conns.iter().filter(|c| !c.dead).filter_map(|c| {
+            let mut events = if reading { READ } else { 0 };
+            if !c.wbuf.is_empty() {
+                events |= WRITE;
+            }
+            (events != 0).then(|| (c.stream.as_raw_fd(), events))
+        });
+        self.poller.wait(sockets, deadline);
+        self.serving.stats.wakeups.inc();
     }
 
     /// Graceful drain: stop reading, flush the batchers (dropping a Batcher
     /// closes its queue, serves everything already admitted, and joins its
     /// service thread — so every in-flight ticket resolves), then deliver the
-    /// buffered responses. Bounded by `deadline`: a peer that stopped reading
-    /// cannot wedge shutdown. Every connection counts as closed afterwards.
+    /// buffered responses, waiting for slow sockets to turn writable. Bounded
+    /// by `deadline`: a peer that stopped reading cannot wedge shutdown.
+    /// Every connection counts as closed afterwards.
     pub(crate) fn drain(&mut self, deadline: Instant) {
-        self.batchers.clear();
-        while Instant::now() < deadline {
-            let mut outstanding = false;
-            for conn in &mut self.conns {
-                if conn.dead {
-                    continue;
-                }
-                poll_inflight(conn, &self.stats);
-                flush_writes(conn, &self.stats);
-                outstanding |= !conn.inflight.is_empty() || !conn.wbuf.is_empty();
+        self.serving.batchers.clear();
+        loop {
+            for conn in self.conns.iter_mut().filter(|c| !c.dead) {
+                collect_finished(conn, &self.serving.stats);
+                flush_writes(conn, &self.serving.stats);
             }
-            if !outstanding {
+            // Every ticket resolved when its batcher was dropped, so all that
+            // can be outstanding is output a socket has not accepted yet.
+            let owed = self.conns.iter().any(|c| !c.dead && !c.wbuf.is_empty());
+            if !owed || Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(self.config.idle_poll);
+            self.wait(false, Some(deadline));
         }
-        self.stats
+        let stats = &self.serving.stats;
+        stats
             .closed
             .add(self.conns.iter().filter(|c| !c.dead).count() as u64);
         self.conns.clear();
@@ -315,17 +377,10 @@ impl ShardCore {
 /// its socket forfeits its buffered responses when the bound expires.
 pub(crate) const DRAIN_BOUND: Duration = Duration::from_secs(5);
 
-/// One full pass over a connection: read + dispatch, poll tickets, write.
-/// Returns whether any progress was made.
-fn pump(
-    conn: &mut Conn,
-    registry: &Arc<MatrixRegistry>,
-    batchers: &mut HashMap<String, Batcher>,
-    config: &ServerConfig,
-    stats: &NetStats,
-) -> bool {
-    let mut progress = false;
-
+/// One full pass over a connection: read + dispatch, collect tickets,
+/// write.
+fn pump(conn: &mut Conn, serving: &mut Serving) {
+    let (max_frame, stats) = (serving.config.max_frame, Arc::clone(&serving.stats));
     // Read whatever the socket has.
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -337,7 +392,6 @@ fn pump(
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&chunk[..n]);
                 stats.bytes_in.add(n as u64);
-                progress = true;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -351,12 +405,12 @@ fn pump(
     // Peel and dispatch complete frames.
     let mut consumed = 0usize;
     loop {
-        match protocol::take_frame(&conn.rbuf[consumed..], config.max_frame) {
+        match protocol::take_frame(&conn.rbuf[consumed..], max_frame) {
             Ok(Some((body, used))) => {
                 match protocol::decode_request(body) {
                     Ok(req) => {
                         stats.requests.inc();
-                        handle_request(req, conn, registry, batchers, config, stats);
+                        handle_request(req, conn, serving);
                     }
                     Err(e) => {
                         // The stream still frames correctly; answer the bad
@@ -369,12 +423,11 @@ fn pump(
                                 retry_after_ms: 0,
                                 message: e.to_string(),
                             },
-                            stats,
+                            &stats,
                         );
                     }
                 }
                 consumed += used;
-                progress = true;
             }
             Ok(None) => break,
             Err(_) => {
@@ -389,26 +442,26 @@ fn pump(
         conn.rbuf.drain(..consumed);
     }
 
-    progress |= poll_inflight(conn, stats);
-    progress |= flush_writes(conn, stats);
-    progress
+    collect_finished(conn, &stats);
+    flush_writes(conn, &stats);
 }
 
 /// Dispatch one decoded request.
-fn handle_request(
-    req: Request,
-    conn: &mut Conn,
-    registry: &Arc<MatrixRegistry>,
-    batchers: &mut HashMap<String, Batcher>,
-    config: &ServerConfig,
-    stats: &NetStats,
-) {
+fn handle_request(req: Request, conn: &mut Conn, serving: &mut Serving) {
     let Request {
         id,
         matrix,
         op,
         token,
     } = req;
+    let Serving {
+        registry,
+        config,
+        stats,
+        batchers,
+        waker,
+    } = serving;
+    let (config, stats) = (&*config, &**stats);
     // Auth gate: before the registry is touched or anything is admitted, the
     // frame-header token must match the configured one in constant time.
     if let Some(required) = &config.auth_token {
@@ -437,47 +490,13 @@ fn handle_request(
         return;
     };
 
-    match op {
-        Op::Spmv { x } => {
-            let batcher = batcher_for(batchers, &matrix, &served, config);
-            match batcher.submit_bounded(x, config.queue_depth) {
-                Ok(ticket) => conn.inflight.push(Pending::Spmv { id, ticket }),
-                Err(e) => {
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        stats.sheds.inc();
-                    }
-                    respond(conn, error_response(id, &e, config), stats);
-                }
-            }
+    let (columns, spmm) = match op {
+        Op::Spmv { x } => (vec![x], false),
+        Op::Spmm { cols } if cols.is_empty() => {
+            respond(conn, Response::Spmm { id, cols: vec![] }, stats);
+            return;
         }
-        Op::Spmm { cols } => {
-            if cols.is_empty() {
-                respond(conn, Response::Spmm { id, cols: vec![] }, stats);
-                return;
-            }
-            let batcher = batcher_for(batchers, &matrix, &served, config);
-            let k = cols.len();
-            let mut tickets = Vec::with_capacity(k);
-            for col in cols {
-                match batcher.submit_bounded(col, config.queue_depth) {
-                    Ok(ticket) => tickets.push(ticket),
-                    Err(e) => {
-                        // Fail the whole block with one typed error; columns
-                        // already admitted will complete and be discarded.
-                        if matches!(e, ServeError::Overloaded { .. }) {
-                            stats.sheds.inc();
-                        }
-                        respond(conn, error_response(id, &e, config), stats);
-                        return;
-                    }
-                }
-            }
-            conn.inflight.push(Pending::Spmm {
-                id,
-                tickets,
-                done: (0..k).map(|_| None).collect(),
-            });
-        }
+        Op::Spmm { cols } => (cols, true),
         Op::SolverIterate { steps, b } => {
             // Solver sessions are stateful single-client objects; their
             // iterations run inline on the poll thread (each call is bounded
@@ -508,10 +527,27 @@ fn handle_request(
                     residual,
                 })
             })();
-            match outcome {
-                Ok(resp) => respond(conn, resp, stats),
-                Err(e) => respond(conn, error_response(id, &e, config), stats),
+            let resp = outcome.unwrap_or_else(|e| error_response(id, &e, config));
+            respond(conn, resp, stats);
+            return;
+        }
+    };
+    // A block is admitted whole or refused whole: a shed `Spmm` leaves no
+    // column behind for the engine to run and the client to never see.
+    let batcher = batcher_for(batchers, &matrix, &served, config, waker);
+    match batcher.submit_block_bounded(columns, config.queue_depth) {
+        Ok(tickets) => conn.inflight.push(Pending {
+            id,
+            matrix,
+            spmm,
+            done: Vec::with_capacity(tickets.len()),
+            tickets,
+        }),
+        Err(e) => {
+            if matches!(e, ServeError::Overloaded { .. }) {
+                stats.sheds.inc();
             }
+            respond(conn, error_response(id, &e, config), stats);
         }
     }
 }
@@ -519,12 +555,14 @@ fn handle_request(
 /// The batcher serving `name`, rotated onto `served` if the registry handed
 /// out a new handle (an LRU eviction rematerialized the matrix, or it was
 /// re-registered). Replacing the batcher drops the old one, which flushes
-/// whatever it had admitted and unpins the evicted engine.
+/// whatever it had admitted and unpins the evicted engine. Every batcher
+/// wakes its shard once per finished batch.
 fn batcher_for<'a>(
     batchers: &'a mut HashMap<String, Batcher>,
     name: &str,
     served: &Arc<spmv_serve::ServedMatrix>,
     config: &ServerConfig,
+    waker: &Arc<Waker>,
 ) -> &'a Batcher {
     let stale = batchers
         .get(name)
@@ -532,66 +570,41 @@ fn batcher_for<'a>(
     if stale {
         batchers.remove(name);
     }
-    batchers
-        .entry(name.to_string())
-        .or_insert_with(|| Batcher::spawn(Arc::clone(served), config.batch))
+    batchers.entry(name.to_string()).or_insert_with(|| {
+        let waker = Arc::clone(waker);
+        let mut batcher =
+            Batcher::manual(Arc::clone(served), config.batch).with_batch_done(move || waker.wake());
+        batcher.start_service();
+        batcher
+    })
 }
 
-/// Poll every in-flight ticket; encode finished requests. Returns whether
-/// anything resolved.
-fn poll_inflight(conn: &mut Conn, stats: &NetStats) -> bool {
-    let mut finished: Vec<Response> = Vec::new();
-    conn.inflight.retain_mut(|pending| match pending {
-        Pending::Spmv { id, ticket } => match ticket.try_wait() {
-            None => true,
-            Some(Ok(y)) => {
-                finished.push(Response::Spmv { id: *id, y });
-                false
+/// Encode every in-flight request that has resolved, in `inflight` order,
+/// stopping **per matrix** at the first one that has not: `Spmv`/`Spmm`
+/// replies for one matrix leave in submission order by construction, and a
+/// slow matrix does not hold back another one's replies.
+fn collect_finished(conn: &mut Conn, stats: &NetStats) {
+    // `inflight[..kept]` stay, compacted in place; `stalled` holds where in
+    // that prefix each matrix's first unresolved request sits.
+    let mut kept = 0;
+    let mut stalled: Vec<usize> = Vec::new();
+    for i in 0..conn.inflight.len() {
+        let matrix = &conn.inflight[i].matrix;
+        if !stalled.iter().any(|&s| conn.inflight[s].matrix == *matrix) {
+            if let Some(resp) = conn.inflight[i].try_finish() {
+                respond(conn, resp, stats);
+                continue;
             }
-            Some(Err(e)) => {
-                finished.push(serve_error_to_response(*id, &e, 0));
-                false
-            }
-        },
-        Pending::Spmm { id, tickets, done } => {
-            let mut failed: Option<ServeError> = None;
-            for (slot, ticket) in done.iter_mut().zip(tickets.iter()) {
-                if slot.is_some() {
-                    continue;
-                }
-                match ticket.try_wait() {
-                    None => {}
-                    Some(Ok(y)) => *slot = Some(y),
-                    Some(Err(e)) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failed {
-                finished.push(serve_error_to_response(*id, &e, 0));
-                return false;
-            }
-            if done.iter().all(Option::is_some) {
-                finished.push(Response::Spmm {
-                    id: *id,
-                    cols: done.iter_mut().map(|slot| slot.take().unwrap()).collect(),
-                });
-                return false;
-            }
-            true
+            stalled.push(kept);
         }
-    });
-    let resolved = !finished.is_empty();
-    for resp in finished {
-        respond(conn, resp, stats);
+        conn.inflight.swap(kept, i);
+        kept += 1;
     }
-    resolved
+    conn.inflight.truncate(kept);
 }
 
-/// Write as much buffered output as the socket accepts. Returns whether any
-/// bytes moved.
-fn flush_writes(conn: &mut Conn, stats: &NetStats) -> bool {
+/// Write as much buffered output as the socket accepts.
+fn flush_writes(conn: &mut Conn, stats: &NetStats) {
     let mut written = 0usize;
     while written < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[written..]) {
@@ -611,9 +624,7 @@ fn flush_writes(conn: &mut Conn, stats: &NetStats) -> bool {
     if written > 0 {
         conn.wbuf.drain(..written);
         stats.bytes_out.add(written as u64);
-        return true;
     }
-    false
 }
 
 /// Encode one response into the connection's write buffer.

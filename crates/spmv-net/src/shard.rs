@@ -7,8 +7,9 @@
 //! target shard is the one with the fewest active connections at accept
 //! time (ties broken round-robin), so long-lived connections spread evenly
 //! without any rebalancing machinery. Each shard thread then runs the
-//! read → dispatch → poll-tickets → write cycle of [`crate::server`] over
-//! *its own* connection set and *its own* per-matrix batcher cache, while
+//! read → dispatch → collect-tickets → write → block cycle of
+//! [`crate::server`] over *its own* connection set and *its own* per-matrix
+//! batcher cache, while
 //! every shard shares one
 //! [`MatrixRegistry`](spmv_serve::MatrixRegistry) — so cross-shard requests
 //! for the same matrix still resolve to the same engines and the same LRU hot
@@ -17,6 +18,12 @@
 //! A connection lives on one shard for its whole life: solver sessions,
 //! partial frames, and in-flight tickets never migrate, so every invariant of
 //! a single-threaded poll loop holds per shard by construction.
+//!
+//! **Nobody polls on a timer.** The listener blocks in `poll(2)` on the
+//! listening socket, each shard on its connections; every thread also watches
+//! its own wake pipe (`poller.rs`). The listener wakes the shard it just
+//! handed a connection to, a batcher wakes its shard once per finished batch,
+//! and [`ShardedNetServerHandle::shutdown`] wakes everybody.
 //!
 //! **Why a handoff listener and not per-shard listeners?** `SO_REUSEPORT`
 //! accept spreading is not portable std, and a userspace handoff gives
@@ -34,10 +41,12 @@
 //! graceful drain: batchers flush everything admitted, tickets resolve,
 //! buffered responses are written — zero stranded tickets on any shard.
 
+use crate::poller::{Poller, Waker, READ};
 use crate::server::{NetStats, ServerConfig, ShardCore, DRAIN_BOUND};
 use spmv_obs::MetricsSnapshot;
 use spmv_serve::MatrixRegistry;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -98,38 +107,49 @@ impl ShardedNetServer {
         } = self;
         let addr = listener.local_addr()?;
 
+        // One poller per thread, shards first, the listener's last.
+        let mut pollers = (0..=nshards)
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<Poller>>>()?;
+        let wakers: Vec<Arc<Waker>> = pollers.iter().map(Poller::waker).collect();
+        let mut listener_poller = pollers.pop().expect("nshards + 1 pollers");
+
         // The handle exists before any thread does, so a failed
         // `thread::Builder::spawn` below drops it on the `?` path: `Drop` sets
-        // `shutdown` and joins the threads already started. Shard loops exit
-        // only on that flag — returning without it would leave them spinning
-        // forever, each pinning the registry `Arc`.
+        // `shutdown`, wakes and joins the threads already started. Shard loops
+        // exit only on that flag — returning without it would leave them
+        // blocked forever, each pinning the registry `Arc`.
         let mut handle = ShardedNetServerHandle {
             addr,
             shard_stats: shard_stats.clone(),
             shutdown: Arc::clone(&shutdown),
+            wakers: wakers.clone(),
             listener_join: None,
             shard_joins: Vec::with_capacity(nshards),
         };
 
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(nshards);
-        for (i, stats) in shard_stats.iter().enumerate() {
+        for (i, (stats, poller)) in shard_stats.iter().zip(pollers).enumerate() {
             let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
             senders.push(tx);
-            let mut core = ShardCore::new(Arc::clone(&registry), config.clone(), Arc::clone(stats));
+            let mut core = ShardCore::new(
+                Arc::clone(&registry),
+                config.clone(),
+                Arc::clone(stats),
+                poller,
+            );
             let shutdown = Arc::clone(&shutdown);
-            let idle_poll = config.idle_poll;
             handle.shard_joins.push(
                 std::thread::Builder::new()
                     .name(format!("spmv-net-shard-{i}"))
                     .spawn(move || {
-                        shard_loop(&mut core, &rx, &shutdown, idle_poll);
+                        shard_loop(&mut core, &rx, &shutdown);
                     })?,
             );
         }
 
         let listener_stats = shard_stats;
         let listener_shutdown = shutdown;
-        let idle_poll = config.idle_poll;
         let listener_join = std::thread::Builder::new()
             .name("spmv-net-listener".into())
             .spawn(move || {
@@ -138,29 +158,21 @@ impl ShardedNetServer {
                 // that no further connections can arrive.
                 let mut rr = 0usize;
                 while !listener_shutdown.load(Ordering::Acquire) {
-                    let mut progress = false;
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                // Least-loaded shard by active connections;
-                                // round-robin breaks ties deterministically.
-                                let least = (0..listener_stats.len())
-                                    .map(|k| (k + rr) % listener_stats.len())
-                                    .min_by_key(|&k| listener_stats[k].active())
-                                    .unwrap_or(0);
-                                rr = (least + 1) % listener_stats.len();
-                                if senders[least].send(stream).is_err() {
-                                    return; // shard gone — shutting down
-                                }
-                                progress = true;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
+                    // Until `WouldBlock`: the backlog is empty.
+                    while let Ok((stream, _)) = listener.accept() {
+                        // Least-loaded shard by active connections;
+                        // round-robin breaks ties deterministically.
+                        let least = (0..listener_stats.len())
+                            .map(|k| (k + rr) % listener_stats.len())
+                            .min_by_key(|&k| listener_stats[k].active())
+                            .unwrap_or(0);
+                        rr = (least + 1) % listener_stats.len();
+                        if senders[least].send(stream).is_err() {
+                            return; // shard gone — shutting down
                         }
+                        wakers[least].wake();
                     }
-                    if !progress {
-                        std::thread::sleep(idle_poll);
-                    }
+                    listener_poller.wait(std::iter::once((listener.as_raw_fd(), READ)), None);
                 }
             })?;
         handle.listener_join = Some(listener_join);
@@ -168,23 +180,17 @@ impl ShardedNetServer {
     }
 }
 
-/// One shard thread: adopt handoffs, pump connections, drain on shutdown.
-fn shard_loop(
-    core: &mut ShardCore,
-    handoff: &Receiver<TcpStream>,
-    shutdown: &AtomicBool,
-    idle_poll: std::time::Duration,
-) {
+/// One shard thread: adopt handoffs, pump connections, block until either
+/// can have changed; drain on shutdown. Whoever sets `shutdown`, hands off a
+/// connection or finishes a batch pokes this shard's waker *afterwards*, so
+/// the wait cannot sleep through any of them.
+fn shard_loop(core: &mut ShardCore, handoff: &Receiver<TcpStream>, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::Acquire) {
-        let mut progress = false;
         while let Ok(stream) = handoff.try_recv() {
             core.adopt(stream);
-            progress = true;
         }
-        progress |= core.pump_all();
-        if !progress {
-            std::thread::sleep(idle_poll);
-        }
+        core.pump_all();
+        core.wait(true, None);
     }
     // Adopt any connections the listener handed off before it stopped, so
     // their sockets close cleanly (they were never read, nothing is stranded).
@@ -232,6 +238,8 @@ pub struct ShardedNetServerHandle {
     addr: SocketAddr,
     shard_stats: Vec<Arc<NetStats>>,
     shutdown: Arc<AtomicBool>,
+    /// One per shard, then the listener's.
+    wakers: Vec<Arc<Waker>>,
     listener_join: Option<JoinHandle<()>>,
     shard_joins: Vec<JoinHandle<()>>,
 }
@@ -297,6 +305,9 @@ impl ShardedNetServerHandle {
     /// everything exited. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         if let Some(join) = self.listener_join.take() {
             let _ = join.join();
         }

@@ -145,10 +145,7 @@ fn concurrent_clients_pipeline_without_stranding() {
     let mut handle = serve(
         Arc::clone(&registry),
         ServerConfig {
-            batch: BatchPolicy {
-                max_batch: 8,
-                max_wait: Duration::from_micros(100),
-            },
+            batch: BatchPolicy { max_batch: 8 },
             ..ServerConfig::default()
         },
     );
@@ -378,5 +375,95 @@ fn tokened_client_against_tokenless_server_is_transparent() {
     let y = client.spmv("m", &[2.0; 10]).unwrap();
     assert_eq!(y, registry.get("m").unwrap().spmv_now(&[2.0; 10]).unwrap());
     assert_eq!(handle.shard_stats()[0].unauthorized(), 0);
+    handle.shutdown();
+}
+
+/// A shed `Spmm` is refused whole: none of its columns reaches the engine.
+/// (Admitted column by column, the first four of the six would have run "to
+/// be discarded" — an overloaded server making itself busier.)
+#[test]
+fn a_shed_spmm_runs_no_column() {
+    let registry = Arc::new(MatrixRegistry::new(1, TuningConfig::naive()));
+    registry.insert("m", &random_csr(30, 20, 200, 11)).unwrap();
+    let mut handle = serve(
+        Arc::clone(&registry),
+        ServerConfig {
+            queue_depth: 4,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let served = registry.get("m").unwrap();
+
+    let cols: Vec<Vec<f64>> = (0..6)
+        .map(|j| (0..20).map(|i| ((i + j) % 7) as f64).collect())
+        .collect();
+    let err = client.spmm("m", &cols).unwrap_err();
+    assert!(err.is_overloaded(), "a 6-wide block cannot fit 4 slots");
+    assert_eq!(handle.shard_stats()[0].sheds(), 1);
+    assert_eq!(served.serve_stats().sheds(), 1, "one shed per block");
+
+    // A block that fits is served; the queue is FIFO, so by the time it is
+    // answered anything the refused block had left behind would have run too.
+    let block = client.spmm("m", &cols[..2]).unwrap();
+    for (col, x) in block.iter().zip(&cols) {
+        assert_eq!(col, &served.spmv_now(x).unwrap());
+    }
+    assert_eq!(
+        served.serve_stats().requests(),
+        2,
+        "the shed block's columns never reached the engine"
+    );
+    handle.shutdown();
+}
+
+/// The response-order rule of `protocol.rs`, both halves, on one pipelined
+/// connection: 32 `Spmv`s on two matrices with an unknown-matrix request in
+/// the middle. Same-matrix replies arrive in submission order; the error is
+/// answered at dispatch, so it overtakes whatever is still in a batch and can
+/// never be later than its own place in line.
+#[test]
+fn pipelined_replies_keep_submission_order_per_matrix() {
+    let registry = Arc::new(MatrixRegistry::new(1, TuningConfig::full()));
+    registry
+        .insert("a", &random_csr(400, 32, 4000, 12))
+        .unwrap();
+    registry.insert("b", &random_csr(40, 32, 300, 13)).unwrap();
+    let mut handle = serve(Arc::clone(&registry), ServerConfig::default());
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let x: Vec<f64> = (0..32).map(|i| (i % 5) as f64 - 2.0).collect();
+
+    for _ in 0..50 {
+        let mut sent: Vec<(u64, &str)> = Vec::new();
+        for j in 0..33 {
+            let name = match j {
+                16 => "absent",
+                _ if j % 3 == 0 => "b",
+                _ => "a",
+            };
+            sent.push((client.submit_spmv(name, &x).unwrap(), name));
+        }
+        let mut arrived: Vec<u64> = Vec::new();
+        for _ in 0..sent.len() {
+            arrived.push(client.recv().unwrap().id());
+        }
+        for name in ["a", "b"] {
+            let submitted: Vec<u64> = sent.iter().filter(|s| s.1 == name).map(|s| s.0).collect();
+            let received: Vec<u64> = arrived
+                .iter()
+                .copied()
+                .filter(|id| submitted.contains(id))
+                .collect();
+            assert_eq!(received, submitted, "replies for '{name}' out of order");
+        }
+        let error_id = sent[16].0;
+        let place = arrived.iter().position(|&id| id == error_id);
+        assert!(
+            place.is_some_and(|p| p <= 16),
+            "the error reply waited behind a batch: arrived {place:?}"
+        );
+    }
     handle.shutdown();
 }

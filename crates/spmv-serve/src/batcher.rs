@@ -1,14 +1,22 @@
 //! Request coalescing: concurrent single-vector requests → SpMM batches.
 //!
 //! Clients submit ordinary `y = A·x` requests one vector at a time. The batcher
-//! queues them and serves the queue in multi-vector batches under a simple
-//! policy: execute as soon as `max_batch` requests are waiting, or when the
-//! oldest waiting request has aged past `max_wait` — the standard
-//! latency/throughput knob of a batching service. Each batch is one
-//! [`SpmvEngine::spmm`](spmv_parallel::SpmvEngine) call, so the index traffic of
-//! the matrix is read once for the whole batch; and because the SpMM kernels
-//! are bit-identical per vector to the tuned SpMV path, batching is invisible
-//! to clients in every bit of the result.
+//! queues them and serves the queue in multi-vector batches under a
+//! **work-conserving** policy: the moment the service is free and the queue is
+//! non-empty it cuts a batch of whatever is waiting, up to `max_batch`. No
+//! request is ever held back to wait for company — coalescing comes from the
+//! requests that queued while the previous batch ran, so an idle service adds
+//! no latency and a busy one batches exactly as wide as its backlog. Each batch
+//! is one [`SpmvEngine::spmm`](spmv_parallel::SpmvEngine) call, so the index
+//! traffic of the matrix is read once for the whole batch; and because the SpMM
+//! kernels are bit-identical per vector to the tuned SpMV path, batching is
+//! invisible to clients in every bit of the result.
+//!
+//! A caller that multiplexes many tickets from one thread (the network shard)
+//! passes a **batch-done callback** ([`Batcher::with_batch_done`]): it runs once
+//! per batch, after the last reply of that batch has been sent, so the caller
+//! can block on its own wake-up primitive instead of polling
+//! [`Ticket::try_wait`].
 //!
 //! Two driving modes:
 //!
@@ -49,26 +57,23 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// When a batch is cut: at `max_batch` waiting requests, or when the oldest
-/// waiting request has aged `max_wait`.
+/// How wide a batch may be. When one is cut is not a policy: a free service
+/// with a non-empty queue cuts at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum requests coalesced into one SpMM batch.
     pub max_batch: usize,
-    /// Maximum time the oldest request may wait before the batch is cut anyway.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
-    /// Eight-wide batches (the widest generated microkernel chunk) with a
-    /// 200 µs age bound.
+    /// Eight-wide batches (the widest generated microkernel chunk).
     fn default() -> Self {
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-        }
+        BatchPolicy { max_batch: 8 }
     }
 }
+
+/// Runs once per served batch, after its last reply was sent.
+type BatchDone = Arc<dyn Fn() + Send + Sync>;
 
 /// One queued request.
 struct Request {
@@ -134,17 +139,6 @@ impl SharedQueue {
     fn wait<'a>(&self, guard: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
         self.cv.wait(guard).unwrap_or_else(|e| e.into_inner())
     }
-
-    fn wait_timeout<'a>(
-        &self,
-        guard: MutexGuard<'a, Queue>,
-        dur: Duration,
-    ) -> MutexGuard<'a, Queue> {
-        self.cv
-            .wait_timeout(guard, dur)
-            .map(|(g, _)| g)
-            .unwrap_or_else(|e| e.into_inner().0)
-    }
 }
 
 /// The batching front-end of one served matrix.
@@ -156,6 +150,7 @@ pub struct Batcher {
     /// Fault injection for the failure-path tests: each pending count makes
     /// one batch execution panic inside the caught region.
     fail_injector: Arc<AtomicU64>,
+    batch_done: BatchDone,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -206,8 +201,27 @@ impl Batcher {
             }),
             stats,
             fail_injector: Arc::new(AtomicU64::new(0)),
+            batch_done: Arc::new(|| {}),
             worker: None,
         }
+    }
+
+    /// Run `batch_done` once per batch, on the thread that served it, after
+    /// the last reply of that batch was sent (results or typed failures
+    /// alike): every ticket the batch resolves is ready by the time it runs,
+    /// so a caller holding many tickets can block on what it signals instead
+    /// of polling them. Keep it short — the next batch waits for it.
+    ///
+    /// # Panics
+    ///
+    /// If the service thread is already running: it would never see it.
+    pub fn with_batch_done(mut self, batch_done: impl Fn() + Send + Sync + 'static) -> Batcher {
+        assert!(
+            self.worker.is_none(),
+            "set the batch-done callback before start_service"
+        );
+        self.batch_done = Arc::new(batch_done);
+        self
     }
 
     /// Attach the background service thread to a manually-constructed batcher
@@ -220,11 +234,17 @@ impl Batcher {
         let matrix = Arc::clone(&self.matrix);
         let stats = Arc::clone(&self.stats);
         let injector = Arc::clone(&self.fail_injector);
-        let policy = self.policy;
+        let batch_done = Arc::clone(&self.batch_done);
+        let max_batch = self.policy.max_batch;
         self.worker = Some(
             std::thread::Builder::new()
                 .name(format!("spmv-serve-{}", matrix.name()))
-                .spawn(move || service_loop(queue, matrix, policy, stats, injector))
+                .spawn(move || loop {
+                    let Some(batch) = next_batch(&queue, max_batch) else {
+                        return;
+                    };
+                    execute_batch(&matrix, batch, &stats, &injector, &*batch_done);
+                })
                 .expect("spawn batcher service thread"),
         );
     }
@@ -274,34 +294,53 @@ impl Batcher {
     /// queue lock, so the bound is exact even under concurrent submitters —
     /// the load-shed primitive of the networked front-end.
     pub fn submit_bounded(&self, x: Vec<f64>, max_pending: usize) -> Result<Ticket> {
-        if x.len() != self.matrix.ncols() {
+        let mut tickets = self.submit_block_bounded(vec![x], max_pending)?;
+        Ok(tickets.pop().expect("one ticket per admitted column"))
+    }
+
+    /// Admit a block of columns **all or nothing**: under one queue lock
+    /// either every column gets a slot (tickets come back in column order,
+    /// queued contiguously) or none does — when fewer than `columns.len()` of
+    /// the `max_pending` slots are free the whole block is refused with one
+    /// [`ServeError::Overloaded`] and one counted shed, and the queue is left
+    /// exactly as it was. A refused block therefore costs the engine nothing.
+    pub fn submit_block_bounded(
+        &self,
+        columns: Vec<Vec<f64>>,
+        max_pending: usize,
+    ) -> Result<Vec<Ticket>> {
+        if let Some(bad) = columns.iter().find(|x| x.len() != self.matrix.ncols()) {
             return Err(ServeError::DimensionMismatch {
                 expected: self.matrix.ncols(),
-                found: x.len(),
+                found: bad.len(),
             });
         }
         let now = Instant::now();
-        let (tx, rx) = mpsc::channel();
+        let mut tickets = Vec::with_capacity(columns.len());
         {
             let mut state = self.queue.lock();
             if !state.open {
                 return Err(ServeError::Closed);
             }
-            if state.pending.len() >= max_pending {
-                let pending = state.pending.len();
+            let pending = state.pending.len();
+            if pending.saturating_add(columns.len()) > max_pending {
                 drop(state);
                 self.stats.record_shed();
                 return Err(ServeError::Overloaded { pending });
             }
-            state.pending.push_back(Request {
-                x,
-                reply: tx,
-                submitted: now,
-            });
+            for x in columns {
+                let (tx, rx) = mpsc::channel();
+                state.pending.push_back(Request {
+                    x,
+                    reply: tx,
+                    submitted: now,
+                });
+                tickets.push(Ticket { rx });
+            }
             self.queue.cv.notify_all();
         }
         self.stats.record_submit(now);
-        Ok(Ticket { rx })
+        Ok(tickets)
     }
 
     /// Blocking convenience: submit and wait.
@@ -328,7 +367,13 @@ impl Batcher {
             let mut state = self.queue.lock();
             drain_batch(&mut state.pending, self.policy.max_batch)
         };
-        execute_batch(&self.matrix, batch, &self.stats, &self.fail_injector)
+        execute_batch(
+            &self.matrix,
+            batch,
+            &self.stats,
+            &self.fail_injector,
+            &*self.batch_done,
+        )
     }
 }
 
@@ -341,9 +386,13 @@ impl Drop for Batcher {
         // Manual mode (or a service thread that died before its final flush):
         // explicitly fail anything still pending so no ticket ever hangs.
         let leftovers: Vec<Request> = self.queue.lock().pending.drain(..).collect();
+        if leftovers.is_empty() {
+            return;
+        }
         for request in leftovers {
             let _ = request.reply.send(Err(ServeError::Closed));
         }
+        (self.batch_done)();
     }
 }
 
@@ -361,7 +410,13 @@ fn take_injected_panic(injector: &AtomicU64) -> bool {
 }
 
 /// Serve one drained batch: assemble the column-major source block, run one
-/// engine SpMM, reply per request, record stats. Returns the batch width.
+/// engine SpMM, reply per request, record stats, then run `batch_done`.
+/// Returns the batch width.
+///
+/// A one-request batch — what an unloaded service cuts almost every time —
+/// *moves* its vector into the block and its result out of it; wider batches
+/// copy columns in and out. Either way the kernel sees the same block, so the
+/// result is bit-identical.
 ///
 /// A panic anywhere in the execution (kernel bug or injected fault) is caught
 /// here: the batch's requests are failed with [`ServeError::BatchPanicked`],
@@ -369,9 +424,10 @@ fn take_injected_panic(injector: &AtomicU64) -> bool {
 /// continues serving.
 fn execute_batch(
     matrix: &ServedMatrix,
-    batch: Vec<Request>,
+    mut batch: Vec<Request>,
     stats: &ServeStats,
     injector: &AtomicU64,
+    batch_done: &dyn Fn(),
 ) -> usize {
     let k = batch.len();
     if k == 0 {
@@ -385,8 +441,13 @@ fn execute_batch(
         if take_injected_panic(injector) {
             panic!("injected batch execution failure");
         }
-        let columns: Vec<&[f64]> = batch.iter().map(|r| r.x.as_slice()).collect();
-        let x = MultiVec::from_columns(&columns);
+        let x = match &mut batch[..] {
+            [only] => MultiVec::from_vec(std::mem::take(&mut only.x), matrix.ncols(), 1),
+            many => {
+                let columns: Vec<&[f64]> = many.iter().map(|r| r.x.as_slice()).collect();
+                MultiVec::from_columns(&columns)
+            }
+        };
         let mut y = MultiVec::zeros(matrix.nrows(), k);
         let exec = matrix.spmm_into(&x, &mut y);
         (y, exec)
@@ -394,13 +455,20 @@ fn execute_batch(
     match executed {
         Ok((y, exec)) => {
             stats.record_batch(k, (2 * matrix.nnz() * k) as f64, exec);
-            for (j, request) in batch.into_iter().enumerate() {
+            let reply = |request: Request, y: Vec<f64>| {
                 // Record before replying: the reply wakes the waiter, and a
                 // caller snapshotting stats right after `wait` returns must
                 // already see this request counted.
                 stats.record_request(request.submitted.elapsed());
                 // A client that gave up (dropped its ticket) just discards the send.
-                let _ = request.reply.send(Ok(y.col(j).to_vec()));
+                let _ = request.reply.send(Ok(y));
+            };
+            if k == 1 {
+                reply(batch.pop().expect("k == 1"), y.into_vec());
+            } else {
+                for (j, request) in batch.into_iter().enumerate() {
+                    reply(request, y.col(j).to_vec());
+                }
             }
         }
         Err(_) => {
@@ -410,328 +478,23 @@ fn execute_batch(
             }
         }
     }
+    batch_done();
     k
 }
 
-/// The background service loop: wait for work, cut batches per the policy,
-/// execute. On shutdown every request enqueued before the close is flushed
-/// before the thread exits — `submit` checks the open flag under the queue
-/// lock, so nothing can be enqueued after the loop observes the close with an
-/// empty queue.
-fn service_loop(
-    queue: Arc<SharedQueue>,
-    matrix: Arc<ServedMatrix>,
-    policy: BatchPolicy,
-    stats: Arc<ServeStats>,
-    injector: Arc<AtomicU64>,
-) {
-    loop {
-        let batch = {
-            let mut state = queue.lock();
-            loop {
-                if state.pending.is_empty() {
-                    if !state.open {
-                        // Final flush complete: the queue is closed and empty,
-                        // and a closed queue accepts no submits — exit.
-                        return;
-                    }
-                    state = queue.wait(state);
-                    continue;
-                }
-                if state.pending.len() >= policy.max_batch || !state.open {
-                    break;
-                }
-                let deadline = state.pending.front().unwrap().submitted + policy.max_wait;
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                state = queue.wait_timeout(state, deadline - now);
-            }
-            drain_batch(&mut state.pending, policy.max_batch)
-        };
-        execute_batch(&matrix, batch, &stats, &injector);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::MatrixRegistry;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use spmv_core::formats::{CooMatrix, CsrMatrix};
-    use spmv_core::tuning::TuningConfig;
-
-    fn served(seed: u64) -> Arc<ServedMatrix> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut coo = CooMatrix::new(48, 36);
-        for _ in 0..500 {
-            coo.push(
-                rng.random_range(0..48),
-                rng.random_range(0..36),
-                rng.random_range(-1.0..1.0),
-            );
+/// The service thread's wait: block until the queue is non-empty, then cut
+/// whatever is there (up to `max_batch`) — the thread calling this is by
+/// construction free, so there is nothing to wait for beyond the first
+/// request. `None` once the queue is closed **and** empty: every request
+/// enqueued before the close has been flushed, and `submit` checks the open
+/// flag under the same lock, so nothing can be enqueued afterwards.
+fn next_batch(queue: &SharedQueue, max_batch: usize) -> Option<Vec<Request>> {
+    let mut state = queue.lock();
+    while state.pending.is_empty() {
+        if !state.open {
+            return None;
         }
-        let csr = CsrMatrix::from_coo(&coo);
-        let registry = MatrixRegistry::new(2, TuningConfig::full());
-        registry.insert("m", &csr).unwrap()
+        state = queue.wait(state);
     }
-
-    fn request_x(j: usize) -> Vec<f64> {
-        (0..36)
-            .map(|i| ((i * 7 + j * 3) % 23) as f64 * 0.5)
-            .collect()
-    }
-
-    #[test]
-    fn manual_mode_serves_a_burst_as_one_batch() {
-        let batcher = Batcher::manual(served(1), BatchPolicy::default());
-        let tickets: Vec<Ticket> = (0..8)
-            .map(|j| batcher.submit(request_x(j)).unwrap())
-            .collect();
-        assert_eq!(batcher.pending(), 8);
-        assert_eq!(batcher.run_once(), 8);
-        for (j, ticket) in tickets.into_iter().enumerate() {
-            let y = ticket.wait().unwrap();
-            assert_eq!(y, batcher.matrix().spmv_now(&request_x(j)).unwrap());
-        }
-        let report = batcher.stats().snapshot();
-        assert_eq!(report.batches, 1);
-        assert_eq!(report.requests, 8);
-        assert_eq!(report.batch_k_histogram, vec![(8, 1)]);
-    }
-
-    #[test]
-    fn manual_mode_splits_oversized_bursts_at_max_batch() {
-        let policy = BatchPolicy {
-            max_batch: 4,
-            ..BatchPolicy::default()
-        };
-        let batcher = Batcher::manual(served(2), policy);
-        let tickets: Vec<Ticket> = (0..10)
-            .map(|j| batcher.submit(request_x(j)).unwrap())
-            .collect();
-        assert_eq!(batcher.run_once(), 4);
-        assert_eq!(batcher.run_once(), 4);
-        assert_eq!(batcher.run_once(), 2);
-        assert_eq!(batcher.run_once(), 0);
-        for ticket in tickets {
-            ticket.wait().unwrap();
-        }
-        let report = batcher.stats().snapshot();
-        assert_eq!(report.batches, 3);
-        assert!((report.avg_batch - 10.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn background_mode_serves_concurrent_clients_correctly() {
-        let batcher = Arc::new(Batcher::spawn(
-            served(3),
-            BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(1),
-            },
-        ));
-        let handles: Vec<_> = (0..12)
-            .map(|j| {
-                let batcher = Arc::clone(&batcher);
-                std::thread::spawn(move || {
-                    let y = batcher.apply(request_x(j)).unwrap();
-                    (j, y)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (j, y) = handle.join().unwrap();
-            assert_eq!(y, batcher.matrix().spmv_now(&request_x(j)).unwrap());
-        }
-        let report = batcher.stats().snapshot();
-        assert_eq!(report.requests, 12);
-        assert!(report.batches >= 3, "4-wide cap means at least 3 batches");
-        assert!(report.busy_gflops > 0.0);
-        assert!(report.max_latency >= report.mean_latency);
-    }
-
-    #[test]
-    fn shutdown_flushes_pending_requests() {
-        let batcher = Batcher::spawn(
-            served(4),
-            BatchPolicy {
-                max_batch: 64,
-                max_wait: Duration::from_secs(60), // never cut by age during the test
-            },
-        );
-        let tickets: Vec<Ticket> = (0..5)
-            .map(|j| batcher.submit(request_x(j)).unwrap())
-            .collect();
-        drop(batcher); // close + flush + join
-        for ticket in tickets {
-            assert!(
-                ticket.wait().is_ok(),
-                "pending requests are flushed on drop"
-            );
-        }
-    }
-
-    #[test]
-    fn submit_after_close_and_bad_lengths_error() {
-        let batcher = Batcher::manual(served(5), BatchPolicy::default());
-        assert!(matches!(
-            batcher.submit(vec![0.0; 7]),
-            Err(ServeError::DimensionMismatch { .. })
-        ));
-        batcher.close();
-        assert!(matches!(
-            batcher.submit(request_x(0)),
-            Err(ServeError::Closed)
-        ));
-        // close is idempotent.
-        batcher.close();
-        assert!(matches!(
-            batcher.apply(request_x(0)),
-            Err(ServeError::Closed)
-        ));
-    }
-
-    #[test]
-    fn try_wait_polls_without_blocking() {
-        let batcher = Batcher::manual(served(6), BatchPolicy::default());
-        let ticket = batcher.submit(request_x(0)).unwrap();
-        assert!(ticket.try_wait().is_none());
-        batcher.run_once();
-        assert!(matches!(ticket.try_wait(), Some(Ok(_))));
-    }
-
-    #[test]
-    fn bounded_submit_sheds_when_full() {
-        let batcher = Batcher::manual(served(9), BatchPolicy::default());
-        let _t0 = batcher.submit_bounded(request_x(0), 2).unwrap();
-        let _t1 = batcher.submit_bounded(request_x(1), 2).unwrap();
-        match batcher.submit_bounded(request_x(2), 2) {
-            Err(ServeError::Overloaded { pending }) => assert_eq!(pending, 2),
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(batcher.stats().sheds(), 1);
-        batcher.run_once();
-        // Queue drained: admission re-opens.
-        assert!(batcher.submit_bounded(request_x(3), 2).is_ok());
-        assert_eq!(batcher.stats().snapshot().sheds, 1);
-    }
-
-    #[test]
-    fn panic_in_batch_fails_tickets_and_keeps_queue_usable() {
-        let batcher = Batcher::manual(served(7), BatchPolicy::default());
-        batcher.inject_batch_panics(1);
-        let doomed: Vec<Ticket> = (0..3)
-            .map(|j| batcher.submit(request_x(j)).unwrap())
-            .collect();
-        assert_eq!(batcher.run_once(), 3);
-        for ticket in doomed {
-            assert!(matches!(ticket.wait(), Err(ServeError::BatchPanicked)));
-        }
-        // The queue (and its lock) survived: submit + serve still work.
-        assert_eq!(batcher.pending(), 0);
-        let ticket = batcher.submit(request_x(9)).unwrap();
-        assert_eq!(batcher.run_once(), 1);
-        assert_eq!(
-            ticket.wait().unwrap(),
-            batcher.matrix().spmv_now(&request_x(9)).unwrap()
-        );
-        let report = batcher.stats().snapshot();
-        assert_eq!(report.failed_batches, 1);
-        assert_eq!(report.batches, 1, "only the surviving batch counts");
-        assert_eq!(report.requests, 1);
-    }
-
-    #[test]
-    fn background_service_survives_a_panicked_batch() {
-        let batcher = Batcher::spawn(
-            served(8),
-            BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(50),
-            },
-        );
-        batcher.inject_batch_panics(1);
-        let doomed: Vec<Ticket> = (0..4)
-            .map(|j| batcher.submit(request_x(j)).unwrap())
-            .collect();
-        let mut failed = 0;
-        for ticket in doomed {
-            match ticket
-                .wait_timeout(Duration::from_secs(10))
-                .expect("no ticket may hang")
-            {
-                Err(ServeError::BatchPanicked) => failed += 1,
-                Ok(_) => {}
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(failed > 0, "the injected panic failed at least one request");
-        // The service thread is still alive and serving.
-        let y = batcher.apply(request_x(5)).unwrap();
-        assert_eq!(y, batcher.matrix().spmv_now(&request_x(5)).unwrap());
-        assert!(batcher.stats().failed_batches() >= 1);
-    }
-
-    #[test]
-    fn concurrent_close_under_load_strands_nothing() {
-        for round in 0..4 {
-            let batcher = Arc::new(Batcher::spawn(
-                served(10 + round),
-                BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(20),
-                },
-            ));
-            let clients: Vec<_> = (0..4)
-                .map(|c| {
-                    let batcher = Arc::clone(&batcher);
-                    std::thread::spawn(move || {
-                        let mut served_ok = 0usize;
-                        let mut closed = 0usize;
-                        for j in 0..50 {
-                            match batcher.submit(request_x(c * 50 + j)) {
-                                Ok(ticket) => {
-                                    match ticket
-                                        .wait_timeout(Duration::from_secs(10))
-                                        .expect("ticket must resolve: served or failed, never hung")
-                                    {
-                                        Ok(_) => served_ok += 1,
-                                        Err(ServeError::Closed) => closed += 1,
-                                        Err(e) => panic!("unexpected error {e}"),
-                                    }
-                                }
-                                Err(ServeError::Closed) => {
-                                    closed += 1;
-                                    break;
-                                }
-                                Err(e) => panic!("unexpected submit error {e}"),
-                            }
-                        }
-                        (served_ok, closed)
-                    })
-                })
-                .collect();
-            // Close mid-stream: submits before the flip are flushed, submits
-            // after it error — nothing hangs either way.
-            std::thread::sleep(Duration::from_micros(200 * round));
-            batcher.close();
-            let mut total = 0;
-            for client in clients {
-                let (served_ok, _closed) = client.join().unwrap();
-                total += served_ok;
-            }
-            // All successfully submitted requests were served (the final
-            // flush covered the stragglers); the exact split depends on the
-            // race, the invariant is "no hang, no stranded ticket". Snapshot
-            // only after the service thread joined, so every served request
-            // has been recorded.
-            let matrix = Arc::clone(batcher.matrix());
-            drop(batcher);
-            let report = matrix.serve_stats().snapshot();
-            assert_eq!(report.requests, total);
-        }
-    }
+    Some(drain_batch(&mut state.pending, max_batch))
 }

@@ -15,8 +15,9 @@
 //!   profile format) and a running, fully tuned
 //!   [`spmv_parallel::SpmvEngine`].
 //! * [`batcher::Batcher`] — coalesces concurrent single-vector requests into
-//!   multi-vector (SpMM) batches under a configurable max-batch / max-wait
-//!   policy, then answers every request from the batched result. Because the
+//!   multi-vector (SpMM) batches — whatever queued while the previous batch
+//!   ran, up to a configurable width, cut the moment the service is free —
+//!   then answers every request from the batched result. Because the
 //!   SpMM kernels are bit-identical per vector to the tuned SpMV path, clients
 //!   cannot observe whether their request was batched.
 //! * [`solver::SolverSession`] — stateful fused-CG solves bound to a served

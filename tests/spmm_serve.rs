@@ -147,13 +147,7 @@ fn registry_serves_symmetric_matrices_from_halved_storage() {
     }
 
     // And the batcher coalesces symmetric requests like any other.
-    let batcher = Batcher::manual(
-        served,
-        BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_secs(60),
-        },
-    );
+    let batcher = Batcher::manual(served, BatchPolicy { max_batch: 4 });
     let batcher = Arc::new(batcher);
     let clients: Vec<_> = (0..4)
         .map(|j| {
@@ -182,13 +176,7 @@ fn batcher_serves_concurrent_burst_as_one_batch() {
     let csr = random_csr(60, 44, 700, 6);
     let registry = MatrixRegistry::new(2, TuningConfig::full());
     let served = registry.insert("burst", &csr).unwrap();
-    let batcher = Arc::new(Batcher::manual(
-        served,
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_secs(60),
-        },
-    ));
+    let batcher = Arc::new(Batcher::manual(served, BatchPolicy { max_batch: 8 }));
 
     let clients: Vec<_> = (0..8)
         .map(|j| {

@@ -9,7 +9,8 @@
 //! 3. **Registry scrape** — `MatrixRegistry::metrics()` exports every layer:
 //!    engine epochs, tune-cache hits/misses, batch occupancy, solver
 //!    iterations, fleet footprint — after driving each layer once — and the
-//!    JSON rendering of the same snapshot is well-formed.
+//!    JSON rendering of the same snapshot is well-formed; a loopback server
+//!    over the same registry folds its per-shard families (wake-ups) too.
 //! 4. **Fleet aggregation** — `fleet_resident_bytes` is the sum of the served
 //!    engines' footprints and tracks removal.
 //! 5. **Trace ring** — bounded, lossy-by-overwrite, and ordered; the global
@@ -260,7 +261,8 @@ fn profiling_toggle_never_perturbs_results() {
 fn registry_scrape_covers_every_layer() {
     let dir = std::env::temp_dir().join(format!("spmv_telemetry_{}", std::process::id()));
     let cache = std::sync::Arc::new(TuneCache::open(&dir).expect("open tune cache"));
-    let registry = MatrixRegistry::new(2, TuningConfig::full()).with_cache(cache.clone());
+    let registry =
+        std::sync::Arc::new(MatrixRegistry::new(2, TuningConfig::full()).with_cache(cache.clone()));
 
     let csr = spd_csr(64, 320, 7);
     let served = registry.insert("scrape", &csr).expect("insert");
@@ -334,6 +336,33 @@ fn registry_scrape_covers_every_layer() {
         .find(|(key, _)| key == "spmv_engine_epochs_total{matrix=\"scrape\"}")
         .unwrap_or_else(|| panic!("engine epochs series missing from:\n{json}"));
     assert!(epochs.1 > 0.0, "{epochs:?}");
+
+    // The network layer folds into the same kind of snapshot: one round trip
+    // over loopback, and the shard's wake-up counter — its only record of how
+    // often the blocking wait returned — is scraped under its shard label.
+    use spmv_multicore::spmv_net::{NetClient, ServerConfig, ShardedNetServer};
+    let mut server = ShardedNetServer::bind(
+        std::sync::Arc::clone(&registry),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        1,
+    )
+    .and_then(ShardedNetServer::spawn)
+    .expect("loopback server");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    client
+        .set_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    client.spmv("scrape", &x).expect("round trip");
+    let mut net = spmv_multicore::spmv_obs::MetricsSnapshot::new();
+    server.fold_into(&mut net);
+    let wakeups = net
+        .counters
+        .iter()
+        .find(|(name, _)| name == "spmv_net_shard_wakeups_total{shard=\"0\"}")
+        .unwrap_or_else(|| panic!("wake-up family missing from:\n{}", net.to_prometheus()));
+    assert!(wakeups.1 >= 1, "a round trip wakes the shard: {wakeups:?}");
+    server.shutdown();
 
     drop(registry);
     drop(registry2);
