@@ -246,7 +246,7 @@ mod tests {
         let csr = random_csr(4000, 800_000, 120_000, 2);
         let unblocked = simulate_csr_traffic(&csr, csr.footprint_bytes(), &cache_cfg(), 1.0);
         // Cache-blocked traversal of the same matrix must generate less source traffic.
-        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let plan = TunePlan::heuristic(&csr, 1, &TuningConfig::full());
         let blocked = simulate_blocked_traffic(
             &plan.threads[0].decisions,
             plan.planned_bytes(),

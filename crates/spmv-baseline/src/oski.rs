@@ -144,7 +144,7 @@ mod tests {
             (random_csr(400, 3000, 2), "random"),
         ] {
             let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
-            let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+            let plan = TunePlan::heuristic(&csr, 1, &TuningConfig::full());
             let ours = PreparedMatrix::materialize(&csr, &plan).unwrap();
             assert!(
                 ours.footprint_bytes() <= oski.footprint_bytes(),

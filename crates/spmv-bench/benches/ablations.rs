@@ -18,9 +18,10 @@ use spmv_matrices::suite::{Scale, SuiteMatrix};
 use spmv_parallel::SpmvEngine;
 use std::hint::black_box;
 
-/// The serial tuned form: a one-thread plan, materialized.
+/// The serial tuned form: a one-thread plan, materialized. The untimed planner,
+/// so that each rung measures the structure its own config describes.
 fn tuned_serial(csr: &CsrMatrix, config: &TuningConfig) -> PreparedMatrix {
-    PreparedMatrix::materialize(csr, &TunePlan::new(csr, 1, config)).expect("fresh plan")
+    PreparedMatrix::materialize(csr, &TunePlan::heuristic(csr, 1, config)).expect("fresh plan")
 }
 
 fn heuristic_vs_search(c: &mut Criterion) {

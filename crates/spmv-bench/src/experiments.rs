@@ -250,8 +250,9 @@ fn cache_platform_workload(
     scope: &ParallelScope,
     ex: &Extrapolation,
 ) -> (WorkloadProfile, usize) {
-    // The serial tuned form: a one-thread plan, materialized.
-    let plan = TunePlan::new(csr, 1, config);
+    // The serial tuned form: a one-thread plan, materialized. The untimed
+    // planner: the tables model the paper's machines, not this host's clock.
+    let plan = TunePlan::heuristic(csr, 1, config);
     let tuned = PreparedMatrix::materialize(csr, &plan).expect("fresh plan matches its matrix");
     let footprint = ex.bytes(tuned.footprint_bytes());
     let block_decisions = &plan.threads[0].decisions;

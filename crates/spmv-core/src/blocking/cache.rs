@@ -156,17 +156,7 @@ pub fn cache_block(csr: &CsrMatrix, config: &CacheBlockingConfig) -> CacheBlocki
         // Sparse blocking: walk columns left to right, greedily extending the block
         // until the number of *touched* source cache lines reaches the budget.
         // Touched lines are discovered from the panel's column indices.
-        let mut touched: Vec<usize> = Vec::new();
-        for row in rows.clone() {
-            for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-                touched.push(csr.col_idx()[k] as usize);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        // Map to cache lines of x.
-        let mut lines: Vec<usize> = touched.iter().map(|&c| c / DOUBLES_PER_LINE).collect();
-        lines.dedup();
+        let lines = touched_units(csr, rows, &(0..ncols), DOUBLES_PER_LINE);
 
         let mut ranges = Vec::new();
         if lines.is_empty() {
@@ -200,21 +190,20 @@ pub fn cache_block(csr: &CsrMatrix, config: &CacheBlockingConfig) -> CacheBlocki
     }
 }
 
-/// Count the source-vector cache lines a given (row range, col range) block touches.
-/// Exposed for tests and for the architecture simulator's traffic accounting.
-pub fn touched_source_lines(csr: &CsrMatrix, rows: &Range<usize>, cols: &Range<usize>) -> usize {
-    let mut lines: Vec<usize> = Vec::new();
-    for row in rows.clone() {
-        for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-            let c = csr.col_idx()[k] as usize;
-            if cols.contains(&c) {
-                lines.push(c / DOUBLES_PER_LINE);
-            }
-        }
+/// The distinct `column / unit` values the block `rows` × `cols` touches,
+/// ascending: the occupied cache lines (or, for the TLB pass, pages) of the
+/// source vector. O(nnz of the rows + `ncols / unit`) per call.
+pub(crate) fn touched_units(
+    csr: &CsrMatrix,
+    rows: &Range<usize>,
+    cols: &Range<usize>,
+    unit: usize,
+) -> Vec<usize> {
+    let mut seen = vec![false; csr.ncols().div_ceil(unit)];
+    for &col in &csr.col_idx()[csr.row_ptr()[rows.start]..csr.row_ptr()[rows.end]] {
+        seen[col as usize / unit] |= cols.contains(&(col as usize));
     }
-    lines.sort_unstable();
-    lines.dedup();
-    lines.len()
+    (0..seen.len()).filter(|&u| seen[u]).collect()
 }
 
 #[cfg(test)]
@@ -268,7 +257,7 @@ mod tests {
         };
         let blocking = cache_block(&csr, &cfg);
         for (rows, cols) in blocking.blocks() {
-            let touched = touched_source_lines(&csr, &rows, &cols);
+            let touched = touched_units(&csr, &rows, &cols, DOUBLES_PER_LINE).len();
             assert!(
                 touched <= cfg.source_lines(),
                 "block {rows:?}x{cols:?} touches {touched} lines > budget {}",

@@ -28,6 +28,20 @@ pub struct FillEstimate {
 }
 
 impl FillEstimate {
+    fn new(r: usize, c: usize, tiles: usize, occupied_block_rows: usize, nnz: usize) -> Self {
+        FillEstimate {
+            r,
+            c,
+            tiles,
+            occupied_block_rows,
+            fill_ratio: if nnz == 0 {
+                1.0
+            } else {
+                (tiles * r * c) as f64 / nnz as f64
+            },
+        }
+    }
+
     /// Bytes needed to store the matrix as BCSR at this shape and index width.
     pub fn bcsr_bytes(&self, nrows: usize, width: IndexWidth) -> usize {
         let nblock_rows = nrows.div_ceil(self.r);
@@ -82,27 +96,53 @@ pub fn estimate_fill(csr: &CsrMatrix, r: usize, c: usize) -> FillEstimate {
         tiles += scratch.len();
         occupied_block_rows += 1;
     }
-    let stored = tiles * r * c;
-    let fill_ratio = if csr.nnz() == 0 {
-        1.0
-    } else {
-        stored as f64 / csr.nnz() as f64
-    };
-    FillEstimate {
-        r,
-        c,
-        tiles,
-        occupied_block_rows,
-        fill_ratio,
-    }
+    FillEstimate::new(r, c, tiles, occupied_block_rows, csr.nnz())
 }
 
-/// Estimate every candidate shape for `csr`.
+/// Estimate every candidate shape for `csr` in **one** pass over the nonzeros
+/// (the order of [`register_block_candidates`]; equal to [`estimate_fill`] shape
+/// by shape). Per column width `c`, a stamp array over the block columns holds,
+/// for each row height `r`, the last block row that stored a tile there; rows
+/// come in order, so a differing stamp is exactly a tile not yet counted. The
+/// stamps cost O(`ncols`) to allocate per call on top of the O(nnz) pass: a wide
+/// cell with few nonzeros pays for its columns, not its entries.
 pub fn estimate_all_shapes(csr: &CsrMatrix) -> Vec<FillEstimate> {
-    register_block_candidates()
-        .into_iter()
-        .map(|(r, c)| estimate_fill(csr, r, c))
-        .collect()
+    const D: usize = ALLOWED_BLOCK_DIMS.len();
+    let dims = ALLOWED_BLOCK_DIMS;
+    assert!(csr.nrows() < u32::MAX as usize, "u32 row stamps");
+    let mut stamps: Vec<Vec<[u32; D]>> = dims
+        .iter()
+        .map(|&c| vec![[0; D]; csr.ncols().div_ceil(c)])
+        .collect();
+    let mut tiles = [[0usize; D]; D];
+    let (mut occupied, mut last_occupied) = ([0usize; D], [0u32; D]);
+    for row in 0..csr.nrows() {
+        let cols = &csr.col_idx()[csr.row_ptr()[row]..csr.row_ptr()[row + 1]];
+        if cols.is_empty() {
+            continue;
+        }
+        let brow: [u32; D] = std::array::from_fn(|ri| (row / dims[ri]) as u32 + 1);
+        for ri in 0..D {
+            occupied[ri] += usize::from(last_occupied[ri] != brow[ri]);
+        }
+        last_occupied = brow;
+        for &col in cols {
+            for (ci, stamps) in stamps.iter_mut().enumerate() {
+                let slot = &mut stamps[col as usize / dims[ci]];
+                for ri in 0..D {
+                    tiles[ri][ci] += usize::from(slot[ri] != brow[ri]);
+                }
+                *slot = brow;
+            }
+        }
+    }
+    let (mut out, nnz) = (Vec::with_capacity(D * D), csr.nnz());
+    for (ri, &r) in dims.iter().enumerate() {
+        for (ci, &c) in dims.iter().enumerate() {
+            out.push(FillEstimate::new(r, c, tiles[ri][ci], occupied[ri], nnz));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -180,10 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn estimate_all_shapes_covers_candidates() {
+    fn estimate_all_shapes_equals_the_per_shape_pass() {
         let csr = block_structured();
-        let all = estimate_all_shapes(&csr);
-        assert_eq!(all.len(), 16);
+        let per_shape: Vec<_> = register_block_candidates()
+            .into_iter()
+            .map(|(r, c)| estimate_fill(&csr, r, c))
+            .collect();
+        assert_eq!(estimate_all_shapes(&csr), per_shape);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! row-panel pass and the cache column pass. On the Opteron the budget corresponds to
 //! the small L1 TLB (32 entries of 4KB pages).
 
+use crate::blocking::cache::touched_units;
 use crate::formats::csr::CsrMatrix;
 use std::ops::Range;
 
@@ -58,17 +59,7 @@ impl TlbBlocking {
 /// `config.max_source_pages` distinct pages of the source vector.
 pub fn tlb_block(csr: &CsrMatrix, rows: &Range<usize>, config: &TlbConfig) -> TlbBlocking {
     let ncols = crate::formats::traits::MatrixShape::ncols(csr);
-    // Distinct touched columns of the panel.
-    let mut touched: Vec<usize> = Vec::new();
-    for row in rows.clone() {
-        for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-            touched.push(csr.col_idx()[k] as usize);
-        }
-    }
-    touched.sort_unstable();
-    touched.dedup();
-    let mut pages: Vec<usize> = touched.iter().map(|&c| c / DOUBLES_PER_PAGE).collect();
-    pages.dedup();
+    let pages = touched_units(csr, rows, &(0..ncols), DOUBLES_PER_PAGE);
 
     if pages.is_empty() {
         return TlbBlocking {
@@ -92,23 +83,6 @@ pub fn tlb_block(csr: &CsrMatrix, rows: &Range<usize>, config: &TlbConfig) -> Tl
         idx = end_idx;
     }
     TlbBlocking { col_ranges: ranges }
-}
-
-/// Count distinct source pages touched by a (rows, cols) block — used by tests and by
-/// the architecture simulator's TLB model.
-pub fn touched_source_pages(csr: &CsrMatrix, rows: &Range<usize>, cols: &Range<usize>) -> usize {
-    let mut pages: Vec<usize> = Vec::new();
-    for row in rows.clone() {
-        for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-            let c = csr.col_idx()[k] as usize;
-            if cols.contains(&c) {
-                pages.push(c / DOUBLES_PER_PAGE);
-            }
-        }
-    }
-    pages.sort_unstable();
-    pages.dedup();
-    pages.len()
 }
 
 #[cfg(test)]
@@ -136,7 +110,7 @@ mod tests {
         let blocking = tlb_block(&csr, &(0..16), &cfg);
         assert!(blocking.covers(1 << 16));
         for r in &blocking.col_ranges {
-            assert!(touched_source_pages(&csr, &(0..16), r) <= 8);
+            assert!(touched_units(&csr, &(0..16), r, DOUBLES_PER_PAGE).len() <= 8);
         }
     }
 

@@ -15,6 +15,7 @@ use crate::formats::coo::CooMatrix;
 use crate::formats::index::{IndexStorage, IndexWidth};
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::{INDEX32_BYTES, VALUE_BYTES};
+use std::ops::Range;
 
 /// Compressed Sparse Row storage, generic over the column-index width.
 ///
@@ -69,6 +70,12 @@ impl CsrMatrix<u32> {
                 "column index out of range".to_string(),
             ));
         }
+        // `sub_block` finds a row's column range by binary search.
+        if row_ptr.windows(2).any(|w| !col_idx[w[0]..w[1]].is_sorted()) {
+            return Err(Error::InvalidStructure(
+                "column indices must be sorted within each row".to_string(),
+            ));
+        }
         Ok(CsrMatrix {
             nrows,
             ncols,
@@ -106,6 +113,45 @@ impl CsrMatrix<u32> {
         CsrMatrix {
             nrows,
             ncols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Extract the sub-matrix covering `rows` × `cols` (half-open ranges), with
+    /// coordinates re-based to the block origin — the cache-blocking cut, taken
+    /// straight out of the row segments: columns are sorted per row, so each
+    /// row's share of the block is one contiguous run found by binary search.
+    pub fn sub_block(&self, rows: Range<usize>, cols: Range<usize>) -> CsrMatrix {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.nrows,
+            "invalid row range {rows:?}"
+        );
+        assert!(
+            cols.start <= cols.end && cols.end <= self.ncols,
+            "invalid column range {cols:?}"
+        );
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for row in rows {
+            let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
+            let seg = &self.col_idx[lo..hi];
+            let from = lo + seg.partition_point(|&c| (c as usize) < cols.start);
+            let to = lo + seg.partition_point(|&c| (c as usize) < cols.end);
+            col_idx.extend(
+                self.col_idx[from..to]
+                    .iter()
+                    .map(|&c| c - cols.start as u32),
+            );
+            values.extend_from_slice(&self.values[from..to]);
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix {
+            nrows: row_ptr.len() - 1,
+            ncols: cols.end - cols.start,
             row_ptr,
             col_idx,
             values,
@@ -508,6 +554,23 @@ mod tests {
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err()); // decreasing
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 7], vec![1.0, 1.0]).is_err()); // col range
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 1.0]).is_ok());
+        assert!(CsrMatrix::from_raw(1, 2, vec![0, 2], vec![1, 0], vec![1.0, 1.0]).is_err());
+        // unsorted row
+    }
+
+    #[test]
+    fn sub_block_equals_the_coo_round_trip() {
+        let csr = CsrMatrix::from_coo(&sample_coo());
+        for (rows, cols) in [
+            (0..4, 0..4),
+            (1..3, 1..4),
+            (2..3, 0..1),
+            (0..0, 2..2),
+            (0..4, 3..3),
+        ] {
+            let via_coo = CsrMatrix::from_coo(&csr.to_coo().sub_block(rows.clone(), cols.clone()));
+            assert_eq!(csr.sub_block(rows, cols), via_coo);
+        }
     }
 
     #[test]

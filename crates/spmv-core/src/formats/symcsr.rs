@@ -34,8 +34,27 @@ pub fn is_symmetric(csr: &CsrMatrix) -> bool {
     if csr.nrows() != csr.ncols() {
         return false;
     }
-    let t = csr.transpose();
-    t.row_ptr() == csr.row_ptr() && t.col_idx() == csr.col_idx() && t.values() == csr.values()
+    // A transpose fused with the comparison, so the first entry without an equal
+    // mirror ends the check: rows are visited in order and columns are sorted per
+    // row, so when `(i, j)` comes up, the first entry of row `j` no earlier row
+    // has claimed must be `(j, i)`. Every entry claiming a distinct mirror makes
+    // the claim map a bijection, i.e. the matrix equals its transpose.
+    let (row_ptr, col_idx, values) = (csr.row_ptr(), csr.col_idx(), csr.values());
+    let mut next = row_ptr[..csr.nrows()].to_vec();
+    for i in 0..csr.nrows() {
+        for k in row_ptr[i]..row_ptr[i + 1] {
+            let j = col_idx[k] as usize;
+            let mirror = next[j];
+            if mirror == row_ptr[j + 1]
+                || col_idx[mirror] as usize != i
+                || values[mirror] != values[k]
+            {
+                return false;
+            }
+            next[j] += 1;
+        }
+    }
+    true
 }
 
 /// Symmetric storage: dense diagonal plus strictly-lower triangle in CSR form.

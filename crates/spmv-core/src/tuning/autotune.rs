@@ -1,17 +1,16 @@
 //! Measured whole-plan autotuning with a persistent tune cache.
 //!
-//! The paper's one-pass footprint heuristic ([`TunePlan::new`]) picks the
-//! smallest structure without ever timing a kernel. OSKI's position — and the
-//! ablation the paper reports against it — is that a *measured* search over
-//! the full optimization ladder is what closes the last gap to machine peak.
-//! This module implements that search at the granularity the two-phase
-//! pipeline already speaks: complete candidate [`TunePlan`]s (format kind
-//! including the symmetric slabs, register block shape, index width, prefetch
-//! annotation, cache-block grid) are materialized and timed with the same
-//! median-of-k estimator the OSKI dense-profile benchmark uses
-//! ([`median_timing`]), and the fastest whole plan wins. The heuristic plan is
-//! always a candidate, so the search can never pick something it measured as
-//! slower than the heuristic.
+//! The paper's one-pass footprint heuristic picks the smallest structure, and
+//! [`TunePlan::new`] times only the handful of grids that heuristic proposes
+//! per thread share. OSKI's position — and the ablation the paper reports
+//! against it — is that a *measured* search over the full optimization ladder
+//! is what closes the last gap to machine peak. This module implements that
+//! search at the granularity the two-phase pipeline already speaks: complete
+//! candidate [`TunePlan`]s (format kind including the symmetric slabs,
+//! register block shape, index width, SIMD knob) are materialized and timed
+//! with the same helper the per-share ladder uses ([`time_spmv`]), and the
+//! fastest whole plan wins. The default plan is always a candidate, so the
+//! search can never pick something it measured as slower than it.
 //!
 //! Because a measured search costs real time, winners persist: a [`TuneCache`]
 //! stores the winning plan's plain-text profile (the `spmv-tune-plan v1`
@@ -27,26 +26,25 @@ use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexWidth;
 use crate::formats::traits::{MatrixShape, SpMv};
 use crate::partition::row::partition_rows_balanced;
-use crate::tuning::footprint::{csr_bytes_at, gcsr_bytes, sym_csr_bytes, FormatChoice, FormatKind};
+use crate::tuning::footprint::{gcsr_bytes, sym_csr_bytes, FormatChoice, FormatKind};
 use crate::tuning::heuristic::{BlockDecision, TuningConfig};
-use crate::tuning::plan::{
-    ThreadPlan, TunePlan, PLANNED_PREFETCH_DISTANCE, PREFETCH_FOOTPRINT_BYTES,
-};
+use crate::tuning::plan::{ThreadPlan, TunePlan};
 use crate::tuning::prepared::PreparedMatrix;
-use crate::tuning::search::median_timing;
+use crate::tuning::search::time_spmv;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// How much of the candidate space a measured search may spend time on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchBudget {
-    /// No timing at all: trust the one-pass footprint heuristic (the paper's
-    /// position, and the cheapest insert path).
+    /// No whole-plan search: the default plan of [`TunePlan::new`] (the one-pass
+    /// footprint heuristic and its per-share ladder, so a share past the cache
+    /// is timed) — the cheapest insert path. Not [`TunePlan::heuristic`], which
+    /// is that planner without the clock.
     Heuristic,
-    /// Time the heuristic plan against the optimization-ladder variants
-    /// (naive, register-only, register+cache, symmetry/index/prefetch
-    /// toggles) — a handful of complete plans.
+    /// Time the default plan against single-knob toggles of the config
+    /// (symmetry, index width, SIMD) — a handful of complete plans. The
+    /// blocking and format rungs are the default plan's own ladder.
     Pruned,
     /// [`SearchBudget::Pruned`] plus every forced whole-plan shape: each
     /// register block shape as BCSR/BCOO, plain CSR and GCSR at both index
@@ -56,10 +54,10 @@ pub enum SearchBudget {
 }
 
 /// Default per-candidate timing budget in milliseconds (each candidate is
-/// timed as the median of [`TIMING_RUNS`] batched runs inside this budget).
+/// timed as the fastest of [`TIMING_RUNS`] batched runs inside this budget).
 pub const DEFAULT_EVAL_MS: u64 = 2;
 
-/// Timed runs per candidate; the median is kept, so one scheduler hiccup
+/// Timed runs per candidate; the fastest is kept, so one scheduler hiccup
 /// cannot crown the wrong plan.
 pub const TIMING_RUNS: usize = 3;
 
@@ -110,14 +108,7 @@ fn forced_choice(local: &CsrMatrix, kind: ForcedKind) -> Option<FormatChoice> {
             if width == IndexWidth::U16 && !fits16(local.ncols()) {
                 return None;
             }
-            FormatChoice {
-                kind: FormatKind::Csr,
-                r: 1,
-                c: 1,
-                width,
-                bytes: csr_bytes_at(local, width),
-                fill_ratio: 1.0,
-            }
+            FormatChoice::csr(local, width)
         }
         ForcedKind::Gcsr(width) => {
             if width == IndexWidth::U16 && !(fits16(local.nrows()) && fits16(local.ncols())) {
@@ -185,19 +176,7 @@ fn forced_general_plan(
                 nnz: local.nnz(),
             }]
         };
-        let planned: usize = decisions.iter().map(|d| d.choice.bytes).sum();
-        let prefetch = config.software_prefetch && planned > PREFETCH_FOOTPRINT_BYTES;
-        threads.push(ThreadPlan {
-            rows: range.clone(),
-            prefetch_distance: if prefetch {
-                PLANNED_PREFETCH_DISTANCE
-            } else {
-                0
-            },
-            nta_hint: prefetch,
-            simd: config.simd && crate::kernels::simd::available(),
-            decisions,
-        });
+        threads.push(ThreadPlan::annotated(range.clone(), decisions, config));
     }
     Some(TunePlan {
         nrows: csr.nrows(),
@@ -316,52 +295,23 @@ pub fn candidate_plans(
         return out;
     }
 
-    // The optimization-ladder rungs as whole plans, plus single-knob toggles
-    // of the caller's config.
-    let ladder = [
-        ("naive", TuningConfig::naive()),
-        ("register-only", TuningConfig::register_only()),
-        ("register-cache", TuningConfig::register_and_cache()),
-        (
-            "no-symmetry",
-            TuningConfig {
-                exploit_symmetry: false,
-                ..*config
-            },
-        ),
-        (
-            "u32-indices",
-            TuningConfig {
-                allow_u16_indices: false,
-                ..*config
-            },
-        ),
-        (
-            "no-prefetch",
-            TuningConfig {
-                software_prefetch: false,
-                ..*config
-            },
-        ),
-        // The SIMD knob both ways: measured, never assumed. On hosts whose
-        // feature probe fails the two plans are identical (the knob degrades
-        // at planning time) and dedup keeps one.
-        (
-            "no-simd",
-            TuningConfig {
-                simd: false,
-                ..*config
-            },
-        ),
-        (
-            "simd",
-            TuningConfig {
-                simd: true,
-                ..*config
-            },
-        ),
+    // Single-knob toggles of the caller's config. The naive / register-only /
+    // register+cache / no-prefetch rungs of the optimization ladder are not
+    // re-planned here: `TunePlan::new` already timed them, share by share.
+    let (mut no_symmetry, mut u32_indices, mut simd) = (*config, *config, *config);
+    no_symmetry.exploit_symmetry = false;
+    u32_indices.allow_u16_indices = false;
+    // The SIMD knob the other way: measured, never assumed. On hosts whose
+    // feature probe fails the plan is the default one (the knob degrades at
+    // planning time) and dedup drops it.
+    simd.simd = !config.simd;
+    let simd_label = if config.simd { "no-simd" } else { "simd" };
+    let toggles = [
+        ("no-symmetry", no_symmetry),
+        ("u32-indices", u32_indices),
+        (simd_label, simd),
     ];
-    for (label, cfg) in ladder {
+    for (label, cfg) in toggles {
         push(
             label.to_string(),
             Some(TunePlan::new(csr, nthreads, &cfg)),
@@ -431,32 +381,19 @@ pub fn candidate_plans(
 // Timed evaluation
 // ---------------------------------------------------------------------------
 
-/// Median seconds per single whole-plan SpMV of `plan`, executed serially
-/// through [`PreparedMatrix`] (the bit-identical reference of the parallel
-/// engine, so the ranking transfers). Returns `None` when the plan fails to
-/// materialize.
+/// Seconds per single whole-plan SpMV of `plan` ([`time_spmv`]: the fastest of
+/// [`TIMING_RUNS`] batches that share `eval_ms`), executed serially through
+/// [`PreparedMatrix`] (the bit-identical reference of the parallel engine, so
+/// the ranking transfers). Returns `None` when the plan fails to materialize.
 pub fn time_plan(csr: &CsrMatrix, plan: &TunePlan, eval_ms: u64) -> Option<f64> {
     let prepared = PreparedMatrix::materialize(csr, plan).ok()?;
-    let x: Vec<f64> = (0..csr.ncols()).map(|i| (i % 17) as f64 * 0.25).collect();
-    let mut y = vec![0.0; csr.nrows()];
-    // Warm once (faults pages, fills caches), then calibrate the batch size so
-    // each of the timed runs spans roughly a third of the budget.
-    prepared.spmv(&x, &mut y);
-    let t0 = Instant::now();
-    prepared.spmv(&x, &mut y);
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let reps = ((eval_ms.max(1) as f64 / 1e3 / TIMING_RUNS as f64) / once)
-        .ceil()
-        .clamp(1.0, 1e6) as usize;
-    let secs = median_timing(TIMING_RUNS, || {
-        let t = Instant::now();
-        for _ in 0..reps {
-            prepared.spmv(&x, &mut y);
-        }
-        t.elapsed().as_secs_f64()
-    })
-    .max(1e-12);
-    Some(secs / reps as f64)
+    let (nrows, ncols) = (csr.nrows(), csr.ncols());
+    let time = |runs, reps| time_spmv(nrows, ncols, runs, reps, |x, y| prepared.spmv(x, y));
+    // Calibrate the batch size on one call, so each timed run spans roughly a
+    // third of the budget.
+    let batch_secs = eval_ms.max(1) as f64 / 1e3 / TIMING_RUNS as f64;
+    let reps = (batch_secs / time(1, 1)).ceil().clamp(1.0, 1e6) as usize;
+    Some(time(TIMING_RUNS, reps))
 }
 
 /// Run the measured whole-plan search with the default per-candidate budget.

@@ -80,6 +80,20 @@ pub struct FormatChoice {
     pub fill_ratio: f64,
 }
 
+impl FormatChoice {
+    /// Plain CSR over the whole of `csr` with column indices stored at `width`.
+    pub fn csr(csr: &CsrMatrix, width: IndexWidth) -> FormatChoice {
+        FormatChoice {
+            kind: FormatKind::Csr,
+            r: 1,
+            c: 1,
+            width,
+            bytes: csr_bytes_at(csr, width),
+            fill_ratio: 1.0,
+        }
+    }
+}
+
 /// Exact CSR byte cost (the naive reference format, 32-bit column indices).
 pub fn csr_bytes(csr: &CsrMatrix) -> usize {
     csr_bytes_at(csr, IndexWidth::U32)
@@ -248,14 +262,7 @@ pub fn enumerate_choices(csr: &CsrMatrix, opts: &CandidateOptions) -> Vec<Format
     // Plain CSR is always admissible (the fallback the paper's heuristic starts
     // from), optionally with 16-bit column-index compression.
     for width in widths(1, ncols) {
-        out.push(FormatChoice {
-            kind: FormatKind::Csr,
-            r: 1,
-            c: 1,
-            width,
-            bytes: csr_bytes_at(csr, width),
-            fill_ratio: 1.0,
-        });
+        out.push(FormatChoice::csr(csr, width));
     }
 
     if opts.allow_gcsr {

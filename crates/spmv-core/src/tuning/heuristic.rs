@@ -1,10 +1,13 @@
-//! The one-pass footprint-minimizing tuner.
+//! The one-pass footprint-minimizing tuner: **one pass proposes, the clock disposes**.
 //!
 //! This is the paper's replacement for OSKI's search: "our implementation performs
 //! one pass over the nonzeros to determine the combination of register blocking,
 //! index size, first/last row, and format that minimizes the matrix footprint"
 //! (Section 4.2), applied independently to every cache block produced by the cache
-//! and TLB blocking passes.
+//! and TLB blocking passes. What the byte count cannot see (the paper's caveats:
+//! blocking only when the fill pays, only when `x` does not fit) is left to the
+//! clock: the pass proposes up to four structures per thread share
+//! ([`ladder_rungs`]), `TunePlan::new` times them; this module stays deterministic.
 
 use crate::blocking::blocked::{BlockFormat, CacheBlock};
 use crate::blocking::cache::{cache_block, CacheBlockingConfig};
@@ -15,8 +18,11 @@ use crate::formats::bcsr::BcsrAuto;
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::{CompressedCsr, CsrMatrix};
 use crate::formats::gcsr::GcsrMatrix;
+use crate::formats::index::IndexWidth;
 use crate::formats::traits::MatrixShape;
 use crate::tuning::footprint::{best_choice, CandidateOptions, FormatChoice, FormatKind};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Configuration of the full tuning pipeline — the knobs of paper Table 2's
@@ -130,6 +136,17 @@ pub struct BlockDecision {
     pub nnz: usize,
 }
 
+impl BlockDecision {
+    /// The decision's cache block, built from its cell (the block-local matrix).
+    fn materialize(&self, cell: &CsrMatrix) -> Result<CacheBlock> {
+        Ok(CacheBlock {
+            rows: self.rows.clone(),
+            cols: self.cols.clone(),
+            format: try_materialize(cell, &self.choice)?,
+        })
+    }
+}
+
 /// Materialize `choice` for the block-local CSR matrix, validating the choice
 /// against the block (a plan loaded from disk may not match the matrix).
 pub fn try_materialize(csr_block: &CsrMatrix, choice: &FormatChoice) -> Result<BlockFormat> {
@@ -160,68 +177,110 @@ pub fn try_materialize(csr_block: &CsrMatrix, choice: &FormatChoice) -> Result<B
     })
 }
 
-/// Phase 1 + 2 of the tuning pipeline: the cache-block grid (row panels × column
-/// ranges), with optional TLB refinement of each panel.
-fn blocking_grid(csr: &CsrMatrix, config: &TuningConfig) -> Vec<(Range<usize>, Range<usize>)> {
-    let nrows = csr.nrows();
-    let ncols = csr.ncols();
-    match &config.cache_blocking {
-        None => {
-            if nrows == 0 {
-                vec![]
-            } else {
-                vec![(0..nrows, 0..ncols)]
-            }
-        }
-        Some(cfg) => {
-            let blocking = cache_block(csr, cfg);
-            let mut cells = Vec::new();
-            for (p, rows) in blocking.row_panels.iter().enumerate() {
-                // The paper performs TLB blocking "between cache blocking rows and
-                // cache blocking columns"; we intersect the TLB ranges with the
-                // cache ranges, which yields the same bound on pages per block.
-                let col_ranges: Vec<Range<usize>> = match &config.tlb_blocking {
-                    None => blocking.col_ranges[p].clone(),
-                    Some(tlb_cfg) => {
-                        let tlb = tlb_block(csr, rows, tlb_cfg);
-                        intersect_ranges(&blocking.col_ranges[p], &tlb.col_ranges)
-                    }
-                };
-                for cols in col_ranges {
-                    cells.push((rows.clone(), cols));
-                }
-            }
-            cells
-        }
+/// One rung of a thread share's ladder: a grid of cells cut out of the share and
+/// the footprint decision for each non-empty cell.
+#[derive(Debug, Clone)]
+pub struct Rung<'a> {
+    /// `A`–`D`, see [`ladder_rungs`].
+    pub label: &'static str,
+    /// One decision per non-empty cell, in grid order (empty cells are dropped
+    /// entirely: no storage, no work).
+    pub decisions: Vec<BlockDecision>,
+    /// The cells the decisions were made on; the whole share is borrowed, not cut.
+    cells: Vec<Cow<'a, CsrMatrix>>,
+}
+
+impl Rung<'_> {
+    /// Build the storage each decision names out of the cells already cut.
+    pub fn materialize(&self) -> Result<Vec<CacheBlock>> {
+        let pairs = self.decisions.iter().zip(&self.cells);
+        pairs.map(|(d, cell)| d.materialize(cell)).collect()
     }
 }
 
-/// The planning half of the tuner: run the blocking passes and the footprint
-/// heuristic, returning the per-cache-block decisions **without materializing
-/// anything**. This is the tune-time product the two-phase pipeline serializes
-/// ([`crate::tuning::plan::TunePlan`]); [`materialize_decisions`] is the
-/// execution-side half.
-pub fn plan_block_decisions(csr: &CsrMatrix, config: &TuningConfig) -> Vec<BlockDecision> {
+/// The planning half of the tuner: the structures the one pass proposes for a
+/// thread share, fewest blocks first, **without materializing anything**. Each
+/// rung restricts `config`, never widens it:
+///
+/// * `A` — one index-compressed CSR block at the narrowest admissible width:
+///   the incumbent every other rung has to beat.
+/// * `B` — the footprint-minimal format ([`best_choice`]) with no grid.
+/// * `C` — `B`'s rule on every cell of the cache-block grid.
+/// * `D` — `C` refined by the TLB grid: the paper's full pipeline.
+///
+/// Identical rungs dedupe (a one-cell grid is `B`; with nothing to choose `B` is
+/// `A`), and a cell two grids share is estimated once. The last rung is always
+/// the finest grid the config allows — the plan `TunePlan::heuristic` keeps;
+/// `finest_only` skips the others.
+pub fn ladder_rungs<'a>(
+    csr: &'a CsrMatrix,
+    config: &TuningConfig,
+    finest_only: bool,
+) -> Vec<Rung<'a>> {
     let opts = config.candidate_options();
-    let grid = blocking_grid(csr, config);
-    let coo_full = csr.to_coo();
-    let mut decisions = Vec::with_capacity(grid.len());
-    for (rows, cols) in grid {
-        let sub_coo = coo_full.sub_block(rows.clone(), cols.clone());
-        let sub_csr = CsrMatrix::from_coo(&sub_coo);
-        if sub_csr.nnz() == 0 {
-            // Empty blocks are dropped entirely: no storage, no work.
-            continue;
+    let whole = (0..csr.nrows(), 0..csr.ncols());
+    let csr_width = if config.allow_u16_indices && IndexWidth::U16.fits(csr.ncols()) {
+        IndexWidth::U16
+    } else {
+        IndexWidth::U32
+    };
+    let mut grids = vec![("A", vec![whole.clone()]), ("B", vec![whole.clone()])];
+    if let Some(cfg) = &config.cache_blocking {
+        let blocking = cache_block(csr, cfg);
+        grids.push(("C", blocking.blocks().collect()));
+        if let Some(tlb_cfg) = &config.tlb_blocking {
+            // The paper performs TLB blocking "between cache blocking rows and
+            // cache blocking columns"; we intersect the TLB ranges with the
+            // cache ranges, which yields the same bound on pages per block.
+            let panels = blocking.row_panels.iter().zip(&blocking.col_ranges);
+            let cells = panels.flat_map(|(rows, cols)| {
+                let tlb = tlb_block(csr, rows, tlb_cfg);
+                let refined = intersect_ranges(cols, &tlb.col_ranges).into_iter();
+                refined.map(move |cols| (rows.clone(), cols))
+            });
+            grids.push(("D", cells.collect()));
         }
-        let choice = best_choice(&sub_csr, &opts);
-        decisions.push(BlockDecision {
-            nnz: sub_csr.nnz(),
-            rows,
-            cols,
-            choice,
-        });
     }
-    decisions
+    if finest_only {
+        grids.drain(..grids.len() - 1);
+    }
+    let (mut rungs, mut choices) = (Vec::<Rung>::new(), HashMap::new());
+    for (label, grid) in grids {
+        let (mut decisions, mut cells) = (Vec::new(), Vec::new());
+        for (rows, cols) in grid {
+            let cell = if (&rows, &cols) == (&whole.0, &whole.1) {
+                Cow::Borrowed(csr)
+            } else {
+                Cow::Owned(csr.sub_block(rows.clone(), cols.clone()))
+            };
+            if cell.nnz() == 0 {
+                continue;
+            }
+            let choice = if label == "A" {
+                FormatChoice::csr(csr, csr_width)
+            } else {
+                let key = (rows.clone(), cols.clone());
+                *choices
+                    .entry(key)
+                    .or_insert_with(|| best_choice(&cell, &opts))
+            };
+            decisions.push(BlockDecision {
+                nnz: cell.nnz(),
+                rows,
+                cols,
+                choice,
+            });
+            cells.push(cell);
+        }
+        if !rungs.iter().any(|r| r.decisions == decisions) {
+            rungs.push(Rung {
+                label,
+                decisions,
+                cells,
+            });
+        }
+    }
+    rungs
 }
 
 /// Plan one thread's **symmetric** slab: extract the strictly-lower triangle of
@@ -255,15 +314,14 @@ pub fn plan_symmetric_thread(
     }
 }
 
-/// The materialization half of the tuner: build the storage each decision names,
-/// one [`CacheBlock`] per decision, in decision order. Fails (rather than
-/// panicking) when the decisions do not fit the matrix, which can happen with a
-/// stale plan loaded from disk.
+/// The materialization half of the tuner: cut each decision's cell out of `csr`
+/// and build the storage it names, one [`CacheBlock`] per decision, in decision
+/// order. Fails (rather than panicking) when the decisions do not fit the
+/// matrix, which can happen with a stale plan loaded from disk.
 pub fn materialize_decisions(
     csr: &CsrMatrix,
     decisions: &[BlockDecision],
 ) -> Result<Vec<CacheBlock>> {
-    let coo_full = csr.to_coo();
     let mut blocks = Vec::with_capacity(decisions.len());
     for d in decisions {
         if d.rows.start > d.rows.end
@@ -279,8 +337,7 @@ pub fn materialize_decisions(
                 csr.ncols()
             )));
         }
-        let sub_coo = coo_full.sub_block(d.rows.clone(), d.cols.clone());
-        let sub_csr = CsrMatrix::from_coo(&sub_coo);
+        let sub_csr = csr.sub_block(d.rows.clone(), d.cols.clone());
         if sub_csr.nnz() != d.nnz {
             return Err(Error::InvalidStructure(format!(
                 "plan block {:?}x{:?} expects {} nonzeros, matrix has {}",
@@ -290,11 +347,7 @@ pub fn materialize_decisions(
                 sub_csr.nnz()
             )));
         }
-        blocks.push(CacheBlock {
-            rows: d.rows.clone(),
-            cols: d.cols.clone(),
-            format: try_materialize(&sub_csr, &d.choice)?,
-        });
+        blocks.push(d.materialize(&sub_csr)?);
     }
     Ok(blocks)
 }

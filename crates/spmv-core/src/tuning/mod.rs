@@ -1,9 +1,12 @@
-//! Matrix-structure autotuning (paper Section 4.2).
+//! Matrix-structure autotuning (paper Section 4.2): **one pass proposes, the
+//! clock disposes**.
 //!
 //! The paper's key departure from OSKI is that the data structure is chosen by a
 //! **one-pass heuristic that minimizes the matrix footprint** rather than by a
 //! benchmark-driven search: for memory-bound multicore SpMV, the smallest structure
-//! is (almost always) the fastest. The pipeline is:
+//! is (almost always) the fastest. Its own caveats are the "almost": register
+//! blocking only when the fill pays, cache and TLB blocking only when `x` does
+//! not fit. The pipeline is:
 //!
 //! 1. Split the matrix into cache blocks ([`crate::blocking::cache`]), optionally
 //!    refined by TLB blocking ([`crate::blocking::tlb`]).
@@ -11,13 +14,18 @@
 //!    ([`crate::blocking::register`]), combine with the index-width and
 //!    BCSR/BCOO/GCSR choice, and pick the smallest encoding
 //!    ([`heuristic`]).
-//! 3. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
+//! 3. Let the clock decide what the byte count cannot: per thread share the pass
+//!    proposes at most four structures ([`ladder_rungs`]), [`TunePlan::new`]
+//!    times the distinct ones and keeps the incumbent unless a finer rung wins
+//!    by a margin ([`ShareLadder`]). Shares that live in cache, and
+//!    [`TunePlan::heuristic`], skip this step.
+//! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! [`search`] provides the OSKI-style register-shape search used by the ablation
-//! study and the baseline crate; [`autotune`] lifts that idea to **measured
-//! whole-plan search** (complete [`TunePlan`] candidates timed end to end) with a
-//! persistent, fingerprint-keyed [`TuneCache`]. [`optimizations`] is the
-//! machine-readable form of the paper's Table 2.
+//! study and the baseline crate, and the one timing helper; [`autotune`] lifts
+//! the idea to **measured whole-plan search** (complete [`TunePlan`] candidates
+//! timed end to end) with a persistent, fingerprint-keyed [`TuneCache`].
+//! [`optimizations`] is the machine-readable form of the paper's Table 2.
 //!
 //! The pipeline is exposed in **two phases** so tuning cost can be paid once and
 //! amortized: [`plan`] produces a serializable [`TunePlan`] (row partition +
@@ -41,8 +49,8 @@ pub use autotune::{
 };
 pub use footprint::{FormatChoice, FormatKind};
 pub use heuristic::{
-    materialize_decisions, plan_block_decisions, plan_symmetric_thread, BlockDecision, TuningConfig,
+    ladder_rungs, materialize_decisions, plan_symmetric_thread, BlockDecision, Rung, TuningConfig,
 };
-pub use plan::{ThreadPlan, TunePlan};
+pub use plan::{choose_rung, LadderRung, ShareLadder, ThreadPlan, TunePlan};
 pub use prepared::{reduce_into, reduce_tree, PreparedBlock, PreparedMatrix, SymBlock};
 pub use search::{search_register_blocking, SearchOutcome};

@@ -1,9 +1,10 @@
 //! The serializable tune-time plan of the two-phase pipeline.
 //!
-//! Phase one (*tune*) runs the blocking passes and the footprint heuristic and
-//! records every decision — row partition, per-cache-block format kind, register
-//! block shape, index width, and the per-thread prefetch annotation — in a
-//! [`TunePlan`]. Phase two (*prepare*, [`crate::tuning::prepared`]) materializes a
+//! Phase one (*tune*) runs the blocking passes and the footprint heuristic, lets
+//! each thread share's timed ladder pick among what they propose ([`ShareLadder`]),
+//! and records every decision — row partition, per-cache-block format kind,
+//! register block shape, index width, and the per-thread prefetch annotation — in
+//! a [`TunePlan`]. Phase two (*prepare*, [`crate::tuning::prepared`]) materializes a
 //! plan into kernel-bound storage, ideally on the thread that will execute it so
 //! first-touch places the pages locally.
 //!
@@ -19,7 +20,9 @@ use crate::formats::traits::MatrixShape;
 use crate::kernels::KernelVariant;
 use crate::partition::row::{partition_rows_balanced, RowPartition};
 use crate::tuning::footprint::{FormatChoice, FormatKind};
-use crate::tuning::heuristic::{plan_block_decisions, BlockDecision, TuningConfig};
+use crate::tuning::heuristic::{ladder_rungs, BlockDecision, TuningConfig};
+use crate::tuning::prepared::PreparedBlock;
+use crate::tuning::search::time_spmv;
 use std::ops::Range;
 
 /// Thread blocks whose planned footprint exceeds this many bytes get a software
@@ -31,6 +34,13 @@ pub const PREFETCH_FOOTPRINT_BYTES: usize = 1 << 19;
 /// The prefetch distance (in nonzeros) the planner annotates large blocks with —
 /// the middle of the paper's swept range, a robust default across its machines.
 pub const PLANNED_PREFETCH_DISTANCE: usize = 64;
+
+/// Timed `execute` calls per ladder rung, after one warm-up; the fastest counts.
+pub const LADDER_RUNS: usize = 5;
+
+/// A challenger displaces the ladder's incumbent only when it needs at most this
+/// share of the incumbent's time: a smaller difference is this host's noise.
+pub const LADDER_MARGIN: f64 = 0.95;
 
 /// One thread's share of the plan: its global row range, the cache-block decisions
 /// for that range (in block-local row coordinates), and the prefetch annotation.
@@ -53,6 +63,29 @@ pub struct ThreadPlan {
 }
 
 impl ThreadPlan {
+    /// A share's plan from its decisions, annotated by the planner's rules: SIMD
+    /// when the config asks and the host can; software prefetch when the planned
+    /// bytes cannot live in cache, except on a SIMD thread, whose CSR blocks run
+    /// the SIMD row kernel and never read the annotation.
+    pub fn annotated(
+        rows: Range<usize>,
+        decisions: Vec<BlockDecision>,
+        config: &TuningConfig,
+    ) -> ThreadPlan {
+        // The knob is only planned on when the host can execute it, so a
+        // freshly tuned plan always round-trips exactly.
+        let simd = config.simd && crate::kernels::simd::available();
+        let bytes: usize = decisions.iter().map(|d| d.choice.bytes).sum();
+        let prefetch = config.software_prefetch && !simd && bytes > PREFETCH_FOOTPRINT_BYTES;
+        ThreadPlan {
+            rows,
+            prefetch_distance: usize::from(prefetch) * PLANNED_PREFETCH_DISTANCE,
+            nta_hint: prefetch,
+            simd,
+            decisions,
+        }
+    }
+
     /// The CSR code variant this plan binds for its streaming blocks, derived
     /// once from the prefetch annotation.
     pub fn stream_variant(&self) -> KernelVariant {
@@ -71,6 +104,79 @@ impl ThreadPlan {
     /// Logical nonzeros covered by the plan's decisions.
     pub fn planned_nnz(&self) -> usize {
         self.decisions.iter().map(|d| d.nnz).sum()
+    }
+}
+
+/// One candidate structure of a thread share (a rung of
+/// [`crate::tuning::heuristic::ladder_rungs`]) and what the clock said about it.
+#[derive(Debug, Clone)]
+pub struct LadderRung {
+    /// `A`–`D`.
+    pub label: &'static str,
+    /// The share's plan, were this rung chosen.
+    pub plan: ThreadPlan,
+    /// Fastest seconds of one `execute`; `None` when the ladder timed nothing or
+    /// the rung failed to materialize.
+    pub seconds: Option<f64>,
+}
+
+/// A thread share's ladder: its rungs, fewest blocks first, and the one chosen.
+#[derive(Debug, Clone)]
+pub struct ShareLadder {
+    /// The candidates; a share that timed nothing lists only the plan it keeps.
+    pub rungs: Vec<LadderRung>,
+    /// Index into `rungs` of the share's plan.
+    pub chosen: usize,
+}
+
+/// The ladder's decision over the rungs' seconds (fewest blocks first; `None`: not
+/// materialized). The first timed rung is the incumbent and a later one takes its
+/// place only by [`LADDER_MARGIN`], so ties go to fewer blocks and the winner
+/// never ran slower than rung `A`. Nothing timed keeps the last rung.
+pub fn choose_rung(seconds: &[Option<f64>]) -> usize {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, s) in seconds.iter().enumerate() {
+        if let Some(s) = *s {
+            if best.is_none_or(|(_, b)| s <= b * LADDER_MARGIN) {
+                best = Some((i, s));
+            }
+        }
+    }
+    best.map_or(seconds.len().saturating_sub(1), |(i, _)| i)
+}
+
+impl ShareLadder {
+    /// Plan one thread share. Untimed (`timed` off, a single rung, or a planned
+    /// footprint that lives in cache) it keeps the finest grid's byte minimum,
+    /// deterministically. Otherwise every rung is materialized once, out of the
+    /// cells the planner already cut, and timed.
+    fn build(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig, timed: bool) -> Self {
+        let proposals = ladder_rungs(local, config, !timed);
+        let mut rungs: Vec<LadderRung> = proposals
+            .iter()
+            .map(|p| LadderRung {
+                label: p.label,
+                plan: ThreadPlan::annotated(rows.clone(), p.decisions.clone(), config),
+                seconds: None,
+            })
+            .collect();
+        let finest = rungs.len() - 1;
+        if finest == 0 || rungs[finest].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
+            rungs.drain(..finest);
+        } else {
+            let (nrows, ncols) = (local.nrows(), local.ncols());
+            for (rung, proposal) in rungs.iter_mut().zip(&proposals) {
+                rung.seconds = proposal.materialize().ok().map(|blocks| {
+                    let block = PreparedBlock::from_blocks(&rung.plan, ncols, blocks);
+                    time_spmv(nrows, ncols, LADDER_RUNS, 1, |x, y| block.execute(x, y))
+                });
+            }
+        }
+        let seconds: Vec<_> = rungs.iter().map(|r| r.seconds).collect();
+        ShareLadder {
+            chosen: choose_rung(&seconds),
+            rungs,
+        }
     }
 }
 
@@ -94,19 +200,47 @@ pub struct TunePlan {
 
 impl TunePlan {
     /// Plan `csr` for `nthreads` threads: partition rows balancing nonzeros, then
-    /// run the footprint heuristic independently on every thread block, exactly as
-    /// the paper tunes each thread's share in isolation.
+    /// tune every thread block in isolation, exactly as the paper tunes each
+    /// thread's share: the one-pass footprint heuristic proposes, the share's
+    /// timed ladder ([`ShareLadder`]) decides.
     ///
     /// When the config enables [`TuningConfig::exploit_symmetry`] and the matrix
     /// is detected square-and-symmetric, the plan switches to the symmetric
     /// pipeline automatically (Section 4.2's symmetry optimization: halved
     /// value/index traffic).
     pub fn new(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
+        Self::with_ladders(csr, nthreads, config).0
+    }
+
+    /// [`TunePlan::new`] together with the ladder of every thread share, for
+    /// reports (none for the symmetric pipeline, which has no ladder).
+    pub fn with_ladders(
+        csr: &CsrMatrix,
+        nthreads: usize,
+        config: &TuningConfig,
+    ) -> (TunePlan, Vec<ShareLadder>) {
+        Self::plan(csr, nthreads, config, true)
+    }
+
+    /// [`TunePlan::new`] without the clock: every share keeps the byte minimum of
+    /// the finest grid (its ladder's rung `D`). A function of matrix and config
+    /// alone, as the code that models the paper's machines needs. Not what
+    /// `SearchBudget::Heuristic` builds: that is the timed [`TunePlan::new`].
+    pub fn heuristic(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
+        Self::plan(csr, nthreads, config, false).0
+    }
+
+    fn plan(
+        csr: &CsrMatrix,
+        nthreads: usize,
+        config: &TuningConfig,
+        timed: bool,
+    ) -> (TunePlan, Vec<ShareLadder>) {
         if config.exploit_symmetry && csr.nnz() > 0 && crate::formats::symcsr::is_symmetric(csr) {
-            return Self::symmetric_plan(csr, nthreads, config);
+            return (Self::symmetric_plan(csr, nthreads, config), Vec::new());
         }
         let partition = partition_rows_balanced(csr, nthreads);
-        TunePlan::from_partition(csr, &partition.ranges, config)
+        Self::general_plan(csr, &partition.ranges, config, timed)
     }
 
     /// Plan a matrix the caller *declares* symmetric. Verifies the declaration
@@ -155,24 +289,23 @@ impl TunePlan {
         ranges: &[Range<usize>],
         config: &TuningConfig,
     ) -> TunePlan {
-        Self::plan_over_partition(csr, ranges, false, |local, range| {
-            let decisions = plan_block_decisions(local, config);
-            let planned_bytes: usize = decisions.iter().map(|d| d.choice.bytes).sum();
-            let prefetch = config.software_prefetch && planned_bytes > PREFETCH_FOOTPRINT_BYTES;
-            ThreadPlan {
-                rows: range.clone(),
-                prefetch_distance: if prefetch {
-                    PLANNED_PREFETCH_DISTANCE
-                } else {
-                    0
-                },
-                nta_hint: prefetch,
-                // The knob is only planned on when the host can execute it,
-                // so a freshly tuned plan always round-trips exactly.
-                simd: config.simd && crate::kernels::simd::available(),
-                decisions,
-            }
-        })
+        Self::general_plan(csr, ranges, config, true).0
+    }
+
+    fn general_plan(
+        csr: &CsrMatrix,
+        ranges: &[Range<usize>],
+        config: &TuningConfig,
+        timed: bool,
+    ) -> (TunePlan, Vec<ShareLadder>) {
+        let mut ladders = Vec::with_capacity(ranges.len());
+        let plan = Self::plan_over_partition(csr, ranges, false, |local, range| {
+            let ladder = ShareLadder::build(local, range, config, timed);
+            let plan = ladder.rungs[ladder.chosen].plan.clone();
+            ladders.push(ladder);
+            plan
+        });
+        (plan, ladders)
     }
 
     /// The planning sequence the general and symmetric pipelines share: slice
@@ -628,17 +761,28 @@ mod tests {
 
     #[test]
     fn prefetch_annotation_tracks_footprint() {
-        // A large streaming matrix must be annotated; a tiny one must not.
+        // A large streaming matrix must be annotated on a scalar thread; a tiny
+        // one must not.
+        let scalar = TuningConfig {
+            simd: false,
+            ..TuningConfig::full()
+        };
         let big = random_csr(4000, 60_000, 90_000, 7);
-        let plan = TunePlan::new(&big, 1, &TuningConfig::full());
+        let plan = TunePlan::new(&big, 1, &scalar);
         assert!(plan.threads[0].prefetch_distance > 0);
         assert!(matches!(
             plan.threads[0].stream_variant(),
             KernelVariant::PrefetchNta(_)
         ));
 
+        // A SIMD thread's CSR blocks run the SIMD row kernel, which reads no
+        // annotation: none is planned.
+        let simd_plan = TunePlan::new(&big, 1, &TuningConfig::full());
+        let t = &simd_plan.threads[0];
+        assert!(!t.simd || (t.prefetch_distance == 0 && !t.nta_hint));
+
         let small = random_csr(50, 50, 300, 8);
-        let small_plan = TunePlan::new(&small, 1, &TuningConfig::full());
+        let small_plan = TunePlan::new(&small, 1, &scalar);
         assert_eq!(small_plan.threads[0].prefetch_distance, 0);
         assert_eq!(
             small_plan.threads[0].stream_variant(),

@@ -169,15 +169,21 @@ impl PreparedBlock {
             });
         }
         let blocks = crate::tuning::heuristic::materialize_decisions(local, &plan.decisions)?;
-        Ok(PreparedBlock {
+        Ok(Self::from_blocks(plan, local.ncols(), blocks))
+    }
+
+    /// Bind a general `plan` to cache blocks already materialized from its
+    /// decisions (the tuner's ladder builds them from the cells it planned on).
+    pub(crate) fn from_blocks(plan: &ThreadPlan, ncols: usize, blocks: Vec<CacheBlock>) -> Self {
+        PreparedBlock {
             rows: plan.rows.clone(),
-            ncols: local.ncols(),
+            ncols,
             nnz: blocks.iter().map(|b| b.format.nnz()).sum(),
             stream_variant: plan.stream_variant(),
             simd: plan.simd,
             blocks,
             sym: None,
-        })
+        }
     }
 
     /// Materialize a *plain* (untuned) block: the whole row slice as one

@@ -11,6 +11,7 @@ use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexWidth;
 use crate::formats::traits::{MatrixShape, SpMv};
+use spmv_obs::timing::min_timing;
 use std::time::Instant;
 
 /// The result of a register-blocking search.
@@ -58,25 +59,13 @@ impl DenseProfile {
             }
         }
         let csr = CsrMatrix::from_coo(&coo);
-        let x: Vec<f64> = (0..dim).map(|i| i as f64 * 1e-2).collect();
         let mut entries = Vec::new();
         for (r, c) in register_block_candidates() {
             let bcsr = BcsrMatrix::<u16>::from_csr(&csr, r, c).expect("small dims");
-            let mut y = vec![0.0; dim];
-            // Warm up once, then take the median of several timed runs so one
-            // scheduler hiccup cannot skew the shape ranking.
-            bcsr.spmv(&x, &mut y);
-            let reps = 5;
-            let secs = median_timing(3, || {
-                let start = Instant::now();
-                for _ in 0..reps {
-                    bcsr.spmv(&x, &mut y);
-                }
-                start.elapsed().as_secs_f64()
-            })
-            .max(1e-9);
-            let flops = (2 * csr.nnz() * reps) as f64;
-            entries.push((r, c, flops / secs));
+            // Warm up once, then take the fastest of three batches of five calls,
+            // so one scheduler hiccup cannot skew the shape ranking.
+            let secs = time_spmv(dim, dim, 3, 5, |x, y| bcsr.spmv(x, y));
+            entries.push((r, c, (2 * csr.nnz()) as f64 / secs));
         }
         if entries.iter().any(|&(_, _, t)| !t.is_finite() || t <= 0.0) {
             return Self::synthetic();
@@ -116,82 +105,79 @@ impl DenseProfile {
     }
 }
 
-/// The reps-stable estimator every measured search in this crate uses (the
-/// OSKI dense profile, the timed shape search, and the whole-plan autotuner)
-/// so a single preempted run cannot flip a decision. Re-exported from
-/// `spmv-obs`.
-pub use spmv_obs::timing::median_timing;
+/// Seconds per call of `spmv(x, y)` — the one timing helper every timed decision
+/// in this crate uses (the OSKI dense profile, the timed shape search, the
+/// per-share ladder of [`crate::tuning::plan::TunePlan::new`], the whole-plan
+/// search), so all rank candidates on the same seeded `x` (uniform in [-1, 1)).
+/// One untimed call faults the pages in, then the fastest of `runs` batches of
+/// `reps` calls counts ([`min_timing`]: a preempted run cannot flip a decision).
+pub fn time_spmv(
+    nrows: usize,
+    ncols: usize,
+    runs: usize,
+    reps: usize,
+    mut spmv: impl FnMut(&[f64], &mut [f64]),
+) -> f64 {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let x: Vec<f64> = (0..ncols)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        })
+        .collect();
+    let mut y = vec![0.0; nrows];
+    spmv(&x, &mut y);
+    let reps = reps.max(1);
+    let secs = min_timing(runs, || {
+        let t = Instant::now();
+        for _ in 0..reps {
+            spmv(&x, &mut y);
+        }
+        t.elapsed().as_secs_f64()
+    });
+    secs.max(1e-12) / reps as f64
+}
 
-/// OSKI's heuristic: pick the shape minimizing `fill_ratio / dense_throughput`,
-/// i.e. the predicted time per logical nonzero.
-pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> SearchOutcome {
+/// The search both entry points share: cost every candidate shape (lower is
+/// better, the first of equals wins) and materialize the cheapest.
+fn search_by(
+    csr: &CsrMatrix,
+    mut cost: impl FnMut(usize, usize, IndexWidth) -> f64,
+) -> SearchOutcome {
     let width = if IndexWidth::U16.fits(csr.ncols()) && IndexWidth::U16.fits(csr.nrows()) {
         IndexWidth::U16
     } else {
         IndexWidth::U32
     };
-    let mut best: Option<(usize, usize, f64)> = None;
-    let mut candidates = Vec::new();
-    for (r, c) in register_block_candidates() {
-        let est = estimate_fill(csr, r, c);
-        let cost = est.fill_ratio / profile.throughput(r, c);
-        candidates.push((r, c, cost));
-        match best {
-            Some((_, _, b)) if cost >= b => {}
-            _ => best = Some((r, c, cost)),
-        }
-    }
-    let (r, c, _) = best.expect("candidate list non-empty");
-    let matrix = BcsrAuto::from_csr(csr, r, c, width).expect("supported shape");
+    let shapes = register_block_candidates().into_iter();
+    let candidates: Vec<_> = shapes.map(|(r, c)| (r, c, cost(r, c, width))).collect();
+    let best = candidates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
+    let &(r, c, _) = best.expect("candidate list non-empty");
     SearchOutcome {
         r,
         c,
-        matrix,
+        matrix: BcsrAuto::from_csr(csr, r, c, width).expect("supported shape"),
         candidates,
     }
 }
 
+/// OSKI's heuristic: pick the shape minimizing `fill_ratio / dense_throughput`,
+/// i.e. the predicted time per logical nonzero.
+pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> SearchOutcome {
+    search_by(csr, |r, c, _| {
+        estimate_fill(csr, r, c).fill_ratio / profile.throughput(r, c)
+    })
+}
+
 /// Time-based search: actually materialize and time every candidate shape, returning
 /// the fastest. This is the expensive search the paper's heuristic avoids. Each
-/// candidate is timed as the **median of three runs** of `reps` iterations, so the
-/// outcome is stable against one-off scheduler noise.
+/// candidate's cost is its seconds per call over the fastest of three batches of
+/// `reps` calls ([`time_spmv`]), stable against one-off scheduler noise.
 pub fn search_by_timing(csr: &CsrMatrix, reps: usize) -> SearchOutcome {
-    let width = if IndexWidth::U16.fits(csr.ncols()) && IndexWidth::U16.fits(csr.nrows()) {
-        IndexWidth::U16
-    } else {
-        IndexWidth::U32
-    };
-    let x: Vec<f64> = (0..csr.ncols()).map(|i| (i % 13) as f64).collect();
-    let mut best: Option<(usize, usize, f64, BcsrAuto)> = None;
-    let mut candidates = Vec::new();
-    for (r, c) in register_block_candidates() {
+    search_by(csr, |r, c, width| {
         let bcsr = BcsrAuto::from_csr(csr, r, c, width).expect("supported shape");
-        let mut y = vec![0.0; csr.nrows()];
-        bcsr.spmv(&x, &mut y);
-        let secs = median_timing(3, || {
-            let start = Instant::now();
-            for _ in 0..reps.max(1) {
-                bcsr.spmv(&x, &mut y);
-            }
-            start.elapsed().as_secs_f64()
-        })
-        .max(1e-12);
-        candidates.push((r, c, secs));
-        let better = match &best {
-            Some((_, _, b, _)) => secs < *b,
-            None => true,
-        };
-        if better {
-            best = Some((r, c, secs, bcsr));
-        }
-    }
-    let (r, c, _, matrix) = best.expect("candidate list non-empty");
-    SearchOutcome {
-        r,
-        c,
-        matrix,
-        candidates,
-    }
+        time_spmv(csr.nrows(), csr.ncols(), 3, reps, |x, y| bcsr.spmv(x, y))
+    })
 }
 
 #[cfg(test)]

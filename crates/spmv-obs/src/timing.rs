@@ -1,8 +1,9 @@
 //! The one measurement primitive every timed decision in the workspace uses.
 //!
-//! [`median_timing`] is the reps-stable median for *comparisons* (the OSKI dense
-//! profile, the timed shape search, the whole-plan autotuner): a single
-//! preempted run cannot flip a decision.
+//! [`min_timing`] is the reps-stable minimum for *comparisons* (the OSKI dense
+//! profile, the tuner's per-share ladder, the whole-plan autotuner): everything a
+//! shared host does to a run makes it slower, so the fastest of a few runs is the
+//! run least disturbed, and a preempted one cannot flip a decision.
 
 use std::time::Duration;
 
@@ -15,11 +16,11 @@ pub fn saturating_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Run `time_once` `runs` times and return the median elapsed seconds.
-pub fn median_timing(runs: usize, mut time_once: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..runs.max(1)).map(|_| time_once()).collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
+/// Run `time_once` `runs` times (at least once) and return the minimum elapsed seconds.
+pub fn min_timing(runs: usize, mut time_once: impl FnMut() -> f64) -> f64 {
+    (0..runs.max(1))
+        .map(|_| time_once())
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -38,21 +39,21 @@ mod tests {
     }
 
     #[test]
-    fn median_is_order_insensitive() {
+    fn min_is_order_insensitive() {
         let samples = [5.0, 1.0, 3.0];
         let mut i = 0;
-        let m = median_timing(3, || {
+        let m = min_timing(3, || {
             let v = samples[i];
             i += 1;
             v
         });
-        assert_eq!(m, 3.0);
+        assert_eq!(m, 1.0);
     }
 
     #[test]
-    fn median_of_zero_runs_still_measures_once() {
+    fn min_of_zero_runs_still_measures_once() {
         let mut calls = 0;
-        let m = median_timing(0, || {
+        let m = min_timing(0, || {
             calls += 1;
             2.0
         });

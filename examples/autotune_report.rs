@@ -1,11 +1,12 @@
-//! Autotuning report: for every matrix in the paper's suite, show what the
-//! footprint-minimizing heuristic chose (register block shapes, index widths,
-//! formats), how much smaller the structure got, and how the OSKI-style search
-//! baseline compares.
+//! Autotuning report: for every matrix in the paper's suite (or the ones named
+//! on the command line), show what the tuner chose (register block shapes, index
+//! widths, formats), how much smaller the structure got, how the OSKI-style
+//! search baseline compares, and the ladder each thread share was chosen from:
+//! what the one-pass heuristic proposed and what the clock said about it.
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example autotune_report
+//! cargo run --release --example autotune_report [-- <matrix id>...]
 //! ```
 
 use spmv_multicore::prelude::*;
@@ -19,11 +20,22 @@ fn main() {
         "{:<16} {:>10} {:>9} {:>12} {:>12} {:>10} {:>12}",
         "matrix", "nnz", "nnz/row", "tuned MB", "CSR MB", "ratio", "OSKI blocks"
     );
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| SuiteMatrix::all().iter().all(|m| m.id() != w.as_str()))
+    {
+        eprintln!("unknown matrix id '{unknown}'");
+        std::process::exit(2);
+    }
     for matrix in SuiteMatrix::all() {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == matrix.id()) {
+            continue;
+        }
         let coo = matrix.generate(Scale::Small);
         let csr = CsrMatrix::from_coo(&coo);
         let stats = MatrixStats::compute(&csr);
-        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &TuningConfig::full());
         let tuned = PreparedMatrix::materialize(&csr, &plan).expect("fresh plan fits");
         let decisions = &plan.threads[0].decisions;
         let oski = OskiMatrix::tune_with_profile(&csr, &DenseProfile::synthetic());
@@ -62,8 +74,26 @@ fn main() {
             shapes.join(", "),
             formats
         );
+
+        // The ladder of every thread share (none: the symmetric pipeline).
+        for (t, ladder) in ladders.iter().enumerate() {
+            for (i, rung) in ladder.rungs.iter().enumerate() {
+                println!(
+                    "    share {t} rung {} {:>5} blocks {:>6.2} B/nnz {:>9} {}",
+                    rung.label,
+                    rung.plan.decisions.len(),
+                    rung.plan.planned_bytes() as f64 / rung.plan.planned_nnz().max(1) as f64,
+                    rung.seconds
+                        .map_or("untimed".to_string(), |s| format!("{:.3} ms", s * 1e3)),
+                    if i == ladder.chosen { "<- chosen" } else { "" }
+                );
+            }
+        }
     }
     println!();
     println!("ratio = tuned bytes / CSR bytes (lower is better; the paper's heuristic");
-    println!("minimizes exactly this quantity because SpMV is memory bound).");
+    println!("minimizes exactly this quantity because SpMV is memory bound). A share whose");
+    println!("planned bytes live in cache keeps the byte minimum untimed; a larger one is");
+    println!("chosen by the clock from rungs A (one compressed-CSR block), B (byte-minimal");
+    println!("formats, no grid), C (B over the cache grid), D (C refined by the TLB grid).");
 }

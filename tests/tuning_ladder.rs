@@ -1,0 +1,267 @@
+//! The tuner's per-share ladder: one pass proposes, the clock disposes.
+//!
+//! * **The chooser** is a pure function over the rungs' seconds: the incumbent
+//!   survives a 4 % loss and falls to a 6 % one, ties go to fewer blocks, a
+//!   rung that failed to materialize is skipped.
+//! * **Every rung** the planner proposes — not only the one a run happens to
+//!   choose — is a valid plan: it validates, round-trips through the profile
+//!   text, computes what plain CSR computes, and holds no format its config
+//!   disallows. So whichever rung the clock picks on whichever host, the
+//!   product is right.
+//! * **The two rewritten passes** equal what they replaced: the one-pass fill
+//!   estimator against `estimate_fill` shape by shape, the CSR-direct cell cut
+//!   against the COO round trip.
+//! * **Determinism where it is promised**: shares that live in cache are never
+//!   timed and keep `TunePlan::heuristic`'s plan (the golden 64×48 plan of
+//!   `tests/autotune_search.rs` is such a share).
+
+use spmv_multicore::prelude::*;
+use spmv_multicore::spmv_core::blocking::register::{
+    estimate_all_shapes, estimate_fill, register_block_candidates,
+};
+use spmv_multicore::spmv_core::formats::IndexWidth;
+use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
+use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
+use spmv_multicore::spmv_core::tuning::{
+    choose_rung, ladder_rungs, FormatKind, ThreadPlan, TuningConfig,
+};
+use spmv_testutil::{assert_plans_equivalent, random_csr};
+
+#[test]
+fn the_chooser_keeps_the_incumbent_inside_the_margin() {
+    assert_eq!(choose_rung(&[Some(1.00), Some(0.96)]), 0, "a 4 % loss");
+    assert_eq!(choose_rung(&[Some(1.00), Some(0.94)]), 1, "a 6 % loss");
+    // The displacer is the new incumbent: B beat A, C does not beat B.
+    assert_eq!(choose_rung(&[Some(1.00), Some(0.94), Some(0.90)]), 1);
+    assert_eq!(choose_rung(&[Some(1.00), Some(0.94), Some(0.88)]), 2);
+    // Rungs come fewest blocks first, so a tie goes to fewer blocks.
+    assert_eq!(
+        choose_rung(&[Some(0.5), Some(0.5), Some(0.5), Some(0.5)]),
+        0
+    );
+    // A rung that failed to materialize neither wins nor blocks the others.
+    assert_eq!(choose_rung(&[None, Some(1.0), Some(0.97)]), 1);
+    assert_eq!(choose_rung(&[Some(1.0), None, Some(0.5)]), 2);
+    // Nothing timed: the finest rung, which is the untimed planner's plan.
+    assert_eq!(choose_rung(&[None, None, None]), 2);
+    assert_eq!(choose_rung(&[None]), 0);
+}
+
+/// The whole-matrix plans "every share takes its k-th rung" (a share with
+/// fewer rungs takes its last), labelled by the first share's rung.
+fn rung_plans(
+    csr: &CsrMatrix,
+    threads: usize,
+    config: &TuningConfig,
+) -> Vec<(&'static str, TunePlan)> {
+    let ranges = partition_rows_balanced(csr, threads).ranges;
+    let locals: Vec<CsrMatrix> = ranges
+        .iter()
+        .map(|r| csr.row_slice(r.start, r.end))
+        .collect();
+    let shares: Vec<_> = locals
+        .iter()
+        .map(|l| ladder_rungs(l, config, false))
+        .collect();
+    let depth = shares.iter().map(Vec::len).max().unwrap_or(0);
+    (0..depth)
+        .map(|k| {
+            let share_plans = ranges.iter().zip(&shares).map(|(range, rungs)| {
+                let rung = &rungs[k.min(rungs.len() - 1)];
+                ThreadPlan::annotated(range.clone(), rung.decisions.clone(), config)
+            });
+            let plan = TunePlan {
+                nrows: csr.nrows(),
+                ncols: csr.ncols(),
+                nnz: csr.nnz(),
+                symmetric: false,
+                threads: share_plans.collect(),
+            };
+            (shares[0][k.min(shares[0].len() - 1)].label, plan)
+        })
+        .collect()
+}
+
+#[test]
+fn every_rung_of_every_suite_matrix_is_a_valid_plan_that_agrees_with_csr() {
+    // Symmetry detection off: the ladder belongs to the general pipeline, and
+    // the suite's symmetric members would otherwise bypass it.
+    let config = TuningConfig {
+        exploit_symmetry: false,
+        ..TuningConfig::full()
+    };
+    for matrix in SuiteMatrix::all() {
+        for scale in [Scale::Tiny, Scale::Small] {
+            let csr = CsrMatrix::from_coo(&matrix.generate(scale));
+            for threads in [1, 2, 3] {
+                let plain = TunePlan::heuristic(&csr, threads, &TuningConfig::naive());
+                let plans = rung_plans(&csr, threads, &config);
+                assert!((1..=4).contains(&plans.len()));
+                let finest = &plans.last().expect("at least one rung").1;
+                assert_eq!(
+                    *finest,
+                    TunePlan::heuristic(&csr, threads, &config),
+                    "{}: the last rung is the untimed planner's plan",
+                    matrix.id()
+                );
+                for (label, plan) in &plans {
+                    let ctx = format!("{} {scale:?} threads={threads} rung {label}", matrix.id());
+                    plan.validate_for(&csr)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let back = TunePlan::from_text(&plan.to_text())
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert_eq!(*plan, back, "{ctx}: profile round trip");
+                    assert_plans_equivalent(&csr, plan, &plain, &ctx);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn no_rung_holds_a_format_its_config_disallows() {
+    let full = TuningConfig::full();
+    let configs = [
+        TuningConfig::naive(),
+        TuningConfig::register_only(),
+        TuningConfig::register_and_cache(),
+        full,
+        TuningConfig {
+            allow_bcoo: false,
+            allow_gcsr: false,
+            ..full
+        },
+        TuningConfig {
+            allow_u16_indices: false,
+            register_blocking: false,
+            ..full
+        },
+    ];
+    let matrices = [
+        random_csr(300, 9_000, 6_000, 1),
+        random_csr(40, 70_000, 1_200, 2),
+        CsrMatrix::from_coo(&SuiteMatrix::Lp.generate(Scale::Tiny)),
+        CsrMatrix::from_coo(&SuiteMatrix::Webbase.generate(Scale::Tiny)),
+    ];
+    for config in &configs {
+        for csr in &matrices {
+            let rungs = ladder_rungs(csr, config, false);
+            assert!((1..=4).contains(&rungs.len()));
+            // Identical rungs dedupe; the naive config has nothing to choose.
+            for (i, a) in rungs.iter().enumerate() {
+                assert!(rungs[..i].iter().all(|b| b.decisions != a.decisions));
+            }
+            if *config == TuningConfig::naive() {
+                assert_eq!(rungs.len(), 1);
+            }
+            for rung in &rungs {
+                let ctx = format!("{config:?} rung {}", rung.label);
+                if config.cache_blocking.is_none() {
+                    assert!(rung.decisions.len() <= 1, "{ctx}: a grid without blocking");
+                }
+                assert_eq!(
+                    rung.decisions.iter().map(|d| d.nnz).sum::<usize>(),
+                    csr.nnz(),
+                    "{ctx}: the cells cover the share"
+                );
+                for d in &rung.decisions {
+                    let c = &d.choice;
+                    assert!(!c.kind.is_symmetric(), "{ctx}");
+                    assert!(config.register_blocking || (c.r, c.c) == (1, 1), "{ctx}");
+                    assert!(
+                        config.allow_u16_indices || c.width == IndexWidth::U32,
+                        "{ctx}"
+                    );
+                    assert!(config.allow_bcoo || c.kind != FormatKind::Bcoo, "{ctx}");
+                    assert!(config.allow_gcsr || c.kind != FormatKind::Gcsr, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_pass_fill_estimates_equal_the_per_shape_pass() {
+    let mut matrices = vec![
+        random_csr(1, 1, 1, 3),
+        random_csr(97, 61, 900, 4),
+        random_csr(64, 5_000, 3_000, 5),
+        random_csr(501, 13, 2_000, 6),
+        CsrMatrix::from_coo(&CooMatrix::new(9, 9)),
+    ];
+    matrices.extend(
+        SuiteMatrix::all()
+            .iter()
+            .map(|m| CsrMatrix::from_coo(&m.generate(Scale::Tiny))),
+    );
+    for (i, csr) in matrices.iter().enumerate() {
+        let per_shape: Vec<_> = register_block_candidates()
+            .into_iter()
+            .map(|(r, c)| estimate_fill(csr, r, c))
+            .collect();
+        assert_eq!(estimate_all_shapes(csr), per_shape, "matrix {i}");
+    }
+}
+
+#[test]
+fn csr_direct_cell_cut_equals_the_coo_round_trip() {
+    for (seed, (nrows, ncols, nnz)) in [(40, 30, 300), (7, 900, 500), (300, 5, 700), (1, 1, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let csr = random_csr(nrows, ncols, nnz, seed as u64 + 10);
+        let coo = csr.to_coo();
+        let row_cuts = [0, nrows / 3, nrows / 2, nrows];
+        let col_cuts = [0, ncols / 4, ncols / 2, ncols];
+        for (ri, &r0) in row_cuts.iter().enumerate() {
+            for &r1 in &row_cuts[ri..] {
+                for (ci, &c0) in col_cuts.iter().enumerate() {
+                    for &c1 in &col_cuts[ci..] {
+                        let via_coo = CsrMatrix::from_coo(&coo.sub_block(r0..r1, c0..c1));
+                        assert_eq!(csr.sub_block(r0..r1, c0..c1), via_coo);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cache_resident_shares_are_never_timed() {
+    // The golden 64×48 matrix of `tests/autotune_search.rs`, and a larger one
+    // still under the threshold: `new` is `heuristic`, share by share.
+    for csr in [
+        random_csr(64, 48, 512, 42),
+        random_csr(900, 700, 20_000, 43),
+    ] {
+        let config = TuningConfig::full();
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 2, &config);
+        assert!(plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES);
+        assert_eq!(plan, TunePlan::heuristic(&csr, 2, &config));
+        assert_eq!(plan, TunePlan::new(&csr, 2, &config));
+        for ladder in &ladders {
+            assert_eq!(ladder.rungs.len(), 1);
+            assert!(ladder.rungs[0].seconds.is_none());
+        }
+    }
+}
+
+#[test]
+fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
+    // 1 MB of tuned structure on one thread: past the threshold, so the clock
+    // decides. Whatever it decides here, the winner was not measured slower
+    // than rung A, the chosen rung is the share's plan, and the product is
+    // plain CSR's.
+    let csr = CsrMatrix::from_coo(&SuiteMatrix::Economics.generate(Scale::Small));
+    let config = TuningConfig::full();
+    let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
+    assert_eq!(ladders.len(), 1);
+    let ladder = &ladders[0];
+    assert!(ladder.rungs.len() > 1, "economics has a grid to refuse");
+    assert_eq!(ladder.rungs[0].label, "A");
+    assert!(ladder.rungs.iter().all(|r| r.seconds.is_some()));
+    assert!(ladder.rungs[ladder.chosen].seconds <= ladder.rungs[0].seconds);
+    assert_eq!(ladder.rungs[ladder.chosen].plan, plan.threads[0]);
+    let plain = TunePlan::heuristic(&csr, 1, &TuningConfig::naive());
+    assert_plans_equivalent(&csr, &plan, &plain, "economics, timed ladder");
+}
