@@ -11,7 +11,9 @@ use crate::formats::bcoo::BcooMatrix;
 use crate::formats::bcsr::BcsrAuto;
 use crate::formats::csr::CompressedCsr;
 use crate::formats::gcsr::GcsrMatrix;
+use crate::formats::sell::SellAuto;
 use crate::formats::traits::{MatrixShape, SpMv};
+use crate::kernels::simd::SimdLevel;
 use std::ops::Range;
 
 /// The storage format selected for one cache block.
@@ -26,6 +28,8 @@ pub enum BlockFormat {
     Bcoo(BcooMatrix),
     /// Generalized CSR storing only occupied rows.
     Gcsr(GcsrMatrix),
+    /// Row-sorted sliced ELL: four short rows per SIMD pass (the ladder's rung `S`).
+    Sell(SellAuto),
 }
 
 impl BlockFormat {
@@ -36,6 +40,7 @@ impl BlockFormat {
             BlockFormat::Bcsr(m) => m.footprint_bytes(),
             BlockFormat::Bcoo(m) => m.footprint_bytes(),
             BlockFormat::Gcsr(m) => m.footprint_bytes(),
+            BlockFormat::Sell(m) => m.shape().footprint_bytes(),
         }
     }
 
@@ -46,6 +51,7 @@ impl BlockFormat {
             BlockFormat::Bcsr(m) => m.nnz(),
             BlockFormat::Bcoo(m) => m.nnz(),
             BlockFormat::Gcsr(m) => m.nnz(),
+            BlockFormat::Sell(m) => m.shape().nnz(),
         }
     }
 
@@ -56,16 +62,19 @@ impl BlockFormat {
             BlockFormat::Bcsr(m) => m.stored_entries(),
             BlockFormat::Bcoo(m) => m.stored_entries(),
             BlockFormat::Gcsr(m) => m.stored_entries(),
+            BlockFormat::Sell(m) => m.shape().stored_entries(),
         }
     }
 
-    /// Execute `y_local ← y_local + block · x_local` on block-local vectors.
+    /// Execute `y_local ← y_local + block · x_local` on block-local vectors, on
+    /// the portable kernels.
     pub fn spmv_local(&self, x: &[f64], y: &mut [f64]) {
         match self {
             BlockFormat::Csr(m) => m.spmv(x, y),
             BlockFormat::Bcsr(m) => m.spmv(x, y),
             BlockFormat::Bcoo(m) => m.spmv(x, y),
             BlockFormat::Gcsr(m) => m.spmv(x, y),
+            BlockFormat::Sell(m) => m.spmv_at(SimdLevel::Scalar, x, y),
         }
     }
 
@@ -79,6 +88,7 @@ impl BlockFormat {
             BlockFormat::Bcsr(m) => m.spmm(x, x_ld, y),
             BlockFormat::Bcoo(m) => multivec::spmm_bcoo(m, x, x_ld, y),
             BlockFormat::Gcsr(m) => multivec::spmm_gcsr(m, x, x_ld, y),
+            BlockFormat::Sell(m) => m.spmm_at(SimdLevel::Scalar, x, x_ld, y),
         }
     }
 }

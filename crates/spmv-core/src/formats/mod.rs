@@ -4,8 +4,10 @@
 //! the smallest representation of the nonzeros (Section 4.2): register-blocked CSR
 //! (BCSR), block coordinate (BCOO) when rows are sparse or empty, generalized CSR
 //! (GCSR) that skips empty rows, and 16-bit index compression when a block's span
-//! fits in 64K. The plain [`CooMatrix`]/[`CsrMatrix`]/[`CscMatrix`] formats serve as
-//! construction intermediates and as the naive baseline.
+//! fits in 64K. Sliced ELL ([`SellMatrix`]) is the exception: it pads, and earns
+//! its place on the tuner's clock by removing per-row overhead. The plain
+//! [`CooMatrix`]/[`CsrMatrix`]/[`CscMatrix`] formats serve as construction
+//! intermediates and as the naive baseline.
 
 pub mod bcoo;
 pub mod bcsr;
@@ -14,6 +16,7 @@ pub mod csc;
 pub mod csr;
 pub mod gcsr;
 pub mod index;
+pub mod sell;
 pub mod symbcsr;
 pub mod symcsr;
 pub mod traits;
@@ -25,6 +28,7 @@ pub use csc::CscMatrix;
 pub use csr::{CompressedCsr, CsrMatrix};
 pub use gcsr::GcsrMatrix;
 pub use index::{IndexArray, IndexStorage, IndexWidth};
+pub use sell::{SellAuto, SellMatrix};
 pub use symbcsr::SymBcsr;
 pub use symcsr::{is_symmetric, SymCsr};
 pub use traits::{MatrixShape, SpMv};

@@ -54,6 +54,7 @@ macro_rules! for_each_k_chunk {
         }
     }};
 }
+pub(crate) use for_each_k_chunk;
 
 /// One fully-specialized CSR block-of-`K`-columns traversal: a single running
 /// nonzero cursor (the `single-loop` shape) with a register-resident `[f64; K]`

@@ -15,19 +15,24 @@
 //! scalar ladder — plans that differ in the `simd` knob are different
 //! accumulation classes (see `spmv-testutil::same_accumulation_class`).
 //! Within the SIMD class, though, the same invariant the scalar kernels uphold
-//! holds here: every kernel keeps one 4-lane partial accumulator per output row
-//! across *all* tiles/nonzero groups of that row and performs exactly one
-//! fixed-order horizontal sum at row end. The multivec (SpMM) kernels perform,
-//! per column, the identical operation sequence — so `spmm` over `k` vectors
-//! stays bit-identical to `k` single-vector SIMD calls, which the batching
-//! service relies on.
+//! holds here, by one of two accumulation rules. The CSR and BCSR kernels keep one
+//! 4-lane partial accumulator per output row across *all* tiles/nonzero groups of
+//! that row and perform exactly one fixed-order horizontal sum at row end. The
+//! sliced-ELL kernel gives each row one lane: a row's sum is a single in-order FMA
+//! chain from `+0.0`, with no horizontal sum, which `f64::mul_add` reproduces bit
+//! for bit — so its portable arm equals its vector arm on every host. Under either
+//! rule the multivec (SpMM) kernels perform, per column, the identical operation
+//! sequence — so `spmm` over `k` vectors stays bit-identical to `k` single-vector
+//! SIMD calls, which the batching service relies on.
 
 use std::sync::OnceLock;
 
 use crate::formats::bcsr::BcsrMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexStorage;
+use crate::formats::sell::{SellMatrix, SELL_CHUNK, SELL_WINDOW};
 use crate::formats::traits::MatrixShape;
+use crate::kernels::multivec::{check_spmm_dims, for_each_k_chunk};
 use crate::multivec::MultiVecMut;
 
 /// The instruction set a kernel dispatch resolves to.
@@ -312,6 +317,97 @@ fn spmm_csr_chunk<const K: usize, I: IndexStorage>(
     unreachable!("vector chunk dispatched without a vector level");
 }
 
+/// `y ← y + A·x` for sliced ELL: the AVX2 body at [`SimdLevel::Avx2Fma`], the
+/// `f64::mul_add` arm at every other level — bit-identical to each other.
+pub fn spmv_sell_at<I: IndexStorage>(
+    level: SimdLevel,
+    a: &SellMatrix<I>,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    assert_eq!(x.len(), a.ncols, "source vector length mismatch");
+    assert_eq!(y.len(), a.nrows, "destination vector length mismatch");
+    sell_cols::<1, I>(level, a, x, a.ncols, [y]);
+}
+
+/// `Y ← Y + A·X` for sliced ELL; per column the operation sequence of
+/// [`spmv_sell_at`], at any level and any chunking of the `k` columns.
+pub fn spmm_sell_at<I: IndexStorage>(
+    level: SimdLevel,
+    a: &SellMatrix<I>,
+    x: &[f64],
+    x_ld: usize,
+    y: &mut MultiVecMut,
+) {
+    check_spmm_dims(a.nrows, a.ncols, x, x_ld, y);
+    for_each_k_chunk!(
+        y.k(),
+        j0,
+        sell_cols::<8, I>(level, a, &x[j0 * x_ld..], x_ld, y.cols_mut::<8>(j0)),
+        sell_cols::<4, I>(level, a, &x[j0 * x_ld..], x_ld, y.cols_mut::<4>(j0)),
+        sell_cols::<2, I>(level, a, &x[j0 * x_ld..], x_ld, y.cols_mut::<2>(j0)),
+        sell_cols::<1, I>(level, a, &x[j0 * x_ld..], x_ld, y.cols_mut::<1>(j0))
+    );
+}
+
+fn sell_cols<const K: usize, I: IndexStorage>(
+    level: SimdLevel,
+    a: &SellMatrix<I>,
+    x: &[f64],
+    x_ld: usize,
+    mut ys: [&mut [f64]; K],
+) {
+    let xs: [&[f64]; K] = std::array::from_fn(|j| &x[j * x_ld..j * x_ld + a.ncols]);
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2Fma && detect_uncached() == SimdLevel::Avx2Fma {
+        // SAFETY: the host has AVX2 and FMA, probed on the line above.
+        return unsafe { avx2::spmm_sell::<K, I>(a, xs, ys) };
+    }
+    let _ = level;
+    for chunk in 0..a.chunk_ptr.len() - 1 {
+        let from = a.chunk_ptr[chunk] as usize;
+        sell_finish_chunk(a, chunk, from, &xs, [[0.0; SELL_CHUNK]; K], &mut ys);
+    }
+}
+
+/// What is left of a chunk from step `from` on, where every lane's `acc` stands:
+/// each lane continues its own in-order chain over its own row's entries only — a
+/// padded entry is never read, so a NaN in `x` cannot reach a row that does not
+/// reference it — then adds into its row of `y`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // measured: the zipped form is 8 % slower
+fn sell_finish_chunk<const K: usize, I: IndexStorage>(
+    a: &SellMatrix<I>,
+    chunk: usize,
+    from: usize,
+    xs: &[&[f64]; K],
+    mut acc: [[f64; SELL_CHUNK]; K],
+    ys: &mut [&mut [f64]; K],
+) {
+    let slot = chunk * SELL_CHUNK;
+    let (lo, window) = (a.chunk_ptr[chunk] as usize, slot - slot % SELL_WINDOW);
+    // Most chunks hold four rows of one length: nothing is left, no length is read.
+    let ragged = from < a.chunk_ptr[chunk + 1] as usize;
+    for lane in 0..SELL_CHUNK.min(a.nrows - slot) {
+        let end = if ragged {
+            lo + a.row_len[slot + lane] as usize
+        } else {
+            from
+        };
+        for step in from..end {
+            let entry = step * SELL_CHUNK + lane;
+            let (v, col) = (a.values[entry], a.col_idx[entry].to_usize());
+            for j in 0..K {
+                acc[j][lane] = v.mul_add(xs[j][col], acc[j][lane]);
+            }
+        }
+        let row = window + a.perm[slot + lane] as usize;
+        for j in 0..K {
+            ys[j][row] += acc[j][lane];
+        }
+    }
+}
+
 /// Load the 4-wide window of `x` starting at `col_lo`, zero-padding lanes past
 /// `x.len()`. The BCSR zero fill guarantees the matching tile lanes are zero,
 /// so padded lanes contribute exact `+0.0` terms on every path.
@@ -330,11 +426,50 @@ mod avx2 {
 
     use std::arch::x86_64::*;
 
-    use super::padded_window;
+    use super::{padded_window, sell_finish_chunk};
     use crate::formats::bcsr::BcsrMatrix;
     use crate::formats::csr::CsrMatrix;
     use crate::formats::index::IndexStorage;
+    use crate::formats::sell::{SellMatrix, SELL_CHUNK};
     use crate::formats::traits::MatrixShape;
+
+    /// Lane = row: one FMA per step advances four rows' chains, as far as the
+    /// chunk's shortest row (lane 3) reaches — up to there no entry is padding.
+    /// [`sell_finish_chunk`] takes the longer rows on from the stored lanes.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn spmm_sell<const K: usize, I: IndexStorage>(
+        a: &SellMatrix<I>,
+        xs: [&[f64]; K],
+        mut ys: [&mut [f64]; K],
+    ) {
+        for chunk in 0..a.chunk_ptr.len() - 1 {
+            let lo = a.chunk_ptr[chunk] as usize;
+            let full = lo + a.row_len[chunk * SELL_CHUNK + 3] as usize;
+            let span = lo * SELL_CHUNK..full * SELL_CHUNK;
+            let mut vacc = [_mm256_setzero_pd(); K];
+            for (v, c) in a.values[span.clone()]
+                .chunks_exact(SELL_CHUNK)
+                .zip(a.col_idx[span].chunks_exact(SELL_CHUNK))
+            {
+                let vv = _mm256_loadu_pd(v.as_ptr());
+                let (c0, c1, c2, c3) = (
+                    c[0].to_usize(),
+                    c[1].to_usize(),
+                    c[2].to_usize(),
+                    c[3].to_usize(),
+                );
+                for (acc, xj) in vacc.iter_mut().zip(&xs) {
+                    let xg = _mm256_set_pd(xj[c3], xj[c2], xj[c1], xj[c0]);
+                    *acc = _mm256_fmadd_pd(vv, xg, *acc);
+                }
+            }
+            let mut acc = [[0.0f64; SELL_CHUNK]; K];
+            for (lanes, v) in acc.iter_mut().zip(vacc) {
+                _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+            }
+            sell_finish_chunk(a, chunk, full, &xs, acc, &mut ys);
+        }
+    }
 
     /// The one horizontal reduction: lane order is fixed so every kernel (and
     /// the NEON mirror) produces the same scalar for the same lane contents.

@@ -8,6 +8,7 @@
 use crate::blocking::register::{estimate_all_shapes, FillEstimate};
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexWidth;
+use crate::formats::sell::{sell_stored_entries, SELL_CHUNK};
 use crate::formats::traits::MatrixShape;
 use crate::{INDEX32_BYTES, VALUE_BYTES};
 
@@ -22,6 +23,9 @@ pub enum FormatKind {
     Bcoo,
     /// Generalized CSR (occupied rows only, no register blocking).
     Gcsr,
+    /// Row-sorted sliced ELL ([`crate::formats::SellMatrix`]): proposed only as
+    /// the ladder's rung `S`, never by the byte count.
+    Sell,
     /// Symmetric CSR: dense diagonal + strictly-lower triangle, each
     /// off-diagonal entry applied twice (chosen only for symmetric matrices).
     SymCsr,
@@ -44,6 +48,7 @@ impl FormatKind {
             FormatKind::Bcsr => "bcsr",
             FormatKind::Bcoo => "bcoo",
             FormatKind::Gcsr => "gcsr",
+            FormatKind::Sell => "sell",
             FormatKind::SymCsr => "symcsr",
             FormatKind::SymBcsr => "symbcsr",
         }
@@ -56,6 +61,7 @@ impl FormatKind {
             "bcsr" => FormatKind::Bcsr,
             "bcoo" => FormatKind::Bcoo,
             "gcsr" => FormatKind::Gcsr,
+            "sell" => FormatKind::Sell,
             "symcsr" => FormatKind::SymCsr,
             "symbcsr" => FormatKind::SymBcsr,
             _ => return None,
@@ -92,6 +98,19 @@ impl FormatChoice {
             fill_ratio: 1.0,
         }
     }
+
+    /// Sliced ELL over the whole of `csr`; `fill_ratio` is its padding.
+    pub fn sell(csr: &CsrMatrix, width: IndexWidth) -> FormatChoice {
+        let stored = sell_stored_entries(csr);
+        FormatChoice {
+            kind: FormatKind::Sell,
+            r: 1,
+            c: 1,
+            width,
+            bytes: sell_bytes(csr.nrows(), stored, width),
+            fill_ratio: stored as f64 / csr.nnz().max(1) as f64,
+        }
+    }
 }
 
 /// Exact CSR byte cost (the naive reference format, 32-bit column indices).
@@ -112,6 +131,16 @@ pub fn gcsr_bytes(csr: &CsrMatrix, width: IndexWidth) -> usize {
         + csr.nnz() * width.bytes()
         + occupied * width.bytes()
         + (occupied + 1) * INDEX32_BYTES
+}
+
+/// Exact [`crate::formats::SellMatrix`] byte cost for `nrows` rows holding `stored`
+/// entries (padding included): per entry a value and a column, per row slot a
+/// 32-bit length and a 16-bit in-window offset, per chunk a 32-bit offset.
+pub fn sell_bytes(nrows: usize, stored: usize, width: IndexWidth) -> usize {
+    let chunks = nrows.div_ceil(SELL_CHUNK);
+    stored * (VALUE_BYTES + width.bytes())
+        + chunks * SELL_CHUNK * (INDEX32_BYTES + 2)
+        + (chunks + 1) * INDEX32_BYTES
 }
 
 /// Exact [`crate::formats::SymCsr`] byte cost for a slab with `local_rows` rows
@@ -234,12 +263,12 @@ impl Default for CandidateOptions {
 pub const SIMD_SHAPE_SLACK: f64 = 1.10;
 
 /// True when the runtime SIMD dispatcher has a vector microkernel for this
-/// choice: the CSR row kernel, or a BCSR tile shape in the covered set
-/// (`c == 4`, `r ∈ {1, 2, 4}`). GCSR and BCOO blocks always take the scalar
+/// choice: the CSR row kernel, sliced ELL, or a BCSR tile shape in the covered
+/// set (`c == 4`, `r ∈ {1, 2, 4}`). GCSR and BCOO blocks always take the scalar
 /// ladder, as do uncovered BCSR shapes.
 pub fn simd_covered(choice: &FormatChoice) -> bool {
     match choice.kind {
-        FormatKind::Csr => true,
+        FormatKind::Csr | FormatKind::Sell => true,
         FormatKind::Bcsr => crate::kernels::simd::bcsr_simd_shape(choice.r, choice.c),
         _ => false,
     }

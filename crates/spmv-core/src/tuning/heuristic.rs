@@ -6,7 +6,7 @@
 //! (Section 4.2), applied independently to every cache block produced by the cache
 //! and TLB blocking passes. What the byte count cannot see (the paper's caveats:
 //! blocking only when the fill pays, only when `x` does not fit) is left to the
-//! clock: the pass proposes up to four structures per thread share
+//! clock: the pass proposes up to five structures per thread share
 //! ([`ladder_rungs`]), `TunePlan::new` times them; this module stays deterministic.
 
 use crate::blocking::blocked::{BlockFormat, CacheBlock};
@@ -19,6 +19,7 @@ use crate::formats::coo::CooMatrix;
 use crate::formats::csr::{CompressedCsr, CsrMatrix};
 use crate::formats::gcsr::GcsrMatrix;
 use crate::formats::index::IndexWidth;
+use crate::formats::sell::SellAuto;
 use crate::formats::traits::MatrixShape;
 use crate::tuning::footprint::{best_choice, CandidateOptions, FormatChoice, FormatKind};
 use std::borrow::Cow;
@@ -162,6 +163,7 @@ pub fn try_materialize(csr_block: &CsrMatrix, choice: &FormatChoice) -> Result<B
             crate::formats::index::IndexWidth::U32 => CompressedCsr::U32(csr_block.clone()),
         }),
         FormatKind::Gcsr => BlockFormat::Gcsr(GcsrMatrix::from_csr(csr_block, choice.width)?),
+        FormatKind::Sell => BlockFormat::Sell(SellAuto::from_csr(csr_block, choice.width)?),
         FormatKind::Bcsr => BlockFormat::Bcsr(BcsrAuto::from_csr(
             csr_block,
             choice.r,
@@ -181,7 +183,7 @@ pub fn try_materialize(csr_block: &CsrMatrix, choice: &FormatChoice) -> Result<B
 /// the footprint decision for each non-empty cell.
 #[derive(Debug, Clone)]
 pub struct Rung<'a> {
-    /// `A`–`D`, see [`ladder_rungs`].
+    /// `A`, `S`, `B`, `C` or `D`, see [`ladder_rungs`].
     pub label: &'static str,
     /// One decision per non-empty cell, in grid order (empty cells are dropped
     /// entirely: no storage, no work).
@@ -204,14 +206,17 @@ impl Rung<'_> {
 ///
 /// * `A` — one index-compressed CSR block at the narrowest admissible width:
 ///   the incumbent every other rung has to beat.
+/// * `S` — one sliced-ELL block at the same width, four rows per SIMD pass: what
+///   short rows want. Proposed only when the share would run SIMD, and no grid,
+///   so only the clock can choose it.
 /// * `B` — the footprint-minimal format ([`best_choice`]) with no grid.
 /// * `C` — `B`'s rule on every cell of the cache-block grid.
 /// * `D` — `C` refined by the TLB grid: the paper's full pipeline.
 ///
 /// Identical rungs dedupe (a one-cell grid is `B`; with nothing to choose `B` is
-/// `A`), and a cell two grids share is estimated once. The last rung is always
-/// the finest grid the config allows — the plan `TunePlan::heuristic` keeps;
-/// `finest_only` skips the others.
+/// `A`), and a cell two grids share is estimated once. The last rung other than
+/// `S` is always the finest grid the config allows — the plan
+/// `TunePlan::heuristic` keeps; `finest_only` skips the others.
 pub fn ladder_rungs<'a>(
     csr: &'a CsrMatrix,
     config: &TuningConfig,
@@ -225,6 +230,10 @@ pub fn ladder_rungs<'a>(
         IndexWidth::U32
     };
     let mut grids = vec![("A", vec![whole.clone()]), ("B", vec![whole.clone()])];
+    if opts.prefer_simd_shapes {
+        // The same test `ThreadPlan::annotated` makes: the share will run SIMD.
+        grids.insert(1, ("S", vec![whole.clone()]));
+    }
     if let Some(cfg) = &config.cache_blocking {
         let blocking = cache_block(csr, cfg);
         grids.push(("C", blocking.blocks().collect()));
@@ -258,6 +267,8 @@ pub fn ladder_rungs<'a>(
             }
             let choice = if label == "A" {
                 FormatChoice::csr(csr, csr_width)
+            } else if label == "S" {
+                FormatChoice::sell(csr, csr_width)
             } else {
                 let key = (rows.clone(), cols.clone());
                 *choices

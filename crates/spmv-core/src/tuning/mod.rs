@@ -15,7 +15,7 @@
 //!    BCSR/BCOO/GCSR choice, and pick the smallest encoding
 //!    ([`heuristic`]).
 //! 3. Let the clock decide what the byte count cannot: per thread share the pass
-//!    proposes at most four structures ([`ladder_rungs`]), [`TunePlan::new`]
+//!    proposes at most five structures ([`ladder_rungs`]), [`TunePlan::new`]
 //!    times the distinct ones and keeps the incumbent unless a finer rung wins
 //!    by a margin ([`ShareLadder`]). Shares that live in cache, and
 //!    [`TunePlan::heuristic`], skip this step.

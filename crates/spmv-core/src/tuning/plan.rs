@@ -111,7 +111,7 @@ impl ThreadPlan {
 /// [`crate::tuning::heuristic::ladder_rungs`]) and what the clock said about it.
 #[derive(Debug, Clone)]
 pub struct LadderRung {
-    /// `A`–`D`.
+    /// `A`, `S`, `B`, `C` or `D`.
     pub label: &'static str,
     /// The share's plan, were this rung chosen.
     pub plan: ThreadPlan,
@@ -160,9 +160,11 @@ impl ShareLadder {
                 seconds: None,
             })
             .collect();
-        let finest = rungs.len() - 1;
-        if finest == 0 || rungs[finest].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
-            rungs.drain(..finest);
+        // Rung `S` is no grid: it may come last, yet is never the untimed plan.
+        let finest = rungs.iter().rposition(|r| r.label != "S");
+        let finest = finest.expect("rung A is always proposed");
+        if rungs.len() == 1 || rungs[finest].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
+            rungs = vec![rungs.swap_remove(finest)];
         } else {
             let (nrows, ncols) = (local.nrows(), local.ncols());
             for (rung, proposal) in rungs.iter_mut().zip(&proposals) {
@@ -386,6 +388,7 @@ impl TunePlan {
                         d.rows, d.cols
                     )));
                 }
+                check_sell(&d.choice, self.symmetric)?;
             }
         }
         if !self.row_partition().covers(self.nrows) {
@@ -555,19 +558,21 @@ impl TunePlan {
                     let thread = threads
                         .last_mut()
                         .ok_or_else(|| parse_err("block line before any thread line"))?;
+                    let choice = FormatChoice {
+                        kind: parse_kind(toks[5])?,
+                        r: parse_usize(toks[6])?,
+                        c: parse_usize(toks[7])?,
+                        width: parse_width(toks[8])?,
+                        bytes: parse_usize(toks[10])?,
+                        fill_ratio: toks[11]
+                            .parse::<f64>()
+                            .map_err(|e| parse_err(&e.to_string()))?,
+                    };
+                    check_sell(&choice, symmetric)?;
                     thread.decisions.push(BlockDecision {
                         rows: parse_usize(toks[1])?..parse_usize(toks[2])?,
                         cols: parse_usize(toks[3])?..parse_usize(toks[4])?,
-                        choice: FormatChoice {
-                            kind: parse_kind(toks[5])?,
-                            r: parse_usize(toks[6])?,
-                            c: parse_usize(toks[7])?,
-                            width: parse_width(toks[8])?,
-                            bytes: parse_usize(toks[10])?,
-                            fill_ratio: toks[11]
-                                .parse::<f64>()
-                                .map_err(|e| parse_err(&e.to_string()))?,
-                        },
+                        choice,
                         nnz: parse_usize(toks[9])?,
                     });
                 }
@@ -607,6 +612,18 @@ impl TunePlan {
         let text = std::fs::read_to_string(path).map_err(|e| Error::Parse(e.to_string()))?;
         TunePlan::from_text(&text)
     }
+}
+
+/// Sliced ELL has no register shape and no symmetric form: a profile that says
+/// otherwise is refused, at load and again before materialization.
+fn check_sell(choice: &FormatChoice, symmetric: bool) -> Result<()> {
+    if choice.kind == FormatKind::Sell && (symmetric || (choice.r, choice.c) != (1, 1)) {
+        return Err(Error::InvalidStructure(format!(
+            "sell block planned {}x{} (symmetric plan: {symmetric}): sliced ELL is 1x1, general plans only",
+            choice.r, choice.c
+        )));
+    }
+    Ok(())
 }
 
 fn kind_name(kind: FormatKind) -> &'static str {

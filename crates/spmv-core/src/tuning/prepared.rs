@@ -21,6 +21,7 @@ use crate::formats::index::IndexWidth;
 use crate::formats::symbcsr::SymBcsr;
 use crate::formats::symcsr::SymCsr;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
+use crate::kernels::simd::detect;
 use crate::kernels::KernelVariant;
 use crate::tuning::footprint::FormatKind;
 use crate::tuning::plan::{ThreadPlan, TunePlan};
@@ -289,10 +290,12 @@ impl PreparedBlock {
                 // SIMD row kernel, which subsumes the streaming variants.
                 BlockFormat::Csr(m) if self.simd => m.execute_simd(x_local, y_local),
                 BlockFormat::Csr(m) => m.execute(self.stream_variant, x_local, y_local),
-                // Covered BCSR shapes vectorize; BCOO/GCSR (and uncovered
-                // shapes, inside the dispatch) stay scalar on both the SpMV and
-                // SpMM paths, keeping the two paths' accumulation aligned.
+                // Covered BCSR shapes and sliced ELL vectorize; BCOO/GCSR (and
+                // uncovered shapes, inside the dispatch) stay scalar on both the
+                // SpMV and SpMM paths, keeping the two paths' accumulation
+                // aligned. A degraded thread runs sliced ELL's `mul_add` arm.
                 BlockFormat::Bcsr(m) if self.simd => m.spmv_simd(x_local, y_local),
+                BlockFormat::Sell(m) if self.simd => m.spmv_at(detect(), x_local, y_local),
                 other => other.spmv_local(x_local, y_local),
             }
         }
@@ -338,6 +341,9 @@ impl PreparedBlock {
                 // kernels, preserving the spmm ≡ k × spmv invariant.
                 BlockFormat::Csr(m) if self.simd => m.spmm_simd(x_local, x_ld, &mut y_local),
                 BlockFormat::Bcsr(m) if self.simd => m.spmm_simd(x_local, x_ld, &mut y_local),
+                BlockFormat::Sell(m) if self.simd => {
+                    m.spmm_at(detect(), x_local, x_ld, &mut y_local)
+                }
                 other => other.spmm_local(x_local, x_ld, &mut y_local),
             }
         }

@@ -8,8 +8,12 @@
 //! ```text
 //! cargo run --release --example autotune_report [-- <matrix id>...]
 //! ```
+//!
+//! Exits 1 when a timed share shows no time for rung `S` on a SIMD host, or
+//! chose a rung the clock measured slower than rung `A` — CI's ladder smoke.
 
 use spmv_multicore::prelude::*;
+use spmv_multicore::spmv_core::kernels::simd;
 use spmv_multicore::spmv_core::stats::MatrixStats;
 use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
 use spmv_multicore::spmv_core::tuning::search::DenseProfile;
@@ -28,6 +32,7 @@ fn main() {
         eprintln!("unknown matrix id '{unknown}'");
         std::process::exit(2);
     }
+    let mut broken = false;
     for matrix in SuiteMatrix::all() {
         if !wanted.is_empty() && !wanted.iter().any(|w| w == matrix.id()) {
             continue;
@@ -88,12 +93,27 @@ fn main() {
                     if i == ladder.chosen { "<- chosen" } else { "" }
                 );
             }
+            let seconds = |label| {
+                let rung = ladder.rungs.iter().find(|r| r.label == label);
+                rung.and_then(|r| r.seconds)
+            };
+            if let Some(a) = seconds("A") {
+                let chosen = ladder.rungs[ladder.chosen].seconds;
+                if (simd::available() && seconds("S").is_none()) || chosen > Some(a) {
+                    eprintln!("    share {t}: rung S untimed, or the choice is slower than A");
+                    broken = true;
+                }
+            }
         }
     }
     println!();
     println!("ratio = tuned bytes / CSR bytes (lower is better; the paper's heuristic");
     println!("minimizes exactly this quantity because SpMV is memory bound). A share whose");
     println!("planned bytes live in cache keeps the byte minimum untimed; a larger one is");
-    println!("chosen by the clock from rungs A (one compressed-CSR block), B (byte-minimal");
-    println!("formats, no grid), C (B over the cache grid), D (C refined by the TLB grid).");
+    println!("chosen by the clock from rungs A (one compressed-CSR block), S (one sliced-ELL");
+    println!("block, SIMD hosts only), B (byte-minimal formats, no grid), C (B over the cache");
+    println!("grid), D (C refined by the TLB grid).");
+    if broken {
+        std::process::exit(1);
+    }
 }

@@ -14,21 +14,29 @@
 //!    column, the identical operation sequence as the single-vector kernels,
 //!    so the products are bit-identical for every swept k (the invariant the
 //!    batching service relies on).
-//! 3. **Plans across threads** — SIMD plans materialize and run on the
-//!    parallel engine at 1, 2, and oversubscribed (n + 3) thread counts with
-//!    output bit-identical to the plan's own serial `PreparedMatrix` oracle,
-//!    and within accumulation tolerance of the dense reference.
+//! 3. **Plans across threads** — SIMD plans, the tuner's own and one that
+//!    stores every share as sliced ELL, materialize and run on the parallel
+//!    engine at 1, 2, 3 and oversubscribed (n + 3) thread counts with output
+//!    bit-identical to the plan's own serial `PreparedMatrix` oracle, and
+//!    within accumulation tolerance of the dense reference.
+//!
+//! Sliced ELL rides the same sweeps under a stricter rule: lane = row, so a
+//! row's sum is one in-order FMA chain and the vector arm, the `mul_add` arm
+//! and that chain written out on plain CSR agree **bit for bit** — also when
+//! `x` holds NaN, ±Inf, −0.0 and subnormals at the column padding points to.
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::formats::bcsr::BcsrMatrix;
-use spmv_multicore::spmv_core::formats::CompressedCsr;
+use spmv_multicore::spmv_core::formats::{CompressedCsr, IndexStorage, IndexWidth, SellMatrix};
 use spmv_multicore::spmv_core::kernels::simd::{
-    self, bcsr_simd_shape, spmm_bcsr_simd, spmm_csr_simd, spmm_csr_simd_at, spmv_bcsr_simd,
-    spmv_csr_simd, spmv_csr_simd_at, SimdLevel,
+    self, bcsr_simd_shape, spmm_bcsr_simd, spmm_csr_simd, spmm_csr_simd_at, spmm_sell_at,
+    spmv_bcsr_simd, spmv_csr_simd, spmv_csr_simd_at, spmv_sell_at, SimdLevel,
 };
+use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
+use spmv_multicore::spmv_core::tuning::{BlockDecision, FormatChoice, ThreadPlan};
 use spmv_testutil::{
-    assert_bit_identical, cases, empty_row_csr, max_abs_diff, random_csr, single_col_csr,
-    single_row_csr, test_x, xblock, Case,
+    assert_bit_identical, cases, empty_row_csr, max_abs_diff, plan_outputs, random_csr,
+    single_col_csr, single_row_csr, test_x, xblock, Case,
 };
 
 /// The case pool every kernel sweep runs over: the seeded generator (already
@@ -250,7 +258,177 @@ fn simd_kernels_handle_degenerate_structures() {
     }
 }
 
-/// Pillar 3: SIMD plans across thread counts {1, 2, n + 3}. The parallel
+/// Sliced ELL's accumulation rule written out on plain CSR: per row one
+/// in-order `mul_add` chain from `+0.0`, added into a zero destination.
+fn csr_fma_chain(csr: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+    let (row_ptr, cols, vals) = (csr.row_ptr(), csr.col_idx(), csr.values());
+    let chain = |r: usize| {
+        (row_ptr[r]..row_ptr[r + 1]).fold(0.0, |acc, p| vals[p].mul_add(x[cols[p] as usize], acc))
+    };
+    (0..csr.nrows()).map(|r| 0.0 + chain(r)).collect()
+}
+
+/// The structures sliced ELL has to get right beyond the shared pool: a row
+/// count off the chunk size, rows sorted across three windows, one 1 000-long
+/// row among 3-long ones (a chunk that is nearly all padding), empty rows, no
+/// entries at all, and a column span only 32-bit indices reach.
+fn sell_cases() -> Vec<(String, CsrMatrix)> {
+    let mut long_row = CooMatrix::new(37, 1200);
+    for row in 0..37 {
+        let len = if row == 5 { 1000 } else { 3 };
+        (0..len).for_each(|j| long_row.push(row, (row * 13 + j) % 1200, 0.5 + j as f64));
+    }
+    let mut pool = vec![
+        ("long-row".to_string(), CsrMatrix::from_coo(&long_row)),
+        ("three-windows".to_string(), random_csr(1101, 300, 4400, 31)),
+        ("empty-rows".to_string(), empty_row_csr(10, 8)),
+        (
+            "all-empty".to_string(),
+            CsrMatrix::from_coo(&CooMatrix::new(9, 9)),
+        ),
+        ("wide-u32".to_string(), random_csr(30, 70_000, 900, 23)),
+    ];
+    let shared = simd_cases().into_iter().enumerate();
+    pool.extend(shared.map(|(i, case)| (format!("case {i}"), case.csr())));
+    pool
+}
+
+/// Vector arm == `mul_add` arm == the chain on plain CSR, and SpMM over k
+/// columns == k SpMV calls, all bit for bit, at one index width.
+fn check_sell<I: IndexStorage>(tag: &str, csr: &CsrMatrix, x: &[f64]) {
+    let Ok(sell) = SellMatrix::<I>::from_csr(csr) else {
+        assert!(!I::fits(csr.ncols()), "{tag}: only a wide span may refuse");
+        return;
+    };
+    let expected = csr_fma_chain(csr, x);
+    for level in [simd::detect(), SimdLevel::Scalar] {
+        let ctx = format!("{tag} sell<{}> {level:?}", I::NAME);
+        let mut y = vec![0.0; csr.nrows()];
+        spmv_sell_at(level, &sell, x, &mut y);
+        assert_bit_identical(&y, &expected, &ctx);
+        for k in [1usize, 3, 7, 8] {
+            let mut xb = xblock(csr.ncols(), k);
+            xb.col_mut(k - 1).copy_from_slice(x);
+            let mut ym = MultiVec::zeros(csr.nrows(), k);
+            spmm_sell_at(level, &sell, xb.data(), xb.ld(), &mut ym.view_mut());
+            for j in 0..k {
+                let expected = csr_fma_chain(csr, xb.col(j));
+                assert_bit_identical(ym.col(j), &expected, &format!("{ctx} spmm k={k} col {j}"));
+            }
+        }
+    }
+}
+
+/// Pillars 1 and 2 for sliced ELL, under its stricter rule.
+#[test]
+fn sell_is_the_fma_chain_bit_for_bit_on_both_arms() {
+    for (tag, csr) in sell_cases() {
+        let x = test_x(csr.ncols());
+        check_sell::<u16>(&tag, &csr, &x);
+        check_sell::<u32>(&tag, &csr, &x);
+    }
+}
+
+/// Padded entries carry column 0 and every hostile value sits in a column only
+/// some rows reference: a row that references none of them must come out with
+/// the bits the chain on plain CSR gives it, and one that does with exactly
+/// the NaN/Inf the chain produces.
+#[test]
+fn sell_padding_never_leaks_hostile_x_into_other_rows() {
+    let hostile = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        1e-310,
+    ];
+    let mut coo = CooMatrix::new(42, 64);
+    for row in 0..42 {
+        // One possibly-hostile column (0..8) first, then 0..=4 benign ones: the
+        // chunk's rows differ in length, so every chunk pads.
+        coo.push(row, row % 8, 1.5 - row as f64);
+        (0..row % 5)
+            .for_each(|j| coo.push(row, 8 + (row * 11 + j * 7) % 56, 0.25 * (j + 1) as f64));
+    }
+    let csr = CsrMatrix::from_coo(&coo);
+    let mut x = test_x(64);
+    x[..6].copy_from_slice(&hostile);
+    check_sell::<u16>("hostile", &csr, &x);
+    check_sell::<u32>("hostile", &csr, &x);
+    for (row, y) in csr_fma_chain(&csr, &x).iter().enumerate() {
+        assert_eq!(y.is_finite(), !(0..3).contains(&(row % 8)), "row {row}");
+    }
+}
+
+/// The plan that stores every thread share as one sliced-ELL block — what rung
+/// `S` proposes — whether or not this host's clock would choose it.
+fn sell_plan(csr: &CsrMatrix, threads: usize) -> TunePlan {
+    let config = TuningConfig::full();
+    let width = IndexWidth::narrowest_for(csr.ncols());
+    let shares = partition_rows_balanced(csr, threads).ranges.into_iter();
+    let plans = shares.map(|rows| {
+        let local = csr.row_slice(rows.start, rows.end);
+        let block = BlockDecision {
+            rows: 0..local.nrows(),
+            cols: 0..local.ncols(),
+            choice: FormatChoice::sell(&local, width),
+            nnz: local.nnz(),
+        };
+        let decisions = if local.nnz() == 0 {
+            vec![]
+        } else {
+            vec![block]
+        };
+        ThreadPlan::annotated(rows, decisions, &config)
+    });
+    TunePlan {
+        nrows: csr.nrows(),
+        ncols: csr.ncols(),
+        nnz: csr.nnz(),
+        symmetric: false,
+        threads: plans.collect(),
+    }
+}
+
+/// A sliced-ELL plan answers with the bits of its serial `PreparedMatrix` at
+/// every layer above the engine too: through the batcher (requests coalesced
+/// into one SpMM) and over the loopback wire.
+#[test]
+fn sell_plans_keep_their_bits_through_the_batcher_and_the_wire() {
+    use spmv_multicore::spmv_net::{NetClient, ServerConfig, ShardedNetServer};
+    let csr = random_csr(1101, 300, 4400, 31);
+    let plan = sell_plan(&csr, 2);
+    let serial = PreparedMatrix::materialize(&csr, &plan).expect("plan matches its matrix");
+    let xb = xblock(300, 3);
+    let expected: Vec<Vec<f64>> = (0..3).map(|j| serial.spmv_alloc(xb.col(j))).collect();
+
+    let registry = std::sync::Arc::new(MatrixRegistry::new(2, TuningConfig::full()));
+    let served = registry.insert_with_plan("s", &csr, plan).unwrap();
+    let batcher = Batcher::manual(served, BatchPolicy { max_batch: 4 });
+    let tickets: Vec<_> = (0..3)
+        .map(|j| batcher.submit(xb.col(j).to_vec()).unwrap())
+        .collect();
+    assert_eq!(batcher.run_once(), 3, "one coalesced batch");
+    for (ticket, want) in tickets.into_iter().zip(&expected) {
+        assert_bit_identical(&ticket.wait().unwrap(), want, "batcher");
+    }
+
+    let server = ShardedNetServer::bind(registry, "127.0.0.1:0", ServerConfig::default(), 1);
+    let mut handle = server
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn server");
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    assert_bit_identical(&client.spmv("s", xb.col(0)).unwrap(), &expected[0], "wire");
+    let cols: Vec<Vec<f64>> = (0..3).map(|j| xb.col(j).to_vec()).collect();
+    for (got, want) in client.spmm("s", &cols).unwrap().iter().zip(&expected) {
+        assert_bit_identical(got, want, "wire spmm");
+    }
+    handle.shutdown();
+}
+
+/// Pillar 3: SIMD plans across thread counts {1, 2, 3, n + 3}. The parallel
 /// engine must stay bit-identical to the plan's serial `PreparedMatrix`
 /// oracle (partition boundaries, not thread interleaving, fix the arithmetic)
 /// and within accumulation tolerance of the dense reference.
@@ -270,8 +448,16 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
         let x = test_x(csr.ncols());
         let expected = spmv_testutil::dense_spmv(csr, &x);
         let scale = expected.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for threads in [1usize, 2, oversubscribed] {
-            let plan = TunePlan::new(csr, threads, &TuningConfig::full());
+        let tuned = |threads| TunePlan::new(csr, threads, &TuningConfig::full());
+        let plans = [1usize, 2, 3, oversubscribed]
+            .into_iter()
+            .flat_map(|threads| {
+                [
+                    (threads, tuned(threads)),
+                    (threads, sell_plan(csr, threads)),
+                ]
+            });
+        for (threads, plan) in plans {
             assert_eq!(
                 plan.threads.iter().any(|t| t.simd),
                 simd::available(),
@@ -279,6 +465,19 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
             );
             let prepared =
                 PreparedMatrix::materialize(csr, &plan).expect("plan matches its matrix");
+            assert_eq!(plan.planned_bytes(), prepared.footprint_bytes(), "{tag}");
+            // A plan loaded where the vector arm is missing runs sliced ELL on
+            // the `mul_add` arm: other kernels, the same bits.
+            let text = plan.to_text();
+            assert_eq!(TunePlan::from_text(&text).as_ref(), Ok(&plan), "{tag}");
+            if text.contains(" sell ") {
+                let degraded = TunePlan::from_text_with_simd_support(&text, false).unwrap();
+                assert!(degraded.threads.iter().all(|t| !t.simd));
+                let (y, ym) = plan_outputs(csr, &degraded);
+                let (y_simd, ym_simd) = plan_outputs(csr, &plan);
+                assert_bit_identical(&y, &y_simd, &format!("{tag}@{threads}: degraded"));
+                assert_bit_identical(ym.data(), ym_simd.data(), &format!("{tag}@{threads}"));
+            }
             let mut y_serial = vec![0.0; csr.nrows()];
             prepared.spmv(&x, &mut y_serial);
             assert!(

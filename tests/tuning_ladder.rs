@@ -6,7 +6,7 @@
 //! * **Every rung** the planner proposes — not only the one a run happens to
 //!   choose — is a valid plan: it validates, round-trips through the profile
 //!   text, computes what plain CSR computes, and holds no format its config
-//!   disallows. So whichever rung the clock picks on whichever host, the
+//!   disallows (sliced ELL, rung `S`, only where the share runs SIMD). So whichever rung the clock picks on whichever host, the
 //!   product is right.
 //! * **The two rewritten passes** equal what they replaced: the one-pass fill
 //!   estimator against `estimate_fill` shape by shape, the CSR-direct cell cut
@@ -23,7 +23,7 @@ use spmv_multicore::spmv_core::formats::IndexWidth;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
 use spmv_multicore::spmv_core::tuning::{
-    choose_rung, ladder_rungs, FormatKind, ThreadPlan, TuningConfig,
+    choose_rung, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
 use spmv_testutil::{assert_plans_equivalent, random_csr};
 
@@ -47,8 +47,16 @@ fn the_chooser_keeps_the_incumbent_inside_the_margin() {
     assert_eq!(choose_rung(&[None]), 0);
 }
 
+/// The index of the rung the untimed planner keeps: the finest grid, which is
+/// the last rung that is not `S`.
+fn finest(rungs: &[Rung]) -> usize {
+    let at = rungs.iter().rposition(|r| r.label != "S");
+    at.expect("rung A is always proposed")
+}
+
 /// The whole-matrix plans "every share takes its k-th rung" (a share with
-/// fewer rungs takes its last), labelled by the first share's rung.
+/// fewer rungs takes its finest), labelled by the first share's rung; after
+/// them, "every share takes its finest".
 fn rung_plans(
     csr: &CsrMatrix,
     threads: usize,
@@ -64,10 +72,11 @@ fn rung_plans(
         .map(|l| ladder_rungs(l, config, false))
         .collect();
     let depth = shares.iter().map(Vec::len).max().unwrap_or(0);
-    (0..depth)
+    (0..=depth)
         .map(|k| {
+            let pick = |rungs: &[Rung]| if k < rungs.len() { k } else { finest(rungs) };
             let share_plans = ranges.iter().zip(&shares).map(|(range, rungs)| {
-                let rung = &rungs[k.min(rungs.len() - 1)];
+                let rung = &rungs[pick(rungs)];
                 ThreadPlan::annotated(range.clone(), rung.decisions.clone(), config)
             });
             let plan = TunePlan {
@@ -77,7 +86,7 @@ fn rung_plans(
                 symmetric: false,
                 threads: share_plans.collect(),
             };
-            (shares[0][k.min(shares[0].len() - 1)].label, plan)
+            (shares[0][pick(&shares[0])].label, plan)
         })
         .collect()
 }
@@ -96,12 +105,12 @@ fn every_rung_of_every_suite_matrix_is_a_valid_plan_that_agrees_with_csr() {
             for threads in [1, 2, 3] {
                 let plain = TunePlan::heuristic(&csr, threads, &TuningConfig::naive());
                 let plans = rung_plans(&csr, threads, &config);
-                assert!((1..=4).contains(&plans.len()));
+                assert!((2..=6).contains(&plans.len()));
                 let finest = &plans.last().expect("at least one rung").1;
                 assert_eq!(
                     *finest,
                     TunePlan::heuristic(&csr, threads, &config),
-                    "{}: the last rung is the untimed planner's plan",
+                    "{}: every share's finest grid is the untimed planner's plan",
                     matrix.id()
                 );
                 for (label, plan) in &plans {
@@ -136,7 +145,12 @@ fn no_rung_holds_a_format_its_config_disallows() {
             register_blocking: false,
             ..full
         },
+        TuningConfig {
+            simd: false,
+            ..full
+        },
     ];
+    let simd_host = spmv_multicore::spmv_core::kernels::simd::available();
     let matrices = [
         random_csr(300, 9_000, 6_000, 1),
         random_csr(40, 70_000, 1_200, 2),
@@ -146,7 +160,7 @@ fn no_rung_holds_a_format_its_config_disallows() {
     for config in &configs {
         for csr in &matrices {
             let rungs = ladder_rungs(csr, config, false);
-            assert!((1..=4).contains(&rungs.len()));
+            assert!((1..=5).contains(&rungs.len()));
             // Identical rungs dedupe; the naive config has nothing to choose.
             for (i, a) in rungs.iter().enumerate() {
                 assert!(rungs[..i].iter().all(|b| b.decisions != a.decisions));
@@ -154,6 +168,10 @@ fn no_rung_holds_a_format_its_config_disallows() {
             if *config == TuningConfig::naive() {
                 assert_eq!(rungs.len(), 1);
             }
+            // Rung S is proposed exactly when the share would run SIMD, second,
+            // and is never the rung the untimed planner keeps.
+            let s_at = rungs.iter().position(|r| r.label == "S");
+            assert_eq!(s_at, (config.simd && simd_host).then_some(1), "{config:?}");
             for rung in &rungs {
                 let ctx = format!("{config:?} rung {}", rung.label);
                 if config.cache_blocking.is_none() {
@@ -174,10 +192,64 @@ fn no_rung_holds_a_format_its_config_disallows() {
                     );
                     assert!(config.allow_bcoo || c.kind != FormatKind::Bcoo, "{ctx}");
                     assert!(config.allow_gcsr || c.kind != FormatKind::Gcsr, "{ctx}");
+                    assert_eq!(c.kind == FormatKind::Sell, rung.label == "S", "{ctx}");
                 }
             }
         }
     }
+}
+
+#[test]
+fn a_malformed_sell_block_is_refused_with_an_error_not_a_panic() {
+    // A wide share: rung S is planned at u32.
+    let csr = random_csr(40, 70_000, 1_200, 2);
+    let s_plan = |csr: &CsrMatrix| {
+        let rungs = ladder_rungs(csr, &TuningConfig::full(), false);
+        let s = rungs.iter().find(|r| r.label == "S");
+        let decisions = s.map(|r| r.decisions.clone()).unwrap_or_default();
+        let thread = ThreadPlan::annotated(0..csr.nrows(), decisions, &TuningConfig::full());
+        TunePlan {
+            nrows: csr.nrows(),
+            ncols: csr.ncols(),
+            nnz: csr.nnz(),
+            symmetric: false,
+            threads: vec![thread],
+        }
+    };
+    let plan = s_plan(&csr);
+    if plan.threads[0].decisions.is_empty() {
+        return; // no SIMD on this host: no rung S to malform
+    }
+    assert_eq!(plan.threads[0].decisions[0].choice.width, IndexWidth::U32);
+    plan.validate_for(&csr)
+        .expect("the rung as proposed is valid");
+    let text = plan.to_text();
+
+    // A register shape: refused at load and by validation.
+    let shaped = text.replace(" sell 1 1 ", " sell 2 4 ");
+    assert_ne!(shaped, text);
+    assert!(TunePlan::from_text(&shaped).is_err());
+    let mut bad = plan.clone();
+    bad.threads[0].decisions[0].choice.r = 2;
+    assert!(bad.validate_for(&csr).is_err());
+
+    // Inside a symmetric plan: likewise.
+    let symmetric = text.replace("threads 1\n", "threads 1\nsymmetric\n");
+    assert_ne!(symmetric, text);
+    assert!(TunePlan::from_text(&symmetric).is_err());
+    let square = random_csr(50, 50, 300, 3);
+    let mut bad = s_plan(&square);
+    bad.symmetric = true;
+    assert!(bad.validate_for(&square).is_err());
+
+    // A width the columns do not fit: materialization fails, nothing panics.
+    let mut narrow = plan.clone();
+    narrow.threads[0].decisions[0].choice.width = IndexWidth::U16;
+    narrow
+        .validate_for(&csr)
+        .expect("validation does not look at widths");
+    assert!(PreparedMatrix::materialize(&csr, &narrow).is_err());
+    assert!(SpmvEngine::from_plan(&csr, &narrow).is_err());
 }
 
 #[test]
@@ -259,6 +331,8 @@ fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
     let ladder = &ladders[0];
     assert!(ladder.rungs.len() > 1, "economics has a grid to refuse");
     assert_eq!(ladder.rungs[0].label, "A");
+    let simd_host = spmv_multicore::spmv_core::kernels::simd::available();
+    assert_eq!(ladder.rungs[1].label == "S", simd_host, "S is timed second");
     assert!(ladder.rungs.iter().all(|r| r.seconds.is_some()));
     assert!(ladder.rungs[ladder.chosen].seconds <= ladder.rungs[0].seconds);
     assert_eq!(ladder.rungs[ladder.chosen].plan, plan.threads[0]);
