@@ -103,12 +103,6 @@ impl KernelVariant {
         }
     }
 
-    /// Whether this variant runs directly on CSR (true) or needs
-    /// [`KernelVariant::prepare`] to build tiles first (false).
-    pub fn runs_on_csr(&self) -> bool {
-        !matches!(self, KernelVariant::Blocked { .. })
-    }
-
     /// Execute this variant on a CSR matrix of any index width: `y ← y + A·x`.
     ///
     /// # Panics
@@ -296,7 +290,9 @@ mod tests {
         assert!(all.contains(&KernelVariant::Branchless));
         assert!(all.iter().any(|v| matches!(v, KernelVariant::Prefetch(_))));
         assert!(all.len() >= 10);
-        assert!(all.iter().all(|v| v.runs_on_csr()));
+        assert!(all
+            .iter()
+            .all(|v| !matches!(v, KernelVariant::Blocked { .. })));
         let with_blocked = KernelVariant::all_with_blocked();
         assert_eq!(with_blocked.len(), all.len() + 16);
     }

@@ -60,8 +60,7 @@ pub use formats::{
 pub use multivec::{MultiVec, MultiVecMut};
 pub use solver::{SerialCg, SerialPower};
 pub use tuning::{
-    MatrixFingerprint, PreparedBlock, PreparedMatrix, SearchBudget, TuneCache, TunePlan,
-    TuningConfig,
+    MatrixFingerprint, PreparedBlock, PreparedMatrix, TuneCache, TunePlan, TuningConfig,
 };
 
 /// Size in bytes of a double-precision matrix value.

@@ -21,10 +21,10 @@
 //!    [`TunePlan::heuristic`], skip this step.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
-//! [`search`] provides the OSKI-style register-shape search used by the ablation
-//! study and the baseline crate, and the one timing helper; [`autotune`] lifts
-//! the idea to **measured whole-plan search** (complete [`TunePlan`] candidates
-//! timed end to end) with a persistent, fingerprint-keyed [`TuneCache`].
+//! Step 3 is the one timed search. [`search`] holds its timing helper and the
+//! OSKI-style register-shape heuristic the baseline crate uses; [`autotune`]
+//! persists whatever [`TunePlan::new`] chose in a fingerprint-keyed
+//! [`TuneCache`], so a matrix seen twice is planned once.
 //! [`optimizations`] is the machine-readable form of the paper's Table 2.
 //!
 //! The pipeline is exposed in **two phases** so tuning cost can be paid once and
@@ -43,10 +43,7 @@ pub mod plan;
 pub mod prepared;
 pub mod search;
 
-pub use autotune::{
-    autotune, autotune_timed, candidate_plans, Autotuned, CandidateTiming, MatrixFingerprint,
-    SearchBudget, TuneCache,
-};
+pub use autotune::{MatrixFingerprint, TuneCache};
 pub use footprint::{FormatChoice, FormatKind};
 pub use heuristic::{
     ladder_rungs, materialize_decisions, plan_symmetric_thread, BlockDecision, Rung, TuningConfig,

@@ -226,8 +226,7 @@ impl TunePlan {
 
     /// [`TunePlan::new`] without the clock: every share keeps the byte minimum of
     /// the finest grid (its ladder's rung `D`). A function of matrix and config
-    /// alone, as the code that models the paper's machines needs. Not what
-    /// `SearchBudget::Heuristic` builds: that is the timed [`TunePlan::new`].
+    /// alone, as the code that models the paper's machines needs.
     pub fn heuristic(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
         Self::plan(csr, nthreads, config, false).0
     }

@@ -187,33 +187,6 @@ impl PreparedBlock {
         }
     }
 
-    /// Materialize a *plain* (untuned) block: the whole row slice as one
-    /// width-compressed CSR cache block executed with `variant`. This is the
-    /// engine's non-tuned path expressed in the same structure, so every worker
-    /// runs the same steady-state loop regardless of how it was built.
-    pub fn plain(local: &CsrMatrix, rows: Range<usize>, variant: KernelVariant) -> PreparedBlock {
-        use crate::formats::csr::CompressedCsr;
-        let nnz = local.nnz();
-        let blocks = if local.nrows() == 0 {
-            vec![]
-        } else {
-            vec![CacheBlock {
-                rows: 0..local.nrows(),
-                cols: 0..local.ncols(),
-                format: BlockFormat::Csr(CompressedCsr::from_csr(local)),
-            }]
-        };
-        PreparedBlock {
-            rows,
-            ncols: local.ncols(),
-            nnz,
-            stream_variant: variant,
-            simd: false,
-            blocks,
-            sym: None,
-        }
-    }
-
     /// Global row range this block writes (symmetric slabs additionally scatter
     /// transposed contributions below this range).
     pub fn rows(&self) -> Range<usize> {
@@ -601,19 +574,6 @@ mod tests {
         // Same plan, same kernels: bit-identical output.
         assert_eq!(a.spmv_alloc(&x), b.spmv_alloc(&x));
         assert_eq!(a.footprint_bytes(), b.footprint_bytes());
-    }
-
-    #[test]
-    fn plain_block_matches_compressed_execution() {
-        let csr = random_csr(80, 70, 700, 13);
-        let block = PreparedBlock::plain(&csr, 0..80, KernelVariant::Unrolled4);
-        let x: Vec<f64> = (0..70).map(|i| (i % 9) as f64).collect();
-        let mut y = vec![0.0; 80];
-        block.execute(&x, &mut y);
-        assert!(max_abs_diff(&csr.spmv_alloc(&x), &y) < 1e-9);
-        assert_eq!(block.nnz(), csr.nnz());
-        assert_eq!(block.stream_variant(), KernelVariant::Unrolled4);
-        assert_eq!(block.num_cache_blocks(), 1);
     }
 
     #[test]

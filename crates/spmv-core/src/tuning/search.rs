@@ -1,9 +1,9 @@
-//! OSKI-style exhaustive search.
+//! OSKI-style register-blocking search, and the tuner's one timing helper.
 //!
 //! OSKI chooses its register blocking by combining a fill-ratio scan with an offline
 //! performance profile (a benchmark of every block shape on a dense matrix stored in
 //! sparse format). This module implements both pieces so the baseline crate and the
-//! ablation benchmarks can compare search against the paper's one-pass heuristic.
+//! ablation benchmarks can compare OSKI's choice against the paper's one-pass heuristic.
 
 use crate::blocking::register::{estimate_fill, register_block_candidates};
 use crate::formats::bcsr::{BcsrAuto, BcsrMatrix};
@@ -106,9 +106,9 @@ impl DenseProfile {
 }
 
 /// Seconds per call of `spmv(x, y)` — the one timing helper every timed decision
-/// in this crate uses (the OSKI dense profile, the timed shape search, the
-/// per-share ladder of [`crate::tuning::plan::TunePlan::new`], the whole-plan
-/// search), so all rank candidates on the same seeded `x` (uniform in [-1, 1)).
+/// in this crate uses (the per-share ladder of
+/// [`crate::tuning::plan::TunePlan::new`] and [`DenseProfile::measure`]), so
+/// both rank candidates on the same seeded `x` (uniform in [-1, 1)).
 /// One untimed call faults the pages in, then the fastest of `runs` batches of
 /// `reps` calls counts ([`min_timing`]: a preempted run cannot flip a decision).
 pub fn time_spmv(
@@ -138,19 +138,25 @@ pub fn time_spmv(
     secs.max(1e-12) / reps as f64
 }
 
-/// The search both entry points share: cost every candidate shape (lower is
-/// better, the first of equals wins) and materialize the cheapest.
-fn search_by(
-    csr: &CsrMatrix,
-    mut cost: impl FnMut(usize, usize, IndexWidth) -> f64,
-) -> SearchOutcome {
+/// OSKI's heuristic: pick the shape minimizing `fill_ratio / dense_throughput`,
+/// i.e. the predicted time per logical nonzero (the first of equals wins), and
+/// materialize it.
+pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> SearchOutcome {
     let width = if IndexWidth::U16.fits(csr.ncols()) && IndexWidth::U16.fits(csr.nrows()) {
         IndexWidth::U16
     } else {
         IndexWidth::U32
     };
-    let shapes = register_block_candidates().into_iter();
-    let candidates: Vec<_> = shapes.map(|(r, c)| (r, c, cost(r, c, width))).collect();
+    let candidates: Vec<_> = register_block_candidates()
+        .into_iter()
+        .map(|(r, c)| {
+            (
+                r,
+                c,
+                estimate_fill(csr, r, c).fill_ratio / profile.throughput(r, c),
+            )
+        })
+        .collect();
     let best = candidates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
     let &(r, c, _) = best.expect("candidate list non-empty");
     SearchOutcome {
@@ -159,25 +165,6 @@ fn search_by(
         matrix: BcsrAuto::from_csr(csr, r, c, width).expect("supported shape"),
         candidates,
     }
-}
-
-/// OSKI's heuristic: pick the shape minimizing `fill_ratio / dense_throughput`,
-/// i.e. the predicted time per logical nonzero.
-pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> SearchOutcome {
-    search_by(csr, |r, c, _| {
-        estimate_fill(csr, r, c).fill_ratio / profile.throughput(r, c)
-    })
-}
-
-/// Time-based search: actually materialize and time every candidate shape, returning
-/// the fastest. This is the expensive search the paper's heuristic avoids. Each
-/// candidate's cost is its seconds per call over the fastest of three batches of
-/// `reps` calls ([`time_spmv`]), stable against one-off scheduler noise.
-pub fn search_by_timing(csr: &CsrMatrix, reps: usize) -> SearchOutcome {
-    search_by(csr, |r, c, width| {
-        let bcsr = BcsrAuto::from_csr(csr, r, c, width).expect("supported shape");
-        time_spmv(csr.nrows(), csr.ncols(), 3, reps, |x, y| bcsr.spmv(x, y))
-    })
 }
 
 #[cfg(test)]
@@ -230,15 +217,6 @@ mod tests {
         let outcome = search_register_blocking(&csr, &DenseProfile::synthetic());
         let x: Vec<f64> = (0..csr.ncols()).map(|i| i as f64).collect();
         assert!(max_abs_diff(&csr.spmv_alloc(&x), &outcome.matrix.spmv_alloc(&x)) < 1e-9);
-    }
-
-    #[test]
-    fn timing_search_returns_valid_matrix() {
-        let csr = block_structured(16, 2);
-        let outcome = search_by_timing(&csr, 2);
-        let x: Vec<f64> = (0..csr.ncols()).map(|i| (i as f64).sqrt()).collect();
-        assert!(max_abs_diff(&csr.spmv_alloc(&x), &outcome.matrix.spmv_alloc(&x)) < 1e-9);
-        assert_eq!(outcome.candidates.len(), 16);
     }
 
     #[test]

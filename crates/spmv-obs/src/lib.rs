@@ -15,8 +15,8 @@
 //! * [`snapshot`] — a serialization-neutral [`MetricsSnapshot`] model with a
 //!   Prometheus-style text rendering and a minimal JSON writer, so higher
 //!   layers can export without pulling in a serializer.
-//! * [`timing`] — the one measurement primitive the autotuner's timed
-//!   searches share ([`timing::min_timing`]) and the saturating
+//! * [`timing`] — the one measurement primitive the tuner's timed
+//!   decisions share ([`timing::min_timing`]) and the saturating
 //!   `Duration` → nanoseconds fold every counter uses.
 //! * [`trace`] — an env-gated (`SPMV_TRACE`) lock-free ring-buffer event
 //!   trace. Disabled (the default) it costs one relaxed load per call site.

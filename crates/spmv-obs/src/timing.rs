@@ -1,7 +1,7 @@
 //! The one measurement primitive every timed decision in the workspace uses.
 //!
 //! [`min_timing`] is the reps-stable minimum for *comparisons* (the OSKI dense
-//! profile, the tuner's per-share ladder, the whole-plan autotuner): everything a
+//! profile, the tuner's per-share ladder): everything a
 //! shared host does to a run makes it slower, so the fastest of a few runs is the
 //! run least disturbed, and a preempted one cannot flip a decision.
 

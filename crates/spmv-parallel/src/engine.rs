@@ -44,27 +44,22 @@
 //!   reduction order is exactly the serial `PreparedMatrix`'s, so symmetric
 //!   parallel output stays bit-identical to the symmetric serial reference.
 //!
-//! Three ways to build one:
-//!
-//! * [`SpmvEngine::tuned`] — run the footprint heuristic per thread block and
-//!   execute the fully tuned structures (the paper's all-optimizations bar).
-//! * [`SpmvEngine::from_plan`] — materialize a saved [`TunePlan`] (e.g. loaded via
-//!   [`TunePlan::load`]), amortizing tuning cost across program runs.
-//! * [`SpmvEngine::new`] / [`SpmvEngine::with_variant`] — plain width-compressed
-//!   CSR blocks running one code variant; the untuned baseline.
+//! One way to build one, [`SpmvEngine::from_plan`]: materialize a [`TunePlan`]
+//! (fresh, or loaded via [`TunePlan::load`] to amortize tuning cost across
+//! program runs). [`SpmvEngine::tuned`] plans with the timed tuner first, and
+//! [`SpmvEngine::new`] with the naive config — plain CSR blocks, the untuned
+//! baseline.
 
 use crate::sync::{epoch_word, EpochGate, EpochKind, Turn};
 use spmv_core::error::{Error, Result};
 use spmv_core::formats::CsrMatrix;
-use spmv_core::kernels::KernelVariant;
 use spmv_core::multivec::{MultiVec, MultiVecMut};
-use spmv_core::partition::row::{partition_rows_balanced, RowPartition};
+use spmv_core::partition::row::RowPartition;
 use spmv_core::tuning::plan::{ThreadPlan, TunePlan};
 use spmv_core::tuning::prepared::PreparedBlock;
 use spmv_core::tuning::TuningConfig;
 use spmv_core::MatrixShape;
 use spmv_obs::{Histogram, HistogramSnapshot, TraceKind};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -290,30 +285,8 @@ struct Shared {
 struct ProfSlot(AtomicU64);
 
 /// What a participant materializes during construction (on its own thread, for
-/// first-touch placement).
-enum BlockSpec {
-    /// Plain width-compressed CSR running one code variant.
-    Plain {
-        slice: CsrMatrix,
-        rows: Range<usize>,
-        variant: KernelVariant,
-    },
-    /// A fully tuned thread block described by a [`ThreadPlan`].
-    Planned { slice: CsrMatrix, plan: ThreadPlan },
-}
-
-impl BlockSpec {
-    fn build(self) -> Result<PreparedBlock> {
-        match self {
-            BlockSpec::Plain {
-                slice,
-                rows,
-                variant,
-            } => Ok(PreparedBlock::plain(&slice, rows, variant)),
-            BlockSpec::Planned { slice, plan } => PreparedBlock::materialize(&slice, &plan),
-        }
-    }
-}
+/// first-touch placement): its row slice of the matrix and the plan for it.
+type BlockSpec = (CsrMatrix, ThreadPlan);
 
 /// The engine's materialized-footprint report: how many bytes each persistent
 /// worker's first-touch-materialized thread block occupies.
@@ -455,9 +428,6 @@ pub struct SpmvEngine {
     ncols: usize,
     nnz: usize,
     partition: RowPartition,
-    /// The single code variant of a plain engine; `None` for tuned engines, whose
-    /// kernels are bound per cache block by the plan.
-    variant: Option<KernelVariant>,
     /// Whether the workers run the symmetric scratch-reduction path.
     symmetric: bool,
     footprint_bytes: usize,
@@ -475,37 +445,20 @@ pub struct SpmvEngine {
 }
 
 impl SpmvEngine {
-    /// Build a plain (untuned) engine: partition rows balancing nonzeros, spawn one
-    /// persistent worker per partition but the first, and let **each participant
-    /// construct its own compressed block** (index width chosen once per block) so
-    /// first-touch places the pages locally.
-    pub fn new(csr: &CsrMatrix, nthreads: usize) -> Self {
-        Self::with_variant(csr, nthreads, KernelVariant::SingleLoop)
-    }
-
-    /// [`SpmvEngine::new`] with an explicit CSR kernel variant for the steady state.
+    /// Build an untuned engine: [`SpmvEngine::from_plan`] over the
+    /// [`TuningConfig::naive`] plan, one plain CSR block per thread over a
+    /// nonzero-balanced row partition.
     ///
     /// # Panics
     ///
-    /// Panics if `nthreads == 0` or the variant is not a CSR code variant.
-    pub fn with_variant(csr: &CsrMatrix, nthreads: usize, variant: KernelVariant) -> Self {
+    /// Panics if `nthreads == 0`.
+    pub fn new(csr: &CsrMatrix, nthreads: usize) -> Self {
         assert!(nthreads > 0, "engine requires at least one worker");
-        assert!(
-            variant.runs_on_csr(),
-            "engine variants run on CSR thread blocks"
-        );
-        let partition = partition_rows_balanced(csr, nthreads);
-        let specs = partition
-            .ranges
-            .iter()
-            .map(|r| BlockSpec::Plain {
-                slice: csr.row_slice(r.start, r.end),
-                rows: r.clone(),
-                variant,
-            })
-            .collect();
-        Self::build(csr, partition, Some(variant), specs, false)
-            .expect("plain block construction is infallible")
+        Self::from_plan(
+            csr,
+            &TunePlan::heuristic(csr, nthreads, &TuningConfig::naive()),
+        )
+        .expect("a fresh plan fits its matrix")
     }
 
     /// Build a **fully tuned** engine: run the footprint heuristic per thread block
@@ -521,8 +474,10 @@ impl SpmvEngine {
     }
 
     /// Materialize an existing [`TunePlan`] (typically produced earlier or loaded
-    /// from a saved profile) into a running engine. Fails if the plan does not
-    /// match the matrix or a worker cannot build its block.
+    /// from a saved profile) into a running engine: spawn a worker for every
+    /// thread block but the first, build block 0 here, wait for every block
+    /// build. Fails if the plan does not match the matrix or a worker cannot
+    /// build its block (an error, never a hang).
     pub fn from_plan(csr: &CsrMatrix, plan: &TunePlan) -> Result<Self> {
         plan.validate_for(csr)?;
         if plan.num_threads() == 0 {
@@ -530,36 +485,13 @@ impl SpmvEngine {
                 "plan has no thread blocks".to_string(),
             ));
         }
-        let partition = plan.row_partition();
-        let specs = plan
+        let specs: Vec<BlockSpec> = plan
             .threads
             .iter()
-            .map(|t| BlockSpec::Planned {
-                slice: csr.row_slice(t.rows.start, t.rows.end),
-                plan: t.clone(),
-            })
+            .map(|t| (csr.row_slice(t.rows.start, t.rows.end), t.clone()))
             .collect();
-        Self::build(csr, partition, None, specs, plan.symmetric)
-    }
-
-    /// Common construction: spawn a worker for every spec but the first, build
-    /// block 0 here, wait for every block build, and surface build failures as an
-    /// error instead of a hang.
-    fn build(
-        csr: &CsrMatrix,
-        partition: RowPartition,
-        variant: Option<KernelVariant>,
-        specs: Vec<BlockSpec>,
-        symmetric: bool,
-    ) -> Result<Self> {
         let n = specs.len();
-        let per_worker_nnz: Vec<usize> = specs
-            .iter()
-            .map(|spec| match spec {
-                BlockSpec::Plain { slice, .. } => slice.nnz(),
-                BlockSpec::Planned { slice, .. } => slice.nnz(),
-            })
-            .collect();
+        let per_worker_nnz: Vec<usize> = specs.iter().map(|(slice, _)| slice.nnz()).collect();
         let scalar_slots = || -> Vec<ScalarSlot> {
             (0..n)
                 .map(|_| ScalarSlot(std::cell::UnsafeCell::new(0.0)))
@@ -573,7 +505,7 @@ impl SpmvEngine {
         let shared = Arc::new(Shared {
             gate: EpochGate::new(n, idle),
             blocks: (0..n).map(|_| OnceLock::new()).collect(),
-            sym: symmetric.then(|| {
+            sym: plan.symmetric.then(|| {
                 (0..n)
                     .map(|_| ScratchSlot(std::cell::UnsafeCell::new(Vec::new())))
                     .collect()
@@ -587,7 +519,7 @@ impl SpmvEngine {
         });
 
         let mut specs = specs.into_iter();
-        let own_spec = specs.next().expect("callers pass at least one block");
+        let own_spec = specs.next().expect("checked: the plan has thread blocks");
         let workers = specs
             .enumerate()
             .map(|(i, spec)| {
@@ -613,9 +545,8 @@ impl SpmvEngine {
             nrows: csr.nrows(),
             ncols: csr.ncols(),
             nnz: csr.nnz(),
-            partition,
-            variant,
-            symmetric,
+            partition: plan.row_partition(),
+            symmetric: plan.symmetric,
             footprint_bytes: per_worker_bytes.iter().sum(),
             per_worker_bytes,
             shared,
@@ -659,12 +590,6 @@ impl SpmvEngine {
     /// Logical nonzeros of the full matrix.
     pub fn nnz(&self) -> usize {
         self.nnz
-    }
-
-    /// The steady-state kernel variant of a plain engine; `None` for tuned
-    /// engines (their kernels are bound per cache block by the plan).
-    pub fn variant(&self) -> Option<KernelVariant> {
-        self.variant
     }
 
     /// Whether the engine serves the matrix from symmetric (lower-triangle)
@@ -1020,8 +945,10 @@ impl Drop for SpmvEngine {
 /// reports as an error. Symmetric participants also allocate their full-length
 /// scratch destination here, so its pages land on the same node. (SpMM batches
 /// grow it on first use of a wider batch — steady state allocates nothing.)
-fn build_block(shared: &Shared, i: usize, spec: BlockSpec) -> bool {
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spec.build()));
+fn build_block(shared: &Shared, i: usize, (slice, plan): BlockSpec) -> bool {
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        PreparedBlock::materialize(&slice, &plan)
+    }));
     let Ok(Ok(block)) = built else {
         return false;
     };
@@ -1373,22 +1300,6 @@ fn solver_epoch(
     }
 }
 
-/// Convenience: run `iterations` accumulating SpMVs on a fresh engine (used by the
-/// benchmark harness; the engine build cost is paid once, like a solver would).
-pub fn run_steady_state(
-    csr: &CsrMatrix,
-    nthreads: usize,
-    variant: KernelVariant,
-    x: &[f64],
-    y: &mut [f64],
-    iterations: usize,
-) {
-    let mut engine = SpmvEngine::with_variant(csr, nthreads, variant);
-    for _ in 0..iterations {
-        engine.spmv(x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1474,23 +1385,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_supports_every_csr_variant() {
-        let csr = random_csr(150, 120, 1500, 3);
-        let x: Vec<f64> = (0..120).map(|i| i as f64 * 0.1 - 6.0).collect();
-        let reference = csr.spmv_alloc(&x);
-        for variant in KernelVariant::all() {
-            let mut engine = SpmvEngine::with_variant(&csr, 3, variant);
-            let mut y = vec![0.0; 150];
-            engine.spmv(&x, &mut y);
-            assert!(
-                max_abs_diff(&reference, &y) < 1e-9,
-                "variant {}",
-                variant.name()
-            );
-        }
-    }
-
-    #[test]
     fn more_threads_than_rows() {
         let csr = random_csr(3, 3, 6, 4);
         let x = vec![1.0, 2.0, 3.0];
@@ -1508,19 +1402,6 @@ mod tests {
         let mut y = vec![1.0; 10];
         engine.spmv(&[2.0; 10], &mut y);
         assert_eq!(y, vec![1.0; 10]);
-    }
-
-    #[test]
-    fn steady_state_helper_runs() {
-        let csr = random_csr(100, 100, 900, 5);
-        let x = vec![1.0; 100];
-        let mut y = vec![0.0; 100];
-        run_steady_state(&csr, 2, KernelVariant::Unrolled4, &x, &mut y, 3);
-        let mut expected = vec![0.0; 100];
-        for _ in 0..3 {
-            csr.spmv(&x, &mut expected);
-        }
-        assert!(max_abs_diff(&expected, &y) < 1e-9);
     }
 
     /// The caller is participant 0: a one-block engine spawns nothing and an
@@ -1552,10 +1433,9 @@ mod tests {
     #[test]
     fn reports_shape_and_partition() {
         let csr = random_csr(64, 64, 600, 7);
-        let engine = SpmvEngine::with_variant(&csr, 4, KernelVariant::Unrolled4);
+        let engine = SpmvEngine::new(&csr, 4);
         assert_eq!(engine.num_threads(), 4);
         assert_eq!(engine.nnz(), csr.nnz());
-        assert_eq!(engine.variant(), Some(KernelVariant::Unrolled4));
         assert!(engine.partition().covers(64));
         let report = engine.footprint();
         assert_eq!(report.total_bytes, engine.footprint_bytes());
@@ -1637,7 +1517,6 @@ mod tests {
                 max_abs_diff(&reference, &y) < 1e-9,
                 "config {config:?} diverged"
             );
-            assert_eq!(engine.variant(), None);
             assert!(engine.footprint_bytes() > 0);
         }
     }

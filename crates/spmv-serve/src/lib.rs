@@ -26,12 +26,11 @@
 //! * [`stats::ServeStats`] — per-request latency and aggregate GFLOP/s
 //!   accounting for the serve loop.
 //!
-//! The registry composes with the measured autotuning pipeline of
-//! `spmv-core`: [`MatrixRegistry::with_budget`] turns inserts into measured
-//! whole-plan searches, [`MatrixRegistry::with_cache`] persists winners in a
-//! fingerprint-keyed [`TuneCache`] so known matrices skip the search, and
-//! [`MatrixRegistry::retune_background`] re-searches a live matrix off the
-//! serving path and hot-swaps the winning engine in atomically.
+//! The registry composes with the timed tuner of `spmv-core`:
+//! [`MatrixRegistry::with_cache`] persists plans in a fingerprint-keyed
+//! [`TuneCache`] so known matrices skip the planner, and
+//! [`MatrixRegistry::retune_background`] replans a live matrix off the
+//! serving path and hot-swaps the new engine in atomically.
 //!
 //! ```no_run
 //! use spmv_core::formats::{CooMatrix, CsrMatrix};
@@ -54,7 +53,7 @@ pub mod stats;
 pub use batcher::{BatchPolicy, Batcher, Ticket};
 pub use registry::{MatrixRegistry, ServedMatrix};
 pub use solver::SolverSession;
-pub use spmv_core::tuning::autotune::{MatrixFingerprint, SearchBudget, TuneCache};
+pub use spmv_core::tuning::autotune::{MatrixFingerprint, TuneCache};
 pub use stats::{ServeReport, ServeStats};
 
 use std::fmt;

@@ -7,19 +7,14 @@
 //! a supplied/loaded plan), spins up the persistent [`SpmvEngine`], and hands
 //! out [`ServedMatrix`] handles that batchers and direct callers share.
 //!
-//! Two knobs turn the registry from heuristic-only tuning into the measured
-//! pipeline:
+//! Inserts plan with [`TunePlan::new`], the timed tuner. One cache makes that a
+//! one-time cost: with [`MatrixRegistry::with_cache`], plans persist in a
+//! [`TuneCache`] keyed by matrix fingerprint × platform × thread count, so
+//! re-inserting a known matrix (same process or a later one) skips the planner
+//! entirely and produces a ready [`ServedMatrix`] straight from the cached plan.
 //!
-//! * [`MatrixRegistry::with_budget`] — inserts run the measured whole-plan
-//!   search ([`spmv_core::tuning::autotune`]) at the given [`SearchBudget`]
-//!   instead of trusting the one-pass heuristic.
-//! * [`MatrixRegistry::with_cache`] — winners persist in a [`TuneCache`]
-//!   keyed by matrix fingerprint × platform × thread count, so re-inserting a
-//!   known matrix (same process or a later one) skips the search entirely and
-//!   produces a ready [`ServedMatrix`] straight from the cached plan.
-//!
-//! Serving never blocks on a search: [`ServedMatrix::retune`] (and the
-//! registry's [`MatrixRegistry::retune_background`]) run the search and the
+//! Serving never blocks on the planner: [`ServedMatrix::retune`] (and the
+//! registry's [`MatrixRegistry::retune_background`]) rerun it and the
 //! first-touch engine build **off** the serving lock, then hot-swap the new
 //! engine in with one O(1) [`SpmvEngine::swap_with`] under the lock. In-flight
 //! requests finish on the old engine; the next request runs on the new one.
@@ -28,7 +23,7 @@ use crate::stats::ServeStats;
 use crate::{Result, ServeError};
 use spmv_core::formats::CsrMatrix;
 use spmv_core::multivec::MultiVec;
-use spmv_core::tuning::autotune::{autotune, MatrixFingerprint, SearchBudget, TuneCache};
+use spmv_core::tuning::autotune::{MatrixFingerprint, TuneCache};
 use spmv_core::tuning::plan::TunePlan;
 use spmv_core::tuning::TuningConfig;
 use spmv_core::MatrixShape;
@@ -123,7 +118,7 @@ impl ServedMatrix {
 
     /// Persist the currently-serving plan into `cache`, keyed by this
     /// matrix's fingerprint, the plan's own thread count, and the tuning
-    /// config it was searched under — the single store path the registry's
+    /// config it was planned under — the single store path the registry's
     /// retune entry points share.
     fn store_plan_in(&self, cache: &TuneCache) -> Result<()> {
         let plan = self.plan();
@@ -267,7 +262,7 @@ impl ServedMatrix {
     }
 
     /// Hot-swap the serving engine to `plan`. The replacement engine is built
-    /// **before** the serving lock is taken (tuning search and first-touch
+    /// **before** the serving lock is taken (planning and first-touch
     /// materialization are the expensive parts), the swap itself is one O(1)
     /// pointer exchange under the lock, and the old engine's workers are
     /// joined only after the lock is released — so concurrent `spmv_now` /
@@ -289,17 +284,17 @@ impl ServedMatrix {
         Ok(())
     }
 
-    /// Re-run the measured whole-plan search at `budget` (off the serving
-    /// lock) and hot-swap the winner in if it differs from the current plan.
-    /// Returns whether a swap happened. Serving continues uninterrupted
+    /// Rerun [`TunePlan::new`] at the serving plan's thread count (off the
+    /// serving lock) and hot-swap its plan in if it differs from the current
+    /// one. Returns whether a swap happened. Serving continues uninterrupted
     /// throughout.
-    pub fn retune(&self, budget: SearchBudget) -> Result<bool> {
+    pub fn retune(&self) -> Result<bool> {
         let nthreads = self.plan_read().num_threads();
-        let outcome = autotune(&self.csr, nthreads, &self.config, budget);
-        if outcome.plan == *self.plan_read() {
+        let plan = TunePlan::new(&self.csr, nthreads, &self.config);
+        if plan == *self.plan_read() {
             return Ok(false);
         }
-        self.swap_plan(outcome.plan)?;
+        self.swap_plan(plan)?;
         Ok(true)
     }
 }
@@ -356,7 +351,6 @@ pub struct MatrixRegistry {
     matrices: RwLock<HashMap<String, Slot>>,
     nthreads: usize,
     config: TuningConfig,
-    budget: SearchBudget,
     cache: Option<Arc<TuneCache>>,
     /// Max hot (engine-resident) matrices; `None` = unbounded (every entry hot).
     hot_capacity: Option<usize>,
@@ -368,17 +362,14 @@ pub struct MatrixRegistry {
 }
 
 impl MatrixRegistry {
-    /// A registry whose engines run `nthreads` workers, tuned with `config`.
-    /// Inserts use the one-pass heuristic ([`SearchBudget::Heuristic`]) and no
-    /// cache; see
-    /// [`MatrixRegistry::with_budget`] / [`MatrixRegistry::with_cache`].
+    /// A registry whose engines run `nthreads` workers, tuned with `config`
+    /// by [`TunePlan::new`]. No cache; see [`MatrixRegistry::with_cache`].
     pub fn new(nthreads: usize, config: TuningConfig) -> MatrixRegistry {
         assert!(nthreads > 0, "registry engines need at least one worker");
         MatrixRegistry {
             matrices: RwLock::new(HashMap::new()),
             nthreads,
             config,
-            budget: SearchBudget::Heuristic,
             cache: None,
             hot_capacity: None,
             clock: AtomicU64::new(0),
@@ -397,26 +388,14 @@ impl MatrixRegistry {
         self
     }
 
-    /// Tune inserts with the measured whole-plan search at `budget` instead of
-    /// the plain heuristic.
-    pub fn with_budget(mut self, budget: SearchBudget) -> MatrixRegistry {
-        self.budget = budget;
-        self
-    }
-
-    /// Persist (and reuse) winning plans through `cache`: an insert whose
-    /// matrix fingerprint is already cached skips the search entirely and
-    /// serves from the cached plan; misses search at the registry's budget and
-    /// store the winner. Share one [`TuneCache`] across registries (and
-    /// processes pointing at the same directory) to amortize tuning globally.
+    /// Persist (and reuse) plans through `cache`: an insert whose matrix
+    /// fingerprint is already cached skips the planner entirely and serves
+    /// from the cached plan; misses plan and store the result. Share one
+    /// [`TuneCache`] across registries (and processes pointing at the same
+    /// directory) to amortize tuning globally.
     pub fn with_cache(mut self, cache: Arc<TuneCache>) -> MatrixRegistry {
         self.cache = Some(cache);
         self
-    }
-
-    /// The search budget inserts tune at.
-    pub fn budget(&self) -> SearchBudget {
-        self.budget
     }
 
     /// The tune cache, when one is attached.
@@ -425,23 +404,19 @@ impl MatrixRegistry {
     }
 
     /// Produce the plan an insert of `csr` should serve: cache hit → cached
-    /// plan (no search); miss or no cache → heuristic or measured search per
-    /// the registry's budget (winner stored when a cache is attached).
+    /// plan; miss or no cache → [`TunePlan::new`] (stored when a cache is
+    /// attached).
     fn plan_for(&self, csr: &CsrMatrix) -> Result<TunePlan> {
         match &self.cache {
             Some(cache) => cache
-                .autotune(csr, self.nthreads, &self.config, self.budget)
-                .map(|outcome| outcome.plan)
+                .plan(csr, self.nthreads, &self.config)
                 .map_err(ServeError::Build),
-            None => Ok(match self.budget {
-                SearchBudget::Heuristic => TunePlan::new(csr, self.nthreads, &self.config),
-                budget => autotune(csr, self.nthreads, &self.config, budget).plan,
-            }),
+            None => Ok(TunePlan::new(csr, self.nthreads, &self.config)),
         }
     }
 
-    /// Tune `csr` with the registry's configuration (heuristic, searched, or
-    /// cache-served per the registry's budget and cache) and register it under
+    /// Tune `csr` with the registry's configuration (planned, or served from
+    /// the cache when one is attached) and register it under
     /// `name`, returning the served handle. Clones the matrix once so the
     /// served handle can retune without the caller keeping it alive; pass an
     /// [`MatrixRegistry::insert_arc`] when the caller already holds an `Arc`
@@ -524,18 +499,18 @@ impl MatrixRegistry {
             .map_err(|e| ServeError::Profile(e.to_string()))
     }
 
-    /// Synchronously retune `name` at `budget` and hot-swap the winner in if
-    /// it beats the serving plan (see [`ServedMatrix::retune`]; serving never
-    /// blocks on the search). The winner is persisted when a cache is
+    /// Synchronously retune `name` and hot-swap the new plan in if it differs
+    /// from the serving one (see [`ServedMatrix::retune`]; serving never
+    /// blocks on the planner). The serving plan is persisted when a cache is
     /// attached — keyed by the served plan's own thread count, which can
     /// legitimately differ from the registry's (plans adopted via
     /// `insert_with_plan` or swapped in directly). Returns whether a swap
     /// happened.
-    pub fn retune(&self, name: &str, budget: SearchBudget) -> Result<bool> {
+    pub fn retune(&self, name: &str) -> Result<bool> {
         let served = self
             .get(name)
             .ok_or_else(|| ServeError::UnknownMatrix(name.to_string()))?;
-        let swapped = served.retune(budget)?;
+        let swapped = served.retune()?;
         if let Some(cache) = &self.cache {
             served.store_plan_in(cache)?;
         }
@@ -543,13 +518,9 @@ impl MatrixRegistry {
     }
 
     /// [`MatrixRegistry::retune`] on a background thread: returns immediately
-    /// with a handle; serving continues on the current engine until the search
-    /// finishes and the new engine hot-swaps in.
-    pub fn retune_background(
-        &self,
-        name: &str,
-        budget: SearchBudget,
-    ) -> Result<JoinHandle<Result<bool>>> {
+    /// with a handle; serving continues on the current engine until the
+    /// planner finishes and the new engine hot-swaps in.
+    pub fn retune_background(&self, name: &str) -> Result<JoinHandle<Result<bool>>> {
         let served = self
             .get(name)
             .ok_or_else(|| ServeError::UnknownMatrix(name.to_string()))?;
@@ -557,7 +528,7 @@ impl MatrixRegistry {
         let handle = std::thread::Builder::new()
             .name(format!("spmv-retune-{name}"))
             .spawn(move || {
-                let swapped = served.retune(budget)?;
+                let swapped = served.retune()?;
                 if let Some(cache) = cache {
                     served.store_plan_in(&cache)?;
                 }
@@ -950,7 +921,6 @@ impl std::fmt::Debug for MatrixRegistry {
         f.debug_struct("MatrixRegistry")
             .field("names", &self.names())
             .field("nthreads", &self.nthreads)
-            .field("budget", &self.budget)
             .field("cached", &self.cache.is_some())
             .finish()
     }

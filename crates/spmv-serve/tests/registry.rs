@@ -9,9 +9,7 @@ use spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_core::multivec::MultiVec;
 use spmv_core::tuning::{TunePlan, TuningConfig};
 use spmv_core::{MatrixShape, SpMv};
-use spmv_serve::{
-    BatchPolicy, Batcher, MatrixFingerprint, MatrixRegistry, SearchBudget, ServeError, TuneCache,
-};
+use spmv_serve::{BatchPolicy, Batcher, MatrixFingerprint, MatrixRegistry, ServeError, TuneCache};
 use std::sync::Arc;
 
 fn random_csr(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix {
@@ -157,17 +155,13 @@ fn cached_insert_skips_the_search_on_the_second_registry() {
     let (dir, cache) = temp_cache("warm_hit");
     let csr = random_csr(70, 60, 700, 7);
 
-    let first = MatrixRegistry::new(2, TuningConfig::full())
-        .with_budget(SearchBudget::Pruned)
-        .with_cache(Arc::clone(&cache));
+    let first = MatrixRegistry::new(2, TuningConfig::full()).with_cache(Arc::clone(&cache));
     let a = first.insert("m", &csr).unwrap();
     assert_eq!(cache.search_count(), 1);
 
     // A fresh registry sharing the cache serves the same plan with no
     // second search — the warm hit produces a ready ServedMatrix.
-    let second = MatrixRegistry::new(2, TuningConfig::full())
-        .with_budget(SearchBudget::Pruned)
-        .with_cache(Arc::clone(&cache));
+    let second = MatrixRegistry::new(2, TuningConfig::full()).with_cache(Arc::clone(&cache));
     let b = second.insert("m", &csr).unwrap();
     assert_eq!(cache.search_count(), 1, "warm insert must not search");
     assert_eq!(cache.hit_count(), 1);
@@ -213,35 +207,29 @@ fn swap_plan_hot_swaps_the_engine() {
 #[test]
 fn retune_background_completes_and_keeps_serving() {
     let (dir, cache) = temp_cache("retune_bg");
-    let registry = MatrixRegistry::new(2, TuningConfig::full())
-        .with_budget(SearchBudget::Heuristic)
-        .with_cache(Arc::clone(&cache));
+    let registry = MatrixRegistry::new(2, TuningConfig::full()).with_cache(Arc::clone(&cache));
     let csr = random_csr(90, 80, 1000, 10);
     let served = registry.insert("m", &csr).unwrap();
 
-    let handle = registry
-        .retune_background("m", SearchBudget::Pruned)
-        .unwrap();
-    // Serving stays live while the search runs.
+    let handle = registry.retune_background("m").unwrap();
+    // Serving stays live while the planner runs.
     let x: Vec<f64> = (0..80).map(|i| (i % 9) as f64).collect();
     let _ = served.spmv_now(&x).unwrap();
     let swapped = handle.join().expect("retune thread").unwrap();
-    // Whatever the search concluded, the served plan is the winner and the
+    // Whatever the planner concluded, the served plan is its plan and the
     // cache holds it.
     let fp = MatrixFingerprint::compute(&csr);
     assert_eq!(fp, served.fingerprint());
     let cached = cache
         .lookup(&fp, 2, &TuningConfig::full(), &csr)
-        .expect("winner persisted");
+        .expect("plan persisted");
     assert_eq!(cached, served.plan());
     if swapped {
         assert_eq!(served.retune_count(), 1);
     } else {
         assert_eq!(served.retune_count(), 0);
     }
-    assert!(registry
-        .retune_background("absent", SearchBudget::Pruned)
-        .is_err());
+    assert!(registry.retune_background("absent").is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,7 +2,10 @@
 //! on the command line), show what the tuner chose (register block shapes, index
 //! widths, formats), how much smaller the structure got, how the OSKI-style
 //! search baseline compares, and the ladder each thread share was chosen from:
-//! what the one-pass heuristic proposed and what the clock said about it.
+//! what the one-pass heuristic proposed and what the clock said about it. For a
+//! matrix with a symmetric twin (`SuiteMatrix::generate_symmetric`) it also
+//! times that twin's plan with symmetry exploited and without, serially — the
+//! choice `TuningConfig::exploit_symmetry` makes without the clock.
 //!
 //! Run with:
 //! ```text
@@ -16,7 +19,7 @@ use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::kernels::simd;
 use spmv_multicore::spmv_core::stats::MatrixStats;
 use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
-use spmv_multicore::spmv_core::tuning::search::DenseProfile;
+use spmv_multicore::spmv_core::tuning::search::{time_spmv, DenseProfile};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -104,6 +107,28 @@ fn main() {
                     broken = true;
                 }
             }
+        }
+
+        if let Some(twin) = matrix.generate_symmetric(Scale::Small) {
+            let twin = CsrMatrix::from_coo(&twin);
+            let secs = |exploit_symmetry| {
+                let config = TuningConfig {
+                    exploit_symmetry,
+                    ..TuningConfig::full()
+                };
+                let plan = TunePlan::new(&twin, 1, &config);
+                let prepared = PreparedMatrix::materialize(&twin, &plan).expect("fresh plan fits");
+                time_spmv(twin.nrows(), twin.ncols(), 5, 10, |x, y| {
+                    prepared.spmv(x, y)
+                })
+            };
+            let (on, off) = (secs(true), secs(false));
+            println!(
+                "    symmetric twin: {:.3} ms symmetry on, {:.3} ms symmetry off ({:.2}x)",
+                on * 1e3,
+                off * 1e3,
+                on / off
+            );
         }
     }
     println!();

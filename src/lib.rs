@@ -42,8 +42,7 @@ pub mod prelude {
     pub use spmv_core::formats::{CooMatrix, CsrMatrix};
     pub use spmv_core::multivec::MultiVec;
     pub use spmv_core::tuning::{
-        autotune, MatrixFingerprint, PreparedMatrix, SearchBudget, TuneCache, TunePlan,
-        TuningConfig,
+        MatrixFingerprint, PreparedMatrix, TuneCache, TunePlan, TuningConfig,
     };
     pub use spmv_core::{MatrixShape, SpMv};
     pub use spmv_matrices::suite::{Scale, SuiteMatrix};

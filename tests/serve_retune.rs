@@ -6,13 +6,13 @@
 //!    (symmetric plans at different thread counts make the two references
 //!    bitwise distinct, so a torn engine cannot hide).
 //! 2. **Warm cache** — a `TuneCache` hit produces a ready `ServedMatrix`
-//!    without invoking the search (counter-proven), across registries.
-//! 3. **Background retune** — `retune_background` runs the measured search
-//!    off the serving path while requests keep flowing, then answers from the
-//!    winner.
+//!    without invoking the planner (counter-proven), across registries.
+//! 3. **Background retune** — `retune_background` reruns the timed planner
+//!    off the serving path while requests keep flowing, then answers from
+//!    its plan.
 
 use spmv_multicore::prelude::*;
-use spmv_multicore::spmv_serve::{SearchBudget, TuneCache};
+use spmv_multicore::spmv_serve::TuneCache;
 use spmv_testutil::{random_csr, random_symmetric_csr, test_x, xblock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -151,17 +151,13 @@ fn warm_cache_produces_a_ready_served_matrix_without_searching() {
     let cache = Arc::new(TuneCache::with_platform(&dir, "suite-plat").unwrap());
     let csr = random_csr(100, 90, 1100, 23);
 
-    // Cold insert: one measured search, winner persisted.
-    let cold = MatrixRegistry::new(2, TuningConfig::full())
-        .with_budget(SearchBudget::Pruned)
-        .with_cache(Arc::clone(&cache));
+    // Cold insert: one timed planner run, its plan persisted.
+    let cold = MatrixRegistry::new(2, TuningConfig::full()).with_cache(Arc::clone(&cache));
     let a = cold.insert("m", &csr).unwrap();
     assert_eq!(cache.search_count(), 1);
 
     // Warm insert in a fresh registry: ready ServedMatrix, zero searches.
-    let warm = MatrixRegistry::new(2, TuningConfig::full())
-        .with_budget(SearchBudget::Pruned)
-        .with_cache(Arc::clone(&cache));
+    let warm = MatrixRegistry::new(2, TuningConfig::full()).with_cache(Arc::clone(&cache));
     let b = warm.insert("m", &csr).unwrap();
     assert_eq!(
         cache.search_count(),
@@ -189,17 +185,15 @@ fn background_retune_keeps_serving_and_lands_the_winner() {
     let x = test_x(csr.ncols());
     let before = served.spmv_now(&x).unwrap();
 
-    let handle = registry
-        .retune_background("m", SearchBudget::Exhaustive)
-        .unwrap();
-    // Requests keep being answered while the search runs in the background.
+    let handle = registry.retune_background("m").unwrap();
+    // Requests keep being answered while the planner runs in the background.
     for _ in 0..20 {
         let y = served.spmv_now(&x).unwrap();
         assert_eq!(y.len(), csr.nrows());
     }
     handle.join().expect("retune thread").unwrap();
 
-    // The served plan is the search's conclusion and the cache holds it; the
+    // The served plan is the planner's conclusion and the cache holds it; the
     // answer still matches the serial reference of the served plan exactly.
     let plan = served.plan();
     let (reference, _) = references(&csr, &plan);

@@ -1,0 +1,128 @@
+//! The tune cache and the fingerprints that key it.
+//!
+//! 1. **Fingerprints** — identical matrices fingerprint identically
+//!    (including two reads of the same MatrixMarket stream); row-permuted and
+//!    value-perturbed variants differ.
+//! 2. **Cache** — a warm `TuneCache` hit provably skips the timed planner
+//!    (counter hook), and tampered cache entries are rejected.
+//! 3. **Golden plan** — the plan for a fixed seeded matrix matches a committed
+//!    snapshot, so silent planner drift fails loudly.
+
+use spmv_multicore::prelude::*;
+use spmv_multicore::spmv_matrices::mmio::read_matrix_market;
+use spmv_multicore::spmv_matrices::mmio::write_matrix_market;
+use spmv_testutil::{assert_plan_snapshot, plan_snapshot, random_csr};
+
+#[test]
+fn fingerprints_identify_matrices_read_twice_from_matrix_market() {
+    let csr = random_csr(50, 40, 400, 7);
+    let mut buf = Vec::new();
+    write_matrix_market(&csr.to_coo(), &mut buf).unwrap();
+    let once = CsrMatrix::from_coo(&read_matrix_market(&buf[..]).unwrap());
+    let twice = CsrMatrix::from_coo(&read_matrix_market(&buf[..]).unwrap());
+    assert_eq!(
+        MatrixFingerprint::compute(&once),
+        MatrixFingerprint::compute(&twice),
+        "two reads of the same stream must fingerprint identically"
+    );
+}
+
+#[test]
+fn fingerprints_differ_for_permuted_and_perturbed_variants() {
+    let base = random_csr(60, 60, 500, 8);
+    let fp = MatrixFingerprint::compute(&base);
+
+    // Row permutation: swap the first two (structurally distinct) rows.
+    let permuted: Vec<(usize, usize, f64)> = base
+        .iter()
+        .map(|(i, j, v)| {
+            let row = match i {
+                0 => 1,
+                1 => 0,
+                other => other,
+            };
+            (row, j, v)
+        })
+        .collect();
+    let permuted = CsrMatrix::from_coo(&CooMatrix::from_triplets(60, 60, permuted).unwrap());
+    assert_ne!(base, permuted, "swap must change the matrix");
+    assert_ne!(fp, MatrixFingerprint::compute(&permuted), "row permutation");
+
+    // Value perturbation: nudge every stored value's last bit in turn — any
+    // single perturbation must change the fingerprint.
+    for k in [0, base.nnz() / 2, base.nnz() - 1] {
+        let perturbed: Vec<(usize, usize, f64)> = base
+            .iter()
+            .enumerate()
+            .map(|(idx, (i, j, v))| {
+                let v = if idx == k {
+                    f64::from_bits(v.to_bits() ^ 1)
+                } else {
+                    v
+                };
+                (i, j, v)
+            })
+            .collect();
+        let perturbed = CsrMatrix::from_coo(&CooMatrix::from_triplets(60, 60, perturbed).unwrap());
+        assert_ne!(
+            fp,
+            MatrixFingerprint::compute(&perturbed),
+            "value perturbation at stored entry {k}"
+        );
+    }
+}
+
+#[test]
+fn warm_cache_hit_skips_the_search_and_tampering_is_rejected() {
+    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_suite_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = TuneCache::with_platform(&dir, "suite-plat").unwrap();
+    let csr = random_csr(90, 80, 900, 9);
+    let config = TuningConfig::full();
+
+    let first = cache.plan(&csr, 2, &config).unwrap();
+    assert_eq!(cache.search_count(), 1);
+
+    let second = cache.plan(&csr, 2, &config).unwrap();
+    assert_eq!(cache.hit_count(), 1, "second plan must be a warm hit");
+    assert_eq!(second, first);
+    assert_eq!(cache.search_count(), 1, "the planner must not run twice");
+
+    // Tamper with the stored entry: the checksum rejects it, the lookup
+    // treats it as a miss, and the next plan runs the planner again.
+    let fp = MatrixFingerprint::compute(&csr);
+    let path = cache.entry_path(&fp, 2, &config);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let tampered = text.replacen("block 0", "block 1", 1);
+    assert_ne!(text, tampered);
+    std::fs::write(&path, tampered).unwrap();
+    assert!(
+        cache.load_entry(&fp, 2, &config).is_err(),
+        "tampered entry must error"
+    );
+    assert!(cache.lookup(&fp, 2, &config, &csr).is_none());
+    cache.plan(&csr, 2, &config).unwrap();
+    assert_eq!(cache.search_count(), 2, "tampered entry forces a re-plan");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn heuristic_plan_matches_the_golden_snapshot() {
+    // A fixed seeded matrix whose plan is committed below: planner drift (new
+    // formats, changed thresholds) must be a conscious edit here, never a
+    // silent behaviour change.
+    let csr = random_csr(64, 48, 512, 42);
+    let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
+    assert_plan_snapshot(&plan, GOLDEN_PLAN_64X48, "seed-42 heuristic plan");
+    // And the snapshot itself is stable across renderings.
+    assert_eq!(plan_snapshot(&plan), plan_snapshot(&plan.clone()));
+}
+
+/// Golden plan for `random_csr(64, 48, 512, 42)` at 2 threads,
+/// `TuningConfig::full()`. Regenerate with `plan_snapshot` if the planner
+/// changes intentionally.
+const GOLDEN_PLAN_64X48: &str = "\
+plan 64x48 nnz=467 threads=2 symmetric=false
+  t0 rows=0..31 prefetch=none blocks=[csr/u16@0..31x0..48]
+  t1 rows=31..64 prefetch=none blocks=[csr/u16@0..33x0..48]
+";

@@ -13,7 +13,12 @@
 //!   against the COO round trip.
 //! * **Determinism where it is promised**: shares that live in cache are never
 //!   timed and keep `TunePlan::heuristic`'s plan (the golden 64×48 plan of
-//!   `tests/autotune_search.rs` is such a share).
+//!   `tests/tune_cache.rs` is such a share).
+//! * **The timed plan computes what the untimed one does**: over seeded
+//!   matrices and thread counts, `TunePlan::new` agrees with
+//!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
+//!   bit-identical to its own serial `PreparedMatrix` — the guarantee the
+//!   serve layer's hot swap leans on.
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::blocking::register::{
@@ -25,7 +30,41 @@ use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
 use spmv_multicore::spmv_core::tuning::{
     choose_rung, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
-use spmv_testutil::{assert_plans_equivalent, random_csr};
+use spmv_testutil::{
+    assert_bit_identical, assert_plans_equivalent, plan_outputs, random_csr, random_symmetric_csr,
+    test_x, xblock,
+};
+
+#[test]
+fn timed_plans_agree_with_the_heuristic_reference() {
+    // u16-index territory, u32-index territory (wide columns), tall/thin,
+    // symmetric.
+    let suite = [
+        ("small-u16", random_csr(80, 60, 700, 1)),
+        ("square-u16", random_csr(200, 200, 2000, 2)),
+        ("wide-u32", random_csr(40, 70_000, 1200, 3)),
+        ("tall", random_csr(900, 30, 1800, 4)),
+        ("symmetric", random_symmetric_csr(120, 600, 5)),
+    ];
+    let config = TuningConfig::full();
+    for (id, csr) in &suite {
+        for threads in [1, 2, 5] {
+            let ctx = format!("{id} threads={threads}");
+            let plan = TunePlan::new(csr, threads, &config);
+            let heuristic = TunePlan::heuristic(csr, threads, &config);
+            assert_plans_equivalent(csr, &plan, &heuristic, &ctx);
+            let (y_serial, s_serial) = plan_outputs(csr, &plan);
+            let mut engine = SpmvEngine::from_plan(csr, &plan)
+                .unwrap_or_else(|e| panic!("{ctx}: engine build: {e}"));
+            let mut y = vec![0.0; csr.nrows()];
+            engine.spmv(&test_x(csr.ncols()), &mut y);
+            assert_bit_identical(&y_serial, &y, &format!("{ctx}: engine spmv"));
+            let mut ys = MultiVec::zeros(csr.nrows(), 3);
+            engine.spmm(&xblock(csr.ncols(), 3), &mut ys);
+            assert_bit_identical(s_serial.data(), ys.data(), &format!("{ctx}: engine spmm"));
+        }
+    }
+}
 
 #[test]
 fn the_chooser_keeps_the_incumbent_inside_the_margin() {
@@ -300,7 +339,7 @@ fn csr_direct_cell_cut_equals_the_coo_round_trip() {
 
 #[test]
 fn cache_resident_shares_are_never_timed() {
-    // The golden 64×48 matrix of `tests/autotune_search.rs`, and a larger one
+    // The golden 64×48 matrix of `tests/tune_cache.rs`, and a larger one
     // still under the threshold: `new` is `heuristic`, share by share.
     for csr in [
         random_csr(64, 48, 512, 42),
