@@ -6,29 +6,22 @@
 //! its PS3 (6 SPE) and QS20 blade (2×8 SPE) configurations.
 //!
 //! The paper's evaluation ran on the physical machines; this reproduction cannot, so
-//! the crate provides two complementary layers:
-//!
-//! * **Component simulators** — set-associative caches ([`cache`]), TLBs ([`tlb`]),
-//!   DRAM channels and NUMA topology ([`dram`]), and the Cell SPE local store with
-//!   its double-buffered DMA engine ([`localstore`]). These are execution-driven by
-//!   the memory reference streams produced by [`trace`] and validate the *mechanisms*
-//!   (why cache blocking cuts misses, why DMA hides latency).
-//! * **An analytic performance model** ([`perfmodel`]) in the spirit of the paper's
-//!   own Section 5.1/6.1 analysis: SpMV throughput is the minimum of a bandwidth
-//!   bound (sustained bandwidth × flop:byte of the tuned data structure) and an
-//!   in-core bound (loop overhead, branch mispredictions, exposed memory latency,
-//!   SIMD/pipelining). This layer regenerates Table 4, Figure 1 and Figure 2.
+//! the crate provides **an analytic performance model** ([`perfmodel`]) in the spirit
+//! of the paper's own Section 5.1/6.1 analysis: SpMV throughput is the minimum of a
+//! bandwidth bound (sustained bandwidth × flop:byte of the tuned data structure, with
+//! DRAM channels and NUMA topology from [`dram`] and the closed-form traffic estimate
+//! of [`trace`]) and an in-core bound (loop overhead, branch mispredictions, exposed
+//! memory latency, SIMD/pipelining). This model regenerates Table 4, Figure 1 and
+//! Figure 2. The crate is std-only: it takes matrix sizes and byte counts, never a
+//! matrix.
 //!
 //! Platform parameters come from the paper's Table 1 and are collected in
 //! [`platforms`]; power numbers for Figure 2(b) live in [`power`].
 
-pub mod cache;
 pub mod dram;
-pub mod localstore;
 pub mod perfmodel;
 pub mod platforms;
 pub mod power;
-pub mod tlb;
 pub mod trace;
 
 pub use perfmodel::{OptimizationLevel, ParallelScope, PerformanceModel, Prediction};

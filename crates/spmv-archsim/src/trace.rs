@@ -3,16 +3,9 @@
 //! The analytic performance model needs to know how many bytes of DRAM traffic one
 //! SpMV generates: the matrix structure is streamed exactly once (compulsory), but
 //! source-vector traffic depends on how well the cache (or Cell local store) captures
-//! reuse — which is precisely what cache blocking controls. This module measures that
-//! by driving the [`crate::cache::CacheSim`] with the actual access pattern of a CSR
-//! or cache-blocked traversal, and also provides the closed-form estimate the paper
-//! itself uses in Section 5.1 (e.g. the 0.11 flop:byte computation for Epidemiology).
-
-use crate::cache::CacheSim;
-use crate::platforms::CacheConfig;
-use spmv_core::formats::CsrMatrix;
-use spmv_core::tuning::BlockDecision;
-use spmv_core::MatrixShape;
+//! reuse — which is precisely what cache blocking controls. This module provides the
+//! closed-form estimate the paper itself uses in Section 5.1 (e.g. the 0.11 flop:byte
+//! computation for Epidemiology).
 
 /// DRAM traffic generated by one SpMV, split by stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,136 +34,6 @@ impl TrafficSummary {
             self.flops as f64 / self.total_bytes() as f64
         }
     }
-}
-
-/// Simulate the vector traffic of a plain row-major CSR traversal through a cache of
-/// the given configuration, charging `matrix_bytes` for the streamed structure.
-pub fn simulate_csr_traffic(
-    csr: &CsrMatrix,
-    matrix_bytes: usize,
-    cache_cfg: &CacheConfig,
-    cache_share: f64,
-) -> TrafficSummary {
-    let capacity = ((cache_cfg.l2_bytes as f64) * cache_share) as usize;
-    let capacity = capacity.max(cache_cfg.l2_line_bytes * cache_cfg.l2_ways);
-    let mut cache = CacheSim::new(capacity, cache_cfg.l2_line_bytes, cache_cfg.l2_ways);
-    simulate_traversal(
-        csr.iter().map(|(r, c, _)| (r, c)),
-        csr.nrows(),
-        csr.ncols(),
-        csr.nnz(),
-        matrix_bytes,
-        &mut cache,
-    )
-}
-
-/// Simulate the vector traffic of a cache-blocked traversal: the blocks of
-/// `decisions` (global row/column ranges over `csr`, e.g. a one-thread plan's)
-/// are visited in order, and within each block the rows of the block are visited
-/// in order; `matrix_bytes` is charged for the streamed structure.
-pub fn simulate_blocked_traffic(
-    decisions: &[BlockDecision],
-    matrix_bytes: usize,
-    csr: &CsrMatrix,
-    cache_cfg: &CacheConfig,
-    cache_share: f64,
-) -> TrafficSummary {
-    let capacity = ((cache_cfg.l2_bytes as f64) * cache_share) as usize;
-    let capacity = capacity.max(cache_cfg.l2_line_bytes * cache_cfg.l2_ways);
-    let mut cache = CacheSim::new(capacity, cache_cfg.l2_line_bytes, cache_cfg.l2_ways);
-
-    // Build the blocked visit order from the tuning decisions: for each block, every
-    // (row, col) of the original matrix falling inside it, in row-major order.
-    let mut order: Vec<(usize, usize)> = Vec::with_capacity(csr.nnz());
-    for d in decisions {
-        for row in d.rows.clone() {
-            for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-                let col = csr.col_idx()[k] as usize;
-                if d.cols.contains(&col) {
-                    order.push((row, col));
-                }
-            }
-        }
-    }
-    simulate_traversal(
-        order.into_iter(),
-        csr.nrows(),
-        csr.ncols(),
-        csr.nnz(),
-        matrix_bytes,
-        &mut cache,
-    )
-}
-
-/// Drive the cache with an explicit `(row, col)` visitation order.
-pub fn simulate_traversal(
-    accesses: impl Iterator<Item = (usize, usize)>,
-    nrows: usize,
-    _ncols: usize,
-    nnz: usize,
-    matrix_bytes: usize,
-    cache: &mut CacheSim,
-) -> TrafficSummary {
-    // Address map: x at offset 0, y after it (both dense f64 arrays).
-    let y_base = (_ncols as u64) * 8;
-    let line = cache.line_bytes() as u64;
-    let _ = nrows;
-    cache.reset_stats();
-    let mut last_y_line = u64::MAX;
-    for (row, col) in accesses {
-        cache.read(col as u64 * 8);
-        // The running row sum lives in a register; y is only written once per row
-        // segment, so only charge a y access when the destination line changes.
-        let y_addr = y_base + row as u64 * 8;
-        let y_line = y_addr / line;
-        if y_line != last_y_line {
-            cache.write(y_addr);
-            last_y_line = y_line;
-        }
-    }
-    let stats = cache.stats();
-    TrafficSummary {
-        matrix_bytes: matrix_bytes as u64,
-        source_bytes: stats.read_misses * line,
-        dest_bytes: stats.write_misses * 2 * line,
-        flops: 2 * nnz as u64,
-    }
-}
-
-/// Simulate the traffic of a **symmetric** (lower-triangle) SpMV: the matrix
-/// stream charges the halved `SymCsr` footprint, and every stored off-diagonal
-/// entry `(i, j)` drives two vector accesses — the direct application (reads
-/// `x[j]`, accumulates toward `y[i]`) and the transposed one (reads `x[i]`,
-/// scatters into `y[j]`). The scatter is what symmetry pays for its halved
-/// compulsory traffic; this simulation makes that trade measurable.
-pub fn simulate_symmetric_traffic(
-    sym: &spmv_core::formats::SymCsr<u32>,
-    cache_cfg: &CacheConfig,
-    cache_share: f64,
-) -> TrafficSummary {
-    let capacity = ((cache_cfg.l2_bytes as f64) * cache_share) as usize;
-    let capacity = capacity.max(cache_cfg.l2_line_bytes * cache_cfg.l2_ways);
-    let mut cache = CacheSim::new(capacity, cache_cfg.l2_line_bytes, cache_cfg.l2_ways);
-
-    let n = sym.dim();
-    let mut order: Vec<(usize, usize)> = Vec::with_capacity(2 * sym.lower_nnz() + n);
-    for i in 0..sym.local_rows() {
-        let gi = sym.row_offset() + i;
-        order.push((gi, gi)); // diagonal: x[i] read, y[i] accumulate
-        for k in sym.row_ptr()[i]..sym.row_ptr()[i + 1] {
-            let j = sym.col_idx()[k] as usize;
-            order.push((gi, j)); // direct:      read x[j], toward y[i]
-            order.push((j, gi)); // transposed:  read x[i], scatter y[j]
-        }
-    }
-    simulate_traversal(
-        order.into_iter(),
-        n,
-        n,
-        sym.nnz(),
-        sym.footprint_bytes(),
-        &mut cache,
-    )
 }
 
 /// The closed-form traffic estimate the paper uses in Section 5.1: matrix bytes are
@@ -211,84 +74,6 @@ pub fn analytic_traffic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platforms::PlatformId;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use spmv_core::formats::CooMatrix;
-    use spmv_core::tuning::{TunePlan, TuningConfig};
-
-    fn cache_cfg() -> CacheConfig {
-        PlatformId::AmdX2.platform().cache.unwrap()
-    }
-
-    fn random_csr(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut coo = CooMatrix::new(nrows, ncols);
-        for _ in 0..nnz {
-            coo.push(rng.random_range(0..nrows), rng.random_range(0..ncols), 1.0);
-        }
-        CsrMatrix::from_coo(&coo)
-    }
-
-    #[test]
-    fn small_matrix_source_traffic_is_compulsory() {
-        // Vectors fit easily in 1MB: only compulsory misses on x and y.
-        let csr = random_csr(2000, 2000, 30_000, 1);
-        let t = simulate_csr_traffic(&csr, csr.footprint_bytes(), &cache_cfg(), 1.0);
-        // Compulsory source traffic is at most ncols*8 rounded up to lines.
-        assert!(t.source_bytes <= 2000 * 8 + 64 * 32);
-        assert!(t.flop_byte() > 0.05);
-    }
-
-    #[test]
-    fn huge_scattered_matrix_thrashes_without_blocking() {
-        // Source vector (800KB x 8 = 6.4MB) far exceeds the 1MB victim cache.
-        let csr = random_csr(4000, 800_000, 120_000, 2);
-        let unblocked = simulate_csr_traffic(&csr, csr.footprint_bytes(), &cache_cfg(), 1.0);
-        // Cache-blocked traversal of the same matrix must generate less source traffic.
-        let plan = TunePlan::heuristic(&csr, 1, &TuningConfig::full());
-        let blocked = simulate_blocked_traffic(
-            &plan.threads[0].decisions,
-            plan.planned_bytes(),
-            &csr,
-            &cache_cfg(),
-            1.0,
-        );
-        assert!(
-            blocked.source_bytes < unblocked.source_bytes,
-            "blocked {} vs unblocked {}",
-            blocked.source_bytes,
-            unblocked.source_bytes
-        );
-    }
-
-    #[test]
-    fn symmetric_traffic_halves_the_matrix_stream() {
-        // An exactly-symmetric matrix: the symmetric traversal must charge
-        // roughly half the general matrix bytes per nonzero, with identical
-        // flop count — the paper's symmetry optimization in traffic terms.
-        let csr = spmv_testutil::random_symmetric_csr(3000, 40_000, 3);
-        let sym: spmv_core::formats::SymCsr<u32> =
-            spmv_core::formats::SymCsr::from_csr(&csr).unwrap();
-
-        let general = simulate_csr_traffic(&csr, csr.footprint_bytes(), &cache_cfg(), 1.0);
-        let symmetric = simulate_symmetric_traffic(&sym, &cache_cfg(), 1.0);
-
-        assert_eq!(symmetric.flops, general.flops, "same logical work");
-        let general_bpn = general.matrix_bytes as f64 / csr.nnz() as f64;
-        let sym_bpn = symmetric.matrix_bytes as f64 / csr.nnz() as f64;
-        assert!(
-            sym_bpn < 0.7 * general_bpn,
-            "symmetric {sym_bpn:.2} B/nnz vs general {general_bpn:.2} B/nnz"
-        );
-        // Overall flop:byte must improve despite the extra scatter traffic.
-        assert!(
-            symmetric.flop_byte() > general.flop_byte(),
-            "symmetric {:.4} vs general {:.4}",
-            symmetric.flop_byte(),
-            general.flop_byte()
-        );
-    }
 
     #[test]
     fn analytic_matches_paper_epidemiology_example() {
@@ -319,14 +104,7 @@ mod tests {
         // Dense in sparse format with 16-bit-index register blocking approaches the
         // 0.25 flop:byte upper bound the paper quotes; with plain CSR it is ~0.16.
         let n = 512;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                coo.push(i, j, 1.0);
-            }
-        }
-        let csr = CsrMatrix::from_coo(&coo);
-        let nnz = csr.nnz();
+        let nnz = n * n;
         // 10 bytes per nonzero (8B value + 2B index) is what the tuned structure achieves.
         let t = analytic_traffic(nnz, n, n, 10 * nnz, 4 << 20, true);
         assert!(

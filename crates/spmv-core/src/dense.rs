@@ -1,195 +1,16 @@
-//! Dense vector utilities: cache-line aligned storage and basic BLAS-1 helpers.
+//! Dense vector constants and the comparison helper the tests share.
 //!
 //! SpMV streams the matrix once but repeatedly touches the source and destination
 //! vectors, so the paper's cache-blocking analysis counts *cache lines* of vector
-//! data. [`AlignedVec`] guarantees 64-byte alignment so that an element index maps
-//! deterministically onto a cache line index, which both the blocking heuristics
-//! (`blocking::cache`) and the architecture simulator rely on.
-
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ops::{Deref, DerefMut, Index, IndexMut};
-use std::ptr::NonNull;
+//! data; `blocking::cache` sizes its panels in [`DOUBLES_PER_LINE`] units.
 
 /// Cache line size assumed throughout the crate (bytes). All platforms evaluated in
 /// the paper (Opteron, Clovertown, Niagara L2, Cell) use 64-byte lines except the
-/// Niagara L1 (16 bytes), which the architecture simulator models separately.
+/// Niagara L1 (16 bytes).
 pub const CACHE_LINE_BYTES: usize = 64;
 
 /// Number of `f64` elements per 64-byte cache line.
 pub const DOUBLES_PER_LINE: usize = CACHE_LINE_BYTES / std::mem::size_of::<f64>();
-
-/// A heap-allocated `f64` buffer aligned to a cache-line boundary.
-///
-/// The alignment makes element→cache-line arithmetic exact, which the cache and TLB
-/// blocking heuristics depend on, and gives vectorized kernels aligned loads.
-pub struct AlignedVec {
-    ptr: NonNull<f64>,
-    len: usize,
-}
-
-// SAFETY: AlignedVec owns its allocation exclusively; the raw pointer is never
-// aliased outside of &self/&mut self borrows, so it is safe to move between threads
-// and to share immutably.
-unsafe impl Send for AlignedVec {}
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    /// Allocate a zero-initialised aligned vector of `len` doubles.
-    pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return AlignedVec {
-                ptr: NonNull::dangling(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size because len > 0.
-        let raw = unsafe { alloc_zeroed(layout) } as *mut f64;
-        let ptr = NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout));
-        AlignedVec { ptr, len }
-    }
-
-    /// Allocate an aligned vector and fill it from a slice.
-    pub fn from_slice(data: &[f64]) -> Self {
-        let mut v = Self::zeroed(data.len());
-        v.as_mut_slice().copy_from_slice(data);
-        v
-    }
-
-    /// Allocate an aligned vector filled with a constant.
-    pub fn filled(len: usize, value: f64) -> Self {
-        let mut v = Self::zeroed(len);
-        for x in v.as_mut_slice() {
-            *x = value;
-        }
-        v
-    }
-
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f64>(), CACHE_LINE_BYTES)
-            .expect("aligned vector layout")
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Borrow the contents as a slice.
-    pub fn as_slice(&self) -> &[f64] {
-        if self.len == 0 {
-            return &[];
-        }
-        // SAFETY: ptr is valid for len elements and properly aligned.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Borrow the contents as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        if self.len == 0 {
-            return &mut [];
-        }
-        // SAFETY: ptr is valid for len elements, aligned, and uniquely borrowed.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Set every element to zero.
-    pub fn clear(&mut self) {
-        for x in self.as_mut_slice() {
-            *x = 0.0;
-        }
-    }
-
-    /// Number of distinct 64-byte cache lines spanned by this vector.
-    pub fn cache_lines(&self) -> usize {
-        self.len.div_ceil(DOUBLES_PER_LINE)
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.len != 0 {
-            // SAFETY: allocated with the same layout in `zeroed`.
-            unsafe { dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.len)) };
-        }
-    }
-}
-
-impl Clone for AlignedVec {
-    fn clone(&self) -> Self {
-        Self::from_slice(self.as_slice())
-    }
-}
-
-impl std::fmt::Debug for AlignedVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlignedVec")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl Deref for AlignedVec {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
-
-impl DerefMut for AlignedVec {
-    fn deref_mut(&mut self) -> &mut [f64] {
-        self.as_mut_slice()
-    }
-}
-
-impl Index<usize> for AlignedVec {
-    type Output = f64;
-    fn index(&self, i: usize) -> &f64 {
-        &self.as_slice()[i]
-    }
-}
-
-impl IndexMut<usize> for AlignedVec {
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.as_mut_slice()[i]
-    }
-}
-
-impl From<Vec<f64>> for AlignedVec {
-    fn from(v: Vec<f64>) -> Self {
-        Self::from_slice(&v)
-    }
-}
-
-impl PartialEq for AlignedVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// `y ← y + alpha * x` for dense vectors.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy operands must have equal length");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Dot product of two dense vectors.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot operands must have equal length");
-    x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
-}
-
-/// Euclidean norm of a dense vector.
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
 
 /// Maximum absolute difference between two vectors, used by tests to compare kernel
 /// variants against the reference implementation.
@@ -206,94 +27,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_is_zero_and_aligned() {
-        let v = AlignedVec::zeroed(1000);
-        assert_eq!(v.len(), 1000);
-        assert!(v.as_slice().iter().all(|&x| x == 0.0));
-        assert_eq!(v.as_slice().as_ptr() as usize % CACHE_LINE_BYTES, 0);
-    }
-
-    #[test]
-    fn empty_vector_is_usable() {
-        let v = AlignedVec::zeroed(0);
-        assert!(v.is_empty());
-        assert_eq!(v.as_slice(), &[] as &[f64]);
-        assert_eq!(v.cache_lines(), 0);
-    }
-
-    #[test]
-    fn from_slice_round_trips() {
-        let data: Vec<f64> = (0..37).map(|i| i as f64 * 0.5).collect();
-        let v = AlignedVec::from_slice(&data);
-        assert_eq!(v.as_slice(), data.as_slice());
-    }
-
-    #[test]
-    fn filled_and_clear() {
-        let mut v = AlignedVec::filled(10, 3.5);
-        assert!(v.iter().all(|&x| x == 3.5));
-        v.clear();
-        assert!(v.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn clone_is_deep() {
-        let mut a = AlignedVec::from_slice(&[1.0, 2.0, 3.0]);
-        let b = a.clone();
-        a[0] = 99.0;
-        assert_eq!(b[0], 1.0);
-    }
-
-    #[test]
-    fn cache_line_count() {
-        // 8 doubles per 64B line.
-        assert_eq!(AlignedVec::zeroed(8).cache_lines(), 1);
-        assert_eq!(AlignedVec::zeroed(9).cache_lines(), 2);
-        assert_eq!(AlignedVec::zeroed(64).cache_lines(), 8);
-    }
-
-    #[test]
-    fn indexing_and_mutation() {
-        let mut v = AlignedVec::zeroed(4);
-        v[2] = 7.0;
-        assert_eq!(v[2], 7.0);
-        assert_eq!(v.as_slice(), &[0.0, 0.0, 7.0, 0.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, vec![12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn dot_and_norm() {
-        let x = vec![3.0, 4.0];
-        assert_eq!(dot(&x, &x), 25.0);
-        assert_eq!(norm2(&x), 5.0);
-    }
-
-    #[test]
     fn max_abs_diff_detects_largest_gap() {
         let a = vec![1.0, 2.0, 3.0];
         let b = vec![1.0, 2.5, 2.0];
         assert_eq!(max_abs_diff(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn from_vec_conversion() {
-        let v: AlignedVec = vec![1.0, 2.0].into();
-        assert_eq!(v.as_slice(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn equality_compares_contents() {
-        let a = AlignedVec::from_slice(&[1.0, 2.0]);
-        let b = AlignedVec::from_slice(&[1.0, 2.0]);
-        let c = AlignedVec::from_slice(&[1.0, 3.0]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

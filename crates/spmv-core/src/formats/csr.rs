@@ -158,7 +158,7 @@ impl CsrMatrix<u32> {
         }
     }
 
-    /// Transpose (also the CSR→CSC conversion workhorse).
+    /// Transpose.
     ///
     /// Defined for the 32-bit default only: transposing swaps the row and column
     /// spans, so a narrow index type valid for the input may not be valid for the

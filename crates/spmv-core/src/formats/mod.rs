@@ -6,13 +6,12 @@
 //! (GCSR) that skips empty rows, and 16-bit index compression when a block's span
 //! fits in 64K. Sliced ELL ([`SellMatrix`]) is the exception: it pads, and earns
 //! its place on the tuner's clock by removing per-row overhead. The plain
-//! [`CooMatrix`]/[`CsrMatrix`]/[`CscMatrix`] formats serve as construction
-//! intermediates and as the naive baseline.
+//! [`CooMatrix`]/[`CsrMatrix`] formats serve as construction intermediates and as
+//! the naive baseline.
 
 pub mod bcoo;
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod gcsr;
 pub mod index;
@@ -24,7 +23,6 @@ pub mod traits;
 pub use bcoo::BcooMatrix;
 pub use bcsr::{BcsrAuto, BcsrMatrix};
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::{CompressedCsr, CsrMatrix};
 pub use gcsr::GcsrMatrix;
 pub use index::{IndexArray, IndexStorage, IndexWidth};

@@ -16,8 +16,8 @@
 //! * [`multivec`] — the SpMM family: the same data structures applied to a
 //!   column-major block of `k` vectors at once, amortizing all index traffic.
 //!
-//! [`variant::KernelVariant`] provides uniform dispatch so the tuner and benchmarks
-//! can sweep the whole set.
+//! [`variant::KernelVariant`] provides uniform dispatch so the benchmarks can sweep
+//! the whole set.
 
 pub mod blocked;
 pub mod branchless;
@@ -31,7 +31,7 @@ pub mod symmetric;
 pub mod unrolled;
 pub mod variant;
 
-pub use variant::{KernelVariant, PreparedKernel};
+pub use variant::KernelVariant;
 
 #[cfg(test)]
 pub(crate) mod testing {

@@ -13,9 +13,8 @@
 //!    blocking (BCSR with power-of-two tiles up to 4×4), block-coordinate storage (BCOO),
 //!    generalized CSR for empty rows, 16-bit/32-bit index compression, sparse cache
 //!    blocking, TLB blocking, and a one-pass footprint-minimizing format heuristic.
-//! 3. **Parallelization support** ([`partition`]) — row partitioning balanced by nonzeros,
-//!    column partitioning, and segmented-scan work descriptors consumed by the
-//!    `spmv-parallel` crate.
+//! 3. **Parallelization support** ([`partition`]) — row partitioning balanced by
+//!    nonzeros, the descriptor the `spmv-parallel` engine executes.
 //!
 //! The computation implemented throughout is `y ← y + A·x` with `f64` values,
 //! matching the paper's kernel definition.
@@ -51,12 +50,9 @@ pub mod solver;
 pub mod stats;
 pub mod tuning;
 
-pub use dense::AlignedVec;
 pub use error::{Error, Result};
 pub use formats::traits::{MatrixShape, SpMv};
-pub use formats::{
-    BcooMatrix, BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, GcsrMatrix, SymBcsr, SymCsr,
-};
+pub use formats::{BcooMatrix, BcsrMatrix, CooMatrix, CsrMatrix, GcsrMatrix, SymBcsr, SymCsr};
 pub use multivec::{MultiVec, MultiVecMut};
 pub use solver::{SerialCg, SerialPower};
 pub use tuning::{

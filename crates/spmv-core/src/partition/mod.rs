@@ -1,15 +1,10 @@
 //! Thread-level decomposition of SpMV (paper Section 4.3).
 //!
-//! The paper considers three strategies: row partitioning (the one actually used in
-//! the evaluation), column partitioning, and a thread-level segmented scan that
-//! balances exactly by nonzeros. All three are implemented here as *descriptors* —
-//! pure data describing who owns what — which the `spmv-parallel` crate executes on
-//! real threads and the `spmv-archsim` crate feeds to its machine model.
+//! The paper considers three strategies — row partitioning, column partitioning and
+//! a thread-level segmented scan — and evaluates only the first. Row partitioning is
+//! the one implemented here, as a *descriptor* (pure data describing which thread
+//! owns which rows) that the tuner plans and the `spmv-parallel` engine executes.
 
-pub mod column;
 pub mod row;
-pub mod segmented;
 
-pub use column::{partition_columns_balanced, ColumnPartition};
 pub use row::{partition_rows_balanced, partition_rows_equal, RowPartition};
-pub use segmented::{partition_nonzeros, NonzeroChunk, SegmentedPartition};

@@ -72,9 +72,12 @@ pub struct OptimizationEntry {
     pub class: OptimizationClass,
     /// Applicability on (x86, Niagara, Cell) in that order.
     pub applicability: [Applicability; 3],
-    /// Which module of this reproduction implements it.
+    /// Which modules of this reproduction implement it: full paths joined by
+    /// `" / "`, or `"not implemented"`.
     pub module: &'static str,
 }
+
+const NOT_IMPLEMENTED: &str = "not implemented";
 
 /// The full contents of Table 2, with a pointer from every row to the module of this
 /// codebase that implements it.
@@ -98,7 +101,7 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "SIMDization",
             class: Code,
             applicability: [Applied, NotApplicable, Applied],
-            module: "spmv_core::kernels::unrolled",
+            module: "spmv_core::kernels::simd",
         },
         OptimizationEntry {
             name: "Pointer arithmetic",
@@ -110,13 +113,13 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "Prefetch/DMA values & indices",
             class: Code,
             applicability: [Applied, Applied, Applied],
-            module: "spmv_core::kernels::prefetch / spmv_archsim::localstore",
+            module: "spmv_core::kernels::prefetch",
         },
         OptimizationEntry {
             name: "Prefetch/DMA pointers & vectors",
             class: Code,
             applicability: [NotAttempted, NotAttempted, Applied],
-            module: "spmv_archsim::localstore",
+            module: NOT_IMPLEMENTED,
         },
         OptimizationEntry {
             name: "Block coordinate (BCOO) storage",
@@ -140,7 +143,7 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "Register blocking",
             class: DataStructure,
             applicability: [Applied, Applied, NotAttempted],
-            module: "spmv_core::formats::bcsr / blocking::register",
+            module: "spmv_core::formats::bcsr / spmv_core::blocking::register",
         },
         OptimizationEntry {
             name: "Cache blocking",
@@ -158,7 +161,7 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "Threading",
             class: Parallelization,
             applicability: [Applied, Applied, Applied],
-            module: "spmv_parallel::pool",
+            module: "spmv_parallel::engine",
         },
         OptimizationEntry {
             name: "Row parallelization",
@@ -170,19 +173,19 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "NUMA-aware mapping",
             class: Parallelization,
             applicability: [Applied, NotAttempted, NoSpeedup],
-            module: "spmv_parallel::numa",
+            module: "spmv_parallel::engine",
         },
         OptimizationEntry {
             name: "Process affinity",
             class: Parallelization,
             applicability: [Applied, NoSpeedup, Applied],
-            module: "spmv_parallel::affinity",
+            module: NOT_IMPLEMENTED,
         },
         OptimizationEntry {
             name: "Memory affinity",
             class: Parallelization,
             applicability: [Applied, NotApplicable, Applied],
-            module: "spmv_parallel::numa",
+            module: "spmv_parallel::engine",
         },
     ]
 }
@@ -207,14 +210,30 @@ mod tests {
         assert!(t.len() >= 15);
     }
 
+    /// Every `spmv_<c>::a::b` a row names is a source file of this workspace:
+    /// `crates/spmv-<c>/src/a/b.rs` or `crates/spmv-<c>/src/a/b/mod.rs`.
     #[test]
-    fn every_entry_names_a_module() {
-        for e in table2() {
-            assert!(
-                e.module.contains("spmv_"),
-                "entry {} lacks module pointer",
-                e.name
-            );
+    fn every_module_path_names_a_source_file() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for e in table2().iter().filter(|e| e.module != NOT_IMPLEMENTED) {
+            for path in e.module.split(" / ") {
+                let mut parts = path.split("::");
+                let krate = parts.next().unwrap();
+                assert!(
+                    krate.starts_with("spmv_"),
+                    "{}: `{path}` is not a full path",
+                    e.name
+                );
+                let module = crates
+                    .join(krate.replace('_', "-"))
+                    .join("src")
+                    .join(parts.collect::<Vec<_>>().join("/"));
+                assert!(
+                    module.with_extension("rs").is_file() || module.join("mod.rs").is_file(),
+                    "{}: `{path}` names no source file",
+                    e.name
+                );
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! single-loop server). One **listener thread** owns the accepting socket
 //! and hands each new connection to a shard over a dedicated SPSC handoff
 //! queue (an [`std::sync::mpsc`] channel with exactly one producer); the
-//! target shard is the one with the fewest active connections at accept
-//! time (ties broken round-robin), so long-lived connections spread evenly
+//! target shard is the one with the fewest open connections handed to it
+//! (ties broken round-robin), so long-lived connections spread evenly
 //! without any rebalancing machinery. Each shard thread then runs the
 //! read → dispatch → collect-tickets → write → block cycle of
 //! [`crate::server`] over *its own* connection set and *its own* per-matrix
@@ -157,16 +157,22 @@ impl ShardedNetServer {
                 // handoff channel disconnects, which is the shards' signal
                 // that no further connections can arrive.
                 let mut rr = 0usize;
+                // Connections handed to each shard. A shard counts a
+                // connection as accepted only once it adopts it, so its own
+                // `active()` lags a hand-off still in the queue; hand-offs
+                // minus the shard's closes does not.
+                let mut handed = vec![0u64; listener_stats.len()];
                 while !listener_shutdown.load(Ordering::Acquire) {
                     // Until `WouldBlock`: the backlog is empty.
                     while let Ok((stream, _)) = listener.accept() {
-                        // Least-loaded shard by active connections;
+                        // Least-loaded shard by open connections;
                         // round-robin breaks ties deterministically.
                         let least = (0..listener_stats.len())
                             .map(|k| (k + rr) % listener_stats.len())
-                            .min_by_key(|&k| listener_stats[k].active())
+                            .min_by_key(|&k| handed[k].saturating_sub(listener_stats[k].closed()))
                             .unwrap_or(0);
                         rr = (least + 1) % listener_stats.len();
+                        handed[least] += 1;
                         if senders[least].send(stream).is_err() {
                             return; // shard gone — shutting down
                         }

@@ -10,7 +10,8 @@
 //! ```
 
 use spmv_multicore::prelude::*;
-use spmv_multicore::spmv_core::dense::{axpy, dot, norm2};
+use spmv_multicore::spmv_core::solver::kernels::norm_squared;
+use spmv_multicore::spmv_parallel::FusedCg;
 use std::time::Instant;
 
 /// Build a symmetric positive-definite matrix: Aᵀ·A of a FEM-style matrix plus a
@@ -42,55 +43,34 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
-    let mut tuned = SpmvEngine::tuned(&a, threads, &TuningConfig::full()).expect("fresh plan fits");
+    let engine = SpmvEngine::tuned(&a, threads, &TuningConfig::full()).expect("fresh plan fits");
 
     // Right-hand side chosen so the exact solution is all-ones.
     let ones = vec![1.0; n];
     let b = a.spmv_alloc(&ones);
 
-    // Standard conjugate gradient.
-    let mut x = vec![0.0; n];
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut rs_old = dot(&r, &r);
-    let b_norm = norm2(&b).max(1e-30);
-
+    // Fused conjugate gradient: one engine epoch per batch of iterations, the
+    // solver state resident in the workers' slabs.
     let max_iters = 500;
-    let tol = 1e-10;
+    let tol = 1e-10 * norm_squared(&b).sqrt();
     let start = Instant::now();
-    let mut spmv_calls = 0usize;
-    let mut converged_at = None;
-    for iter in 0..max_iters {
-        let mut ap = vec![0.0; n];
-        tuned.spmv(&p, &mut ap);
-        spmv_calls += 1;
-        let alpha = rs_old / dot(&p, &ap).max(1e-300);
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let rs_new = dot(&r, &r);
-        if rs_new.sqrt() / b_norm < tol {
-            converged_at = Some(iter + 1);
-            break;
-        }
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
-    }
+    let mut cg = FusedCg::new(engine, &b);
+    let iters = cg.run(tol, max_iters);
     let elapsed = start.elapsed().as_secs_f64();
 
-    match converged_at {
-        Some(iters) => println!("converged in {iters} iterations"),
-        None => println!("did not converge within {max_iters} iterations"),
+    if cg.residual_norm() <= tol {
+        println!("converged in {iters} iterations");
+    } else {
+        println!("did not converge within {max_iters} iterations");
     }
+    let x = cg.solution();
     let err = x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
     println!("max |x_i - 1| = {err:.2e}");
     println!(
         "{} SpMV calls in {:.3} s  ({:.2} Gflop/s of SpMV work, {} threads)",
-        spmv_calls,
+        iters,
         elapsed,
-        (2 * a.nnz() * spmv_calls) as f64 / elapsed / 1e9,
+        (2 * a.nnz() as u64 * iters) as f64 / elapsed / 1e9,
         threads
     );
     assert!(err < 1e-6, "CG failed to recover the expected solution");
