@@ -11,8 +11,8 @@
 //! `mul`/`add` instructions (deliberately not FMA), so scalar and SIMD builds are
 //! **bit-identical** — unlike the SpMV kernels, where FMA contraction makes the
 //! vector leg a different accumulation class, the solver's vector arithmetic never
-//! changes with the `SPMV_SIMD` knob. Element-wise kernels (`axpy`, `xpby`,
-//! `scale_from`) are trivially order-independent per element.
+//! changes with the `SPMV_SIMD` knob. Element-wise kernels (`xpby`, `scale_from`)
+//! are trivially order-independent per element.
 //!
 //! [`tree_sum`] folds per-thread partial scalars in the same pairwise order as
 //! [`crate::tuning::reduce_tree`] folds per-thread vectors, so every worker (and
@@ -33,17 +33,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Squared Euclidean norm, `dot(a, a)`.
-pub fn norm_squared(a: &[f64]) -> f64 {
-    match detect() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => unsafe { dot_avx2(a, a) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { dot_neon(a, a) },
-        _ => dot_scalar(a, a),
-    }
-}
-
 /// The fused CG interior update, one pass over the slice:
 /// `x += alpha·p`, `r -= alpha·w`, returning the partial `r·r` of the updated
 /// residual slice under the same four-lane schedule as [`dot`].
@@ -59,14 +48,6 @@ pub fn cg_update(alpha: f64, p: &[f64], w: &[f64], x: &mut [f64], r: &mut [f64])
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { cg_update_neon(alpha, p, w, x, r) },
         _ => cg_update_scalar(alpha, p, w, x, r),
-    }
-}
-
-/// `y += alpha·x` (element-wise; bit-stable under vectorization).
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy operands must have equal length");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
     }
 }
 
@@ -90,29 +71,31 @@ pub fn scale_from(src: &[f64], s: f64, dst: &mut [f64]) {
     }
 }
 
-/// Deterministic pairwise tree sum over per-thread partial scalars.
+/// Deterministic pairwise tree sum over `count` per-thread partial scalars,
+/// `at(i)` being partial `i`.
 ///
-/// Folds `slots` in exactly the order [`crate::tuning::reduce_tree`] folds
-/// per-thread vectors (stride 1, 2, 4, …; slot `i` with `i % (2·stride) == 0`
-/// absorbs slot `i + stride` when it exists), expressed allocation-free as a
-/// recursion so every engine worker can evaluate it locally after a barrier and
-/// arrive at the same scalar.
-pub fn tree_sum(slots: &[f64]) -> f64 {
-    fn rec(slots: &[f64], i: usize, span: usize) -> f64 {
+/// Folds in exactly the order [`crate::tuning::reduce_tree`] folds per-thread
+/// vectors (stride 1, 2, 4, …; partial `i` with `i % (2·stride) == 0` absorbs
+/// partial `i + stride` when it exists), expressed allocation-free as a
+/// recursion over the accessor, so the serial references fold a slice and
+/// every engine worker folds the shared slots locally after a barrier — and
+/// all arrive at the same scalar.
+pub fn tree_sum(count: usize, at: impl Fn(usize) -> f64) -> f64 {
+    fn rec(at: &impl Fn(usize) -> f64, count: usize, i: usize, span: usize) -> f64 {
         if span == 1 {
-            return slots[i];
+            return at(i);
         }
         let half = span / 2;
-        let left = rec(slots, i, half);
-        if i + half < slots.len() {
-            left + rec(slots, i + half, half)
+        let left = rec(at, count, i, half);
+        if i + half < count {
+            left + rec(at, count, i + half, half)
         } else {
             left
         }
     }
-    match slots.len() {
+    match count {
         0 => 0.0,
-        n => rec(slots, 0, n.next_power_of_two()),
+        n => rec(&at, n, 0, n.next_power_of_two()),
     }
 }
 
@@ -358,23 +341,18 @@ mod tests {
             let mut scratch = slots.clone();
             crate::tuning::reduce_tree(&mut scratch, 1, count);
             assert_eq!(
-                tree_sum(&slots).to_bits(),
+                tree_sum(count, |i| slots[i]).to_bits(),
                 scratch[0].to_bits(),
                 "count={count}"
             );
         }
-        assert_eq!(tree_sum(&[]), 0.0);
+        assert_eq!(tree_sum(0, |_| 1.0), 0.0);
     }
 
     #[test]
     fn elementwise_kernels() {
         let x = series(9, 0.21);
-        let mut y = series(9, 0.33);
-        let y0 = y.clone();
-        axpy(2.0, &x, &mut y);
-        for i in 0..9 {
-            assert_eq!(y[i], y0[i] + 2.0 * x[i]);
-        }
+        let y = series(9, 0.33);
         let mut p = y.clone();
         xpby(&x, 0.5, &mut p);
         for i in 0..9 {

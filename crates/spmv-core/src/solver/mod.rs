@@ -32,7 +32,7 @@ pub mod kernels;
 
 use crate::error::{Error, Result};
 use crate::formats::traits::MatrixShape;
-use crate::tuning::prepared::{reduce_into, reduce_tree, PreparedMatrix};
+use crate::tuning::prepared::PreparedMatrix;
 
 /// Serial conjugate-gradient reference over a [`PreparedMatrix`], mirrored
 /// op-for-op by the engine's fused `CgStep` epoch.
@@ -46,8 +46,9 @@ pub struct SerialCg {
     r: Vec<f64>,
     p: Vec<f64>,
     w: Vec<f64>,
-    /// Flat per-slab scratch for symmetric plans (count × nrows), zeroed per
-    /// apply — the serial mirror of the workers' persistent scratch slots.
+    /// Flat per-slab scratch for symmetric plans (count × nrows), grown on the
+    /// first apply and zeroed per apply — the serial mirror of the workers'
+    /// persistent scratch slots.
     scratch: Vec<f64>,
     partials: Vec<f64>,
     rr: f64,
@@ -66,18 +67,13 @@ impl SerialCg {
             });
         }
         let count = prepared.blocks().len();
-        let scratch_len = if prepared.is_symmetric() {
-            count * n
-        } else {
-            0
-        };
         let mut cg = SerialCg {
             prepared,
             x: vec![0.0; n],
             r: b.to_vec(),
             p: b.to_vec(),
             w: vec![0.0; n],
-            scratch: vec![0.0; scratch_len],
+            scratch: Vec::new(),
             partials: vec![0.0; count],
             rr: 0.0,
             iterations: 0,
@@ -85,44 +81,20 @@ impl SerialCg {
         for (s, block) in cg.prepared.blocks().iter().enumerate() {
             cg.partials[s] = kernels::dot(&cg.r[block.rows()], &cg.r[block.rows()]);
         }
-        cg.rr = kernels::tree_sum(&cg.partials);
+        cg.rr = kernels::tree_sum(count, |s| cg.partials[s]);
         cg.iterations = 0;
         Ok(cg)
     }
 
-    /// `w ← A·p`, the exact op sequence the engine workers run: general plans
-    /// zero each slice and execute into it; symmetric plans execute every slab
-    /// into zeroed scratch, tree-reduce, and accumulate the root into zeroed `w`.
-    fn apply(&mut self) {
-        let blocks = self.prepared.blocks();
-        if self.prepared.is_symmetric() {
-            let len = self.w.len();
-            let count = blocks.len();
-            self.scratch.fill(0.0);
-            for (block, s) in blocks.iter().zip(self.scratch.chunks_mut(len.max(1))) {
-                block.execute_full(&self.p, s);
-            }
-            reduce_tree(&mut self.scratch, len, count);
-            self.w.fill(0.0);
-            if count > 0 {
-                reduce_into(&mut self.w, &self.scratch[..len]);
-            }
-        } else {
-            for block in blocks {
-                let rows = block.rows();
-                self.w[rows.clone()].fill(0.0);
-                block.execute(&self.p, &mut self.w[rows]);
-            }
-        }
-    }
-
     /// Run one fused CG iteration; returns the updated residual norm `‖r‖₂`.
     pub fn step(&mut self) -> f64 {
-        self.apply();
+        // w ← A·p, the op sequence the engine's workers run.
+        self.w.fill(0.0);
+        self.prepared.apply(&self.p, &mut self.w, &mut self.scratch);
         for (s, block) in self.prepared.blocks().iter().enumerate() {
             self.partials[s] = kernels::dot(&self.p[block.rows()], &self.w[block.rows()]);
         }
-        let pw = kernels::tree_sum(&self.partials);
+        let pw = kernels::tree_sum(self.partials.len(), |s| self.partials[s]);
         let alpha = self.rr / pw;
         for (s, block) in self.prepared.blocks().iter().enumerate() {
             let rows = block.rows();
@@ -134,7 +106,7 @@ impl SerialCg {
                 &mut self.r[rows],
             );
         }
-        let rr_new = kernels::tree_sum(&self.partials);
+        let rr_new = kernels::tree_sum(self.partials.len(), |s| self.partials[s]);
         let beta = rr_new / self.rr;
         for block in self.prepared.blocks() {
             let rows = block.rows();
@@ -204,16 +176,11 @@ impl SerialPower {
             });
         }
         let count = prepared.blocks().len();
-        let scratch_len = if prepared.is_symmetric() {
-            count * n
-        } else {
-            0
-        };
         let mut power = SerialPower {
             prepared,
             q: vec![0.0; n],
             w: vec![0.0; n],
-            scratch: vec![0.0; scratch_len],
+            scratch: Vec::new(),
             partials_a: vec![0.0; count],
             partials_b: vec![0.0; count],
             lambda: 0.0,
@@ -222,7 +189,7 @@ impl SerialPower {
         for (s, block) in power.prepared.blocks().iter().enumerate() {
             power.partials_b[s] = kernels::dot(&v0[block.rows()], &v0[block.rows()]);
         }
-        let inv = 1.0 / kernels::tree_sum(&power.partials_b).sqrt();
+        let inv = 1.0 / kernels::tree_sum(count, |s| power.partials_b[s]).sqrt();
         for block in power.prepared.blocks() {
             let rows = block.rows();
             kernels::scale_from(&v0[rows.clone()], inv, &mut power.q[rows]);
@@ -232,34 +199,16 @@ impl SerialPower {
 
     /// One fused power step; returns the updated Rayleigh estimate `λ = qᵀAq`.
     pub fn step(&mut self) -> f64 {
-        // w ← A·q, identical op order to SerialCg::apply.
-        let blocks = self.prepared.blocks();
-        if self.prepared.is_symmetric() {
-            let len = self.w.len();
-            let count = blocks.len();
-            self.scratch.fill(0.0);
-            for (block, s) in blocks.iter().zip(self.scratch.chunks_mut(len.max(1))) {
-                block.execute_full(&self.q, s);
-            }
-            reduce_tree(&mut self.scratch, len, count);
-            self.w.fill(0.0);
-            if count > 0 {
-                reduce_into(&mut self.w, &self.scratch[..len]);
-            }
-        } else {
-            for block in blocks {
-                let rows = block.rows();
-                self.w[rows.clone()].fill(0.0);
-                block.execute(&self.q, &mut self.w[rows]);
-            }
-        }
+        // w ← A·q, the same apply as SerialCg::step.
+        self.w.fill(0.0);
+        self.prepared.apply(&self.q, &mut self.w, &mut self.scratch);
         for (s, block) in self.prepared.blocks().iter().enumerate() {
             let rows = block.rows();
             self.partials_a[s] = kernels::dot(&self.q[rows.clone()], &self.w[rows.clone()]);
             self.partials_b[s] = kernels::dot(&self.w[rows.clone()], &self.w[rows]);
         }
-        self.lambda = kernels::tree_sum(&self.partials_a);
-        let inv = 1.0 / kernels::tree_sum(&self.partials_b).sqrt();
+        self.lambda = kernels::tree_sum(self.partials_a.len(), |s| self.partials_a[s]);
+        let inv = 1.0 / kernels::tree_sum(self.partials_b.len(), |s| self.partials_b[s]).sqrt();
         for block in self.prepared.blocks() {
             let rows = block.rows();
             kernels::scale_from(&self.w[rows.clone()], inv, &mut self.q[rows]);

@@ -404,24 +404,27 @@ impl PreparedMatrix {
         &self.blocks
     }
 
-    /// The symmetric serial path: every slab computes into its own zeroed
-    /// segment of one flat scratch buffer (a single zeroed allocation per
-    /// call), segments combine pairwise in the deterministic tree order, and
-    /// the root segment accumulates into `y`. Mirrored op-for-op by the
-    /// engine's scratch reduction.
-    ///
-    /// The per-call calloc is the price of keeping `spmv(&self)` shareable and
-    /// the reference simple; iterative (steady-state) callers should use
-    /// `spmv_parallel::SpmvEngine`, whose workers own grow-once scratch and
-    /// allocate nothing per call.
-    fn spmv_symmetric(&self, x: &[f64], y: &mut [f64]) {
-        let count = self.blocks.len();
-        let len = self.nrows;
-        let mut scratch = vec![0.0f64; count * len];
+    /// `y ← y + A·x`, the one serial apply behind [`SpMv::spmv`] and the
+    /// solver references' `w ← A·p`, op for op what the engine's workers run.
+    /// General blocks execute into their own row slices of `y`. Symmetric
+    /// slabs each compute into a zeroed `nrows` segment of the caller-owned
+    /// `scratch` (grown once to `blocks × nrows`), the segments combine
+    /// pairwise in the deterministic tree order, and the root accumulates into
+    /// `y`.
+    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64], scratch: &mut Vec<f64>) {
+        if !self.symmetric {
+            for block in &self.blocks {
+                block.execute(x, &mut y[block.rows()]);
+            }
+            return;
+        }
+        let (len, count) = (self.nrows, self.blocks.len());
+        scratch.clear();
+        scratch.resize(count * len, 0.0);
         for (block, s) in self.blocks.iter().zip(scratch.chunks_mut(len.max(1))) {
             block.execute_full(x, s);
         }
-        reduce_tree(&mut scratch, len, count);
+        reduce_tree(scratch, len, count);
         if count > 0 {
             reduce_into(y, &scratch[..len]);
         }
@@ -505,14 +508,7 @@ impl MatrixShape for PreparedMatrix {
 impl SpMv for PreparedMatrix {
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         check_dims(self.nrows, self.ncols, x, y);
-        if self.symmetric {
-            self.spmv_symmetric(x, y);
-            return;
-        }
-        for block in &self.blocks {
-            let rows = block.rows();
-            block.execute(x, &mut y[rows.start..rows.end]);
-        }
+        self.apply(x, y, &mut Vec::new());
     }
 }
 

@@ -18,11 +18,12 @@
 //!   blocked, and prefetch-annotated, exactly as the footprint heuristic decided.
 //! * **Precomputed disjoint `y` slices** — the row partition is fixed at
 //!   construction; each steady-state call just offsets the destination pointer.
-//! * **Atomics-only epochs, no per-call allocation** — the caller writes the
-//!   operand views, stores an epoch word and unparks whoever sleeps (the private
-//!   `sync` module); workers wait for the next epoch with a short spin before
-//!   they park, so back-to-back epochs never enter the kernel. The compute loop
-//!   dispatches straight into the prepared, monomorphized kernels.
+//! * **Atomics-only epochs, no per-call allocation** — the caller writes one
+//!   `Op` (the operation and raw views of the vectors it touches), stores an
+//!   epoch word and unparks whoever sleeps (the private `sync` module); workers
+//!   wait for the next epoch with a short spin before they park, so
+//!   back-to-back epochs never enter the kernel. The compute loop dispatches
+//!   straight into the prepared, monomorphized kernels.
 //! * **Claimed blocks** — in an SpMV/SpMM epoch of a general plan a block is run
 //!   by whoever claims it first (one `fetch_max`): its owner when it wakes, or
 //!   the caller once block 0 is done. An epoch therefore costs at most the
@@ -43,6 +44,10 @@
 //!   pairwise tree reduction** (log₂ rounds under a sense-reversing barrier). The
 //!   reduction order is exactly the serial `PreparedMatrix`'s, so symmetric
 //!   parallel output stays bit-identical to the symmetric serial reference.
+//!   SpMV, SpMM and the fused solvers' `w ← A·p` all run this one apply.
+//! * **Always-on profiling** — whoever runs a block reads the monotonic clock
+//!   twice around it, and the caller folds the per-block times after each
+//!   epoch into [`SpmvEngine::profile`]; there is no switch.
 //!
 //! One way to build one, [`SpmvEngine::from_plan`]: materialize a [`TunePlan`]
 //! (fresh, or loaded via [`TunePlan::load`] to amortize tuning cost across
@@ -50,138 +55,81 @@
 //! [`SpmvEngine::new`] with the naive config — plain CSR blocks, the untuned
 //! baseline.
 
-use crate::sync::{epoch_word, EpochGate, EpochKind, Turn};
+use crate::sync::{epoch_word, EpochGate, EpochKind, Padded, Turn};
 use spmv_core::error::{Error, Result};
 use spmv_core::formats::CsrMatrix;
 use spmv_core::multivec::{MultiVec, MultiVecMut};
 use spmv_core::partition::row::RowPartition;
+use spmv_core::solver::kernels;
 use spmv_core::tuning::plan::{ThreadPlan, TunePlan};
 use spmv_core::tuning::prepared::PreparedBlock;
-use spmv_core::tuning::TuningConfig;
+use spmv_core::tuning::{reduce_into, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_obs::{Histogram, HistogramSnapshot, TraceKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// The per-iteration operand block: raw views of `x` and `y` published by the
-/// caller through the epoch gate. A participant dereferences them only while it
-/// holds an unchecked-in share of that epoch, during which the caller's borrow
-/// is live (the caller cannot leave the epoch, even by unwinding, before every
-/// share is checked in).
+/// What one epoch asks of whoever runs a block: the operation and raw views of
+/// exactly the vectors it reads and writes. Lengths are not carried; they
+/// follow from the engine's shape and the block. The kernel is not here either:
+/// it was bound into each [`PreparedBlock`] at construction.
 ///
-/// For an SpMM epoch, `x`/`y` are column-major blocks of `k` vectors with
-/// leading dimensions `x_ld`/`y_ld`; for SpMV, `k == 1` and the strides are
-/// unused.
+/// A participant dereferences these views only while it holds an unchecked-in
+/// share of the epoch, during which the caller's borrows are live (the caller
+/// cannot leave the epoch, even by unwinding, before every share is checked in).
 #[derive(Clone, Copy)]
-struct Operands {
-    x_ptr: *const f64,
-    x_len: usize,
-    y_ptr: *mut f64,
-    y_len: usize,
-    k: usize,
-    x_ld: usize,
-    y_ld: usize,
-}
-
-impl Operands {
-    const EMPTY: Operands = Operands {
-        x_ptr: std::ptr::null(),
-        x_len: 0,
-        y_ptr: std::ptr::null_mut(),
-        y_len: 0,
-        k: 0,
-        x_ld: 0,
-        y_ld: 0,
-    };
-}
-
-// SAFETY: Operands is a plain pointer pair; the epoch gate (epoch-word store
-// happens-before a participant's read; its check-in happens-before the caller's
-// return) provides the synchronization that makes handing it over sound.
-unsafe impl Send for Operands {}
-
-/// What the engine asks workers to do when the epoch advances.
-#[derive(Clone, Copy, PartialEq)]
-enum Command {
-    Spmv,
-    /// Batched apply: run the multi-vector kernels over the same disjoint
-    /// y-slices, each worker writing its row range of every column.
-    Spmm,
-    /// Fused CG start: `x ← 0`, `r ← b`, `p ← b`, `w ← 0` over the resident
-    /// slabs (`b` arrives as `operands.x`), per-worker `r·r` partials in the
-    /// scalar slots. The first writes double as first-touch placement.
-    CgInit,
-    /// `steps` whole fused CG iterations (SpMV + both dots + both vector
-    /// updates each) under this single epoch; `rr` is the `r·r` entering the
-    /// first one. Every worker carries the recurrence scalar locally across
-    /// the in-epoch iterations, so batching costs no extra communication —
-    /// just one ordering barrier between consecutive iterations.
-    CgStep {
-        steps: u64,
-        rr: f64,
+enum Op {
+    /// `y ← y + A·x`.
+    Spmv { x: *const f64, y: *mut f64 },
+    /// `Y ← Y + A·X` over column-major blocks of `k` vectors (leading
+    /// dimensions `ncols` and `nrows`): each block writes its row range of
+    /// every column.
+    Spmm {
+        x: *const f64,
+        y: *mut f64,
+        k: usize,
     },
-    /// Re-seed the resident CG state after a hot swap: `operands.x` is the
-    /// concatenated `[x; r; p]` (3·n), each worker copies its row slices.
-    CgLoad,
-    /// Fused power-iteration start: `q ← v0/‖v0‖` (`v0` as `operands.x`).
-    PowerInit,
+    /// Fused CG start: `x ← 0`, `r ← p ← b`, `w ← 0`, per-participant `r·r`
+    /// partials. The first writes double as first-touch placement.
+    CgInit { b: *const f64, slabs: Slabs },
+    /// Re-seed the resident CG state after a hot swap: each owner copies its
+    /// row slices of `x`, `r`, `p`, so the pages stay first-touch placed.
+    CgLoad {
+        x: *const f64,
+        r: *const f64,
+        p: *const f64,
+        slabs: Slabs,
+    },
+    /// `steps` whole fused CG iterations (SpMV + both dots + both vector
+    /// updates each); `rr` is the `r·r` entering the first. Every participant
+    /// carries the recurrence scalar locally across the in-epoch iterations,
+    /// so batching costs no extra communication — just one ordering barrier
+    /// between consecutive iterations.
+    CgStep { slabs: Slabs, steps: u64, rr: f64 },
+    /// Fused power-iteration start: `q ← v0/‖v0‖`.
+    PowerInit { v0: *const f64, slabs: Slabs },
     /// One fused power-iteration step: `w ← A·q`, Rayleigh + norm partials,
-    /// `q ← w/‖w‖`, all under this single epoch.
-    PowerStep,
+    /// `q ← w/‖w‖`.
+    PowerStep { slabs: Slabs },
 }
 
-impl Command {
-    fn is_solver(&self) -> bool {
-        matches!(
-            self,
-            Command::CgInit
-                | Command::CgStep { .. }
-                | Command::CgLoad
-                | Command::PowerInit
-                | Command::PowerStep
-        )
-    }
-}
+// SAFETY: an `Op` is plain pointers and scalars. The epoch gate (epoch-word
+// store happens-before a participant's read; its check-in happens-before the
+// caller's return) orders every access, and participants write only disjoint
+// row slices or barrier-ordered phases.
+unsafe impl Send for Op {}
 
-/// What one epoch carries from the caller to whoever runs a block. The kernel
-/// itself is *not* here — it was bound into each [`PreparedBlock`] at
-/// construction.
+/// Base pointers of the engine-resident solver vectors ([`SolverVectors`]),
+/// each `nrows` long, published with every solver op.
 #[derive(Clone, Copy)]
-struct Job {
-    command: Command,
-    operands: Operands,
-    /// Base pointers of the resident solver slabs for solver epochs (the slabs
-    /// themselves are owned by the [`SpmvEngine`]; see [`SolverVectors`]).
-    solver: SolverOps,
-}
-
-/// Published views of the engine-resident solver vectors for one solver epoch.
-/// Same synchronization contract as [`Operands`].
-#[derive(Clone, Copy)]
-struct SolverOps {
+struct Slabs {
     x: *mut f64,
     r: *mut f64,
     p: *mut f64,
     w: *mut f64,
-    n: usize,
 }
-
-impl SolverOps {
-    const EMPTY: SolverOps = SolverOps {
-        x: std::ptr::null_mut(),
-        r: std::ptr::null_mut(),
-        p: std::ptr::null_mut(),
-        w: std::ptr::null_mut(),
-        n: 0,
-    };
-}
-
-// SAFETY: plain pointers into the engine-owned slabs; the epoch gate orders all
-// access as for `Operands`, and participants write only disjoint row slices (or
-// barrier-ordered full-slab phases).
-unsafe impl Send for SolverOps {}
 
 /// The engine-resident iterative-solver vectors: the iterate `x`, residual `r`,
 /// search direction `p` (doubling as the power iterate `q`), and the SpMV
@@ -211,78 +159,54 @@ struct ScratchSlot(std::cell::UnsafeCell<Vec<f64>>);
 // one partner per round, with a gate barrier separating every round.
 unsafe impl Sync for ScratchSlot {}
 
-/// One worker's partial-dot slot, padded to a cache line so the per-phase
-/// scalar writes of neighbouring workers never false-share.
-#[repr(align(64))]
-struct ScalarSlot(std::cell::UnsafeCell<f64>);
-
-// SAFETY: slot `i` is written only by worker `i` before a phase barrier and
-// read by the others only after it; the barrier orders every access.
-unsafe impl Sync for ScalarSlot {}
-
-/// Shared state of the fused solver epochs: per-worker partial-dot slots,
-/// ordered by the gate barrier between the fused phases. Always present (a few
-/// cache lines); the resident vector slabs live on the engine side
-/// ([`SolverVectors`]) and are published per epoch via [`SolverOps`].
-struct SolverShared {
-    /// First partial per worker: `pᵀw` (CG) or the Rayleigh `qᵀw` (power).
-    slots_a: Vec<ScalarSlot>,
-    /// Second partial per worker: `rᵀr` (CG) or `wᵀw` (power).
-    slots_b: Vec<ScalarSlot>,
+/// One zeroed word per participant, each on its own cache line so one
+/// participant's store never bounces another's line.
+fn padded_words(n: usize) -> Vec<Padded<AtomicU64>> {
+    (0..n).map(|_| Padded(AtomicU64::new(0))).collect()
 }
 
-/// Fold the per-worker scalar slots in the deterministic pairwise tree order of
-/// [`spmv_core::solver::kernels::tree_sum`] (itself the scalar twin of
-/// [`spmv_core::tuning::reduce_tree`]'s schedule), without materializing a
-/// slice — every worker and the caller evaluate this locally after a barrier
-/// and arrive at the same `f64`.
-///
-/// SAFETY: callers must order this after the barrier (or completion) that
-/// publishes the slot writes.
-unsafe fn tree_sum_slots(slots: &[ScalarSlot]) -> f64 {
-    unsafe fn rec(slots: &[ScalarSlot], i: usize, span: usize) -> f64 {
-        if span == 1 {
-            return *slots[i].0.get();
-        }
-        let half = span / 2;
-        let left = rec(slots, i, half);
-        if i + half < slots.len() {
-            left + rec(slots, i + half, half)
-        } else {
-            left
-        }
+/// One scalar partial per participant for a fused solver phase. Participant
+/// `i` writes slot `i` before a phase barrier (or its check-in); after it,
+/// every participant and the caller fold all slots locally and arrive at the
+/// same `f64`, so no scalar is ever broadcast.
+struct Partials(Vec<Padded<AtomicU64>>);
+
+impl Partials {
+    // Relaxed: the phase barrier or the epoch's completion orders every store
+    // before the loads that follow it.
+    fn set(&self, i: usize, value: f64) {
+        self.0[i].0.store(value.to_bits(), Ordering::Relaxed);
     }
-    match slots.len() {
-        0 => 0.0,
-        n => rec(slots, 0, n.next_power_of_two()),
+
+    /// The slots folded in [`kernels::tree_sum`]'s deterministic order.
+    fn sum(&self) -> f64 {
+        kernels::tree_sum(self.0.len(), |i| {
+            f64::from_bits(self.0[i].0.load(Ordering::Relaxed))
+        })
     }
 }
 
 /// State shared by the caller and the workers.
 struct Shared {
     /// The epoch protocol: publication, claims, check-in, barrier.
-    gate: EpochGate<Job>,
+    gate: EpochGate<Op>,
     /// Thread block `i`, set once by participant `i` during construction (first
     /// touch) and read by whoever runs block `i` afterwards. Unset = its build
     /// failed.
     blocks: Vec<OnceLock<PreparedBlock>>,
+    /// Rows of the matrix: the length of each `y` column.
+    nrows: usize,
     /// Per-participant scratch destinations; `Some` only for symmetric engines.
     sym: Option<Vec<ScratchSlot>>,
-    /// Partial-dot slots for the fused solver epochs.
-    solver: SolverShared,
-    /// Kernel nanoseconds block `i` took in the most recent epoch, cache-line
-    /// padded so one store never bounces another block's line. Written by
+    /// First solver partial: `pᵀw` (CG) or the Rayleigh `qᵀw` (power).
+    dots_a: Partials,
+    /// Second solver partial: `rᵀr` (CG) or `wᵀw` (power).
+    dots_b: Partials,
+    /// Kernel nanoseconds block `i` took in the most recent epoch. Written by
     /// whoever ran the block before its check-in, read and folded caller-side
     /// after the epoch completes.
-    prof: Vec<ProfSlot>,
-    /// Whether block runs take timestamps; off, an epoch pays a single
-    /// relaxed load.
-    profiling: AtomicBool,
+    prof: Vec<Padded<AtomicU64>>,
 }
-
-/// One worker's last-epoch kernel time, padded to a cache line.
-#[repr(align(64))]
-struct ProfSlot(AtomicU64);
 
 /// What a participant materializes during construction (on its own thread, for
 /// first-touch placement): its row slice of the matrix and the plan for it.
@@ -317,14 +241,13 @@ pub struct WorkerProfile {
 /// The engine's runtime telemetry report, the companion of
 /// [`EngineFootprint`]: where the epochs' cycles went, per worker.
 ///
-/// Per-epoch block kernel times are taken by whoever runs the block
-/// (two monotonic-clock reads per block per epoch, ~50ns, off unless
-/// profiling is enabled — see [`SpmvEngine::set_profiling`]); the caller folds
-/// them after each epoch completes, so reading the profile never touches
-/// the workers.
+/// Per-epoch block kernel times are taken by whoever runs the block (two
+/// monotonic-clock reads per block per epoch, ~50ns, always on); the caller
+/// folds them after each epoch completes, so reading the profile never
+/// touches the workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineProfile {
-    /// Total completed epochs (all commands).
+    /// Total completed epochs (all operations).
     pub epochs: u64,
     /// Epochs that ran [`SpmvEngine::spmv`].
     pub spmv_epochs: u64,
@@ -385,7 +308,6 @@ impl EngineProfile {
 /// takes `&mut self`, and the epoch's completion already ordered the block
 /// runners' slot writes before the fold).
 struct EngineTelemetry {
-    enabled: bool,
     epochs: u64,
     spmv_epochs: u64,
     spmm_epochs: u64,
@@ -397,9 +319,8 @@ struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    fn new(nworkers: usize, enabled: bool) -> Self {
+    fn new(nworkers: usize) -> Self {
         EngineTelemetry {
-            enabled,
             epochs: 0,
             spmv_epochs: 0,
             spmm_epochs: 0,
@@ -410,16 +331,6 @@ impl EngineTelemetry {
             stolen_blocks: 0,
         }
     }
-}
-
-/// Whether engines profile by default: yes, unless `SPMV_PROF=off` (or `0`).
-fn profiling_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let raw = std::env::var("SPMV_PROF").unwrap_or_default();
-        let val = raw.trim();
-        !(val == "0" || val.eq_ignore_ascii_case("off"))
-    })
 }
 
 /// A persistent, NUMA-placed, fully-tuned parallel SpMV engine for one matrix.
@@ -492,30 +403,22 @@ impl SpmvEngine {
             .collect();
         let n = specs.len();
         let per_worker_nnz: Vec<usize> = specs.iter().map(|(slice, _)| slice.nnz()).collect();
-        let scalar_slots = || -> Vec<ScalarSlot> {
-            (0..n)
-                .map(|_| ScalarSlot(std::cell::UnsafeCell::new(0.0)))
-                .collect()
-        };
-        let idle = Job {
-            command: Command::Spmv,
-            operands: Operands::EMPTY,
-            solver: SolverOps::EMPTY,
+        let idle = Op::Spmv {
+            x: std::ptr::null(),
+            y: std::ptr::null_mut(),
         };
         let shared = Arc::new(Shared {
             gate: EpochGate::new(n, idle),
             blocks: (0..n).map(|_| OnceLock::new()).collect(),
+            nrows: csr.nrows(),
             sym: plan.symmetric.then(|| {
                 (0..n)
                     .map(|_| ScratchSlot(std::cell::UnsafeCell::new(Vec::new())))
                     .collect()
             }),
-            solver: SolverShared {
-                slots_a: scalar_slots(),
-                slots_b: scalar_slots(),
-            },
-            prof: (0..n).map(|_| ProfSlot(AtomicU64::new(0))).collect(),
-            profiling: AtomicBool::new(profiling_default()),
+            dots_a: Partials(padded_words(n)),
+            dots_b: Partials(padded_words(n)),
+            prof: padded_words(n),
         });
 
         let mut specs = specs.into_iter();
@@ -554,7 +457,7 @@ impl SpmvEngine {
             epoch: 0,
             solver: None,
             per_worker_nnz,
-            telemetry: EngineTelemetry::new(n, profiling_default()),
+            telemetry: EngineTelemetry::new(n),
         };
         if failed > 0 {
             // Dropping joins the surviving workers; the failed ones already exited.
@@ -612,68 +515,49 @@ impl SpmvEngine {
         }
     }
 
-    /// Run one epoch: publish the operands and the current solver slab views,
-    /// take part as participant 0, and return once every block is checked in.
-    /// The single round-trip every steady-state entry point shares.
-    fn launch_and_wait(&mut self, command: Command, operands: Operands) {
-        let solver = match self.solver.as_mut() {
-            Some(s) => SolverOps {
-                x: s.x.as_mut_ptr(),
-                r: s.r.as_mut_ptr(),
-                p: s.p.as_mut_ptr(),
-                w: s.w.as_mut_ptr(),
-                n: s.x.len(),
-            },
-            None => SolverOps::EMPTY,
-        };
-        let job = Job {
-            command,
-            operands,
-            solver,
-        };
+    /// Run one epoch: publish `op`, take part as participant 0, and return
+    /// once every block is checked in. The single round-trip every
+    /// steady-state entry point shares.
+    fn launch_and_wait(&mut self, op: Op) {
         self.epoch += 1;
-        let t0 = self.telemetry.enabled.then(Instant::now);
+        let t0 = Instant::now();
         let shared = &*self.shared;
         // Symmetric and solver epochs need every participant at their in-epoch
-        // barriers, so seat i runs block i; otherwise blocks are claimed.
-        let rendezvous = self.symmetric || command.is_solver();
-        let kind = if rendezvous {
-            EpochKind::Rendezvous
-        } else {
-            EpochKind::Claim
+        // barriers, so seat i runs block i; plain ones are claimed. Block 0 is
+        // the caller's either way (nobody else claims it).
+        let (kind, claimable) = match op {
+            Op::Spmv { .. } | Op::Spmm { .. } if !self.symmetric => {
+                (EpochKind::Claim, shared.blocks.len())
+            }
+            _ => (EpochKind::Rendezvous, 1),
         };
         {
             // The guard waits, when dropped, for every share of the epoch —
-            // also if a kernel below unwinds — so `x`/`y` cannot be released
-            // under a running worker.
-            let mut epoch = shared.gate.open(epoch_word(self.epoch, kind), job);
-            // Block 0 first (nobody else claims it), then, in a claim epoch,
-            // whatever no owner has claimed yet.
-            let claimable = if rendezvous { 1 } else { shared.blocks.len() };
+            // also if a kernel below unwinds — so the views in `op` cannot be
+            // released under a running worker.
+            let mut epoch = shared.gate.open(epoch_word(self.epoch, kind), op);
             for block in 0..claimable {
                 if epoch.claim(block) {
-                    run_block(shared, block, &job);
+                    run_block(shared, block, op);
                     self.telemetry.stolen_blocks += (block > 0) as u64;
                 }
             }
         }
-        if let Some(t0) = t0 {
-            self.observe_epoch(command, spmv_obs::saturating_nanos(t0.elapsed()));
-        }
+        self.observe_epoch(op, spmv_obs::saturating_nanos(t0.elapsed()));
     }
 
     /// Fold the finished epoch into the telemetry accumulators: per-block
     /// kernel time from the profiling slots, barrier wait as the gap to the
     /// epoch's slowest block, and the whole-epoch wall time histogram.
-    fn observe_epoch(&mut self, command: Command, wall_ns: u64) {
+    fn observe_epoch(&mut self, op: Op, wall_ns: u64) {
         let t = &mut self.telemetry;
         t.epochs += 1;
-        let cmd_code: u64 = match command {
-            Command::Spmv => {
+        let op_code: u64 = match op {
+            Op::Spmv { .. } => {
                 t.spmv_epochs += 1;
                 0
             }
-            Command::Spmm => {
+            Op::Spmm { .. } => {
                 t.spmm_epochs += 1;
                 1
             }
@@ -696,21 +580,7 @@ impl SpmvEngine {
             t.worker_barrier_ns[i] += max - ns;
         }
         t.epoch_hist.record(wall_ns);
-        spmv_obs::trace::trace(TraceKind::EngineEpoch, cmd_code, wall_ns);
-    }
-
-    /// Enable or disable per-epoch profiling. Off, block runs skip their two
-    /// monotonic-clock reads per epoch and the caller skips the fold — the
-    /// "uninstrumented" side of the bench overhead ablation. The default is
-    /// on (overridable process-wide with `SPMV_PROF=off`).
-    pub fn set_profiling(&mut self, on: bool) {
-        self.telemetry.enabled = on;
-        self.shared.profiling.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether per-epoch profiling is currently enabled.
-    pub fn profiling(&self) -> bool {
-        self.telemetry.enabled
+        spmv_obs::trace::trace(TraceKind::EngineEpoch, op_code, wall_ns);
     }
 
     /// The runtime telemetry report accumulated so far (see [`EngineProfile`]).
@@ -736,22 +606,16 @@ impl SpmvEngine {
         }
     }
 
-    /// `y ← y + A·x`, steady state: publish operands, open the epoch, run block 0
-    /// (and any block left unclaimed), wait for the rest. No allocation, no
-    /// locks in the compute loop.
+    /// `y ← y + A·x`, steady state: publish the views, open the epoch, run
+    /// block 0 (and any block left unclaimed), wait for the rest. No
+    /// allocation, no locks in the compute loop.
     pub fn spmv(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "source vector length mismatch");
         assert_eq!(y.len(), self.nrows, "destination vector length mismatch");
-        let operands = Operands {
-            x_ptr: x.as_ptr(),
-            x_len: x.len(),
-            y_ptr: y.as_mut_ptr(),
-            y_len: y.len(),
-            k: 1,
-            x_ld: self.ncols,
-            y_ld: self.nrows,
-        };
-        self.launch_and_wait(Command::Spmv, operands);
+        self.launch_and_wait(Op::Spmv {
+            x: x.as_ptr(),
+            y: y.as_mut_ptr(),
+        });
     }
 
     /// Batched steady state: `Y ← Y + A·X` for a column-major block of `x.k()`
@@ -768,34 +632,35 @@ impl SpmvEngine {
         if x.k() == 0 {
             return;
         }
-        let operands = Operands {
-            x_ptr: x.data().as_ptr(),
-            x_len: x.data().len(),
-            y_ptr: y.data_mut().as_mut_ptr(),
-            y_len: y.data().len(),
+        self.launch_and_wait(Op::Spmm {
+            x: x.data().as_ptr(),
+            y: y.data_mut().as_mut_ptr(),
             k: x.k(),
-            x_ld: self.ncols,
-            y_ld: self.nrows,
-        };
-        self.launch_and_wait(Command::Spmm, operands);
+        });
     }
 
-    /// Allocate the resident solver slabs if absent. The `vec![0.0; n]`
+    /// The resident solver slabs, allocated on first use. The `vec![0.0; n]`
     /// allocations are lazy zero pages; the workers' first writes (in the init
     /// epochs) are what actually touch — and therefore place — them.
-    fn ensure_solver(&mut self) {
+    fn slabs(&mut self) -> Slabs {
         assert_eq!(
             self.nrows, self.ncols,
             "in-engine iterative solvers require a square matrix"
         );
-        if self.solver.is_none() {
-            let n = self.nrows;
-            self.solver = Some(Box::new(SolverVectors {
+        let n = self.nrows;
+        let s = self.solver.get_or_insert_with(|| {
+            Box::new(SolverVectors {
                 x: vec![0.0; n],
                 r: vec![0.0; n],
                 p: vec![0.0; n],
                 w: vec![0.0; n],
-            }));
+            })
+        });
+        Slabs {
+            x: s.x.as_mut_ptr(),
+            r: s.r.as_mut_ptr(),
+            p: s.p.as_mut_ptr(),
+            w: s.w.as_mut_ptr(),
         }
     }
 
@@ -809,15 +674,12 @@ impl SpmvEngine {
     /// [`SpmvEngine::cg_step`]. One epoch.
     pub fn cg_init(&mut self, b: &[f64]) -> f64 {
         assert_eq!(b.len(), self.ncols, "right-hand side length mismatch");
-        self.ensure_solver();
-        let operands = Operands {
-            x_ptr: b.as_ptr(),
-            x_len: b.len(),
-            ..Operands::EMPTY
-        };
-        self.launch_and_wait(Command::CgInit, operands);
-        // SAFETY: the epoch's completion above ordered every slot write before us.
-        unsafe { tree_sum_slots(&self.shared.solver.slots_b) }
+        let slabs = self.slabs();
+        self.launch_and_wait(Op::CgInit {
+            b: b.as_ptr(),
+            slabs,
+        });
+        self.shared.dots_b.sum()
     }
 
     /// `steps` whole fused CG iterations — SpMV, both dot products, both
@@ -837,9 +699,9 @@ impl SpmvEngine {
         if steps == 0 {
             return rr;
         }
-        self.launch_and_wait(Command::CgStep { steps, rr }, Operands::EMPTY);
-        // SAFETY: as in cg_init.
-        unsafe { tree_sum_slots(&self.shared.solver.slots_b) }
+        let slabs = self.slabs();
+        self.launch_and_wait(Op::CgStep { slabs, steps, rr });
+        self.shared.dots_b.sum()
     }
 
     /// Re-seed the resident CG state (after a [`SpmvEngine::swap_with`] hot
@@ -851,30 +713,24 @@ impl SpmvEngine {
             x.len() == n && r.len() == n && p.len() == n,
             "solver state length mismatch"
         );
-        self.ensure_solver();
-        let mut buf = Vec::with_capacity(3 * n);
-        buf.extend_from_slice(x);
-        buf.extend_from_slice(r);
-        buf.extend_from_slice(p);
-        let operands = Operands {
-            x_ptr: buf.as_ptr(),
-            x_len: buf.len(),
-            ..Operands::EMPTY
-        };
-        self.launch_and_wait(Command::CgLoad, operands);
+        let slabs = self.slabs();
+        self.launch_and_wait(Op::CgLoad {
+            x: x.as_ptr(),
+            r: r.as_ptr(),
+            p: p.as_ptr(),
+            slabs,
+        });
     }
 
     /// Start fused power iteration: `q ← v0/‖v0‖` on the resident slabs
     /// (`q` lives in the `p` slab). One epoch.
     pub fn power_init(&mut self, v0: &[f64]) {
         assert_eq!(v0.len(), self.ncols, "start vector length mismatch");
-        self.ensure_solver();
-        let operands = Operands {
-            x_ptr: v0.as_ptr(),
-            x_len: v0.len(),
-            ..Operands::EMPTY
-        };
-        self.launch_and_wait(Command::PowerInit, operands);
+        let slabs = self.slabs();
+        self.launch_and_wait(Op::PowerInit {
+            v0: v0.as_ptr(),
+            slabs,
+        });
     }
 
     /// One fused power-iteration step (`w ← A·q`, Rayleigh + norm partials,
@@ -886,9 +742,9 @@ impl SpmvEngine {
             self.solver.is_some(),
             "power_step requires power_init first"
         );
-        self.launch_and_wait(Command::PowerStep, Operands::EMPTY);
-        // SAFETY: as in cg_init.
-        unsafe { tree_sum_slots(&self.shared.solver.slots_a) }
+        let slabs = self.slabs();
+        self.launch_and_wait(Op::PowerStep { slabs });
+        self.shared.dots_a.sum()
     }
 
     /// Read the resident solver state `(x, r, p)` — the extraction point of a
@@ -975,8 +831,8 @@ fn worker_loop(shared: Arc<Shared>, tid: usize, spec: BlockSpec) {
         match shared.gate.next_turn(tid, &mut seen) {
             Turn::Shutdown => return,
             Turn::Stolen => {}
-            Turn::Run(job) => {
-                run_block(&shared, tid, &job);
+            Turn::Run(op) => {
+                run_block(&shared, tid, op);
                 shared.gate.check_in(tid, 1);
             }
         }
@@ -985,82 +841,189 @@ fn worker_loop(shared: Arc<Shared>, tid: usize, spec: BlockSpec) {
 
 /// One block's share of an epoch, on whichever thread claimed block `i` (or
 /// sits in seat `i` of a rendezvous epoch).
-fn run_block(shared: &Shared, i: usize, job: &Job) {
+///
+/// A solver op runs its entire step — SpMV, both dot products, both vector
+/// updates — inside this one share. Scalar partials travel through
+/// [`Partials`]; after each phase barrier **every** participant folds them in
+/// the same deterministic order and derives α/β (or the normalizer) locally,
+/// so the arithmetic matches [`spmv_core::solver::SerialCg`] /
+/// [`spmv_core::solver::SerialPower`] op-for-op.
+fn run_block(shared: &Shared, i: usize, op: Op) {
     let block = shared.blocks[i]
         .get()
         .expect("construction fails unless every block is built");
-    let operands = &job.operands;
+    let t0 = Instant::now();
     let rows = block.rows();
-    let row_offset = rows.start;
-    let row_count = rows.end - rows.start;
-    // Relaxed: a mode switch; a run that misses a toggle is merely (un)timed.
-    let prof_t0 = shared.profiling.load(Ordering::Relaxed).then(Instant::now);
-    match (job.command, &shared.sym) {
-        (cmd, _) if cmd.is_solver() => solver_epoch(shared, i, block, cmd, &job.solver, operands),
-        (Command::Spmv | Command::Spmm, Some(slots)) => {
-            // An SpMV is the one-column batch (`k = 1`, `x_ld = ncols`).
-            let need = operands.y_ld * operands.k;
+    let len = rows.len();
+    // This participant's row slices of a solver vector, re-derived per use so
+    // no two live references overlap. SAFETY: the caller's views are valid for
+    // this epoch; row ranges are disjoint across participants, and full-length
+    // reads (`p` in solver_apply) are phase-ordered.
+    macro_rules! own_mut {
+        ($ptr:expr) => {
+            unsafe { std::slice::from_raw_parts_mut($ptr.add(rows.start), len) }
+        };
+    }
+    macro_rules! own_ref {
+        ($ptr:expr) => {
+            unsafe { std::slice::from_raw_parts($ptr.add(rows.start) as *const f64, len) }
+        };
+    }
+    match op {
+        Op::Spmv { x, y } => apply(shared, i, block, x, y, 1, false),
+        Op::Spmm { x, y, k } => apply(shared, i, block, x, y, k, false),
+        Op::CgInit { b, slabs } => {
+            // x ← 0, r ← p ← b, w ← 0; partial r·r. These writes are the
+            // slabs' first touch, placing each page on its row owner.
+            let b_s = own_ref!(b);
+            own_mut!(slabs.x).fill(0.0);
+            own_mut!(slabs.w).fill(0.0);
+            own_mut!(slabs.r).copy_from_slice(b_s);
+            own_mut!(slabs.p).copy_from_slice(b_s);
+            shared.dots_b.set(i, kernels::dot(b_s, b_s));
+        }
+        Op::CgLoad { x, r, p, slabs } => {
+            own_mut!(slabs.x).copy_from_slice(own_ref!(x));
+            own_mut!(slabs.r).copy_from_slice(own_ref!(r));
+            own_mut!(slabs.p).copy_from_slice(own_ref!(p));
+            own_mut!(slabs.w).fill(0.0);
+        }
+        Op::CgStep {
+            slabs,
+            steps,
+            mut rr,
+        } => {
+            for it in 0..steps {
+                if it > 0 {
+                    // Orders every participant's p update (the xpby below)
+                    // before this iteration's full-length read of p in
+                    // solver_apply. Within one epoch this replaces the
+                    // completion+launch round-trip of single-step epochs.
+                    shared.gate.barrier(i);
+                }
+                // Phase A: w ← A·p, partial p·w. A partner overwrites its
+                // slot only two barriers after everyone folded it.
+                solver_apply(shared, i, block, slabs);
+                shared
+                    .dots_a
+                    .set(i, kernels::dot(own_ref!(slabs.p), own_ref!(slabs.w)));
+                shared.gate.barrier(i);
+                // Phase B: every participant folds the same tree, derives the
+                // same α, then fuses x += α·p, r -= α·w with the partial r·r.
+                let alpha = rr / shared.dots_a.sum();
+                let rr_partial = kernels::cg_update(
+                    alpha,
+                    own_ref!(slabs.p),
+                    own_ref!(slabs.w),
+                    own_mut!(slabs.x),
+                    own_mut!(slabs.r),
+                );
+                shared.dots_b.set(i, rr_partial);
+                shared.gate.barrier(i);
+                // Phase C: same folded rr′ everywhere, p ← r + β·p on own
+                // rows; the recurrence carries to the next iteration locally
+                // (the caller folds the final slots after completion).
+                let rr_new = shared.dots_b.sum();
+                kernels::xpby(own_ref!(slabs.r), rr_new / rr, own_mut!(slabs.p));
+                rr = rr_new;
+            }
+        }
+        Op::PowerInit { v0, slabs } => {
+            // q ← v0/‖v0‖ (q lives in the p slab); zero the other slabs for
+            // first-touch placement.
+            let v0_s = own_ref!(v0);
+            own_mut!(slabs.x).fill(0.0);
+            own_mut!(slabs.r).fill(0.0);
+            own_mut!(slabs.w).fill(0.0);
+            shared.dots_b.set(i, kernels::dot(v0_s, v0_s));
+            shared.gate.barrier(i);
+            let inv = 1.0 / shared.dots_b.sum().sqrt();
+            kernels::scale_from(v0_s, inv, own_mut!(slabs.p));
+        }
+        Op::PowerStep { slabs } => {
+            // w ← A·q, Rayleigh partial q·w and norm partial w·w, then every
+            // participant derives the same normalizer and writes q ← w/‖w‖.
+            // The caller folds slot a (λ) after the epoch completes.
+            solver_apply(shared, i, block, slabs);
+            let (q_s, w_s) = (own_ref!(slabs.p), own_ref!(slabs.w));
+            shared.dots_a.set(i, kernels::dot(q_s, w_s));
+            shared.dots_b.set(i, kernels::dot(w_s, w_s));
+            shared.gate.barrier(i);
+            let inv = 1.0 / shared.dots_b.sum().sqrt();
+            kernels::scale_from(own_ref!(slabs.w), inv, own_mut!(slabs.p));
+        }
+    }
+    // Kernel time for this epoch (includes in-epoch reduction rounds on the
+    // symmetric and solver paths — the time the runner was busy, which is
+    // what the imbalance report wants). Relaxed: the check-in (or, on the
+    // caller, program order) orders the store before the caller's fold.
+    shared.prof[i]
+        .0
+        .store(spmv_obs::saturating_nanos(t0.elapsed()), Ordering::Relaxed);
+}
+
+/// Block `i`'s share of `y ← y + A·x` over `k` column-major vectors (`x` of
+/// leading dimension `ncols`, `y` of `nrows`): the one apply behind SpMV and
+/// SpMM epochs and the fused solvers' `w ← A·p`. With `overwrite` it computes
+/// `y ← A·x` instead: whoever writes a part of `y` zeroes it right before.
+///
+/// A general block writes its own row range of every column. A symmetric slab
+/// computes into seat `i`'s zeroed scratch, the participants combine their
+/// scratches in the [`tree_reduce`] rounds, and participant 0 accumulates the
+/// root into `y`.
+fn apply(
+    shared: &Shared,
+    i: usize,
+    block: &PreparedBlock,
+    x: *const f64,
+    y: *mut f64,
+    k: usize,
+    overwrite: bool,
+) {
+    let (nrows, ncols) = (shared.nrows, block.ncols());
+    let rows = block.rows();
+    // SAFETY: the caller published `x` (ncols·k elements) and `y` (nrows·k)
+    // for exactly this epoch and cannot leave it before this share is checked
+    // in; nobody writes `x` during the epoch.
+    let x = unsafe { std::slice::from_raw_parts(x, ncols * k) };
+    match &shared.sym {
+        None => {
+            // SAFETY: block `i` is run by exactly one thread per epoch, and its
+            // write set — its row range of every column, `rows.len() ≤ nrows`
+            // apart — is disjoint from every other block's.
+            let mut y_rows =
+                unsafe { MultiVecMut::from_raw_parts(y.add(rows.start), nrows, rows.len(), k) };
+            if overwrite {
+                (0..k).for_each(|j| y_rows.col_mut(j).fill(0.0));
+            }
+            if k == 1 {
+                block.execute(x, y_rows.col_mut(0));
+            } else {
+                block.spmm(x, ncols, &mut y_rows);
+            }
+        }
+        Some(slots) => {
+            let need = nrows * k;
             // SAFETY: seat `i` owns its slot outside the reduction rounds.
             let scratch = unsafe { zeroed_scratch(slots, i, need) };
-            for j in 0..operands.k {
-                // SAFETY: the caller's x view is valid for this epoch; column
-                // `j` is the contiguous slice at `x_ptr + j*x_ld` of x_ld
-                // (= ncols) elements.
-                debug_assert!((j + 1) * operands.x_ld <= operands.x_len);
-                let x_col = unsafe {
-                    std::slice::from_raw_parts(operands.x_ptr.add(j * operands.x_ld), operands.x_ld)
-                };
+            for j in 0..k {
                 block.execute_full(
-                    x_col,
-                    &mut scratch[j * operands.y_ld..(j + 1) * operands.y_ld],
+                    &x[j * ncols..(j + 1) * ncols],
+                    &mut scratch[j * nrows..(j + 1) * nrows],
                 );
             }
-            sym_reduce(shared, slots, i, need, operands);
+            tree_reduce(shared, slots, i, need);
+            if i == 0 {
+                // SAFETY: the last round's barrier ordered every write to
+                // slot 0, and no other participant touches `y` on this path.
+                let root = unsafe { &*slots[0].0.get() };
+                let y = unsafe { std::slice::from_raw_parts_mut(y, need) };
+                if overwrite {
+                    y.fill(0.0);
+                }
+                reduce_into(y, &root[..need]);
+            }
         }
-        (Command::Spmv, None) => {
-            // SAFETY: the caller published valid x/y views for exactly this
-            // epoch and cannot leave it before this block is checked in;
-            // block `i` is run by exactly one thread per epoch (its claim),
-            // which writes only the block's precomputed disjoint row range.
-            let (x, y_block) = unsafe {
-                let x = std::slice::from_raw_parts(operands.x_ptr, operands.x_len);
-                debug_assert!(row_offset + row_count <= operands.y_len);
-                let y_block =
-                    std::slice::from_raw_parts_mut(operands.y_ptr.add(row_offset), row_count);
-                (x, y_block)
-            };
-            block.execute(x, y_block);
-        }
-        (Command::Spmm, None) => {
-            // SAFETY: same epoch/claim argument as above. The block's write
-            // set is its row range of every column — the column ranges
-            // `y_ptr[row_offset + j*y_ld ..][..row_count]` — which are
-            // disjoint from every other block's because the row partition
-            // is disjoint and row_count ≤ y_ld.
-            let x = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-            debug_assert!(row_offset + row_count <= operands.y_ld);
-            let mut y_cols = unsafe {
-                MultiVecMut::from_raw_parts(
-                    operands.y_ptr.add(row_offset),
-                    operands.y_ld,
-                    row_count,
-                    operands.k,
-                )
-            };
-            block.spmm(x, operands.x_ld, &mut y_cols);
-        }
-        // Solver commands are consumed by the `is_solver` guard arm above.
-        _ => unreachable!("solver command escaped the is_solver guard"),
-    }
-
-    // Kernel time for this epoch (includes in-epoch reduction rounds on
-    // the symmetric and solver paths — the time the runner was busy, which
-    // is what the imbalance report wants). Relaxed: the check-in (or, on the
-    // caller, program order) orders the store before the caller's fold.
-    if let Some(t0) = prof_t0 {
-        shared.prof[i]
-            .0
-            .store(spmv_obs::saturating_nanos(t0.elapsed()), Ordering::Relaxed);
     }
 }
 
@@ -1101,202 +1064,21 @@ fn tree_reduce(shared: &Shared, slots: &[ScratchSlot], tid: usize, len: usize) {
             // this round's barrier and does not touch it again this epoch.
             let src = unsafe { &*slots[tid + stride].0.get() };
             let dst = unsafe { &mut *slots[tid].0.get() };
-            spmv_core::tuning::reduce_into(&mut dst[..len], &src[..len]);
+            reduce_into(&mut dst[..len], &src[..len]);
         }
         stride *= 2;
     }
 }
 
-/// The symmetric epilogue every participant runs after computing its scratch
-/// contribution: [`tree_reduce`], then participant 0 accumulates the root
-/// scratch into the caller's destination.
-fn sym_reduce(shared: &Shared, slots: &[ScratchSlot], tid: usize, len: usize, operands: &Operands) {
-    tree_reduce(shared, slots, tid, len);
-    if tid == 0 {
-        // SAFETY: the last round's barrier ordered every write to slot 0, no
-        // other participant touches y on the symmetric path, and the caller's
-        // y view stays valid until the epoch completes.
-        let root = unsafe { &*slots[0].0.get() };
-        let y = unsafe { std::slice::from_raw_parts_mut(operands.y_ptr, len) };
-        spmv_core::tuning::reduce_into(y, &root[..len]);
-    }
-}
-
-/// Phase A of a fused solver step: `w ← A·p` over the resident slabs (`p`
-/// doubles as the power iterate `q`).
-///
-/// General engines write disjoint row slices of `w` exactly like an SpMV epoch.
-/// Symmetric engines compute into their scratch slots, run the same
-/// deterministic pairwise [`tree_reduce`] rounds, have participant 0 rebuild
-/// the full `w` from the root scratch, and pay **one extra barrier** so every
-/// participant's subsequent dot reads the finished `w`. Both paths mirror
-/// [`spmv_core::solver::SerialCg`]'s apply op-for-op, so the fused step stays
-/// bit-identical to the serial reference.
-fn solver_apply(shared: &Shared, tid: usize, block: &PreparedBlock, ops: &SolverOps) {
-    let n = ops.n;
-    let rows = block.rows();
-    // SAFETY (for all raw derefs here): the caller published valid slab views
-    // for exactly this epoch and cannot leave it before every participant has
-    // checked in; `p` is only read during this phase (its writers run
-    // strictly later, after the phase barriers), and `w` writes are either
-    // disjoint row slices or the barrier-ordered participant-0 rebuild.
-    let p = unsafe { std::slice::from_raw_parts(ops.p as *const f64, n) };
-    match &shared.sym {
-        None => {
-            let w_s = unsafe {
-                std::slice::from_raw_parts_mut(ops.w.add(rows.start), rows.end - rows.start)
-            };
-            w_s.fill(0.0);
-            block.execute(p, w_s);
-        }
-        Some(slots) => {
-            // SAFETY: seat `tid` owns its slot outside the reduction rounds.
-            block.execute_full(p, unsafe { zeroed_scratch(slots, tid, n) });
-            tree_reduce(shared, slots, tid, n);
-            if tid == 0 {
-                // SAFETY: the last round's barrier ordered every write to slot 0;
-                // no other participant touches `w` until the barrier below.
-                let root = unsafe { &*slots[0].0.get() };
-                let w = unsafe { std::slice::from_raw_parts_mut(ops.w, n) };
-                w.fill(0.0);
-                spmv_core::tuning::reduce_into(w, &root[..n]);
-            }
-            // The extra sync the symmetric path pays: the dots that follow read
-            // the full `w` participant 0 just rebuilt.
-            shared.gate.barrier(tid);
-        }
-    }
-}
-
-/// One fused solver epoch on this worker: the entire CG (or power-iteration)
-/// step — SpMV, both dot products, both vector updates — inside a single
-/// epoch. Scalar partials travel through the
-/// cache-line-padded [`ScalarSlot`]s; after each phase barrier **every** worker
-/// folds them with the same deterministic [`tree_sum_slots`] order and derives
-/// α/β (or the normalizer) locally, so no scalar broadcast is needed and the
-/// arithmetic matches [`spmv_core::solver::SerialCg`] /
-/// [`spmv_core::solver::SerialPower`] op-for-op.
-fn solver_epoch(
-    shared: &Shared,
-    tid: usize,
-    block: &PreparedBlock,
-    command: Command,
-    ops: &SolverOps,
-    operands: &Operands,
-) {
-    use spmv_core::solver::kernels;
-    let solver = &shared.solver;
-    let n = ops.n;
-    let rows = block.rows();
-    debug_assert!(rows.end <= n);
-    let len = rows.end - rows.start;
-    // Worker-owned row slices of the resident slabs, re-derived per use so no
-    // two live references overlap. SAFETY: the caller's slab views are valid
-    // for this epoch; row ranges are disjoint across workers, and full-slab
-    // reads (`p` in solver_apply, `w` after its barrier) are phase-ordered.
-    macro_rules! own_mut {
-        ($ptr:expr) => {
-            unsafe { std::slice::from_raw_parts_mut($ptr.add(rows.start), len) }
-        };
-    }
-    macro_rules! own_ref {
-        ($ptr:expr) => {
-            unsafe { std::slice::from_raw_parts($ptr.add(rows.start) as *const f64, len) }
-        };
-    }
-    match command {
-        Command::CgInit => {
-            // x ← 0, r ← p ← b, w ← 0; partial r·r into slot b. These writes
-            // are the slabs' first touch, placing each page on its row owner.
-            let b = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-            let b_s = &b[rows.start..rows.end];
-            own_mut!(ops.x).fill(0.0);
-            own_mut!(ops.w).fill(0.0);
-            own_mut!(ops.r).copy_from_slice(b_s);
-            own_mut!(ops.p).copy_from_slice(b_s);
-            // SAFETY: slot `tid` is ours; read only after the epoch completes.
-            unsafe { *solver.slots_b[tid].0.get() = kernels::dot(b_s, b_s) };
-        }
-        Command::CgLoad => {
-            // Re-seed from the concatenated [x; r; p] (3·n) in operands.x,
-            // copying on the owning worker so pages stay first-touch placed.
-            let src = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-            debug_assert_eq!(src.len(), 3 * n);
-            own_mut!(ops.x).copy_from_slice(&src[rows.start..rows.end]);
-            own_mut!(ops.r).copy_from_slice(&src[n + rows.start..n + rows.end]);
-            own_mut!(ops.p).copy_from_slice(&src[2 * n + rows.start..2 * n + rows.end]);
-            own_mut!(ops.w).fill(0.0);
-        }
-        Command::CgStep { steps, rr } => {
-            let mut rr = rr;
-            for it in 0..steps {
-                if it > 0 {
-                    // Orders every worker's p update (the xpby below) before
-                    // this iteration's full-slab read of p in solver_apply.
-                    // Within one epoch this replaces the completion+launch
-                    // round-trip that separated single-step epochs.
-                    shared.gate.barrier(tid);
-                }
-                // Phase A: w ← A·p, partial p·w.
-                solver_apply(shared, tid, block, ops);
-                let pw_partial = kernels::dot(own_ref!(ops.p), own_ref!(ops.w));
-                // SAFETY: slot `tid` is ours; partners read it only after the
-                // barrier (and overwrite it only after two more barriers).
-                unsafe { *solver.slots_a[tid].0.get() = pw_partial };
-                shared.gate.barrier(tid);
-                // Phase B: every worker folds the same tree, derives the same
-                // α, then fuses x += α·p, r -= α·w with the partial r·r.
-                // SAFETY: the barrier ordered all slot-a writes before these reads.
-                let pw = unsafe { tree_sum_slots(&solver.slots_a) };
-                let alpha = rr / pw;
-                let rr_partial = kernels::cg_update(
-                    alpha,
-                    own_ref!(ops.p),
-                    own_ref!(ops.w),
-                    own_mut!(ops.x),
-                    own_mut!(ops.r),
-                );
-                unsafe { *solver.slots_b[tid].0.get() = rr_partial };
-                shared.gate.barrier(tid);
-                // Phase C: same folded rr′ everywhere, p ← r + β·p on own
-                // rows; the scalar recurrence carries to the next iteration
-                // locally (the caller reads the final slots after completion).
-                let rr_new = unsafe { tree_sum_slots(&solver.slots_b) };
-                let beta = rr_new / rr;
-                kernels::xpby(own_ref!(ops.r), beta, own_mut!(ops.p));
-                rr = rr_new;
-            }
-        }
-        Command::PowerInit => {
-            // q ← v0/‖v0‖ (q lives in the p slab); zero the other slabs for
-            // first-touch placement.
-            let v0 = unsafe { std::slice::from_raw_parts(operands.x_ptr, operands.x_len) };
-            let v0_s = &v0[rows.start..rows.end];
-            own_mut!(ops.x).fill(0.0);
-            own_mut!(ops.r).fill(0.0);
-            own_mut!(ops.w).fill(0.0);
-            // SAFETY: slot writes before / tree reads after the barrier.
-            unsafe { *solver.slots_b[tid].0.get() = kernels::dot(v0_s, v0_s) };
-            shared.gate.barrier(tid);
-            let inv = 1.0 / unsafe { tree_sum_slots(&solver.slots_b) }.sqrt();
-            kernels::scale_from(v0_s, inv, own_mut!(ops.p));
-        }
-        Command::PowerStep => {
-            // w ← A·q, Rayleigh partial q·w and norm partial w·w, then every
-            // worker derives the same normalizer and writes q ← w/‖w‖.
-            solver_apply(shared, tid, block, ops);
-            let (q_s, w_s) = (own_ref!(ops.p), own_ref!(ops.w));
-            // SAFETY: slot writes before / tree reads after the barrier; the
-            // caller reads slot a (λ) only after the epoch completes.
-            unsafe {
-                *solver.slots_a[tid].0.get() = kernels::dot(q_s, w_s);
-                *solver.slots_b[tid].0.get() = kernels::dot(w_s, w_s);
-            }
-            shared.gate.barrier(tid);
-            let inv = 1.0 / unsafe { tree_sum_slots(&solver.slots_b) }.sqrt();
-            kernels::scale_from(own_ref!(ops.w), inv, own_mut!(ops.p));
-        }
-        _ => unreachable!("solver_epoch dispatched on a non-solver command"),
+/// Phase A of a fused solver step: `w ← A·p` (`p` doubling as the power
+/// iterate `q`) — the SpMV epoch's own [`apply`], overwriting. A symmetric
+/// engine pays **one extra barrier**, so the dots that follow read the full
+/// `w` participant 0 just wrote. Both paths mirror the serial references'
+/// apply op-for-op, so the fused step stays bit-identical to them.
+fn solver_apply(shared: &Shared, i: usize, block: &PreparedBlock, slabs: Slabs) {
+    apply(shared, i, block, slabs.p, slabs.w, 1, true);
+    if shared.sym.is_some() {
+        shared.gate.barrier(i);
     }
 }
 

@@ -18,7 +18,9 @@
 //!   first-touch-placed **fully tuned** `PreparedBlock`s (register blocked, index
 //!   compressed, cache/TLB blocked, prefetch annotated — the heuristic's
 //!   decisions, bound at construction), precomputed disjoint `y` slices, and no
-//!   per-call allocation. Build it with `SpmvEngine::tuned`, or from a saved
+//!   per-call allocation. Each epoch carries one operation; SpMV, SpMM and the
+//!   solvers' `w ← A·p` share one per-block apply, and every epoch is profiled
+//!   ([`EngineProfile`]). Build it with `SpmvEngine::tuned`, or from a saved
 //!   `TunePlan` profile with `SpmvEngine::from_plan`.
 //! * [`solver`] — fused in-engine iterative solvers ([`FusedCg`],
 //!   [`FusedPower`]): the whole CG / power-iteration step — SpMV, both dots,

@@ -180,8 +180,7 @@ impl FusedCg {
 }
 
 /// Fused power iteration over an engine's resident slabs: dominant
-/// eigenpair of `A`, one epoch per iteration (the PageRank-shaped workload of
-/// ROADMAP item 4).
+/// eigenpair of `A`, one epoch per iteration (the PageRank-shaped workload).
 pub struct FusedPower {
     engine: SpmvEngine,
     lambda: f64,
@@ -315,8 +314,6 @@ mod tests {
         }
     }
 
-    /// Same contract on a symmetric-storage plan (the scratch-reduction
-    /// Phase A) — fused vs serial symmetric reference.
     /// Batched epochs change no arithmetic: `iterate(k)` lands bit-identically
     /// on the trajectory of `k` single-step epochs, on general and symmetric
     /// plans, at worker counts spanning 1 to oversubscribed.
@@ -364,6 +361,8 @@ mod tests {
         }
     }
 
+    /// Same contract on a symmetric-storage plan (the scratch-reduction
+    /// Phase A) — fused vs serial symmetric reference.
     #[test]
     fn fused_cg_bit_identical_symmetric() {
         let n = 41;

@@ -92,7 +92,7 @@ enum Point {
 /// A word on its own cache line, so waiters spinning on one never slow the
 /// writers of another.
 #[repr(align(64))]
-struct Padded<T>(T);
+pub(crate) struct Padded<T>(pub(crate) T);
 
 /// One participant's place to sleep.
 #[repr(align(64))]
@@ -249,8 +249,9 @@ pub(crate) struct WaitCounts {
     pub(crate) spin_hits: u64,
 }
 
-/// The epoch gate of an `n`-block engine, carrying a payload `T` (the command
-/// and operand views) from the submitter to whoever runs a block.
+/// The epoch gate of an `n`-block engine, carrying a payload `T` (the engine's
+/// `Op`: the operation and its vector views) from the submitter to whoever
+/// runs a block.
 pub(crate) struct EpochGate<T> {
     seats: Seats,
     epoch: Padded<AtomicU64>,
@@ -768,9 +769,35 @@ mod tests {
         sym: spmv_testutil::SpdSystem,
         sym_plan: TunePlan,
         sym_spmv: Vec<f64>,
-        cg_rr: f64,
-        cg_x: Vec<f64>,
+        sym_cg: CgRefs,
+        /// The SPD system under a general (`exploit_symmetry: false`) plan.
+        spd_general_plan: TunePlan,
+        spd_general_cg: CgRefs,
         power_lambda: f64,
+    }
+
+    /// The serial CG trajectory an engine must reproduce: `r·r` and `x` after
+    /// three steps and after the fourth.
+    struct CgRefs {
+        rr3: f64,
+        x3: Vec<f64>,
+        rr4: f64,
+        x4: Vec<f64>,
+    }
+
+    fn cg_refs(prepared: PreparedMatrix, rhs: &[f64]) -> CgRefs {
+        let mut cg = SerialCg::new(prepared, rhs).unwrap();
+        for _ in 0..3 {
+            cg.step();
+        }
+        let (rr3, x3) = (cg.rr(), cg.solution().to_vec());
+        cg.step();
+        CgRefs {
+            rr3,
+            x3,
+            rr4: cg.rr(),
+            x4: cg.solution().to_vec(),
+        }
     }
 
     fn references(participants: usize) -> References {
@@ -789,23 +816,51 @@ mod tests {
         let sym_prepared = PreparedMatrix::materialize(&sym.matrix, &sym_plan).unwrap();
         let mut sym_spmv = vec![0.25; 96];
         sym_prepared.spmv(&test_x(96), &mut sym_spmv);
-        let mut cg = SerialCg::new(sym_prepared.clone(), &sym.rhs).unwrap();
-        for _ in 0..3 {
-            cg.step();
-        }
+        let sym_cg = cg_refs(sym_prepared.clone(), &sym.rhs);
         let mut power = SerialPower::new(sym_prepared, &test_x(96)).unwrap();
+
+        let general_config = TuningConfig {
+            exploit_symmetry: false,
+            ..TuningConfig::full()
+        };
+        let spd_general_plan = TunePlan::new(&sym.matrix, participants, &general_config);
+        assert!(!spd_general_plan.symmetric);
+        let spd_general_cg = cg_refs(
+            PreparedMatrix::materialize(&sym.matrix, &spd_general_plan).unwrap(),
+            &sym.rhs,
+        );
         References {
             general,
             plan,
             spmv,
             spmm,
             sym_spmv,
-            cg_rr: cg.rr(),
-            cg_x: cg.solution().to_vec(),
+            sym_cg,
+            spd_general_plan,
+            spd_general_cg,
             power_lambda: power.step(),
             sym,
             sym_plan,
         }
+    }
+
+    /// `cg_init` + `cg_step(3)`, then a `cg_load` of the engine's own state
+    /// and `cg_step(1)`: bit-identical to serial steps three and four.
+    fn check_cg(engine: &mut SpmvEngine, rhs: &[f64], refs: &CgRefs, context: &str) {
+        let rr = engine.cg_init(rhs);
+        let rr = engine.cg_step(3, rr);
+        assert_eq!(rr.to_bits(), refs.rr3.to_bits(), "cg_step(3) rr, {context}");
+        let (x, r, p) = engine.solver_state().unwrap();
+        assert_eq!(x, &refs.x3[..], "cg x, {context}");
+        let (x, r, p) = (x.to_vec(), r.to_vec(), p.to_vec());
+        engine.cg_load(&x, &r, &p);
+        let rr = engine.cg_step(1, rr);
+        assert_eq!(rr.to_bits(), refs.rr4.to_bits(), "cg_load rr, {context}");
+        assert_eq!(
+            engine.solver_state().unwrap().0,
+            &refs.x4[..],
+            "cg_load x, {context}"
+        );
     }
 
     /// Wait (yielding, under the caller's watchdog) until every worker of
@@ -817,8 +872,9 @@ mod tests {
     }
 
     /// 64 seeds × participants {1, 2, 3, 5, 8} × every kind of epoch, each
-    /// bit-identical to its serial reference. Every eighth seed starves the
-    /// owners at before-claim, so the caller must steal every block.
+    /// bit-identical to its serial reference; the CG epochs (a `cg_load`
+    /// included) run on symmetric and general plans. Every eighth seed starves
+    /// the owners at before-claim, so the caller must steal every block.
     #[test]
     fn explored_schedules_stay_bit_identical_to_the_serial_references() {
         for participants in PARTICIPANTS {
@@ -826,6 +882,8 @@ mod tests {
                 let refs = references(participants);
                 let mut general = SpmvEngine::from_plan(&refs.general, &refs.plan).unwrap();
                 let mut sym = SpmvEngine::from_plan(&refs.sym.matrix, &refs.sym_plan).unwrap();
+                let mut spd_general =
+                    SpmvEngine::from_plan(&refs.sym.matrix, &refs.spd_general_plan).unwrap();
                 let swap_plan =
                     TunePlan::new(&refs.general, participants % 3 + 1, &TuningConfig::naive());
                 let mut swap_ref = vec![0.5; 131];
@@ -839,6 +897,7 @@ mod tests {
                     let context = format!("participants={participants} seed={seed}");
                     general.set_chaos(seed, starve);
                     sym.set_chaos(seed, starve);
+                    spd_general.set_chaos(seed, starve);
                     let stolen_before = general.profile().stolen_blocks;
 
                     let mut y = vec![0.5; 131];
@@ -858,17 +917,12 @@ mod tests {
                     let mut y = vec![0.25; 96];
                     sym.spmv(&sym_x, &mut y);
                     assert_eq!(y, refs.sym_spmv, "symmetric spmv, {context}");
-                    let rr = sym.cg_init(&refs.sym.rhs);
-                    let rr = sym.cg_step(3, rr);
-                    assert_eq!(
-                        rr.to_bits(),
-                        refs.cg_rr.to_bits(),
-                        "cg_step(3) rr, {context}"
-                    );
-                    assert_eq!(
-                        sym.solver_state().unwrap().0,
-                        &refs.cg_x[..],
-                        "cg x, {context}"
+                    check_cg(&mut sym, &refs.sym.rhs, &refs.sym_cg, &context);
+                    check_cg(
+                        &mut spd_general,
+                        &refs.sym.rhs,
+                        &refs.spd_general_cg,
+                        &format!("general plan, {context}"),
                     );
                     sym.power_init(&sym_x);
                     let lambda = sym.power_step();

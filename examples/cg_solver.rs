@@ -10,7 +10,7 @@
 //! ```
 
 use spmv_multicore::prelude::*;
-use spmv_multicore::spmv_core::solver::kernels::norm_squared;
+use spmv_multicore::spmv_core::solver::kernels::dot;
 use spmv_multicore::spmv_parallel::FusedCg;
 use std::time::Instant;
 
@@ -52,7 +52,7 @@ fn main() {
     // Fused conjugate gradient: one engine epoch per batch of iterations, the
     // solver state resident in the workers' slabs.
     let max_iters = 500;
-    let tol = 1e-10 * norm_squared(&b).sqrt();
+    let tol = 1e-10 * dot(&b, &b).sqrt();
     let start = Instant::now();
     let mut cg = FusedCg::new(engine, &b);
     let iters = cg.run(tol, max_iters);

@@ -154,7 +154,8 @@ fn fused_cg_converges_to_known_solution() {
 }
 
 /// Pillar 2: fused power iteration matches the serial reference bitwise and
-/// finds the dominant eigenvalue of a diagonal matrix.
+/// finds the dominant eigenvalue of a diagonal matrix, on symmetric and
+/// general plans.
 #[test]
 fn fused_power_matches_serial_and_converges() {
     use spmv_core::formats::CooMatrix;
@@ -165,8 +166,16 @@ fn fused_power_matches_serial_and_converges() {
     }
     let csr = CsrMatrix::from_coo(&coo);
     let v0 = vec![1.0; n];
-    for nthreads in [1, 3, n + 3] {
-        let plan = TunePlan::new(&csr, nthreads, &TuningConfig::full());
+    let general = TuningConfig {
+        exploit_symmetry: false,
+        ..TuningConfig::full()
+    };
+    for (config, nthreads) in [TuningConfig::full(), general]
+        .into_iter()
+        .flat_map(|c| [1, 3, n + 3].map(|t| (c, t)))
+    {
+        let plan = TunePlan::new(&csr, nthreads, &config);
+        assert_eq!(plan.symmetric, config.exploit_symmetry);
         let prepared = PreparedMatrix::materialize(&csr, &plan).unwrap();
         let mut serial = SerialPower::new(prepared, &v0).unwrap();
         let engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
@@ -178,12 +187,14 @@ fn fused_power_matches_serial_and_converges() {
             assert_eq!(
                 s.to_bits(),
                 lambda.to_bits(),
-                "lambda at iteration {it} (threads={nthreads})"
+                "lambda at iteration {it} (threads={nthreads}, sym={})",
+                plan.symmetric
             );
         }
         assert!(
             (lambda - n as f64).abs() < 1e-6,
-            "lambda={lambda} (threads={nthreads})"
+            "lambda={lambda} (threads={nthreads}, sym={})",
+            plan.symmetric
         );
     }
 }

@@ -1,19 +1,17 @@
 //! Engine-wide telemetry suite: the observability layer end to end.
 //!
-//! 1. **Engine profile** — profiled epochs land in `EngineProfile`: epoch
-//!    counts by command, per-worker kernel/barrier time, the epoch-latency
-//!    histogram, and the imbalance ratios next to `EngineFootprint`.
-//! 2. **Zero-perturbation toggle** — profiling on vs. off is bit-identical
-//!    (a throughput bound is not a test's job; bit-identity is checkable
-//!    everywhere).
-//! 3. **Registry scrape** — `MatrixRegistry::metrics()` exports every layer:
+//! 1. **Engine profile** — every epoch lands in `EngineProfile` (profiling
+//!    is always on): epoch counts by operation, per-worker kernel/barrier
+//!    time, the epoch-latency histogram, and the imbalance ratios next to
+//!    `EngineFootprint`.
+//! 2. **Registry scrape** — `MatrixRegistry::metrics()` exports every layer:
 //!    engine epochs, tune-cache hits/misses, batch occupancy, solver
 //!    iterations, fleet footprint — after driving each layer once — and the
 //!    JSON rendering of the same snapshot is well-formed; a loopback server
 //!    over the same registry folds its per-shard families (wake-ups) too.
-//! 4. **Fleet aggregation** — `fleet_resident_bytes` is the sum of the served
+//! 3. **Fleet aggregation** — `fleet_resident_bytes` is the sum of the served
 //!    engines' footprints and tracks removal.
-//! 5. **Trace ring** — bounded, lossy-by-overwrite, and ordered; the global
+//! 4. **Trace ring** — bounded, lossy-by-overwrite, and ordered; the global
 //!    ring stays disabled without `SPMV_TRACE`.
 
 use spmv_multicore::prelude::*;
@@ -198,7 +196,6 @@ fn engine_profile_accounts_for_every_epoch() {
     let csr = random_csr(96, 96, 900, 11);
     let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
     let mut engine = SpmvEngine::from_plan(&csr, &plan).expect("fresh plan matches");
-    engine.set_profiling(true);
 
     let x = test_x(csr.ncols());
     let mut y = vec![0.0; csr.nrows()];
@@ -232,29 +229,6 @@ fn engine_profile_accounts_for_every_epoch() {
     assert!(profile.time_imbalance() >= 1.0);
     assert!(profile.nnz_imbalance() >= 1.0);
     assert!(footprint.total_bytes > 0);
-}
-
-#[test]
-fn profiling_toggle_never_perturbs_results() {
-    let csr = random_csr(80, 80, 700, 23);
-    let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
-    let mut engine = SpmvEngine::from_plan(&csr, &plan).expect("fresh plan matches");
-    let x = test_x(csr.ncols());
-
-    let mut y_on = vec![0.0; csr.nrows()];
-    let mut y_off = vec![0.0; csr.nrows()];
-    engine.set_profiling(true);
-    engine.spmv(&x, &mut y_on);
-    let profiled_epochs = engine.profile().epochs;
-    engine.set_profiling(false);
-    engine.spmv(&x, &mut y_off);
-
-    assert_bit_identical(&y_on, &y_off, "profiling on vs off");
-    assert_eq!(
-        engine.profile().epochs,
-        profiled_epochs,
-        "disabled profiling must stop accumulating epochs"
-    );
 }
 
 #[test]
