@@ -36,8 +36,9 @@ pub struct SymBcsr<I: IndexStorage = u32> {
     c: usize,
     /// Dense diagonal for the covered rows.
     diag: Vec<f64>,
-    /// Block-row pointer (`local_block_rows + 1` entries).
-    block_row_ptr: Vec<usize>,
+    /// Block-row pointer (`local_block_rows + 1` entries), 32-bit: the 4 bytes
+    /// per entry the planner counts.
+    block_row_ptr: Vec<u32>,
     /// Global block-column indices (units of `c` columns) at width `I`.
     block_col_idx: Vec<I>,
     /// Tile values, `r * c` per tile, row-major within the tile; strictly-lower
@@ -91,7 +92,7 @@ impl<I: IndexStorage> SymBcsr<I> {
 
         let mut diag = vec![0.0f64; local_rows];
         let mut block_row_ptr = Vec::with_capacity(nblock_rows + 1);
-        block_row_ptr.push(0usize);
+        block_row_ptr.push(0u32);
         let mut block_col_idx: Vec<I> = Vec::new();
         let mut tiles: Vec<f64> = Vec::new();
         let mut lower_nnz = 0usize;
@@ -136,7 +137,7 @@ impl<I: IndexStorage> SymBcsr<I> {
             for &bc in &occupied {
                 block_col_idx.push(I::try_from_usize(bc).expect("span checked above"));
             }
-            block_row_ptr.push(block_col_idx.len());
+            block_row_ptr.push(u32::try_from_usize(block_col_idx.len())?);
         }
 
         Ok(SymBcsr {
@@ -173,7 +174,7 @@ impl<I: IndexStorage> SymBcsr<I> {
             }
         }
         for i in 0..sym.local_rows() {
-            for k in sym.row_ptr()[i]..sym.row_ptr()[i + 1] {
+            for k in sym.row_ptr()[i] as usize..sym.row_ptr()[i + 1] as usize {
                 coo.push(i, sym.col_idx()[k].to_usize(), sym.values()[k]);
             }
         }
@@ -214,7 +215,7 @@ impl<I: IndexStorage> SymBcsr<I> {
     }
 
     /// Block-row pointer array.
-    pub fn block_row_ptr(&self) -> &[usize] {
+    pub fn block_row_ptr(&self) -> &[u32] {
         &self.block_row_ptr
     }
 
@@ -397,6 +398,17 @@ mod tests {
         let sym: SymBcsr<u16> = SymBcsr::from_csr(&csr, 1, 1).unwrap();
         // 1x1 tiles pay no fill, so the off-diagonal storage is exactly halved.
         assert!(sym.footprint_bytes() < csr.footprint_bytes() * 3 / 4);
+    }
+
+    #[test]
+    fn footprint_is_the_bytes_it_stores() {
+        use std::mem::size_of_val;
+        let sym: SymBcsr<u16> = SymBcsr::from_csr(&random_symmetric(37, 180, 14), 3, 4).unwrap();
+        let held = size_of_val(&sym.diag[..])
+            + size_of_val(&sym.block_row_ptr[..])
+            + size_of_val(&sym.block_col_idx[..])
+            + size_of_val(&sym.tiles[..]);
+        assert_eq!(sym.footprint_bytes(), held);
     }
 
     #[test]

@@ -75,8 +75,9 @@ pub struct SymCsr<I: IndexStorage = u32> {
     row_offset: usize,
     /// Dense diagonal for the covered rows (zeros where the diagonal is absent).
     diag: Vec<f64>,
-    /// Row pointer over the strictly-lower entries (`local_rows + 1` entries).
-    row_ptr: Vec<usize>,
+    /// Row pointer over the strictly-lower entries (`local_rows + 1` entries),
+    /// 32-bit: the 4 bytes per entry the planner counts.
+    row_ptr: Vec<u32>,
     /// Global column indices of the strictly-lower entries, sorted per row.
     col_idx: Vec<I>,
     /// Values of the strictly-lower entries.
@@ -126,7 +127,7 @@ impl<I: IndexStorage> SymCsr<I> {
         }
         let mut diag = vec![0.0f64; local_rows];
         let mut row_ptr = Vec::with_capacity(local_rows + 1);
-        row_ptr.push(0usize);
+        row_ptr.push(0u32);
         let mut col_idx: Vec<I> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for (i, d) in diag.iter_mut().enumerate() {
@@ -142,7 +143,7 @@ impl<I: IndexStorage> SymCsr<I> {
                 }
                 // j > gi: the mirror of a lower entry owned by row j's slab.
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(u32::try_from_usize(col_idx.len())?);
         }
         Ok(SymCsr {
             n,
@@ -219,7 +220,7 @@ impl<I: IndexStorage> SymCsr<I> {
             }
         }
         for i in 0..self.local_rows() {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+            for k in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
                 let j = self.col_idx[k].to_usize();
                 let v = self.values[k];
                 coo.push(i, j, v);
@@ -255,7 +256,7 @@ impl<I: IndexStorage> SymCsr<I> {
     }
 
     /// Row pointer over the strictly-lower entries.
-    pub fn row_ptr(&self) -> &[usize] {
+    pub fn row_ptr(&self) -> &[u32] {
         &self.row_ptr
     }
 
@@ -458,6 +459,17 @@ mod tests {
             sym.footprint_bytes() - narrow.footprint_bytes(),
             2 * sym.lower_nnz()
         );
+    }
+
+    #[test]
+    fn footprint_is_the_bytes_it_stores() {
+        use std::mem::size_of_val;
+        let sym: SymCsr<u16> = SymCsr::from_csr(&CsrMatrix::from_coo(&sym_coo())).unwrap();
+        let held = size_of_val(&sym.diag[..])
+            + size_of_val(&sym.row_ptr[..])
+            + size_of_val(&sym.col_idx[..])
+            + size_of_val(&sym.values[..]);
+        assert_eq!(sym.footprint_bytes(), held);
     }
 
     #[test]

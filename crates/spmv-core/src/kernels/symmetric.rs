@@ -35,7 +35,7 @@ pub fn spmv_sym_csr<I: IndexStorage>(a: &SymCsr<I>, x: &[f64], y: &mut [f64]) {
         let gi = row_offset + i;
         let xi = x[gi];
         let mut sum = d * xi;
-        for k in row_ptr[i]..row_ptr[i + 1] {
+        for k in row_ptr[i] as usize..row_ptr[i + 1] as usize {
             let j = col_idx[k].to_usize();
             let v = values[k];
             sum += v * x[j];
@@ -68,8 +68,8 @@ fn spmv_sym_bcsr_fixed<const R: usize, const C: usize, I: IndexStorage>(
         let row_lo = brow * R;
         let rows_here = R.min(local_rows - row_lo);
         let grow = row_offset + row_lo;
-        let lo = block_row_ptr[brow];
-        let hi = block_row_ptr[brow + 1];
+        let lo = block_row_ptr[brow] as usize;
+        let hi = block_row_ptr[brow + 1] as usize;
 
         // Register-resident accumulator seeded with the diagonal contribution.
         let mut acc = [0.0f64; R];

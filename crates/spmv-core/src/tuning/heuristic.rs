@@ -15,7 +15,6 @@ use crate::blocking::tlb::{tlb_block, TlbConfig};
 use crate::error::{Error, Result};
 use crate::formats::bcoo::BcooMatrix;
 use crate::formats::bcsr::BcsrAuto;
-use crate::formats::coo::CooMatrix;
 use crate::formats::csr::{CompressedCsr, CsrMatrix};
 use crate::formats::gcsr::GcsrMatrix;
 use crate::formats::index::IndexWidth;
@@ -45,10 +44,12 @@ pub struct TuningConfig {
     /// Annotate large streaming thread blocks with software prefetch
     /// (consumed by the two-phase [`crate::tuning::plan::TunePlan`] pipeline).
     pub software_prefetch: bool,
-    /// Store detected square-and-symmetric matrices as diagonal + strictly-lower
-    /// triangle (`SymCsr`/`SymBcsr`), halving off-diagonal value/index traffic.
-    /// Consumed by `TunePlan::new`; `TunePlan::from_partition` always plans the
-    /// general pipeline.
+    /// May store detected square-and-symmetric matrices as diagonal +
+    /// strictly-lower triangle (`SymCsr`/`SymBcsr`), halving off-diagonal
+    /// value/index traffic. `TunePlan::heuristic` and a cache-resident
+    /// `TunePlan::new` always do; once the structure streams, `TunePlan::new`
+    /// keeps the general plan when the clock finds it faster by the ladder's
+    /// margin. `TunePlan::from_partition` always plans the general pipeline.
     pub exploit_symmetry: bool,
     /// Execute streaming CSR and the covered BCSR shapes with the explicit
     /// SIMD microkernels ([`crate::kernels::simd`]). Planned on only when the
@@ -305,13 +306,24 @@ pub fn plan_symmetric_thread(
     row_offset: usize,
     config: &TuningConfig,
 ) -> BlockDecision {
-    let mut lower_coo = CooMatrix::new(local.nrows(), local.ncols());
-    for (i, j, v) in local.iter() {
-        if j < row_offset + i {
-            lower_coo.push(i, j, v);
-        }
+    // Columns are sorted per row, so a row's strictly-lower part is a prefix.
+    let (row_ptr, col_idx, values) = (local.row_ptr(), local.col_idx(), local.values());
+    let (mut lower_ptr, mut lower_cols, mut lower_vals) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..local.nrows() {
+        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+        let end = lo + col_idx[lo..hi].partition_point(|&j| (j as usize) < row_offset + i);
+        lower_cols.extend_from_slice(&col_idx[lo..end]);
+        lower_vals.extend_from_slice(&values[lo..end]);
+        lower_ptr.push(lower_cols.len());
     }
-    let lower = CsrMatrix::from_coo(&lower_coo);
+    let lower = CsrMatrix::from_raw(
+        local.nrows(),
+        local.ncols(),
+        lower_ptr,
+        lower_cols,
+        lower_vals,
+    )
+    .expect("prefixes of sorted rows are sorted rows");
     let choice = crate::tuning::footprint::best_symmetric_choice(
         &lower,
         local.ncols(),
@@ -382,6 +394,7 @@ fn intersect_ranges(a: &[Range<usize>], b: &[Range<usize>]) -> Vec<Range<usize>>
 mod tests {
     use super::*;
     use crate::dense::max_abs_diff;
+    use crate::formats::coo::CooMatrix;
     use crate::formats::traits::SpMv;
     use crate::tuning::footprint::csr_bytes;
     use crate::tuning::plan::TunePlan;

@@ -48,6 +48,8 @@ pub use footprint::{FormatChoice, FormatKind};
 pub use heuristic::{
     ladder_rungs, materialize_decisions, plan_symmetric_thread, BlockDecision, Rung, TuningConfig,
 };
-pub use plan::{choose_rung, LadderRung, ShareLadder, ThreadPlan, TunePlan};
+pub use plan::{
+    choose_rung, general_beats_symmetric, LadderRung, ShareLadder, ThreadPlan, TunePlan,
+};
 pub use prepared::{reduce_into, reduce_tree, PreparedBlock, PreparedMatrix, SymBlock};
 pub use search::{search_register_blocking, SearchOutcome};

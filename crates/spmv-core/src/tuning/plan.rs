@@ -21,7 +21,7 @@ use crate::kernels::KernelVariant;
 use crate::partition::row::{partition_rows_balanced, RowPartition};
 use crate::tuning::footprint::{FormatChoice, FormatKind};
 use crate::tuning::heuristic::{ladder_rungs, BlockDecision, TuningConfig};
-use crate::tuning::prepared::PreparedBlock;
+use crate::tuning::prepared::{PreparedBlock, PreparedMatrix};
 use crate::tuning::search::time_spmv;
 use std::ops::Range;
 
@@ -145,6 +145,17 @@ pub fn choose_rung(seconds: &[Option<f64>]) -> usize {
     best.map_or(seconds.len().saturating_sub(1), |(i, _)| i)
 }
 
+/// The pipeline choice for a symmetric matrix: whether the general plan, whose
+/// shares' chosen rungs took `shares` seconds, displaces the lower-triangle
+/// plan, whose serial apply took `symmetric` seconds (`None`: it failed to
+/// materialize). Symmetric storage is [`choose_rung`]'s incumbent, so the
+/// general plan needs the ladder's margin; a share the clock did not time
+/// keeps the incumbent.
+pub fn general_beats_symmetric(symmetric: Option<f64>, shares: &[Option<f64>]) -> bool {
+    let general: Option<f64> = shares.iter().copied().sum();
+    general.is_some() && choose_rung(&[symmetric, general]) == 1
+}
+
 impl ShareLadder {
     /// Plan one thread share. Untimed (`timed` off, a single rung, or a planned
     /// footprint that lives in cache) it keeps the finest grid's byte minimum,
@@ -207,15 +218,19 @@ impl TunePlan {
     /// timed ladder ([`ShareLadder`]) decides.
     ///
     /// When the config enables [`TuningConfig::exploit_symmetry`] and the matrix
-    /// is detected square-and-symmetric, the plan switches to the symmetric
-    /// pipeline automatically (Section 4.2's symmetry optimization: halved
-    /// value/index traffic).
+    /// is detected square-and-symmetric, the lower-triangle plan (Section 4.2's
+    /// symmetry optimization: halved value/index traffic) is the incumbent. When
+    /// it and every share of the general plan stream, the clock decides between
+    /// the two pipelines: the symmetric plan's serial apply against the sum of
+    /// the shares' chosen rungs ([`general_beats_symmetric`]). A symmetric plan
+    /// that lives in cache is kept untimed, as a share keeps its byte minimum.
     pub fn new(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
         Self::with_ladders(csr, nthreads, config).0
     }
 
     /// [`TunePlan::new`] together with the ladder of every thread share, for
-    /// reports (none for the symmetric pipeline, which has no ladder).
+    /// reports: the general pipeline's ladders whenever they were timed, even
+    /// when the symmetric plan won; none when a symmetric plan is kept untimed.
     pub fn with_ladders(
         csr: &CsrMatrix,
         nthreads: usize,
@@ -237,11 +252,37 @@ impl TunePlan {
         config: &TuningConfig,
         timed: bool,
     ) -> (TunePlan, Vec<ShareLadder>) {
-        if config.exploit_symmetry && csr.nnz() > 0 && crate::formats::symcsr::is_symmetric(csr) {
-            return (Self::symmetric_plan(csr, nthreads, config), Vec::new());
+        let ranges = partition_rows_balanced(csr, nthreads).ranges;
+        if !config.exploit_symmetry || csr.nnz() == 0 || !crate::formats::symcsr::is_symmetric(csr)
+        {
+            return Self::general_plan(csr, &ranges, config, timed);
         }
-        let partition = partition_rows_balanced(csr, nthreads);
-        Self::general_plan(csr, &partition.ranges, config, timed)
+        let symmetric = Self::symmetric_plan(csr, &ranges, config);
+        // As on a share's ladder, a byte minimum that lives in cache is kept
+        // untimed.
+        let cached = symmetric
+            .threads
+            .iter()
+            .any(|t| t.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES);
+        if !timed || cached {
+            return (symmetric, Vec::new());
+        }
+        let (general, ladders) = Self::general_plan(csr, &ranges, config, true);
+        let shares: Vec<_> = ladders.iter().map(|l| l.rungs[l.chosen].seconds).collect();
+        // Timed as the serial apply runs it: zeroed scratch, slabs, tree
+        // reduction, accumulate.
+        let seconds = PreparedMatrix::materialize(csr, &symmetric).ok().map(|m| {
+            let mut scratch = Vec::new();
+            time_spmv(csr.nrows(), csr.ncols(), LADDER_RUNS, 1, |x, y| {
+                m.apply(x, y, &mut scratch)
+            })
+        });
+        let plan = if general_beats_symmetric(seconds, &shares) {
+            general
+        } else {
+            symmetric
+        };
+        (plan, ladders)
     }
 
     /// Plan a matrix the caller *declares* symmetric. Verifies the declaration
@@ -258,15 +299,15 @@ impl TunePlan {
                     .to_string(),
             ));
         }
-        Ok(Self::symmetric_plan(csr, nthreads, config))
+        let partition = partition_rows_balanced(csr, nthreads);
+        Ok(Self::symmetric_plan(csr, &partition.ranges, config))
     }
 
     /// The symmetric planning pass: one lower-triangle slab decision per thread,
     /// chosen by footprint among `SymCsr`/`SymBcsr` × shapes × index widths.
     /// The caller has already established symmetry.
-    fn symmetric_plan(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
-        let partition = partition_rows_balanced(csr, nthreads);
-        Self::plan_over_partition(csr, &partition.ranges, true, |local, range| {
+    fn symmetric_plan(csr: &CsrMatrix, ranges: &[Range<usize>], config: &TuningConfig) -> TunePlan {
+        Self::plan_over_partition(csr, ranges, true, |local, range| {
             let decision =
                 crate::tuning::heuristic::plan_symmetric_thread(local, range.start, config);
             ThreadPlan {
@@ -274,7 +315,8 @@ impl TunePlan {
                 // The prefetch annotation binds a CSR *code variant*, which
                 // symmetric slabs do not execute; leave it off. The SIMD
                 // microkernels cover the general formats only, so symmetric
-                // slabs stay scalar too.
+                // slabs stay scalar too — which is why `TunePlan::new` times
+                // a streaming symmetric plan against the general one.
                 prefetch_distance: 0,
                 nta_hint: false,
                 simd: false,

@@ -106,9 +106,9 @@ impl DenseProfile {
 }
 
 /// Seconds per call of `spmv(x, y)` — the one timing helper every timed decision
-/// in this crate uses (the per-share ladder of
-/// [`crate::tuning::plan::TunePlan::new`] and [`DenseProfile::measure`]), so
-/// both rank candidates on the same seeded `x` (uniform in [-1, 1)).
+/// in this crate uses (the per-share ladder and the pipeline choice of
+/// [`crate::tuning::plan::TunePlan::new`], and [`DenseProfile::measure`]), so
+/// all rank candidates on the same seeded `x` (uniform in [-1, 1)).
 /// One untimed call faults the pages in, then the fastest of `runs` batches of
 /// `reps` calls counts ([`min_timing`]: a preempted run cannot flip a decision).
 pub fn time_spmv(

@@ -4,8 +4,8 @@
 //! search baseline compares, and the ladder each thread share was chosen from:
 //! what the one-pass heuristic proposed and what the clock said about it. For a
 //! matrix with a symmetric twin (`SuiteMatrix::generate_symmetric`) it also
-//! times that twin's plan with symmetry exploited and without, serially — the
-//! choice `TuningConfig::exploit_symmetry` makes without the clock.
+//! prints the pipeline `TunePlan::new` chose for the twin, lower-triangle or
+//! general storage, next to both plans' serial times.
 //!
 //! Run with:
 //! ```text
@@ -111,23 +111,36 @@ fn main() {
 
         if let Some(twin) = matrix.generate_symmetric(Scale::Small) {
             let twin = CsrMatrix::from_coo(&twin);
-            let secs = |exploit_symmetry| {
-                let config = TuningConfig {
-                    exploit_symmetry,
-                    ..TuningConfig::full()
+            let full = TuningConfig::full();
+            let chosen = TunePlan::new(&twin, 1, &full);
+            let other = if chosen.symmetric {
+                let general = TuningConfig {
+                    exploit_symmetry: false,
+                    ..full
                 };
-                let plan = TunePlan::new(&twin, 1, &config);
-                let prepared = PreparedMatrix::materialize(&twin, &plan).expect("fresh plan fits");
-                time_spmv(twin.nrows(), twin.ncols(), 5, 10, |x, y| {
+                TunePlan::new(&twin, 1, &general)
+            } else {
+                TunePlan::new_symmetric(&twin, 1, &full).expect("the twin is symmetric")
+            };
+            let ms = |plan: &TunePlan| {
+                let prepared = PreparedMatrix::materialize(&twin, plan).expect("fresh plan fits");
+                1e3 * time_spmv(twin.nrows(), twin.ncols(), 5, 10, |x, y| {
                     prepared.spmv(x, y)
                 })
             };
-            let (on, off) = (secs(true), secs(false));
+            let name = |plan: &TunePlan| {
+                if plan.symmetric {
+                    "symmetric"
+                } else {
+                    "general"
+                }
+            };
             println!(
-                "    symmetric twin: {:.3} ms symmetry on, {:.3} ms symmetry off ({:.2}x)",
-                on * 1e3,
-                off * 1e3,
-                on / off
+                "    symmetric twin: TunePlan::new chose {} ({:.3} ms serial); {} {:.3} ms",
+                name(&chosen),
+                ms(&chosen),
+                name(&other),
+                ms(&other)
             );
         }
     }

@@ -4,7 +4,8 @@
 //! register block shape must compute the same product as a dense reference on
 //! arbitrary matrices — including rectangular shapes, empty rows/columns,
 //! single-row/single-column matrices and the fully empty matrix — and the tuner
-//! must never lose nonzeros or blow up the footprint.
+//! must never lose nonzeros or blow up the footprint. `CsrMatrix::from_coo`
+//! must equal, to the bit, the sort-based conversion it replaced.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,5 +178,59 @@ fn footprint_reported_matches_accounting() {
         assert_eq!(coo.footprint_bytes(), coo.nnz() * 16, "case {i}");
         // Flop:byte of CSR never exceeds the 0.25 bound from the paper.
         assert!(csr.flop_byte_ratio() <= 0.25 + 1e-12, "case {i}");
+    }
+}
+
+/// The conversion `CsrMatrix::from_coo` replaced, kept as its reference: one
+/// stable sort of every triplet by `(row, col)`, duplicates summed left to
+/// right.
+fn from_coo_by_sorting(coo: &CooMatrix) -> CsrMatrix {
+    let mut sorted = coo.clone();
+    sorted.sum_duplicates();
+    let mut row_ptr = vec![0usize; coo.nrows() + 1];
+    for t in sorted.entries() {
+        row_ptr[t.row + 1] += 1;
+    }
+    for i in 0..coo.nrows() {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let col_idx = sorted.entries().iter().map(|t| t.col as u32).collect();
+    let values = sorted.entries().iter().map(|t| t.val).collect();
+    CsrMatrix::from_raw(coo.nrows(), coo.ncols(), row_ptr, col_idx, values)
+        .expect("sorted, summed triplets are a valid CSR")
+}
+
+#[test]
+fn csr_from_coo_equals_the_sorting_reference_to_the_bit() {
+    // Values whose sums depend on the order of the additions.
+    let pool = [1e16, -1e16, 1.0, 0.1, -0.0, 0.0, f64::NAN, 3.5];
+    let mut matrices: Vec<CooMatrix> = cases(24, 0xC1).iter().map(|c| c.coo()).collect();
+    // Duplicates in reverse and interleaved order; odd rows stay empty.
+    let mut interleaved = CooMatrix::new(12, 9);
+    for row in (0..12).step_by(2) {
+        for col in (0..9).rev() {
+            interleaved.push(row, col, pool[(row + col) % pool.len()]);
+        }
+        for rep in 0..3 {
+            for col in [4, 0, 8, 4] {
+                interleaved.push(row, col, pool[(rep * 3 + col) % pool.len()]);
+            }
+        }
+    }
+    matrices.push(interleaved);
+    let mut rng = StdRng::seed_from_u64(0xC2);
+    let mut crowded = CooMatrix::new(30, 40);
+    for _ in 0..5_000 {
+        let v = pool[rng.random_range(0..pool.len())];
+        crowded.push(rng.random_range(0..30), rng.random_range(0..40), v);
+    }
+    matrices.push(crowded);
+    matrices.push(CooMatrix::new(5, 3));
+    let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (i, coo) in matrices.iter().enumerate() {
+        let (fast, reference) = (CsrMatrix::from_coo(coo), from_coo_by_sorting(coo));
+        assert_eq!(fast.row_ptr(), reference.row_ptr(), "matrix {i}");
+        assert_eq!(fast.col_idx(), reference.col_idx(), "matrix {i}");
+        assert_eq!(bits(&fast), bits(&reference), "matrix {i}");
     }
 }

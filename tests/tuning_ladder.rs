@@ -19,6 +19,11 @@
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
 //!   bit-identical to its own serial `PreparedMatrix` — the guarantee the
 //!   serve layer's hot swap leans on.
+//! * **The pipeline choice**: on a streaming symmetric matrix the
+//!   lower-triangle plan is the incumbent inside the same margin; whichever
+//!   pipeline the clock keeps is a valid plan that computes plain CSR's
+//!   product and runs bit-identically on the engine (SpMV, SpMM, fused CG),
+//!   while the untimed planner, a declaration and the opt-out ask no clock.
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::blocking::register::{
@@ -26,10 +31,12 @@ use spmv_multicore::spmv_core::blocking::register::{
 };
 use spmv_multicore::spmv_core::formats::IndexWidth;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
+use spmv_multicore::spmv_core::solver::SerialCg;
 use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
 use spmv_multicore::spmv_core::tuning::{
-    choose_rung, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
+    choose_rung, general_beats_symmetric, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
+use spmv_multicore::spmv_parallel::FusedCg;
 use spmv_testutil::{
     assert_bit_identical, assert_plans_equivalent, plan_outputs, random_csr, random_symmetric_csr,
     test_x, xblock,
@@ -377,4 +384,74 @@ fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
     assert_eq!(ladder.rungs[ladder.chosen].plan, plan.threads[0]);
     let plain = TunePlan::heuristic(&csr, 1, &TuningConfig::naive());
     assert_plans_equivalent(&csr, &plan, &plain, "economics, timed ladder");
+}
+
+#[test]
+fn the_symmetric_plan_keeps_its_place_inside_the_margin() {
+    let general = |shares: &[Option<f64>]| general_beats_symmetric(Some(1.0), shares);
+    assert!(!general(&[Some(0.5), Some(0.5)]), "a tie");
+    assert!(!general(&[Some(0.48), Some(0.48)]), "a 4 % loss");
+    assert!(general(&[Some(0.47), Some(0.47)]), "a 6 % loss");
+    assert!(!general(&[Some(0.1), None]), "an untimed share");
+}
+
+#[test]
+fn the_clock_picks_the_pipeline_of_a_streaming_symmetric_matrix() {
+    let twin = SuiteMatrix::FemCantilever.generate_symmetric(Scale::Small);
+    let csr = CsrMatrix::from_coo(&twin.expect("fem_cantilever has a symmetric twin"));
+    let (n, x) = (csr.nrows(), test_x(csr.nrows()));
+    let config = TuningConfig::full();
+    for threads in [1, 2] {
+        let ctx = format!("fem_cantilever twin, threads={threads}");
+        let (plan, ladders) = TunePlan::with_ladders(&csr, threads, &config);
+        assert_eq!(ladders.len(), threads, "{ctx}: the general ladders");
+        for ladder in &ladders {
+            assert!(
+                ladder.rungs[ladder.chosen].seconds.is_some(),
+                "{ctx}: a share untimed"
+            );
+        }
+        plan.validate_for(&csr)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let back = TunePlan::from_text(&plan.to_text()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(plan, back, "{ctx}: profile round trip");
+        let plain = TunePlan::heuristic(&csr, threads, &TuningConfig::naive());
+        assert_plans_equivalent(&csr, &plan, &plain, &ctx);
+
+        let prepared = PreparedMatrix::materialize(&csr, &plan).expect("a fresh plan fits");
+        let mut engine = SpmvEngine::from_plan(&csr, &plan).expect("a fresh plan fits");
+        let (mut y_serial, mut y) = (vec![0.5; n], vec![0.5; n]);
+        prepared.spmv(&x, &mut y_serial);
+        engine.spmv(&x, &mut y);
+        assert_bit_identical(&y_serial, &y, &format!("{ctx}: engine spmv"));
+        for k in [1, 3] {
+            let (mut s_serial, mut s) = (MultiVec::zeros(n, k), MultiVec::zeros(n, k));
+            prepared.spmm(&xblock(n, k), &mut s_serial);
+            engine.spmm(&xblock(n, k), &mut s);
+            let what = format!("{ctx}: engine spmm k={k}");
+            assert_bit_identical(s_serial.data(), s.data(), &what);
+        }
+        let mut serial = SerialCg::new(prepared, &x).expect("the twin is square");
+        let mut fused = FusedCg::new(engine, &x);
+        for step in 0..10 {
+            serial.step();
+            fused.step();
+            let (a, b) = (serial.rr().to_bits(), fused.rr().to_bits());
+            assert_eq!(a, b, "{ctx}: rr at step {step}");
+        }
+        assert_bit_identical(serial.solution(), fused.solution(), &format!("{ctx}: CG"));
+
+        // The untimed planner, a declaration and the opt-out ask no clock.
+        assert!(
+            TunePlan::heuristic(&csr, threads, &config).symmetric,
+            "{ctx}"
+        );
+        let declared = TunePlan::new_symmetric(&csr, threads, &config);
+        assert!(declared.expect("the twin is symmetric").symmetric, "{ctx}");
+        let general = TuningConfig {
+            exploit_symmetry: false,
+            ..config
+        };
+        assert!(!TunePlan::new(&csr, threads, &general).symmetric, "{ctx}");
+    }
 }
