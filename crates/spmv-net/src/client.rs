@@ -36,6 +36,7 @@ fn io_to_net(e: std::io::Error) -> NetError {
 pub struct NetClient {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    wbuf: Vec<u8>,
     next_id: u64,
     max_frame: u32,
     token: Option<Vec<u8>>,
@@ -49,6 +50,7 @@ impl NetClient {
         Ok(NetClient {
             stream,
             rbuf: Vec::new(),
+            wbuf: Vec::new(),
             next_id: 0,
             max_frame: protocol::MAX_FRAME,
             token: None,
@@ -74,17 +76,24 @@ impl NetClient {
         Ok(())
     }
 
+    /// Frame one request into the reused write buffer and send it; a name
+    /// past 65,535 bytes or a ragged `Spmm` block is refused unsent.
     fn send(&mut self, matrix: &str, op: Op) -> Result<u64> {
+        if matrix.len() > u16::MAX as usize {
+            return Err(NetError::Malformed("matrix name over 65535 bytes".into()));
+        }
+        if matches!(&op, Op::Spmm { cols } if cols.iter().any(|c| c.len() != cols[0].len())) {
+            return Err(NetError::Malformed("spmm columns differ in length".into()));
+        }
         self.next_id += 1;
         let id = self.next_id;
         let mut req = Request::new(id, matrix, op);
         if let Some(token) = &self.token {
             req = req.with_token(token.clone());
         }
-        let body = protocol::encode_request(&req);
-        let mut frame = Vec::with_capacity(4 + body.len());
-        protocol::write_frame(&mut frame, &body);
-        self.stream.write_all(&frame).map_err(io_to_net)?;
+        self.wbuf.clear();
+        protocol::write_request_frame(&mut self.wbuf, &req);
+        self.stream.write_all(&self.wbuf).map_err(io_to_net)?;
         Ok(id)
     }
 

@@ -26,8 +26,12 @@
 //! payload integrity is still the transport's problem.
 //!
 //! Vectors are little-endian `f64`s prefixed by a `u32` length; the spmm
-//! payload is a column count followed by its columns back to back
-//! (column-major, every column the same length).
+//! payload is a column count and one column length followed by its columns
+//! back to back (column-major). Each vector crosses the codec as one
+//! little-endian slice conversion. The encoders require every `Spmm` column
+//! to have the same length (a ragged block would decode re-split) and a
+//! matrix name of at most 65,535 bytes; [`crate::NetClient`] refuses both
+//! before it writes a byte.
 //!
 //! ## Response body
 //!
@@ -225,15 +229,38 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append `v` little-endian: one resize, then a chunked copy (memcpy on LE hosts).
+fn put_f64s(buf: &mut Vec<u8>, v: &[f64]) {
+    let at = buf.len();
+    buf.resize(at + 8 * v.len(), 0);
+    for (dst, x) in buf[at..].chunks_exact_mut(8).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
 }
 
 fn put_vec(buf: &mut Vec<u8>, v: &[f64]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f64(buf, x);
+    put_f64s(buf, v);
+}
+
+fn put_block(buf: &mut Vec<u8>, cols: &[Vec<f64>]) {
+    let n = cols.first().map_or(0, |c| c.len());
+    debug_assert!(cols.iter().all(|c| c.len() == n), "ragged spmm block");
+    put_u32(buf, cols.len() as u32);
+    put_u32(buf, n as u32);
+    for col in cols {
+        put_f64s(buf, col);
     }
+}
+
+/// Append one frame, encoding the body in place and then patching its prefix.
+fn frame_in_place(out: &mut Vec<u8>, body_len: usize, encode: impl FnOnce(&mut Vec<u8>)) {
+    out.reserve(4 + body_len);
+    let at = out.len();
+    put_u32(out, 0);
+    encode(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// A cursor over a frame body; every read is bounds-checked so a truncated
@@ -275,8 +302,16 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// `n` little-endian `f64`s: one bounds-checked take, one conversion.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>> {
+        let bytes = n
+            .checked_mul(8)
+            .ok_or_else(|| NetError::Malformed(format!("vector claims {n} elements")))?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
 
     fn vec(&mut self) -> Result<Vec<f64>> {
@@ -289,7 +324,19 @@ impl<'a> Reader<'a> {
                 self.buf.len() - self.at
             )));
         }
-        (0..n).map(|_| self.f64()).collect()
+        self.f64s(n)
+    }
+
+    /// An spmm block; its `k x n` claim is covered before any allocation.
+    fn block(&mut self, what: &str) -> Result<Vec<Vec<f64>>> {
+        let k = self.u32()? as usize;
+        let n = self.u32()? as usize;
+        if self.buf.len() - self.at < k.saturating_mul(n).saturating_mul(8) {
+            return Err(NetError::Malformed(format!(
+                "{what} claims {k}x{n}, frame too short"
+            )));
+        }
+        (0..k).map(|_| self.f64s(n)).collect()
     }
 
     fn finish(self) -> Result<()> {
@@ -338,41 +385,54 @@ pub fn take_frame(buf: &[u8], max_frame: u32) -> Result<Option<(&[u8], usize)>> 
 // request codec
 // ---------------------------------------------------------------------------
 
-/// Encode one request as a frame body (no length prefix).
+/// Encode one request as a frame body (no length prefix). Preconditions:
+/// uniform `Spmm` columns and a matrix name of at most 65,535 bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut body = Vec::with_capacity(request_len(req));
+    put_request(&mut body, req);
+    body
+}
+
+/// Append `req` to `out` as one frame (length prefix + body).
+pub(crate) fn write_request_frame(out: &mut Vec<u8>, req: &Request) {
+    frame_in_place(out, request_len(req), |out| put_request(out, req));
+}
+
+/// The exact encoded body length of `req`.
+fn request_len(req: &Request) -> usize {
+    let token = req
+        .token
+        .as_ref()
+        .map_or(0, |t| 2 + t.len().min(u16::MAX as usize));
+    let payload = match &req.op {
+        Op::Spmv { x } => 4 + 8 * x.len(),
+        Op::Spmm { cols } => 8 + 8 * cols.iter().map(Vec::len).sum::<usize>(),
+        Op::SolverIterate { b, .. } => 8 + 8 * b.as_ref().map_or(0, Vec::len),
+    };
+    1 + token + 8 + 2 + req.matrix.len() + payload
+}
+
+fn put_request(body: &mut Vec<u8>, req: &Request) {
     match &req.token {
         Some(token) => {
+            let token = &token[..token.len().min(u16::MAX as usize)];
             body.push(req.op.opcode() | FLAG_TOKEN);
-            put_u16(&mut body, token.len().min(u16::MAX as usize) as u16);
-            body.extend_from_slice(&token[..token.len().min(u16::MAX as usize)]);
+            put_u16(body, token.len() as u16);
+            body.extend_from_slice(token);
         }
         None => body.push(req.op.opcode()),
     }
-    put_u64(&mut body, req.id);
-    put_u16(&mut body, req.matrix.len() as u16);
+    put_u64(body, req.id);
+    put_u16(body, req.matrix.len() as u16);
     body.extend_from_slice(req.matrix.as_bytes());
     match &req.op {
-        Op::Spmv { x } => put_vec(&mut body, x),
-        Op::Spmm { cols } => {
-            put_u32(&mut body, cols.len() as u32);
-            let n = cols.first().map_or(0, |c| c.len());
-            put_u32(&mut body, n as u32);
-            for col in cols {
-                for &v in col {
-                    put_f64(&mut body, v);
-                }
-            }
-        }
+        Op::Spmv { x } => put_vec(body, x),
+        Op::Spmm { cols } => put_block(body, cols),
         Op::SolverIterate { steps, b } => {
-            put_u32(&mut body, *steps);
-            match b {
-                Some(b) => put_vec(&mut body, b),
-                None => put_u32(&mut body, 0),
-            }
+            put_u32(body, *steps);
+            put_vec(body, b.as_deref().unwrap_or(&[]));
         }
     }
-    body
 }
 
 /// Decode one request frame body.
@@ -392,21 +452,9 @@ pub fn decode_request(body: &[u8]) -> Result<Request> {
         .map_err(|_| NetError::Malformed("matrix name is not UTF-8".into()))?;
     let op = match opcode {
         OP_SPMV => Op::Spmv { x: r.vec()? },
-        OP_SPMM => {
-            let k = r.u32()? as usize;
-            let n = r.u32()? as usize;
-            // Remaining-byte cover check before any allocation (the fixed
-            // header length varies with the token, so measure the cursor).
-            if r.buf.len() - r.at < k.saturating_mul(n).saturating_mul(8) {
-                return Err(NetError::Malformed(format!(
-                    "spmm block claims {k}x{n}, frame too short"
-                )));
-            }
-            let cols = (0..k)
-                .map(|_| (0..n).map(|_| r.f64()).collect())
-                .collect::<Result<Vec<Vec<f64>>>>()?;
-            Op::Spmm { cols }
-        }
+        OP_SPMM => Op::Spmm {
+            cols: r.block("spmm block")?,
+        },
         OP_SOLVER => {
             let steps = r.u32()?;
             let b = r.vec()?;
@@ -443,35 +491,49 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 // response codec
 // ---------------------------------------------------------------------------
 
-/// Encode one response as a frame body (no length prefix).
+/// Encode one response as a frame body (no length prefix); `Spmm` columns
+/// must all have the same length.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut body = Vec::with_capacity(response_len(resp));
+    put_response(&mut body, resp);
+    body
+}
+
+/// Append `resp` to `out` as one frame (length prefix + body).
+pub(crate) fn write_response_frame(out: &mut Vec<u8>, resp: &Response) {
+    frame_in_place(out, response_len(resp), |out| put_response(out, resp));
+}
+
+/// The exact encoded body length of `resp`: status and id, then the payload.
+fn response_len(resp: &Response) -> usize {
+    9 + match resp {
+        Response::Spmv { y, .. } => 1 + 4 + 8 * y.len(),
+        Response::Spmm { cols, .. } => 1 + 8 + 8 * cols.iter().map(Vec::len).sum::<usize>(),
+        Response::Solver { x, .. } => 1 + 4 + 8 * x.len() + 8,
+        Response::Error { message, .. } => 4 + 2 + message.len().min(u16::MAX as usize),
+    }
+}
+
+fn put_response(body: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Spmv { id, y } => {
             body.push(ST_OK);
-            put_u64(&mut body, *id);
+            put_u64(body, *id);
             body.push(OP_SPMV);
-            put_vec(&mut body, y);
+            put_vec(body, y);
         }
         Response::Spmm { id, cols } => {
             body.push(ST_OK);
-            put_u64(&mut body, *id);
+            put_u64(body, *id);
             body.push(OP_SPMM);
-            put_u32(&mut body, cols.len() as u32);
-            let n = cols.first().map_or(0, |c| c.len());
-            put_u32(&mut body, n as u32);
-            for col in cols {
-                for &v in col {
-                    put_f64(&mut body, v);
-                }
-            }
+            put_block(body, cols);
         }
         Response::Solver { id, x, residual } => {
             body.push(ST_OK);
-            put_u64(&mut body, *id);
+            put_u64(body, *id);
             body.push(OP_SOLVER);
-            put_vec(&mut body, x);
-            put_f64(&mut body, *residual);
+            put_vec(body, x);
+            put_u64(body, residual.to_bits());
         }
         Response::Error {
             id,
@@ -480,13 +542,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             message,
         } => {
             body.push(*code);
-            put_u64(&mut body, *id);
-            put_u32(&mut body, *retry_after_ms);
-            put_u16(&mut body, message.len().min(u16::MAX as usize) as u16);
-            body.extend_from_slice(&message.as_bytes()[..message.len().min(u16::MAX as usize)]);
+            put_u64(body, *id);
+            put_u32(body, *retry_after_ms);
+            let message = &message.as_bytes()[..message.len().min(u16::MAX as usize)];
+            put_u16(body, message.len() as u16);
+            body.extend_from_slice(message);
         }
     }
-    body
 }
 
 /// Decode one response frame body.
@@ -508,22 +570,13 @@ pub fn decode_response(body: &[u8]) -> Result<Response> {
     }
     let resp = match r.u8()? {
         OP_SPMV => Response::Spmv { id, y: r.vec()? },
-        OP_SPMM => {
-            let k = r.u32()? as usize;
-            let n = r.u32()? as usize;
-            if body.len() - 18 < k.saturating_mul(n).saturating_mul(8) {
-                return Err(NetError::Malformed(format!(
-                    "spmm result claims {k}x{n}, frame too short"
-                )));
-            }
-            let cols = (0..k)
-                .map(|_| (0..n).map(|_| r.f64()).collect())
-                .collect::<Result<Vec<Vec<f64>>>>()?;
-            Response::Spmm { id, cols }
-        }
+        OP_SPMM => Response::Spmm {
+            id,
+            cols: r.block("spmm result")?,
+        },
         OP_SOLVER => {
             let x = r.vec()?;
-            let residual = r.f64()?;
+            let residual = f64::from_bits(r.u64()?);
             Response::Solver { id, x, residual }
         }
         other => {

@@ -633,8 +633,7 @@ fn respond(conn: &mut Conn, resp: Response, stats: &NetStats) {
         stats.errors.inc();
     }
     stats.responses.inc();
-    let body = protocol::encode_response(&resp);
-    protocol::write_frame(&mut conn.wbuf, &body);
+    protocol::write_response_frame(&mut conn.wbuf, &resp);
 }
 
 /// Map a service-layer error to a typed wire response, attaching the

@@ -89,7 +89,7 @@ fn assert_server_alive(handle: &ShardedNetServerHandle, context: &str) {
 fn corpus_never_decodes_at_the_protocol_layer() {
     let cases = corpus();
     assert!(
-        cases.len() >= 14,
+        cases.len() >= 18,
         "corpus unexpectedly small ({} cases)",
         cases.len()
     );
