@@ -7,8 +7,10 @@
 //! and every entry point falls back to the scalar kernel ladder when the
 //! feature set or block shape is not covered. The vectorized shapes are the hot
 //! ones: BCSR r×4 for r ∈ {1, 2, 4} (a tile row is exactly one 4-lane f64
-//! vector) and a gather-free CSR row kernel whose *value* stream is loaded with
-//! contiguous vector loads (only the source vector is gathered).
+//! vector), its lower-triangle twin `SymBcsr` r×4 (AVX2 only; NEON keeps the
+//! scalar symmetric kernel) and a gather-free CSR row kernel whose *value*
+//! stream is loaded with contiguous vector loads (only the source vector is
+//! gathered).
 //!
 //! **Accumulation class.** FMA contracts multiply-add rounding, and the vector
 //! kernels reassociate row sums, so SIMD output is *not* bit-identical to the
@@ -24,6 +26,11 @@
 //! rule the multivec (SpMM) kernels perform, per column, the identical operation
 //! sequence — so `spmm` over `k` vectors stays bit-identical to `k` single-vector
 //! SIMD calls, which the batching service relies on.
+//!
+//! The `SymBcsr` kernel applies each tile twice. Its direct half is the BCSR
+//! rule, with `y[row] += diag·x[row] + hsum` at row end; its transposed half
+//! loads a tile's 4-wide `y` window once, adds the tile's rows times their
+//! broadcast `x[row]` by FMA in row order, and stores the window back.
 
 use std::sync::OnceLock;
 
@@ -31,6 +38,7 @@ use crate::formats::bcsr::BcsrMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexStorage;
 use crate::formats::sell::{SellMatrix, SELL_CHUNK, SELL_WINDOW};
+use crate::formats::symbcsr::SymBcsr;
 use crate::formats::traits::MatrixShape;
 use crate::kernels::multivec::{check_spmm_dims, for_each_k_chunk};
 use crate::multivec::MultiVecMut;
@@ -141,6 +149,28 @@ pub fn spmm_csr_simd<I: IndexStorage>(
     y: &mut MultiVecMut,
 ) {
     spmm_csr_simd_at(detect(), a, x, x_ld, y);
+}
+
+/// `y ← y + A_slab·x` for a [`SymBcsr`] slab over full-length vectors: the
+/// AVX2 body for covered shapes, the scalar symmetric kernel at every other
+/// level or shape.
+pub fn spmv_sym_bcsr_simd<I: IndexStorage>(a: &SymBcsr<I>, x: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), a.dim(), "source vector length mismatch");
+    assert_eq!(y.len(), a.dim(), "destination vector length mismatch");
+    match detect() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `detect` reports AVX2+FMA only after the runtime probe
+        // found both (the `SPMV_SIMD` override can only turn them off), and
+        // both vectors are `a.dim()` long, as asserted above.
+        SimdLevel::Avx2Fma if bcsr_simd_shape(a.block_rows(), a.block_cols()) => unsafe {
+            match a.block_rows() {
+                1 => avx2::spmv_sym_bcsr_rx4::<1, I>(a, x, y),
+                2 => avx2::spmv_sym_bcsr_rx4::<2, I>(a, x, y),
+                _ => avx2::spmv_sym_bcsr_rx4::<4, I>(a, x, y),
+            }
+        },
+        _ => crate::kernels::symmetric::spmv_sym_bcsr(a, x, y),
+    }
 }
 
 /// Level-explicit variant of [`spmv_bcsr_simd`], used by tests to exercise
@@ -431,6 +461,7 @@ mod avx2 {
     use crate::formats::csr::CsrMatrix;
     use crate::formats::index::IndexStorage;
     use crate::formats::sell::{SellMatrix, SELL_CHUNK};
+    use crate::formats::symbcsr::SymBcsr;
     use crate::formats::traits::MatrixShape;
 
     /// Lane = row: one FMA per step advances four rows' chains, as far as the
@@ -577,6 +608,81 @@ mod avx2 {
                     ys[j][row_lo + i] += hsum4(vacc[i][j]);
                 }
             }
+        }
+    }
+
+    /// The symmetric r×4 body (the module docs give its order). Full block
+    /// rows run [`sym_block_row`] with a constant `R`, so its row loops unroll.
+    ///
+    /// # Safety
+    ///
+    /// The host has AVX2 and FMA, and `x` and `y` are `a.dim()` long.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn spmv_sym_bcsr_rx4<const R: usize, I: IndexStorage>(
+        a: &SymBcsr<I>,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        for brow in 0..a.block_row_ptr().len() - 1 {
+            match a.local_rows() - brow * R {
+                rest if rest >= R => sym_block_row::<R, I>(a, brow, R, x, y),
+                rest => sym_block_row::<R, I>(a, brow, rest, x, y),
+            }
+        }
+    }
+
+    /// Block row `brow`'s first `rows` (≤ `R`) rows. The ragged right edge
+    /// pads both windows and stores only the lanes inside `y`; a ragged
+    /// bottom's missing rows are zero fill: their direct sums are dropped and
+    /// no `x` past the slab is read. Safety: as [`spmv_sym_bcsr_rx4`].
+    #[inline(always)]
+    unsafe fn sym_block_row<const R: usize, I: IndexStorage>(
+        a: &SymBcsr<I>,
+        brow: usize,
+        rows: usize,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        let (n, ptr) = (a.dim(), a.block_row_ptr());
+        let (row_lo, lo, hi) = (brow * R, ptr[brow] as usize, ptr[brow + 1] as usize);
+        let grow = a.row_offset() + row_lo;
+        let mut xb = [_mm256_setzero_pd(); R];
+        for (i, b) in xb.iter_mut().enumerate().take(rows) {
+            *b = _mm256_set1_pd(x[grow + i]);
+        }
+        let mut vacc = [_mm256_setzero_pd(); R];
+        for (tile, bc) in a.tile_values()[lo * R * 4..hi * R * 4]
+            .chunks_exact(R * 4)
+            .zip(&a.block_col_idx()[lo..hi])
+        {
+            let col_lo = bc.to_usize() * 4;
+            let interior = col_lo + 4 <= n;
+            // SAFETY (both interior accesses): `col_lo + 4 <= n`, the length
+            // of `x` and `y`.
+            let (xv, mut yv) = if interior {
+                let (xp, yp) = (x.as_ptr().add(col_lo), y.as_ptr().add(col_lo));
+                (_mm256_loadu_pd(xp), _mm256_loadu_pd(yp))
+            } else {
+                let (xw, yw) = (padded_window(x, col_lo), padded_window(y, col_lo));
+                (_mm256_loadu_pd(xw.as_ptr()), _mm256_loadu_pd(yw.as_ptr()))
+            };
+            for (i, acc) in vacc.iter_mut().enumerate() {
+                let tv = _mm256_loadu_pd(tile.as_ptr().add(i * 4));
+                *acc = _mm256_fmadd_pd(tv, xv, *acc);
+                if i < rows {
+                    yv = _mm256_fmadd_pd(tv, xb[i], yv);
+                }
+            }
+            if interior {
+                _mm256_storeu_pd(y.as_mut_ptr().add(col_lo), yv);
+            } else {
+                let mut w = [0.0f64; 4];
+                _mm256_storeu_pd(w.as_mut_ptr(), yv);
+                y[col_lo..].copy_from_slice(&w[..n - col_lo]);
+            }
+        }
+        for (i, &acc) in vacc.iter().enumerate().take(rows) {
+            y[grow + i] += a.diag()[row_lo + i] * x[grow + i] + hsum4(acc);
         }
     }
 

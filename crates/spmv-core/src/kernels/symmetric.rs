@@ -14,10 +14,15 @@
 //!   (and per index width), dispatching once at the call boundary like
 //!   [`crate::kernels::blocked`].
 //!
+//! These are the scalar accumulation class. A `simd` plan runs covered
+//! `SymBcsr` shapes (r×4, r ∈ {1, 2, 4}) on AVX2 hosts through
+//! [`crate::kernels::simd::spmv_sym_bcsr_simd`] instead, which falls back to
+//! [`spmv_sym_bcsr`] on every other shape and level.
+//!
 //! Accumulation order is fixed by the storage (row-major slab traversal, the
 //! transpose write of an entry issued before its row sum lands), so any two
-//! executions of the same slab are bit-identical — the property the engine's
-//! deterministic tree reduction builds on.
+//! executions of the same slab are bit-identical — the property the
+//! executors' deterministic scratch fold (`tuning::fold_rows`) builds on.
 
 use crate::formats::index::IndexStorage;
 use crate::formats::symbcsr::SymBcsr;

@@ -15,7 +15,7 @@
 //! are trivially order-independent per element.
 //!
 //! [`tree_sum`] folds per-thread partial scalars in the same pairwise order as
-//! [`crate::tuning::reduce_tree`] folds per-thread vectors, so every worker (and
+//! [`crate::tuning::fold_rows`] folds per-thread vectors, so every worker (and
 //! the serial reference) derives the same `f64` from the same slots without any
 //! extra communication.
 
@@ -74,7 +74,7 @@ pub fn scale_from(src: &[f64], s: f64, dst: &mut [f64]) {
 /// Deterministic pairwise tree sum over `count` per-thread partial scalars,
 /// `at(i)` being partial `i`.
 ///
-/// Folds in exactly the order [`crate::tuning::reduce_tree`] folds per-thread
+/// Folds in exactly the order [`crate::tuning::fold_rows`] folds per-thread
 /// vectors (stride 1, 2, 4, …; partial `i` with `i % (2·stride) == 0` absorbs
 /// partial `i + stride` when it exists), expressed allocation-free as a
 /// recursion over the accessor, so the serial references fold a slice and
@@ -339,7 +339,7 @@ mod tests {
         for count in 1..=17 {
             let slots: Vec<f64> = (0..count).map(|i| ((i as f64) * 0.77).tan()).collect();
             let mut scratch = slots.clone();
-            crate::tuning::reduce_tree(&mut scratch, 1, count);
+            crate::tuning::prepared::reduce_tree(&mut scratch, 1, count);
             assert_eq!(
                 tree_sum(count, |i| slots[i]).to_bits(),
                 scratch[0].to_bits(),

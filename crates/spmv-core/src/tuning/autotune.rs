@@ -22,6 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // Matrix fingerprints
 // ---------------------------------------------------------------------------
 
+/// First line of a cache entry. `v1` entries predate the vector `SymBcsr`
+/// kernel, so for a symmetric matrix on a SIMD host they hold a pipeline or
+/// slab the planner would no longer choose; the bump makes them misses.
+const ENTRY_HEADER: &str = "spmv-tune-cache v2";
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -225,7 +230,7 @@ impl TuneCache {
         static STAGED: AtomicU64 = AtomicU64::new(0);
         let plan_text = plan.to_text();
         let text = format!(
-            "spmv-tune-cache v1\nkey {} platform {} threads {} config {}\nchecksum {:016x}\n{}",
+            "{ENTRY_HEADER}\nkey {} platform {} threads {} config {}\nchecksum {:016x}\n{}",
             fp.key(),
             self.platform,
             nthreads,
@@ -267,7 +272,7 @@ impl TuneCache {
         let bad = |msg: &str| Error::Parse(format!("tune cache entry {path:?}: {msg}"));
         let mut parts = text.splitn(4, '\n');
         let header = parts.next().unwrap_or("");
-        if header != "spmv-tune-cache v1" {
+        if header != ENTRY_HEADER {
             return Err(bad("unknown header"));
         }
         let key_line: Vec<&str> = parts.next().unwrap_or("").split_whitespace().collect();

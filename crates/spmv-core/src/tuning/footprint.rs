@@ -217,12 +217,10 @@ pub fn enumerate_symmetric_choices(
 }
 
 /// Pick the smallest-footprint symmetric choice for a slab (ties toward the
-/// simpler pointwise format, which is listed first).
+/// simpler pointwise format, which is listed first), under [`best_choice`]'s
+/// SIMD-shape rule.
 pub fn best_symmetric_choice(lower: &CsrMatrix, n: usize, opts: &CandidateOptions) -> FormatChoice {
-    enumerate_symmetric_choices(lower, n, opts)
-        .into_iter()
-        .min_by(|a, b| a.bytes.cmp(&b.bytes))
-        .expect("at least the SymCsr candidate exists")
+    pick(enumerate_symmetric_choices(lower, n, opts), opts)
 }
 
 /// Options controlling which candidates [`enumerate_choices`] considers.
@@ -263,13 +261,15 @@ impl Default for CandidateOptions {
 pub const SIMD_SHAPE_SLACK: f64 = 1.10;
 
 /// True when the runtime SIMD dispatcher has a vector microkernel for this
-/// choice: the CSR row kernel, sliced ELL, or a BCSR tile shape in the covered
-/// set (`c == 4`, `r ∈ {1, 2, 4}`). GCSR and BCOO blocks always take the scalar
-/// ladder, as do uncovered BCSR shapes.
+/// choice: the CSR row kernel, sliced ELL, or a BCSR or `SymBcsr` tile shape in
+/// the covered set (`c == 4`, `r ∈ {1, 2, 4}`). GCSR, BCOO and `SymCsr` blocks
+/// always take the scalar ladder, as do uncovered tile shapes.
 pub fn simd_covered(choice: &FormatChoice) -> bool {
     match choice.kind {
         FormatKind::Csr | FormatKind::Sell => true,
-        FormatKind::Bcsr => crate::kernels::simd::bcsr_simd_shape(choice.r, choice.c),
+        FormatKind::Bcsr | FormatKind::SymBcsr => {
+            crate::kernels::simd::bcsr_simd_shape(choice.r, choice.c)
+        }
         _ => false,
     }
 }
@@ -345,12 +345,17 @@ pub fn enumerate_choices(csr: &CsrMatrix, opts: &CandidateOptions) -> Vec<Format
 /// SIMD-covered candidate within [`SIMD_SHAPE_SLACK`] of the byte minimum
 /// displaces an uncovered winner.
 pub fn best_choice(csr: &CsrMatrix, opts: &CandidateOptions) -> FormatChoice {
-    let choices = enumerate_choices(csr, opts);
+    pick(enumerate_choices(csr, opts), opts)
+}
+
+/// The byte minimum of `choices` (the first on ties), displaced by the smallest
+/// SIMD-covered candidate within [`SIMD_SHAPE_SLACK`] when `opts` prefers them.
+fn pick(choices: Vec<FormatChoice>, opts: &CandidateOptions) -> FormatChoice {
     let best = choices
         .iter()
         .min_by(|a, b| a.bytes.cmp(&b.bytes))
         .cloned()
-        .expect("at least the CSR candidate exists");
+        .expect("every enumeration lists its pointwise candidate");
     if opts.prefer_simd_shapes && !simd_covered(&best) {
         let limit = (best.bytes as f64 * SIMD_SHAPE_SLACK) as usize;
         if let Some(covered) = choices

@@ -51,5 +51,5 @@ pub use heuristic::{
 pub use plan::{
     choose_rung, general_beats_symmetric, LadderRung, ShareLadder, ThreadPlan, TunePlan,
 };
-pub use prepared::{reduce_into, reduce_tree, PreparedBlock, PreparedMatrix, SymBlock};
+pub use prepared::{fold_rows, PreparedBlock, PreparedMatrix, SymBlock};
 pub use search::{search_register_blocking, SearchOutcome};

@@ -72,9 +72,7 @@ impl ThreadPlan {
         decisions: Vec<BlockDecision>,
         config: &TuningConfig,
     ) -> ThreadPlan {
-        // The knob is only planned on when the host can execute it, so a
-        // freshly tuned plan always round-trips exactly.
-        let simd = config.simd && crate::kernels::simd::available();
+        let simd = plans_simd(config);
         let bytes: usize = decisions.iter().map(|d| d.choice.bytes).sum();
         let prefetch = config.software_prefetch && !simd && bytes > PREFETCH_FOOTPRINT_BYTES;
         ThreadPlan {
@@ -105,6 +103,13 @@ impl ThreadPlan {
     pub fn planned_nnz(&self) -> usize {
         self.decisions.iter().map(|d| d.nnz).sum()
     }
+}
+
+/// The planner's SIMD rule, for general shares and symmetric slabs alike: the
+/// knob is only planned on when the config asks and the host can execute it,
+/// so a freshly tuned plan always round-trips exactly.
+fn plans_simd(config: &TuningConfig) -> bool {
+    config.simd && crate::kernels::simd::available()
 }
 
 /// One candidate structure of a thread share (a rung of
@@ -313,13 +318,11 @@ impl TunePlan {
             ThreadPlan {
                 rows: range.clone(),
                 // The prefetch annotation binds a CSR *code variant*, which
-                // symmetric slabs do not execute; leave it off. The SIMD
-                // microkernels cover the general formats only, so symmetric
-                // slabs stay scalar too — which is why `TunePlan::new` times
-                // a streaming symmetric plan against the general one.
+                // symmetric slabs do not execute; leave it off. A `SymBcsr`
+                // r×4 slab runs the vector kernel under the general rule.
                 prefetch_distance: 0,
                 nta_hint: false,
-                simd: false,
+                simd: plans_simd(config),
                 decisions: vec![decision],
             }
         })

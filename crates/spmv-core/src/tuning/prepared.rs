@@ -21,7 +21,7 @@ use crate::formats::index::IndexWidth;
 use crate::formats::symbcsr::SymBcsr;
 use crate::formats::symcsr::SymCsr;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
-use crate::kernels::simd::detect;
+use crate::kernels::simd::{detect, spmv_sym_bcsr_simd};
 use crate::kernels::KernelVariant;
 use crate::tuning::footprint::FormatKind;
 use crate::tuning::plan::{ThreadPlan, TunePlan};
@@ -34,7 +34,7 @@ use std::ops::Range;
 /// `y[j]` for arbitrary global `j`, so it executes against a *full-length*
 /// destination ([`PreparedBlock::execute_full`]); the serial and parallel
 /// executors give it scratch destinations and combine them with the shared
-/// deterministic tree reduction.
+/// deterministic tree fold ([`fold_rows`]).
 #[derive(Debug, Clone)]
 pub enum SymBlock {
     /// Pointwise symmetric CSR, 16-bit column indices.
@@ -76,9 +76,13 @@ impl SymBlock {
         })
     }
 
-    /// `y ← y + A_slab·x` over full-length global vectors.
-    pub fn spmv_full(&self, x: &[f64], y: &mut [f64]) {
+    /// `y ← y + A_slab·x` over full-length global vectors; with `simd`, a
+    /// `SymBcsr` slab runs [`spmv_sym_bcsr_simd`] (the scalar kernel on
+    /// uncovered shapes and hosts).
+    pub fn spmv_full(&self, simd: bool, x: &[f64], y: &mut [f64]) {
         match self {
+            SymBlock::Bcsr16(m) if simd => spmv_sym_bcsr_simd(m, x, y),
+            SymBlock::Bcsr32(m) if simd => spmv_sym_bcsr_simd(m, x, y),
             SymBlock::Csr16(m) => m.spmv_full(x, y),
             SymBlock::Csr32(m) => m.spmv_full(x, y),
             SymBlock::Bcsr16(m) => m.spmv_full(x, y),
@@ -119,9 +123,9 @@ pub struct PreparedBlock {
     /// The CSR code variant bound for streaming-format cache blocks (carries the
     /// plan's prefetch distance and hint).
     stream_variant: KernelVariant,
-    /// Execute streaming CSR and covered BCSR blocks with the explicit SIMD
-    /// microkernels ([`crate::kernels::simd`]); overrides `stream_variant` for
-    /// CSR blocks when set.
+    /// Execute streaming CSR, covered BCSR and covered `SymBcsr` blocks with
+    /// the explicit SIMD microkernels ([`crate::kernels::simd`]); overrides
+    /// `stream_variant` for CSR blocks when set.
     simd: bool,
     /// Materialized cache blocks, rows/cols local to the thread block.
     blocks: Vec<CacheBlock>,
@@ -162,9 +166,7 @@ impl PreparedBlock {
                 ncols: local.ncols(),
                 nnz: local.nnz(),
                 stream_variant: plan.stream_variant(),
-                // Symmetric slabs have no SIMD kernels; planning keeps the knob
-                // off for them, and the executor never consults it here.
-                simd: false,
+                simd: plan.simd,
                 blocks: Vec::new(),
                 sym: Some(sym),
             });
@@ -281,7 +283,7 @@ impl PreparedBlock {
     /// equivalent to [`PreparedBlock::execute`] on the sliced destination.
     pub fn execute_full(&self, x: &[f64], y_full: &mut [f64]) {
         match &self.sym {
-            Some(sym) => sym.spmv_full(x, y_full),
+            Some(sym) => sym.spmv_full(self.simd, x, y_full),
             None => self.execute(x, &mut y_full[self.rows.start..self.rows.end]),
         }
     }
@@ -323,38 +325,69 @@ impl PreparedBlock {
     }
 }
 
-/// Accumulate `src` into `dst` element-wise — the single combine step of the
-/// deterministic pairwise tree reduction shared by the serial
-/// [`PreparedMatrix`] and the parallel `spmv_parallel::SpmvEngine`.
-///
-/// The shared schedule: with `count` scratch buffers, rounds use strides
-/// `1, 2, 4, …` while `stride < count`; in each round, buffer `i` (where
-/// `i % (2·stride) == 0` and `i + stride < count`) absorbs buffer `i + stride`.
-/// Because both executors perform exactly these element-wise additions in
-/// exactly this order, their outputs are bit-identical.
-pub fn reduce_into(dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
+/// Rows [`fold_rows`] folds per pass: one stack tile per tree level.
+const FOLD_CHUNK: usize = 64;
+
+/// `y ← y + Σₛ seg(s)` over `count` scratch segments, the one combine order
+/// of the serial [`PreparedMatrix`] and the parallel `spmv_parallel::SpmvEngine`
+/// (and of [`crate::solver::kernels::tree_sum`]'s scalars): stride 1, 2, 4, …;
+/// segment `i` with `i % (2·stride) == 0` absorbs segment `i + stride`, and the
+/// root is added into `y`. `seg(s)` covers exactly `y`'s rows, and an
+/// element's additions do not depend on that range, so executors may fold
+/// disjoint row shares independently and get the same bits.
+pub fn fold_rows<'a>(count: usize, seg: impl Fn(usize) -> &'a [f64], y: &mut [f64]) {
+    match count {
+        0 => {}
+        1 => y.iter_mut().zip(seg(0)).for_each(|(d, s)| *d += s),
+        _ => {
+            let mut root = [0.0; FOLD_CHUNK];
+            for lo in (0..y.len()).step_by(FOLD_CHUNK) {
+                let rows = lo..(lo + FOLD_CHUNK).min(y.len());
+                let root = &mut root[..rows.len()];
+                fold_subtree(
+                    &seg,
+                    count,
+                    0,
+                    count.next_power_of_two(),
+                    rows.clone(),
+                    root,
+                );
+                y[rows]
+                    .iter_mut()
+                    .zip(root.iter())
+                    .for_each(|(d, s)| *d += s);
+            }
+        }
     }
 }
 
-/// Run the full deterministic tree reduction over `count` contiguous segments
-/// of `len` elements in one flat buffer, leaving the combined result in the
-/// first segment. This is the exact schedule [`reduce_into`] documents — the
-/// single definition the serial symmetric SpMV and SpMM share, so the order
-/// the parallel engine mirrors cannot drift between them.
-pub fn reduce_tree(scratch: &mut [f64], len: usize, count: usize) {
-    debug_assert!(scratch.len() >= count * len);
-    let mut stride = 1;
-    while stride < count {
-        let mut i = 0;
-        while i + stride < count {
-            let (head, tail) = scratch.split_at_mut((i + stride) * len);
-            reduce_into(&mut head[i * len..(i + 1) * len], &tail[..len]);
-            i += 2 * stride;
-        }
-        stride *= 2;
+/// `out ←` segments `i..i + span` (those below `count`) over `rows`, summed in
+/// the tree order: the left half absorbs the right half. A pair of leaves is
+/// added straight from the segments.
+fn fold_subtree<'a>(
+    seg: &impl Fn(usize) -> &'a [f64],
+    count: usize,
+    i: usize,
+    span: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
+    let half = span / 2;
+    if span == 1 {
+        out.copy_from_slice(&seg(i)[rows]);
+    } else if i + half >= count {
+        fold_subtree(seg, count, i, half, rows, out);
+    } else if span == 2 {
+        let (a, b) = (&seg(i)[rows.clone()], &seg(i + 1)[rows]);
+        out.iter_mut()
+            .zip(a.iter().zip(b))
+            .for_each(|(o, (a, b))| *o = a + b);
+    } else {
+        fold_subtree(seg, count, i, half, rows.clone(), out);
+        let mut right = [0.0; FOLD_CHUNK];
+        let right = &mut right[..out.len()];
+        fold_subtree(seg, count, i + half, half, rows, right);
+        out.iter_mut().zip(right.iter()).for_each(|(o, r)| *o += r);
     }
 }
 
@@ -364,9 +397,9 @@ pub fn reduce_tree(scratch: &mut [f64], len: usize, count: usize) {
 /// runs the identical kernels over identical disjoint row ranges, the result is
 /// **bit-identical** to the parallel engine executing the same plan. Symmetric
 /// plans execute each slab into a per-slab scratch vector and combine them with
-/// the deterministic tree reduction ([`reduce_into`]'s schedule) — the exact
-/// element-wise additions the engine's workers perform — so bit-identity holds
-/// there too, despite the overlapping scatter writes symmetry creates.
+/// [`fold_rows`] — the exact element-wise additions the engine's workers
+/// perform on their row shares — so bit-identity holds there too, despite the
+/// overlapping scatter writes symmetry creates.
 #[derive(Debug, Clone)]
 pub struct PreparedMatrix {
     nrows: usize,
@@ -408,9 +441,8 @@ impl PreparedMatrix {
     /// solver references' `w ← A·p`, op for op what the engine's workers run.
     /// General blocks execute into their own row slices of `y`. Symmetric
     /// slabs each compute into a zeroed `nrows` segment of the caller-owned
-    /// `scratch` (grown once to `blocks × nrows`), the segments combine
-    /// pairwise in the deterministic tree order, and the root accumulates into
-    /// `y`.
+    /// `scratch` (grown once to `blocks × nrows`), and [`fold_rows`] adds the
+    /// segments into `y` in the deterministic tree order.
     pub(crate) fn apply(&self, x: &[f64], y: &mut [f64], scratch: &mut Vec<f64>) {
         if !self.symmetric {
             for block in &self.blocks {
@@ -424,14 +456,11 @@ impl PreparedMatrix {
         for (block, s) in self.blocks.iter().zip(scratch.chunks_mut(len.max(1))) {
             block.execute_full(x, s);
         }
-        reduce_tree(scratch, len, count);
-        if count > 0 {
-            reduce_into(y, &scratch[..len]);
-        }
+        fold_rows(count, |s| &scratch[s * len..(s + 1) * len], y);
     }
 
     /// Symmetric batched apply, mirroring the engine's per-column loop and the
-    /// same tree reduction over the whole `nrows × k` scratch segments.
+    /// same fold over the whole `nrows × k` scratch segments.
     fn spmm_symmetric(&self, x: &crate::multivec::MultiVec, y: &mut crate::multivec::MultiVec) {
         let count = self.blocks.len();
         let k = x.k();
@@ -442,10 +471,7 @@ impl PreparedMatrix {
                 block.execute_full(x.col(j), &mut s[j * self.nrows..(j + 1) * self.nrows]);
             }
         }
-        reduce_tree(&mut scratch, len, count);
-        if count > 0 {
-            reduce_into(y.data_mut(), &scratch[..len]);
-        }
+        fold_rows(count, |s| &scratch[s * len..(s + 1) * len], y.data_mut());
     }
 
     /// `Y ← Y + A·X` for a column-major block of `x.k()` vectors, executed
@@ -509,6 +535,25 @@ impl SpMv for PreparedMatrix {
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         check_dims(self.nrows, self.ncols, x, y);
         self.apply(x, y, &mut Vec::new());
+    }
+}
+
+/// The tree order of [`fold_rows`] written as in-place rounds over `count`
+/// contiguous segments of `len` elements, leaving the sum in the first — the
+/// reference the fold and `tree_sum` are checked against.
+#[cfg(test)]
+pub(crate) fn reduce_tree(scratch: &mut [f64], len: usize, count: usize) {
+    let mut stride = 1;
+    while stride < count {
+        let mut i = 0;
+        while i + stride < count {
+            let (head, tail) = scratch.split_at_mut((i + stride) * len);
+            for (d, s) in head[i * len..(i + 1) * len].iter_mut().zip(&tail[..len]) {
+                *d += s;
+            }
+            i += 2 * stride;
+        }
+        stride *= 2;
     }
 }
 
@@ -618,6 +663,36 @@ mod tests {
                     assert_eq!(y.col(j), &expected[..], "config {config:?} k={k} col {j}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fold_rows_is_the_in_place_tree_on_any_row_split() {
+        // The fold must add exactly what the in-place rounds add, in their
+        // order, whether one caller folds every row or each folds a share —
+        // across chunk boundaries and counts that are not powers of two.
+        let len = 150;
+        for count in 0..=9usize {
+            let scratch: Vec<f64> = (0..count * len)
+                .map(|i| ((i * 37 % 101) as f64 * 0.77).tan())
+                .collect();
+            let seg = |s: usize| &scratch[s * len..(s + 1) * len];
+            let mut expected = vec![0.5; len];
+            if count > 0 {
+                let mut rounds = scratch.clone();
+                reduce_tree(&mut rounds, len, count);
+                for (e, r) in expected.iter_mut().zip(&rounds[..len]) {
+                    *e += r;
+                }
+            }
+            let mut whole = vec![0.5; len];
+            fold_rows(count, seg, &mut whole);
+            assert_eq!(whole, expected, "count={count}");
+            let mut split = vec![0.5; len];
+            for rows in [0..3, 3..70, 70..70, 70..150] {
+                fold_rows(count, |s| &seg(s)[rows.clone()], &mut split[rows.clone()]);
+            }
+            assert_eq!(split, expected, "count={count}, split rows");
         }
     }
 

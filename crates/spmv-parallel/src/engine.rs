@@ -40,11 +40,13 @@
 //!   disjoint-slice contract no longer holds. Each symmetric worker instead
 //!   computes into its own full-length scratch vector (allocated first-touch at
 //!   construction, grown once for wider SpMM batches, zero steady-state
-//!   allocation), and the workers combine scratches with a **deterministic
-//!   pairwise tree reduction** (log₂ rounds under a sense-reversing barrier). The
-//!   reduction order is exactly the serial `PreparedMatrix`'s, so symmetric
-//!   parallel output stays bit-identical to the symmetric serial reference.
-//!   SpMV, SpMM and the fused solvers' `w ← A·p` all run this one apply.
+//!   allocation). Then **one barrier, then a row-split fold**: each
+//!   participant adds every scratch's rows of its own range into its own rows
+//!   of `y`, by the deterministic pairwise tree of
+//!   [`spmv_core::tuning::fold_rows`] — the serial `PreparedMatrix`'s fold —
+//!   so symmetric parallel output stays bit-identical to the symmetric serial
+//!   reference. SpMV, SpMM and the fused solvers' `w ← A·p` all run this one
+//!   apply.
 //! * **Always-on profiling** — whoever runs a block reads the monotonic clock
 //!   twice around it, and the caller folds the per-block times after each
 //!   epoch into [`SpmvEngine::profile`]; there is no switch.
@@ -63,7 +65,7 @@ use spmv_core::partition::row::RowPartition;
 use spmv_core::solver::kernels;
 use spmv_core::tuning::plan::{ThreadPlan, TunePlan};
 use spmv_core::tuning::prepared::PreparedBlock;
-use spmv_core::tuning::{reduce_into, TuningConfig};
+use spmv_core::tuning::{fold_rows, TuningConfig};
 use spmv_core::MatrixShape;
 use spmv_obs::{Histogram, HistogramSnapshot, TraceKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,12 +153,14 @@ struct SolverVectors {
 ///
 /// The vector is allocated (and grown, for wider SpMM batches) *by its owning
 /// worker*, so first-touch places the pages on that worker's node. Other
-/// workers only read it during reduction rounds, under the barrier ordering.
+/// workers only read it during the fold, after the barrier that ends compute.
 struct ScratchSlot(std::cell::UnsafeCell<Vec<f64>>);
 
-// SAFETY: access is disciplined by the reduction protocol — a slot is written
-// only by its owning worker (compute + absorbing rounds) and read by at most
-// one partner per round, with a gate barrier separating every round.
+// SAFETY: access is disciplined by the fold protocol. Before the apply's one
+// barrier, a slot is resized, zeroed and written only by its owning seat.
+// After it, until the seats next meet at a barrier or the epoch completes, no
+// slot is written, and each participant reads only its own row range of
+// every slot.
 unsafe impl Sync for ScratchSlot {}
 
 /// One zeroed word per participant, each on its own cache line so one
@@ -230,7 +234,7 @@ pub struct WorkerProfile {
     /// Logical nonzeros of the thread block.
     pub nnz: usize,
     /// Cumulative nanoseconds spent computing this block (for solver and
-    /// symmetric epochs this includes the in-epoch reduction rounds).
+    /// symmetric epochs this includes the in-epoch scratch fold).
     pub kernel_ns: u64,
     /// Cumulative nanoseconds this block was finished-but-waiting for the
     /// slowest block of each epoch — the per-epoch load imbalance, measured
@@ -339,7 +343,7 @@ pub struct SpmvEngine {
     ncols: usize,
     nnz: usize,
     partition: RowPartition,
-    /// Whether the workers run the symmetric scratch-reduction path.
+    /// Whether the workers run the symmetric scratch-fold path.
     symmetric: bool,
     footprint_bytes: usize,
     per_worker_bytes: Vec<usize>,
@@ -496,8 +500,8 @@ impl SpmvEngine {
     }
 
     /// Whether the engine serves the matrix from symmetric (lower-triangle)
-    /// storage, with per-worker scratch destinations and the deterministic tree
-    /// reduction.
+    /// storage, with per-worker scratch destinations and the deterministic
+    /// row-split fold.
     pub fn is_symmetric(&self) -> bool {
         self.symmetric
     }
@@ -811,7 +815,7 @@ fn build_block(shared: &Shared, i: usize, (slice, plan): BlockSpec) -> bool {
     debug_assert_eq!(block.is_symmetric(), shared.sym.is_some());
     if let Some(slots) = &shared.sym {
         // SAFETY: no other thread touches slot `i` before the first epoch's
-        // reduction rounds, which construction's handshake precedes.
+        // fold, which construction's handshake precedes.
         unsafe { *slots[i].0.get() = vec![0.0; block.ncols()] };
     }
     shared.blocks[i].set(block).is_ok()
@@ -858,7 +862,7 @@ fn run_block(shared: &Shared, i: usize, op: Op) {
     // This participant's row slices of a solver vector, re-derived per use so
     // no two live references overlap. SAFETY: the caller's views are valid for
     // this epoch; row ranges are disjoint across participants, and full-length
-    // reads (`p` in solver_apply) are phase-ordered.
+    // reads (`p` in apply) are phase-ordered.
     macro_rules! own_mut {
         ($ptr:expr) => {
             unsafe { std::slice::from_raw_parts_mut($ptr.add(rows.start), len) }
@@ -897,13 +901,13 @@ fn run_block(shared: &Shared, i: usize, op: Op) {
                 if it > 0 {
                     // Orders every participant's p update (the xpby below)
                     // before this iteration's full-length read of p in
-                    // solver_apply. Within one epoch this replaces the
+                    // apply. Within one epoch this replaces the
                     // completion+launch round-trip of single-step epochs.
                     shared.gate.barrier(i);
                 }
                 // Phase A: w ← A·p, partial p·w. A partner overwrites its
                 // slot only two barriers after everyone folded it.
-                solver_apply(shared, i, block, slabs);
+                apply(shared, i, block, slabs.p, slabs.w, 1, true);
                 shared
                     .dots_a
                     .set(i, kernels::dot(own_ref!(slabs.p), own_ref!(slabs.w)));
@@ -944,7 +948,7 @@ fn run_block(shared: &Shared, i: usize, op: Op) {
             // w ← A·q, Rayleigh partial q·w and norm partial w·w, then every
             // participant derives the same normalizer and writes q ← w/‖w‖.
             // The caller folds slot a (λ) after the epoch completes.
-            solver_apply(shared, i, block, slabs);
+            apply(shared, i, block, slabs.p, slabs.w, 1, true);
             let (q_s, w_s) = (own_ref!(slabs.p), own_ref!(slabs.w));
             shared.dots_a.set(i, kernels::dot(q_s, w_s));
             shared.dots_b.set(i, kernels::dot(w_s, w_s));
@@ -953,7 +957,7 @@ fn run_block(shared: &Shared, i: usize, op: Op) {
             kernels::scale_from(own_ref!(slabs.w), inv, own_mut!(slabs.p));
         }
     }
-    // Kernel time for this epoch (includes in-epoch reduction rounds on the
+    // Kernel time for this epoch (includes the in-epoch scratch fold on the
     // symmetric and solver paths — the time the runner was busy, which is
     // what the imbalance report wants). Relaxed: the check-in (or, on the
     // caller, program order) orders the store before the caller's fold.
@@ -968,9 +972,9 @@ fn run_block(shared: &Shared, i: usize, op: Op) {
 /// `y ← A·x` instead: whoever writes a part of `y` zeroes it right before.
 ///
 /// A general block writes its own row range of every column. A symmetric slab
-/// computes into seat `i`'s zeroed scratch, the participants combine their
-/// scratches in the [`tree_reduce`] rounds, and participant 0 accumulates the
-/// root into `y`.
+/// computes into seat `i`'s zeroed scratch; after one barrier, every seat
+/// folds all scratches' rows of its own range into its own rows of `y`, so
+/// its own reads of those rows (the solvers' dots) need no further barrier.
 fn apply(
     shared: &Shared,
     i: usize,
@@ -1003,25 +1007,27 @@ fn apply(
             }
         }
         Some(slots) => {
-            let need = nrows * k;
-            // SAFETY: seat `i` owns its slot outside the reduction rounds.
-            let scratch = unsafe { zeroed_scratch(slots, i, need) };
+            // SAFETY: seat `i` owns its slot before the barrier below.
+            let scratch = unsafe { zeroed_scratch(slots, i, nrows * k) };
             for j in 0..k {
                 block.execute_full(
                     &x[j * ncols..(j + 1) * ncols],
                     &mut scratch[j * nrows..(j + 1) * nrows],
                 );
             }
-            tree_reduce(shared, slots, i, need);
-            if i == 0 {
-                // SAFETY: the last round's barrier ordered every write to
-                // slot 0, and no other participant touches `y` on this path.
-                let root = unsafe { &*slots[0].0.get() };
-                let y = unsafe { std::slice::from_raw_parts_mut(y, need) };
+            shared.gate.barrier(i);
+            for j in 0..k {
+                let own = j * nrows + rows.start..j * nrows + rows.end;
+                // SAFETY: as on the general path, seat `i`'s rows of column
+                // `j` are written by nobody else this epoch.
+                let y = unsafe { std::slice::from_raw_parts_mut(y.add(own.start), own.len()) };
                 if overwrite {
                     y.fill(0.0);
                 }
-                reduce_into(y, &root[..need]);
+                // SAFETY: past the barrier every slot is complete and, until
+                // the seats meet again, read-only (`ScratchSlot`'s protocol).
+                let seg = |s: usize| unsafe { &(&*slots[s].0.get())[own.clone()] };
+                fold_rows(slots.len(), seg, y);
             }
         }
     }
@@ -1032,8 +1038,8 @@ fn apply(
 ///
 /// # Safety
 ///
-/// Only seat `i` may call this, and only outside the reduction rounds of an
-/// epoch, when no partner reads the slot.
+/// Only seat `i` may call this, and only before the apply's barrier, when no
+/// partner reads the slot.
 #[allow(clippy::mut_from_ref)]
 unsafe fn zeroed_scratch(slots: &[ScratchSlot], i: usize, need: usize) -> &mut [f64] {
     let scratch = &mut *slots[i].0.get();
@@ -1042,44 +1048,6 @@ unsafe fn zeroed_scratch(slots: &[ScratchSlot], i: usize, need: usize) -> &mut [
     }
     scratch[..need].fill(0.0);
     &mut scratch[..need]
-}
-
-/// The deterministic pairwise tree reduction over the participants' scratch
-/// slots, leaving the total in slot 0.
-///
-/// The schedule — stride 1, 2, 4, … while `stride < participants`; in each
-/// round buffer `i` (with `i % (2·stride) == 0`, `i + stride < participants`)
-/// absorbs buffer `i + stride` — is **exactly** the order the serial
-/// [`spmv_core::tuning::prepared::PreparedMatrix`] applies, so the parallel
-/// result is bit-identical to the serial one. A gate barrier opens every
-/// round: the first separates compute from reduction, the later ones order
-/// round `r`'s reads after round `r-1`'s writes.
-fn tree_reduce(shared: &Shared, slots: &[ScratchSlot], tid: usize, len: usize) {
-    let count = slots.len();
-    let mut stride = 1usize;
-    while stride < count {
-        shared.gate.barrier(tid);
-        if tid.is_multiple_of(2 * stride) && tid + stride < count {
-            // SAFETY: the partner finished writing its slot before arriving at
-            // this round's barrier and does not touch it again this epoch.
-            let src = unsafe { &*slots[tid + stride].0.get() };
-            let dst = unsafe { &mut *slots[tid].0.get() };
-            reduce_into(&mut dst[..len], &src[..len]);
-        }
-        stride *= 2;
-    }
-}
-
-/// Phase A of a fused solver step: `w ← A·p` (`p` doubling as the power
-/// iterate `q`) — the SpMV epoch's own [`apply`], overwriting. A symmetric
-/// engine pays **one extra barrier**, so the dots that follow read the full
-/// `w` participant 0 just wrote. Both paths mirror the serial references'
-/// apply op-for-op, so the fused step stays bit-identical to them.
-fn solver_apply(shared: &Shared, i: usize, block: &PreparedBlock, slabs: Slabs) {
-    apply(shared, i, block, slabs.p, slabs.w, 1, true);
-    if shared.sym.is_some() {
-        shared.gate.barrier(i);
-    }
 }
 
 #[cfg(test)]

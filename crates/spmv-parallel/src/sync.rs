@@ -519,7 +519,7 @@ mod tests {
     use spmv_core::solver::{SerialCg, SerialPower};
     use spmv_core::tuning::{PreparedMatrix, TunePlan, TuningConfig};
     use spmv_core::SpMv;
-    use spmv_testutil::{random_csr, spd_system, test_x, xblock};
+    use spmv_testutil::{banded_spd_system, random_csr, spd_system, test_x, xblock};
     use std::sync::{mpsc, Arc};
 
     const PARTICIPANTS: [usize; 5] = [1, 2, 3, 5, 8];
@@ -770,6 +770,12 @@ mod tests {
         sym_plan: TunePlan,
         sym_spmv: Vec<f64>,
         sym_cg: CgRefs,
+        /// A banded SPD system whose symmetric plan, on a SIMD host, stores
+        /// `SymBcsr` r×4 slabs that run the vector kernel.
+        banded: spmv_testutil::SpdSystem,
+        banded_plan: TunePlan,
+        banded_spmv: Vec<f64>,
+        banded_cg: CgRefs,
         /// The SPD system under a general (`exploit_symmetry: false`) plan.
         spd_general_plan: TunePlan,
         spd_general_cg: CgRefs,
@@ -819,6 +825,24 @@ mod tests {
         let sym_cg = cg_refs(sym_prepared.clone(), &sym.rhs);
         let mut power = SerialPower::new(sym_prepared, &test_x(96)).unwrap();
 
+        let banded = banded_spd_system(101, 15, 60 + participants as u64);
+        let banded_plan = TunePlan::new(&banded.matrix, participants, &TuningConfig::full());
+        assert!(banded_plan.symmetric);
+        for t in &banded_plan.threads {
+            let c = &t.decisions[0].choice;
+            assert_eq!(t.simd, spmv_core::kernels::simd::available());
+            assert!(
+                !t.simd
+                    || (c.kind == spmv_core::tuning::FormatKind::SymBcsr
+                        && spmv_core::kernels::simd::bcsr_simd_shape(c.r, c.c)),
+                "banded slabs run the vector SymBcsr kernel: {c:?}"
+            );
+        }
+        let banded_prepared = PreparedMatrix::materialize(&banded.matrix, &banded_plan).unwrap();
+        let mut banded_spmv = vec![0.25; 101];
+        banded_prepared.spmv(&test_x(101), &mut banded_spmv);
+        let banded_cg = cg_refs(banded_prepared, &banded.rhs);
+
         let general_config = TuningConfig {
             exploit_symmetry: false,
             ..TuningConfig::full()
@@ -841,6 +865,10 @@ mod tests {
             power_lambda: power.step(),
             sym,
             sym_plan,
+            banded,
+            banded_plan,
+            banded_spmv,
+            banded_cg,
         }
     }
 
@@ -873,7 +901,9 @@ mod tests {
 
     /// 64 seeds × participants {1, 2, 3, 5, 8} × every kind of epoch, each
     /// bit-identical to its serial reference; the CG epochs (a `cg_load`
-    /// included) run on symmetric and general plans. Every eighth seed starves
+    /// included) run on symmetric and general plans, and on a banded symmetric
+    /// plan whose slabs run the vector `SymBcsr` kernel on SIMD hosts, so the
+    /// scratch fold is explored over both slab kinds. Every eighth seed starves
     /// the owners at before-claim, so the caller must steal every block.
     #[test]
     fn explored_schedules_stay_bit_identical_to_the_serial_references() {
@@ -882,6 +912,8 @@ mod tests {
                 let refs = references(participants);
                 let mut general = SpmvEngine::from_plan(&refs.general, &refs.plan).unwrap();
                 let mut sym = SpmvEngine::from_plan(&refs.sym.matrix, &refs.sym_plan).unwrap();
+                let mut banded =
+                    SpmvEngine::from_plan(&refs.banded.matrix, &refs.banded_plan).unwrap();
                 let mut spd_general =
                     SpmvEngine::from_plan(&refs.sym.matrix, &refs.spd_general_plan).unwrap();
                 let swap_plan =
@@ -897,6 +929,7 @@ mod tests {
                     let context = format!("participants={participants} seed={seed}");
                     general.set_chaos(seed, starve);
                     sym.set_chaos(seed, starve);
+                    banded.set_chaos(seed, starve);
                     spd_general.set_chaos(seed, starve);
                     let stolen_before = general.profile().stolen_blocks;
 
@@ -918,6 +951,15 @@ mod tests {
                     sym.spmv(&sym_x, &mut y);
                     assert_eq!(y, refs.sym_spmv, "symmetric spmv, {context}");
                     check_cg(&mut sym, &refs.sym.rhs, &refs.sym_cg, &context);
+                    let mut y = vec![0.25; 101];
+                    banded.spmv(&test_x(101), &mut y);
+                    assert_eq!(y, refs.banded_spmv, "banded symmetric spmv, {context}");
+                    check_cg(
+                        &mut banded,
+                        &refs.banded.rhs,
+                        &refs.banded_cg,
+                        &format!("banded symmetric plan, {context}"),
+                    );
                     check_cg(
                         &mut spd_general,
                         &refs.sym.rhs,

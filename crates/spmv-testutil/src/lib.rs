@@ -559,9 +559,32 @@ pub struct SpdSystem {
 
 /// Build a deterministic SPD test system of order `n` (see [`SpdSystem`]).
 pub fn spd_system(n: usize, seed: u64) -> SpdSystem {
-    use spmv_core::SpMv;
     assert!(n > 0, "SPD system needs at least one row");
-    let base = random_symmetric_csr(n, 3 * n, seed);
+    spd_from(&random_symmetric_csr(n, 3 * n, seed))
+}
+
+/// [`spd_system`] over a *full* band: every entry within `half_bandwidth` of
+/// the diagonal is stored, so lower-triangle tiles fill well and, on a SIMD
+/// host, the planner stores its slabs as `SymBcsr` r×4, the shapes the vector
+/// symmetric kernel covers.
+pub fn banded_spd_system(n: usize, half_bandwidth: usize, seed: u64) -> SpdSystem {
+    assert!(n > 0, "SPD system needs at least one row");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        for j in i.saturating_sub(half_bandwidth)..i {
+            let v = rng.random_range(-1.0..1.0);
+            coo.push(i, j, v);
+            coo.push(j, i, v);
+        }
+    }
+    spd_from(&CsrMatrix::from_coo(&coo))
+}
+
+/// `base` (exactly symmetric, order `n`) made SPD, with its known solution.
+fn spd_from(base: &CsrMatrix) -> SpdSystem {
+    use spmv_core::{MatrixShape, SpMv};
+    let n = base.nrows();
     // Shift the diagonal beyond the largest absolute row sum: strict diagonal
     // dominance with positive diagonal ⇒ symmetric positive definite.
     let mut row_abs = vec![0.0f64; n];

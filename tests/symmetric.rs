@@ -15,19 +15,27 @@
 //! 4. **MatrixMarket regression** — symmetric `.mtx` files read via `mmio`
 //!    produce a `SymCsr` whose SpMV matches the expanded general CSR on every
 //!    symmetric Table-3 suite matrix.
+//! 5. **The vector `SymBcsr` r×4 kernel** — on ragged slabs and hostile `x` it
+//!    agrees with CSR and keeps the scalar kernel's NaN/∞ positions; a banded
+//!    SPD plan whose slabs it runs keeps engine ≡ serial for SpMV, SpMM and CG;
+//!    its `simd` annotation round-trips and degrades to the scalar kernel.
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::formats::bcsr::ALLOWED_BLOCK_DIMS;
-use spmv_multicore::spmv_core::formats::{is_symmetric, SymBcsr, SymCsr};
+use spmv_multicore::spmv_core::formats::{is_symmetric, IndexStorage, SymBcsr, SymCsr};
+use spmv_multicore::spmv_core::kernels::simd::{self, bcsr_simd_shape, spmv_sym_bcsr_simd};
+use spmv_multicore::spmv_core::kernels::symmetric::spmv_sym_bcsr;
+use spmv_multicore::spmv_core::solver::SerialCg;
 use spmv_multicore::spmv_core::tuning::FormatKind;
 use spmv_multicore::spmv_matrices::mmio::{
     read_matrix_market_ex, write_matrix_market_ex, Symmetry, ValueField,
 };
-use spmv_multicore::spmv_parallel::SpmvEngine;
+use spmv_multicore::spmv_parallel::{FusedCg, SpmvEngine};
 use spmv_testutil::{
-    assert_bit_identical, assert_ulps_within, banded_csr, max_abs_diff, random_symmetric_csr,
-    test_x, xblock,
+    assert_bit_identical, assert_ulps_within, banded_csr, banded_spd_system, max_abs_diff,
+    plan_snapshot, random_symmetric_csr, test_x, xblock,
 };
+use std::ops::Range;
 
 /// The fuzz corpus: seeded symmetric matrices of varied shape and density.
 fn symmetric_corpus() -> Vec<(String, CsrMatrix)> {
@@ -302,4 +310,218 @@ fn tuner_picks_up_symmetry_automatically_on_suite_matrices() {
             matrix.id()
         );
     }
+}
+
+// --- the vector SymBcsr r×4 kernel ------------------------------------------
+
+type SymKernel<I> = fn(&SymBcsr<I>, &[f64], &mut [f64]);
+
+/// The whole matrix as one slab, and three slabs whose offsets are off the
+/// 4-column grid and whose heights leave most block-row grids a ragged last
+/// block row.
+fn slabbings(n: usize) -> [Vec<Range<usize>>; 2] {
+    let (a, b) = (n / 5 + 2, n / 2 + 1);
+    [std::iter::once(0..n).collect(), vec![0..a, a..b, b..n]]
+}
+
+/// `y = A·x` assembled slab by slab from `r×4` `SymBcsr` slabs at width `I`.
+fn slab_product<I: IndexStorage>(
+    csr: &CsrMatrix,
+    r: usize,
+    slabs: &[Range<usize>],
+    x: &[f64],
+    kernel: SymKernel<I>,
+) -> Vec<f64> {
+    let mut y = vec![0.0; csr.nrows()];
+    for rows in slabs {
+        let local = csr.row_slice(rows.start, rows.end);
+        let slab = SymBcsr::<I>::from_slab_unchecked(&local, rows.start, r, 4).unwrap();
+        kernel(&slab, x, &mut y);
+    }
+    y
+}
+
+/// The vector kernel against plain CSR: r ∈ {1, 2, 4}, both widths,
+/// `n mod 4 ∈ {0, 1, 3}` (a ragged right edge), whole matrices and ragged
+/// slabs; two runs give the same bits, and so do the two widths.
+#[test]
+fn simd_sym_bcsr_kernel_matches_csr_on_ragged_slabs() {
+    for n in [36usize, 37, 39] {
+        let matrices = [
+            ("random", random_symmetric_csr(n, 4 * n, n as u64)),
+            ("banded", banded_csr(n, 6, true, n as u64)),
+        ];
+        for (name, csr) in matrices {
+            let x = test_x(n);
+            let reference = csr.spmv_alloc(&x);
+            let scale = reference.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            for r in [1usize, 2, 4] {
+                for slabs in slabbings(n) {
+                    let ctx = format!("{name} n={n} {r}x4 slabs={slabs:?}");
+                    let y16 = slab_product::<u16>(&csr, r, &slabs, &x, spmv_sym_bcsr_simd);
+                    let y32 = slab_product::<u32>(&csr, r, &slabs, &x, spmv_sym_bcsr_simd);
+                    assert!(
+                        max_abs_diff(&reference, &y32) <= 1e-12 * scale,
+                        "{ctx}: diverged from CSR"
+                    );
+                    assert_bit_identical(&y16, &y32, &format!("{ctx}: u16 vs u32"));
+                    let again = slab_product::<u32>(&csr, r, &slabs, &x, spmv_sym_bcsr_simd);
+                    assert_bit_identical(&y32, &again, &format!("{ctx}: rerun"));
+                }
+            }
+        }
+    }
+}
+
+/// `test_x` with NaN payloads, ±∞, −0.0 and subnormals spread through it, and
+/// a NaN on the first row past the first of [`slabbings`]' ragged slabs.
+fn hostile_x(n: usize) -> Vec<f64> {
+    let mut x = test_x(n);
+    let specials = [
+        f64::from_bits(0x7ff8_0000_0000_0bad),
+        f64::INFINITY,
+        -0.0,
+        f64::from_bits(0xfff0_0000_0000_0001),
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 3.0,
+    ];
+    for (k, v) in specials.into_iter().enumerate() {
+        x[(k * 29 + 5) % n] = v;
+    }
+    x[slabbings(n)[1][1].start] = f64::NAN;
+    x
+}
+
+/// What a hostile input may legitimately leave in an output element: NaN, an
+/// infinity of one sign, or a finite value.
+fn class(v: f64) -> (bool, bool, bool) {
+    (v.is_nan(), v.is_infinite(), v.is_infinite() && v > 0.0)
+}
+
+/// Hostile `x`: the vector kernel leaves NaN and ∞ exactly where the scalar
+/// symmetric kernel does (ragged slabs and edges included), and a plan running
+/// it keeps serial ≡ engine by `to_bits` at every thread count.
+#[test]
+fn simd_sym_bcsr_keeps_scalar_nan_and_inf_positions() {
+    let n = 203;
+    let x = hostile_x(n);
+    for (name, csr) in [
+        ("random", random_symmetric_csr(n, 2 * n, 5)),
+        ("banded", banded_csr(n, 3, true, 6)),
+    ] {
+        for r in [1usize, 2, 4] {
+            for slabs in slabbings(n) {
+                let ctx = format!("{name} {r}x4 slabs={slabs:?}");
+                let scalar = slab_product::<u32>(&csr, r, &slabs, &x, spmv_sym_bcsr);
+                let vector = slab_product::<u32>(&csr, r, &slabs, &x, spmv_sym_bcsr_simd);
+                assert!(scalar.iter().any(|v| v.is_finite()), "{ctx}: all poisoned");
+                assert!(
+                    scalar.iter().any(|v| !v.is_finite()),
+                    "{ctx}: none poisoned"
+                );
+                for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
+                    assert_eq!(class(*s), class(*v), "{ctx}: row {i}: {s:?} vs {v:?}");
+                }
+            }
+        }
+    }
+    let sys = banded_spd_system(n, 15, 7);
+    for threads in 1..=5 {
+        let plan = TunePlan::new(&sys.matrix, threads, &TuningConfig::full());
+        let serial = PreparedMatrix::materialize(&sys.matrix, &plan).unwrap();
+        let mut expected = vec![-0.0; n];
+        serial.spmv(&x, &mut expected);
+        let mut engine = SpmvEngine::from_plan(&sys.matrix, &plan).unwrap();
+        let mut y = vec![-0.0; n];
+        engine.spmv(&x, &mut y);
+        assert_bit_identical(&expected, &y, &format!("hostile x, threads={threads}"));
+    }
+}
+
+/// Assert that on a SIMD host every slab of `plan` is a `SymBcsr` r×4 slab
+/// annotated `simd` — so a test built on it cannot silently stop covering the
+/// vector kernel there. (A scalar host plans the byte minimum, unannotated.)
+fn assert_vector_sym_slabs(plan: &TunePlan, context: &str) {
+    assert!(plan.symmetric, "{context}: symmetric plan expected");
+    for t in &plan.threads {
+        let c = &t.decisions[0].choice;
+        assert_eq!(t.simd, simd::available(), "{context}: simd annotation");
+        assert!(
+            !t.simd || (c.kind == FormatKind::SymBcsr && bcsr_simd_shape(c.r, c.c)),
+            "{context}: slab is not SymBcsr r×4:\n{}",
+            plan_snapshot(plan)
+        );
+    }
+}
+
+/// A banded SPD matrix planned onto vector `SymBcsr` slabs: at 1..=5 threads
+/// the engine equals `PreparedMatrix` for SpMV, its SpMM equals SpMV column by
+/// column, and `FusedCg` follows `SerialCg` bit for bit for ten steps.
+#[test]
+fn vector_sym_slabs_keep_engine_spmm_and_cg_bit_identical() {
+    let n = 203;
+    let sys = banded_spd_system(n, 15, 11);
+    let x = test_x(n);
+    for threads in 1..=5 {
+        let ctx = format!("threads={threads}");
+        let plan = TunePlan::new(&sys.matrix, threads, &TuningConfig::full());
+        assert_vector_sym_slabs(&plan, &ctx);
+        let serial = PreparedMatrix::materialize(&sys.matrix, &plan).unwrap();
+        let mut expected = vec![0.375; n];
+        serial.spmv(&x, &mut expected);
+        let mut engine = SpmvEngine::from_plan(&sys.matrix, &plan).unwrap();
+        let mut y = vec![0.375; n];
+        engine.spmv(&x, &mut y);
+        assert_bit_identical(&expected, &y, &format!("{ctx} spmv"));
+
+        for k in [1usize, 3, 8] {
+            let xs = xblock(n, k);
+            let mut ys = MultiVec::zeros(n, k);
+            engine.spmm(&xs, &mut ys);
+            for j in 0..k {
+                let mut col = vec![0.0; n];
+                engine.spmv(xs.col(j), &mut col);
+                assert_bit_identical(ys.col(j), &col, &format!("{ctx} spmm k={k} col {j}"));
+            }
+        }
+
+        let mut reference = SerialCg::new(serial, &sys.rhs).unwrap();
+        let mut fused = FusedCg::new(engine, &sys.rhs);
+        for step in 0..10 {
+            reference.step();
+            fused.step();
+            let (a, b) = (reference.rr(), fused.rr());
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx} cg step {step} rr");
+        }
+        assert_bit_identical(
+            reference.solution(),
+            fused.solution(),
+            &format!("{ctx} cg x"),
+        );
+    }
+}
+
+/// A symmetric `simd` plan round-trips through its text; loaded on a host
+/// without SIMD it degrades to the scalar symmetric kernel, bit for bit.
+#[test]
+fn symmetric_simd_plan_round_trips_and_degrades_to_the_scalar_kernel() {
+    let sys = banded_spd_system(101, 15, 13);
+    let plan = TunePlan::new(&sys.matrix, 1, &TuningConfig::full());
+    assert_vector_sym_slabs(&plan, "one thread");
+    let text = plan.to_text();
+    assert_eq!(text.contains(" simd"), simd::available());
+    assert_eq!(TunePlan::from_text(&text).unwrap(), plan);
+
+    let degraded = TunePlan::from_text_with_simd_support(&text, false).unwrap();
+    assert!(degraded.threads.iter().all(|t| !t.simd));
+    let x = test_x(101);
+    let y = PreparedMatrix::materialize(&sys.matrix, &degraded)
+        .unwrap()
+        .spmv_alloc(&x);
+    let c = &plan.threads[0].decisions[0].choice;
+    let slab = SymBcsr::<u32>::from_csr(&sys.matrix, c.r, c.c).unwrap();
+    let mut scalar = vec![0.0; 101];
+    spmv_sym_bcsr(&slab, &x, &mut scalar);
+    assert_bit_identical(&y, &scalar, "degraded plan runs the scalar kernel");
 }

@@ -107,6 +107,51 @@ fn warm_cache_hit_skips_the_search_and_tampering_is_rejected() {
 }
 
 #[test]
+fn entries_from_the_previous_format_are_misses_and_get_replanned() {
+    // A v1 entry was planned before symmetric slabs had a vector kernel, so it
+    // may hold a decision the planner no longer makes: it must not be served.
+    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v1_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = TuneCache::with_platform(&dir, "suite-plat").unwrap();
+    let csr = random_csr(70, 70, 600, 10);
+    let config = TuningConfig::full();
+    cache.plan(&csr, 2, &config).unwrap();
+    assert_eq!(cache.search_count(), 1);
+
+    let fp = MatrixFingerprint::compute(&csr);
+    let path = cache.entry_path(&fp, 2, &config);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        text.starts_with("spmv-tune-cache v2\n"),
+        "entries are written as v2"
+    );
+    std::fs::write(
+        &path,
+        text.replacen("spmv-tune-cache v2", "spmv-tune-cache v1", 1),
+    )
+    .unwrap();
+    assert!(
+        cache.lookup(&fp, 2, &config, &csr).is_none(),
+        "a v1 entry is a miss"
+    );
+
+    cache.plan(&csr, 2, &config).unwrap();
+    assert_eq!(
+        cache.search_count(),
+        2,
+        "the v1 entry forces exactly one re-plan"
+    );
+    let restored = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        restored.starts_with("spmv-tune-cache v2\n"),
+        "the re-plan is stored as v2"
+    );
+    assert!(cache.lookup(&fp, 2, &config, &csr).is_some());
+    assert_eq!(cache.search_count(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn heuristic_plan_matches_the_golden_snapshot() {
     // A fixed seeded matrix whose plan is committed below: planner drift (new
     // formats, changed thresholds) must be a conscious edit here, never a
