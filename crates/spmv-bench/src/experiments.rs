@@ -251,7 +251,12 @@ fn cache_platform_workload(
     ex: &Extrapolation,
 ) -> (WorkloadProfile, usize) {
     // The serial tuned form: a one-thread plan, materialized. The untimed
-    // planner: the tables model the paper's machines, not this host's clock.
+    // planner, without SIMD shapes: the tables model the paper's machines, not
+    // this host's clock or vector units.
+    let config = &TuningConfig {
+        simd: false,
+        ..*config
+    };
     let plan = TunePlan::heuristic(csr, 1, config);
     let tuned = PreparedMatrix::materialize(csr, &plan).expect("fresh plan matches its matrix");
     let footprint = ex.bytes(tuned.footprint_bytes());

@@ -274,13 +274,6 @@ impl<I: IndexStorage> CsrMatrix<I> {
         crate::kernels::multivec::spmm_csr(self, x.data(), self.ncols, &mut y.view_mut());
     }
 
-    /// Allocating convenience for [`CsrMatrix::spmm`]: returns `A·X`.
-    pub fn spmm_alloc(&self, x: &crate::multivec::MultiVec) -> crate::multivec::MultiVec {
-        let mut y = crate::multivec::MultiVec::zeros(self.nrows, x.k());
-        self.spmm(x, &mut y);
-        y
-    }
-
     /// Extract rows `[start, end)` as a new CSR matrix over the same column space.
     /// Used by the row-partitioners to hand each thread an independent sub-matrix.
     pub fn row_slice(&self, start: usize, end: usize) -> CsrMatrix<I> {

@@ -9,10 +9,6 @@
 //!   (at tuning/construction time), never per element. This is the hot path.
 //! * [`IndexArray`] — a runtime-width enum used by the cold formats (BCOO, GCSR)
 //!   and by footprint accounting, where per-access dispatch cost is irrelevant.
-//!
-//! What monomorphization buys over consulting the [`IndexArray`] tag on every
-//! column-index fetch is timed by `spmv-bench/benches/index_monomorphization.rs`,
-//! which keeps a per-access enum-dispatch CSR of its own to compare against.
 
 use crate::error::{Error, Result};
 

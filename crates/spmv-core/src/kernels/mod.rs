@@ -6,29 +6,21 @@
 //! * [`naive`] — conventional nested loop over `row_ptr`.
 //! * [`single_loop`] — a single loop variable over the nonzero stream, exploiting the
 //!   fact that CSR stores rows contiguously.
-//! * [`branchless`] — segmented-scan-style accumulation with no inner-loop branch,
-//!   the technique of Blelloch et al. the paper cites.
-//! * [`pipelined`] — explicit software pipelining: the next iteration's operands are
-//!   loaded while the current one computes, for in-order cores.
-//! * [`unrolled`] — 4-way unrolled, SIMD-friendly inner loop (what the paper's
-//!   SIMD-intrinsic generator emits, expressed as auto-vectorizable Rust).
 //! * [`prefetch`] — software-prefetch-annotated traversal with a tunable distance.
 //! * [`multivec`] — the SpMM family: the same data structures applied to a
 //!   column-major block of `k` vectors at once, amortizing all index traffic.
 //!
-//! [`variant::KernelVariant`] provides uniform dispatch so the benchmarks can sweep
-//! the whole set.
+//! [`variant::KernelVariant`] dispatches over the CSR code variants. The paper's
+//! branchless segmented scan (no speedup on x86) and software pipelining (applied
+//! only to in-order cores) are not implemented.
 
 pub mod blocked;
-pub mod branchless;
 pub mod multivec;
 pub mod naive;
-pub mod pipelined;
 pub mod prefetch;
 pub mod simd;
 pub mod single_loop;
 pub mod symmetric;
-pub mod unrolled;
 pub mod variant;
 
 pub use variant::KernelVariant;

@@ -1,20 +1,16 @@
-//! Uniform dispatch over the code-optimization kernel variants.
+//! Uniform dispatch over the CSR code-optimization kernels.
 //!
-//! The `kernel_variants` Criterion bench and the paper-table experiments sweep this
-//! enum the way the paper's Perl code generator enumerated kernel flavours per
-//! architecture; a tuning plan emits only [`KernelVariant::SingleLoop`] and the
-//! prefetch variants. [`KernelVariant::execute`] runs a CSR code variant directly on
-//! a (generic, monomorphized) [`CsrMatrix<I>`]: these are *code* optimizations, the
-//! matrix is untouched.
+//! A tuning plan emits [`KernelVariant::SingleLoop`] and the prefetch variants
+//! ([`crate::tuning::ThreadPlan`]); [`KernelVariant::Naive`] is the conventional
+//! loop they are measured against. [`KernelVariant::execute`] runs a CSR code
+//! variant directly on a (generic, monomorphized) [`CsrMatrix<I>`]: these are
+//! *code* optimizations, the matrix is untouched.
 
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexStorage;
-use crate::kernels::branchless::spmv_branchless;
 use crate::kernels::naive::spmv_naive;
-use crate::kernels::pipelined::spmv_pipelined;
 use crate::kernels::prefetch::{spmv_prefetch, PrefetchHint};
 use crate::kernels::single_loop::spmv_single_loop;
-use crate::kernels::unrolled::{spmv_unrolled4, spmv_unrolled8};
 
 /// A CSR SpMV code variant (paper Table 2, "Code Optimization" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,14 +19,6 @@ pub enum KernelVariant {
     Naive,
     /// Single loop variable over the nonzero stream.
     SingleLoop,
-    /// Branchless segmented-scan accumulation.
-    Branchless,
-    /// Explicit two-stage software pipeline (for in-order cores).
-    Pipelined,
-    /// 4-way unrolled, auto-vectorizable inner loop (SIMDization).
-    Unrolled4,
-    /// 8-way unrolled inner loop for long-row matrices.
-    Unrolled8,
     /// Software prefetch at the given distance (in nonzeros), all-levels hint.
     Prefetch(usize),
     /// Software prefetch at the given distance with a non-temporal hint,
@@ -42,14 +30,7 @@ impl KernelVariant {
     /// Every parameter-free CSR code variant plus a representative prefetch
     /// distance sweep.
     pub fn all() -> Vec<KernelVariant> {
-        let mut v = vec![
-            KernelVariant::Naive,
-            KernelVariant::SingleLoop,
-            KernelVariant::Branchless,
-            KernelVariant::Pipelined,
-            KernelVariant::Unrolled4,
-            KernelVariant::Unrolled8,
-        ];
+        let mut v = vec![KernelVariant::Naive, KernelVariant::SingleLoop];
         for &d in &crate::kernels::prefetch::PREFETCH_DISTANCE_CANDIDATES[1..] {
             v.push(KernelVariant::Prefetch(d));
             v.push(KernelVariant::PrefetchNta(d));
@@ -62,10 +43,6 @@ impl KernelVariant {
         match self {
             KernelVariant::Naive => "naive".to_string(),
             KernelVariant::SingleLoop => "single-loop".to_string(),
-            KernelVariant::Branchless => "branchless".to_string(),
-            KernelVariant::Pipelined => "pipelined".to_string(),
-            KernelVariant::Unrolled4 => "unrolled4".to_string(),
-            KernelVariant::Unrolled8 => "unrolled8".to_string(),
             KernelVariant::Prefetch(d) => format!("prefetch-t0-{d}"),
             KernelVariant::PrefetchNta(d) => format!("prefetch-nta-{d}"),
         }
@@ -76,10 +53,6 @@ impl KernelVariant {
         match *self {
             KernelVariant::Naive => spmv_naive(a, x, y),
             KernelVariant::SingleLoop => spmv_single_loop(a, x, y),
-            KernelVariant::Branchless => spmv_branchless(a, x, y),
-            KernelVariant::Pipelined => spmv_pipelined(a, x, y),
-            KernelVariant::Unrolled4 => spmv_unrolled4(a, x, y),
-            KernelVariant::Unrolled8 => spmv_unrolled8(a, x, y),
             KernelVariant::Prefetch(d) => spmv_prefetch(a, x, y, d, PrefetchHint::AllLevels),
             KernelVariant::PrefetchNta(d) => spmv_prefetch(a, x, y, d, PrefetchHint::NonTemporal),
         }
@@ -141,7 +114,7 @@ mod tests {
     fn all_contains_base_variants() {
         let all = KernelVariant::all();
         assert!(all.contains(&KernelVariant::Naive));
-        assert!(all.contains(&KernelVariant::Branchless));
+        assert!(all.contains(&KernelVariant::SingleLoop));
         assert!(all.iter().any(|v| matches!(v, KernelVariant::Prefetch(_))));
         assert!(all.len() >= 10);
     }

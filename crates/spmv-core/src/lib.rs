@@ -7,8 +7,7 @@
 //! The crate provides the three optimization classes the paper studies:
 //!
 //! 1. **Code optimizations** ([`kernels`]) — naive nested-loop CSR, single-loop-variable
-//!    traversal, branchless (segmented-scan style) accumulation, software-pipelined and
-//!    unrolled/SIMD-friendly kernels, and prefetch-annotated variants.
+//!    traversal, prefetch-annotated variants and explicit SIMD microkernels.
 //! 2. **Data-structure optimizations** ([`formats`], [`blocking`], [`tuning`]) — register
 //!    blocking (BCSR with power-of-two tiles up to 4×4), block-coordinate storage (BCOO),
 //!    generalized CSR for empty rows, 16-bit/32-bit index compression, sparse cache

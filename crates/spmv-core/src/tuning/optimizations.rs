@@ -89,13 +89,13 @@ pub fn table2() -> Vec<OptimizationEntry> {
             name: "Software pipelining",
             class: Code,
             applicability: [NoSpeedup, Applied, Applied],
-            module: "spmv_core::kernels::pipelined",
+            module: NOT_IMPLEMENTED,
         },
         OptimizationEntry {
             name: "Branchless / segmented scan",
             class: Code,
             applicability: [NoSpeedup, Applied, Applied],
-            module: "spmv_core::kernels::branchless",
+            module: NOT_IMPLEMENTED,
         },
         OptimizationEntry {
             name: "SIMDization",

@@ -36,7 +36,7 @@ use std::ops::Range;
 /// executors give it scratch destinations and combine them with the shared
 /// deterministic tree fold ([`fold_rows`]).
 #[derive(Debug, Clone)]
-pub enum SymBlock {
+pub(crate) enum SymBlock {
     /// Pointwise symmetric CSR, 16-bit column indices.
     Csr16(SymCsr<u16>),
     /// Pointwise symmetric CSR, 32-bit column indices.
@@ -220,11 +220,6 @@ impl PreparedBlock {
     /// beyond its own row range; execute it with [`PreparedBlock::execute_full`]).
     pub fn is_symmetric(&self) -> bool {
         self.sym.is_some()
-    }
-
-    /// The materialized symmetric slab, if any.
-    pub fn sym_block(&self) -> Option<&SymBlock> {
-        self.sym.as_ref()
     }
 
     /// The kernel variant bound for streaming cache blocks.
@@ -494,13 +489,6 @@ impl PreparedMatrix {
             let mut sub = view.sub_rows(rows.start, rows.end - rows.start);
             block.spmm(x.data(), x_ld, &mut sub);
         }
-    }
-
-    /// Allocating convenience for [`PreparedMatrix::spmm`]: returns `A·X`.
-    pub fn spmm_alloc(&self, x: &crate::multivec::MultiVec) -> crate::multivec::MultiVec {
-        let mut y = crate::multivec::MultiVec::zeros(self.nrows, x.k());
-        self.spmm(x, &mut y);
-        y
     }
 }
 

@@ -77,13 +77,23 @@ impl NetClient {
     }
 
     /// Frame one request into the reused write buffer and send it; a name
-    /// past 65,535 bytes or a ragged `Spmm` block is refused unsent.
+    /// past 65,535 bytes, or an `Spmm` block that is ragged or wider than
+    /// [`protocol::MAX_SPMM_COLS`], is refused unsent.
     fn send(&mut self, matrix: &str, op: Op) -> Result<u64> {
         if matrix.len() > u16::MAX as usize {
             return Err(NetError::Malformed("matrix name over 65535 bytes".into()));
         }
-        if matches!(&op, Op::Spmm { cols } if cols.iter().any(|c| c.len() != cols[0].len())) {
-            return Err(NetError::Malformed("spmm columns differ in length".into()));
+        if let Op::Spmm { cols } = &op {
+            if cols.len() > protocol::MAX_SPMM_COLS as usize {
+                return Err(NetError::Malformed(format!(
+                    "spmm block of {} columns, over {}",
+                    cols.len(),
+                    protocol::MAX_SPMM_COLS
+                )));
+            }
+            if cols.iter().any(|c| c.len() != cols[0].len()) {
+                return Err(NetError::Malformed("spmm columns differ in length".into()));
+            }
         }
         self.next_id += 1;
         let id = self.next_id;

@@ -29,9 +29,16 @@
 //! payload is a column count and one column length followed by its columns
 //! back to back (column-major). Each vector crosses the codec as one
 //! little-endian slice conversion. The encoders require every `Spmm` column
-//! to have the same length (a ragged block would decode re-split) and a
-//! matrix name of at most 65,535 bytes; [`crate::NetClient`] refuses both
-//! before it writes a byte.
+//! to have the same length (a ragged block would decode re-split), at most
+//! [`MAX_SPMM_COLS`] columns and a matrix name of at most 65,535 bytes;
+//! [`crate::NetClient`] refuses all three before it writes a byte.
+//!
+//! Every length claim is covered by the frame's remaining bytes before the
+//! decoder allocates for it. Empty columns cover no bytes, so the column count
+//! has its own cap: a block claiming more than [`MAX_SPMM_COLS`] columns is
+//! malformed whatever its column length. A server sheds any block wider than
+//! its queue depth (256 by default) anyway; the cap bounds what one frame can
+//! make the decoder allocate to about 1.5 MB of empty column headers.
 //!
 //! ## Response body
 //!
@@ -61,6 +68,10 @@ use crate::{NetError, Result};
 /// ~2M-element f64 vector; anything bigger is assumed to be a corrupt or
 /// hostile length prefix.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
+/// Most columns one `Spmm` block may carry (request or response); a wider
+/// count is [`NetError::Malformed`] before anything is allocated.
+pub const MAX_SPMM_COLS: u32 = 65_535;
 
 /// Opcode: apply the matrix to one vector.
 pub const OP_SPMV: u8 = 1;
@@ -246,6 +257,7 @@ fn put_vec(buf: &mut Vec<u8>, v: &[f64]) {
 fn put_block(buf: &mut Vec<u8>, cols: &[Vec<f64>]) {
     let n = cols.first().map_or(0, |c| c.len());
     debug_assert!(cols.iter().all(|c| c.len() == n), "ragged spmm block");
+    debug_assert!(cols.len() <= MAX_SPMM_COLS as usize, "spmm block too wide");
     put_u32(buf, cols.len() as u32);
     put_u32(buf, n as u32);
     for col in cols {
@@ -327,9 +339,16 @@ impl<'a> Reader<'a> {
         self.f64s(n)
     }
 
-    /// An spmm block; its `k x n` claim is covered before any allocation.
+    /// An spmm block; its `k x n` claim is covered, and `k` capped, before
+    /// any allocation.
     fn block(&mut self, what: &str) -> Result<Vec<Vec<f64>>> {
-        let k = self.u32()? as usize;
+        let k = self.u32()?;
+        if k > MAX_SPMM_COLS {
+            return Err(NetError::Malformed(format!(
+                "{what} claims {k} columns, over {MAX_SPMM_COLS}"
+            )));
+        }
+        let k = k as usize;
         let n = self.u32()? as usize;
         if self.buf.len() - self.at < k.saturating_mul(n).saturating_mul(8) {
             return Err(NetError::Malformed(format!(
@@ -386,7 +405,8 @@ pub fn take_frame(buf: &[u8], max_frame: u32) -> Result<Option<(&[u8], usize)>> 
 // ---------------------------------------------------------------------------
 
 /// Encode one request as a frame body (no length prefix). Preconditions:
-/// uniform `Spmm` columns and a matrix name of at most 65,535 bytes.
+/// uniform `Spmm` columns, at most [`MAX_SPMM_COLS`] of them, and a matrix
+/// name of at most 65,535 bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut body = Vec::with_capacity(request_len(req));
     put_request(&mut body, req);

@@ -15,8 +15,8 @@
 //! The client and the server frame messages in place, in their own write
 //! buffers; the loopback tests check those frames against the reference too,
 //! and that the client refuses what the wire cannot carry (ragged `Spmm`
-//! blocks, names past the `u16` length field) without disturbing the
-//! connection.
+//! blocks, blocks past the column cap, names past the `u16` length field)
+//! without disturbing the connection.
 
 use spmv_core::formats::{CooMatrix, CsrMatrix};
 use spmv_core::tuning::TuningConfig;
@@ -177,6 +177,9 @@ impl RefReader<'_> {
 
     fn block(&mut self) -> Option<Vec<Vec<f64>>> {
         let k = self.u32()? as usize;
+        if k > 65_535 {
+            return None;
+        }
         let n = self.u32()? as usize;
         (0..k).map(|_| self.f64s(n)).collect()
     }
@@ -498,6 +501,57 @@ fn response_bodies_and_frames_match_the_per_element_reference() {
     }
 }
 
+/// An `Spmm` block of `k` columns of `n` elements each, with no element bytes:
+/// a request body and a response body.
+fn bare_spmm_bodies(k: u32, n: u32) -> (Vec<u8>, Vec<u8>) {
+    let mut req = vec![protocol::OP_SPMM];
+    ref_u64(&mut req, 1);
+    ref_u16(&mut req, 1);
+    req.push(b'm');
+    let mut resp = vec![protocol::ST_OK];
+    ref_u64(&mut resp, 1);
+    resp.push(protocol::OP_SPMM);
+    for body in [&mut req, &mut resp] {
+        ref_u32(body, k);
+        ref_u32(body, n);
+    }
+    (req, resp)
+}
+
+/// Empty columns cover no bytes, so only the column cap stops a 24-byte frame
+/// claiming `u32::MAX` of them from allocating ~96 GB of `Vec` headers.
+#[test]
+fn spmm_column_counts_past_the_cap_are_malformed_whatever_the_column_length() {
+    assert_eq!(protocol::MAX_SPMM_COLS, 65_535);
+
+    // The widest legal block decodes, to what the reference reads.
+    let (req, resp) = bare_spmm_bodies(65_535, 0);
+    let decoded = protocol::decode_request(&req).unwrap();
+    assert!(matches!(&decoded.op, Op::Spmm { cols } if cols.len() == 65_535));
+    assert_eq!(
+        request_bits(&decoded),
+        request_bits(&ref_decode_request(&req).unwrap())
+    );
+    assert_eq!(
+        response_bits(&protocol::decode_response(&resp).unwrap()),
+        response_bits(&ref_decode_response(&resp).unwrap())
+    );
+
+    for k in [65_536, u32::MAX] {
+        let (req, resp) = bare_spmm_bodies(k, 0);
+        assert_eq!(frame_of(&req).len(), 24);
+        assert!(ref_decode_request(&req).is_none() && ref_decode_response(&resp).is_none());
+        match protocol::decode_request(&req) {
+            Err(NetError::Malformed(_)) => {}
+            other => panic!("{k} empty columns decoded as {other:?}"),
+        }
+        match protocol::decode_response(&resp) {
+            Err(NetError::Malformed(_)) => {}
+            other => panic!("{k} empty result columns decoded as {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // frames built in place by the client and the server
 // ---------------------------------------------------------------------------
@@ -683,6 +737,29 @@ fn a_ragged_spmm_block_is_refused_and_the_connection_keeps_serving() {
         handle.shard_stats()[0].requests(),
         served + 1,
         "the ragged blocks reached the server"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn an_spmm_block_past_the_column_cap_is_refused_and_the_connection_keeps_serving() {
+    let mut handle = serve();
+    let mut c = client(&handle);
+    let wide = vec![Vec::new(); protocol::MAX_SPMM_COLS as usize + 1];
+    match c.spmm("m", &wide) {
+        Err(NetError::Malformed(_)) => {}
+        other => panic!("65,536-column block answered {other:?}"),
+    }
+    match c.submit_spmm("m", &wide) {
+        Err(NetError::Malformed(_)) => {}
+        other => panic!("65,536-column pipelined block answered {other:?}"),
+    }
+
+    assert_eq!(c.spmv("m", &[1.0, 0.0]).unwrap(), vec![1.0, 3.0, 5.0]);
+    assert_eq!(
+        handle.shard_stats()[0].requests(),
+        1,
+        "the wide blocks reached the server"
     );
     handle.shutdown();
 }

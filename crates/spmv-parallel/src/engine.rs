@@ -668,11 +668,6 @@ impl SpmvEngine {
         }
     }
 
-    /// Whether the resident solver slabs are allocated (some solver epoch ran).
-    pub fn solver_resident(&self) -> bool {
-        self.solver.is_some()
-    }
-
     /// Start fused conjugate gradient on the resident slabs: `x ← 0`,
     /// `r ← p ← b`. Returns the initial squared residual `r·r` to thread into
     /// [`SpmvEngine::cg_step`]. One epoch.

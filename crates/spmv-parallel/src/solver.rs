@@ -172,11 +172,6 @@ impl FusedCg {
         }
         self.engine.swap_with(replacement)
     }
-
-    /// Tear down, returning the engine for reuse.
-    pub fn into_engine(self) -> SpmvEngine {
-        self.engine
-    }
 }
 
 /// Fused power iteration over an engine's resident slabs: dominant
@@ -228,11 +223,6 @@ impl FusedPower {
     /// The engine serving this iteration.
     pub fn engine(&self) -> &SpmvEngine {
         &self.engine
-    }
-
-    /// Tear down, returning the engine for reuse.
-    pub fn into_engine(self) -> SpmvEngine {
-        self.engine
     }
 }
 

@@ -89,7 +89,7 @@ fn assert_server_alive(handle: &ShardedNetServerHandle, context: &str) {
 fn corpus_never_decodes_at_the_protocol_layer() {
     let cases = corpus();
     assert!(
-        cases.len() >= 18,
+        cases.len() >= 19,
         "corpus unexpectedly small ({} cases)",
         cases.len()
     );
@@ -130,7 +130,8 @@ fn corpus_against_a_live_server_answers_malformed_or_drops() {
         assert_server_alive(&handle, &format!("after corpus case {name}"));
     }
     // Lying prefixes must never have been trusted: the 4 GiB / 1 GB / 65535²
-    // claims in the corpus would have aborted the process on allocation.
+    // claims, and the 4 G empty spmm columns, in the corpus would have
+    // aborted the process on allocation.
     handle.shutdown();
 }
 

@@ -80,7 +80,8 @@ fn every_block_shape_and_width_matches_dense_reference() {
     }
 }
 
-/// Every kernel variant × both CSR index widths must agree with the reference.
+/// Every kernel variant × both CSR index widths must agree with the reference,
+/// and the two widths with each other bit for bit.
 #[test]
 fn every_kernel_variant_matches_dense_reference() {
     for (i, case) in cases(24, 0xC2).iter().enumerate() {
@@ -101,6 +102,13 @@ fn every_kernel_variant_matches_dense_reference() {
             assert!(
                 max_abs_diff(&y16, &expected) < 1e-9,
                 "variant {} (u16) case {i}",
+                variant.name()
+            );
+            // Index width is storage only: the arithmetic is the same, bit for bit.
+            assert_eq!(
+                y16.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "variant {} u16 vs u32 case {i}",
                 variant.name()
             );
         }
