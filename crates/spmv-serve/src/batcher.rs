@@ -66,7 +66,11 @@ pub struct BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Eight-wide batches (the widest generated microkernel chunk).
+    /// Eight-wide batches, the widest generated microkernel chunk. A kernel
+    /// splits a batch into chunks by its register budget, one pass over the
+    /// matrix each: a batch of 8 is one pass over sliced ELL, scalar CSR and
+    /// BCSR r = 1, and two over BCSR r = 2 and r = 4 on AVX2 (r = 3 and 4 when
+    /// scalar) and over the AVX2 CSR kernel.
     fn default() -> Self {
         BatchPolicy { max_batch: 8 }
     }

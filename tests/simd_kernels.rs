@@ -151,52 +151,98 @@ fn bcsr_simd_matches_dense_reference_across_widths_and_shapes() {
     }
 }
 
+/// `to_bits` equality, except that a NaN matches any NaN. Rust leaves the sign
+/// and payload of a NaN result unspecified: where a row meets two NaNs (a
+/// payload NaN and ∞ − ∞), the scalar leg's SpMM and SpMV keep different ones.
+/// A NaN that leaks into another column or row still fails, since there the
+/// reference is not NaN.
+fn assert_bits_or_both_nan(a: &[f64], b: &[f64], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}: length mismatch");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{context}: element {i} differs ({x:?} vs {y:?})"
+        );
+    }
+}
+
 /// Pillar 2: vectorized SpMM is bit-identical to k single-vector SIMD calls,
-/// per width, per k (including k past the kernels' internal chunk sizes).
+/// per width, per k (every remainder after the kernels' 8-, 4- and 2-wide
+/// chunks). Each block runs once as is and once with a hostile column (a NaN
+/// payload, ±Inf, −0.0, a subnormal) that must stay in its own column.
 #[test]
 fn simd_spmm_is_bit_identical_to_k_spmv_across_widths() {
-    for (i, case) in simd_cases().iter().enumerate().step_by(3) {
+    // 4×4 tiles over a ragged bottom (nrows % 4 ∈ {1, 2, 3}: the last block
+    // row stores only some of its rows) and a padded x window (ncols % 4 ≠ 0),
+    // both inside the 4-wide chunks.
+    let ragged =
+        [(21usize, 16usize, 1u64), (22, 19, 2), (23, 13, 3)].map(|(nrows, ncols, seed)| {
+            let csr = random_csr(nrows, ncols, nrows * ncols / 2, seed);
+            Case {
+                nrows,
+                ncols,
+                entries: csr.iter().collect(),
+            }
+        });
+    let hostile = [
+        f64::from_bits(0x7ff8_0000_0000_beef),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+    ];
+    for (i, case) in simd_cases().iter().step_by(3).chain(&ragged).enumerate() {
         let csr = case.csr();
-        for k in [1usize, 2, 3, 5, 8, 11] {
-            let xb = xblock(case.ncols, k);
+        for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16] {
+            let mut bad = xblock(case.ncols, k);
+            let n = hostile.len().min(case.ncols);
+            bad.col_mut(k / 2)[..n].copy_from_slice(&hostile[..n]);
+            for (xtag, xb) in [("benign", xblock(case.ncols, k)), ("hostile", bad)] {
+                let same: fn(&[f64], &[f64], &str) = if xtag == "benign" {
+                    assert_bit_identical
+                } else {
+                    assert_bits_or_both_nan
+                };
+                let ctx = |what: String, j| format!("{what} spmm k={k} col {j} {xtag} x case {i}");
 
-            // CSR at each width.
-            macro_rules! check_csr {
-                ($m:expr, $tag:literal) => {{
-                    let m = $m;
-                    let mut ym = MultiVec::zeros(case.nrows, k);
-                    spmm_csr_simd(m, xb.data(), xb.ld(), &mut ym.view_mut());
-                    for j in 0..k {
-                        let mut y = vec![0.0; case.nrows];
-                        spmv_csr_simd(m, xb.col(j), &mut y);
-                        assert_bit_identical(
-                            ym.col(j),
-                            &y,
-                            &format!("csr<{}> spmm k={k} col {j} case {i}", $tag),
-                        );
-                    }
-                }};
-            }
-            if let Ok(m) = csr.reindex::<u16>() {
-                check_csr!(&m, "u16");
-            }
-            check_csr!(&csr.reindex::<usize>().unwrap(), "usize");
-
-            // BCSR covered shapes (each has a different K-chunking scheme).
-            for (r, c) in [(1, 4), (2, 4), (4, 4)] {
-                if let Ok(b) = BcsrMatrix::<u32>::from_csr(&csr, r, c) {
-                    let mut ym = MultiVec::zeros(case.nrows, k);
-                    spmm_bcsr_simd(&b, xb.data(), xb.ld(), &mut ym.view_mut());
-                    for j in 0..k {
-                        let mut y = vec![0.0; case.nrows];
-                        spmv_bcsr_simd(&b, xb.col(j), &mut y);
-                        assert_bit_identical(
-                            ym.col(j),
-                            &y,
-                            &format!("bcsr {r}x{c} spmm k={k} col {j} case {i}"),
-                        );
-                    }
+                // CSR at each width.
+                macro_rules! check_csr {
+                    ($m:expr, $tag:literal) => {{
+                        let m = $m;
+                        let mut ym = MultiVec::zeros(case.nrows, k);
+                        spmm_csr_simd(m, xb.data(), xb.ld(), &mut ym.view_mut());
+                        for j in 0..k {
+                            let mut y = vec![0.0; case.nrows];
+                            spmv_csr_simd(m, xb.col(j), &mut y);
+                            let what = format!("csr<{}>", $tag);
+                            same(ym.col(j), &y, &ctx(what, j));
+                        }
+                    }};
                 }
+                if let Ok(m) = csr.reindex::<u16>() {
+                    check_csr!(&m, "u16");
+                }
+                check_csr!(&csr.reindex::<usize>().unwrap(), "usize");
+
+                // BCSR covered shapes (each has a different K-chunking scheme).
+                macro_rules! check_bcsr {
+                    ($I:ty, $tag:literal) => {
+                        for r in [1, 2, 4] {
+                            if let Ok(b) = BcsrMatrix::<$I>::from_csr(&csr, r, 4) {
+                                let mut ym = MultiVec::zeros(case.nrows, k);
+                                spmm_bcsr_simd(&b, xb.data(), xb.ld(), &mut ym.view_mut());
+                                for j in 0..k {
+                                    let mut y = vec![0.0; case.nrows];
+                                    spmv_bcsr_simd(&b, xb.col(j), &mut y);
+                                    let what = format!("bcsr<{}> {r}x4", $tag);
+                                    same(ym.col(j), &y, &ctx(what, j));
+                                }
+                            }
+                        }
+                    };
+                }
+                check_bcsr!(u16, "u16");
+                check_bcsr!(u32, "u32");
             }
         }
     }
