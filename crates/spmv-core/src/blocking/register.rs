@@ -68,71 +68,55 @@ pub fn register_block_candidates() -> Vec<(usize, usize)> {
     v
 }
 
-/// Count the tiles an `r × c` register blocking of `csr` would store.
+/// Count the tiles an `r × c` register blocking of `csr` would store: shape
+/// `r × c`'s entry of [`estimate_all_shapes`].
 ///
-/// This is the single pass over the nonzeros the paper's heuristic performs: for each
-/// block row, the set of occupied block columns is discovered by scanning the member
-/// rows' column indices.
+/// # Panics
+///
+/// Panics unless `r × c` is a shape of [`register_block_candidates`].
 pub fn estimate_fill(csr: &CsrMatrix, r: usize, c: usize) -> FillEstimate {
-    let nrows = csr.nrows();
-    let nblock_rows = nrows.div_ceil(r.max(1));
-    let mut tiles = 0usize;
-    let mut occupied_block_rows = 0usize;
-    let mut scratch: Vec<usize> = Vec::new();
-    for brow in 0..nblock_rows {
-        let row_lo = brow * r;
-        let row_hi = (row_lo + r).min(nrows);
-        scratch.clear();
-        for row in row_lo..row_hi {
-            for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-                scratch.push(csr.col_idx()[k] as usize / c);
-            }
-        }
-        if scratch.is_empty() {
-            continue;
-        }
-        scratch.sort_unstable();
-        scratch.dedup();
-        tiles += scratch.len();
-        occupied_block_rows += 1;
-    }
-    FillEstimate::new(r, c, tiles, occupied_block_rows, csr.nnz())
+    estimate_all_shapes(csr)
+        .into_iter()
+        .find(|e| (e.r, e.c) == (r, c))
+        .unwrap_or_else(|| panic!("{r}x{c} is not a register block candidate"))
 }
 
 /// Estimate every candidate shape for `csr` in **one** pass over the nonzeros
-/// (the order of [`register_block_candidates`]; equal to [`estimate_fill`] shape
-/// by shape). Per column width `c`, a stamp array over the block columns holds,
-/// for each row height `r`, the last block row that stored a tile there; rows
-/// come in order, so a differing stamp is exactly a tile not yet counted. The
-/// stamps cost O(`ncols`) to allocate per call on top of the O(nnz) pass: a wide
-/// cell with few nonzeros pays for its columns, not its entries.
+/// (the order of [`register_block_candidates`]). Per column width `c`, a stamp
+/// array over the block columns holds 1 + the last row that touched each one
+/// (0: none yet). Rows come in order, so for every height `r` at once a
+/// nonzero opens a new tile exactly when its stamp is at most the first row of
+/// its block row. The stamps, one `u32` per block column per width, cost
+/// O(`ncols`) to allocate per call on top of the O(nnz) pass: a wide cell with
+/// few nonzeros pays for its columns, not its entries.
 pub fn estimate_all_shapes(csr: &CsrMatrix) -> Vec<FillEstimate> {
     const D: usize = ALLOWED_BLOCK_DIMS.len();
     let dims = ALLOWED_BLOCK_DIMS;
     assert!(csr.nrows() < u32::MAX as usize, "u32 row stamps");
-    let mut stamps: Vec<Vec<[u32; D]>> = dims
+    let mut stamps: Vec<Vec<u32>> = dims
         .iter()
-        .map(|&c| vec![[0; D]; csr.ncols().div_ceil(c)])
+        .map(|&c| vec![0; csr.ncols().div_ceil(c)])
         .collect();
     let mut tiles = [[0usize; D]; D];
-    let (mut occupied, mut last_occupied) = ([0usize; D], [0u32; D]);
+    // The same rule per block row: 1 + the last row holding a nonzero.
+    let (mut occupied, mut last_row) = ([0usize; D], 0u32);
     for row in 0..csr.nrows() {
         let cols = &csr.col_idx()[csr.row_ptr()[row]..csr.row_ptr()[row + 1]];
         if cols.is_empty() {
             continue;
         }
-        let brow: [u32; D] = std::array::from_fn(|ri| (row / dims[ri]) as u32 + 1);
+        let first: [u32; D] = std::array::from_fn(|ri| (row - row % dims[ri]) as u32);
         for ri in 0..D {
-            occupied[ri] += usize::from(last_occupied[ri] != brow[ri]);
+            occupied[ri] += usize::from(last_row <= first[ri]);
         }
-        last_occupied = brow;
+        last_row = row as u32 + 1;
         for &col in cols {
             for (ci, stamps) in stamps.iter_mut().enumerate() {
-                let slot = &mut stamps[col as usize / dims[ci]];
+                let seen = &mut stamps[col as usize / dims[ci]];
                 for ri in 0..D {
-                    tiles[ri][ci] += usize::from(slot[ri] != brow[ri]);
+                    tiles[ri][ci] += usize::from(*seen <= first[ri]);
                 }
-                *slot = brow;
+                *seen = last_row;
             }
         }
     }
@@ -220,13 +204,22 @@ mod tests {
     }
 
     #[test]
-    fn estimate_all_shapes_equals_the_per_shape_pass() {
-        let csr = block_structured();
-        let per_shape: Vec<_> = register_block_candidates()
-            .into_iter()
-            .map(|(r, c)| estimate_fill(&csr, r, c))
-            .collect();
-        assert_eq!(estimate_all_shapes(&csr), per_shape);
+    fn estimate_all_shapes_counts_what_bcsr_stores() {
+        // Ragged at every height and width, with empty rows.
+        let coo = CooMatrix::from_triplets(
+            11,
+            13,
+            (0..40).map(|k| ((k * 7) % 11 / 2 * 2, (k * 5) % 13, 1.0)),
+        )
+        .unwrap();
+        let csr = CsrMatrix::from_coo(&coo);
+        for est in estimate_all_shapes(&csr) {
+            let bcsr = BcsrMatrix::<u32>::from_csr(&csr, est.r, est.c).unwrap();
+            let ptr = bcsr.block_row_ptr();
+            assert_eq!(est.tiles, bcsr.num_blocks(), "{}x{}", est.r, est.c);
+            let occupied = ptr.windows(2).filter(|w| w[1] > w[0]).count();
+            assert_eq!(est.occupied_block_rows, occupied, "{}x{}", est.r, est.c);
+        }
     }
 
     #[test]

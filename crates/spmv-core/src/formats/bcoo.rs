@@ -11,6 +11,7 @@ use crate::formats::bcsr::block_shape_supported;
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::{IndexArray, IndexWidth};
+use crate::formats::tiles::{block_row, push_tiles};
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::VALUE_BYTES;
 
@@ -47,24 +48,15 @@ impl BcooMatrix {
             });
         }
 
-        // Discover occupied tiles: (block row, block col) -> tile index.
-        let mut tiles: Vec<(usize, usize)> = Vec::new();
-        for (row, col, _) in csr.iter() {
-            tiles.push((row / r, col / c));
+        // Block rows in order, each merged by block column: exactly the
+        // (block row, block column) tile order.
+        let (mut rows_usize, mut cols_usize, mut values) = (vec![], vec![], vec![]);
+        for brow in 0..nblock_rows {
+            push_tiles(csr, block_row(csr, brow, r), r, c, &mut values, |bc| {
+                rows_usize.push(brow);
+                cols_usize.push(bc);
+            });
         }
-        tiles.sort_unstable();
-        tiles.dedup();
-
-        let mut values = vec![0.0f64; tiles.len() * r * c];
-        for (row, col, val) in csr.iter() {
-            let key = (row / r, col / c);
-            let t = tiles.binary_search(&key).expect("tile present");
-            let local = (row % r) * c + (col % c);
-            values[t * r * c + local] += val;
-        }
-
-        let rows_usize: Vec<usize> = tiles.iter().map(|&(br, _)| br).collect();
-        let cols_usize: Vec<usize> = tiles.iter().map(|&(_, bc)| bc).collect();
 
         Ok(BcooMatrix {
             nrows,
@@ -243,6 +235,21 @@ mod tests {
         let bcoo = BcooMatrix::from_coo(&coo, 2, 2, IndexWidth::U16).unwrap();
         assert_eq!(bcoo.num_blocks(), 0);
         assert_eq!(bcoo.spmv_alloc(&[1.0; 4]), vec![0.0; 4]);
+    }
+
+    #[test]
+    fn footprint_is_the_bytes_it_stores() {
+        use std::mem::size_of_val;
+        let held = |a: &IndexArray| match a {
+            IndexArray::U16(v) => size_of_val(&v[..]),
+            IndexArray::U32(v) => size_of_val(&v[..]),
+        };
+        let coo = random_coo(45, 33, 350, 12);
+        for width in [IndexWidth::U16, IndexWidth::U32] {
+            let b = BcooMatrix::from_coo(&coo, 3, 2, width).unwrap();
+            let bytes = held(&b.block_rows) + held(&b.block_cols) + size_of_val(&b.values[..]);
+            assert_eq!(b.footprint_bytes(), bytes);
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::error::{Error, Result};
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::{IndexStorage, IndexWidth};
+use crate::formats::tiles::{block_row, push_tiles};
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::{INDEX32_BYTES, VALUE_BYTES};
 
@@ -37,8 +38,9 @@ pub struct BcsrMatrix<I: IndexStorage = u32> {
     c: usize,
     /// Logical (unfilled) nonzero count, preserved for flop accounting.
     logical_nnz: usize,
-    /// Block-row pointer: `nblock_rows + 1` entries into `block_col_idx`.
-    block_row_ptr: Vec<usize>,
+    /// Block-row pointer: `nblock_rows + 1` entries into `block_col_idx`,
+    /// 32-bit: the 4 bytes per entry the planner counts.
+    block_row_ptr: Vec<u32>,
     /// Block column index (in units of `c` columns) at width `I`.
     block_col_idx: Vec<I>,
     /// Tile values, `r * c` per tile, row-major within the tile.
@@ -63,46 +65,17 @@ impl<I: IndexStorage> BcsrMatrix<I> {
         let nblock_rows = nrows.div_ceil(r);
 
         let mut block_row_ptr = Vec::with_capacity(nblock_rows + 1);
-        block_row_ptr.push(0usize);
+        block_row_ptr.push(0u32);
         let mut block_col_idx: Vec<I> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
 
-        // Block rows are processed independently; a sorted merge of the r CSR rows
-        // discovers the set of occupied block columns.
+        // Each block row is a sorted merge of its r CSR rows, which visits the
+        // occupied block columns in ascending order.
         for brow in 0..nblock_rows {
-            let row_lo = brow * r;
-            let row_hi = (row_lo + r).min(nrows);
-
-            // Collect occupied block columns in this block row.
-            let mut occupied: Vec<usize> = Vec::new();
-            for row in row_lo..row_hi {
-                for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-                    occupied.push(csr.col_idx()[k] as usize / c);
-                }
-            }
-            occupied.sort_unstable();
-            occupied.dedup();
-
-            let tile_base = values.len();
-            values.resize(tile_base + occupied.len() * r * c, 0.0);
-
-            // Fill tiles.
-            for row in row_lo..row_hi {
-                let local_r = row - row_lo;
-                for k in csr.row_ptr()[row]..csr.row_ptr()[row + 1] {
-                    let col = csr.col_idx()[k] as usize;
-                    let bcol = col / c;
-                    let local_c = col % c;
-                    let tile_pos = occupied.binary_search(&bcol).expect("occupied block");
-                    let slot = tile_base + tile_pos * r * c + local_r * c + local_c;
-                    values[slot] += csr.values()[k];
-                }
-            }
-
-            for &bc in &occupied {
+            push_tiles(csr, block_row(csr, brow, r), r, c, &mut values, |bc| {
                 block_col_idx.push(I::try_from_usize(bc).expect("span checked above"));
-            }
-            block_row_ptr.push(block_col_idx.len());
+            });
+            block_row_ptr.push(u32::try_from_usize(block_col_idx.len())?);
         }
 
         Ok(BcsrMatrix {
@@ -156,7 +129,7 @@ impl<I: IndexStorage> BcsrMatrix<I> {
     }
 
     /// Block-row pointer array.
-    pub fn block_row_ptr(&self) -> &[usize] {
+    pub fn block_row_ptr(&self) -> &[u32] {
         &self.block_row_ptr
     }
 
@@ -431,6 +404,16 @@ mod tests {
                 "ragged {r}x{c}"
             );
         }
+    }
+
+    #[test]
+    fn footprint_is_the_bytes_it_stores() {
+        use std::mem::size_of_val;
+        let b: BcsrMatrix<u16> = BcsrMatrix::from_coo(&random_coo(37, 41, 400, 8), 3, 4).unwrap();
+        let held = size_of_val(&b.block_row_ptr[..])
+            + size_of_val(&b.block_col_idx[..])
+            + size_of_val(&b.values[..]);
+        assert_eq!(b.footprint_bytes(), held);
     }
 
     #[test]

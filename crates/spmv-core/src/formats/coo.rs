@@ -89,22 +89,53 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Sort entries by `(row, col)`. Required before streaming conversions.
+    /// Sort entries by `(row, col)`, stably: entries with equal coordinates
+    /// keep their insertion order. Required before streaming conversions.
     pub fn sort(&mut self) {
-        self.entries.sort_by_key(|t| (t.row, t.col));
+        self.entries = self.row_major(|&t| t, |t| t.col).1;
     }
 
-    /// Sort and combine duplicate coordinates by summing their values.
+    /// Sort (stably, as [`CooMatrix::sort`]) and combine duplicate coordinates
+    /// by summing their values left to right in insertion order.
     pub fn sum_duplicates(&mut self) {
         self.sort();
-        let mut out: Vec<Triplet> = Vec::with_capacity(self.entries.len());
-        for t in self.entries.drain(..) {
-            match out.last_mut() {
-                Some(last) if last.row == t.row && last.col == t.col => last.val += t.val,
-                _ => out.push(t),
+        self.entries.dedup_by(|t, kept| {
+            let same = (t.row, t.col) == (kept.row, kept.col);
+            if same {
+                kept.val += t.val;
             }
+            same
+        });
+    }
+
+    /// The entries in stable `(row, col)` order, as a row pointer and one
+    /// `slot(entry)` per entry: counted by row, scattered stably into row
+    /// segments, each segment stably sorted by `by_col(slot)`. That is the order
+    /// a stable global `(row, col)` sort gives, without comparing across rows.
+    pub(crate) fn row_major<T: Copy>(
+        &self,
+        slot: impl Fn(&Triplet) -> T,
+        by_col: impl Fn(&T) -> usize,
+    ) -> (Vec<usize>, Vec<T>) {
+        let mut row_ptr = vec![0usize; self.nrows + 1];
+        for t in &self.entries {
+            row_ptr[t.row + 1] += 1;
         }
-        self.entries = out;
+        for i in 0..self.nrows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        // A zero slot lets the allocator hand out zeroed pages untouched.
+        let (row, col, val) = (0, 0, 0.0);
+        let mut slots = vec![slot(&Triplet { row, col, val }); self.entries.len()];
+        let mut cursor = row_ptr.clone();
+        for t in &self.entries {
+            slots[cursor[t.row]] = slot(t);
+            cursor[t.row] += 1;
+        }
+        for w in row_ptr.windows(2) {
+            slots[w[0]..w[1]].sort_by_key(&by_col);
+        }
+        (row_ptr, slots)
     }
 
     /// Number of rows that contain at least one stored entry.

@@ -87,37 +87,25 @@ impl CsrMatrix<u32> {
 
     /// Convert from coordinate format, summing duplicate entries.
     ///
-    /// No comparison sort of the whole list: entries are counted per row and
-    /// scattered stably into row segments, each row is stably sorted by
-    /// column, and duplicates are summed left to right — the additions a
-    /// stable `(row, col)` sort would make, in the same order, so the result
-    /// is the same to the bit.
+    /// No comparison sort of the whole list: the entries are taken in the
+    /// stable row-major order of [`CooMatrix::sort`] (counted per row,
+    /// scattered stably into row segments, each row stably sorted by column)
+    /// and duplicates are summed left to right — the additions a stable
+    /// `(row, col)` sort would make, in the same order, so the result is the
+    /// same to the bit.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let (nrows, ncols) = (coo.nrows(), coo.ncols());
-        let mut row_ptr = vec![0usize; nrows + 1];
-        for t in coo.entries() {
-            row_ptr[t.row + 1] += 1;
-        }
-        for i in 0..nrows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let mut slots = vec![(0usize, 0.0f64); coo.nnz()];
-        let mut cursor = row_ptr.clone();
-        for t in coo.entries() {
-            slots[cursor[t.row]] = (t.col, t.val);
-            cursor[t.row] += 1;
-        }
+        let (mut row_ptr, slots) =
+            coo.row_major(|t| (t.col as u32, t.val), |&(col, _)| col as usize);
         let mut col_idx: Vec<u32> = Vec::with_capacity(slots.len());
         let mut values: Vec<f64> = Vec::with_capacity(slots.len());
         // `row_ptr[i + 1]` ends row `i`'s slots until the row's summed
         // entries are out; then it ends those.
         let mut start = 0;
         for i in 0..nrows {
-            let row = &mut slots[start..row_ptr[i + 1]];
+            let row = &slots[start..row_ptr[i + 1]];
             start = row_ptr[i + 1];
-            row.sort_by_key(|&(col, _)| col);
-            for &(col, val) in row.iter() {
-                let col = col as u32;
+            for &(col, val) in row {
                 if col_idx.len() > row_ptr[i] && col_idx.last() == Some(&col) {
                     *values
                         .last_mut()

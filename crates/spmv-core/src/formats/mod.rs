@@ -18,6 +18,7 @@ pub mod index;
 pub mod sell;
 pub mod symbcsr;
 pub mod symcsr;
+mod tiles;
 pub mod traits;
 
 pub use bcoo::BcooMatrix;

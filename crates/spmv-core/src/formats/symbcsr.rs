@@ -18,6 +18,7 @@ use crate::formats::bcsr::block_shape_supported;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexStorage;
 use crate::formats::symcsr::SymCsr;
+use crate::formats::tiles::{block_row, push_tiles};
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::{INDEX32_BYTES, VALUE_BYTES};
 
@@ -97,46 +98,24 @@ impl<I: IndexStorage> SymBcsr<I> {
         let mut tiles: Vec<f64> = Vec::new();
         let mut lower_nnz = 0usize;
 
+        // Each block row is a sorted merge of its rows' strictly-lower entries
+        // (`j < row_offset + i`: a prefix of each sorted row); the diagonal entry,
+        // if any, follows that prefix and is kept apart.
         for brow in 0..nblock_rows {
-            let row_lo = brow * r;
-            let row_hi = (row_lo + r).min(local_rows);
-
-            // Occupied block columns among this block row's strictly-lower entries.
-            let mut occupied: Vec<usize> = Vec::new();
-            for i in row_lo..row_hi {
-                let gi = row_offset + i;
-                for k in local.row_ptr()[i]..local.row_ptr()[i + 1] {
-                    let j = local.col_idx()[k].to_usize();
-                    if j < gi {
-                        occupied.push(j / c);
-                    }
+            let mut rows = block_row(local, brow, r);
+            for (k, span) in rows.iter_mut().enumerate() {
+                let (i, row) = (brow * r + k, &local.col_idx()[span.clone()]);
+                let below = row.partition_point(|&j| (j as usize) < row_offset + i);
+                let upto = row.partition_point(|&j| j as usize <= row_offset + i);
+                if upto > below {
+                    diag[i] = local.values()[span.start + upto - 1];
                 }
+                span.end = span.start + below;
+                lower_nnz += below;
             }
-            occupied.sort_unstable();
-            occupied.dedup();
-
-            let tile_base = tiles.len();
-            tiles.resize(tile_base + occupied.len() * r * c, 0.0);
-
-            let diag_rows = &mut diag[row_lo..row_hi];
-            for i in row_lo..row_hi {
-                let gi = row_offset + i;
-                let local_r = i - row_lo;
-                for k in local.row_ptr()[i]..local.row_ptr()[i + 1] {
-                    let j = local.col_idx()[k].to_usize();
-                    let v = local.values()[k];
-                    if j == gi {
-                        diag_rows[local_r] = v;
-                    } else if j < gi {
-                        let tile_pos = occupied.binary_search(&(j / c)).expect("occupied block");
-                        tiles[tile_base + tile_pos * r * c + local_r * c + j % c] += v;
-                        lower_nnz += 1;
-                    }
-                }
-            }
-            for &bc in &occupied {
+            push_tiles(local, rows, r, c, &mut tiles, |bc| {
                 block_col_idx.push(I::try_from_usize(bc).expect("span checked above"));
-            }
+            });
             block_row_ptr.push(u32::try_from_usize(block_col_idx.len())?);
         }
 

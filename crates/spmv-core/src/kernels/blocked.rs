@@ -37,8 +37,8 @@ fn spmv_bcsr_fixed<const R: usize, const C: usize, I: IndexStorage>(
 
     for brow in 0..nblock_rows {
         let row_lo = brow * R;
-        let lo = block_row_ptr[brow];
-        let hi = block_row_ptr[brow + 1];
+        let lo = block_row_ptr[brow] as usize;
+        let hi = block_row_ptr[brow + 1] as usize;
         // Register-resident accumulator for the whole block row.
         let mut acc = [0.0f64; R];
 

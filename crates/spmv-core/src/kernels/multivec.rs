@@ -127,8 +127,8 @@ fn spmm_bcsr_fixed<const R: usize, const C: usize, const K: usize, I: IndexStora
 
     for brow in 0..nblock_rows {
         let row_lo = brow * R;
-        let lo = block_row_ptr[brow];
-        let hi = block_row_ptr[brow + 1];
+        let lo = block_row_ptr[brow] as usize;
+        let hi = block_row_ptr[brow + 1] as usize;
         let mut acc = [[0.0f64; K]; R];
 
         for (tile, bc) in tiles[lo * R * C..hi * R * C]

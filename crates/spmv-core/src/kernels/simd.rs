@@ -534,8 +534,8 @@ mod avx2 {
 
         for brow in 0..nblock_rows {
             let row_lo = brow * R;
-            let lo = block_row_ptr[brow];
-            let hi = block_row_ptr[brow + 1];
+            let lo = block_row_ptr[brow] as usize;
+            let hi = block_row_ptr[brow + 1] as usize;
             // One 4-lane partial accumulator per output row, live across every
             // tile of the block row.
             let mut vacc = [_mm256_setzero_pd(); R];
@@ -587,8 +587,8 @@ mod avx2 {
 
         for brow in 0..nblock_rows {
             let row_lo = brow * R;
-            let lo = block_row_ptr[brow];
-            let hi = block_row_ptr[brow + 1];
+            let lo = block_row_ptr[brow] as usize;
+            let hi = block_row_ptr[brow + 1] as usize;
             let mut vacc = [[_mm256_setzero_pd(); K]; R];
 
             for (tile, bc) in tiles[lo * R * 4..hi * R * 4]
@@ -860,8 +860,8 @@ mod neon {
 
         for brow in 0..nblock_rows {
             let row_lo = brow * R;
-            let lo = block_row_ptr[brow];
-            let hi = block_row_ptr[brow + 1];
+            let lo = block_row_ptr[brow] as usize;
+            let hi = block_row_ptr[brow + 1] as usize;
             let mut vacc = [v4_zero(); R];
 
             for (tile, bc) in tiles[lo * R * 4..hi * R * 4]
@@ -902,8 +902,8 @@ mod neon {
 
         for brow in 0..nblock_rows {
             let row_lo = brow * R;
-            let lo = block_row_ptr[brow];
-            let hi = block_row_ptr[brow + 1];
+            let lo = block_row_ptr[brow] as usize;
+            let hi = block_row_ptr[brow + 1] as usize;
             let mut vacc = [[v4_zero(); K]; R];
 
             for (tile, bc) in tiles[lo * R * 4..hi * R * 4]

@@ -9,7 +9,7 @@
 //! Cache entries carry a checksum over the profile text; a tampered or
 //! truncated entry is rejected and treated as a miss.
 
-use crate::blocking::register::estimate_fill;
+use crate::blocking::register::estimate_all_shapes;
 use crate::error::{Error, Result};
 use crate::formats::csr::CsrMatrix;
 use crate::formats::traits::MatrixShape;
@@ -79,8 +79,11 @@ impl MatrixFingerprint {
         }
         // Block-fill samples: the register-blocking profile at 2×2 and 4×4,
         // quantized so the fingerprint stays exact-arithmetic-stable.
-        for (r, c) in [(2, 2), (4, 4)] {
-            let est = estimate_fill(csr, r, c);
+        let shapes = estimate_all_shapes(csr);
+        for est in shapes
+            .iter()
+            .filter(|e| matches!((e.r, e.c), (2, 2) | (4, 4)))
+        {
             let q = if est.fill_ratio.is_finite() {
                 (est.fill_ratio * 4096.0).round() as u64
             } else {

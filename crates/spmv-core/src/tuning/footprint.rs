@@ -195,11 +195,10 @@ pub fn enumerate_symmetric_choices(
         });
     }
 
-    let estimates: Vec<FillEstimate> = if opts.register_blocking {
-        crate::blocking::register::estimate_all_shapes(lower)
-    } else {
-        vec![crate::blocking::register::estimate_fill(lower, 1, 1)]
-    };
+    let mut estimates = estimate_all_shapes(lower);
+    if !opts.register_blocking {
+        estimates.truncate(1); // 1×1 leads the candidates
+    }
     for est in &estimates {
         let nblock_cols = n.div_ceil(est.c);
         for width in widths(nblock_cols) {
@@ -307,11 +306,10 @@ pub fn enumerate_choices(csr: &CsrMatrix, opts: &CandidateOptions) -> Vec<Format
         }
     }
 
-    let estimates: Vec<FillEstimate> = if opts.register_blocking {
-        estimate_all_shapes(csr)
-    } else {
-        vec![crate::blocking::register::estimate_fill(csr, 1, 1)]
-    };
+    let mut estimates = estimate_all_shapes(csr);
+    if !opts.register_blocking {
+        estimates.truncate(1); // 1×1 leads the candidates
+    }
 
     for est in &estimates {
         let nblock_rows = nrows.div_ceil(est.r);

@@ -5,7 +5,7 @@
 //! sparse format). This module implements both pieces so the baseline crate and the
 //! ablation benchmarks can compare OSKI's choice against the paper's one-pass heuristic.
 
-use crate::blocking::register::{estimate_fill, register_block_candidates};
+use crate::blocking::register::{estimate_all_shapes, register_block_candidates};
 use crate::formats::bcsr::{BcsrAuto, BcsrMatrix};
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
@@ -147,15 +147,9 @@ pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> Sear
     } else {
         IndexWidth::U32
     };
-    let candidates: Vec<_> = register_block_candidates()
+    let candidates: Vec<_> = estimate_all_shapes(csr)
         .into_iter()
-        .map(|(r, c)| {
-            (
-                r,
-                c,
-                estimate_fill(csr, r, c).fill_ratio / profile.throughput(r, c),
-            )
-        })
+        .map(|e| (e.r, e.c, e.fill_ratio / profile.throughput(e.r, e.c)))
         .collect();
     let best = candidates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
     let &(r, c, _) = best.expect("candidate list non-empty");
