@@ -138,14 +138,6 @@ impl CooMatrix {
         (row_ptr, slots)
     }
 
-    /// Number of rows that contain at least one stored entry.
-    pub fn occupied_rows(&self) -> usize {
-        let mut rows: Vec<usize> = self.entries.iter().map(|t| t.row).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows.len()
-    }
-
     /// Extract the sub-matrix covering `rows` × `cols` (half-open ranges), with
     /// coordinates re-based to the block origin. Used by the cache-blocking pass.
     pub fn sub_block(
@@ -301,14 +293,6 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.to_dense()[2][0], 2.0);
         assert_eq!(t.to_dense()[0][2], 4.0);
-    }
-
-    #[test]
-    fn occupied_rows_counts_distinct() {
-        let m = sample();
-        assert_eq!(m.occupied_rows(), 3);
-        let sparse = CooMatrix::from_triplets(10, 10, vec![(0, 0, 1.0), (9, 9, 1.0)]).unwrap();
-        assert_eq!(sparse.occupied_rows(), 2);
     }
 
     #[test]

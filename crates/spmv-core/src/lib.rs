@@ -42,6 +42,7 @@ pub mod blocking;
 pub mod dense;
 pub mod error;
 pub mod formats;
+pub mod host;
 pub mod kernels;
 pub mod multivec;
 pub mod partition;

@@ -7,7 +7,9 @@
 //! and TLB blocking passes. What the byte count cannot see (the paper's caveats:
 //! blocking only when the fill pays, only when `x` does not fit) is left to the
 //! clock: the pass proposes up to five structures per thread share
-//! ([`ladder_rungs`]), `TunePlan::new` times them; this module stays deterministic.
+//! ([`ladder_rungs`]), `TunePlan::new` times them (the cache and TLB grids only
+//! for a matrix past the host's last-level cache); this module stays
+//! deterministic.
 
 use crate::blocking::blocked::{BlockFormat, CacheBlock};
 use crate::blocking::cache::{cache_block, CacheBlockingConfig};
@@ -217,7 +219,10 @@ impl Rung<'_> {
 /// Identical rungs dedupe (a one-cell grid is `B`; with nothing to choose `B` is
 /// `A`), and a cell two grids share is estimated once. The last rung other than
 /// `S` is always the finest grid the config allows — the plan
-/// `TunePlan::heuristic` keeps; `finest_only` skips the others.
+/// `TunePlan::heuristic` keeps; `finest_only` skips the others. `TunePlan::new`
+/// asks for `C` and `D` only when the matrix's working set outgrows the host's
+/// last-level cache (`crate::tuning::plan::grids_pay`); below it, its ladder
+/// is `A`, `S`, `B`.
 pub fn ladder_rungs<'a>(
     csr: &'a CsrMatrix,
     config: &TuningConfig,

@@ -9,8 +9,8 @@
 //!   disallows (sliced ELL, rung `S`, only where the share runs SIMD). So whichever rung the clock picks on whichever host, the
 //!   product is right.
 //! * **The two rewritten passes** equal what they replaced: the one-pass fill
-//!   estimator against `estimate_fill` shape by shape, the CSR-direct cell cut
-//!   against the COO round trip.
+//!   estimate against the BCSR matrix it predicts, shape by shape, the
+//!   CSR-direct cell cut against the COO round trip.
 //! * **Determinism where it is promised**: shares that live in cache are never
 //!   timed and keep `TunePlan::heuristic`'s plan (the golden 64×48 plan of
 //!   `tests/tune_cache.rs` is such a share).
@@ -29,10 +29,13 @@ use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::blocking::register::{
     estimate_all_shapes, estimate_fill, register_block_candidates,
 };
-use spmv_multicore::spmv_core::formats::IndexWidth;
+use spmv_multicore::spmv_core::formats::{BcsrMatrix, IndexWidth};
+use spmv_multicore::spmv_core::host::llc_bytes;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::solver::SerialCg;
-use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
+use spmv_multicore::spmv_core::tuning::plan::{
+    grids_pay, working_set_bytes, PREFETCH_FOOTPRINT_BYTES,
+};
 use spmv_multicore::spmv_core::tuning::{
     choose_rung, general_beats_symmetric, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
@@ -312,12 +315,21 @@ fn one_pass_fill_estimates_equal_the_per_shape_pass() {
             .iter()
             .map(|m| CsrMatrix::from_coo(&m.generate(Scale::Tiny))),
     );
+    // The estimate at every shape against the BCSR matrix it predicts.
     for (i, csr) in matrices.iter().enumerate() {
-        let per_shape: Vec<_> = register_block_candidates()
-            .into_iter()
-            .map(|(r, c)| estimate_fill(csr, r, c))
-            .collect();
-        assert_eq!(estimate_all_shapes(csr), per_shape, "matrix {i}");
+        let estimates = estimate_all_shapes(csr);
+        let shapes = register_block_candidates();
+        assert_eq!(estimates.len(), shapes.len(), "matrix {i}");
+        for (e, (r, c)) in estimates.iter().zip(shapes) {
+            let ctx = format!("matrix {i} at {r}x{c}");
+            assert_eq!((e.r, e.c), (r, c), "{ctx}");
+            assert_eq!(estimate_fill(csr, r, c), *e, "{ctx}");
+            let bcsr = BcsrMatrix::<u32>::from_csr(csr, r, c).expect("every shape builds");
+            let occupied = bcsr.block_row_ptr().windows(2).filter(|w| w[0] < w[1]);
+            assert_eq!(e.tiles, bcsr.num_blocks(), "{ctx}: tiles");
+            assert_eq!(e.occupied_block_rows, occupied.count(), "{ctx}: block rows");
+            assert_eq!(e.fill_ratio.to_bits(), bcsr.fill_ratio().to_bits(), "{ctx}");
+        }
     }
 }
 
@@ -346,11 +358,14 @@ fn csr_direct_cell_cut_equals_the_coo_round_trip() {
 
 #[test]
 fn cache_resident_shares_are_never_timed() {
-    // The golden 64×48 matrix of `tests/tune_cache.rs`, and a larger one
-    // still under the threshold: `new` is `heuristic`, share by share.
+    // The golden 64×48 matrix of `tests/tune_cache.rs`, a larger one still
+    // under the threshold, and a wide one whose finest grid has several cells
+    // even where the timed ladder cuts no grid: `new` is `heuristic`, share by
+    // share.
     for csr in [
         random_csr(64, 48, 512, 42),
         random_csr(900, 700, 20_000, 43),
+        random_csr(64, 70_000, 1_200, 44),
     ] {
         let config = TuningConfig::full();
         let (plan, ladders) = TunePlan::with_ladders(&csr, 2, &config);
@@ -366,24 +381,67 @@ fn cache_resident_shares_are_never_timed() {
 
 #[test]
 fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
-    // 1 MB of tuned structure on one thread: past the threshold, so the clock
-    // decides. Whatever it decides here, the winner was not measured slower
-    // than rung A, the chosen rung is the share's plan, and the product is
-    // plain CSR's.
-    let csr = CsrMatrix::from_coo(&SuiteMatrix::Economics.generate(Scale::Small));
-    let config = TuningConfig::full();
-    let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
-    assert_eq!(ladders.len(), 1);
-    let ladder = &ladders[0];
-    assert!(ladder.rungs.len() > 1, "economics has a grid to refuse");
-    assert_eq!(ladder.rungs[0].label, "A");
+    // Past the threshold on one thread, so the clock decides: `fem_cantilever`
+    // times A against B on both legs, `economics` A against S on a SIMD host
+    // (on a scalar one, below the LLC, it has only rung A). Whatever the clock
+    // decides, the winner was not measured slower than rung A, the chosen rung
+    // is the share's plan, and the product is plain CSR's.
     let simd_host = spmv_multicore::spmv_core::kernels::simd::available();
-    assert_eq!(ladder.rungs[1].label == "S", simd_host, "S is timed second");
-    assert!(ladder.rungs.iter().all(|r| r.seconds.is_some()));
-    assert!(ladder.rungs[ladder.chosen].seconds <= ladder.rungs[0].seconds);
-    assert_eq!(ladder.rungs[ladder.chosen].plan, plan.threads[0]);
-    let plain = TunePlan::heuristic(&csr, 1, &TuningConfig::naive());
-    assert_plans_equivalent(&csr, &plan, &plain, "economics, timed ladder");
+    let config = TuningConfig::full();
+    for matrix in [SuiteMatrix::FemCantilever, SuiteMatrix::Economics] {
+        if matrix == SuiteMatrix::Economics && !simd_host {
+            continue;
+        }
+        let ctx = format!("{}, timed ladder", matrix.id());
+        let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
+        assert_eq!(ladders.len(), 1);
+        let ladder = &ladders[0];
+        assert!(ladder.rungs.len() > 1, "{ctx}: a rung to refuse");
+        assert_eq!(ladder.rungs[0].label, "A");
+        assert_eq!(ladder.rungs[1].label == "S", simd_host, "S is timed second");
+        assert!(ladder.rungs.iter().all(|r| r.seconds.is_some()), "{ctx}");
+        assert!(ladder.rungs[ladder.chosen].seconds <= ladder.rungs[0].seconds);
+        assert_eq!(ladder.rungs[ladder.chosen].plan, plan.threads[0]);
+        let plain = TunePlan::heuristic(&csr, 1, &TuningConfig::naive());
+        assert_plans_equivalent(&csr, &plan, &plain, &ctx);
+    }
+}
+
+#[test]
+fn below_the_last_level_cache_the_timed_ladder_cuts_no_grid() {
+    // One streaming share at Small: `webbase` proposes both grids, `economics`
+    // the TLB grid (its cache grid is one cell, so it is rung B).
+    let config = TuningConfig::full();
+    for (matrix, grids) in [(SuiteMatrix::Webbase, "CD"), (SuiteMatrix::Economics, "D")] {
+        let ctx = matrix.id();
+        let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
+        let proposed = ladder_rungs(&csr, &config, false);
+        let all: String = proposed.iter().map(|r| r.label).collect();
+        assert!(all.ends_with(grids), "{ctx} proposes {all}");
+        // The untimed planner still keeps the finest grid.
+        let heuristic = TunePlan::heuristic(&csr, 1, &config);
+        let finest = &proposed[finest(&proposed)];
+        assert_eq!(heuristic.threads[0].decisions, finest.decisions, "{ctx}");
+
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
+        let timed: String = ladders[0].rungs.iter().map(|r| r.label).collect();
+        if grids_pay(working_set_bytes(&csr), llc_bytes()) {
+            // An unknown LLC, or one the matrix outgrows: every grid.
+            assert_eq!(timed, all, "{ctx}, LLC {:?}", llc_bytes());
+            continue;
+        }
+        assert_eq!(timed, all.replace(['C', 'D'], ""), "{ctx}");
+        assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
+        // Every rung the clock sees is the proposal of the same name, so a
+        // pick among A, S and B is the plan the full ladder would have made.
+        for rung in &ladders[0].rungs {
+            let same = proposed.iter().find(|p| p.label == rung.label);
+            let same = same.expect("a timed rung was proposed").decisions.clone();
+            let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &config);
+            assert_eq!(rung.plan, annotated, "{ctx}: rung {}", rung.label);
+        }
+    }
 }
 
 #[test]
