@@ -42,7 +42,6 @@ pub mod blocking;
 pub mod dense;
 pub mod error;
 pub mod formats;
-pub mod host;
 pub mod kernels;
 pub mod multivec;
 pub mod partition;

@@ -7,9 +7,8 @@
 //! and TLB blocking passes. What the byte count cannot see (the paper's caveats:
 //! blocking only when the fill pays, only when `x` does not fit) is left to the
 //! clock: the pass proposes up to five structures per thread share
-//! ([`ladder_rungs`]), `TunePlan::new` times them (the cache and TLB grids only
-//! for a matrix past the host's last-level cache); this module stays
-//! deterministic.
+//! ([`ladder_rungs`]), `TunePlan::new` times those without a cache or TLB grid;
+//! this module stays deterministic.
 
 use crate::blocking::blocked::{BlockFormat, CacheBlock};
 use crate::blocking::cache::{cache_block, CacheBlockingConfig};
@@ -220,9 +219,7 @@ impl Rung<'_> {
 /// `A`), and a cell two grids share is estimated once. The last rung other than
 /// `S` is always the finest grid the config allows — the plan
 /// `TunePlan::heuristic` keeps; `finest_only` skips the others. `TunePlan::new`
-/// asks for `C` and `D` only when the matrix's working set outgrows the host's
-/// last-level cache (`crate::tuning::plan::grids_pay`); below it, its ladder
-/// is `A`, `S`, `B`.
+/// asks for no grid, so its ladder is `A`, `S`, `B`.
 pub fn ladder_rungs<'a>(
     csr: &'a CsrMatrix,
     config: &TuningConfig,

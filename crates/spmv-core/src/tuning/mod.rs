@@ -17,12 +17,11 @@
 //! 3. Let the clock decide what the byte count cannot: per thread share the pass
 //!    proposes at most five structures ([`ladder_rungs`]), [`TunePlan::new`]
 //!    times the distinct ones and keeps the incumbent unless a finer rung wins
-//!    by a margin ([`ShareLadder`]). It cuts step 1's cache and TLB grids
-//!    (rungs `C` and `D`) only when the matrix's working set outgrows the
-//!    host's last-level cache, as the paper blocks only when `x` does not fit;
-//!    below it the clock sees rungs `A`, `S` and `B`. Shares whose byte minimum
-//!    lives in cache, and [`TunePlan::heuristic`], skip this step and keep the
-//!    finest grid.
+//!    by a margin ([`ShareLadder`]). The timed ladder skips step 1's cache
+//!    and TLB grids (rungs `C` and `D`), which never won on the hosts
+//!    measured: the clock sees rungs `A`, `S` and `B`. Shares whose byte
+//!    minimum lives in cache, and [`TunePlan::heuristic`], skip this step and
+//!    keep the finest grid.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! Step 3 is the one timed search. [`search`] holds its timing helper and the

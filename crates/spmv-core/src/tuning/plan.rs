@@ -19,7 +19,7 @@ use crate::formats::index::IndexWidth;
 use crate::formats::traits::MatrixShape;
 use crate::kernels::KernelVariant;
 use crate::partition::row::{partition_rows_balanced, RowPartition};
-use crate::tuning::footprint::{csr_bytes, FormatChoice, FormatKind};
+use crate::tuning::footprint::{FormatChoice, FormatKind};
 use crate::tuning::heuristic::{ladder_rungs, BlockDecision, TuningConfig};
 use crate::tuning::prepared::{PreparedBlock, PreparedMatrix};
 use crate::tuning::search::time_spmv;
@@ -152,18 +152,6 @@ pub fn choose_rung(seconds: &[Option<f64>]) -> usize {
     best.map_or(seconds.len().saturating_sub(1), |(i, _)| i)
 }
 
-/// Bytes one SpMV over `csr` touches: its CSR arrays plus `x` and `y`.
-pub fn working_set_bytes(csr: &CsrMatrix) -> usize {
-    csr_bytes(csr) + std::mem::size_of::<f64>() * (csr.nrows() + csr.ncols())
-}
-
-/// Whether a timed ladder cuts cache and TLB grids: the paper blocks only when
-/// `x` does not fit the cache it lives in, so only a working set past the
-/// last-level cache, or a host whose cache size is unknown, gets them.
-pub fn grids_pay(working_set: usize, llc_bytes: Option<usize>) -> bool {
-    llc_bytes.is_none_or(|llc| working_set > llc)
-}
-
 /// The pipeline choice for a symmetric matrix: whether the general plan, whose
 /// shares' chosen rungs took `shares` seconds, displaces the lower-triangle
 /// plan, whose serial apply took `symmetric` seconds (`None`: it failed to
@@ -176,26 +164,34 @@ pub fn general_beats_symmetric(symmetric: Option<f64>, shares: &[Option<f64>]) -
 }
 
 impl ShareLadder {
-    /// Plan one thread share. Untimed (`timed` off, a single rung, or a planned
-    /// footprint that lives in cache) it keeps the finest grid's byte minimum,
-    /// deterministically. Otherwise every rung is materialized once, out of the
-    /// cells the planner already cut, and timed. Without `grids` the ladder
-    /// cuts no cache or TLB grid (rungs `A`, `S`, `B`), yet a share whose rung
-    /// `B` lives in cache still keeps the finest grid's byte minimum.
-    fn build(
-        local: &CsrMatrix,
-        rows: &Range<usize>,
-        config: &TuningConfig,
-        timed: bool,
-        grids: bool,
-    ) -> Self {
+    /// The untimed plan of one thread share: the finest grid's byte minimum
+    /// (the last rung of the full ladder), deterministically.
+    fn untimed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
+        let finest = ladder_rungs(local, config, true);
+        let finest = finest.last().expect("rung A is always proposed");
+        ShareLadder {
+            rungs: vec![LadderRung {
+                label: finest.label,
+                plan: ThreadPlan::annotated(rows.clone(), finest.decisions.clone(), config),
+                seconds: None,
+            }],
+            chosen: 0,
+        }
+    }
+
+    /// The timed plan of one thread share. Its ladder cuts no cache or TLB
+    /// grid: rungs `A`, `S` and `B` are materialized once each and timed. A
+    /// share whose byte minimum (rung `B`) lives in cache keeps the untimed
+    /// plan instead, if that lives in cache too; a single rung is kept untimed.
+    /// (A share whose finest grid lives in cache but whose rung `B` does not,
+    /// because its cells narrow their indices, is timed on `A`, `S` and `B`.)
+    fn timed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
         let ungridded = TuningConfig {
             cache_blocking: None,
             tlb_blocking: None,
             ..*config
         };
-        let ladder_config = if grids { config } else { &ungridded };
-        let proposals = ladder_rungs(local, ladder_config, !timed);
+        let proposals = ladder_rungs(local, &ungridded, false);
         let mut rungs: Vec<LadderRung> = proposals
             .iter()
             .map(|p| LadderRung {
@@ -204,16 +200,16 @@ impl ShareLadder {
                 seconds: None,
             })
             .collect();
-        // Rung `S` is no grid: it may come last, yet is never the untimed plan.
-        let finest = rungs.iter().rposition(|r| r.label != "S");
-        let finest = finest.expect("rung A is always proposed");
-        let cached = rungs[finest].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES;
-        if cached && !grids {
-            return Self::build(local, rows, config, false, true);
+        // Rung `S` is no grid: it may come last, yet is never the byte minimum.
+        let minimum = rungs.iter().rposition(|r| r.label != "S");
+        let minimum = minimum.expect("rung A is always proposed");
+        if rungs[minimum].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
+            let untimed = Self::untimed(local, rows, config);
+            if untimed.rungs[0].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
+                return untimed;
+            }
         }
-        if rungs.len() == 1 || cached {
-            rungs = vec![rungs.swap_remove(finest)];
-        } else {
+        if rungs.len() > 1 {
             let (nrows, ncols) = (local.nrows(), local.ncols());
             for (rung, proposal) in rungs.iter_mut().zip(&proposals) {
                 rung.seconds = proposal.materialize().ok().map(|blocks| {
@@ -268,8 +264,7 @@ impl TunePlan {
     /// [`TunePlan::new`] together with the ladder of every thread share, for
     /// reports: the general pipeline's ladders whenever they were timed, even
     /// when the symmetric plan won; none when a symmetric plan is kept untimed.
-    /// A ladder lists rungs `C` and `D` only when [`grids_pay`] holds for the
-    /// matrix's [`working_set_bytes`] and the host's last-level cache.
+    /// A timed ladder lists rungs `A`, `S` and `B` only ([`ShareLadder`]).
     pub fn with_ladders(
         csr: &CsrMatrix,
         nthreads: usize,
@@ -372,19 +367,19 @@ impl TunePlan {
         Self::general_plan(csr, ranges, config, true).0
     }
 
-    /// The general pipeline. Its timed ladders cut cache and TLB grids only
-    /// when the matrix's working set outgrows the host's last-level cache
-    /// ([`grids_pay`]); the untimed planner always cuts them.
     fn general_plan(
         csr: &CsrMatrix,
         ranges: &[Range<usize>],
         config: &TuningConfig,
         timed: bool,
     ) -> (TunePlan, Vec<ShareLadder>) {
-        let grids = !timed || grids_pay(working_set_bytes(csr), crate::host::llc_bytes());
         let mut ladders = Vec::with_capacity(ranges.len());
         let plan = Self::plan_over_partition(csr, ranges, false, |local, range| {
-            let ladder = ShareLadder::build(local, range, config, timed, grids);
+            let ladder = if timed {
+                ShareLadder::timed(local, range, config)
+            } else {
+                ShareLadder::untimed(local, range, config)
+            };
             let plan = ladder.rungs[ladder.chosen].plan.clone();
             ladders.push(ladder);
             plan
@@ -784,16 +779,6 @@ mod tests {
             csr.nnz()
         );
         assert!(plan.planned_bytes() > 0);
-    }
-
-    #[test]
-    fn grids_pay_only_past_a_known_last_level_cache() {
-        let csr = random_csr(100, 50, 400, 4);
-        assert_eq!(working_set_bytes(&csr), csr_bytes(&csr) + 8 * 150);
-        assert!(!grids_pay(1 << 20, Some(300 << 20)), "fits: no grids");
-        assert!(!grids_pay(1 << 20, Some(1 << 20)), "exactly fits: no grids");
-        assert!(grids_pay((1 << 20) + 1, Some(1 << 20)), "past it: grids");
-        assert!(grids_pay(1, None), "unknown LLC: grids");
     }
 
     #[test]

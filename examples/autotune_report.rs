@@ -2,9 +2,7 @@
 //! on the command line), show what the tuner chose (register block shapes, index
 //! widths, formats), how much smaller the structure got, how the OSKI-style
 //! search baseline compares, and the ladder each thread share was chosen from:
-//! what the one-pass heuristic proposed and what the clock said about it, after
-//! the gate's inputs (the host's last-level cache, the matrix's working set)
-//! and whether they let the ladder cut cache and TLB grids. For a
+//! what the one-pass heuristic proposed and what the clock said about it. For a
 //! matrix with a symmetric twin (`SuiteMatrix::generate_symmetric`) it also
 //! prints the pipeline `TunePlan::new` chose for the twin, lower-triangle or
 //! general storage, next to both plans' serial times.
@@ -18,11 +16,9 @@
 //! chose a rung the clock measured slower than rung `A` — CI's ladder smoke.
 
 use spmv_multicore::prelude::*;
-use spmv_multicore::spmv_core::host::llc_bytes;
 use spmv_multicore::spmv_core::kernels::simd;
 use spmv_multicore::spmv_core::stats::MatrixStats;
 use spmv_multicore::spmv_core::tuning::footprint::csr_bytes;
-use spmv_multicore::spmv_core::tuning::plan::{grids_pay, working_set_bytes};
 use spmv_multicore::spmv_core::tuning::search::{time_spmv, DenseProfile};
 use std::collections::BTreeMap;
 
@@ -87,18 +83,7 @@ fn main() {
             formats
         );
 
-        // The gate on the ladder's grids, then the ladder of every thread share
-        // (none: the symmetric pipeline).
-        let (llc, working_set) = (llc_bytes(), working_set_bytes(&csr));
-        println!(
-            "    LLC {} B, working set {working_set} B: cache/TLB grids {}",
-            llc.map_or("unknown".to_string(), |b| b.to_string()),
-            if grids_pay(working_set, llc) {
-                "on"
-            } else {
-                "off"
-            }
-        );
+        // The ladder of every thread share (none: the symmetric pipeline).
         for (t, ladder) in ladders.iter().enumerate() {
             for (i, rung) in ladder.rungs.iter().enumerate() {
                 println!(
@@ -162,11 +147,10 @@ fn main() {
     println!();
     println!("ratio = tuned bytes / CSR bytes (lower is better; the paper's heuristic");
     println!("minimizes exactly this quantity because SpMV is memory bound). A share whose");
-    println!("byte minimum lives in cache keeps the finest grid untimed; a larger one is");
-    println!("chosen by the clock from rungs A (one compressed-CSR block), S (one sliced-ELL");
-    println!("block, SIMD hosts only) and B (byte-minimal formats, no grid), plus, only when");
-    println!("the working set (CSR bytes + x + y) outgrows the host's last-level cache or its");
-    println!("size is unknown, C (B over the cache grid) and D (C refined by the TLB grid).");
+    println!("byte minimum and finest grid both live in cache keeps the finest grid untimed;");
+    println!("any other is chosen by the clock from rungs A (one compressed-CSR block), S");
+    println!("(one sliced-ELL block, SIMD hosts only) and B (byte-minimal formats, no grid).");
+    println!("The cache and TLB grids (C, D) are cut only for the untimed plan.");
     if broken {
         std::process::exit(1);
     }

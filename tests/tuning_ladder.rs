@@ -11,9 +11,11 @@
 //! * **The two rewritten passes** equal what they replaced: the one-pass fill
 //!   estimate against the BCSR matrix it predicts, shape by shape, the
 //!   CSR-direct cell cut against the COO round trip.
-//! * **Determinism where it is promised**: shares that live in cache are never
-//!   timed and keep `TunePlan::heuristic`'s plan (the golden 64×48 plan of
-//!   `tests/tune_cache.rs` is such a share).
+//! * **Determinism where it is promised**: shares whose byte minimum (rung
+//!   `B`) and finest grid both live in cache are never timed and keep
+//!   `TunePlan::heuristic`'s plan (the golden 64×48 plan of
+//!   `tests/tune_cache.rs` is such a share). The timed ladder cuts no cache or
+//!   TLB grid: it times rungs `A`, `S` and `B`.
 //! * **The timed plan computes what the untimed one does**: over seeded
 //!   matrices and thread counts, `TunePlan::new` agrees with
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
@@ -30,12 +32,9 @@ use spmv_multicore::spmv_core::blocking::register::{
     estimate_all_shapes, estimate_fill, register_block_candidates,
 };
 use spmv_multicore::spmv_core::formats::{BcsrMatrix, IndexWidth};
-use spmv_multicore::spmv_core::host::llc_bytes;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::solver::SerialCg;
-use spmv_multicore::spmv_core::tuning::plan::{
-    grids_pay, working_set_bytes, PREFETCH_FOOTPRINT_BYTES,
-};
+use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
 use spmv_multicore::spmv_core::tuning::{
     choose_rung, general_beats_symmetric, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
@@ -383,7 +382,7 @@ fn cache_resident_shares_are_never_timed() {
 fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
     // Past the threshold on one thread, so the clock decides: `fem_cantilever`
     // times A against B on both legs, `economics` A against S on a SIMD host
-    // (on a scalar one, below the LLC, it has only rung A). Whatever the clock
+    // (on a scalar one its timed ladder is rung A alone). Whatever the clock
     // decides, the winner was not measured slower than rung A, the chosen rung
     // is the share's plan, and the product is plain CSR's.
     let simd_host = spmv_multicore::spmv_core::kernels::simd::available();
@@ -409,7 +408,7 @@ fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
 }
 
 #[test]
-fn below_the_last_level_cache_the_timed_ladder_cuts_no_grid() {
+fn the_timed_ladder_cuts_no_grid() {
     // One streaming share at Small: `webbase` proposes both grids, `economics`
     // the TLB grid (its cache grid is one cell, so it is rung B).
     let config = TuningConfig::full();
@@ -426,11 +425,6 @@ fn below_the_last_level_cache_the_timed_ladder_cuts_no_grid() {
 
         let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
         let timed: String = ladders[0].rungs.iter().map(|r| r.label).collect();
-        if grids_pay(working_set_bytes(&csr), llc_bytes()) {
-            // An unknown LLC, or one the matrix outgrows: every grid.
-            assert_eq!(timed, all, "{ctx}, LLC {:?}", llc_bytes());
-            continue;
-        }
         assert_eq!(timed, all.replace(['C', 'D'], ""), "{ctx}");
         assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
         // Every rung the clock sees is the proposal of the same name, so a
@@ -441,6 +435,55 @@ fn below_the_last_level_cache_the_timed_ladder_cuts_no_grid() {
             let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &config);
             assert_eq!(rung.plan, annotated, "{ctx}: rung {}", rung.label);
         }
+    }
+}
+
+#[test]
+fn a_share_stays_untimed_only_when_rung_b_and_its_finest_grid_live_in_cache() {
+    // Two wide one-share matrices on either side of the threshold, on both
+    // legs: the first's rung B (= A) lives in cache while its finest grid, whose
+    // seven cells carry their own row pointers, does not; the second's rung B
+    // needs 32-bit indices and does not live in cache while its finest grid,
+    // whose cells narrow theirs, does. Neither keeps the untimed plan: each
+    // share is decided on rungs A, S and B alone.
+    let config = TuningConfig::full();
+    let cases = [
+        ("rung B fits", random_csr(2_000, 65_000, 48_000, 7), true),
+        (
+            "finest grid fits",
+            random_csr(400, 70_000, 44_000, 7),
+            false,
+        ),
+    ];
+    for (ctx, csr, b_fits) in cases {
+        let proposed = ladder_rungs(&csr, &config, false);
+        let labels: String = proposed.iter().map(|r| r.label).collect();
+        // Rung B dedupes into A; the finest grid is D.
+        assert!(
+            labels.starts_with('A') && !labels.contains('B'),
+            "{ctx}: {labels}"
+        );
+        assert!(labels.ends_with('D'), "{ctx}: {labels}");
+        let b_bytes: usize = proposed[0].decisions.iter().map(|d| d.choice.bytes).sum();
+        let heuristic = TunePlan::heuristic(&csr, 1, &config);
+        assert_eq!(b_bytes <= PREFETCH_FOOTPRINT_BYTES, b_fits, "{ctx}");
+        let finest_fits = heuristic.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES;
+        assert_eq!(finest_fits, !b_fits, "{ctx}");
+
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
+        let ladder = &ladders[0];
+        let timed: String = ladder.rungs.iter().map(|r| r.label).collect();
+        assert_eq!(timed, labels.replace(['C', 'D'], ""), "{ctx}");
+        assert_ne!(plan, heuristic, "{ctx}: the untimed plan is not kept");
+        assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
+        // A lone rung A (the scalar leg) has nothing to be timed against.
+        let timed = ladder.rungs.iter().filter(|r| r.seconds.is_some()).count();
+        let expected = if ladder.rungs.len() > 1 {
+            ladder.rungs.len()
+        } else {
+            0
+        };
+        assert_eq!(timed, expected, "{ctx}");
     }
 }
 
