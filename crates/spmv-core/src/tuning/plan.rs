@@ -28,9 +28,9 @@ use std::ops::Range;
 /// The threshold that decides timing and prefetch: a thread block whose planned
 /// footprint exceeds this many bytes is timed on its ladder and, off SIMD, gets
 /// a software prefetch annotation; a smaller one keeps its byte minimum untimed
-/// and runs without prefetch. It is a fixed 512 KiB, an L2-sized guess, not a measured
-/// size: on a host with a large last-level cache, footprints far above it are
-/// still served from cache.
+/// and runs without prefetch. It is a fixed 512 KiB, an L2-sized guess, not a
+/// measured size: on a host with a large last-level cache, footprints far above
+/// it are still served from cache.
 pub const PREFETCH_FOOTPRINT_BYTES: usize = 1 << 19;
 
 /// The prefetch distance (in nonzeros) the planner annotates large blocks with —
