@@ -24,8 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// First line of a cache entry. `v1` entries predate the vector `SymBcsr`
 /// kernel, so for a symmetric matrix on a SIMD host they hold a pipeline or
-/// slab the planner would no longer choose; the bump makes them misses.
-const ENTRY_HEADER: &str = "spmv-tune-cache v2";
+/// slab the planner would no longer choose. `v2` entries predate timing every
+/// share: a share or symmetric plan under 512 KiB holds an untimed plan, which
+/// may be a cache/TLB grid slower than plain CSR. Each bump makes the older
+/// entries misses.
+const ENTRY_HEADER: &str = "spmv-tune-cache v3";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -7,8 +7,9 @@
 //! and TLB blocking passes. What the byte count cannot see (the paper's caveats:
 //! blocking only when the fill pays, only when `x` does not fit) is left to the
 //! clock: the pass proposes up to five structures per thread share
-//! ([`ladder_rungs`]), `TunePlan::new` times those without a cache or TLB grid;
-//! this module stays deterministic.
+//! ([`ladder_rungs`]), and `TunePlan::new` times every share's rungs without a
+//! cache or TLB grid. This module stays deterministic, and so does
+//! `TunePlan::heuristic`, the one planner that keeps its finest grid untimed.
 
 use crate::blocking::blocked::{BlockFormat, CacheBlock};
 use crate::blocking::cache::{cache_block, CacheBlockingConfig};
@@ -47,10 +48,11 @@ pub struct TuningConfig {
     pub software_prefetch: bool,
     /// May store detected square-and-symmetric matrices as diagonal +
     /// strictly-lower triangle (`SymCsr`/`SymBcsr`), halving off-diagonal
-    /// value/index traffic. `TunePlan::heuristic` and a cache-resident
-    /// `TunePlan::new` always do; once the structure streams, `TunePlan::new`
-    /// keeps the general plan when the clock finds it faster by the ladder's
-    /// margin. `TunePlan::from_partition` always plans the general pipeline.
+    /// value/index traffic. `TunePlan::heuristic` and `TunePlan::new_symmetric`
+    /// always do; `TunePlan::new` times the symmetric plan against the general
+    /// one and keeps the general plan when the clock finds it faster by the
+    /// ladder's margin. `TunePlan::from_partition` always plans the general
+    /// pipeline.
     pub exploit_symmetry: bool,
     /// Execute streaming CSR and the covered BCSR shapes with the explicit
     /// SIMD microkernels ([`crate::kernels::simd`]). Planned on only when the
@@ -436,9 +438,9 @@ mod tests {
         CsrMatrix::from_coo(&coo)
     }
 
-    /// The serial tuned form: a one-thread plan, materialized.
+    /// This module's deterministic plan at one thread, materialized.
     fn tune_serial(csr: &CsrMatrix, config: &TuningConfig) -> (TunePlan, PreparedMatrix) {
-        let plan = TunePlan::new(csr, 1, config);
+        let plan = TunePlan::heuristic(csr, 1, config);
         let prepared = PreparedMatrix::materialize(csr, &plan).expect("fresh plan materializes");
         (plan, prepared)
     }

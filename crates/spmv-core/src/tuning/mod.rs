@@ -19,9 +19,10 @@
 //!    times the distinct ones and keeps the incumbent unless a finer rung wins
 //!    by a margin ([`ShareLadder`]). The timed ladder skips step 1's cache
 //!    and TLB grids (rungs `C` and `D`), which never won on the hosts
-//!    measured: the clock sees rungs `A`, `S` and `B`. Shares whose byte
-//!    minimum lives in cache, and [`TunePlan::heuristic`], skip this step and
-//!    keep the finest grid.
+//!    measured: the clock sees rungs `A`, `S` and `B` of every share, whatever
+//!    its size, and a symmetric matrix's lower-triangle plan against the
+//!    general one. Only [`TunePlan::heuristic`], the untimed planner of the
+//!    paper reproductions, skips this step and keeps the finest grid.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! Step 3 is the one timed search. [`search`] holds its timing helper and the

@@ -25,12 +25,12 @@ use crate::tuning::prepared::{PreparedBlock, PreparedMatrix};
 use crate::tuning::search::time_spmv;
 use std::ops::Range;
 
-/// The threshold that decides timing and prefetch: a thread block whose planned
-/// footprint exceeds this many bytes is timed on its ladder and, off SIMD, gets
-/// a software prefetch annotation; a smaller one keeps its byte minimum untimed
-/// and runs without prefetch. It is a fixed 512 KiB, an L2-sized guess, not a
-/// measured size: on a host with a large last-level cache, footprints far above
-/// it are still served from cache.
+/// The prefetch threshold: a thread block whose planned footprint exceeds this
+/// many bytes gets, off SIMD, a software prefetch annotation; a smaller one runs
+/// without prefetch. It decides nothing else (every share is timed, whatever its
+/// size). It is a fixed 512 KiB, an L2-sized guess, not a measured size: on a
+/// host with a large last-level cache, footprints far above it are still served
+/// from cache.
 pub const PREFETCH_FOOTPRINT_BYTES: usize = 1 << 19;
 
 /// The prefetch distance (in nonzeros) the planner annotates large blocks with —
@@ -118,19 +118,19 @@ fn plans_simd(config: &TuningConfig) -> bool {
 /// [`crate::tuning::heuristic::ladder_rungs`]) and what the clock said about it.
 #[derive(Debug, Clone)]
 pub struct LadderRung {
-    /// `A`, `S`, `B`, `C` or `D`.
+    /// `A`, `S` or `B`.
     pub label: &'static str,
     /// The share's plan, were this rung chosen.
     pub plan: ThreadPlan,
-    /// Fastest seconds of one `execute`; `None` when the ladder timed nothing or
-    /// the rung failed to materialize.
+    /// Fastest seconds of one `execute`; `None` when the rung failed to
+    /// materialize.
     pub seconds: Option<f64>,
 }
 
 /// A thread share's ladder: its rungs, fewest blocks first, and the one chosen.
 #[derive(Debug, Clone)]
 pub struct ShareLadder {
-    /// The candidates; a share that timed nothing lists only the plan it keeps.
+    /// The candidates, as [`ladder_rungs`] proposed them without a grid.
     pub rungs: Vec<LadderRung>,
     /// Index into `rungs` of the share's plan.
     pub chosen: usize,
@@ -156,68 +156,39 @@ pub fn choose_rung(seconds: &[Option<f64>]) -> usize {
 /// shares' chosen rungs took `shares` seconds, displaces the lower-triangle
 /// plan, whose serial apply took `symmetric` seconds (`None`: it failed to
 /// materialize). Symmetric storage is [`choose_rung`]'s incumbent, so the
-/// general plan needs the ladder's margin; a share the clock did not time
-/// keeps the incumbent.
+/// general plan needs the ladder's margin; a share without a reading (its
+/// rungs failed to materialize) keeps the incumbent.
 pub fn general_beats_symmetric(symmetric: Option<f64>, shares: &[Option<f64>]) -> bool {
     let general: Option<f64> = shares.iter().copied().sum();
     general.is_some() && choose_rung(&[symmetric, general]) == 1
 }
 
 impl ShareLadder {
-    /// The untimed plan of one thread share: the finest grid's byte minimum
-    /// (the last rung of the full ladder), deterministically.
-    fn untimed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
-        let finest = ladder_rungs(local, config, true);
-        let finest = finest.last().expect("rung A is always proposed");
-        ShareLadder {
-            rungs: vec![LadderRung {
-                label: finest.label,
-                plan: ThreadPlan::annotated(rows.clone(), finest.decisions.clone(), config),
-                seconds: None,
-            }],
-            chosen: 0,
-        }
-    }
-
     /// The timed plan of one thread share. Its ladder cuts no cache or TLB
-    /// grid: rungs `A`, `S` and `B` are materialized once each and timed. A
-    /// share whose byte minimum (rung `B`) lives in cache keeps the untimed
-    /// plan instead, if that lives in cache too; a single rung is kept untimed.
-    /// (A share whose finest grid lives in cache but whose rung `B` does not,
-    /// because its cells narrow their indices, is timed on `A`, `S` and `B`.)
+    /// grid: rungs `A`, `S` and `B` are materialized once each and timed,
+    /// whatever the share's size, and a lone rung is timed too.
     fn timed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
         let ungridded = TuningConfig {
             cache_blocking: None,
             tlb_blocking: None,
             ..*config
         };
-        let proposals = ladder_rungs(local, &ungridded, false);
-        let mut rungs: Vec<LadderRung> = proposals
+        let (nrows, ncols) = (local.nrows(), local.ncols());
+        let rungs: Vec<LadderRung> = ladder_rungs(local, &ungridded, false)
             .iter()
-            .map(|p| LadderRung {
-                label: p.label,
-                plan: ThreadPlan::annotated(rows.clone(), p.decisions.clone(), config),
-                seconds: None,
-            })
-            .collect();
-        // Rung `S` is no grid: it may come last, yet is never the byte minimum.
-        let minimum = rungs.iter().rposition(|r| r.label != "S");
-        let minimum = minimum.expect("rung A is always proposed");
-        if rungs[minimum].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
-            let untimed = Self::untimed(local, rows, config);
-            if untimed.rungs[0].plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES {
-                return untimed;
-            }
-        }
-        if rungs.len() > 1 {
-            let (nrows, ncols) = (local.nrows(), local.ncols());
-            for (rung, proposal) in rungs.iter_mut().zip(&proposals) {
-                rung.seconds = proposal.materialize().ok().map(|blocks| {
-                    let block = PreparedBlock::from_blocks(&rung.plan, ncols, blocks);
+            .map(|proposal| {
+                let plan = ThreadPlan::annotated(rows.clone(), proposal.decisions.clone(), config);
+                let seconds = proposal.materialize().ok().map(|blocks| {
+                    let block = PreparedBlock::from_blocks(&plan, ncols, blocks);
                     time_spmv(nrows, ncols, LADDER_RUNS, 1, |x, y| block.execute(x, y))
                 });
-            }
-        }
+                LadderRung {
+                    label: proposal.label,
+                    plan,
+                    seconds,
+                }
+            })
+            .collect();
         let seconds: Vec<_> = rungs.iter().map(|r| r.seconds).collect();
         ShareLadder {
             chosen: choose_rung(&seconds),
@@ -252,19 +223,20 @@ impl TunePlan {
     ///
     /// When the config enables [`TuningConfig::exploit_symmetry`] and the matrix
     /// is detected square-and-symmetric, the lower-triangle plan (Section 4.2's
-    /// symmetry optimization: halved value/index traffic) is the incumbent. When
-    /// it and every share of the general plan stream, the clock decides between
-    /// the two pipelines: the symmetric plan's serial apply against the sum of
-    /// the shares' chosen rungs ([`general_beats_symmetric`]). A symmetric plan
-    /// that lives in cache is kept untimed, as a share keeps its byte minimum.
+    /// symmetry optimization: halved value/index traffic) is the incumbent and
+    /// the clock decides between the two pipelines: the symmetric plan's serial
+    /// apply against the sum of the general shares' chosen rungs
+    /// ([`general_beats_symmetric`]). Every share and every symmetric plan is
+    /// timed, whatever its size; [`TunePlan::heuristic`] is the untimed
+    /// planner, and [`TunePlan::new_symmetric`] the way to insist on symmetric
+    /// storage.
     pub fn new(csr: &CsrMatrix, nthreads: usize, config: &TuningConfig) -> TunePlan {
         Self::with_ladders(csr, nthreads, config).0
     }
 
     /// [`TunePlan::new`] together with the ladder of every thread share, for
-    /// reports: the general pipeline's ladders whenever they were timed, even
-    /// when the symmetric plan won; none when a symmetric plan is kept untimed.
-    /// A timed ladder lists rungs `A`, `S` and `B` only ([`ShareLadder`]).
+    /// reports: the general pipeline's ladders, even when the symmetric plan
+    /// won. Each ladder lists rungs `A`, `S` and `B` only ([`ShareLadder`]).
     pub fn with_ladders(
         csr: &CsrMatrix,
         nthreads: usize,
@@ -292,13 +264,7 @@ impl TunePlan {
             return Self::general_plan(csr, &ranges, config, timed);
         }
         let symmetric = Self::symmetric_plan(csr, &ranges, config);
-        // As on a share's ladder, a byte minimum that lives in cache is kept
-        // untimed.
-        let cached = symmetric
-            .threads
-            .iter()
-            .any(|t| t.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES);
-        if !timed || cached {
+        if !timed {
             return (symmetric, Vec::new());
         }
         let (general, ladders) = Self::general_plan(csr, &ranges, config, true);
@@ -375,11 +341,13 @@ impl TunePlan {
     ) -> (TunePlan, Vec<ShareLadder>) {
         let mut ladders = Vec::with_capacity(ranges.len());
         let plan = Self::plan_over_partition(csr, ranges, false, |local, range| {
-            let ladder = if timed {
-                ShareLadder::timed(local, range, config)
-            } else {
-                ShareLadder::untimed(local, range, config)
-            };
+            if !timed {
+                // The finest grid's byte minimum: the full ladder's last rung.
+                let rungs = ladder_rungs(local, config, true);
+                let finest = rungs.last().expect("rung A is always proposed");
+                return ThreadPlan::annotated(range.clone(), finest.decisions.clone(), config);
+            }
+            let ladder = ShareLadder::timed(local, range, config);
             let plan = ladder.rungs[ladder.chosen].plan.clone();
             ladders.push(ladder);
             plan

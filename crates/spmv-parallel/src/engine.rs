@@ -1385,11 +1385,7 @@ mod tests {
         let csr = random_symmetric(n, 900, 31);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.017).cos() * 2.5).collect();
         for threads in [1, 2, 3, 8, n + 3] {
-            let plan = TunePlan::new(&csr, threads, &TuningConfig::full());
-            assert!(
-                plan.symmetric,
-                "threads={threads}: symmetry must be detected"
-            );
+            let plan = TunePlan::new_symmetric(&csr, threads, &TuningConfig::full()).unwrap();
             let serial = PreparedMatrix::materialize(&csr, &plan).unwrap();
             let mut expected = vec![0.125; n];
             serial.spmv(&x, &mut expected);
@@ -1414,7 +1410,8 @@ mod tests {
         let csr = random_symmetric(n, 1400, 32);
         let x: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
         let reference = csr.spmv_alloc(&x);
-        let mut engine = SpmvEngine::tuned(&csr, 4, &TuningConfig::full()).unwrap();
+        let plan = TunePlan::new_symmetric(&csr, 4, &TuningConfig::full()).unwrap();
+        let mut engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
         let mut y = vec![0.0; n];
         engine.spmv(&x, &mut y);
         assert!(max_abs_diff(&reference, &y) < 1e-9);
@@ -1441,7 +1438,7 @@ mod tests {
         let n = 97;
         let csr = random_symmetric(n, 600, 33);
         for threads in [1, 3, n + 3] {
-            let plan = TunePlan::new(&csr, threads, &TuningConfig::full());
+            let plan = TunePlan::new_symmetric(&csr, threads, &TuningConfig::full()).unwrap();
             let serial = PreparedMatrix::materialize(&csr, &plan).unwrap();
             let mut engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
             for k in [1, 2, 5, 8] {
@@ -1468,7 +1465,7 @@ mod tests {
     #[test]
     fn symmetric_plan_round_trips_into_identical_engine_results() {
         let csr = random_symmetric(76, 500, 34);
-        let plan = TunePlan::new(&csr, 3, &TuningConfig::full());
+        let plan = TunePlan::new_symmetric(&csr, 3, &TuningConfig::full()).unwrap();
         assert!(plan.symmetric);
         let reloaded = TunePlan::from_text(&plan.to_text()).unwrap();
         assert_eq!(plan, reloaded);

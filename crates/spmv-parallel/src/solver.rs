@@ -363,7 +363,7 @@ mod tests {
             ..TuningConfig::full()
         };
         for nthreads in [1, 2, 7] {
-            let plan = TunePlan::new(&csr, nthreads, &config);
+            let plan = TunePlan::new_symmetric(&csr, nthreads, &config).unwrap();
             let prepared = PreparedMatrix::materialize(&csr, &plan).unwrap();
             let mut serial = SerialCg::new(prepared, &b).unwrap();
             let engine = SpmvEngine::from_plan(&csr, &plan).unwrap();

@@ -817,8 +817,8 @@ mod tests {
         prepared.spmm(&xblock(117, 4), &mut spmm);
 
         let sym = spd_system(96, 50 + participants as u64);
-        let sym_plan = TunePlan::new(&sym.matrix, participants, &TuningConfig::full());
-        assert!(sym_plan.symmetric);
+        let sym_plan = TunePlan::new_symmetric(&sym.matrix, participants, &TuningConfig::full());
+        let sym_plan = sym_plan.unwrap();
         let sym_prepared = PreparedMatrix::materialize(&sym.matrix, &sym_plan).unwrap();
         let mut sym_spmv = vec![0.25; 96];
         sym_prepared.spmv(&test_x(96), &mut sym_spmv);
@@ -826,8 +826,9 @@ mod tests {
         let mut power = SerialPower::new(sym_prepared, &test_x(96)).unwrap();
 
         let banded = banded_spd_system(101, 15, 60 + participants as u64);
-        let banded_plan = TunePlan::new(&banded.matrix, participants, &TuningConfig::full());
-        assert!(banded_plan.symmetric);
+        let banded_plan =
+            TunePlan::new_symmetric(&banded.matrix, participants, &TuningConfig::full());
+        let banded_plan = banded_plan.unwrap();
         for t in &banded_plan.threads {
             let c = &t.decisions[0].choice;
             assert_eq!(t.simd, spmv_core::kernels::simd::available());

@@ -726,12 +726,10 @@ mod tests {
         assert_plan_snapshot(&a, &snap, "self-snapshot");
 
         let sym = random_symmetric_csr(30, 100, 6);
-        let sa = TunePlan::new(&sym, 2, &TuningConfig::full());
+        let symmetric = || TunePlan::new_symmetric(&sym, 2, &TuningConfig::full()).unwrap();
+        let sa = symmetric();
         assert!(sa.symmetric);
-        assert!(same_accumulation_class(
-            &sa,
-            &TunePlan::new(&sym, 2, &TuningConfig::full())
-        ));
+        assert!(same_accumulation_class(&sa, &symmetric()));
         let general = TunePlan::new(
             &sym,
             2,

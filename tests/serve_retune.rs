@@ -41,11 +41,13 @@ fn hammering_clients_survive_a_hot_swap_bit_identically() {
     // are bitwise distinct and a half-swapped engine cannot masquerade as
     // either.
     let csr = random_symmetric_csr(80, 500, 21);
+    let symmetric = |threads| TunePlan::new_symmetric(&csr, threads, &TuningConfig::full());
     let registry = MatrixRegistry::new(2, TuningConfig::full());
-    let served = registry.insert("hot", &csr).unwrap();
+    let served = registry
+        .insert_with_plan("hot", &csr, symmetric(2).unwrap())
+        .unwrap();
     let old_plan = served.plan();
-    assert!(old_plan.symmetric);
-    let new_plan = TunePlan::new(&csr, 5, &TuningConfig::full());
+    let new_plan = symmetric(5).unwrap();
     assert_ne!(old_plan, new_plan);
 
     let (y_old, s_old) = references(&csr, &old_plan);

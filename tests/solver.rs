@@ -110,8 +110,7 @@ fn fused_cg_bit_identical_on_symmetric_plans() {
     let sys = spd_system(n, 13);
     let config = TuningConfig::full();
     for nthreads in [1, 2, 5, n + 3] {
-        let plan = TunePlan::new(&sys.matrix, nthreads, &config);
-        assert!(plan.symmetric, "SPD generator must trigger symmetric plans");
+        let plan = TunePlan::new_symmetric(&sys.matrix, nthreads, &config).unwrap();
         let prepared = PreparedMatrix::materialize(&sys.matrix, &plan).unwrap();
         let mut serial = SerialCg::new(prepared, &sys.rhs).unwrap();
         let engine = SpmvEngine::from_plan(&sys.matrix, &plan).unwrap();
@@ -138,8 +137,14 @@ fn fused_cg_converges_to_known_solution() {
         exploit_symmetry: false,
         ..TuningConfig::full()
     };
-    for (label, config) in [("general", general), ("symmetric", TuningConfig::full())] {
-        let plan = TunePlan::new(&sys.matrix, 4, &config);
+    let plans = [
+        ("general", TunePlan::new(&sys.matrix, 4, &general)),
+        (
+            "symmetric",
+            TunePlan::new_symmetric(&sys.matrix, 4, &TuningConfig::full()).unwrap(),
+        ),
+    ];
+    for (label, plan) in plans {
         let engine = SpmvEngine::from_plan(&sys.matrix, &plan).unwrap();
         let mut cg = FusedCg::new(engine, &sys.rhs);
         cg.run(1e-11, 600);
@@ -170,12 +175,16 @@ fn fused_power_matches_serial_and_converges() {
         exploit_symmetry: false,
         ..TuningConfig::full()
     };
-    for (config, nthreads) in [TuningConfig::full(), general]
+    for (symmetric, nthreads) in [true, false]
         .into_iter()
-        .flat_map(|c| [1, 3, n + 3].map(|t| (c, t)))
+        .flat_map(|s| [1, 3, n + 3].map(|t| (s, t)))
     {
-        let plan = TunePlan::new(&csr, nthreads, &config);
-        assert_eq!(plan.symmetric, config.exploit_symmetry);
+        let plan = if symmetric {
+            TunePlan::new_symmetric(&csr, nthreads, &TuningConfig::full()).unwrap()
+        } else {
+            TunePlan::new(&csr, nthreads, &general)
+        };
+        assert_eq!(plan.symmetric, symmetric);
         let prepared = PreparedMatrix::materialize(&csr, &plan).unwrap();
         let mut serial = SerialPower::new(prepared, &v0).unwrap();
         let engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
@@ -217,8 +226,7 @@ fn retune_under_iteration_converges() {
         cg.step();
     }
     // General → symmetric, more threads.
-    let plan_b = TunePlan::new(&sys.matrix, 6, &TuningConfig::full());
-    assert!(plan_b.symmetric);
+    let plan_b = TunePlan::new_symmetric(&sys.matrix, 6, &TuningConfig::full()).unwrap();
     let old = cg.swap_engine(SpmvEngine::from_plan(&sys.matrix, &plan_b).unwrap());
     drop(old);
     for _ in 0..5 {

@@ -112,15 +112,19 @@ fn tuned_engine_spmm_bit_identity_across_thread_counts() {
     }
 }
 
-/// A symmetric matrix registered with the default (full) config must be served
-/// from symmetric storage automatically, and the batched SpMM answers must be
-/// exactly what the direct symmetric SpMV gives.
+/// A symmetric matrix registered with a symmetric plan is served from halved
+/// storage, and the batched SpMM answers must be exactly what the direct
+/// symmetric SpMV gives.
 #[test]
 fn registry_serves_symmetric_matrices_from_halved_storage() {
     let csr = spmv_testutil::random_symmetric_csr(52, 400, 40);
     let registry = MatrixRegistry::new(3, TuningConfig::full());
-    let served = registry.insert("sym", &csr).unwrap();
-    assert!(served.is_symmetric(), "symmetry must be detected at insert");
+    let plan = TunePlan::new_symmetric(&csr, 3, &TuningConfig::full()).unwrap();
+    let served = registry.insert_with_plan("sym", &csr, plan).unwrap();
+    assert!(
+        served.is_symmetric(),
+        "a symmetric plan serves symmetric storage"
+    );
 
     // Halved storage shows up in the engine's footprint report.
     let general = MatrixRegistry::new(

@@ -123,8 +123,8 @@ fn serial_vs_parallel_symmetric_bit_identity() {
         let n = csr.nrows();
         let x = test_x(n);
         for threads in [1, 2, n + 3] {
-            let plan = TunePlan::new(&csr, threads, &TuningConfig::full());
-            assert!(plan.symmetric, "{name}: symmetry must be detected");
+            let plan = TunePlan::new_symmetric(&csr, threads, &TuningConfig::full())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             let serial = PreparedMatrix::materialize(&csr, &plan).unwrap();
             assert!(serial.is_symmetric());
             let mut expected = vec![0.375; n];
@@ -159,7 +159,7 @@ fn serial_vs_parallel_symmetric_bit_identity() {
 fn symmetric_plan_save_load_round_trip() {
     let csr = random_symmetric_csr(45, 300, 77);
     for threads in [1, 3] {
-        let plan = TunePlan::new(&csr, threads, &TuningConfig::full());
+        let plan = TunePlan::new_symmetric(&csr, threads, &TuningConfig::full()).unwrap();
         assert!(plan.symmetric);
         for t in &plan.threads {
             assert_eq!(t.decisions.len(), 1);
@@ -196,7 +196,7 @@ fn symmetric_plan_save_load_round_trip() {
 #[test]
 fn tampered_symmetric_profiles_are_rejected() {
     let csr = random_symmetric_csr(20, 80, 78);
-    let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
+    let plan = TunePlan::new_symmetric(&csr, 2, &TuningConfig::full()).unwrap();
     assert!(plan.symmetric);
 
     // Strip the symmetric flag: the sym decisions are now inconsistent.
@@ -221,7 +221,8 @@ fn symmetric_engine_agrees_with_general_engine_within_ulps() {
         ..TuningConfig::full()
     };
     for threads in [1, 2, 83] {
-        let mut sym_engine = SpmvEngine::tuned(&csr, threads, &TuningConfig::full()).unwrap();
+        let sym_plan = TunePlan::new_symmetric(&csr, threads, &TuningConfig::full()).unwrap();
+        let mut sym_engine = SpmvEngine::from_plan(&csr, &sym_plan).unwrap();
         let mut gen_engine = SpmvEngine::tuned(&csr, threads, &general_cfg).unwrap();
         assert!(sym_engine.is_symmetric() && !gen_engine.is_symmetric());
         let mut ys = vec![0.0; 80];
@@ -275,25 +276,43 @@ fn symmetric_matrix_market_round_trip_matches_expanded_general() {
     }
 }
 
-/// The symmetrize → tune → serve pipeline picks the symmetric path up
-/// automatically end-to-end (the serial prepared path and the engine alike).
+/// The symmetrize → tune → serve pipeline detects symmetry automatically:
+/// `TunePlan::new` times the lower-triangle plan against the general one, and
+/// whichever it keeps is the declared symmetric plan or a timed general plan
+/// that agrees with it. Symmetric storage shrinks the footprint.
 #[test]
 fn tuner_picks_up_symmetry_automatically_on_suite_matrices() {
+    let full = TuningConfig::full();
+    let general_config = TuningConfig {
+        exploit_symmetry: false,
+        ..full
+    };
     for matrix in [SuiteMatrix::FemCantilever, SuiteMatrix::FemShip] {
         let sym_coo = matrix.generate_symmetric(Scale::Tiny).unwrap();
         let csr = CsrMatrix::from_coo(&sym_coo);
-        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
-        let tuned = PreparedMatrix::materialize(&csr, &plan).unwrap();
+        let declared = TunePlan::new_symmetric(&csr, 1, &full).unwrap();
+        assert!(
+            TunePlan::heuristic(&csr, 1, &full).symmetric,
+            "{}",
+            matrix.id()
+        );
+        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &full);
+        assert_eq!(ladders.len(), 1, "{}: the general ladder", matrix.id());
+        let ladder = &ladders[0];
+        assert!(
+            ladder.rungs[ladder.chosen].seconds.is_some(),
+            "{}",
+            matrix.id()
+        );
+        if plan.symmetric {
+            assert_eq!(plan, declared, "{}", matrix.id());
+        } else {
+            let kept = &ladder.rungs[ladder.chosen].plan;
+            assert_eq!(plan.threads[0], *kept, "{}", matrix.id());
+        }
+        let chosen = PreparedMatrix::materialize(&csr, &plan).unwrap();
+        let tuned = PreparedMatrix::materialize(&csr, &declared).unwrap();
         assert!(tuned.is_symmetric(), "{}", matrix.id());
-        assert!(plan
-            .threads
-            .iter()
-            .flat_map(|t| &t.decisions)
-            .all(|d| d.choice.kind.is_symmetric()));
-        let general_config = TuningConfig {
-            exploit_symmetry: false,
-            ..TuningConfig::full()
-        };
         let general =
             PreparedMatrix::materialize(&csr, &TunePlan::new(&csr, 1, &general_config)).unwrap();
         assert!(
@@ -304,8 +323,14 @@ fn tuner_picks_up_symmetry_automatically_on_suite_matrices() {
             general.footprint_bytes()
         );
         let x = test_x(csr.ncols());
+        let y = tuned.spmv_alloc(&x);
         assert!(
-            max_abs_diff(&tuned.spmv_alloc(&x), &general.spmv_alloc(&x)) < 1e-9,
+            max_abs_diff(&y, &general.spmv_alloc(&x)) < 1e-9,
+            "{}",
+            matrix.id()
+        );
+        assert!(
+            max_abs_diff(&y, &chosen.spmv_alloc(&x)) < 1e-9,
             "{}",
             matrix.id()
         );
@@ -428,7 +453,7 @@ fn simd_sym_bcsr_keeps_scalar_nan_and_inf_positions() {
     }
     let sys = banded_spd_system(n, 15, 7);
     for threads in 1..=5 {
-        let plan = TunePlan::new(&sys.matrix, threads, &TuningConfig::full());
+        let plan = TunePlan::new_symmetric(&sys.matrix, threads, &TuningConfig::full()).unwrap();
         let serial = PreparedMatrix::materialize(&sys.matrix, &plan).unwrap();
         let mut expected = vec![-0.0; n];
         serial.spmv(&x, &mut expected);
@@ -465,7 +490,7 @@ fn vector_sym_slabs_keep_engine_spmm_and_cg_bit_identical() {
     let x = test_x(n);
     for threads in 1..=5 {
         let ctx = format!("threads={threads}");
-        let plan = TunePlan::new(&sys.matrix, threads, &TuningConfig::full());
+        let plan = TunePlan::new_symmetric(&sys.matrix, threads, &TuningConfig::full()).unwrap();
         assert_vector_sym_slabs(&plan, &ctx);
         let serial = PreparedMatrix::materialize(&sys.matrix, &plan).unwrap();
         let mut expected = vec![0.375; n];
@@ -507,7 +532,7 @@ fn vector_sym_slabs_keep_engine_spmm_and_cg_bit_identical() {
 #[test]
 fn symmetric_simd_plan_round_trips_and_degrades_to_the_scalar_kernel() {
     let sys = banded_spd_system(101, 15, 13);
-    let plan = TunePlan::new(&sys.matrix, 1, &TuningConfig::full());
+    let plan = TunePlan::new_symmetric(&sys.matrix, 1, &TuningConfig::full()).unwrap();
     assert_vector_sym_slabs(&plan, "one thread");
     let text = plan.to_text();
     assert_eq!(text.contains(" simd"), simd::available());

@@ -5,8 +5,9 @@
 //!    value-perturbed variants differ.
 //! 2. **Cache** — a warm `TuneCache` hit provably skips the timed planner
 //!    (counter hook), and tampered cache entries are rejected.
-//! 3. **Golden plan** — the plan for a fixed seeded matrix matches a committed
-//!    snapshot, so silent planner drift fails loudly.
+//! 3. **Golden plan** — the untimed `TunePlan::heuristic` plan for a fixed
+//!    seeded matrix matches a committed snapshot, so silent planner drift
+//!    fails loudly.
 
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_matrices::mmio::read_matrix_market;
@@ -108,9 +109,10 @@ fn warm_cache_hit_skips_the_search_and_tampering_is_rejected() {
 
 #[test]
 fn entries_from_the_previous_format_are_misses_and_get_replanned() {
-    // A v1 entry was planned before symmetric slabs had a vector kernel, so it
-    // may hold a decision the planner no longer makes: it must not be served.
-    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v1_{}", std::process::id()));
+    // A v2 entry was planned before every share went on the clock, so a small
+    // share may hold an untimed grid the planner no longer makes: it must not
+    // be served.
+    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v2_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = TuneCache::with_platform(&dir, "suite-plat").unwrap();
     let csr = random_csr(70, 70, 600, 10);
@@ -122,29 +124,29 @@ fn entries_from_the_previous_format_are_misses_and_get_replanned() {
     let path = cache.entry_path(&fp, 2, &config);
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(
-        text.starts_with("spmv-tune-cache v2\n"),
-        "entries are written as v2"
+        text.starts_with("spmv-tune-cache v3\n"),
+        "entries are written as v3"
     );
     std::fs::write(
         &path,
-        text.replacen("spmv-tune-cache v2", "spmv-tune-cache v1", 1),
+        text.replacen("spmv-tune-cache v3", "spmv-tune-cache v2", 1),
     )
     .unwrap();
     assert!(
         cache.lookup(&fp, 2, &config, &csr).is_none(),
-        "a v1 entry is a miss"
+        "a v2 entry is a miss"
     );
 
     cache.plan(&csr, 2, &config).unwrap();
     assert_eq!(
         cache.search_count(),
         2,
-        "the v1 entry forces exactly one re-plan"
+        "the v2 entry forces exactly one re-plan"
     );
     let restored = std::fs::read_to_string(&path).unwrap();
     assert!(
-        restored.starts_with("spmv-tune-cache v2\n"),
-        "the re-plan is stored as v2"
+        restored.starts_with("spmv-tune-cache v3\n"),
+        "the re-plan is stored as v3"
     );
     assert!(cache.lookup(&fp, 2, &config, &csr).is_some());
     assert_eq!(cache.search_count(), 2);
@@ -157,7 +159,7 @@ fn heuristic_plan_matches_the_golden_snapshot() {
     // formats, changed thresholds) must be a conscious edit here, never a
     // silent behaviour change.
     let csr = random_csr(64, 48, 512, 42);
-    let plan = TunePlan::new(&csr, 2, &TuningConfig::full());
+    let plan = TunePlan::heuristic(&csr, 2, &TuningConfig::full());
     assert_plan_snapshot(&plan, GOLDEN_PLAN_64X48, "seed-42 heuristic plan");
     // And the snapshot itself is stable across renderings.
     assert_eq!(plan_snapshot(&plan), plan_snapshot(&plan.clone()));

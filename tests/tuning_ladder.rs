@@ -11,11 +11,10 @@
 //! * **The two rewritten passes** equal what they replaced: the one-pass fill
 //!   estimate against the BCSR matrix it predicts, shape by shape, the
 //!   CSR-direct cell cut against the COO round trip.
-//! * **Determinism where it is promised**: shares whose byte minimum (rung
-//!   `B`) and finest grid both live in cache are never timed and keep
-//!   `TunePlan::heuristic`'s plan (the golden 64×48 plan of
-//!   `tests/tune_cache.rs` is such a share). The timed ladder cuts no cache or
-//!   TLB grid: it times rungs `A`, `S` and `B`.
+//! * **One rule for every share**: `TunePlan::new` times every share,
+//!   whatever its size, on rungs `A`, `S` and `B` (the timed ladder cuts no
+//!   cache or TLB grid), so no share keeps a rung the clock measured slower
+//!   than `A`. Only `TunePlan::heuristic` stays untimed and deterministic.
 //! * **The timed plan computes what the untimed one does**: over seeded
 //!   matrices and thread counts, `TunePlan::new` agrees with
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
@@ -34,7 +33,6 @@ use spmv_multicore::spmv_core::blocking::register::{
 use spmv_multicore::spmv_core::formats::{BcsrMatrix, IndexWidth};
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::solver::SerialCg;
-use spmv_multicore::spmv_core::tuning::plan::PREFETCH_FOOTPRINT_BYTES;
 use spmv_multicore::spmv_core::tuning::{
     choose_rung, general_beats_symmetric, ladder_rungs, FormatKind, Rung, ThreadPlan, TuningConfig,
 };
@@ -356,25 +354,44 @@ fn csr_direct_cell_cut_equals_the_coo_round_trip() {
 }
 
 #[test]
-fn cache_resident_shares_are_never_timed() {
-    // The golden 64×48 matrix of `tests/tune_cache.rs`, a larger one still
-    // under the threshold, and a wide one whose finest grid has several cells
-    // even where the timed ladder cuts no grid: `new` is `heuristic`, share by
-    // share.
-    for csr in [
-        random_csr(64, 48, 512, 42),
-        random_csr(900, 700, 20_000, 43),
-        random_csr(64, 70_000, 1_200, 44),
-    ] {
-        let config = TuningConfig::full();
-        let (plan, ladders) = TunePlan::with_ladders(&csr, 2, &config);
-        assert!(plan.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES);
-        assert_eq!(plan, TunePlan::heuristic(&csr, 2, &config));
-        assert_eq!(plan, TunePlan::new(&csr, 2, &config));
-        for ladder in &ladders {
-            assert_eq!(ladder.rungs.len(), 1);
-            assert!(ladder.rungs[0].seconds.is_none());
+fn every_share_is_timed_and_never_keeps_a_rung_slower_than_a() {
+    // Shares of every size: the golden 64×48 matrix of `tests/tune_cache.rs`,
+    // a larger one, three wide ones whose finest grid has several cells, and
+    // `economics` and `circuit` at Quarter in eight shares of under 512 KiB
+    // each. The ladders are timed serially, so no thread starts.
+    let config = TuningConfig::full();
+    let quarter = |m: SuiteMatrix| CsrMatrix::from_coo(&m.generate(Scale::Quarter));
+    let cases = [
+        ("64x48", random_csr(64, 48, 512, 42), 2),
+        ("900x700", random_csr(900, 700, 20_000, 43), 2),
+        ("64x70000", random_csr(64, 70_000, 1_200, 44), 2),
+        ("2000x65000", random_csr(2_000, 65_000, 48_000, 7), 1),
+        ("400x70000", random_csr(400, 70_000, 44_000, 7), 1),
+        ("economics", quarter(SuiteMatrix::Economics), 8),
+        ("circuit", quarter(SuiteMatrix::Circuit), 8),
+    ];
+    for (id, csr, threads) in &cases {
+        let (plan, ladders) = TunePlan::with_ladders(csr, *threads, &config);
+        assert_eq!(ladders.len(), *threads, "{id}: one ladder per share");
+        for (t, ladder) in ladders.iter().enumerate() {
+            let ctx = format!("{id} share {t}");
+            assert_eq!(ladder.rungs[0].label, "A", "{ctx}");
+            let a = ladder.rungs[0].seconds;
+            let chosen = &ladder.rungs[ladder.chosen];
+            assert!(
+                chosen.seconds.is_some(),
+                "{ctx}: rung {} untimed",
+                chosen.label
+            );
+            assert!(
+                chosen.seconds <= a,
+                "{ctx}: rung {} slower than A",
+                chosen.label
+            );
+            assert_eq!(chosen.plan, plan.threads[t], "{ctx}: the chosen rung");
         }
+        let plain = TunePlan::heuristic(csr, *threads, &TuningConfig::naive());
+        assert_plans_equivalent(csr, &plan, &plain, id);
     }
 }
 
@@ -439,61 +456,15 @@ fn the_timed_ladder_cuts_no_grid() {
 }
 
 #[test]
-fn a_share_stays_untimed_only_when_rung_b_and_its_finest_grid_live_in_cache() {
-    // Two wide one-share matrices on either side of the threshold, on both
-    // legs: the first's rung B (= A) lives in cache while its finest grid, whose
-    // seven cells carry their own row pointers, does not; the second's rung B
-    // needs 32-bit indices and does not live in cache while its finest grid,
-    // whose cells narrow theirs, does. Neither keeps the untimed plan: each
-    // share is decided on rungs A, S and B alone.
-    let config = TuningConfig::full();
-    let cases = [
-        ("rung B fits", random_csr(2_000, 65_000, 48_000, 7), true),
-        (
-            "finest grid fits",
-            random_csr(400, 70_000, 44_000, 7),
-            false,
-        ),
-    ];
-    for (ctx, csr, b_fits) in cases {
-        let proposed = ladder_rungs(&csr, &config, false);
-        let labels: String = proposed.iter().map(|r| r.label).collect();
-        // Rung B dedupes into A; the finest grid is D.
-        assert!(
-            labels.starts_with('A') && !labels.contains('B'),
-            "{ctx}: {labels}"
-        );
-        assert!(labels.ends_with('D'), "{ctx}: {labels}");
-        let b_bytes: usize = proposed[0].decisions.iter().map(|d| d.choice.bytes).sum();
-        let heuristic = TunePlan::heuristic(&csr, 1, &config);
-        assert_eq!(b_bytes <= PREFETCH_FOOTPRINT_BYTES, b_fits, "{ctx}");
-        let finest_fits = heuristic.planned_bytes() <= PREFETCH_FOOTPRINT_BYTES;
-        assert_eq!(finest_fits, !b_fits, "{ctx}");
-
-        let (plan, ladders) = TunePlan::with_ladders(&csr, 1, &config);
-        let ladder = &ladders[0];
-        let timed: String = ladder.rungs.iter().map(|r| r.label).collect();
-        assert_eq!(timed, labels.replace(['C', 'D'], ""), "{ctx}");
-        assert_ne!(plan, heuristic, "{ctx}: the untimed plan is not kept");
-        assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
-        // A lone rung A (the scalar leg) has nothing to be timed against.
-        let timed = ladder.rungs.iter().filter(|r| r.seconds.is_some()).count();
-        let expected = if ladder.rungs.len() > 1 {
-            ladder.rungs.len()
-        } else {
-            0
-        };
-        assert_eq!(timed, expected, "{ctx}");
-    }
-}
-
-#[test]
 fn the_symmetric_plan_keeps_its_place_inside_the_margin() {
     let general = |shares: &[Option<f64>]| general_beats_symmetric(Some(1.0), shares);
     assert!(!general(&[Some(0.5), Some(0.5)]), "a tie");
     assert!(!general(&[Some(0.48), Some(0.48)]), "a 4 % loss");
     assert!(general(&[Some(0.47), Some(0.47)]), "a 6 % loss");
-    assert!(!general(&[Some(0.1), None]), "an untimed share");
+    assert!(
+        !general(&[Some(0.1), None]),
+        "a share that failed to materialize"
+    );
 }
 
 #[test]
