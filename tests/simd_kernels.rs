@@ -14,8 +14,9 @@
 //!    column, the identical operation sequence as the single-vector kernels,
 //!    so the products are bit-identical for every swept k (the invariant the
 //!    batching service relies on).
-//! 3. **Plans across threads** — SIMD plans, the tuner's own and one that
-//!    stores every share as sliced ELL, materialize and run on the parallel
+//! 3. **Plans across threads** — SIMD plans, the tuner's own, one that
+//!    stores every share as sliced ELL and one that mixes sliced-ELL shares
+//!    with the tuner's CSR or BCSR ones, materialize and run on the parallel
 //!    engine at 1, 2, 3 and oversubscribed (n + 3) thread counts with output
 //!    bit-identical to the plan's own serial `PreparedMatrix` oracle, and
 //!    within accumulation tolerance of the dense reference.
@@ -33,7 +34,7 @@ use spmv_multicore::spmv_core::kernels::simd::{
     spmv_bcsr_simd, spmv_csr_simd, spmv_csr_simd_at, spmv_sell_at, SimdLevel,
 };
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
-use spmv_multicore::spmv_core::tuning::{BlockDecision, FormatChoice, ThreadPlan};
+use spmv_multicore::spmv_core::tuning::{BlockDecision, FormatChoice, FormatKind, ThreadPlan};
 use spmv_testutil::{
     assert_bit_identical, cases, empty_row_csr, max_abs_diff, plan_outputs, random_csr,
     single_col_csr, single_row_csr, test_x, xblock, Case,
@@ -437,6 +438,18 @@ fn sell_plan(csr: &CsrMatrix, threads: usize) -> TunePlan {
     }
 }
 
+/// The tuned plan with rung S put on every other share: a mix of sliced ELL
+/// and the CSR or BCSR rungs that the clock may also pick.
+fn mixed_plan(csr: &CsrMatrix, threads: usize) -> TunePlan {
+    let (mut plan, ladders) = TunePlan::with_ladders(csr, threads, &TuningConfig::full());
+    for (share, ladder) in plan.threads.iter_mut().zip(&ladders).step_by(2) {
+        if let Some(s) = ladder.rungs.iter().find(|r| r.label == "S") {
+            *share = s.plan.clone();
+        }
+    }
+    plan
+}
+
 /// A sliced-ELL plan answers with the bits of its serial `PreparedMatrix` at
 /// every layer above the engine too: through the batcher (requests coalesced
 /// into one SpMM) and over the loopback wire.
@@ -501,6 +514,7 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
                 [
                     (threads, tuned(threads)),
                     (threads, sell_plan(csr, threads)),
+                    (threads, mixed_plan(csr, threads)),
                 ]
             });
         for (threads, plan) in plans {
@@ -513,7 +527,10 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
                 PreparedMatrix::materialize(csr, &plan).expect("plan matches its matrix");
             assert_eq!(plan.planned_bytes(), prepared.footprint_bytes(), "{tag}");
             // A plan loaded where the vector arm is missing runs sliced ELL on
-            // the `mul_add` arm: other kernels, the same bits.
+            // the `mul_add` arm: other kernels, the same bits. The clock may
+            // give one share of the tuned plan rung S and another a CSR or
+            // BCSR rung, whose vector kernels reassociate; the rows of every
+            // sliced-ELL share keep their bits.
             let text = plan.to_text();
             assert_eq!(TunePlan::from_text(&text).as_ref(), Ok(&plan), "{tag}");
             if text.contains(" sell ") {
@@ -521,8 +538,21 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
                 assert!(degraded.threads.iter().all(|t| !t.simd));
                 let (y, ym) = plan_outputs(csr, &degraded);
                 let (y_simd, ym_simd) = plan_outputs(csr, &plan);
-                assert_bit_identical(&y, &y_simd, &format!("{tag}@{threads}: degraded"));
-                assert_bit_identical(ym.data(), ym_simd.data(), &format!("{tag}@{threads}"));
+                let sell_shares = plan.threads.iter().filter(|t| {
+                    t.decisions
+                        .iter()
+                        .all(|d| d.choice.kind == FormatKind::Sell)
+                });
+                for share in sell_shares {
+                    let rows = share.rows.clone();
+                    let ctx = format!("{tag}@{threads}: degraded rows {rows:?}");
+                    assert_bit_identical(&y[rows.clone()], &y_simd[rows.clone()], &ctx);
+                    for j in 0..3 {
+                        let (col, col_simd) = (ym.col(j), ym_simd.col(j));
+                        let ctx = format!("{ctx}, spmm col {j}");
+                        assert_bit_identical(&col[rows.clone()], &col_simd[rows.clone()], &ctx);
+                    }
+                }
             }
             let mut y_serial = vec![0.0; csr.nrows()];
             prepared.spmv(&x, &mut y_serial);
