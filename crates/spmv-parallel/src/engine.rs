@@ -1154,18 +1154,19 @@ mod tests {
     #[test]
     fn one_thread_engine_holds_no_join_handle() {
         let csr = random_csr(50, 50, 400, 14);
-        let mut single = SpmvEngine::tuned(&csr, 1, &TuningConfig::full()).unwrap();
+        let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        let mut single = SpmvEngine::from_plan(&csr, &plan).unwrap();
         assert!(single.workers.is_empty());
         assert_eq!(single.num_threads(), 1);
         let x = vec![1.5; 50];
         let mut y = vec![0.0; 50];
         single.spmv(&x, &mut y);
-        assert_eq!(y, {
-            let plan = TunePlan::new(&csr, 1, &TuningConfig::full());
+        assert_eq!(
+            y,
             PreparedMatrix::materialize(&csr, &plan)
                 .unwrap()
                 .spmv_alloc(&x)
-        });
+        );
         assert_eq!(SpmvEngine::new(&csr, 4).workers.len(), 3);
     }
 

@@ -265,6 +265,22 @@ mod tests {
         (0..n).map(|_| rng.random_range(-1.0..1.0)).collect()
     }
 
+    /// The general pipeline's timed plan of `csr`, or its symmetric-storage
+    /// plan on the same partition.
+    fn plan_of(csr: &CsrMatrix, nthreads: usize, symmetric: bool) -> TunePlan {
+        let plan = if symmetric {
+            TunePlan::new_symmetric(csr, nthreads, &TuningConfig::full()).unwrap()
+        } else {
+            let general = TuningConfig {
+                exploit_symmetry: false,
+                ..TuningConfig::full()
+            };
+            TunePlan::new(csr, nthreads, &general)
+        };
+        assert_eq!(plan.symmetric, symmetric);
+        plan
+    }
+
     /// Fused CG must be bit-identical to the serial reference on the same
     /// plan, at every worker count, for as long as both iterate.
     #[test]
@@ -312,15 +328,9 @@ mod tests {
         let n = 41;
         let csr = spd_csr(n, 51);
         let b = rhs(n, 52);
-        for config in [
-            TuningConfig {
-                exploit_symmetry: false,
-                ..TuningConfig::full()
-            },
-            TuningConfig::full(),
-        ] {
+        for symmetric in [false, true] {
             for nthreads in [1, 3, n + 3] {
-                let plan = TunePlan::new(&csr, nthreads, &config);
+                let plan = plan_of(&csr, nthreads, symmetric);
                 let engine_a = SpmvEngine::from_plan(&csr, &plan).unwrap();
                 let engine_b = SpmvEngine::from_plan(&csr, &plan).unwrap();
                 let mut stepped = FusedCg::new(engine_a, &b);
@@ -380,14 +390,18 @@ mod tests {
         }
     }
 
-    /// Fused power iteration matches the serial reference bit for bit.
+    /// Fused power iteration matches the serial reference bit for bit, on
+    /// general and symmetric plans.
     #[test]
     fn fused_power_bit_identical_to_serial() {
         let n = 37;
         let csr = spd_csr(n, 31);
         let v0 = rhs(n, 32);
-        for nthreads in [1, 2, n + 3] {
-            let plan = TunePlan::new(&csr, nthreads, &TuningConfig::full());
+        let cases = [false, true]
+            .into_iter()
+            .flat_map(|symmetric| [1, 2, n + 3].map(|nthreads| (symmetric, nthreads)));
+        for (symmetric, nthreads) in cases {
+            let plan = plan_of(&csr, nthreads, symmetric);
             let prepared = PreparedMatrix::materialize(&csr, &plan).unwrap();
             let mut serial = SerialPower::new(prepared, &v0).unwrap();
             let engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
@@ -398,7 +412,7 @@ mod tests {
                 assert_eq!(
                     s.to_bits(),
                     f.to_bits(),
-                    "lambda diverges at iteration {it} (threads={nthreads})"
+                    "lambda diverges at iteration {it} (threads={nthreads}, sym={symmetric})"
                 );
             }
             for (s, f) in serial.eigenvector().iter().zip(fused.eigenvector()) {
@@ -434,24 +448,30 @@ mod tests {
     /// Hot-swapping the engine mid-solve (retune-under-iteration): swapping to
     /// a same-plan replacement continues the serial trajectory bit for bit
     /// (the re-seeded state is an exact copy), and swapping to a differently
-    /// partitioned plan still converges from the carried state.
+    /// partitioned plan still converges from the carried state. On general
+    /// and symmetric plans.
     #[test]
     fn swap_engine_preserves_trajectory() {
         let n = 48;
         let csr = spd_csr(n, 51);
         let b = rhs(n, 52);
-        let config = TuningConfig::full();
-        let plan = TunePlan::new(&csr, 3, &config);
-        let prepared = PreparedMatrix::materialize(&csr, &plan).unwrap();
-        let mut serial = SerialCg::new(prepared, &b).unwrap();
-        let engine = SpmvEngine::from_plan(&csr, &plan).unwrap();
-        let mut fused = FusedCg::new(engine, &b);
+        for symmetric in [false, true] {
+            swap_engine_preserves_trajectory_on(&csr, &b, symmetric);
+        }
+    }
+
+    fn swap_engine_preserves_trajectory_on(csr: &CsrMatrix, b: &[f64], symmetric: bool) {
+        let plan = plan_of(csr, 3, symmetric);
+        let prepared = PreparedMatrix::materialize(csr, &plan).unwrap();
+        let mut serial = SerialCg::new(prepared, b).unwrap();
+        let engine = SpmvEngine::from_plan(csr, &plan).unwrap();
+        let mut fused = FusedCg::new(engine, b);
         for _ in 0..5 {
             serial.step();
             fused.step();
         }
         // Same plan → same accumulation class → bitwise continuation.
-        let replacement = SpmvEngine::from_plan(&csr, &plan).unwrap();
+        let replacement = SpmvEngine::from_plan(csr, &plan).unwrap();
         let old = fused.swap_engine(replacement);
         drop(old);
         for it in 0..10 {
@@ -460,19 +480,19 @@ mod tests {
             assert_eq!(
                 serial.rr().to_bits(),
                 fused.rr().to_bits(),
-                "rr diverges at step {it} after same-plan swap"
+                "rr diverges at step {it} after same-plan swap (sym={symmetric})"
             );
         }
         // Different partition → different accumulation class, but the carried
         // state keeps converging to the same solution.
-        let plan2 = TunePlan::new(&csr, 5, &config);
-        let replacement = SpmvEngine::from_plan(&csr, &plan2).unwrap();
+        let plan2 = plan_of(csr, 5, symmetric);
+        let replacement = SpmvEngine::from_plan(csr, &plan2).unwrap();
         let old = fused.swap_engine(replacement);
         drop(old);
         fused.run(1e-10, 500);
         assert!(
             fused.residual_norm() <= 1e-10,
-            "no convergence after retune swap: rr = {}",
+            "no convergence after retune swap (sym={symmetric}): rr = {}",
             fused.rr()
         );
     }

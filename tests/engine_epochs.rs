@@ -13,11 +13,10 @@ const CALLS: usize = 6;
 
 /// `CALLS` accumulating SpMV and SpMM (k = 3) calls on the engine and on the
 /// serial reference of the same plan, `gap` apart.
-fn engine_tracks_serial(csr: &CsrMatrix, threads: usize, gap: Option<Duration>, what: &str) {
-    let plan = TunePlan::new(csr, threads, &TuningConfig::full());
-    let serial = PreparedMatrix::materialize(csr, &plan).expect("a fresh plan fits its matrix");
-    let mut engine = SpmvEngine::from_plan(csr, &plan).expect("a fresh plan fits its matrix");
-    let context = format!("{what}, threads={threads}, gap={gap:?}");
+fn engine_tracks_serial(csr: &CsrMatrix, plan: &TunePlan, gap: Option<Duration>, what: &str) {
+    let serial = PreparedMatrix::materialize(csr, plan).expect("a fresh plan fits its matrix");
+    let mut engine = SpmvEngine::from_plan(csr, plan).expect("a fresh plan fits its matrix");
+    let context = format!("{what}, threads={}, gap={gap:?}", plan.threads.len());
 
     let x = test_x(csr.ncols());
     let (mut y, mut want) = (vec![0.5; csr.nrows()], vec![0.5; csr.nrows()]);
@@ -41,14 +40,24 @@ fn engine_tracks_serial(csr: &CsrMatrix, threads: usize, gap: Option<Duration>, 
     }
 }
 
+/// The engine against its serial reference on a general plan of `general` and
+/// a symmetric-storage plan of `symmetric`, at every thread count.
+fn both_pipelines_track_serial(general: &CsrMatrix, symmetric: &CsrMatrix, gap: Option<Duration>) {
+    for threads in THREADS {
+        let plan = TunePlan::new(general, threads, &TuningConfig::full());
+        engine_tracks_serial(general, &plan, gap, "general");
+        let plan = TunePlan::new_symmetric(symmetric, threads, &TuningConfig::full())
+            .expect("the matrix is symmetric");
+        assert!(plan.symmetric);
+        engine_tracks_serial(symmetric, &plan, gap, "symmetric");
+    }
+}
+
 #[test]
 fn back_to_back_epochs_match_the_serial_path() {
     let general = random_csr(173, 151, 2400, 61);
     let symmetric = random_symmetric_csr(137, 900, 62);
-    for threads in THREADS {
-        engine_tracks_serial(&general, threads, None, "general");
-        engine_tracks_serial(&symmetric, threads, None, "symmetric");
-    }
+    both_pipelines_track_serial(&general, &symmetric, None);
 }
 
 /// 2 ms between calls is some sixty spin budgets: every worker has parked by
@@ -57,11 +66,7 @@ fn back_to_back_epochs_match_the_serial_path() {
 fn epochs_after_an_idle_gap_match_the_serial_path() {
     let general = random_csr(173, 151, 2400, 63);
     let symmetric = random_symmetric_csr(137, 900, 64);
-    let gap = Some(Duration::from_millis(2));
-    for threads in THREADS {
-        engine_tracks_serial(&general, threads, gap, "general");
-        engine_tracks_serial(&symmetric, threads, gap, "symmetric");
-    }
+    both_pipelines_track_serial(&general, &symmetric, Some(Duration::from_millis(2)));
 }
 
 /// Participant 0 is whoever calls: the same engines serve two threads in turn.

@@ -34,7 +34,9 @@ use spmv_multicore::spmv_core::kernels::simd::{
     spmv_bcsr_simd, spmv_csr_simd, spmv_csr_simd_at, spmv_sell_at, SimdLevel,
 };
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
-use spmv_multicore::spmv_core::tuning::{BlockDecision, FormatChoice, FormatKind, ThreadPlan};
+use spmv_multicore::spmv_core::tuning::{
+    BlockDecision, FormatChoice, FormatKind, ShareLadder, ThreadPlan,
+};
 use spmv_testutil::{
     assert_bit_identical, cases, empty_row_csr, max_abs_diff, plan_outputs, random_csr,
     single_col_csr, single_row_csr, test_x, xblock, Case,
@@ -440,9 +442,9 @@ fn sell_plan(csr: &CsrMatrix, threads: usize) -> TunePlan {
 
 /// The tuned plan with rung S put on every other share: a mix of sliced ELL
 /// and the CSR or BCSR rungs that the clock may also pick.
-fn mixed_plan(csr: &CsrMatrix, threads: usize) -> TunePlan {
-    let (mut plan, ladders) = TunePlan::with_ladders(csr, threads, &TuningConfig::full());
-    for (share, ladder) in plan.threads.iter_mut().zip(&ladders).step_by(2) {
+fn mixed_plan(tuned: &TunePlan, ladders: &[ShareLadder]) -> TunePlan {
+    let mut plan = tuned.clone();
+    for (share, ladder) in plan.threads.iter_mut().zip(ladders).step_by(2) {
         if let Some(s) = ladder.rungs.iter().find(|r| r.label == "S") {
             *share = s.plan.clone();
         }
@@ -507,14 +509,19 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
         let x = test_x(csr.ncols());
         let expected = spmv_testutil::dense_spmv(csr, &x);
         let scale = expected.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        let tuned = |threads| TunePlan::new(csr, threads, &TuningConfig::full());
+        let xb = xblock(csr.ncols(), 3);
+        let expected_cols: Vec<Vec<f64>> = (0..3)
+            .map(|j| spmv_testutil::dense_spmv(csr, xb.col(j)))
+            .collect();
         let plans = [1usize, 2, 3, oversubscribed]
             .into_iter()
             .flat_map(|threads| {
+                let (tuned, ladders) = TunePlan::with_ladders(csr, threads, &TuningConfig::full());
+                let mixed = mixed_plan(&tuned, &ladders);
                 [
-                    (threads, tuned(threads)),
+                    (threads, tuned),
                     (threads, sell_plan(csr, threads)),
-                    (threads, mixed_plan(csr, threads)),
+                    (threads, mixed),
                 ]
             });
         for (threads, plan) in plans {
@@ -530,7 +537,8 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
             // the `mul_add` arm: other kernels, the same bits. The clock may
             // give one share of the tuned plan rung S and another a CSR or
             // BCSR rung, whose vector kernels reassociate; the rows of every
-            // sliced-ELL share keep their bits.
+            // sliced-ELL share keep their bits, and every row stays within
+            // accumulation tolerance of the dense reference.
             let text = plan.to_text();
             assert_eq!(TunePlan::from_text(&text).as_ref(), Ok(&plan), "{tag}");
             if text.contains(" sell ") {
@@ -538,6 +546,17 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
                 assert!(degraded.threads.iter().all(|t| !t.simd));
                 let (y, ym) = plan_outputs(csr, &degraded);
                 let (y_simd, ym_simd) = plan_outputs(csr, &plan);
+                assert!(
+                    max_abs_diff(&y, &expected) <= 1e-12 * scale,
+                    "{tag}@{threads}: degraded spmv drifted from the dense reference"
+                );
+                for (j, want) in expected_cols.iter().enumerate() {
+                    let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                    assert!(
+                        max_abs_diff(ym.col(j), want) <= 1e-12 * scale,
+                        "{tag}@{threads}: degraded spmm col {j} drifted from the dense reference"
+                    );
+                }
                 let sell_shares = plan.threads.iter().filter(|t| {
                     t.decisions
                         .iter()
@@ -566,7 +585,6 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
             engine.spmv(&x, &mut y_par);
             assert_bit_identical(&y_par, &y_serial, &format!("{tag}@{threads}: spmv"));
 
-            let xb = xblock(csr.ncols(), 3);
             let mut ys = MultiVec::zeros(csr.nrows(), 3);
             prepared.spmm(&xb, &mut ys);
             let mut yp = MultiVec::zeros(csr.nrows(), 3);
