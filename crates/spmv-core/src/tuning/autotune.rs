@@ -8,8 +8,15 @@
 //! × thread count × tuning config, so a matrix seen twice is planned once.
 //! Cache entries carry a checksum over the profile text; a tampered or
 //! truncated entry is rejected and treated as a miss.
+//!
+//! The fingerprint hashes the matrix's dimensions and its stored CSR arrays
+//! (`row_ptr`, `col_idx`, value bits) a 64-bit word at a time on four
+//! independent lanes, and nothing derived from them: block-fill samples are a
+//! function of those arrays and add no identity. Every matrix registered for
+//! serving is fingerprinted, cache or no cache, so this one streaming pass is
+//! part of every registration's set-up. Keys carry the tag `spmv-fp-v2`; keys
+//! of the earlier byte-wise hash (`v1`) simply miss.
 
-use crate::blocking::register::estimate_all_shapes;
 use crate::error::{Error, Result};
 use crate::formats::csr::CsrMatrix;
 use crate::formats::traits::MatrixShape;
@@ -33,8 +40,10 @@ const ENTRY_HEADER: &str = "spmv-tune-cache v3";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a, the checksum/fingerprint hash of this module (stable,
-/// dependency-free, endianness-independent over the byte stream we feed it).
+/// 64-bit FNV-1a, the checksum hash of this module (stable, dependency-free,
+/// endianness-independent over the byte stream we feed it). One multiply per
+/// byte, each waiting on the last: fine for a plan's text, too slow for a
+/// matrix, which [`WordHash`] fingerprints.
 fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     let mut h = state;
     for &b in bytes {
@@ -44,12 +53,84 @@ fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The multipliers of [`WordHash`]'s round and avalanche: xxHash64's primes.
+const WORD_PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const WORD_PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const WORD_PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// The fingerprint hash: a stream of 64-bit words dealt round-robin to four
+/// independent lanes (xxHash64's round: add the word times a prime, rotate,
+/// multiply), so the four multiplies of a block do not wait on each other.
+/// For a fixed word each round is a bijection of its lane, so two streams
+/// that differ in one word leave that lane, and almost surely the result,
+/// different. [`WordHash::finish`] folds the lanes and avalanches.
+struct WordHash([u64; 4]);
+
+impl WordHash {
+    fn new(seed: u64) -> WordHash {
+        WordHash([
+            seed.wrapping_add(WORD_PRIME_1).wrapping_add(WORD_PRIME_2),
+            seed.wrapping_add(WORD_PRIME_2),
+            seed,
+            seed.wrapping_sub(WORD_PRIME_1),
+        ])
+    }
+
+    #[inline(always)]
+    fn round(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            *lane = lane
+                .wrapping_add(word.wrapping_mul(WORD_PRIME_2))
+                .rotate_left(31)
+                .wrapping_mul(WORD_PRIME_1);
+        }
+    }
+
+    /// Absorb `items`, `per_word` of them packed into each word by `word`. A
+    /// short last block is padded with zero words: the caller has hashed the
+    /// lengths, so the padding is unambiguous.
+    #[inline(always)]
+    fn absorb<T>(&mut self, items: &[T], per_word: usize, word: impl Fn(&[T]) -> u64) {
+        let mut blocks = items.chunks_exact(4 * per_word);
+        for block in &mut blocks {
+            self.round(std::array::from_fn(|l| {
+                word(&block[l * per_word..(l + 1) * per_word])
+            }));
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut words = tail.chunks(per_word);
+            self.round(std::array::from_fn(|_| words.next().map_or(0, &word)));
+        }
+    }
+
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.0;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        h ^= h >> 33;
+        h = h.wrapping_mul(WORD_PRIME_2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(WORD_PRIME_3);
+        h ^ (h >> 32)
+    }
+}
+
 /// A structural identity for a matrix: dimensions, nonzero count, and a hash
-/// over the row-length sequence, every stored `(column, value-bits)` pair, and
-/// quantized 2×2/4×4 block-fill estimates. Two reads of the same file
-/// fingerprint identically; permuting rows or perturbing any value changes the
-/// fingerprint. Computing it is one O(nnz) pass — the same cost class as the
-/// tuning passes it gates.
+/// of its three CSR arrays as they are stored: `row_ptr`, `col_idx` (two
+/// indices to a word) and the exact value bits. Two reads of the same file
+/// fingerprint identically; changing a row length, a column, or a value's
+/// bits (`-0.0` against `+0.0` included) changes the fingerprint, and so
+/// does transposing a non-symmetric matrix or permuting rows that differ.
+///
+/// Nothing derived from the arrays is hashed: block-fill estimates (2×2,
+/// 4×4) are a function of the row lengths and columns already in the hash,
+/// so they would add no identity, only a second pass over the matrix.
+/// Computing the fingerprint is one streaming read of the CSR arrays, a word
+/// at a time on four lanes ([`WordHash`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixFingerprint {
     /// Rows of the fingerprinted matrix.
@@ -65,40 +146,19 @@ pub struct MatrixFingerprint {
 impl MatrixFingerprint {
     /// Fingerprint `csr`.
     pub fn compute(csr: &CsrMatrix) -> MatrixFingerprint {
-        let mut h = fnv1a(FNV_OFFSET, b"spmv-fp-v1");
-        for dim in [csr.nrows(), csr.ncols(), csr.nnz()] {
-            h = fnv1a(h, &(dim as u64).to_le_bytes());
-        }
-        // Row-length sequence (order-sensitive: a row permutation changes it
-        // unless the permuted rows are structurally identical — the entry
-        // stream below catches those too).
-        for i in 0..csr.nrows() {
-            h = fnv1a(h, &(csr.row_nnz(i) as u32).to_le_bytes());
-        }
-        // Every stored entry: column index and exact value bits.
-        for (_, j, v) in csr.iter() {
-            h = fnv1a(h, &(j as u32).to_le_bytes());
-            h = fnv1a(h, &v.to_bits().to_le_bytes());
-        }
-        // Block-fill samples: the register-blocking profile at 2×2 and 4×4,
-        // quantized so the fingerprint stays exact-arithmetic-stable.
-        let shapes = estimate_all_shapes(csr);
-        for est in shapes
-            .iter()
-            .filter(|e| matches!((e.r, e.c), (2, 2) | (4, 4)))
-        {
-            let q = if est.fill_ratio.is_finite() {
-                (est.fill_ratio * 4096.0).round() as u64
-            } else {
-                u64::MAX
-            };
-            h = fnv1a(h, &q.to_le_bytes());
-        }
+        let (nrows, ncols, nnz) = (csr.nrows(), csr.ncols(), csr.nnz());
+        let mut h = WordHash::new(fnv1a(FNV_OFFSET, b"spmv-fp-v2"));
+        h.absorb(&[nrows, ncols, nnz], 1, |d| d[0] as u64);
+        h.absorb(csr.row_ptr(), 1, |p| p[0] as u64);
+        h.absorb(csr.col_idx(), 2, |pair| {
+            pair.iter().rev().fold(0, |w, &j| w << 32 | u64::from(j))
+        });
+        h.absorb(csr.values(), 1, |v| v[0].to_bits());
         MatrixFingerprint {
-            nrows: csr.nrows(),
-            ncols: csr.ncols(),
-            nnz: csr.nnz(),
-            hash: h,
+            nrows,
+            ncols,
+            nnz,
+            hash: h.finish(),
         }
     }
 

@@ -21,8 +21,11 @@
 //!    and TLB grids (rungs `C` and `D`), which never won on the hosts
 //!    measured: the clock sees rungs `A`, `S` and `B` of every share, whatever
 //!    its size, and a symmetric matrix's lower-triangle plan against the
-//!    general one. Only [`TunePlan::heuristic`], the untimed planner of the
-//!    paper reproductions, skips this step and keeps the finest grid.
+//!    general one. A software-prefetch annotation proposed for a share's
+//!    chosen rung is timed against the rung without it, and kept only by the
+//!    same margin ([`PrefetchTrial`]). Only [`TunePlan::heuristic`], the
+//!    untimed planner of the paper reproductions, skips this step and keeps
+//!    the finest grid and the proposed annotation.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! Step 3 is the one timed search. [`search`] holds its timing helper and the
@@ -53,7 +56,8 @@ pub use heuristic::{
     ladder_rungs, materialize_decisions, plan_symmetric_thread, BlockDecision, Rung, TuningConfig,
 };
 pub use plan::{
-    choose_rung, general_beats_symmetric, LadderRung, ShareLadder, ThreadPlan, TunePlan,
+    choose_rung, general_beats_symmetric, LadderRung, PrefetchTrial, ShareLadder, ThreadPlan,
+    TunePlan,
 };
 pub use prepared::{fold_rows, PreparedBlock, PreparedMatrix};
 pub use search::{search_register_blocking, SearchOutcome};

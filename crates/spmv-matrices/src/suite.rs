@@ -23,6 +23,22 @@ use spmv_core::MatrixShape;
 /// while guaranteeing `spmv_core::formats::is_symmetric` holds bitwise — the
 /// precondition of the `SymCsr`/`SymBcsr` pipeline.
 ///
+/// Entry `(i, j)` folds onto `(max, min)`. Collisions are summed left to right
+/// in input order, as [`CooMatrix::sum_duplicates`] on the folded list would
+/// sum them, so every value is the same to the bit.
+///
+/// The output lists the summed lower triangle in `(row, col)` order, each
+/// entry followed by its mirror (a diagonal entry once): entry for entry the
+/// list that folding, [`CooMatrix::sum_duplicates`] and mirroring would
+/// build. Every row therefore lists its columns in increasing order, its
+/// lower part before its mirrored part, so a consumer that accumulates a row
+/// in entry order (a diagonal built from a row's off-diagonal sum) adds in
+/// column order, and a CSR built from the output is the same to the bit.
+///
+/// No intermediate triplet list is built: the folded rows are counted
+/// straight from the input and `(col, val)` scattered stably into them, then
+/// each row is stably sorted, summed and emitted with its mirror.
+///
 /// # Panics
 ///
 /// Panics if the matrix is not square.
@@ -32,22 +48,43 @@ pub fn symmetrize(coo: &CooMatrix) -> CooMatrix {
         coo.ncols(),
         "symmetrize requires a square matrix"
     );
-    let mut folded = CooMatrix::with_capacity(coo.nrows(), coo.ncols(), coo.nnz());
+    let n = coo.nrows();
+    // The folded lower triangle's rows: counted, then `(col, val)` scattered
+    // stably, so each row keeps its collisions in input order.
+    let mut lower_ptr = vec![0usize; n + 1];
     for t in coo.entries() {
-        let (i, j) = if t.row >= t.col {
-            (t.row, t.col)
-        } else {
-            (t.col, t.row)
-        };
-        folded.push(i, j, t.val);
+        lower_ptr[t.row.max(t.col) + 1] += 1;
     }
-    folded.sum_duplicates();
-    let mut sym = CooMatrix::with_capacity(coo.nrows(), coo.ncols(), 2 * folded.nnz());
-    for t in folded.entries() {
-        sym.push(t.row, t.col, t.val);
-        if t.row != t.col {
-            sym.push(t.col, t.row, t.val);
+    for i in 0..n {
+        lower_ptr[i + 1] += lower_ptr[i];
+    }
+    let mut lower = vec![(0usize, 0.0f64); coo.nnz()];
+    let mut cursor = lower_ptr.clone();
+    for t in coo.entries() {
+        let i = t.row.max(t.col);
+        lower[cursor[i]] = (t.row.min(t.col), t.val);
+        cursor[i] += 1;
+    }
+    let mut sym = CooMatrix::with_capacity(n, n, 2 * coo.nnz());
+    let mut start = 0;
+    for i in 0..n {
+        let end = lower_ptr[i + 1];
+        let row = &mut lower[start..end];
+        row.sort_by_key(|&(j, _)| j);
+        let mut k = 0;
+        while k < row.len() {
+            let (j, mut v) = row[k];
+            k += 1;
+            while k < row.len() && row[k].0 == j {
+                v += row[k].1;
+                k += 1;
+            }
+            sym.push(i, j, v);
+            if j != i {
+                sym.push(j, i, v);
+            }
         }
+        start = end;
     }
     sym
 }

@@ -1,5 +1,5 @@
 //! One oracle for every set-up pass: the tile builders (BCSR, `SymBcsr`,
-//! BCOO), the fill estimates and the COO merge.
+//! BCOO), the fill estimates, the COO merge and the suite's `symmetrize`.
 //!
 //! The reference tiles a matrix through a `BTreeMap<(block row, block col),
 //! tile>`, adding each entry into its slot in CSR order, so its tiles come out
@@ -7,6 +7,12 @@
 //! `r, c ∈ {1, 2, 3, 4}` and both index widths must equal it bit for bit
 //! (`to_bits`), and so must `estimate_all_shapes`, `estimate_fill` and the
 //! stable `CooMatrix::sort`/`sum_duplicates` (against a stable global sort).
+//! `symmetrize` is held to a map that folds each entry onto the lower
+//! triangle in insertion order: its output is the map's entries in
+//! `(row, col)` order, each followed by its mirror, bit for bit. It is also
+//! entry for entry the plain fold → `sum_duplicates` → mirror construction,
+//! and so is its CSR before and after a diagonal built from each row's
+//! off-diagonal sum.
 //! The inputs are the cases a linear pass gets wrong first: duplicates whose
 //! sum depends on their order, signed zeros and NaN payloads, empty rows and
 //! matrices, ragged edges, the 16-bit column edge and a `SymBcsr` slab that
@@ -18,6 +24,7 @@ use spmv_multicore::spmv_core::formats::coo::Triplet;
 use spmv_multicore::spmv_core::formats::{
     BcooMatrix, BcsrMatrix, IndexStorage, IndexWidth, SymBcsr,
 };
+use spmv_multicore::spmv_matrices::symmetrize;
 use spmv_testutil::random_coo;
 use std::collections::BTreeMap;
 
@@ -363,4 +370,133 @@ fn symmetric_slabs_equal_the_oracle() {
         0,
         "1x1",
     );
+}
+
+/// The plain symmetrization: fold onto the lower triangle, `sum_duplicates`,
+/// then push each entry followed by its mirror.
+fn fold_sum_mirror(coo: &CooMatrix) -> CooMatrix {
+    let mut folded = CooMatrix::new(coo.nrows(), coo.ncols());
+    for t in coo.entries() {
+        folded.push(t.row.max(t.col), t.row.min(t.col), t.val);
+    }
+    folded.sum_duplicates();
+    let mut sym = CooMatrix::new(coo.nrows(), coo.ncols());
+    for t in folded.entries() {
+        sym.push(t.row, t.col, t.val);
+        if t.row != t.col {
+            sym.push(t.col, t.row, t.val);
+        }
+    }
+    sym
+}
+
+/// A diagonal of `1.02 ×` each row's off-diagonal absolute sum, taken in
+/// entry order (1.0 for a row with none), over the nonzero off-diagonals.
+fn with_dominant_diagonal(sym: &CooMatrix) -> CooMatrix {
+    let n = sym.nrows();
+    let mut sums = vec![0.0f64; n];
+    let mut out = CooMatrix::new(n, n);
+    for t in sym.entries() {
+        if t.row != t.col && t.val != 0.0 {
+            sums[t.row] += t.val.abs();
+            out.push(t.row, t.col, t.val);
+        }
+    }
+    for (i, sum) in sums.into_iter().enumerate() {
+        out.push(i, i, if sum > 0.0 { 1.02 * sum } else { 1.0 });
+    }
+    out
+}
+
+fn csr_bits(coo: &CooMatrix) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+    let csr = CsrMatrix::from_coo(coo);
+    let values = bits(csr.values());
+    (csr.row_ptr().to_vec(), csr.col_idx().to_vec(), values)
+}
+
+fn check_symmetrize(coo: &CooMatrix, name: &str) {
+    let mut lower: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    for t in coo.entries() {
+        let slot = (t.row.max(t.col), t.row.min(t.col));
+        lower
+            .entry(slot)
+            .and_modify(|v| *v += t.val)
+            .or_insert(t.val);
+    }
+    let mut want = Vec::new();
+    for (&(i, j), &v) in &lower {
+        want.push((i, j, v.to_bits()));
+        if i != j {
+            want.push((j, i, v.to_bits()));
+        }
+    }
+
+    let got = symmetrize(coo);
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (coo.nrows(), coo.ncols()),
+        "{name}"
+    );
+    assert_eq!(
+        triplets(got.entries()),
+        want,
+        "{name}: the lower triangle in (row, col) order, each entry and its mirror"
+    );
+    let plain = fold_sum_mirror(coo);
+    assert_eq!(
+        triplets(got.entries()),
+        triplets(plain.entries()),
+        "{name}: the plain construction's entries"
+    );
+    assert_eq!(csr_bits(&got), csr_bits(&plain), "{name}: CSR");
+    assert_eq!(
+        csr_bits(&with_dominant_diagonal(&got)),
+        csr_bits(&with_dominant_diagonal(&plain)),
+        "{name}: CSR after the diagonal step"
+    );
+}
+
+#[test]
+fn symmetrize_equals_the_fold_and_mirror_oracle() {
+    for matrix in SuiteMatrix::all()
+        .into_iter()
+        .filter(SuiteMatrix::is_symmetric_in_table3)
+    {
+        check_symmetrize(&matrix.generate(Scale::Tiny), matrix.id());
+    }
+    // Order-dependent collisions from both triangles and the diagonal, signed
+    // and explicit zeros, NaN payloads, and (by `without_rows`) empty rows.
+    let mut coo = hostile(19, 19, 11);
+    for (i, j, v) in [(2, 9, 1e16), (9, 2, 1.0), (2, 9, -1e16), (9, 2, 0.5)] {
+        coo.push(i, j, v);
+    }
+    for (i, j, v) in [(4, 4, 1e16), (4, 4, 1.0), (4, 4, -1e16)] {
+        coo.push(i, j, v);
+    }
+    for (i, j, v) in [
+        (7, 3, -0.0),
+        (3, 7, -0.0),
+        (8, 1, -0.0),
+        (1, 8, 0.0),
+        (6, 5, 0.0),
+    ] {
+        coo.push(i, j, v);
+    }
+    check_symmetrize(&coo, "hostile");
+    check_symmetrize(&without_rows(&coo, |i| i % 5 == 2), "hostile, empty rows");
+    let no_col_3: Vec<_> = coo
+        .entries()
+        .iter()
+        .filter(|t| t.row != 3 && t.col != 3)
+        .map(|t| (t.row, t.col, t.val))
+        .collect();
+    let no_col_3 = CooMatrix::from_triplets(19, 19, no_col_3).unwrap();
+    check_symmetrize(&no_col_3, "an empty row and column");
+    check_symmetrize(&random_coo(30, 30, 900, 12), "crowded");
+    check_symmetrize(
+        &CooMatrix::from_triplets(1, 1, [(0, 0, 1e16), (0, 0, 1.0), (0, 0, -1e16)]).unwrap(),
+        "1x1 duplicates",
+    );
+    check_symmetrize(&CooMatrix::new(1, 1), "1x1 empty");
+    check_symmetrize(&CooMatrix::new(0, 0), "empty 0x0");
 }

@@ -2,7 +2,10 @@
 //!
 //! 1. **Fingerprints** — identical matrices fingerprint identically
 //!    (including two reads of the same MatrixMarket stream); row-permuted and
-//!    value-perturbed variants differ.
+//!    value-perturbed variants differ, and so do the variants a hash of the
+//!    CSR arrays alone (no block-fill samples) must still tell apart: the same
+//!    column and value streams cut into other rows, a transpose, `-0.0`
+//!    against `+0.0`. A served matrix carries the fingerprint `compute` gives.
 //! 2. **Cache** — a warm `TuneCache` hit provably skips the timed planner
 //!    (counter hook), and tampered cache entries are rejected.
 //! 3. **Golden plan** — the untimed `TunePlan::heuristic` plan for a fixed
@@ -71,6 +74,49 @@ fn fingerprints_differ_for_permuted_and_perturbed_variants() {
             "value perturbation at stored entry {k}"
         );
     }
+}
+
+#[test]
+fn fingerprints_tell_apart_what_the_csr_arrays_tell_apart() {
+    let fp = |csr: &CsrMatrix| MatrixFingerprint::compute(csr);
+
+    // The same column and value streams, cut into rows of other lengths.
+    let cols = vec![0, 1, 2, 3, 0, 3];
+    let vals = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+    let even = CsrMatrix::from_raw(3, 4, vec![0, 2, 4, 6], cols.clone(), vals.clone()).unwrap();
+    let ragged = CsrMatrix::from_raw(3, 4, vec![0, 1, 4, 6], cols, vals).unwrap();
+    assert_eq!(even.col_idx(), ragged.col_idx());
+    assert_eq!(even.values(), ragged.values());
+    assert_ne!(fp(&even), fp(&ragged), "row lengths");
+
+    // A non-symmetric square matrix and its transpose.
+    let a = random_csr(40, 40, 300, 21);
+    let at = CsrMatrix::from_coo(&a.to_coo().transpose());
+    assert_ne!(a, at, "the sample must not be symmetric");
+    assert_eq!(
+        (a.nrows(), a.ncols(), a.nnz()),
+        (at.nrows(), at.ncols(), at.nnz())
+    );
+    assert_ne!(fp(&a), fp(&at), "transpose");
+
+    // Signed zeros are different bits.
+    let zero = |v: f64| CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, v]);
+    assert_ne!(fp(&zero(0.0).unwrap()), fp(&zero(-0.0).unwrap()), "-0.0");
+
+    // Empty matrices fingerprint without panicking, by their shape.
+    for (r, c) in [(0, 0), (0, 5), (5, 0), (3, 3)] {
+        let empty = CsrMatrix::from_coo(&CooMatrix::new(r, c));
+        let f = fp(&empty);
+        assert_eq!((f.nrows, f.ncols, f.nnz), (r, c, 0));
+        assert_eq!(f, fp(&empty.clone()));
+    }
+    let empty = |r, c| fp(&CsrMatrix::from_coo(&CooMatrix::new(r, c)));
+    assert_ne!(empty(0, 5).hash, empty(5, 0).hash, "empty shapes");
+
+    // A served matrix carries exactly the fingerprint `compute` gives.
+    let registry = MatrixRegistry::new(1, TuningConfig::naive());
+    let served = registry.insert("a", &a).unwrap();
+    assert_eq!(served.fingerprint(), fp(&a));
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //! * **One rule for every share**: `TunePlan::new` times every share,
 //!   whatever its size, on rungs `A`, `S` and `B` (the timed ladder cuts no
 //!   cache or TLB grid), so no share keeps a rung the clock measured slower
-//!   than `A`. Only `TunePlan::heuristic` stays untimed and deterministic.
+//!   than `A`. A proposed software-prefetch annotation goes on the clock too:
+//!   the chosen rung is timed with and without it, and keeps it only by the
+//!   ladder's margin. Only `TunePlan::heuristic` stays untimed and
+//!   deterministic.
 //! * **The timed plan computes what the untimed one does**: over seeded
 //!   matrices and thread counts, `TunePlan::new` agrees with
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
@@ -445,13 +448,62 @@ fn the_timed_ladder_cuts_no_grid() {
         assert_eq!(timed, all.replace(['C', 'D'], ""), "{ctx}");
         assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
         // Every rung the clock sees is the proposal of the same name, so a
-        // pick among A, S and B is the plan the full ladder would have made.
-        for rung in &ladders[0].rungs {
+        // pick among A, S and B is the plan the full ladder would have made;
+        // the chosen rung drops a prefetch annotation that lost its trial.
+        let ladder = &ladders[0];
+        for (i, rung) in ladder.rungs.iter().enumerate() {
             let same = proposed.iter().find(|p| p.label == rung.label);
             let same = same.expect("a timed rung was proposed").decisions.clone();
             let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &config);
-            assert_eq!(rung.plan, annotated, "{ctx}: rung {}", rung.label);
+            let want = match ladder.prefetch {
+                Some(trial) if i == ladder.chosen && !trial.keeps() => annotated.without_prefetch(),
+                _ => annotated,
+            };
+            assert_eq!(rung.plan, want, "{ctx}: rung {}", rung.label);
         }
+    }
+}
+
+#[test]
+fn a_prefetch_annotation_is_timed_and_kept_only_when_it_wins() {
+    // Scalar shares past `PREFETCH_FOOTPRINT_BYTES` (on either leg: the
+    // config plans no SIMD), on one and two threads: every share whose
+    // proposal carries the annotation is timed with and without it, and its
+    // plan carries it exactly when the trial kept it, never on a reading
+    // slower than the plain rung's.
+    let scalar = TuningConfig {
+        simd: false,
+        ..TuningConfig::full()
+    };
+    for (matrix, threads) in [(SuiteMatrix::Economics, 1), (SuiteMatrix::FemCantilever, 2)] {
+        let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
+        let (plan, ladders) = TunePlan::with_ladders(&csr, threads, &scalar);
+        for (t, ladder) in ladders.iter().enumerate() {
+            let ctx = format!("{} share {t}", matrix.id());
+            let chosen = &ladder.rungs[ladder.chosen];
+            assert_eq!(chosen.plan, plan.threads[t], "{ctx}");
+            let proposed = ThreadPlan::annotated(
+                chosen.plan.rows.clone(),
+                chosen.plan.decisions.clone(),
+                &scalar,
+            );
+            assert!(proposed.prefetch_distance > 0, "{ctx}: past the threshold");
+            let trial = ladder.prefetch.expect("a proposed annotation is timed");
+            let carries = chosen.plan.prefetch_distance > 0;
+            assert_eq!(carries, trial.keeps(), "{ctx}");
+            assert!(
+                !carries || trial.annotated < trial.plain,
+                "{ctx}: {trial:?}"
+            );
+            let reading = if carries {
+                trial.annotated
+            } else {
+                trial.plain
+            };
+            assert_eq!(chosen.seconds, Some(reading), "{ctx}");
+        }
+        let plain = TunePlan::heuristic(&csr, threads, &TuningConfig::naive());
+        assert_plans_equivalent(&csr, &plan, &plain, matrix.id());
     }
 }
 
