@@ -43,9 +43,9 @@ pub struct TuningConfig {
     pub allow_bcoo: bool,
     /// Consider GCSR storage.
     pub allow_gcsr: bool,
-    /// Propose software prefetch for large streaming thread blocks (consumed
-    /// by the two-phase [`crate::tuning::plan::TunePlan`] pipeline, whose
-    /// timed planner keeps it only where it wins on the clock).
+    /// Annotate large streaming thread blocks with software prefetch
+    /// (consumed by [`crate::tuning::plan::TunePlan::heuristic`]; the timed
+    /// planner annotates no share).
     pub software_prefetch: bool,
     /// May store detected square-and-symmetric matrices as diagonal +
     /// strictly-lower triangle (`SymCsr`/`SymBcsr`), halving off-diagonal

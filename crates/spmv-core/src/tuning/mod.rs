@@ -21,11 +21,10 @@
 //!    and TLB grids (rungs `C` and `D`), which never won on the hosts
 //!    measured: the clock sees rungs `A`, `S` and `B` of every share, whatever
 //!    its size, and a symmetric matrix's lower-triangle plan against the
-//!    general one. A software-prefetch annotation proposed for a share's
-//!    chosen rung is timed against the rung without it, and kept only by the
-//!    same margin ([`PrefetchTrial`]). Only [`TunePlan::heuristic`], the
-//!    untimed planner of the paper reproductions, skips this step and keeps
-//!    the finest grid and the proposed annotation.
+//!    general one. The timed rungs carry no software-prefetch annotation.
+//!    Only [`TunePlan::heuristic`], the untimed planner of the paper
+//!    reproductions, skips this step and keeps the finest grid and, off
+//!    SIMD, the annotation of shares past the prefetch threshold.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! Step 3 is the one timed search. [`search`] holds its timing helper and the
@@ -56,8 +55,7 @@ pub use heuristic::{
     ladder_rungs, materialize_decisions, plan_symmetric_thread, BlockDecision, Rung, TuningConfig,
 };
 pub use plan::{
-    choose_rung, general_beats_symmetric, LadderRung, PrefetchTrial, ShareLadder, ThreadPlan,
-    TunePlan,
+    choose_rung, general_beats_symmetric, LadderRung, ShareLadder, ThreadPlan, TunePlan,
 };
 pub use prepared::{fold_rows, PreparedBlock, PreparedMatrix};
 pub use search::{search_register_blocking, SearchOutcome};

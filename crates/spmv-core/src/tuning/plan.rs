@@ -20,19 +20,20 @@ use crate::formats::traits::MatrixShape;
 use crate::kernels::KernelVariant;
 use crate::partition::row::{partition_rows_balanced, RowPartition};
 use crate::tuning::footprint::{FormatChoice, FormatKind};
-use crate::tuning::heuristic::{ladder_rungs, BlockDecision, Rung, TuningConfig};
+use crate::tuning::heuristic::{ladder_rungs, BlockDecision, TuningConfig};
 use crate::tuning::prepared::{PreparedBlock, PreparedMatrix};
 use crate::tuning::search::time_spmv;
 use std::ops::Range;
 
-/// The prefetch threshold: a thread block whose planned footprint exceeds this
-/// many bytes is proposed, off SIMD, a software prefetch annotation; a smaller
-/// one runs without prefetch. It decides nothing else (every share is timed,
-/// whatever its size), and the timed planner keeps a proposed annotation only
-/// when the clock says it pays ([`PrefetchTrial`]). It is a fixed 512 KiB, an
-/// L2-sized guess, not a measured size: on a host with a large last-level
-/// cache, footprints far above it are still served from cache, where the
-/// prefetch instructions cost more than they hide.
+/// The prefetch threshold: in [`TunePlan::heuristic`]'s plans, a thread block
+/// whose planned footprint exceeds this many bytes gets, off SIMD, a software
+/// prefetch annotation; a smaller one runs without prefetch. It decides nothing
+/// else, and the timed planner ([`TunePlan::new`]) never annotates: it is a
+/// fixed 512 KiB, an L2-sized guess, not a measured size, and on a host with a
+/// large last-level cache, footprints far above it are still served from cache,
+/// where the prefetch instructions cost more than they hide (off SIMD, 4-way
+/// Quarter `economics` and `circuit` plans ran 1.24x plain CSR with it and
+/// 0.94-0.97x without).
 pub const PREFETCH_FOOTPRINT_BYTES: usize = 1 << 19;
 
 /// The prefetch distance (in nonzeros) the planner annotates large blocks with —
@@ -68,11 +69,10 @@ pub struct ThreadPlan {
 
 impl ThreadPlan {
     /// A share's plan from its decisions, annotated by the planner's rules: SIMD
-    /// when the config asks and the host can; software prefetch when the planned
-    /// bytes exceed [`PREFETCH_FOOTPRINT_BYTES`], except on a SIMD thread, whose
-    /// CSR blocks run the SIMD row kernel and never read the annotation. This is
-    /// [`TunePlan::heuristic`]'s annotation; the timed ladder keeps the
-    /// prefetch half only when it wins on the clock ([`PrefetchTrial`]).
+    /// when the config asks and the host can; software prefetch when the config
+    /// asks and the planned bytes exceed [`PREFETCH_FOOTPRINT_BYTES`], except on
+    /// a SIMD thread, whose CSR blocks run the SIMD row kernel and never read
+    /// the annotation. The timed ladder asks for no prefetch.
     pub fn annotated(
         rows: Range<usize>,
         decisions: Vec<BlockDecision>,
@@ -97,15 +97,6 @@ impl ThreadPlan {
             (0, _) => KernelVariant::SingleLoop,
             (d, true) => KernelVariant::PrefetchNta(d),
             (d, false) => KernelVariant::Prefetch(d),
-        }
-    }
-
-    /// This plan without its software-prefetch annotation.
-    pub fn without_prefetch(&self) -> ThreadPlan {
-        ThreadPlan {
-            prefetch_distance: 0,
-            nta_hint: false,
-            ..self.clone()
         }
     }
 
@@ -143,32 +134,10 @@ pub struct LadderRung {
 /// A thread share's ladder: its rungs, fewest blocks first, and the one chosen.
 #[derive(Debug, Clone)]
 pub struct ShareLadder {
-    /// The candidates, as [`ladder_rungs`] proposed them without a grid. The
-    /// chosen rung's `plan` and `seconds` are the share's plan and its reading.
+    /// The candidates, as [`ladder_rungs`] proposed them without a grid.
     pub rungs: Vec<LadderRung>,
     /// Index into `rungs` of the share's plan.
     pub chosen: usize,
-    /// When [`ThreadPlan::annotated`] proposed software prefetch for the
-    /// chosen rung: its readings with and without the annotation.
-    pub prefetch: Option<PrefetchTrial>,
-}
-
-/// The chosen rung timed with and without the software-prefetch annotation.
-/// The rung without it is the incumbent: the annotation stays only when it
-/// needs at most [`LADDER_MARGIN`] of the plain rung's time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchTrial {
-    /// Fastest seconds of one `execute` with the annotation.
-    pub annotated: f64,
-    /// Fastest seconds of one `execute` without it.
-    pub plain: f64,
-}
-
-impl PrefetchTrial {
-    /// Whether the share keeps the annotation.
-    pub fn keeps(&self) -> bool {
-        choose_rung(&[Some(self.plain), Some(self.annotated)]) == 1
-    }
 }
 
 /// The ladder's decision over the rungs' seconds (fewest blocks first; `None`: not
@@ -201,57 +170,37 @@ pub fn general_beats_symmetric(symmetric: Option<f64>, shares: &[Option<f64>]) -
 impl ShareLadder {
     /// The timed plan of one thread share. Its ladder cuts no cache or TLB
     /// grid: rungs `A`, `S` and `B` are materialized once each and timed,
-    /// whatever the share's size, and a lone rung is timed too. Each rung is
-    /// timed as [`ThreadPlan::annotated`] plans it; when that plan of the
-    /// chosen rung carries software prefetch, the rung is materialized and
-    /// timed once more without it, and the annotation stays only by the
-    /// ladder's margin ([`PrefetchTrial`]).
+    /// whatever the share's size, and a lone rung is timed too. No rung
+    /// carries software prefetch, so every rung runs, and is compared, as it
+    /// would run unannotated.
     fn timed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
         let ungridded = TuningConfig {
             cache_blocking: None,
             tlb_blocking: None,
+            software_prefetch: false,
             ..*config
         };
         let (nrows, ncols) = (local.nrows(), local.ncols());
-        let time = |proposal: &Rung, plan: &ThreadPlan| {
-            proposal.materialize().ok().map(|blocks| {
-                let block = PreparedBlock::from_blocks(plan, ncols, blocks);
-                time_spmv(nrows, ncols, LADDER_RUNS, 1, |x, y| block.execute(x, y))
-            })
-        };
-        let proposals = ladder_rungs(local, &ungridded, false);
-        let mut rungs: Vec<LadderRung> = proposals
+        let rungs: Vec<LadderRung> = ladder_rungs(local, &ungridded, false)
             .iter()
             .map(|proposal| {
-                let plan = ThreadPlan::annotated(rows.clone(), proposal.decisions.clone(), config);
+                let plan =
+                    ThreadPlan::annotated(rows.clone(), proposal.decisions.clone(), &ungridded);
+                let seconds = proposal.materialize().ok().map(|blocks| {
+                    let block = PreparedBlock::from_blocks(&plan, ncols, blocks);
+                    time_spmv(nrows, ncols, LADDER_RUNS, 1, |x, y| block.execute(x, y))
+                });
                 LadderRung {
                     label: proposal.label,
-                    seconds: time(proposal, &plan),
                     plan,
+                    seconds,
                 }
             })
             .collect();
         let seconds: Vec<_> = rungs.iter().map(|r| r.seconds).collect();
-        let chosen = choose_rung(&seconds);
-        let rung = &mut rungs[chosen];
-        let prefetch = match rung.seconds {
-            Some(annotated) if rung.plan.prefetch_distance > 0 => {
-                let plain_plan = rung.plan.without_prefetch();
-                time(&proposals[chosen], &plain_plan).map(|plain| {
-                    let trial = PrefetchTrial { annotated, plain };
-                    if !trial.keeps() {
-                        rung.plan = plain_plan;
-                        rung.seconds = Some(plain);
-                    }
-                    trial
-                })
-            }
-            _ => None,
-        };
         ShareLadder {
+            chosen: choose_rung(&seconds),
             rungs,
-            chosen,
-            prefetch,
         }
     }
 }
@@ -320,30 +269,22 @@ impl TunePlan {
         let ranges = partition_rows_balanced(csr, nthreads).ranges;
         if !config.exploit_symmetry || csr.nnz() == 0 || !crate::formats::symcsr::is_symmetric(csr)
         {
-            return Self::general_plan(csr, &ranges, None, config, timed);
+            return Self::general_plan(csr, &ranges, config, timed);
         }
-        // One row slice per share, for the symmetric plan, the general
-        // ladders and the clock's symmetric apply alike.
-        let locals: Vec<CsrMatrix> = ranges
-            .iter()
-            .map(|r| csr.row_slice(r.start, r.end))
-            .collect();
-        let symmetric = Self::symmetric_plan(csr, &ranges, Some(&locals), config);
+        let symmetric = Self::symmetric_plan(csr, &ranges, config);
         if !timed {
             return (symmetric, Vec::new());
         }
-        let (general, ladders) = Self::general_plan(csr, &ranges, Some(&locals), config, true);
+        let (general, ladders) = Self::general_plan(csr, &ranges, config, true);
         let shares: Vec<_> = ladders.iter().map(|l| l.rungs[l.chosen].seconds).collect();
         // Timed as the serial apply runs it: zeroed scratch, slabs, tree
         // reduction, accumulate.
-        let seconds = PreparedMatrix::from_row_slices(csr, &symmetric, &locals)
-            .ok()
-            .map(|m| {
-                let mut scratch = Vec::new();
-                time_spmv(csr.nrows(), csr.ncols(), LADDER_RUNS, 1, |x, y| {
-                    m.apply(x, y, &mut scratch)
-                })
-            });
+        let seconds = PreparedMatrix::materialize(csr, &symmetric).ok().map(|m| {
+            let mut scratch = Vec::new();
+            time_spmv(csr.nrows(), csr.ncols(), LADDER_RUNS, 1, |x, y| {
+                m.apply(x, y, &mut scratch)
+            })
+        });
         let plan = if general_beats_symmetric(seconds, &shares) {
             general
         } else {
@@ -367,19 +308,14 @@ impl TunePlan {
             ));
         }
         let partition = partition_rows_balanced(csr, nthreads);
-        Ok(Self::symmetric_plan(csr, &partition.ranges, None, config))
+        Ok(Self::symmetric_plan(csr, &partition.ranges, config))
     }
 
     /// The symmetric planning pass: one lower-triangle slab decision per thread,
     /// chosen by footprint among `SymCsr`/`SymBcsr` × shapes × index widths.
     /// The caller has already established symmetry.
-    fn symmetric_plan(
-        csr: &CsrMatrix,
-        ranges: &[Range<usize>],
-        locals: Option<&[CsrMatrix]>,
-        config: &TuningConfig,
-    ) -> TunePlan {
-        Self::plan_over_partition(csr, ranges, locals, true, |local, range| {
+    fn symmetric_plan(csr: &CsrMatrix, ranges: &[Range<usize>], config: &TuningConfig) -> TunePlan {
+        Self::plan_over_partition(csr, ranges, true, |local, range| {
             let decision =
                 crate::tuning::heuristic::plan_symmetric_thread(local, range.start, config);
             ThreadPlan {
@@ -402,18 +338,17 @@ impl TunePlan {
         ranges: &[Range<usize>],
         config: &TuningConfig,
     ) -> TunePlan {
-        Self::general_plan(csr, ranges, None, config, true).0
+        Self::general_plan(csr, ranges, config, true).0
     }
 
     fn general_plan(
         csr: &CsrMatrix,
         ranges: &[Range<usize>],
-        locals: Option<&[CsrMatrix]>,
         config: &TuningConfig,
         timed: bool,
     ) -> (TunePlan, Vec<ShareLadder>) {
         let mut ladders = Vec::with_capacity(ranges.len());
-        let plan = Self::plan_over_partition(csr, ranges, locals, false, |local, range| {
+        let plan = Self::plan_over_partition(csr, ranges, false, |local, range| {
             if !timed {
                 // The finest grid's byte minimum: the full ladder's last rung.
                 let rungs = ladder_rungs(local, config, true);
@@ -429,24 +364,20 @@ impl TunePlan {
     }
 
     /// The planning sequence the general and symmetric pipelines share: slice
-    /// the matrix along the row partition (or take the slices `locals` already
-    /// holds, one per range), run `plan_thread` on every local block (the
-    /// paper tunes each thread's share in isolation), and assemble the
-    /// per-thread plans with the matrix's shape metadata. Without `locals`,
-    /// each slice lives only while its share is planned.
+    /// the matrix along the row partition, run `plan_thread` on every local
+    /// block (the paper tunes each thread's share in isolation), and assemble
+    /// the per-thread plans with the matrix's shape metadata.
     fn plan_over_partition(
         csr: &CsrMatrix,
         ranges: &[Range<usize>],
-        locals: Option<&[CsrMatrix]>,
         symmetric: bool,
         mut plan_thread: impl FnMut(&CsrMatrix, &Range<usize>) -> ThreadPlan,
     ) -> TunePlan {
         let threads = ranges
             .iter()
-            .enumerate()
-            .map(|(t, range)| match locals {
-                Some(locals) => plan_thread(&locals[t], range),
-                None => plan_thread(&csr.row_slice(range.start, range.end), range),
+            .map(|range| {
+                let local = csr.row_slice(range.start, range.end);
+                plan_thread(&local, range)
             })
             .collect();
         TunePlan {
@@ -900,8 +831,8 @@ mod tests {
 
     #[test]
     fn prefetch_annotation_tracks_footprint() {
-        // A large streaming matrix is proposed the annotation on a scalar
-        // thread, and the untimed planner keeps it; a tiny one is not.
+        // The untimed planner annotates a large streaming matrix on a scalar
+        // thread; a tiny one it does not.
         let scalar = TuningConfig {
             simd: false,
             ..TuningConfig::full()
@@ -914,51 +845,32 @@ mod tests {
             KernelVariant::PrefetchNta(_)
         ));
 
-        // The timed planner puts the proposal on the clock, and the share
-        // carries it exactly when it won.
+        // The timed planner annotates nothing: no rung it times carries the
+        // annotation, so neither does the plan it chooses.
         let (timed, ladders) = TunePlan::with_ladders(&big, 1, &scalar);
-        let trial = ladders[0].prefetch.expect("a proposed annotation is timed");
-        assert_eq!(timed.threads[0].prefetch_distance > 0, trial.keeps());
-        assert_eq!(timed.threads[0], ladders[0].rungs[ladders[0].chosen].plan);
-        let reading = ladders[0].rungs[ladders[0].chosen].seconds;
-        let kept = if trial.keeps() {
-            trial.annotated
-        } else {
-            trial.plain
-        };
-        assert_eq!(reading, Some(kept));
+        assert_eq!(timed.threads[0].stream_variant(), KernelVariant::SingleLoop);
+        for rung in &ladders[0].rungs {
+            assert_eq!(rung.plan.prefetch_distance, 0, "rung {}", rung.label);
+            assert!(!rung.plan.nta_hint, "rung {}", rung.label);
+        }
 
         // A SIMD thread's CSR blocks run the SIMD row kernel, which reads no
-        // annotation: none is planned, and none is timed.
-        let (simd_plan, ladders) = TunePlan::with_ladders(&big, 1, &TuningConfig::full());
+        // annotation: none is planned.
+        let simd_plan = TunePlan::heuristic(&big, 1, &TuningConfig::full());
         let t = &simd_plan.threads[0];
         assert!(!t.simd || (t.prefetch_distance == 0 && !t.nta_hint));
-        assert!(!t.simd || ladders[0].prefetch.is_none());
 
         let small = random_csr(50, 50, 300, 8);
-        let (small_plan, ladders) = TunePlan::with_ladders(&small, 1, &scalar);
+        let small_plan = TunePlan::heuristic(&small, 1, &scalar);
         assert_eq!(small_plan.threads[0].prefetch_distance, 0);
         assert_eq!(
             small_plan.threads[0].stream_variant(),
             KernelVariant::SingleLoop
         );
-        assert!(ladders[0].prefetch.is_none());
 
         // And the annotation is off when the config disables it.
         let no_pf = TunePlan::heuristic(&big, 1, &TuningConfig::naive());
         assert_eq!(no_pf.threads[0].prefetch_distance, 0);
-    }
-
-    #[test]
-    fn the_plain_rung_keeps_its_place_inside_the_margin() {
-        let trial = |annotated| PrefetchTrial {
-            annotated,
-            plain: 1.0,
-        };
-        assert!(!trial(1.0).keeps(), "a tie");
-        assert!(!trial(0.96).keeps(), "a 4 % gain");
-        assert!(trial(0.94).keeps(), "a 6 % gain");
-        assert!(!trial(1.24).keeps(), "a loss");
     }
 
     #[test]

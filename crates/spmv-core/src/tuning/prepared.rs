@@ -411,37 +411,14 @@ impl PreparedMatrix {
         let blocks = plan
             .threads
             .iter()
-            .map(|t| PreparedBlock::materialize(&csr.row_slice(t.rows.start, t.rows.end), t));
-        Self::assemble(csr, plan, blocks)
-    }
-
-    /// [`PreparedMatrix::materialize`] from row slices already cut along the
-    /// plan's partition, one per thread in order (the planner's own).
-    pub(crate) fn from_row_slices(
-        csr: &CsrMatrix,
-        plan: &TunePlan,
-        locals: &[CsrMatrix],
-    ) -> Result<PreparedMatrix> {
-        plan.validate_for(csr)?;
-        let blocks = plan
-            .threads
-            .iter()
-            .zip(locals)
-            .map(|(t, local)| PreparedBlock::materialize(local, t));
-        Self::assemble(csr, plan, blocks)
-    }
-
-    fn assemble(
-        csr: &CsrMatrix,
-        plan: &TunePlan,
-        blocks: impl Iterator<Item = Result<PreparedBlock>>,
-    ) -> Result<PreparedMatrix> {
+            .map(|t| PreparedBlock::materialize(&csr.row_slice(t.rows.start, t.rows.end), t))
+            .collect::<Result<Vec<_>>>()?;
         Ok(PreparedMatrix {
             nrows: csr.nrows(),
             ncols: csr.ncols(),
             nnz: csr.nnz(),
             symmetric: plan.symmetric,
-            blocks: blocks.collect::<Result<Vec<_>>>()?,
+            blocks,
         })
     }
 

@@ -14,10 +14,9 @@
 //! * **One rule for every share**: `TunePlan::new` times every share,
 //!   whatever its size, on rungs `A`, `S` and `B` (the timed ladder cuts no
 //!   cache or TLB grid), so no share keeps a rung the clock measured slower
-//!   than `A`. A proposed software-prefetch annotation goes on the clock too:
-//!   the chosen rung is timed with and without it, and keeps it only by the
-//!   ladder's margin. Only `TunePlan::heuristic` stays untimed and
-//!   deterministic.
+//!   than `A`. No timed rung carries software prefetch, so rung `A` is timed
+//!   as plain CSR runs. Only `TunePlan::heuristic` stays untimed and
+//!   deterministic, and only its scalar shares carry the annotation.
 //! * **The timed plan computes what the untimed one does**: over seeded
 //!   matrices and thread counts, `TunePlan::new` agrees with
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
@@ -34,6 +33,7 @@ use spmv_multicore::spmv_core::blocking::register::{
     estimate_all_shapes, estimate_fill, register_block_candidates,
 };
 use spmv_multicore::spmv_core::formats::{BcsrMatrix, IndexWidth};
+use spmv_multicore::spmv_core::kernels::KernelVariant;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::solver::SerialCg;
 use spmv_multicore::spmv_core::tuning::{
@@ -430,10 +430,19 @@ fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
 #[test]
 fn the_timed_ladder_cuts_no_grid() {
     // One streaming share at Small: `webbase` proposes both grids, `economics`
-    // the TLB grid (its cache grid is one cell, so it is rung B).
-    let config = TuningConfig::full();
-    for (matrix, grids) in [(SuiteMatrix::Webbase, "CD"), (SuiteMatrix::Economics, "D")] {
-        let ctx = matrix.id();
+    // the TLB grid (its cache grid is one cell, so it is rung B). Each is
+    // planned with and without SIMD; without it, both shares are past the
+    // prefetch threshold.
+    let scalar = TuningConfig {
+        simd: false,
+        ..TuningConfig::full()
+    };
+    let cases = [(SuiteMatrix::Webbase, "CD"), (SuiteMatrix::Economics, "D")];
+    for ((matrix, grids), config) in cases
+        .into_iter()
+        .flat_map(|case| [(case, TuningConfig::full()), (case, scalar)])
+    {
+        let ctx = format!("{} simd {}", matrix.id(), config.simd);
         let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
         let proposed = ladder_rungs(&csr, &config, false);
         let all: String = proposed.iter().map(|r| r.label).collect();
@@ -448,62 +457,28 @@ fn the_timed_ladder_cuts_no_grid() {
         assert_eq!(timed, all.replace(['C', 'D'], ""), "{ctx}");
         assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
         // Every rung the clock sees is the proposal of the same name, so a
-        // pick among A, S and B is the plan the full ladder would have made;
-        // the chosen rung drops a prefetch annotation that lost its trial.
-        let ladder = &ladders[0];
-        for (i, rung) in ladder.rungs.iter().enumerate() {
+        // pick among A, S and B is the plan the full ladder would have made,
+        // and none carries the prefetch annotation the untimed plan may.
+        let unannotated = TuningConfig {
+            software_prefetch: false,
+            ..config
+        };
+        for rung in &ladders[0].rungs {
             let same = proposed.iter().find(|p| p.label == rung.label);
             let same = same.expect("a timed rung was proposed").decisions.clone();
-            let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &config);
-            let want = match ladder.prefetch {
-                Some(trial) if i == ladder.chosen && !trial.keeps() => annotated.without_prefetch(),
-                _ => annotated,
-            };
-            assert_eq!(rung.plan, want, "{ctx}: rung {}", rung.label);
-        }
-    }
-}
-
-#[test]
-fn a_prefetch_annotation_is_timed_and_kept_only_when_it_wins() {
-    // Scalar shares past `PREFETCH_FOOTPRINT_BYTES` (on either leg: the
-    // config plans no SIMD), on one and two threads: every share whose
-    // proposal carries the annotation is timed with and without it, and its
-    // plan carries it exactly when the trial kept it, never on a reading
-    // slower than the plain rung's.
-    let scalar = TuningConfig {
-        simd: false,
-        ..TuningConfig::full()
-    };
-    for (matrix, threads) in [(SuiteMatrix::Economics, 1), (SuiteMatrix::FemCantilever, 2)] {
-        let csr = CsrMatrix::from_coo(&matrix.generate(Scale::Small));
-        let (plan, ladders) = TunePlan::with_ladders(&csr, threads, &scalar);
-        for (t, ladder) in ladders.iter().enumerate() {
-            let ctx = format!("{} share {t}", matrix.id());
-            let chosen = &ladder.rungs[ladder.chosen];
-            assert_eq!(chosen.plan, plan.threads[t], "{ctx}");
-            let proposed = ThreadPlan::annotated(
-                chosen.plan.rows.clone(),
-                chosen.plan.decisions.clone(),
-                &scalar,
+            let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &unannotated);
+            assert_eq!(rung.plan, annotated, "{ctx}: rung {}", rung.label);
+            assert_eq!(
+                rung.plan.stream_variant(),
+                KernelVariant::SingleLoop,
+                "{ctx}: rung {}",
+                rung.label
             );
-            assert!(proposed.prefetch_distance > 0, "{ctx}: past the threshold");
-            let trial = ladder.prefetch.expect("a proposed annotation is timed");
-            let carries = chosen.plan.prefetch_distance > 0;
-            assert_eq!(carries, trial.keeps(), "{ctx}");
-            assert!(
-                !carries || trial.annotated < trial.plain,
-                "{ctx}: {trial:?}"
-            );
-            let reading = if carries {
-                trial.annotated
-            } else {
-                trial.plain
-            };
-            assert_eq!(chosen.seconds, Some(reading), "{ctx}");
         }
-        let plain = TunePlan::heuristic(&csr, threads, &TuningConfig::naive());
-        assert_plans_equivalent(&csr, &plan, &plain, matrix.id());
+        if !config.simd {
+            let untimed = heuristic.threads[0].prefetch_distance;
+            assert!(untimed > 0, "{ctx}: past the threshold");
+        }
     }
 }
 
