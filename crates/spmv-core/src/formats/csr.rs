@@ -349,11 +349,12 @@ impl CompressedCsr {
         }
     }
 
-    /// Run a kernel variant on the monomorphized matrix (dispatching once).
-    pub fn execute(&self, variant: crate::kernels::KernelVariant, x: &[f64], y: &mut [f64]) {
+    /// `y ← y + A·x` through the single-loop kernel on the monomorphized
+    /// matrix (dispatching once).
+    pub fn execute(&self, x: &[f64], y: &mut [f64]) {
         match self {
-            CompressedCsr::U16(m) => variant.execute(m, x, y),
-            CompressedCsr::U32(m) => variant.execute(m, x, y),
+            CompressedCsr::U16(m) => crate::kernels::single_loop::spmv_single_loop(m, x, y),
+            CompressedCsr::U32(m) => crate::kernels::single_loop::spmv_single_loop(m, x, y),
         }
     }
 

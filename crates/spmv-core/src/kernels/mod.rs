@@ -10,9 +10,10 @@
 //! * [`multivec`] — the SpMM family: the same data structures applied to a
 //!   column-major block of `k` vectors at once, amortizing all index traffic.
 //!
-//! [`variant::KernelVariant`] dispatches over the CSR code variants. The paper's
-//! branchless segmented scan (no speedup on x86) and software pipelining (applied
-//! only to in-order cores) are not implemented.
+//! The plan binds the single-loop kernel to non-SIMD CSR blocks; the prefetch
+//! kernel is kept for the paper's code-optimization tables and no plan selects
+//! it. The paper's branchless segmented scan (no speedup on x86) and software
+//! pipelining (applied only to in-order cores) are not implemented.
 
 pub mod blocked;
 pub mod multivec;
@@ -21,9 +22,6 @@ pub mod prefetch;
 pub mod simd;
 pub mod single_loop;
 pub mod symmetric;
-pub mod variant;
-
-pub use variant::KernelVariant;
 
 #[cfg(test)]
 pub(crate) mod testing {

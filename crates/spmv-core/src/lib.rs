@@ -7,7 +7,8 @@
 //! The crate provides the three optimization classes the paper studies:
 //!
 //! 1. **Code optimizations** ([`kernels`]) — naive nested-loop CSR, single-loop-variable
-//!    traversal, prefetch-annotated variants and explicit SIMD microkernels.
+//!    traversal, a software-prefetch variant (no plan selects it) and explicit SIMD
+//!    microkernels.
 //! 2. **Data-structure optimizations** ([`formats`], [`blocking`], [`tuning`]) — register
 //!    blocking (BCSR with power-of-two tiles up to 4×4), block-coordinate storage (BCOO),
 //!    generalized CSR for empty rows, 16-bit/32-bit index compression, sparse cache

@@ -3,7 +3,7 @@
 //! [`TunePlan::new`] is the one timed search: the one-pass footprint heuristic
 //! proposes per thread share, the share's ladder times the proposals. That
 //! costs real time on every share past the cache, so its plans persist: a
-//! [`TuneCache`] stores a plan's plain-text profile (the `spmv-tune-plan v1`
+//! [`TuneCache`] stores a plan's plain-text profile (the `spmv-tune-plan v2`
 //! format of [`TunePlan::to_text`]) keyed by [`MatrixFingerprint`] × platform
 //! × thread count × tuning config, so a matrix seen twice is planned once.
 //! Cache entries carry a checksum over the profile text; a tampered or
@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// kernel, so for a symmetric matrix on a SIMD host they hold a pipeline or
 /// slab the planner would no longer choose. `v2` entries predate timing every
 /// share: a share or symmetric plan under 512 KiB holds an untimed plan, which
-/// may be a cache/TLB grid slower than plain CSR. Each bump makes the older
-/// entries misses.
-const ENTRY_HEADER: &str = "spmv-tune-cache v3";
+/// may be a cache/TLB grid slower than plain CSR. `v3` entries hold a
+/// `spmv-tune-plan v1` profile, whose thread lines carry the retired
+/// software-prefetch tokens. Each bump makes the older entries misses.
+const ENTRY_HEADER: &str = "spmv-tune-cache v4";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -176,7 +177,7 @@ impl MatrixFingerprint {
 // ---------------------------------------------------------------------------
 
 /// A directory of tune plans, keyed by fingerprint × platform × thread count ×
-/// tuning-config digest. Entries are the plain-text `spmv-tune-plan v1`
+/// tuning-config digest. Entries are the plain-text `spmv-tune-plan v2`
 /// profile wrapped in a checksummed header; anything that fails the checksum,
 /// the key match, or plan validation is rejected. The config digest in the key
 /// means registries with different tuning policies (symmetry off, different

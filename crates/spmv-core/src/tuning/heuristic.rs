@@ -43,10 +43,6 @@ pub struct TuningConfig {
     pub allow_bcoo: bool,
     /// Consider GCSR storage.
     pub allow_gcsr: bool,
-    /// Annotate large streaming thread blocks with software prefetch
-    /// (consumed by [`crate::tuning::plan::TunePlan::heuristic`]; the timed
-    /// planner annotates no share).
-    pub software_prefetch: bool,
     /// May store detected square-and-symmetric matrices as diagonal +
     /// strictly-lower triangle (`SymCsr`/`SymBcsr`), halving off-diagonal
     /// value/index traffic. `TunePlan::heuristic` and `TunePlan::new_symmetric`
@@ -72,7 +68,6 @@ impl TuningConfig {
             allow_u16_indices: true,
             allow_bcoo: true,
             allow_gcsr: true,
-            software_prefetch: true,
             exploit_symmetry: true,
             simd: true,
         }
@@ -87,7 +82,6 @@ impl TuningConfig {
             allow_u16_indices: false,
             allow_bcoo: false,
             allow_gcsr: false,
-            software_prefetch: false,
             exploit_symmetry: false,
             simd: false,
         }

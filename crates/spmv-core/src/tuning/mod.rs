@@ -21,10 +21,8 @@
 //!    and TLB grids (rungs `C` and `D`), which never won on the hosts
 //!    measured: the clock sees rungs `A`, `S` and `B` of every share, whatever
 //!    its size, and a symmetric matrix's lower-triangle plan against the
-//!    general one. The timed rungs carry no software-prefetch annotation.
-//!    Only [`TunePlan::heuristic`], the untimed planner of the paper
-//!    reproductions, skips this step and keeps the finest grid and, off
-//!    SIMD, the annotation of shares past the prefetch threshold.
+//!    general one. Only [`TunePlan::heuristic`], the untimed planner of the
+//!    paper reproductions, skips this step and keeps the finest grid.
 //! 4. Materialize the winning choice per block into a [`crate::blocking::CacheBlock`].
 //!
 //! Step 3 is the one timed search. [`search`] holds its timing helper and the
@@ -35,7 +33,7 @@
 //!
 //! The pipeline is exposed in **two phases** so tuning cost can be paid once and
 //! amortized: [`plan`] produces a serializable [`TunePlan`] (row partition +
-//! per-thread per-cache-block decisions + prefetch annotation), and [`prepared`]
+//! per-thread per-cache-block decisions + SIMD choice), and [`prepared`]
 //! materializes a plan into kernel-bound [`PreparedBlock`]s — on the executing
 //! thread, for first-touch NUMA placement. The serial tuned form is the same
 //! pipeline at one thread: `TunePlan::new(csr, 1, cfg)` materialized by

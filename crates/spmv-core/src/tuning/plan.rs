@@ -3,8 +3,8 @@
 //! Phase one (*tune*) runs the blocking passes and the footprint heuristic, lets
 //! each thread share's timed ladder pick among what they propose ([`ShareLadder`]),
 //! and records every decision — row partition, per-cache-block format kind,
-//! register block shape, index width, and the per-thread prefetch annotation — in
-//! a [`TunePlan`]. Phase two (*prepare*, [`crate::tuning::prepared`]) materializes a
+//! register block shape, index width, and the per-thread SIMD choice — in a
+//! [`TunePlan`]. Phase two (*prepare*, [`crate::tuning::prepared`]) materializes a
 //! plan into kernel-bound storage, ideally on the thread that will execute it so
 //! first-touch places the pages locally.
 //!
@@ -17,47 +17,30 @@ use crate::error::{Error, Result};
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexWidth;
 use crate::formats::traits::MatrixShape;
-use crate::kernels::KernelVariant;
 use crate::partition::row::{partition_rows_balanced, RowPartition};
 use crate::tuning::footprint::{FormatChoice, FormatKind};
 use crate::tuning::heuristic::{ladder_rungs, BlockDecision, TuningConfig};
 use crate::tuning::prepared::{PreparedBlock, PreparedMatrix};
 use crate::tuning::search::time_spmv;
+use std::collections::BTreeMap;
 use std::ops::Range;
-
-/// The prefetch threshold: in [`TunePlan::heuristic`]'s plans, a thread block
-/// whose planned footprint exceeds this many bytes gets, off SIMD, a software
-/// prefetch annotation; a smaller one runs without prefetch. It decides nothing
-/// else, and the timed planner ([`TunePlan::new`]) never annotates: it is a
-/// fixed 512 KiB, an L2-sized guess, not a measured size, and on a host with a
-/// large last-level cache, footprints far above it are still served from cache,
-/// where the prefetch instructions cost more than they hide (off SIMD, 4-way
-/// Quarter `economics` and `circuit` plans ran 1.24x plain CSR with it and
-/// 0.94-0.97x without).
-pub const PREFETCH_FOOTPRINT_BYTES: usize = 1 << 19;
-
-/// The prefetch distance (in nonzeros) the planner annotates large blocks with —
-/// the middle of the paper's swept range, a robust default across its machines.
-pub const PLANNED_PREFETCH_DISTANCE: usize = 64;
 
 /// Timed `execute` calls per ladder rung, after one warm-up; the fastest counts.
 pub const LADDER_RUNS: usize = 5;
+
+/// The first line of a plan profile; a profile with any other header is refused.
+const PLAN_HEADER: &str = "spmv-tune-plan v2";
 
 /// A challenger displaces the ladder's incumbent only when it needs at most this
 /// share of the incumbent's time: a smaller difference is this host's noise.
 pub const LADDER_MARGIN: f64 = 0.95;
 
 /// One thread's share of the plan: its global row range, the cache-block decisions
-/// for that range (in block-local row coordinates), and the prefetch annotation.
+/// for that range (in block-local row coordinates), and its SIMD choice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadPlan {
     /// Global row range this thread block owns.
     pub rows: Range<usize>,
-    /// Software-prefetch distance in nonzeros for the block's streaming (CSR)
-    /// storage; 0 disables prefetch.
-    pub prefetch_distance: usize,
-    /// Use the non-temporal hint (`prefetchnta`) rather than all-levels.
-    pub nta_hint: bool,
     /// Execute this block with the explicit SIMD microkernels
     /// ([`crate::kernels::simd`]). Only ever planned `true` on hosts whose
     /// runtime feature probe succeeds; loading a profile that requests SIMD on
@@ -68,35 +51,17 @@ pub struct ThreadPlan {
 }
 
 impl ThreadPlan {
-    /// A share's plan from its decisions, annotated by the planner's rules: SIMD
-    /// when the config asks and the host can; software prefetch when the config
-    /// asks and the planned bytes exceed [`PREFETCH_FOOTPRINT_BYTES`], except on
-    /// a SIMD thread, whose CSR blocks run the SIMD row kernel and never read
-    /// the annotation. The timed ladder asks for no prefetch.
+    /// A share's plan from its decisions, annotated by the planner's SIMD rule:
+    /// SIMD when the config asks and the host can.
     pub fn annotated(
         rows: Range<usize>,
         decisions: Vec<BlockDecision>,
         config: &TuningConfig,
     ) -> ThreadPlan {
-        let simd = plans_simd(config);
-        let bytes: usize = decisions.iter().map(|d| d.choice.bytes).sum();
-        let prefetch = config.software_prefetch && !simd && bytes > PREFETCH_FOOTPRINT_BYTES;
         ThreadPlan {
             rows,
-            prefetch_distance: usize::from(prefetch) * PLANNED_PREFETCH_DISTANCE,
-            nta_hint: prefetch,
-            simd,
+            simd: plans_simd(config),
             decisions,
-        }
-    }
-
-    /// The CSR code variant this plan binds for its streaming blocks, derived
-    /// once from the prefetch annotation.
-    pub fn stream_variant(&self) -> KernelVariant {
-        match (self.prefetch_distance, self.nta_hint) {
-            (0, _) => KernelVariant::SingleLoop,
-            (d, true) => KernelVariant::PrefetchNta(d),
-            (d, false) => KernelVariant::Prefetch(d),
         }
     }
 
@@ -170,14 +135,11 @@ pub fn general_beats_symmetric(symmetric: Option<f64>, shares: &[Option<f64>]) -
 impl ShareLadder {
     /// The timed plan of one thread share. Its ladder cuts no cache or TLB
     /// grid: rungs `A`, `S` and `B` are materialized once each and timed,
-    /// whatever the share's size, and a lone rung is timed too. No rung
-    /// carries software prefetch, so every rung runs, and is compared, as it
-    /// would run unannotated.
+    /// whatever the share's size, and a lone rung is timed too.
     fn timed(local: &CsrMatrix, rows: &Range<usize>, config: &TuningConfig) -> Self {
         let ungridded = TuningConfig {
             cache_blocking: None,
             tlb_blocking: None,
-            software_prefetch: false,
             ..*config
         };
         let (nrows, ncols) = (local.nrows(), local.ncols());
@@ -318,16 +280,8 @@ impl TunePlan {
         Self::plan_over_partition(csr, ranges, true, |local, range| {
             let decision =
                 crate::tuning::heuristic::plan_symmetric_thread(local, range.start, config);
-            ThreadPlan {
-                rows: range.clone(),
-                // The prefetch annotation binds a CSR *code variant*, which
-                // symmetric slabs do not execute; leave it off. A `SymBcsr`
-                // r×4 slab runs the vector kernel under the general rule.
-                prefetch_distance: 0,
-                nta_hint: false,
-                simd: plans_simd(config),
-                decisions: vec![decision],
-            }
+            // A `SymBcsr` r×4 slab runs the vector kernel under the general rule.
+            ThreadPlan::annotated(range.clone(), vec![decision], config)
         })
     }
 
@@ -406,9 +360,10 @@ impl TunePlan {
         self.threads.iter().map(|t| t.planned_bytes()).sum()
     }
 
-    /// Check the plan matches `csr`: same shape and nonzero count, and a row
-    /// partition that tiles the matrix. A plan loaded from disk must pass this
-    /// before materialization.
+    /// Check the plan matches `csr`: same shape and nonzero count, a row
+    /// partition that tiles the matrix, and general shares whose cells cover
+    /// each share's nonzeros exactly once. A plan loaded from disk must pass
+    /// this before materialization.
     pub fn validate_for(&self, csr: &CsrMatrix) -> Result<()> {
         if self.nrows != csr.nrows() || self.ncols != csr.ncols() {
             return Err(Error::DimensionMismatch {
@@ -467,15 +422,16 @@ impl TunePlan {
                     ));
                 }
             }
-        } else if self
-            .threads
-            .iter()
-            .flat_map(|t| t.decisions.iter())
-            .any(|d| d.choice.kind.is_symmetric())
-        {
-            return Err(Error::InvalidStructure(
-                "symmetric slab decisions appear in a plan not marked symmetric".to_string(),
-            ));
+        } else {
+            for t in &self.threads {
+                if t.decisions.iter().any(|d| d.choice.kind.is_symmetric()) {
+                    return Err(Error::InvalidStructure(
+                        "symmetric slab decisions appear in a plan not marked symmetric"
+                            .to_string(),
+                    ));
+                }
+                check_cover(t, csr)?;
+            }
         }
         Ok(())
     }
@@ -485,22 +441,15 @@ impl TunePlan {
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str("spmv-tune-plan v1\n");
+        let _ = writeln!(out, "{PLAN_HEADER}");
         let _ = writeln!(out, "matrix {} {} {}", self.nrows, self.ncols, self.nnz);
         let _ = writeln!(out, "threads {}", self.threads.len());
         if self.symmetric {
             out.push_str("symmetric\n");
         }
         for t in &self.threads {
-            let _ = writeln!(
-                out,
-                "thread {} {} prefetch {} {}{}",
-                t.rows.start,
-                t.rows.end,
-                t.prefetch_distance,
-                if t.nta_hint { "nta" } else { "t0" },
-                if t.simd { " simd" } else { "" }
-            );
+            let simd = if t.simd { " simd" } else { "" };
+            let _ = writeln!(out, "thread {} {}{simd}", t.rows.start, t.rows.end);
             for d in &t.decisions {
                 let _ = writeln!(
                     out,
@@ -541,8 +490,10 @@ impl TunePlan {
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'));
         let header = lines.next().ok_or_else(|| parse_err("empty plan"))?;
-        if header != "spmv-tune-plan v1" {
-            return Err(parse_err(&format!("unknown plan header '{header}'")));
+        if header != PLAN_HEADER {
+            return Err(parse_err(&format!(
+                "unknown plan header '{header}' (expected '{PLAN_HEADER}')"
+            )));
         }
         let matrix = fields(
             lines
@@ -576,13 +527,10 @@ impl TunePlan {
                 }
                 "thread" => {
                     let simd_tok = match toks.len() {
-                        6 => false,
-                        7 if toks[6] == "simd" => true,
+                        3 => false,
+                        4 if toks[3] == "simd" => true,
                         _ => return Err(parse_err(&format!("malformed thread line '{line}'"))),
                     };
-                    if toks[3] != "prefetch" {
-                        return Err(parse_err(&format!("malformed thread line '{line}'")));
-                    }
                     if simd_tok && !simd_supported && !warned_simd {
                         eprintln!(
                             "spmv: plan profile requests SIMD kernels this host lacks; \
@@ -592,14 +540,6 @@ impl TunePlan {
                     }
                     threads.push(ThreadPlan {
                         rows: parse_usize(toks[1])?..parse_usize(toks[2])?,
-                        prefetch_distance: parse_usize(toks[4])?,
-                        nta_hint: match toks[5] {
-                            "nta" => true,
-                            "t0" => false,
-                            other => {
-                                return Err(parse_err(&format!("unknown prefetch hint '{other}'")))
-                            }
-                        },
                         simd: simd_tok && simd_supported,
                         decisions: Vec::new(),
                     });
@@ -665,6 +605,62 @@ impl TunePlan {
         let text = std::fs::read_to_string(path).map_err(|e| Error::Parse(e.to_string()))?;
         TunePlan::from_text(&text)
     }
+}
+
+/// A general share's cells must cover its nonzeros exactly once: each inside
+/// the share, no two overlapping, their nonzeros summing to the share's. Each
+/// cell's own count is checked at materialization, so a dropped or repeated
+/// cell would otherwise pass and compute a wrong product.
+fn check_cover(t: &ThreadPlan, csr: &CsrMatrix) -> Result<()> {
+    let refuse = |what: String| {
+        Err(Error::InvalidStructure(format!(
+            "plan thread {:?}: {what}",
+            t.rows
+        )))
+    };
+    let (nrows, ncols) = (t.rows.end - t.rows.start, csr.ncols());
+    if let Some(d) = t
+        .decisions
+        .iter()
+        .find(|d| d.rows.end > nrows || d.cols.end > ncols)
+    {
+        return refuse(format!(
+            "block {:?}x{:?} lies outside the share",
+            d.rows, d.cols
+        ));
+    }
+    // Checked: the counts come from the profile text.
+    let planned = t
+        .decisions
+        .iter()
+        .try_fold(0usize, |sum, d| sum.checked_add(d.nnz));
+    let share_nnz = csr.row_ptr()[t.rows.end] - csr.row_ptr()[t.rows.start];
+    if planned != Some(share_nnz) {
+        return refuse(format!(
+            "block nonzeros do not sum to the share's {share_nnz}"
+        ));
+    }
+    // Sweep the cells by first row: the cells still open at that row all span
+    // it, so they are column-disjoint, and a new cell overlaps one of them only
+    // if its column-order predecessor reaches into it or one starts inside it.
+    let mut cells: Vec<&BlockDecision> = t
+        .decisions
+        .iter()
+        .filter(|d| !d.rows.is_empty() && !d.cols.is_empty())
+        .collect();
+    cells.sort_by_key(|d| d.rows.start);
+    let mut open: BTreeMap<usize, (usize, usize)> = BTreeMap::new(); // col start -> (col end, row end)
+    for d in cells {
+        open.retain(|_, &mut (_, row_end)| row_end > d.rows.start);
+        let reached = open.range(..=d.cols.start).next_back();
+        if reached.is_some_and(|(_, &(col_end, _))| col_end > d.cols.start)
+            || open.range(d.cols.clone()).next().is_some()
+        {
+            return refuse(format!("block {:?}x{:?} overlaps another", d.rows, d.cols));
+        }
+        open.insert(d.cols.start, (d.cols.end, d.rows.end));
+    }
+    Ok(())
 }
 
 /// Sliced ELL has no register shape and no symmetric form: a profile that says
@@ -786,15 +782,12 @@ mod tests {
     fn parser_rejects_malformed_profiles() {
         assert!(TunePlan::from_text("").is_err());
         assert!(TunePlan::from_text("not-a-plan v1\n").is_err());
-        assert!(TunePlan::from_text("spmv-tune-plan v1\nmatrix 1 1 0\nthreads 1\n").is_err()); // truncated
-        assert!(TunePlan::from_text(
-            "spmv-tune-plan v1\nmatrix 1 1 0\nthreads 2\nthread 0 1 prefetch 0 t0\nend\n"
-        )
-        .is_err()); // thread count mismatch
-        assert!(TunePlan::from_text(
-            "spmv-tune-plan v1\nmatrix 1 1 0\nthreads 1\nblock 0 1 0 1 csr 1 1 u32 0 0 1.0\nend\n"
-        )
-        .is_err()); // block before thread
+        let parse = |body: &str| TunePlan::from_text(&format!("{PLAN_HEADER}\n{body}"));
+        assert!(parse("matrix 1 1 0\nthreads 1\n").is_err()); // truncated
+        assert!(parse("matrix 1 1 0\nthreads 2\nthread 0 1\nend\n").is_err()); // thread count mismatch
+        assert!(
+            parse("matrix 1 1 0\nthreads 1\nblock 0 1 0 1 csr 1 1 u32 0 0 1.0\nend\n").is_err()
+        ); // block before thread
     }
 
     #[test]
@@ -813,8 +806,8 @@ mod tests {
         // cleanly (not panic later inside row_slice/sub_block).
         let csr = random_csr(10, 10, 40, 9);
         let text = format!(
-            "spmv-tune-plan v1\nmatrix 10 10 {}\nthreads 3\n\
-             thread 0 5 prefetch 0 t0\nthread 5 2 prefetch 0 t0\nthread 2 10 prefetch 0 t0\nend\n",
+            "{PLAN_HEADER}\nmatrix 10 10 {}\nthreads 3\n\
+             thread 0 5\nthread 5 2\nthread 2 10\nend\n",
             csr.nnz()
         );
         let text = text.as_str();
@@ -827,50 +820,6 @@ mod tests {
             d.rows = d.rows.end..d.rows.start;
         }
         assert!(plan.validate_for(&csr).is_err());
-    }
-
-    #[test]
-    fn prefetch_annotation_tracks_footprint() {
-        // The untimed planner annotates a large streaming matrix on a scalar
-        // thread; a tiny one it does not.
-        let scalar = TuningConfig {
-            simd: false,
-            ..TuningConfig::full()
-        };
-        let big = random_csr(4000, 60_000, 90_000, 7);
-        let plan = TunePlan::heuristic(&big, 1, &scalar);
-        assert!(plan.threads[0].prefetch_distance > 0);
-        assert!(matches!(
-            plan.threads[0].stream_variant(),
-            KernelVariant::PrefetchNta(_)
-        ));
-
-        // The timed planner annotates nothing: no rung it times carries the
-        // annotation, so neither does the plan it chooses.
-        let (timed, ladders) = TunePlan::with_ladders(&big, 1, &scalar);
-        assert_eq!(timed.threads[0].stream_variant(), KernelVariant::SingleLoop);
-        for rung in &ladders[0].rungs {
-            assert_eq!(rung.plan.prefetch_distance, 0, "rung {}", rung.label);
-            assert!(!rung.plan.nta_hint, "rung {}", rung.label);
-        }
-
-        // A SIMD thread's CSR blocks run the SIMD row kernel, which reads no
-        // annotation: none is planned.
-        let simd_plan = TunePlan::heuristic(&big, 1, &TuningConfig::full());
-        let t = &simd_plan.threads[0];
-        assert!(!t.simd || (t.prefetch_distance == 0 && !t.nta_hint));
-
-        let small = random_csr(50, 50, 300, 8);
-        let small_plan = TunePlan::heuristic(&small, 1, &scalar);
-        assert_eq!(small_plan.threads[0].prefetch_distance, 0);
-        assert_eq!(
-            small_plan.threads[0].stream_variant(),
-            KernelVariant::SingleLoop
-        );
-
-        // And the annotation is off when the config disables it.
-        let no_pf = TunePlan::heuristic(&big, 1, &TuningConfig::naive());
-        assert_eq!(no_pf.threads[0].prefetch_distance, 0);
     }
 
     #[test]
@@ -911,9 +860,8 @@ mod tests {
 
     #[test]
     fn malformed_simd_token_is_rejected() {
-        let text = "spmv-tune-plan v1\nmatrix 1 1 0\nthreads 1\n\
-                    thread 0 1 prefetch 0 t0 vectorize\nend\n";
-        assert!(TunePlan::from_text(text).is_err());
+        let text = format!("{PLAN_HEADER}\nmatrix 1 1 0\nthreads 1\nthread 0 1 vectorize\nend\n");
+        assert!(TunePlan::from_text(&text).is_err());
     }
 
     #[test]

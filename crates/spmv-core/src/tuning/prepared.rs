@@ -2,8 +2,8 @@
 //!
 //! A [`PreparedBlock`] is one thread's [`crate::tuning::plan::ThreadPlan`] made
 //! concrete: every cache block stored in the format the heuristic chose (BCSR
-//! microkernel tiles, compressed-index CSR, BCOO, GCSR), with the streaming kernel
-//! variant (including the prefetch annotation) bound **once** at materialization.
+//! microkernel tiles, compressed-index CSR, BCOO, GCSR), with the SIMD choice
+//! bound **once** at materialization.
 //! The steady-state [`PreparedBlock::execute`] does no per-call decision making —
 //! it walks the block list and calls each block's monomorphized kernel.
 //!
@@ -22,7 +22,6 @@ use crate::formats::symbcsr::SymBcsr;
 use crate::formats::symcsr::SymCsr;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::kernels::simd::{detect, spmv_sym_bcsr_simd};
-use crate::kernels::KernelVariant;
 use crate::tuning::footprint::FormatKind;
 use crate::tuning::plan::{ThreadPlan, TunePlan};
 use std::ops::Range;
@@ -120,12 +119,9 @@ pub struct PreparedBlock {
     ncols: usize,
     /// Logical nonzeros stored in the block.
     nnz: usize,
-    /// The CSR code variant bound for streaming-format cache blocks (carries the
-    /// plan's prefetch distance and hint).
-    stream_variant: KernelVariant,
     /// Execute streaming CSR, covered BCSR and covered `SymBcsr` blocks with
-    /// the explicit SIMD microkernels ([`crate::kernels::simd`]); overrides
-    /// `stream_variant` for CSR blocks when set.
+    /// the explicit SIMD microkernels ([`crate::kernels::simd`]); CSR blocks
+    /// run the single-loop kernel otherwise.
     simd: bool,
     /// Materialized cache blocks, rows/cols local to the thread block.
     blocks: Vec<CacheBlock>,
@@ -165,7 +161,6 @@ impl PreparedBlock {
                 rows: plan.rows.clone(),
                 ncols: local.ncols(),
                 nnz: local.nnz(),
-                stream_variant: plan.stream_variant(),
                 simd: plan.simd,
                 blocks: Vec::new(),
                 sym: Some(sym),
@@ -182,7 +177,6 @@ impl PreparedBlock {
             rows: plan.rows.clone(),
             ncols,
             nnz: blocks.iter().map(|b| b.format.nnz()).sum(),
-            stream_variant: plan.stream_variant(),
             simd: plan.simd,
             blocks,
             sym: None,
@@ -222,11 +216,6 @@ impl PreparedBlock {
         self.sym.is_some()
     }
 
-    /// The kernel variant bound for streaming cache blocks.
-    pub fn stream_variant(&self) -> KernelVariant {
-        self.stream_variant
-    }
-
     /// Whether this block executes through the explicit SIMD microkernels.
     pub fn uses_simd(&self) -> bool {
         self.simd
@@ -255,11 +244,10 @@ impl PreparedBlock {
             let x_local = &x[block.cols.start..block.cols.end];
             let y_local = &mut y_block[block.rows.start..block.rows.end];
             match &block.format {
-                // Streaming CSR blocks run the bound code variant (which is where
-                // the prefetch annotation lives) — unless the plan bound the
-                // SIMD row kernel, which subsumes the streaming variants.
+                // Streaming CSR blocks run the SIMD row kernel when the plan
+                // bound it, the single-loop kernel otherwise.
                 BlockFormat::Csr(m) if self.simd => m.execute_simd(x_local, y_local),
-                BlockFormat::Csr(m) => m.execute(self.stream_variant, x_local, y_local),
+                BlockFormat::Csr(m) => m.execute(x_local, y_local),
                 // Covered BCSR shapes and sliced ELL vectorize; BCOO/GCSR (and
                 // uncovered shapes, inside the dispatch) stay scalar on both the
                 // SpMV and SpMM paths, keeping the two paths' accumulation
@@ -288,9 +276,8 @@ impl PreparedBlock {
     /// destination view exposing exactly this block's rows). Walks the same
     /// materialized cache blocks as [`PreparedBlock::execute`], reading each
     /// index once per `k` vectors; per vector the arithmetic is bit-identical to
-    /// [`PreparedBlock::execute`], because a plan's streaming variants
-    /// (single-loop / prefetch) share their accumulation order with the
-    /// multi-vector kernels. No allocation, no per-element dispatch.
+    /// [`PreparedBlock::execute`], because the single-loop kernel shares its
+    /// accumulation order with the multi-vector kernels. No allocation, no per-element dispatch.
     pub fn spmm(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
         debug_assert!(
             self.sym.is_none(),

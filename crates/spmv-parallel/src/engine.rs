@@ -14,8 +14,8 @@
 //! * **First-touch placement** — each participant *materializes its own*
 //!   [`PreparedBlock`] on its own thread during construction, so on a
 //!   first-touch NUMA OS the pages of that block land on that thread's node. A
-//!   tuned engine's blocks are register-blocked, index-compressed, cache/TLB
-//!   blocked, and prefetch-annotated, exactly as the footprint heuristic decided.
+//!   tuned engine's blocks are stored exactly as its plan decided: format,
+//!   register shape, index width and SIMD.
 //! * **Precomputed disjoint `y` slices** — the row partition is fixed at
 //!   construction; each steady-state call just offsets the destination pointer.
 //! * **Atomics-only epochs, no per-call allocation** — the caller writes one
@@ -376,9 +376,9 @@ impl SpmvEngine {
         .expect("a fresh plan fits its matrix")
     }
 
-    /// Build a **fully tuned** engine: run the footprint heuristic per thread block
-    /// and have each worker materialize its register-blocked, index-compressed,
-    /// cache/TLB-blocked, prefetch-annotated structure first-touch.
+    /// Build a **fully tuned** engine: plan with the timed ladder
+    /// ([`TunePlan::new`], one block per share) and have each worker
+    /// materialize its share first-touch.
     ///
     /// # Panics
     ///

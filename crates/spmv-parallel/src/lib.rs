@@ -15,9 +15,9 @@
 //!
 //! * [`engine`] — the zero-overhead steady-state executor: persistent workers
 //!   plus the calling thread as participant 0, atomics-only spin-then-park epochs,
-//!   first-touch-placed **fully tuned** `PreparedBlock`s (register blocked, index
-//!   compressed, cache/TLB blocked, prefetch annotated — the heuristic's
-//!   decisions, bound at construction), precomputed disjoint `y` slices, and no
+//!   first-touch-placed **fully tuned** `PreparedBlock`s (the plan's formats,
+//!   register shapes, index widths and SIMD choice, bound at construction),
+//!   precomputed disjoint `y` slices, and no
 //!   per-call allocation. Each epoch carries one operation; SpMV, SpMM and the
 //!   solvers' `w ← A·p` share one per-block apply, and every epoch is profiled
 //!   ([`EngineProfile`]). Build it with `SpmvEngine::tuned`, or from a saved

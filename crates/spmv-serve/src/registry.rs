@@ -476,7 +476,8 @@ impl MatrixRegistry {
     }
 
     /// Register `csr` under `name` with a plan loaded from a plain-text profile
-    /// (the `spmv-tune-plan v1` format).
+    /// (the `spmv-tune-plan v2` format). A profile whose share cells do not
+    /// cover the matrix exactly once is refused ([`TunePlan::validate_for`]).
     pub fn insert_from_profile(
         &self,
         name: &str,

@@ -359,9 +359,8 @@ pub fn plan_outputs(csr: &CsrMatrix, plan: &TunePlan) -> (Vec<f64>, MultiVec) {
 /// determine floating-point accumulation order: block boundaries, format
 /// kind, register block shape, and the owning thread's SIMD knob (the vector
 /// kernels use FMA and reassociate row sums, so SIMD and scalar executions of
-/// the same decisions are different accumulation classes). Index width and
-/// prefetch annotations are deliberately excluded — they change bytes and
-/// scheduling, never arithmetic.
+/// the same decisions are different accumulation classes). Index width is
+/// deliberately excluded — it changes bytes, never arithmetic.
 type DecisionSignature = (
     usize,
     usize,
@@ -401,8 +400,7 @@ fn decision_signature(plan: &TunePlan) -> Vec<DecisionSignature> {
 /// accumulators, block splits), and the SIMD microkernels contract
 /// multiply-adds through FMA — and symmetric plans must additionally share
 /// the row partition (the scratch tree reduction depends on slab count and
-/// boundaries). Index width and prefetch annotations never change the
-/// arithmetic, so they may differ.
+/// boundaries). Index width never changes the arithmetic, so it may differ.
 pub fn same_accumulation_class(a: &TunePlan, b: &TunePlan) -> bool {
     if a.symmetric != b.symmetric {
         return false;
@@ -442,8 +440,8 @@ pub fn assert_plans_equivalent(csr: &CsrMatrix, a: &TunePlan, b: &TunePlan, cont
 }
 
 /// A compact, deterministic, human-diffable rendering of a plan for golden
-/// tests: one header line plus one line per thread listing its row range,
-/// prefetch annotation, and every block decision as
+/// tests: one header line plus one line per thread listing its row range and
+/// every block decision as
 /// `kind[rxc]/width@rows x cols`.
 pub fn plan_snapshot(plan: &TunePlan) -> String {
     use std::fmt::Write as _;
@@ -458,11 +456,6 @@ pub fn plan_snapshot(plan: &TunePlan) -> String {
         plan.symmetric
     );
     for (i, t) in plan.threads.iter().enumerate() {
-        let prefetch = match (t.prefetch_distance, t.nta_hint) {
-            (0, _) => "none".to_string(),
-            (d, true) => format!("nta:{d}"),
-            (d, false) => format!("t0:{d}"),
-        };
         let blocks: Vec<String> = t
             .decisions
             .iter()
@@ -488,7 +481,7 @@ pub fn plan_snapshot(plan: &TunePlan) -> String {
             .collect();
         let _ = writeln!(
             out,
-            "  t{i} rows={}..{} prefetch={prefetch} blocks=[{}]",
+            "  t{i} rows={}..{} blocks=[{}]",
             t.rows.start,
             t.rows.end,
             blocks.join(", ")

@@ -12,8 +12,14 @@ use rand::{Rng, SeedableRng};
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::formats::bcsr::ALLOWED_BLOCK_DIMS;
 use spmv_multicore::spmv_core::formats::index::IndexWidth;
-use spmv_multicore::spmv_core::formats::{BcooMatrix, BcsrMatrix, CompressedCsr, GcsrMatrix};
-use spmv_multicore::spmv_core::kernels::KernelVariant;
+use spmv_multicore::spmv_core::formats::{
+    BcooMatrix, BcsrMatrix, CompressedCsr, GcsrMatrix, IndexStorage,
+};
+use spmv_multicore::spmv_core::kernels::naive::spmv_naive;
+use spmv_multicore::spmv_core::kernels::prefetch::{
+    spmv_prefetch, PrefetchHint, PREFETCH_DISTANCE_CANDIDATES,
+};
+use spmv_multicore::spmv_core::kernels::single_loop::spmv_single_loop;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_testutil::{cases, max_abs_diff, test_x};
 
@@ -80,8 +86,35 @@ fn every_block_shape_and_width_matches_dense_reference() {
     }
 }
 
-/// Every kernel variant × both CSR index widths must agree with the reference,
-/// and the two widths with each other bit for bit.
+/// `y = A·x` by every CSR code kernel: naive, single-loop, and prefetch at
+/// each swept distance but 0 with both hints, each labelled.
+fn every_kernel<I: IndexStorage>(
+    a: &spmv_multicore::spmv_core::formats::CsrMatrix<I>,
+    x: &[f64],
+) -> Vec<(String, Vec<f64>)> {
+    let run = |kernel: &dyn Fn(&mut [f64])| {
+        let mut y = vec![0.0; a.nrows()];
+        kernel(&mut y);
+        y
+    };
+    let mut out = vec![
+        ("naive".to_string(), run(&|y| spmv_naive(a, x, y))),
+        (
+            "single-loop".to_string(),
+            run(&|y| spmv_single_loop(a, x, y)),
+        ),
+    ];
+    for &d in &PREFETCH_DISTANCE_CANDIDATES[1..] {
+        for hint in [PrefetchHint::AllLevels, PrefetchHint::NonTemporal] {
+            let y = run(&|y| spmv_prefetch(a, x, y, d, hint));
+            out.push((format!("prefetch-{hint:?}-{d}"), y));
+        }
+    }
+    out
+}
+
+/// Every CSR code kernel × both CSR index widths must agree with the
+/// reference, and the two widths with each other bit for bit.
 #[test]
 fn every_kernel_variant_matches_dense_reference() {
     for (i, case) in cases(24, 0xC2).iter().enumerate() {
@@ -89,27 +122,19 @@ fn every_kernel_variant_matches_dense_reference() {
         let narrow: spmv_multicore::spmv_core::formats::CsrMatrix<u16> = csr.reindex().unwrap();
         let x = test_x(case.ncols);
         let expected = case.dense_reference(&x);
-        for variant in KernelVariant::all() {
-            let mut y = vec![0.0; case.nrows];
-            variant.execute(&csr, &x, &mut y);
-            assert!(
-                max_abs_diff(&y, &expected) < 1e-9,
-                "variant {} (u32) case {i}",
-                variant.name()
-            );
-            let mut y16 = vec![0.0; case.nrows];
-            variant.execute(&narrow, &x, &mut y16);
+        let wide = every_kernel(&csr, &x);
+        assert_eq!(wide.len(), 2 + 2 * (PREFETCH_DISTANCE_CANDIDATES.len() - 1));
+        for ((name, y), (_, y16)) in wide.iter().zip(every_kernel(&narrow, &x)) {
+            assert!(max_abs_diff(y, &expected) < 1e-9, "{name} (u32) case {i}");
             assert!(
                 max_abs_diff(&y16, &expected) < 1e-9,
-                "variant {} (u16) case {i}",
-                variant.name()
+                "{name} (u16) case {i}"
             );
             // Index width is storage only: the arithmetic is the same, bit for bit.
             assert_eq!(
                 y16.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "variant {} u16 vs u32 case {i}",
-                variant.name()
+                "{name} u16 vs u32 case {i}"
             );
         }
     }

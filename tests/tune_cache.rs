@@ -8,7 +8,10 @@
 //!    against `+0.0`. A served matrix carries the fingerprint `compute` gives.
 //! 2. **Cache** — a warm `TuneCache` hit provably skips the timed planner
 //!    (counter hook), and tampered cache entries are rejected.
-//! 3. **Golden plan** — the untimed `TunePlan::heuristic` plan for a fixed
+//! 3. **Profiles** — a `v1` profile is refused by its header, older cache
+//!    entries are misses that plan again, and a profile whose block lines
+//!    drop, repeat or overlap a share's nonzeros is refused, not served.
+//! 4. **Golden plan** — the untimed `TunePlan::heuristic` plan for a fixed
 //!    seeded matrix matches a committed snapshot, so silent planner drift
 //!    fails loudly.
 
@@ -156,9 +159,10 @@ fn warm_cache_hit_skips_the_search_and_tampering_is_rejected() {
 #[test]
 fn entries_from_the_previous_format_are_misses_and_get_replanned() {
     // A v2 entry was planned before every share went on the clock, so a small
-    // share may hold an untimed grid the planner no longer makes: it must not
-    // be served.
-    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v2_{}", std::process::id()));
+    // share may hold an untimed grid the planner no longer makes; a v3 entry
+    // holds a `spmv-tune-plan v1` profile, whose thread lines carry the
+    // retired prefetch tokens. Neither may be served, nor be an error.
+    let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v3_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = TuneCache::with_platform(&dir, "suite-plat").unwrap();
     let csr = random_csr(70, 70, 600, 10);
@@ -168,35 +172,140 @@ fn entries_from_the_previous_format_are_misses_and_get_replanned() {
 
     let fp = MatrixFingerprint::compute(&csr);
     let path = cache.entry_path(&fp, 2, &config);
-    let text = std::fs::read_to_string(&path).unwrap();
+    let current = std::fs::read_to_string(&path).unwrap();
     assert!(
-        text.starts_with("spmv-tune-cache v3\n"),
-        "entries are written as v3"
+        current.starts_with("spmv-tune-cache v4\n"),
+        "entries are written as v4"
     );
-    std::fs::write(
-        &path,
-        text.replacen("spmv-tune-cache v3", "spmv-tune-cache v2", 1),
-    )
-    .unwrap();
+    for (searches, older) in [(2, "spmv-tune-cache v2"), (3, "spmv-tune-cache v3")] {
+        let entry: Vec<String> = current
+            .replacen("spmv-tune-cache v4", older, 1)
+            .replacen("spmv-tune-plan v2", "spmv-tune-plan v1", 1)
+            .lines()
+            .map(|line| match line.split_once(' ') {
+                Some(("thread", rest)) => {
+                    let (range, simd) = rest.split_at(rest.find(" simd").unwrap_or(rest.len()));
+                    format!("thread {range} prefetch 0 t0{simd}")
+                }
+                _ => line.to_string(),
+            })
+            .collect();
+        assert!(entry
+            .iter()
+            .any(|l| l.ends_with("prefetch 0 t0") || l.ends_with("t0 simd")));
+        std::fs::write(&path, entry.join("\n") + "\n").unwrap();
+        assert!(
+            cache.lookup(&fp, 2, &config, &csr).is_none(),
+            "a {older} entry is a miss"
+        );
+
+        cache.plan(&csr, 2, &config).unwrap();
+        assert_eq!(
+            cache.search_count(),
+            searches,
+            "the {older} entry forces exactly one re-plan"
+        );
+        let restored = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            restored.starts_with("spmv-tune-cache v4\n"),
+            "the re-plan is stored as v4"
+        );
+        assert!(cache.lookup(&fp, 2, &config, &csr).is_some());
+        assert_eq!(cache.search_count(), searches);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_v1_profile_is_refused_by_its_header() {
+    let text = "spmv-tune-plan v1\nmatrix 1 1 1\nthreads 1\n\
+                thread 0 1 prefetch 64 nta\nblock 0 1 0 1 csr 1 1 u16 1 12 1\nend\n";
+    let err = TunePlan::from_text(text).expect_err("v1 is not parsed");
     assert!(
-        cache.lookup(&fp, 2, &config, &csr).is_none(),
-        "a v2 entry is a miss"
+        err.to_string().contains("spmv-tune-plan v1"),
+        "the error names the header: {err}"
+    );
+}
+
+/// The untimed scalar plan of Tiny `webbase` on one thread: two block lines,
+/// the share's columns cut in two.
+fn webbase_profile() -> (CsrMatrix, TuningConfig, Vec<String>) {
+    let csr = CsrMatrix::from_coo(&SuiteMatrix::Webbase.generate(Scale::Tiny));
+    let scalar = TuningConfig {
+        simd: false,
+        ..TuningConfig::full()
+    };
+    let text = TunePlan::heuristic(&csr, 1, &scalar).to_text();
+    let lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert_eq!(lines.iter().filter(|l| l.starts_with("block ")).count(), 2);
+    (csr, scalar, lines)
+}
+
+#[test]
+fn a_profile_whose_blocks_miss_or_repeat_nonzeros_is_refused() {
+    let (csr, scalar, lines) = webbase_profile();
+    let at = |k: usize| lines.iter().position(|l| l.starts_with("block ")).unwrap() + k;
+    let (first, second) = (at(0), at(1));
+    let fields = |i: usize| -> Vec<usize> {
+        lines[i]
+            .split(' ')
+            .skip(1)
+            .take(4)
+            .map(|t| t.parse().unwrap())
+            .collect()
+    };
+    let [rows0, rows1, c0, c1] = fields(second)[..] else {
+        unreachable!()
+    };
+    assert_eq!(fields(first)[3], c0, "the cells split the share's columns");
+
+    // Shift the second cell left by `k` columns to where it holds the same
+    // number of nonzeros: its own count still matches the matrix, the counts
+    // still sum to the share's, but it repeats the first cell's last columns
+    // and drops its own last ones.
+    let mut per_col = vec![0usize; csr.ncols()];
+    for (_, j, _) in csr.iter() {
+        per_col[j] += 1;
+    }
+    let count = |cols: std::ops::Range<usize>| per_col[cols].iter().sum::<usize>();
+    let k = (1..c0)
+        .find(|&k| count(c0 - k..c0) > 0 && count(c0 - k..c1 - k) == count(c0..c1))
+        .expect("a shift that keeps the cell's count");
+    let mut shifted = lines.clone();
+    let tail: Vec<&str> = lines[second].split(' ').skip(5).collect();
+    shifted[second] = format!(
+        "block {rows0} {rows1} {} {} {}",
+        c0 - k,
+        c1 - k,
+        tail.join(" ")
     );
 
-    cache.plan(&csr, 2, &config).unwrap();
-    assert_eq!(
-        cache.search_count(),
-        2,
-        "the v2 entry forces exactly one re-plan"
-    );
-    let restored = std::fs::read_to_string(&path).unwrap();
-    assert!(
-        restored.starts_with("spmv-tune-cache v3\n"),
-        "the re-plan is stored as v3"
-    );
-    assert!(cache.lookup(&fp, 2, &config, &csr).is_some());
-    assert_eq!(cache.search_count(), 2);
-    std::fs::remove_dir_all(&dir).ok();
+    let mut dropped = lines.clone();
+    dropped.remove(second);
+    let mut repeated = lines.clone();
+    repeated.insert(second, lines[first].clone());
+
+    let registry = MatrixRegistry::new(1, scalar);
+    let path = std::env::temp_dir().join(format!("spmv_cover_{}.profile", std::process::id()));
+    for (what, profile) in [
+        ("dropped", dropped),
+        ("repeated", repeated),
+        ("shifted", shifted),
+    ] {
+        let text = profile.join("\n") + "\n";
+        let plan = TunePlan::from_text(&text).expect("the text itself is well formed");
+        assert!(plan.validate_for(&csr).is_err(), "{what}: validate_for");
+        std::fs::write(&path, &text).unwrap();
+        assert!(
+            registry.insert_from_profile(what, &csr, &path).is_err(),
+            "{what}: insert_from_profile"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    // The untouched profile still serves.
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    assert!(registry.insert_from_profile("intact", &csr, &path).is_ok());
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -216,6 +325,6 @@ fn heuristic_plan_matches_the_golden_snapshot() {
 /// changes intentionally.
 const GOLDEN_PLAN_64X48: &str = "\
 plan 64x48 nnz=467 threads=2 symmetric=false
-  t0 rows=0..31 prefetch=none blocks=[csr/u16@0..31x0..48]
-  t1 rows=31..64 prefetch=none blocks=[csr/u16@0..33x0..48]
+  t0 rows=0..31 blocks=[csr/u16@0..31x0..48]
+  t1 rows=31..64 blocks=[csr/u16@0..33x0..48]
 ";

@@ -14,9 +14,7 @@
 //! * **One rule for every share**: `TunePlan::new` times every share,
 //!   whatever its size, on rungs `A`, `S` and `B` (the timed ladder cuts no
 //!   cache or TLB grid), so no share keeps a rung the clock measured slower
-//!   than `A`. No timed rung carries software prefetch, so rung `A` is timed
-//!   as plain CSR runs. Only `TunePlan::heuristic` stays untimed and
-//!   deterministic, and only its scalar shares carry the annotation.
+//!   than `A`. Only `TunePlan::heuristic` stays untimed and deterministic.
 //! * **The timed plan computes what the untimed one does**: over seeded
 //!   matrices and thread counts, `TunePlan::new` agrees with
 //!   `TunePlan::heuristic` by the accumulation-class rule, and its engine is
@@ -33,7 +31,6 @@ use spmv_multicore::spmv_core::blocking::register::{
     estimate_all_shapes, estimate_fill, register_block_candidates,
 };
 use spmv_multicore::spmv_core::formats::{BcsrMatrix, IndexWidth};
-use spmv_multicore::spmv_core::kernels::KernelVariant;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::solver::SerialCg;
 use spmv_multicore::spmv_core::tuning::{
@@ -431,8 +428,7 @@ fn a_streaming_share_is_timed_and_never_loses_to_its_incumbent() {
 fn the_timed_ladder_cuts_no_grid() {
     // One streaming share at Small: `webbase` proposes both grids, `economics`
     // the TLB grid (its cache grid is one cell, so it is rung B). Each is
-    // planned with and without SIMD; without it, both shares are past the
-    // prefetch threshold.
+    // planned with and without SIMD.
     let scalar = TuningConfig {
         simd: false,
         ..TuningConfig::full()
@@ -457,27 +453,12 @@ fn the_timed_ladder_cuts_no_grid() {
         assert_eq!(timed, all.replace(['C', 'D'], ""), "{ctx}");
         assert_eq!(plan.threads[0].decisions.len(), 1, "{ctx}: no grid chosen");
         // Every rung the clock sees is the proposal of the same name, so a
-        // pick among A, S and B is the plan the full ladder would have made,
-        // and none carries the prefetch annotation the untimed plan may.
-        let unannotated = TuningConfig {
-            software_prefetch: false,
-            ..config
-        };
+        // pick among A, S and B is the plan the full ladder would have made.
         for rung in &ladders[0].rungs {
             let same = proposed.iter().find(|p| p.label == rung.label);
             let same = same.expect("a timed rung was proposed").decisions.clone();
-            let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &unannotated);
+            let annotated = ThreadPlan::annotated(0..csr.nrows(), same, &config);
             assert_eq!(rung.plan, annotated, "{ctx}: rung {}", rung.label);
-            assert_eq!(
-                rung.plan.stream_variant(),
-                KernelVariant::SingleLoop,
-                "{ctx}: rung {}",
-                rung.label
-            );
-        }
-        if !config.simd {
-            let untimed = heuristic.threads[0].prefetch_distance;
-            assert!(untimed > 0, "{ctx}: past the threshold");
         }
     }
 }
