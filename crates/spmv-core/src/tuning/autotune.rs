@@ -35,7 +35,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// share: a share or symmetric plan under 512 KiB holds an untimed plan, which
 /// may be a cache/TLB grid slower than plain CSR. `v3` entries hold a
 /// `spmv-tune-plan v1` profile, whose thread lines carry the retired
-/// software-prefetch tokens. Each bump makes the older entries misses.
+/// software-prefetch tokens; dropping the prefetch field of [`TuningConfig`]
+/// also changed every config key, so those entries are no longer even opened,
+/// and the `v4` header keeps them misses should a key ever collide. Each bump
+/// makes the older entries misses.
 const ENTRY_HEADER: &str = "spmv-tune-cache v4";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

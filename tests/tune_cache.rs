@@ -158,10 +158,9 @@ fn warm_cache_hit_skips_the_search_and_tampering_is_rejected() {
 
 #[test]
 fn entries_from_the_previous_format_are_misses_and_get_replanned() {
-    // A v2 entry was planned before every share went on the clock, so a small
-    // share may hold an untimed grid the planner no longer makes; a v3 entry
-    // holds a `spmv-tune-plan v1` profile, whose thread lines carry the
-    // retired prefetch tokens. Neither may be served, nor be an error.
+    // Only the entry header is rewritten: the body and its checksum stay
+    // valid, so the older header alone must turn the entry into a miss that
+    // is planned again, never an error.
     let dir = std::env::temp_dir().join(format!("spmv_tune_cache_v3_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = TuneCache::with_platform(&dir, "suite-plat").unwrap();
@@ -178,22 +177,7 @@ fn entries_from_the_previous_format_are_misses_and_get_replanned() {
         "entries are written as v4"
     );
     for (searches, older) in [(2, "spmv-tune-cache v2"), (3, "spmv-tune-cache v3")] {
-        let entry: Vec<String> = current
-            .replacen("spmv-tune-cache v4", older, 1)
-            .replacen("spmv-tune-plan v2", "spmv-tune-plan v1", 1)
-            .lines()
-            .map(|line| match line.split_once(' ') {
-                Some(("thread", rest)) => {
-                    let (range, simd) = rest.split_at(rest.find(" simd").unwrap_or(rest.len()));
-                    format!("thread {range} prefetch 0 t0{simd}")
-                }
-                _ => line.to_string(),
-            })
-            .collect();
-        assert!(entry
-            .iter()
-            .any(|l| l.ends_with("prefetch 0 t0") || l.ends_with("t0 simd")));
-        std::fs::write(&path, entry.join("\n") + "\n").unwrap();
+        std::fs::write(&path, current.replacen("spmv-tune-cache v4", older, 1)).unwrap();
         assert!(
             cache.lookup(&fp, 2, &config, &csr).is_none(),
             "a {older} entry is a miss"
