@@ -3,12 +3,15 @@
 //! OSKI (Vuduc, Demmel, Yelick) picks a register blocking by estimating the fill
 //! ratio of each candidate block shape and dividing by an offline performance profile
 //! measured on a dense matrix in sparse format, then stores the matrix as BCSR at the
-//! winning shape. It does not compress indices to 16 bits, does not use BCOO, and
-//! leaves low-level instruction scheduling to the compiler — exactly the differences
-//! the paper's Section 4 calls out. Cache blocking in OSKI must be explicitly
+//! winning shape. Like OSKI it does not use BCOO and leaves low-level instruction
+//! scheduling to the compiler, two of the differences the paper's Section 4 calls
+//! out. Unlike OSKI's 32-bit indices, this stand-in stores its block column
+//! indices at 16 bits whenever both matrix spans fit 64K
+//! ([`search_register_blocking`]). Cache blocking in OSKI must be explicitly
 //! requested (it is not part of the default tuning path), so this baseline omits it,
 //! matching how the paper ran OSKI.
 
+use spmv_core::blocking::BlockFormat;
 use spmv_core::formats::{CsrMatrix, SpMv};
 use spmv_core::tuning::search::{search_register_blocking, DenseProfile};
 use spmv_core::MatrixShape;
@@ -18,7 +21,7 @@ use spmv_core::MatrixShape;
 pub struct OskiMatrix {
     /// The chosen register block shape.
     pub block_shape: (usize, usize),
-    matrix: spmv_core::formats::BcsrAuto,
+    matrix: BlockFormat,
     csr_bytes: usize,
 }
 
@@ -46,7 +49,10 @@ impl OskiMatrix {
 
     /// Fill ratio paid by the chosen blocking.
     pub fn fill_ratio(&self) -> f64 {
-        self.matrix.fill_ratio()
+        match self.matrix.nnz() {
+            0 => 1.0,
+            nnz => self.matrix.stored_entries() as f64 / nnz as f64,
+        }
     }
 
     /// Footprint relative to plain CSR (OSKI can be *larger* than CSR when fill

@@ -3,93 +3,162 @@
 //! After the cache/TLB blocking passes split the matrix into a grid of blocks, the
 //! register-blocking heuristic is applied *independently to each cache block*
 //! (Section 4.2: "it is possible for some cache blocks to be stored in 1x4 BCOO with
-//! 32-bit indices, and others in 4x1 BCSR with 16-bit indices"). This module holds
-//! that per-block choice; `tuning::prepared::PreparedBlock` owns and executes the
-//! blocks.
+//! 32-bit indices, and others in 4x1 BCSR with 16-bit indices"). A block's storage
+//! is a [`Cell`], generic over the index width like every format; [`BlockFormat`]
+//! holds it at the width the plan chose, and each of its methods matches that
+//! width once and runs the one generic body. `tuning::heuristic::try_materialize`
+//! builds the blocks; `tuning::prepared::PreparedBlock` owns and executes them.
 
-use crate::formats::bcoo::BcooMatrix;
-use crate::formats::bcsr::BcsrAuto;
-use crate::formats::csr::CompressedCsr;
-use crate::formats::gcsr::GcsrMatrix;
-use crate::formats::sell::SellAuto;
 use crate::formats::traits::{MatrixShape, SpMv};
-use crate::kernels::simd::SimdLevel;
+use crate::formats::{
+    BcooMatrix, BcsrMatrix, CsrMatrix, GcsrMatrix, IndexStorage, SellMatrix, SymBcsr, SymCsr,
+};
+use crate::kernels::simd::{self, SimdLevel};
+use crate::kernels::{multivec, single_loop::spmv_single_loop};
+use crate::multivec::MultiVecMut;
 use std::ops::Range;
 
-/// The storage format selected for one cache block.
+/// One block's storage at index width `I`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell<I: IndexStorage> {
+    /// Plain CSR (used when blocking is disabled or the block is tiny).
+    Csr(CsrMatrix<I>),
+    /// Register-blocked CSR.
+    Bcsr(BcsrMatrix<I>),
+    /// Block-coordinate storage (wins when most rows of the block are empty).
+    Bcoo(BcooMatrix<I>),
+    /// Generalized CSR storing only occupied rows.
+    Gcsr(GcsrMatrix<I>),
+    /// Row-sorted sliced ELL: four short rows per SIMD pass (the ladder's rung `S`).
+    Sell(SellMatrix<I>),
+    /// A symmetric thread slab as diagonal + strictly-lower CSR. Slabs scatter
+    /// below their own rows, so they take full-length vectors.
+    SymCsr(SymCsr<I>),
+    /// A symmetric thread slab as diagonal + strictly-lower register tiles.
+    SymBcsr(SymBcsr<I>),
+}
+
+/// The dispatch level sliced ELL runs at.
+fn level(simd: bool) -> SimdLevel {
+    if simd {
+        simd::detect()
+    } else {
+        SimdLevel::Scalar
+    }
+}
+
+impl<I: IndexStorage> Cell<I> {
+    fn shape(&self) -> &dyn MatrixShape {
+        match self {
+            Cell::Csr(m) => m,
+            Cell::Bcsr(m) => m,
+            Cell::Bcoo(m) => m,
+            Cell::Gcsr(m) => m,
+            Cell::Sell(m) => m,
+            Cell::SymCsr(m) => m,
+            Cell::SymBcsr(m) => m,
+        }
+    }
+
+    fn execute(&self, simd: bool, x: &[f64], y: &mut [f64]) {
+        match self {
+            Cell::Csr(m) if simd => simd::spmv_csr_simd(m, x, y),
+            Cell::Csr(m) => spmv_single_loop(m, x, y),
+            Cell::Bcsr(m) if simd => simd::spmv_bcsr_simd(m, x, y),
+            Cell::Bcsr(m) => m.spmv(x, y),
+            Cell::Bcoo(m) => m.spmv(x, y),
+            Cell::Gcsr(m) => m.spmv(x, y),
+            Cell::Sell(m) => simd::spmv_sell_at(level(simd), m, x, y),
+            Cell::SymCsr(m) => m.spmv_full(x, y),
+            Cell::SymBcsr(m) if simd => simd::spmv_sym_bcsr_simd(m, x, y),
+            Cell::SymBcsr(m) => m.spmv_full(x, y),
+        }
+    }
+
+    fn spmm(&self, simd: bool, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
+        match self {
+            Cell::Csr(m) if simd => simd::spmm_csr_simd(m, x, x_ld, y),
+            Cell::Csr(m) => multivec::spmm_csr(m, x, x_ld, y),
+            Cell::Bcsr(m) if simd => simd::spmm_bcsr_simd(m, x, x_ld, y),
+            Cell::Bcsr(m) => multivec::spmm_bcsr(m, x, x_ld, y),
+            Cell::Bcoo(m) => multivec::spmm_bcoo(m, x, x_ld, y),
+            Cell::Gcsr(m) => multivec::spmm_gcsr(m, x, x_ld, y),
+            Cell::Sell(m) => simd::spmm_sell_at(level(simd), m, x, x_ld, y),
+            Cell::SymCsr(_) | Cell::SymBcsr(_) => {
+                let n = self.shape().ncols();
+                for j in 0..y.k() {
+                    self.execute(simd, &x[j * x_ld..][..n], y.col_mut(j));
+                }
+            }
+        }
+    }
+}
+
+/// A block's storage at the index width its plan chose.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BlockFormat {
-    /// Plain CSR with a once-selected index width (used when blocking is disabled
-    /// or the block is tiny).
-    Csr(CompressedCsr),
-    /// Register-blocked CSR with a once-selected index width.
-    Bcsr(BcsrAuto),
-    /// Block-coordinate storage (wins when most rows of the block are empty).
-    Bcoo(BcooMatrix),
-    /// Generalized CSR storing only occupied rows.
-    Gcsr(GcsrMatrix),
-    /// Row-sorted sliced ELL: four short rows per SIMD pass (the ladder's rung `S`).
-    Sell(SellAuto),
+    /// 16-bit indices: every span the block indexes fits 64K.
+    U16(Cell<u16>),
+    /// 32-bit indices.
+    U32(Cell<u32>),
 }
 
 impl BlockFormat {
-    /// Bytes of matrix data in this block.
-    pub fn footprint_bytes(&self) -> usize {
+    fn shape(&self) -> &dyn MatrixShape {
         match self {
-            BlockFormat::Csr(m) => m.footprint_bytes(),
-            BlockFormat::Bcsr(m) => m.footprint_bytes(),
-            BlockFormat::Bcoo(m) => m.footprint_bytes(),
-            BlockFormat::Gcsr(m) => m.footprint_bytes(),
-            BlockFormat::Sell(m) => m.shape().footprint_bytes(),
+            BlockFormat::U16(cell) => cell.shape(),
+            BlockFormat::U32(cell) => cell.shape(),
         }
     }
 
-    /// Logical nonzeros in this block.
-    pub fn nnz(&self) -> usize {
+    /// `y ← y + block·x` on block-local vectors (full-length ones for a
+    /// symmetric slab). With `simd`, streaming CSR, covered BCSR and `SymBcsr`
+    /// shapes and sliced ELL run the explicit vector kernels (scalar on
+    /// uncovered shapes and hosts, inside the dispatch); BCOO, GCSR and `SymCsr`
+    /// are scalar either way. Without it CSR runs the single-loop kernel and
+    /// sliced ELL its `mul_add` arm.
+    pub fn execute(&self, simd: bool, x: &[f64], y: &mut [f64]) {
         match self {
-            BlockFormat::Csr(m) => m.nnz(),
-            BlockFormat::Bcsr(m) => m.nnz(),
-            BlockFormat::Bcoo(m) => m.nnz(),
-            BlockFormat::Gcsr(m) => m.nnz(),
-            BlockFormat::Sell(m) => m.shape().nnz(),
+            BlockFormat::U16(cell) => cell.execute(simd, x, y),
+            BlockFormat::U32(cell) => cell.execute(simd, x, y),
         }
     }
 
-    /// Stored entries (including register-blocking fill).
-    pub fn stored_entries(&self) -> usize {
+    /// `Y ← Y + block·X` over a column-major block of vectors: `x` starts at the
+    /// block's first column (column `j` of the source at `x[j*x_ld ..]`), `y`
+    /// exposes exactly the block's rows. Per vector bit-identical to
+    /// [`BlockFormat::execute`] with the same `simd`: each multivec kernel
+    /// repeats its SpMV kernel's accumulation order.
+    pub fn spmm(&self, simd: bool, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
         match self {
-            BlockFormat::Csr(m) => m.stored_entries(),
-            BlockFormat::Bcsr(m) => m.stored_entries(),
-            BlockFormat::Bcoo(m) => m.stored_entries(),
-            BlockFormat::Gcsr(m) => m.stored_entries(),
-            BlockFormat::Sell(m) => m.shape().stored_entries(),
+            BlockFormat::U16(cell) => cell.spmm(simd, x, x_ld, y),
+            BlockFormat::U32(cell) => cell.spmm(simd, x, x_ld, y),
         }
     }
+}
 
-    /// Execute `y_local ← y_local + block · x_local` on block-local vectors, on
-    /// the portable kernels.
-    pub fn spmv_local(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            BlockFormat::Csr(m) => m.spmv(x, y),
-            BlockFormat::Bcsr(m) => m.spmv(x, y),
-            BlockFormat::Bcoo(m) => m.spmv(x, y),
-            BlockFormat::Gcsr(m) => m.spmv(x, y),
-            BlockFormat::Sell(m) => m.spmv_at(SimdLevel::Scalar, x, y),
-        }
+impl MatrixShape for BlockFormat {
+    fn nrows(&self) -> usize {
+        self.shape().nrows()
     }
+    fn ncols(&self) -> usize {
+        self.shape().ncols()
+    }
+    fn stored_entries(&self) -> usize {
+        self.shape().stored_entries()
+    }
+    fn nnz(&self) -> usize {
+        self.shape().nnz()
+    }
+    fn footprint_bytes(&self) -> usize {
+        self.shape().footprint_bytes()
+    }
+}
 
-    /// Execute `Y_local ← Y_local + block · X_local` on a column-major block of
-    /// vectors: `x` starts at the block's first column (column `j` of the source
-    /// at `x[j*x_ld ..]`), `y` exposes exactly the block's rows.
-    pub fn spmm_local(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
-        use crate::kernels::multivec;
-        match self {
-            BlockFormat::Csr(m) => m.spmm(x, x_ld, y),
-            BlockFormat::Bcsr(m) => m.spmm(x, x_ld, y),
-            BlockFormat::Bcoo(m) => multivec::spmm_bcoo(m, x, x_ld, y),
-            BlockFormat::Gcsr(m) => multivec::spmm_gcsr(m, x, x_ld, y),
-            BlockFormat::Sell(m) => m.spmm_at(SimdLevel::Scalar, x, x_ld, y),
-        }
+impl SpMv for BlockFormat {
+    /// [`BlockFormat::execute`] on the portable kernels.
+    fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        self.execute(false, x, y);
     }
 }
 
@@ -105,21 +174,10 @@ pub struct CacheBlock {
     pub format: BlockFormat,
 }
 
-impl CacheBlock {
-    /// Execute this block against the *global* source/destination vectors.
-    pub fn spmv_global(&self, x: &[f64], y: &mut [f64]) {
-        let x_local = &x[self.cols.start..self.cols.end];
-        let y_local = &mut y[self.rows.start..self.rows.end];
-        self.format.spmv_local(x_local, y_local);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::max_abs_diff;
-    use crate::formats::csr::CsrMatrix;
-    use crate::formats::index::IndexWidth;
     use crate::formats::CooMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -156,14 +214,10 @@ mod tests {
                 let sub = coo.sub_block(rows.clone(), cols.clone());
                 let csr = CsrMatrix::from_coo(&sub);
                 let format = match i {
-                    0 => BlockFormat::Csr(CompressedCsr::from_csr(&csr)),
-                    1 => {
-                        BlockFormat::Bcsr(BcsrAuto::from_csr(&csr, 2, 2, IndexWidth::U16).unwrap())
-                    }
-                    2 => BlockFormat::Bcoo(
-                        BcooMatrix::from_csr(&csr, 1, 2, IndexWidth::U16).unwrap(),
-                    ),
-                    _ => BlockFormat::Gcsr(GcsrMatrix::from_csr(&csr, IndexWidth::U16).unwrap()),
+                    0 => BlockFormat::U32(Cell::Csr(csr)),
+                    1 => BlockFormat::U16(Cell::Bcsr(BcsrMatrix::from_csr(&csr, 2, 2).unwrap())),
+                    2 => BlockFormat::U16(Cell::Bcoo(BcooMatrix::from_csr(&csr, 1, 2).unwrap())),
+                    _ => BlockFormat::U16(Cell::Gcsr(GcsrMatrix::from_csr(&csr).unwrap())),
                 };
                 CacheBlock { rows, cols, format }
             })
@@ -178,7 +232,8 @@ mod tests {
         let x: Vec<f64> = (0..80).map(|i| (i as f64 * 0.13).sin()).collect();
         let mut y = vec![0.0; 60];
         for block in &blocks {
-            block.spmv_global(&x, &mut y);
+            let (rows, cols) = (block.rows.clone(), block.cols.clone());
+            block.format.spmv(&x[cols], &mut y[rows]);
         }
         assert!(max_abs_diff(&reference.spmv_alloc(&x), &y) < 1e-10);
         let nnz: usize = blocks.iter().map(|b| b.format.nnz()).sum();

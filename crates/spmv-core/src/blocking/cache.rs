@@ -22,9 +22,6 @@ pub struct CacheBlockingConfig {
     /// Fraction of the budget dedicated to the source vector `x`; the remainder
     /// holds the destination vector `y`.
     pub source_fraction: f64,
-    /// If true, use classical dense blocking (fixed column span) instead of the
-    /// sparse touched-lines heuristic — kept for the ablation benchmark.
-    pub dense_spans: bool,
 }
 
 impl CacheBlockingConfig {
@@ -35,7 +32,6 @@ impl CacheBlockingConfig {
         CacheBlockingConfig {
             total_lines: lines,
             source_fraction: 0.5,
-            dense_spans: false,
         }
     }
 
@@ -135,24 +131,6 @@ pub fn cache_block(csr: &CsrMatrix, config: &CacheBlockingConfig) -> CacheBlocki
     let source_budget = config.source_lines();
     let mut col_ranges = Vec::with_capacity(row_panels.len());
     for rows in &row_panels {
-        if config.dense_spans {
-            // Classical dense cache blocking: fixed column span regardless of
-            // occupancy (the ablation baseline).
-            let span = (source_budget * DOUBLES_PER_LINE).max(1);
-            let mut ranges = Vec::new();
-            let mut c = 0usize;
-            while c < ncols {
-                let e = (c + span).min(ncols);
-                ranges.push(c..e);
-                c = e;
-            }
-            if ranges.is_empty() {
-                ranges.push(0..ncols);
-            }
-            col_ranges.push(ranges);
-            continue;
-        }
-
         // Sparse blocking: walk columns left to right, greedily extending the block
         // until the number of *touched* source cache lines reaches the budget.
         // Touched lines are discovered from the panel's column indices.
@@ -228,23 +206,10 @@ mod tests {
         let cfg = CacheBlockingConfig {
             total_lines: 32,
             source_fraction: 0.5,
-            dense_spans: false,
         };
         let blocking = cache_block(&csr, &cfg);
         assert!(blocking.covers(500, 800));
         assert!(blocking.num_blocks() >= 1);
-    }
-
-    #[test]
-    fn dense_blocking_covers_matrix() {
-        let csr = random_csr(300, 1000, 3000, 2);
-        let cfg = CacheBlockingConfig {
-            total_lines: 32,
-            source_fraction: 0.5,
-            dense_spans: true,
-        };
-        let blocking = cache_block(&csr, &cfg);
-        assert!(blocking.covers(300, 1000));
     }
 
     #[test]
@@ -253,7 +218,6 @@ mod tests {
         let cfg = CacheBlockingConfig {
             total_lines: 16,
             source_fraction: 0.5,
-            dense_spans: false,
         };
         let blocking = cache_block(&csr, &cfg);
         for (rows, cols) in blocking.blocks() {
@@ -281,7 +245,6 @@ mod tests {
         let cfg = CacheBlockingConfig {
             total_lines: 16,
             source_fraction: 0.5,
-            dense_spans: false,
         };
         let blocking = cache_block(&csr, &cfg);
         let spans: Vec<usize> = blocking.col_ranges[0]
@@ -319,7 +282,6 @@ mod tests {
         let cfg = CacheBlockingConfig {
             total_lines: 8,
             source_fraction: 0.5,
-            dense_spans: false,
         };
         let blocking = cache_block(&csr, &cfg);
         assert!(blocking.covers(2000, 100));
@@ -330,7 +292,6 @@ mod tests {
         let cfg = CacheBlockingConfig {
             total_lines: 100,
             source_fraction: 0.75,
-            dense_spans: false,
         };
         assert_eq!(cfg.source_lines(), 75);
         assert_eq!(cfg.dest_lines(), 25);

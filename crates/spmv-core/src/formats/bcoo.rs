@@ -10,31 +10,32 @@ use crate::error::{Error, Result};
 use crate::formats::bcsr::block_shape_supported;
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
-use crate::formats::index::{IndexArray, IndexWidth};
+use crate::formats::index::IndexStorage;
 use crate::formats::tiles::{block_row, push_tiles};
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::VALUE_BYTES;
 
-/// Block-coordinate sparse matrix with `r × c` register tiles.
+/// Block-coordinate sparse matrix with `r × c` register tiles, both tile
+/// coordinates stored at width `I`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BcooMatrix {
+pub struct BcooMatrix<I: IndexStorage = u32> {
     nrows: usize,
     ncols: usize,
     r: usize,
     c: usize,
     logical_nnz: usize,
     /// Block row coordinate per tile (units of `r` rows).
-    block_rows: IndexArray,
+    block_rows: Vec<I>,
     /// Block column coordinate per tile (units of `c` columns).
-    block_cols: IndexArray,
+    block_cols: Vec<I>,
     /// Tile values, `r * c` per tile, row-major within the tile, tiles sorted by
     /// (block row, block column) so destination accesses are monotone.
     values: Vec<f64>,
 }
 
-impl BcooMatrix {
-    /// Build from CSR with the requested tile shape and index width.
-    pub fn from_csr(csr: &CsrMatrix, r: usize, c: usize, width: IndexWidth) -> Result<Self> {
+impl<I: IndexStorage> BcooMatrix<I> {
+    /// Build from CSR with the requested tile shape; both block spans must fit `I`.
+    pub fn from_csr(csr: &CsrMatrix, r: usize, c: usize) -> Result<Self> {
         if !block_shape_supported(r, c) {
             return Err(Error::UnsupportedBlockSize { r, c });
         }
@@ -42,7 +43,7 @@ impl BcooMatrix {
         let ncols = csr.ncols();
         let nblock_rows = nrows.div_ceil(r);
         let nblock_cols = ncols.div_ceil(c);
-        if !width.fits(nblock_rows) || !width.fits(nblock_cols) {
+        if !I::fits(nblock_rows) || !I::fits(nblock_cols) {
             return Err(Error::IndexWidthOverflow {
                 dimension: nblock_rows.max(nblock_cols),
             });
@@ -50,11 +51,12 @@ impl BcooMatrix {
 
         // Block rows in order, each merged by block column: exactly the
         // (block row, block column) tile order.
-        let (mut rows_usize, mut cols_usize, mut values) = (vec![], vec![], vec![]);
+        let (mut block_rows, mut block_cols, mut values) = (vec![], vec![], vec![]);
         for brow in 0..nblock_rows {
+            let at = I::try_from_usize(brow).expect("span checked above");
             push_tiles(csr, block_row(csr, brow, r), r, c, &mut values, |bc| {
-                rows_usize.push(brow);
-                cols_usize.push(bc);
+                block_rows.push(at);
+                block_cols.push(I::try_from_usize(bc).expect("span checked above"));
             });
         }
 
@@ -64,15 +66,15 @@ impl BcooMatrix {
             r,
             c,
             logical_nnz: csr.nnz(),
-            block_rows: IndexArray::from_usize(&rows_usize, width)?,
-            block_cols: IndexArray::from_usize(&cols_usize, width)?,
+            block_rows,
+            block_cols,
             values,
         })
     }
 
     /// Build from coordinate format.
-    pub fn from_coo(coo: &CooMatrix, r: usize, c: usize, width: IndexWidth) -> Result<Self> {
-        Self::from_csr(&CsrMatrix::from_coo(coo), r, c, width)
+    pub fn from_coo(coo: &CooMatrix, r: usize, c: usize) -> Result<Self> {
+        Self::from_csr(&CsrMatrix::from_coo(coo), r, c)
     }
 
     /// Rows per register tile.
@@ -90,11 +92,6 @@ impl BcooMatrix {
         self.block_rows.len()
     }
 
-    /// Index width used for the tile coordinates.
-    pub fn index_width(&self) -> IndexWidth {
-        self.block_rows.width()
-    }
-
     /// Fill ratio: stored entries (including zero fill) divided by logical nonzeros.
     pub fn fill_ratio(&self) -> f64 {
         if self.logical_nnz == 0 {
@@ -104,13 +101,15 @@ impl BcooMatrix {
     }
 
     /// Block-row coordinate of tile `t` (in units of `r` rows).
+    #[inline(always)]
     pub fn block_row_coord(&self, t: usize) -> usize {
-        self.block_rows.get(t)
+        self.block_rows[t].to_usize()
     }
 
     /// Block-column coordinate of tile `t` (in units of `c` columns).
+    #[inline(always)]
     pub fn block_col_coord(&self, t: usize) -> usize {
-        self.block_cols.get(t)
+        self.block_cols[t].to_usize()
     }
 
     /// Tile value storage (`r*c` doubles per tile).
@@ -119,7 +118,7 @@ impl BcooMatrix {
     }
 }
 
-impl MatrixShape for BcooMatrix {
+impl<I: IndexStorage> MatrixShape for BcooMatrix<I> {
     fn nrows(&self) -> usize {
         self.nrows
     }
@@ -134,18 +133,18 @@ impl MatrixShape for BcooMatrix {
     }
     fn footprint_bytes(&self) -> usize {
         // No row-pointer array at all: just tiles plus two coordinates per tile.
-        self.values.len() * VALUE_BYTES + self.block_rows.bytes() + self.block_cols.bytes()
+        self.values.len() * VALUE_BYTES + (self.block_rows.len() + self.block_cols.len()) * I::BYTES
     }
 }
 
-impl SpMv for BcooMatrix {
+impl<I: IndexStorage> SpMv for BcooMatrix<I> {
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         check_dims(self.nrows, self.ncols, x, y);
         let r = self.r;
         let c = self.c;
         for t in 0..self.num_blocks() {
-            let row_lo = self.block_rows.get(t) * r;
-            let col_lo = self.block_cols.get(t) * c;
+            let row_lo = self.block_row_coord(t) * r;
+            let col_lo = self.block_col_coord(t) * c;
             let rows_here = r.min(self.nrows - row_lo);
             let cols_here = c.min(self.ncols - col_lo);
             let tile = &self.values[t * r * c..(t + 1) * r * c];
@@ -188,7 +187,7 @@ mod tests {
         let reference = csr.spmv_alloc(&x);
         for &r in &[1usize, 2, 4] {
             for &c in &[1usize, 2, 4] {
-                let bcoo = BcooMatrix::from_csr(&csr, r, c, IndexWidth::U16).unwrap();
+                let bcoo = BcooMatrix::<u16>::from_csr(&csr, r, c).unwrap();
                 assert!(
                     max_abs_diff(&reference, &bcoo.spmv_alloc(&x)) < 1e-10,
                     "mismatch at {r}x{c}"
@@ -203,17 +202,17 @@ mod tests {
         // smaller than CSR's (which pays 4 bytes per row for the pointer array).
         let coo = CooMatrix::from_triplets(1000, 1000, vec![(0, 0, 1.0), (999, 999, 2.0)]).unwrap();
         let csr = CsrMatrix::from_coo(&coo);
-        let bcoo = BcooMatrix::from_csr(&csr, 1, 1, IndexWidth::U16).unwrap();
+        let bcoo = BcooMatrix::<u16>::from_csr(&csr, 1, 1).unwrap();
         assert!(bcoo.footprint_bytes() < csr.footprint_bytes() / 10);
     }
 
     #[test]
     fn rejects_bad_shapes_and_overflow() {
         let coo = random_coo(10, 10, 5, 1);
-        assert!(BcooMatrix::from_coo(&coo, 5, 2, IndexWidth::U32).is_err());
+        assert!(BcooMatrix::<u32>::from_coo(&coo, 5, 2).is_err());
         let wide = random_coo(4, 200_000, 10, 2);
-        assert!(BcooMatrix::from_coo(&wide, 1, 1, IndexWidth::U16).is_err());
-        assert!(BcooMatrix::from_coo(&wide, 1, 4, IndexWidth::U16).is_ok());
+        assert!(BcooMatrix::<u16>::from_coo(&wide, 1, 1).is_err());
+        assert!(BcooMatrix::<u16>::from_coo(&wide, 1, 4).is_ok());
     }
 
     #[test]
@@ -222,7 +221,7 @@ mod tests {
         for i in 0..8 {
             coo.push(i, i, 1.0);
         }
-        let bcoo = BcooMatrix::from_coo(&coo, 2, 2, IndexWidth::U16).unwrap();
+        let bcoo = BcooMatrix::<u16>::from_coo(&coo, 2, 2).unwrap();
         assert_eq!(bcoo.num_blocks(), 4);
         assert!((bcoo.fill_ratio() - 2.0).abs() < 1e-12);
         assert_eq!(bcoo.block_rows_dim(), 2);
@@ -232,24 +231,24 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let coo = CooMatrix::new(4, 4);
-        let bcoo = BcooMatrix::from_coo(&coo, 2, 2, IndexWidth::U16).unwrap();
+        let bcoo = BcooMatrix::<u16>::from_coo(&coo, 2, 2).unwrap();
         assert_eq!(bcoo.num_blocks(), 0);
         assert_eq!(bcoo.spmv_alloc(&[1.0; 4]), vec![0.0; 4]);
     }
 
     #[test]
     fn footprint_is_the_bytes_it_stores() {
-        use std::mem::size_of_val;
-        let held = |a: &IndexArray| match a {
-            IndexArray::U16(v) => size_of_val(&v[..]),
-            IndexArray::U32(v) => size_of_val(&v[..]),
-        };
-        let coo = random_coo(45, 33, 350, 12);
-        for width in [IndexWidth::U16, IndexWidth::U32] {
-            let b = BcooMatrix::from_coo(&coo, 3, 2, width).unwrap();
-            let bytes = held(&b.block_rows) + held(&b.block_cols) + size_of_val(&b.values[..]);
+        fn check<I: IndexStorage>(coo: &CooMatrix) {
+            use std::mem::size_of_val;
+            let b = BcooMatrix::<I>::from_coo(coo, 3, 2).unwrap();
+            let bytes = size_of_val(&b.block_rows[..])
+                + size_of_val(&b.block_cols[..])
+                + size_of_val(&b.values[..]);
             assert_eq!(b.footprint_bytes(), bytes);
         }
+        let coo = random_coo(45, 33, 350, 12);
+        check::<u16>(&coo);
+        check::<u32>(&coo);
     }
 
     #[test]
@@ -257,7 +256,7 @@ mod tests {
         let coo = random_coo(9, 7, 40, 5);
         let csr = CsrMatrix::from_coo(&coo);
         let x: Vec<f64> = (0..7).map(|i| i as f64 + 0.5).collect();
-        let bcoo = BcooMatrix::from_csr(&csr, 4, 4, IndexWidth::U32).unwrap();
+        let bcoo = BcooMatrix::<u32>::from_csr(&csr, 4, 4).unwrap();
         assert!(max_abs_diff(&csr.spmv_alloc(&x), &bcoo.spmv_alloc(&x)) < 1e-10);
     }
 
@@ -270,7 +269,7 @@ mod tests {
         let dense_rows = random_coo(64, 64, 2000, 6);
         let csr = CsrMatrix::from_coo(&dense_rows);
         let bcsr = BcsrMatrix::<u16>::from_csr(&csr, 1, 1).unwrap();
-        let bcoo = BcooMatrix::from_csr(&csr, 1, 1, IndexWidth::U16).unwrap();
+        let bcoo = BcooMatrix::<u16>::from_csr(&csr, 1, 1).unwrap();
         assert!(bcsr.footprint_bytes() <= bcoo.footprint_bytes());
     }
 }

@@ -144,112 +144,6 @@ impl<I: IndexStorage> BcsrMatrix<I> {
     }
 }
 
-/// Runtime-width BCSR constructor compatibility: pick the generic instantiation
-/// matching a runtime [`IndexWidth`] decision, wrapped in [`BcsrAuto`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum BcsrAuto {
-    /// 16-bit block column indices.
-    U16(BcsrMatrix<u16>),
-    /// 32-bit block column indices.
-    U32(BcsrMatrix<u32>),
-}
-
-impl BcsrAuto {
-    /// Build from CSR at a runtime-selected width (the tuner's decision), storing
-    /// the monomorphized matrix so later calls dispatch once.
-    pub fn from_csr(csr: &CsrMatrix, r: usize, c: usize, width: IndexWidth) -> Result<Self> {
-        match width {
-            IndexWidth::U16 => BcsrMatrix::<u16>::from_csr(csr, r, c).map(BcsrAuto::U16),
-            IndexWidth::U32 => BcsrMatrix::<u32>::from_csr(csr, r, c).map(BcsrAuto::U32),
-        }
-    }
-
-    /// The width selected at construction.
-    pub fn width(&self) -> IndexWidth {
-        match self {
-            BcsrAuto::U16(_) => IndexWidth::U16,
-            BcsrAuto::U32(_) => IndexWidth::U32,
-        }
-    }
-
-    /// Fill ratio of the wrapped matrix.
-    pub fn fill_ratio(&self) -> f64 {
-        match self {
-            BcsrAuto::U16(m) => m.fill_ratio(),
-            BcsrAuto::U32(m) => m.fill_ratio(),
-        }
-    }
-
-    /// `Y ← Y + A·X` on the monomorphized tiles over a strided column-major
-    /// source block (column `j` at `x[j*x_ld ..]`).
-    pub fn spmm(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
-        match self {
-            BcsrAuto::U16(m) => crate::kernels::multivec::spmm_bcsr(m, x, x_ld, y),
-            BcsrAuto::U32(m) => crate::kernels::multivec::spmm_bcsr(m, x, x_ld, y),
-        }
-    }
-
-    /// `y ← y + A·x` through the explicit SIMD microkernels (scalar fallback
-    /// for uncovered shapes or hosts).
-    pub fn spmv_simd(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            BcsrAuto::U16(m) => crate::kernels::simd::spmv_bcsr_simd(m, x, y),
-            BcsrAuto::U32(m) => crate::kernels::simd::spmv_bcsr_simd(m, x, y),
-        }
-    }
-
-    /// `Y ← Y + A·X` through the SIMD microkernels; per vector bit-identical to
-    /// [`BcsrAuto::spmv_simd`] on that vector alone.
-    pub fn spmm_simd(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
-        match self {
-            BcsrAuto::U16(m) => crate::kernels::simd::spmm_bcsr_simd(m, x, x_ld, y),
-            BcsrAuto::U32(m) => crate::kernels::simd::spmm_bcsr_simd(m, x, x_ld, y),
-        }
-    }
-}
-
-impl MatrixShape for BcsrAuto {
-    fn nrows(&self) -> usize {
-        match self {
-            BcsrAuto::U16(m) => m.nrows(),
-            BcsrAuto::U32(m) => m.nrows(),
-        }
-    }
-    fn ncols(&self) -> usize {
-        match self {
-            BcsrAuto::U16(m) => m.ncols(),
-            BcsrAuto::U32(m) => m.ncols(),
-        }
-    }
-    fn stored_entries(&self) -> usize {
-        match self {
-            BcsrAuto::U16(m) => m.stored_entries(),
-            BcsrAuto::U32(m) => m.stored_entries(),
-        }
-    }
-    fn nnz(&self) -> usize {
-        match self {
-            BcsrAuto::U16(m) => m.nnz(),
-            BcsrAuto::U32(m) => m.nnz(),
-        }
-    }
-    fn footprint_bytes(&self) -> usize {
-        match self {
-            BcsrAuto::U16(m) => m.footprint_bytes(),
-            BcsrAuto::U32(m) => m.footprint_bytes(),
-        }
-    }
-}
-
-impl SpMv for BcsrAuto {
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            BcsrAuto::U16(m) => m.spmv(x, y),
-            BcsrAuto::U32(m) => m.spmv(x, y),
-        }
-    }
-}
-
 impl<I: IndexStorage> MatrixShape for BcsrMatrix<I> {
     fn nrows(&self) -> usize {
         self.nrows
@@ -433,20 +327,5 @@ mod tests {
         let b32 = BcsrMatrix::<u32>::from_coo(&coo, 2, 2).unwrap();
         assert_eq!(b32.index_width(), IndexWidth::U32);
         assert!(b.footprint_bytes() <= b32.footprint_bytes());
-    }
-
-    #[test]
-    fn auto_wrapper_selects_and_matches() {
-        let coo = random_coo(30, 30, 120, 10);
-        let csr = CsrMatrix::from_coo(&coo);
-        let x: Vec<f64> = (0..30).map(|i| i as f64 * 0.5 - 7.0).collect();
-        let reference = csr.spmv_alloc(&x);
-        for width in [IndexWidth::U16, IndexWidth::U32] {
-            let auto = BcsrAuto::from_csr(&csr, 2, 2, width).unwrap();
-            assert_eq!(auto.width(), width);
-            assert!(max_abs_diff(&reference, &auto.spmv_alloc(&x)) < 1e-10);
-            assert_eq!(auto.nnz(), csr.nnz());
-            assert!(auto.fill_ratio() >= 1.0);
-        }
     }
 }

@@ -4,15 +4,13 @@
 //! ([`IndexStorage`]): `CsrMatrix<u32>` (the default) is the conventional format,
 //! `CsrMatrix<u16>` is the paper's 16-bit index-compressed variant. The width is a
 //! *compile-time* parameter, so every kernel instantiation reads its indices with a
-//! single zero-extending load — no per-access branch on a runtime width tag
-//! ([`crate::formats::index::IndexArray`] keeps that form for the cold formats).
-//!
-//! [`CompressedCsr`] packages the runtime decision: it inspects the column span
-//! **once** at construction and stores the narrowest monomorphized matrix.
+//! single zero-extending load — no per-access branch on a runtime width tag. The
+//! tuner's runtime width decision picks the instantiation once per cache block
+//! ([`crate::blocking::BlockFormat`]).
 
 use crate::error::{Error, Result};
 use crate::formats::coo::CooMatrix;
-use crate::formats::index::{IndexStorage, IndexWidth};
+use crate::formats::index::IndexStorage;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::{INDEX32_BYTES, VALUE_BYTES};
 use std::ops::Range;
@@ -184,11 +182,12 @@ impl<I: IndexStorage> CsrMatrix<I> {
                 dimension: self.ncols,
             });
         }
+        // Every column is below `ncols`, which fits `J`.
         let col_idx = self
             .col_idx
             .iter()
-            .map(|&c| J::try_from_usize(c.to_usize()))
-            .collect::<Result<Vec<J>>>()?;
+            .map(|&c| J::try_from_usize(c.to_usize()).expect("column below ncols"))
+            .collect();
         Ok(CsrMatrix {
             nrows: self.nrows,
             ncols: self.ncols,
@@ -318,117 +317,6 @@ impl<I: IndexStorage> SpMv for CsrMatrix<I> {
     }
 }
 
-/// A CSR matrix whose index width was selected once, at construction.
-///
-/// This is the paper's index-compression decision made concrete: inspect the column
-/// span, pick the narrowest monomorphized `CsrMatrix<I>`, and from then on every
-/// SpMV call dispatches **once** (a single match at the call boundary) into fully
-/// specialized machine code.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompressedCsr {
-    /// 16-bit column indices (`ncols ≤ 65536`).
-    U16(CsrMatrix<u16>),
-    /// 32-bit column indices.
-    U32(CsrMatrix<u32>),
-}
-
-impl CompressedCsr {
-    /// Compress `csr` to the narrowest width its column span allows.
-    pub fn from_csr(csr: &CsrMatrix) -> CompressedCsr {
-        match csr.reindex::<u16>() {
-            Ok(m) => CompressedCsr::U16(m),
-            Err(_) => CompressedCsr::U32(csr.clone()),
-        }
-    }
-
-    /// The width selected at construction.
-    pub fn width(&self) -> IndexWidth {
-        match self {
-            CompressedCsr::U16(_) => IndexWidth::U16,
-            CompressedCsr::U32(_) => IndexWidth::U32,
-        }
-    }
-
-    /// `y ← y + A·x` through the single-loop kernel on the monomorphized
-    /// matrix (dispatching once).
-    pub fn execute(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            CompressedCsr::U16(m) => crate::kernels::single_loop::spmv_single_loop(m, x, y),
-            CompressedCsr::U32(m) => crate::kernels::single_loop::spmv_single_loop(m, x, y),
-        }
-    }
-
-    /// `Y ← Y + A·X` on the monomorphized matrix over a strided column-major
-    /// source block (column `j` at `x[j*x_ld ..]`) and a destination view
-    /// exposing exactly this matrix's rows.
-    pub fn spmm(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
-        match self {
-            CompressedCsr::U16(m) => crate::kernels::multivec::spmm_csr(m, x, x_ld, y),
-            CompressedCsr::U32(m) => crate::kernels::multivec::spmm_csr(m, x, x_ld, y),
-        }
-    }
-
-    /// `y ← y + A·x` through the explicit SIMD row kernel (scalar fallback when
-    /// the host's feature probe fails).
-    pub fn execute_simd(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            CompressedCsr::U16(m) => crate::kernels::simd::spmv_csr_simd(m, x, y),
-            CompressedCsr::U32(m) => crate::kernels::simd::spmv_csr_simd(m, x, y),
-        }
-    }
-
-    /// `Y ← Y + A·X` through the SIMD row kernel; per vector bit-identical to
-    /// [`CompressedCsr::execute_simd`] on that vector alone.
-    pub fn spmm_simd(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
-        match self {
-            CompressedCsr::U16(m) => crate::kernels::simd::spmm_csr_simd(m, x, x_ld, y),
-            CompressedCsr::U32(m) => crate::kernels::simd::spmm_csr_simd(m, x, x_ld, y),
-        }
-    }
-}
-
-impl MatrixShape for CompressedCsr {
-    fn nrows(&self) -> usize {
-        match self {
-            CompressedCsr::U16(m) => m.nrows(),
-            CompressedCsr::U32(m) => m.nrows(),
-        }
-    }
-    fn ncols(&self) -> usize {
-        match self {
-            CompressedCsr::U16(m) => m.ncols(),
-            CompressedCsr::U32(m) => m.ncols(),
-        }
-    }
-    fn stored_entries(&self) -> usize {
-        match self {
-            CompressedCsr::U16(m) => m.stored_entries(),
-            CompressedCsr::U32(m) => m.stored_entries(),
-        }
-    }
-    fn nnz(&self) -> usize {
-        match self {
-            CompressedCsr::U16(m) => m.nnz(),
-            CompressedCsr::U32(m) => m.nnz(),
-        }
-    }
-    fn footprint_bytes(&self) -> usize {
-        match self {
-            CompressedCsr::U16(m) => m.footprint_bytes(),
-            CompressedCsr::U32(m) => m.footprint_bytes(),
-        }
-    }
-}
-
-impl SpMv for CompressedCsr {
-    fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            CompressedCsr::U16(m) => m.spmv(x, y),
-            CompressedCsr::U32(m) => m.spmv(x, y),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,19 +378,6 @@ mod tests {
         assert!(csr.reindex::<u16>().is_err());
         assert!(csr.reindex::<u32>().is_ok());
         assert!(csr.reindex::<usize>().is_ok());
-    }
-
-    #[test]
-    fn compressed_csr_selects_width_once() {
-        let narrow = CompressedCsr::from_csr(&CsrMatrix::from_coo(&sample_coo()));
-        assert_eq!(narrow.width(), IndexWidth::U16);
-        let wide_coo =
-            CooMatrix::from_triplets(2, 70_000, vec![(0, 69_999, 2.0), (1, 0, 3.0)]).unwrap();
-        let wide = CompressedCsr::from_csr(&CsrMatrix::from_coo(&wide_coo));
-        assert_eq!(wide.width(), IndexWidth::U32);
-        let x = vec![1.0; 70_000];
-        assert_eq!(wide.spmv_alloc(&x), vec![2.0, 3.0]);
-        assert_eq!(wide.nnz(), 2);
     }
 
     #[test]

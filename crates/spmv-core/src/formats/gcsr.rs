@@ -8,35 +8,38 @@
 use crate::error::{Error, Result};
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
-use crate::formats::index::{IndexArray, IndexWidth};
+use crate::formats::index::IndexStorage;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
 use crate::{INDEX32_BYTES, VALUE_BYTES};
 
-/// Generalized CSR storing only occupied rows.
+/// Generalized CSR storing only occupied rows, row ids and column indices at
+/// width `I`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GcsrMatrix {
+pub struct GcsrMatrix<I: IndexStorage = u32> {
     nrows: usize,
     ncols: usize,
     /// Row index of each stored (non-empty) row.
-    row_ids: IndexArray,
-    /// Pointer into `col_idx`/`values` per stored row (`row_ids.len() + 1` entries).
-    row_ptr: Vec<usize>,
-    /// Column indices, possibly 16-bit compressed.
-    col_idx: IndexArray,
+    row_ids: Vec<I>,
+    /// Pointer into `col_idx`/`values` per stored row (`row_ids.len() + 1`
+    /// entries), 32-bit: the 4 bytes per entry the planner counts.
+    row_ptr: Vec<u32>,
+    /// Column index of each stored entry.
+    col_idx: Vec<I>,
     values: Vec<f64>,
 }
 
-impl GcsrMatrix {
-    /// Build from CSR, dropping empty rows.
-    pub fn from_csr(csr: &CsrMatrix, width: IndexWidth) -> Result<Self> {
-        if !width.fits(csr.nrows()) || !width.fits(csr.ncols()) {
+impl<I: IndexStorage> GcsrMatrix<I> {
+    /// Build from CSR, dropping empty rows; both matrix spans must fit `I`.
+    pub fn from_csr(csr: &CsrMatrix) -> Result<Self> {
+        if !I::fits(csr.nrows()) || !I::fits(csr.ncols()) {
             return Err(Error::IndexWidthOverflow {
                 dimension: csr.nrows().max(csr.ncols()),
             });
         }
-        let mut row_ids: Vec<usize> = Vec::new();
-        let mut row_ptr: Vec<usize> = vec![0];
-        let mut cols: Vec<usize> = Vec::new();
+        let at = |i: usize| I::try_from_usize(i).expect("span checked above");
+        let mut row_ids: Vec<I> = Vec::new();
+        let mut row_ptr: Vec<u32> = vec![0];
+        let mut col_idx: Vec<I> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         for row in 0..csr.nrows() {
             let lo = csr.row_ptr()[row];
@@ -44,26 +47,26 @@ impl GcsrMatrix {
             if lo == hi {
                 continue;
             }
-            row_ids.push(row);
+            row_ids.push(at(row));
             for k in lo..hi {
-                cols.push(csr.col_idx()[k] as usize);
+                col_idx.push(at(csr.col_idx()[k] as usize));
                 values.push(csr.values()[k]);
             }
-            row_ptr.push(values.len());
+            row_ptr.push(u32::try_from_usize(values.len())?);
         }
         Ok(GcsrMatrix {
             nrows: csr.nrows(),
             ncols: csr.ncols(),
-            row_ids: IndexArray::from_usize(&row_ids, width)?,
+            row_ids,
             row_ptr,
-            col_idx: IndexArray::from_usize(&cols, width)?,
+            col_idx,
             values,
         })
     }
 
     /// Build from coordinate format.
-    pub fn from_coo(coo: &CooMatrix, width: IndexWidth) -> Result<Self> {
-        Self::from_csr(&CsrMatrix::from_coo(coo), width)
+    pub fn from_coo(coo: &CooMatrix) -> Result<Self> {
+        Self::from_csr(&CsrMatrix::from_coo(coo))
     }
 
     /// Number of stored (non-empty) rows.
@@ -71,24 +74,22 @@ impl GcsrMatrix {
         self.row_ids.len()
     }
 
-    /// Index width used for row ids and column indices.
-    pub fn index_width(&self) -> IndexWidth {
-        self.col_idx.width()
-    }
-
     /// Global row index of stored row `s`.
+    #[inline(always)]
     pub fn row_id(&self, s: usize) -> usize {
-        self.row_ids.get(s)
+        self.row_ids[s].to_usize()
     }
 
     /// Range of `values()`/`col_id` positions belonging to stored row `s`.
+    #[inline(always)]
     pub fn stored_row_range(&self, s: usize) -> (usize, usize) {
-        (self.row_ptr[s], self.row_ptr[s + 1])
+        (self.row_ptr[s] as usize, self.row_ptr[s + 1] as usize)
     }
 
     /// Column index of stored entry `p`.
+    #[inline(always)]
     pub fn col_id(&self, p: usize) -> usize {
-        self.col_idx.get(p)
+        self.col_idx[p].to_usize()
     }
 
     /// Value storage in stored-row order.
@@ -97,7 +98,7 @@ impl GcsrMatrix {
     }
 }
 
-impl MatrixShape for GcsrMatrix {
+impl<I: IndexStorage> MatrixShape for GcsrMatrix<I> {
     fn nrows(&self) -> usize {
         self.nrows
     }
@@ -112,20 +113,20 @@ impl MatrixShape for GcsrMatrix {
     }
     fn footprint_bytes(&self) -> usize {
         self.values.len() * VALUE_BYTES
-            + self.col_idx.bytes()
-            + self.row_ids.bytes()
+            + (self.col_idx.len() + self.row_ids.len()) * I::BYTES
             + self.row_ptr.len() * INDEX32_BYTES
     }
 }
 
-impl SpMv for GcsrMatrix {
+impl<I: IndexStorage> SpMv for GcsrMatrix<I> {
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         check_dims(self.nrows, self.ncols, x, y);
         for s in 0..self.stored_rows() {
-            let row = self.row_ids.get(s);
+            let row = self.row_id(s);
+            let (lo, hi) = self.stored_row_range(s);
             let mut sum = 0.0;
-            for k in self.row_ptr[s]..self.row_ptr[s + 1] {
-                sum += self.values[k] * x[self.col_idx.get(k)];
+            for k in lo..hi {
+                sum += self.values[k] * x[self.col_id(k)];
             }
             y[row] += sum;
         }
@@ -155,7 +156,7 @@ mod tests {
 
     #[test]
     fn drops_empty_rows() {
-        let g = GcsrMatrix::from_coo(&sparse_rows_matrix(), IndexWidth::U16).unwrap();
+        let g = GcsrMatrix::<u16>::from_coo(&sparse_rows_matrix()).unwrap();
         assert_eq!(g.stored_rows(), 3);
         assert_eq!(g.nnz(), 5);
     }
@@ -164,7 +165,7 @@ mod tests {
     fn matches_csr_result() {
         let coo = sparse_rows_matrix();
         let csr = CsrMatrix::from_coo(&coo);
-        let g = GcsrMatrix::from_coo(&coo, IndexWidth::U16).unwrap();
+        let g = GcsrMatrix::<u16>::from_coo(&coo).unwrap();
         let x: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
         assert!(max_abs_diff(&csr.spmv_alloc(&x), &g.spmv_alloc(&x)) < 1e-12);
     }
@@ -173,7 +174,7 @@ mod tests {
     fn footprint_smaller_than_csr_for_mostly_empty() {
         let coo = sparse_rows_matrix();
         let csr = CsrMatrix::from_coo(&coo);
-        let g = GcsrMatrix::from_coo(&coo, IndexWidth::U16).unwrap();
+        let g = GcsrMatrix::<u16>::from_coo(&coo).unwrap();
         assert!(g.footprint_bytes() < csr.footprint_bytes());
     }
 
@@ -185,21 +186,36 @@ mod tests {
             coo.push(i, i, 1.0);
         }
         let csr = CsrMatrix::from_coo(&coo);
-        let g32 = GcsrMatrix::from_coo(&coo, IndexWidth::U32).unwrap();
+        let g32 = GcsrMatrix::<u32>::from_coo(&coo).unwrap();
         assert!(g32.footprint_bytes() >= csr.footprint_bytes());
     }
 
     #[test]
     fn width_overflow_rejected() {
         let coo = CooMatrix::from_triplets(100_000, 10, vec![(0, 0, 1.0)]).unwrap();
-        assert!(GcsrMatrix::from_coo(&coo, IndexWidth::U16).is_err());
-        assert!(GcsrMatrix::from_coo(&coo, IndexWidth::U32).is_ok());
+        assert!(GcsrMatrix::<u16>::from_coo(&coo).is_err());
+        assert!(GcsrMatrix::<u32>::from_coo(&coo).is_ok());
     }
 
     #[test]
     fn empty_matrix() {
-        let g = GcsrMatrix::from_coo(&CooMatrix::new(5, 5), IndexWidth::U16).unwrap();
+        let g = GcsrMatrix::<u16>::from_coo(&CooMatrix::new(5, 5)).unwrap();
         assert_eq!(g.stored_rows(), 0);
         assert_eq!(g.spmv_alloc(&[1.0; 5]), vec![0.0; 5]);
+    }
+
+    #[test]
+    fn footprint_is_the_bytes_it_stores() {
+        fn check<I: IndexStorage>(coo: &CooMatrix) {
+            use std::mem::size_of_val;
+            let g = GcsrMatrix::<I>::from_coo(coo).unwrap();
+            let bytes = size_of_val(&g.row_ids[..])
+                + size_of_val(&g.row_ptr[..])
+                + size_of_val(&g.col_idx[..])
+                + size_of_val(&g.values[..]);
+            assert_eq!(g.footprint_bytes(), bytes);
+        }
+        check::<u16>(&sparse_rows_matrix());
+        check::<u32>(&sparse_rows_matrix());
     }
 }

@@ -1,14 +1,12 @@
 //! Index compression: 16-bit vs 32-bit column/row indices.
 //!
 //! The paper (Section 4.2) halves index storage by using 2-byte indices whenever a
-//! cache block spans fewer than 64K rows/columns. Two mechanisms expose this:
-//!
-//! * [`IndexStorage`] — a compile-time index-width trait (`u16` / `u32` / `usize`).
-//!   Formats and kernels generic over it are **monomorphized**: the compiler emits a
-//!   separate, branch-free instantiation per width, and the width is chosen *once*
-//!   (at tuning/construction time), never per element. This is the hot path.
-//! * [`IndexArray`] — a runtime-width enum used by the cold formats (BCOO, GCSR)
-//!   and by footprint accounting, where per-access dispatch cost is irrelevant.
+//! cache block spans fewer than 64K rows/columns. [`IndexStorage`] is that width as
+//! a compile-time parameter (`u16` / `u32` / `usize`): every storage format and
+//! kernel is generic over it and **monomorphized**, so the compiler emits a
+//! separate, branch-free instantiation per width. [`IndexWidth`] is the same choice
+//! as a runtime tag, the one a plan records; a cache block matches it once, when
+//! the block is built (`crate::blocking::BlockFormat`), never per element.
 
 use crate::error::{Error, Result};
 
@@ -132,95 +130,6 @@ impl IndexStorage for usize {
     }
 }
 
-/// A homogeneous array of indices stored at either 16-bit or 32-bit width.
-///
-/// Runtime-width storage for the cold formats (BCOO, GCSR); the hot CSR/BCSR paths
-/// use `Vec<I>` with [`IndexStorage`] instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexArray {
-    /// Compressed 16-bit storage.
-    U16(Vec<u16>),
-    /// Full 32-bit storage.
-    U32(Vec<u32>),
-}
-
-impl IndexArray {
-    /// Build an index array at the requested width, failing with
-    /// [`Error::IndexWidthOverflow`] when a value does not fit.
-    pub fn from_usize(values: &[usize], width: IndexWidth) -> Result<Self> {
-        match width {
-            IndexWidth::U16 => values
-                .iter()
-                .map(|&v| u16::try_from_usize(v))
-                .collect::<Result<Vec<u16>>>()
-                .map(IndexArray::U16),
-            IndexWidth::U32 => values
-                .iter()
-                .map(|&v| u32::try_from_usize(v))
-                .collect::<Result<Vec<u32>>>()
-                .map(IndexArray::U32),
-        }
-    }
-
-    /// Build an index array using the narrowest width that fits `span`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a value in `values` is `>= span` (caller contract violation).
-    pub fn compressed(values: &[usize], span: usize) -> Self {
-        Self::from_usize(values, IndexWidth::narrowest_for(span))
-            .expect("all values fit the narrowest width for their span")
-    }
-
-    /// The width of this array.
-    pub fn width(&self) -> IndexWidth {
-        match self {
-            IndexArray::U16(_) => IndexWidth::U16,
-            IndexArray::U32(_) => IndexWidth::U32,
-        }
-    }
-
-    /// Number of stored indices.
-    pub fn len(&self) -> usize {
-        match self {
-            IndexArray::U16(v) => v.len(),
-            IndexArray::U32(v) => v.len(),
-        }
-    }
-
-    /// Whether the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fetch the index at position `i` widened to `usize`.
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> usize {
-        match self {
-            IndexArray::U16(v) => v[i] as usize,
-            IndexArray::U32(v) => v[i] as usize,
-        }
-    }
-
-    /// Total bytes of index storage.
-    pub fn bytes(&self) -> usize {
-        self.len() * self.width().bytes()
-    }
-
-    /// Iterate over the indices widened to `usize`.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match self {
-            IndexArray::U16(v) => Box::new(v.iter().map(|&x| x as usize)),
-            IndexArray::U32(v) => Box::new(v.iter().map(|&x| x as usize)),
-        }
-    }
-
-    /// Collect the indices into a `Vec<usize>` (test/debug helper).
-    pub fn to_vec(&self) -> Vec<usize> {
-        self.iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,46 +179,5 @@ mod tests {
             u32::try_from_usize(1 << 40),
             Err(Error::IndexWidthOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn compressed_picks_u16_for_small_span() {
-        let a = IndexArray::compressed(&[0, 5, 100], 1000);
-        assert_eq!(a.width(), IndexWidth::U16);
-        assert_eq!(a.to_vec(), vec![0, 5, 100]);
-        assert_eq!(a.bytes(), 6);
-    }
-
-    #[test]
-    fn compressed_picks_u32_for_large_span() {
-        let a = IndexArray::compressed(&[0, 70_000], 100_000);
-        assert_eq!(a.width(), IndexWidth::U32);
-        assert_eq!(a.get(1), 70_000);
-        assert_eq!(a.bytes(), 8);
-    }
-
-    #[test]
-    fn from_usize_errors_on_overflow() {
-        assert!(matches!(
-            IndexArray::from_usize(&[70_000], IndexWidth::U16),
-            Err(Error::IndexWidthOverflow { .. })
-        ));
-    }
-
-    #[test]
-    fn iteration_matches_get() {
-        let a = IndexArray::from_usize(&[3, 1, 4, 1, 5], IndexWidth::U32).unwrap();
-        let collected: Vec<usize> = a.iter().collect();
-        assert_eq!(collected, vec![3, 1, 4, 1, 5]);
-        assert_eq!(a.get(2), 4);
-        assert_eq!(a.len(), 5);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn empty_array() {
-        let a = IndexArray::from_usize(&[], IndexWidth::U16).unwrap();
-        assert!(a.is_empty());
-        assert_eq!(a.bytes(), 0);
     }
 }

@@ -22,12 +22,12 @@ mod tiles;
 pub mod traits;
 
 pub use bcoo::BcooMatrix;
-pub use bcsr::{BcsrAuto, BcsrMatrix};
+pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
-pub use csr::{CompressedCsr, CsrMatrix};
+pub use csr::CsrMatrix;
 pub use gcsr::GcsrMatrix;
-pub use index::{IndexArray, IndexStorage, IndexWidth};
-pub use sell::{SellAuto, SellMatrix};
+pub use index::{IndexStorage, IndexWidth};
+pub use sell::SellMatrix;
 pub use symbcsr::SymBcsr;
 pub use symcsr::{is_symmetric, SymCsr};
 pub use traits::{MatrixShape, SpMv};

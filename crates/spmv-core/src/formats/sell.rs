@@ -12,10 +12,9 @@
 
 use crate::error::{Error, Result};
 use crate::formats::csr::CsrMatrix;
-use crate::formats::index::{IndexStorage, IndexWidth};
+use crate::formats::index::IndexStorage;
 use crate::formats::traits::{MatrixShape, SpMv};
-use crate::kernels::simd::{self, SimdLevel};
-use crate::multivec::MultiVecMut;
+use crate::kernels::simd;
 use std::cmp::Reverse;
 use std::mem::size_of;
 
@@ -139,54 +138,10 @@ impl<I: IndexStorage> SpMv for SellMatrix<I> {
     }
 }
 
-/// A [`SellMatrix`] at the index width the tuner chose, selected once.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SellAuto {
-    /// 16-bit column indices.
-    U16(SellMatrix<u16>),
-    /// 32-bit column indices.
-    U32(SellMatrix<u32>),
-}
-
-macro_rules! each_width {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            SellAuto::U16($m) => $body,
-            SellAuto::U32($m) => $body,
-        }
-    };
-}
-
-impl SellAuto {
-    /// Build from CSR at a runtime-selected width.
-    pub fn from_csr(csr: &CsrMatrix, width: IndexWidth) -> Result<Self> {
-        match width {
-            IndexWidth::U16 => SellMatrix::from_csr(csr).map(SellAuto::U16),
-            IndexWidth::U32 => SellMatrix::from_csr(csr).map(SellAuto::U32),
-        }
-    }
-
-    /// The wrapped matrix's dimensions and sizes.
-    pub fn shape(&self) -> &dyn MatrixShape {
-        each_width!(self, m => m)
-    }
-
-    /// `y ← y + A·x` on the `level` arm ([`simd::spmv_sell_at`]).
-    pub fn spmv_at(&self, level: SimdLevel, x: &[f64], y: &mut [f64]) {
-        each_width!(self, m => simd::spmv_sell_at(level, m, x, y))
-    }
-
-    /// `Y ← Y + A·X` on the `level` arm; per vector bit-identical to
-    /// [`SellAuto::spmv_at`] on that vector alone, at any level.
-    pub fn spmm_at(&self, level: SimdLevel, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
-        each_width!(self, m => simd::spmm_sell_at(level, m, x, x_ld, y))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::CooMatrix;
+    use crate::formats::{CooMatrix, IndexWidth};
     use crate::tuning::footprint::sell_bytes;
     use std::mem::size_of_val;
 

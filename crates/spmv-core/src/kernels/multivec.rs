@@ -247,7 +247,7 @@ pub fn spmm_bcsr<I: IndexStorage>(a: &BcsrMatrix<I>, x: &[f64], x_ld: usize, y: 
 /// `Y ← Y + A·X` for block-coordinate storage: tiles outermost so each tile's
 /// coordinates are read once for all `k` vectors; per vector the arithmetic
 /// order equals [`BcooMatrix`]'s single-vector `spmv`.
-pub fn spmm_bcoo(a: &BcooMatrix, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
+pub fn spmm_bcoo<I: IndexStorage>(a: &BcooMatrix<I>, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
     check_spmm_dims(a.nrows(), a.ncols(), x, x_ld, y);
     let r = a.block_rows_dim();
     let c = a.block_cols_dim();
@@ -275,7 +275,7 @@ pub fn spmm_bcoo(a: &BcooMatrix, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
 /// `Y ← Y + A·X` for generalized CSR: stored rows outermost so each row id and
 /// column index is read once for all `k` vectors; per vector the arithmetic
 /// order equals [`GcsrMatrix`]'s single-vector `spmv`.
-pub fn spmm_gcsr(a: &GcsrMatrix, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
+pub fn spmm_gcsr<I: IndexStorage>(a: &GcsrMatrix<I>, x: &[f64], x_ld: usize, y: &mut MultiVecMut) {
     check_spmm_dims(a.nrows(), a.ncols(), x, x_ld, y);
     let k = y.k();
     for s in 0..a.stored_rows() {
@@ -310,7 +310,6 @@ mod tests {
     use super::*;
     use crate::dense::max_abs_diff;
     use crate::formats::bcsr::ALLOWED_BLOCK_DIMS;
-    use crate::formats::index::IndexWidth;
     use crate::formats::traits::SpMv;
     use crate::kernels::testing::random_coo;
     use crate::multivec::MultiVec;
@@ -397,8 +396,8 @@ mod tests {
         )
         .unwrap();
         let csr = CsrMatrix::from_coo(&coo);
-        let bcoo = BcooMatrix::from_csr(&csr, 2, 2, IndexWidth::U16).unwrap();
-        let gcsr = GcsrMatrix::from_csr(&csr, IndexWidth::U16).unwrap();
+        let bcoo = BcooMatrix::<u16>::from_csr(&csr, 2, 2).unwrap();
+        let gcsr = GcsrMatrix::<u16>::from_csr(&csr).unwrap();
         for k in [1, 3, 8] {
             let x = test_xblock(30, k);
             let mut yb = MultiVec::zeros(40, k);

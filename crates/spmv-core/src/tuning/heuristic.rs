@@ -11,17 +11,15 @@
 //! cache or TLB grid. This module stays deterministic, and so does
 //! `TunePlan::heuristic`, the one planner that keeps its finest grid untimed.
 
-use crate::blocking::blocked::{BlockFormat, CacheBlock};
+use crate::blocking::blocked::{BlockFormat, CacheBlock, Cell};
 use crate::blocking::cache::{cache_block, CacheBlockingConfig};
 use crate::blocking::tlb::{tlb_block, TlbConfig};
 use crate::error::{Error, Result};
-use crate::formats::bcoo::BcooMatrix;
-use crate::formats::bcsr::BcsrAuto;
-use crate::formats::csr::{CompressedCsr, CsrMatrix};
-use crate::formats::gcsr::GcsrMatrix;
-use crate::formats::index::IndexWidth;
-use crate::formats::sell::SellAuto;
 use crate::formats::traits::MatrixShape;
+use crate::formats::{
+    BcooMatrix, BcsrMatrix, CsrMatrix, GcsrMatrix, IndexStorage, IndexWidth, SellMatrix, SymBcsr,
+    SymCsr,
+};
 use crate::tuning::footprint::{best_choice, CandidateOptions, FormatChoice, FormatKind};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -142,39 +140,41 @@ impl BlockDecision {
         Ok(CacheBlock {
             rows: self.rows.clone(),
             cols: self.cols.clone(),
-            format: try_materialize(cell, &self.choice)?,
+            format: try_materialize(cell, &self.choice, 0)?,
         })
     }
 }
 
 /// Materialize `choice` for the block-local CSR matrix, validating the choice
-/// against the block (a plan loaded from disk may not match the matrix).
-pub fn try_materialize(csr_block: &CsrMatrix, choice: &FormatChoice) -> Result<BlockFormat> {
+/// against the block (a plan loaded from disk may not match the matrix). This is
+/// where a plan's index width picks the storage's instantiation. A symmetric
+/// slab's first row is global row `row_offset`; no other kind reads it.
+pub fn try_materialize(
+    csr_block: &CsrMatrix,
+    choice: &FormatChoice,
+    row_offset: usize,
+) -> Result<BlockFormat> {
+    Ok(match choice.width {
+        IndexWidth::U16 => BlockFormat::U16(build(csr_block, choice, row_offset)?),
+        IndexWidth::U32 => BlockFormat::U32(build(csr_block, choice, row_offset)?),
+    })
+}
+
+/// The storage `choice` names at index width `I`.
+fn build<I: IndexStorage>(
+    csr: &CsrMatrix,
+    choice: &FormatChoice,
+    row_offset: usize,
+) -> Result<Cell<I>> {
+    let (r, c) = (choice.r, choice.c);
     Ok(match choice.kind {
-        FormatKind::SymCsr | FormatKind::SymBcsr => {
-            return Err(Error::InvalidStructure(
-                "symmetric slab decisions materialize through PreparedBlock, not cache blocks"
-                    .to_string(),
-            ))
-        }
-        FormatKind::Csr => BlockFormat::Csr(match choice.width {
-            crate::formats::index::IndexWidth::U16 => CompressedCsr::U16(csr_block.reindex()?),
-            crate::formats::index::IndexWidth::U32 => CompressedCsr::U32(csr_block.clone()),
-        }),
-        FormatKind::Gcsr => BlockFormat::Gcsr(GcsrMatrix::from_csr(csr_block, choice.width)?),
-        FormatKind::Sell => BlockFormat::Sell(SellAuto::from_csr(csr_block, choice.width)?),
-        FormatKind::Bcsr => BlockFormat::Bcsr(BcsrAuto::from_csr(
-            csr_block,
-            choice.r,
-            choice.c,
-            choice.width,
-        )?),
-        FormatKind::Bcoo => BlockFormat::Bcoo(BcooMatrix::from_csr(
-            csr_block,
-            choice.r,
-            choice.c,
-            choice.width,
-        )?),
+        FormatKind::Csr => Cell::Csr(csr.reindex()?),
+        FormatKind::Bcsr => Cell::Bcsr(BcsrMatrix::from_csr(csr, r, c)?),
+        FormatKind::Bcoo => Cell::Bcoo(BcooMatrix::from_csr(csr, r, c)?),
+        FormatKind::Gcsr => Cell::Gcsr(GcsrMatrix::from_csr(csr)?),
+        FormatKind::Sell => Cell::Sell(SellMatrix::from_csr(csr)?),
+        FormatKind::SymCsr => Cell::SymCsr(SymCsr::from_slab_unchecked(csr, row_offset)?),
+        FormatKind::SymBcsr => Cell::SymBcsr(SymBcsr::from_slab_unchecked(csr, row_offset, r, c)?),
     })
 }
 
@@ -508,7 +508,6 @@ mod tests {
             cache_blocking: Some(crate::blocking::cache::CacheBlockingConfig {
                 total_lines: 64,
                 source_fraction: 0.5,
-                dense_spans: false,
             }),
             ..TuningConfig::full()
         };

@@ -1,11 +1,12 @@
 //! The execution half of the two-phase pipeline: materialized thread blocks.
 //!
 //! A [`PreparedBlock`] is one thread's [`crate::tuning::plan::ThreadPlan`] made
-//! concrete: every cache block stored in the format the heuristic chose (BCSR
-//! microkernel tiles, compressed-index CSR, BCOO, GCSR), with the SIMD choice
-//! bound **once** at materialization.
-//! The steady-state [`PreparedBlock::execute`] does no per-call decision making —
-//! it walks the block list and calls each block's monomorphized kernel.
+//! concrete: every cache block stored in the format and index width the plan
+//! chose ([`crate::blocking::BlockFormat`]: CSR, BCSR microkernel tiles, BCOO,
+//! GCSR, sliced ELL, or one symmetric slab), with the SIMD choice bound
+//! **once** at materialization. The steady-state [`PreparedBlock::execute`]
+//! does no per-call decision making — it walks the block list, and each block
+//! matches its width once and calls its monomorphized kernel.
 //!
 //! Materialize a block *on the thread that will run it* and first-touch placement
 //! puts its pages on that thread's NUMA node; this is exactly what
@@ -14,101 +15,13 @@
 //! bit for bit, because both execute the identical per-block kernels over the
 //! identical disjoint row ranges.
 
-use crate::blocking::blocked::{BlockFormat, CacheBlock};
+use crate::blocking::blocked::CacheBlock;
 use crate::error::{Error, Result};
 use crate::formats::csr::CsrMatrix;
-use crate::formats::index::IndexWidth;
-use crate::formats::symbcsr::SymBcsr;
-use crate::formats::symcsr::SymCsr;
 use crate::formats::traits::{check_dims, MatrixShape, SpMv};
-use crate::kernels::simd::{detect, spmv_sym_bcsr_simd};
-use crate::tuning::footprint::FormatKind;
+use crate::tuning::heuristic::try_materialize;
 use crate::tuning::plan::{ThreadPlan, TunePlan};
 use std::ops::Range;
-
-/// A materialized **symmetric** thread slab: diagonal + strictly-lower triangle
-/// at the planned encoding, with the index width selected once.
-///
-/// Unlike the general cache blocks, a symmetric slab's kernel scatters into
-/// `y[j]` for arbitrary global `j`, so it executes against a *full-length*
-/// destination ([`PreparedBlock::execute_full`]); the serial and parallel
-/// executors give it scratch destinations and combine them with the shared
-/// deterministic tree fold ([`fold_rows`]).
-#[derive(Debug, Clone)]
-pub(crate) enum SymBlock {
-    /// Pointwise symmetric CSR, 16-bit column indices.
-    Csr16(SymCsr<u16>),
-    /// Pointwise symmetric CSR, 32-bit column indices.
-    Csr32(SymCsr<u32>),
-    /// Register-blocked symmetric storage, 16-bit block-column indices.
-    Bcsr16(SymBcsr<u16>),
-    /// Register-blocked symmetric storage, 32-bit block-column indices.
-    Bcsr32(SymBcsr<u32>),
-}
-
-impl SymBlock {
-    /// Materialize the slab `local` (global rows starting at `row_offset`) at the
-    /// encoding `choice` names.
-    fn materialize(
-        local: &CsrMatrix,
-        row_offset: usize,
-        choice: &crate::tuning::footprint::FormatChoice,
-    ) -> Result<SymBlock> {
-        Ok(match (choice.kind, choice.width) {
-            (FormatKind::SymCsr, IndexWidth::U16) => {
-                SymBlock::Csr16(SymCsr::from_slab_unchecked(local, row_offset)?)
-            }
-            (FormatKind::SymCsr, IndexWidth::U32) => {
-                SymBlock::Csr32(SymCsr::from_slab_unchecked(local, row_offset)?)
-            }
-            (FormatKind::SymBcsr, IndexWidth::U16) => SymBlock::Bcsr16(
-                SymBcsr::from_slab_unchecked(local, row_offset, choice.r, choice.c)?,
-            ),
-            (FormatKind::SymBcsr, IndexWidth::U32) => SymBlock::Bcsr32(
-                SymBcsr::from_slab_unchecked(local, row_offset, choice.r, choice.c)?,
-            ),
-            (kind, _) => {
-                return Err(Error::InvalidStructure(format!(
-                    "{kind:?} is not a symmetric slab encoding"
-                )))
-            }
-        })
-    }
-
-    /// `y ← y + A_slab·x` over full-length global vectors; with `simd`, a
-    /// `SymBcsr` slab runs [`spmv_sym_bcsr_simd`] (the scalar kernel on
-    /// uncovered shapes and hosts).
-    pub fn spmv_full(&self, simd: bool, x: &[f64], y: &mut [f64]) {
-        match self {
-            SymBlock::Bcsr16(m) if simd => spmv_sym_bcsr_simd(m, x, y),
-            SymBlock::Bcsr32(m) if simd => spmv_sym_bcsr_simd(m, x, y),
-            SymBlock::Csr16(m) => m.spmv_full(x, y),
-            SymBlock::Csr32(m) => m.spmv_full(x, y),
-            SymBlock::Bcsr16(m) => m.spmv_full(x, y),
-            SymBlock::Bcsr32(m) => m.spmv_full(x, y),
-        }
-    }
-
-    /// Bytes of materialized slab data.
-    pub fn footprint_bytes(&self) -> usize {
-        match self {
-            SymBlock::Csr16(m) => m.footprint_bytes(),
-            SymBlock::Csr32(m) => m.footprint_bytes(),
-            SymBlock::Bcsr16(m) => m.footprint_bytes(),
-            SymBlock::Bcsr32(m) => m.footprint_bytes(),
-        }
-    }
-
-    /// Stored entries (diagonal + lower values, including tile fill).
-    pub fn stored_entries(&self) -> usize {
-        match self {
-            SymBlock::Csr16(m) => m.stored_entries(),
-            SymBlock::Csr32(m) => m.stored_entries(),
-            SymBlock::Bcsr16(m) => m.stored_entries(),
-            SymBlock::Bcsr32(m) => m.stored_entries(),
-        }
-    }
-}
 
 /// One thread's fully materialized, kernel-bound share of the matrix.
 #[derive(Debug, Clone)]
@@ -119,15 +32,14 @@ pub struct PreparedBlock {
     ncols: usize,
     /// Logical nonzeros stored in the block.
     nnz: usize,
-    /// Execute streaming CSR, covered BCSR and covered `SymBcsr` blocks with
-    /// the explicit SIMD microkernels ([`crate::kernels::simd`]); CSR blocks
-    /// run the single-loop kernel otherwise.
+    /// Execute with the explicit SIMD microkernels where a block has them
+    /// ([`crate::blocking::BlockFormat::execute`]).
     simd: bool,
     /// Materialized cache blocks, rows/cols local to the thread block.
     blocks: Vec<CacheBlock>,
-    /// The symmetric slab, when the plan chose the lower-triangle pipeline
-    /// (`blocks` is empty then).
-    sym: Option<SymBlock>,
+    /// The plan chose the lower-triangle pipeline: `blocks` is its one slab,
+    /// which executes against full-length vectors.
+    symmetric: bool,
 }
 
 impl PreparedBlock {
@@ -156,14 +68,14 @@ impl PreparedBlock {
                     local.nnz()
                 )));
             }
-            let sym = SymBlock::materialize(local, plan.rows.start, &d.choice)?;
+            let slab = CacheBlock {
+                rows: d.rows.clone(),
+                cols: d.cols.clone(),
+                format: try_materialize(local, &d.choice, plan.rows.start)?,
+            };
             return Ok(PreparedBlock {
-                rows: plan.rows.clone(),
-                ncols: local.ncols(),
-                nnz: local.nnz(),
-                simd: plan.simd,
-                blocks: Vec::new(),
-                sym: Some(sym),
+                symmetric: true,
+                ..Self::from_blocks(plan, local.ncols(), vec![slab])
             });
         }
         let blocks = crate::tuning::heuristic::materialize_decisions(local, &plan.decisions)?;
@@ -179,7 +91,7 @@ impl PreparedBlock {
             nnz: blocks.iter().map(|b| b.format.nnz()).sum(),
             simd: plan.simd,
             blocks,
-            sym: None,
+            symmetric: false,
         }
     }
 
@@ -202,18 +114,13 @@ impl PreparedBlock {
 
     /// Bytes of materialized matrix data.
     pub fn footprint_bytes(&self) -> usize {
-        let sym = self.sym.as_ref().map_or(0, |s| s.footprint_bytes());
-        sym + self
-            .blocks
-            .iter()
-            .map(|b| b.format.footprint_bytes())
-            .sum::<usize>()
+        self.blocks.iter().map(|b| b.format.footprint_bytes()).sum()
     }
 
     /// Whether this block is a symmetric lower-triangle slab (its writes scatter
     /// beyond its own row range; execute it with [`PreparedBlock::execute_full`]).
     pub fn is_symmetric(&self) -> bool {
-        self.sym.is_some()
+        self.symmetric
     }
 
     /// Whether this block executes through the explicit SIMD microkernels.
@@ -221,17 +128,17 @@ impl PreparedBlock {
         self.simd
     }
 
-    /// Number of materialized cache blocks.
+    /// Number of materialized cache blocks (a symmetric slab is one).
     pub fn num_cache_blocks(&self) -> usize {
         self.blocks.len()
     }
 
     /// Steady state: `y_block ← y_block + A_block · x`, where `y_block` is exactly
     /// this block's row range of the destination. No allocation, no per-element
-    /// dispatch — one enum match per cache block, then monomorphized kernels.
+    /// dispatch — one width match per cache block, then monomorphized kernels.
     pub fn execute(&self, x: &[f64], y_block: &mut [f64]) {
         debug_assert!(
-            self.sym.is_none(),
+            !self.symmetric,
             "symmetric slabs execute against full-length destinations (execute_full)"
         );
         debug_assert_eq!(x.len(), self.ncols, "source vector length mismatch");
@@ -243,19 +150,7 @@ impl PreparedBlock {
         for block in &self.blocks {
             let x_local = &x[block.cols.start..block.cols.end];
             let y_local = &mut y_block[block.rows.start..block.rows.end];
-            match &block.format {
-                // Streaming CSR blocks run the SIMD row kernel when the plan
-                // bound it, the single-loop kernel otherwise.
-                BlockFormat::Csr(m) if self.simd => m.execute_simd(x_local, y_local),
-                BlockFormat::Csr(m) => m.execute(x_local, y_local),
-                // Covered BCSR shapes and sliced ELL vectorize; BCOO/GCSR (and
-                // uncovered shapes, inside the dispatch) stay scalar on both the
-                // SpMV and SpMM paths, keeping the two paths' accumulation
-                // aligned. A degraded thread runs sliced ELL's `mul_add` arm.
-                BlockFormat::Bcsr(m) if self.simd => m.spmv_simd(x_local, y_local),
-                BlockFormat::Sell(m) if self.simd => m.spmv_at(detect(), x_local, y_local),
-                other => other.spmv_local(x_local, y_local),
-            }
+            block.format.execute(self.simd, x_local, y_local);
         }
     }
 
@@ -265,22 +160,25 @@ impl PreparedBlock {
     /// general blocks write their own row range of `y_full`, so the call is
     /// equivalent to [`PreparedBlock::execute`] on the sliced destination.
     pub fn execute_full(&self, x: &[f64], y_full: &mut [f64]) {
-        match &self.sym {
-            Some(sym) => sym.spmv_full(self.simd, x, y_full),
-            None => self.execute(x, &mut y_full[self.rows.start..self.rows.end]),
+        if !self.symmetric {
+            return self.execute(x, &mut y_full[self.rows.start..self.rows.end]);
+        }
+        for slab in &self.blocks {
+            slab.format.execute(self.simd, x, y_full);
         }
     }
 
     /// Batched steady state: `Y_block ← Y_block + A_block · X` for a column-major
     /// block of `y.k()` vectors (column `j` of the source at `x[j*x_ld ..]`, the
     /// destination view exposing exactly this block's rows). Walks the same
-    /// materialized cache blocks as [`PreparedBlock::execute`], reading each
-    /// index once per `k` vectors; per vector the arithmetic is bit-identical to
-    /// [`PreparedBlock::execute`], because the single-loop kernel shares its
-    /// accumulation order with the multi-vector kernels. No allocation, no per-element dispatch.
+    /// materialized cache blocks as [`PreparedBlock::execute`] with the same SIMD
+    /// choice, reading each index once per `k` vectors; per vector the arithmetic
+    /// is bit-identical to [`PreparedBlock::execute`], because every multivec
+    /// kernel shares its accumulation order with its SpMV kernel. No allocation,
+    /// no per-element dispatch.
     pub fn spmm(&self, x: &[f64], x_ld: usize, y: &mut crate::multivec::MultiVecMut) {
         debug_assert!(
-            self.sym.is_none(),
+            !self.symmetric,
             "symmetric slabs batch through execute_full per column"
         );
         debug_assert_eq!(
@@ -292,17 +190,7 @@ impl PreparedBlock {
         for block in &self.blocks {
             let x_local = &x[block.cols.start..];
             let mut y_local = y.sub_rows(block.rows.start, block.rows.end - block.rows.start);
-            match &block.format {
-                // Mirror `execute`'s SIMD routing exactly: the vector multivec
-                // kernels are per-column bit-identical to the vector SpMV
-                // kernels, preserving the spmm ≡ k × spmv invariant.
-                BlockFormat::Csr(m) if self.simd => m.spmm_simd(x_local, x_ld, &mut y_local),
-                BlockFormat::Bcsr(m) if self.simd => m.spmm_simd(x_local, x_ld, &mut y_local),
-                BlockFormat::Sell(m) if self.simd => {
-                    m.spmm_at(detect(), x_local, x_ld, &mut y_local)
-                }
-                other => other.spmm_local(x_local, x_ld, &mut y_local),
-            }
+            block.format.spmm(self.simd, x_local, x_ld, &mut y_local);
         }
     }
 }
@@ -487,16 +375,8 @@ impl MatrixShape for PreparedMatrix {
         self.ncols
     }
     fn stored_entries(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| {
-                b.sym.as_ref().map_or(0, |s| s.stored_entries())
-                    + b.blocks
-                        .iter()
-                        .map(|c| c.format.stored_entries())
-                        .sum::<usize>()
-            })
-            .sum()
+        let cells = self.blocks.iter().flat_map(|b| &b.blocks);
+        cells.map(|c| c.format.stored_entries()).sum()
     }
     fn nnz(&self) -> usize {
         self.nnz

@@ -5,12 +5,15 @@
 //! sparse format). This module implements both pieces so the baseline crate and the
 //! ablation benchmarks can compare OSKI's choice against the paper's one-pass heuristic.
 
+use crate::blocking::blocked::BlockFormat;
 use crate::blocking::register::{estimate_all_shapes, register_block_candidates};
-use crate::formats::bcsr::{BcsrAuto, BcsrMatrix};
+use crate::formats::bcsr::BcsrMatrix;
 use crate::formats::coo::CooMatrix;
 use crate::formats::csr::CsrMatrix;
 use crate::formats::index::IndexWidth;
 use crate::formats::traits::{MatrixShape, SpMv};
+use crate::tuning::footprint::{FormatChoice, FormatKind};
+use crate::tuning::heuristic::try_materialize;
 use spmv_obs::timing::min_timing;
 use std::time::Instant;
 
@@ -21,8 +24,8 @@ pub struct SearchOutcome {
     pub r: usize,
     /// Chosen block columns.
     pub c: usize,
-    /// The materialized matrix at the chosen shape (width selected once).
-    pub matrix: BcsrAuto,
+    /// The materialized BCSR matrix at the chosen shape and width.
+    pub matrix: BlockFormat,
     /// Estimated (or measured) cost of every candidate, for reporting:
     /// `(r, c, cost)` where lower is better.
     pub candidates: Vec<(usize, usize, f64)>,
@@ -147,16 +150,25 @@ pub fn search_register_blocking(csr: &CsrMatrix, profile: &DenseProfile) -> Sear
     } else {
         IndexWidth::U32
     };
-    let candidates: Vec<_> = estimate_all_shapes(csr)
-        .into_iter()
+    let estimates = estimate_all_shapes(csr);
+    let candidates: Vec<_> = estimates
+        .iter()
         .map(|e| (e.r, e.c, e.fill_ratio / profile.throughput(e.r, e.c)))
         .collect();
-    let best = candidates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
-    let &(r, c, _) = best.expect("candidate list non-empty");
+    let best = (0..candidates.len()).min_by(|&a, &b| candidates[a].2.total_cmp(&candidates[b].2));
+    let est = &estimates[best.expect("candidate list non-empty")];
+    let choice = FormatChoice {
+        kind: FormatKind::Bcsr,
+        r: est.r,
+        c: est.c,
+        width,
+        bytes: est.bcsr_bytes(csr.nrows(), width),
+        fill_ratio: est.fill_ratio,
+    };
     SearchOutcome {
-        r,
-        c,
-        matrix: BcsrAuto::from_csr(csr, r, c, width).expect("supported shape"),
+        r: est.r,
+        c: est.c,
+        matrix: try_materialize(csr, &choice, 0).expect("supported shape"),
         candidates,
     }
 }

@@ -21,9 +21,7 @@
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::blocking::register::{estimate_all_shapes, estimate_fill};
 use spmv_multicore::spmv_core::formats::coo::Triplet;
-use spmv_multicore::spmv_core::formats::{
-    BcooMatrix, BcsrMatrix, IndexStorage, IndexWidth, SymBcsr,
-};
+use spmv_multicore::spmv_core::formats::{BcooMatrix, BcsrMatrix, IndexStorage, SymBcsr};
 use spmv_multicore::spmv_matrices::symmetrize;
 use spmv_testutil::random_coo;
 use std::collections::BTreeMap;
@@ -93,25 +91,23 @@ fn check_bcsr<I: IndexStorage>(csr: &CsrMatrix, r: usize, c: usize, want: &Tiles
     assert_eq!(got.nnz(), csr.nnz(), "{ctx}: BCSR nnz");
 }
 
-fn check_bcoo(csr: &CsrMatrix, r: usize, c: usize, want: &Tiles, ctx: &str) {
-    for width in [IndexWidth::U16, IndexWidth::U32] {
-        let got = BcooMatrix::from_csr(csr, r, c, width);
-        if !width.fits(csr.nrows().div_ceil(r)) || !width.fits(csr.ncols().div_ceil(c)) {
-            assert!(got.is_err(), "{ctx}: BCOO past its width");
-            continue;
-        }
-        let got = got.unwrap();
-        let n = got.num_blocks();
-        let rows: Vec<usize> = (0..n).map(|t| got.block_row_coord(t)).collect();
-        let cols: Vec<usize> = (0..n).map(|t| got.block_col_coord(t)).collect();
-        assert_eq!(rows, want.rows, "{ctx}: BCOO rows at {width:?}");
-        assert_eq!(cols, want.cols, "{ctx}: BCOO cols at {width:?}");
-        assert_eq!(
-            bits(got.tile_values()),
-            bits(&want.values),
-            "{ctx}: BCOO tiles"
-        );
+fn check_bcoo<I: IndexStorage>(csr: &CsrMatrix, r: usize, c: usize, want: &Tiles, ctx: &str) {
+    let got = BcooMatrix::<I>::from_csr(csr, r, c);
+    if !I::fits(csr.nrows().div_ceil(r)) || !I::fits(csr.ncols().div_ceil(c)) {
+        assert!(got.is_err(), "{ctx}: BCOO past its width");
+        return;
     }
+    let got = got.unwrap();
+    let n = got.num_blocks();
+    let rows: Vec<usize> = (0..n).map(|t| got.block_row_coord(t)).collect();
+    let cols: Vec<usize> = (0..n).map(|t| got.block_col_coord(t)).collect();
+    assert_eq!(rows, want.rows, "{ctx}: BCOO rows at {}", I::NAME);
+    assert_eq!(cols, want.cols, "{ctx}: BCOO cols at {}", I::NAME);
+    assert_eq!(
+        bits(got.tile_values()),
+        bits(&want.values),
+        "{ctx}: BCOO tiles"
+    );
 }
 
 /// Every builder and estimate of `csr` at every shape.
@@ -127,7 +123,8 @@ fn check_general(csr: &CsrMatrix, name: &str) {
         let want = Tiles::new(csr.iter(), csr.nrows(), r, c);
         check_bcsr::<u16>(csr, r, c, &want, &ctx);
         check_bcsr::<u32>(csr, r, c, &want, &ctx);
-        check_bcoo(csr, r, c, &want, &ctx);
+        check_bcoo::<u16>(csr, r, c, &want, &ctx);
+        check_bcoo::<u32>(csr, r, c, &want, &ctx);
 
         let est = all[k];
         assert_eq!((est.r, est.c), (r, c), "{ctx}: estimate order");

@@ -11,10 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spmv_multicore::prelude::*;
 use spmv_multicore::spmv_core::formats::bcsr::ALLOWED_BLOCK_DIMS;
-use spmv_multicore::spmv_core::formats::index::IndexWidth;
-use spmv_multicore::spmv_core::formats::{
-    BcooMatrix, BcsrMatrix, CompressedCsr, GcsrMatrix, IndexStorage,
-};
+use spmv_multicore::spmv_core::formats::{BcooMatrix, BcsrMatrix, GcsrMatrix, IndexStorage};
 use spmv_multicore::spmv_core::kernels::naive::spmv_naive;
 use spmv_multicore::spmv_core::kernels::prefetch::{
     spmv_prefetch, PrefetchHint, PREFETCH_DISTANCE_CANDIDATES,
@@ -38,18 +35,20 @@ fn every_format_matches_dense_reference() {
             max_abs_diff(&csr.spmv_alloc(&x), &expected) < 1e-9,
             "csr case {i}"
         );
-        for width in [IndexWidth::U16, IndexWidth::U32] {
-            assert!(
-                max_abs_diff(
-                    &GcsrMatrix::from_csr(&csr, width).unwrap().spmv_alloc(&x),
-                    &expected
-                ) < 1e-9,
-                "gcsr {width:?} case {i}"
-            );
-        }
+        let g16 = GcsrMatrix::<u16>::from_csr(&csr).unwrap();
+        let g32 = GcsrMatrix::<u32>::from_csr(&csr).unwrap();
         assert!(
-            max_abs_diff(&CompressedCsr::from_csr(&csr).spmv_alloc(&x), &expected) < 1e-9,
-            "compressed case {i}"
+            max_abs_diff(&g16.spmv_alloc(&x), &expected) < 1e-9,
+            "gcsr<u16> case {i}"
+        );
+        assert!(
+            max_abs_diff(&g32.spmv_alloc(&x), &expected) < 1e-9,
+            "gcsr<u32> case {i}"
+        );
+        let narrow = csr.reindex::<u16>().unwrap();
+        assert!(
+            max_abs_diff(&narrow.spmv_alloc(&x), &expected) < 1e-9,
+            "csr<u16> case {i}"
         );
     }
 }
@@ -74,13 +73,16 @@ fn every_block_shape_and_width_matches_dense_reference() {
                     max_abs_diff(&b32.spmv_alloc(&x), &expected) < 1e-9,
                     "bcsr<u32> {r}x{c} case {i}"
                 );
-                for width in [IndexWidth::U16, IndexWidth::U32] {
-                    let bcoo = BcooMatrix::from_csr(&csr, r, c, width).unwrap();
-                    assert!(
-                        max_abs_diff(&bcoo.spmv_alloc(&x), &expected) < 1e-9,
-                        "bcoo {r}x{c} {width:?} case {i}"
-                    );
-                }
+                let bcoo16 = BcooMatrix::<u16>::from_csr(&csr, r, c).unwrap();
+                assert!(
+                    max_abs_diff(&bcoo16.spmv_alloc(&x), &expected) < 1e-9,
+                    "bcoo<u16> {r}x{c} case {i}"
+                );
+                let bcoo32 = BcooMatrix::<u32>::from_csr(&csr, r, c).unwrap();
+                assert!(
+                    max_abs_diff(&bcoo32.spmv_alloc(&x), &expected) < 1e-9,
+                    "bcoo<u32> {r}x{c} case {i}"
+                );
             }
         }
     }

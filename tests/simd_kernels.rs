@@ -21,22 +21,32 @@
 //!    bit-identical to the plan's own serial `PreparedMatrix` oracle, and
 //!    within accumulation tolerance of the dense reference.
 //!
+//! 4. **Routing** — a plan decision of every kind, register block shape,
+//!    index width and SIMD choice, materialized through `PreparedMatrix`,
+//!    answers SpMV and SpMM with the bits of its own typed kernel called
+//!    directly on the same typed matrix.
+//!
 //! Sliced ELL rides the same sweeps under a stricter rule: lane = row, so a
 //! row's sum is one in-order FMA chain and the vector arm, the `mul_add` arm
 //! and that chain written out on plain CSR agree **bit for bit** — also when
 //! `x` holds NaN, ±Inf, −0.0 and subnormals at the column padding points to.
 
 use spmv_multicore::prelude::*;
-use spmv_multicore::spmv_core::formats::bcsr::BcsrMatrix;
-use spmv_multicore::spmv_core::formats::{CompressedCsr, IndexStorage, IndexWidth, SellMatrix};
+use spmv_multicore::spmv_core::formats::bcsr::{BcsrMatrix, ALLOWED_BLOCK_DIMS};
+use spmv_multicore::spmv_core::formats::{
+    BcooMatrix, GcsrMatrix, IndexStorage, IndexWidth, SellMatrix, SymBcsr, SymCsr,
+};
+use spmv_multicore::spmv_core::kernels::multivec::{spmm_bcoo, spmm_bcsr, spmm_csr, spmm_gcsr};
 use spmv_multicore::spmv_core::kernels::simd::{
     self, bcsr_simd_shape, spmm_bcsr_simd, spmm_csr_simd, spmm_csr_simd_at, spmm_sell_at,
-    spmv_bcsr_simd, spmv_csr_simd, spmv_csr_simd_at, spmv_sell_at, SimdLevel,
+    spmv_bcsr_simd, spmv_csr_simd, spmv_csr_simd_at, spmv_sell_at, spmv_sym_bcsr_simd, SimdLevel,
 };
+use spmv_multicore::spmv_core::kernels::single_loop::spmv_single_loop;
 use spmv_multicore::spmv_core::partition::row::partition_rows_balanced;
 use spmv_multicore::spmv_core::tuning::{
     BlockDecision, FormatChoice, FormatKind, ShareLadder, ThreadPlan,
 };
+use spmv_multicore::spmv_core::MultiVecMut;
 use spmv_testutil::{
     assert_bit_identical, cases, empty_row_csr, max_abs_diff, plan_outputs, random_csr,
     single_col_csr, single_row_csr, test_x, xblock, Case,
@@ -105,11 +115,13 @@ fn csr_simd_matches_dense_reference_across_widths() {
                 "csr<usize> {level:?} case {i}"
             );
         }
-        // The width-auto wrapper dispatches the same kernels.
-        let compressed = CompressedCsr::from_csr(&csr);
+        // The entry point a plan binds dispatches the same kernels.
         let mut y = vec![0.0; case.nrows];
-        compressed.execute_simd(&x, &mut y);
-        assert!(max_abs_diff(&y, &expected) < 1e-9, "compressed case {i}");
+        match &c16 {
+            Ok(m) => spmv_csr_simd(m, &x, &mut y),
+            Err(_) => spmv_csr_simd(&c32, &x, &mut y),
+        }
+        assert!(max_abs_diff(&y, &expected) < 1e-9, "narrowest csr case {i}");
     }
 }
 
@@ -597,5 +609,142 @@ fn simd_plans_run_bit_identical_across_thread_counts() {
                 assert_bit_identical(ys.col(j), &y, &format!("{tag}@{threads}: spmm col {j}"));
             }
         }
+    }
+}
+
+/// A kernel called on its own: `y ← y + A·x`.
+type Spmv<'a> = &'a dyn Fn(&[f64], &mut [f64]);
+/// Its multivec twin: `Y ← Y + A·X` over a strided column-major source.
+type Spmm<'a> = &'a dyn Fn(&[f64], usize, &mut MultiVecMut);
+
+/// `plan` materialized through `PreparedMatrix` answers SpMV on `test_x` and
+/// SpMM on a 3-column `xblock` with the bits `spmv` and `spmm` give from the
+/// same zeroed destinations.
+fn assert_routes(csr: &CsrMatrix, plan: &TunePlan, ctx: &str, spmv: Spmv, spmm: Spmm) {
+    let (y, ym) = plan_outputs(csr, plan);
+    let mut want = vec![0.0; csr.nrows()];
+    spmv(&test_x(csr.ncols()), &mut want);
+    assert_bit_identical(&y, &want, &format!("{ctx}: spmv"));
+    let mut want = MultiVec::zeros(csr.nrows(), 3);
+    spmm(
+        xblock(csr.ncols(), 3).data(),
+        csr.ncols(),
+        &mut want.view_mut(),
+    );
+    assert_bit_identical(ym.data(), want.data(), &format!("{ctx}: spmm"));
+}
+
+/// The one-thread plan of `csr` (a symmetric one for `sym`) with its decision
+/// set to `kind` at `r × c` and width `I`, and SIMD bound to `simd`.
+fn routed_plan<I: IndexStorage>(
+    csr: &CsrMatrix,
+    sym: bool,
+    simd: bool,
+    (kind, r, c): (FormatKind, usize, usize),
+) -> TunePlan {
+    let mut plan = if sym {
+        TunePlan::new_symmetric(csr, 1, &TuningConfig::naive()).unwrap()
+    } else {
+        TunePlan::heuristic(csr, 1, &TuningConfig::naive())
+    };
+    let share = &mut plan.threads[0];
+    share.simd = simd;
+    let choice = &mut share.decisions[0].choice;
+    (choice.kind, choice.r, choice.c) = (kind, r, c);
+    choice.width = I::WIDTH.expect("a stored width");
+    plan
+}
+
+/// Every general kind and shape and both symmetric slabs at width `I`.
+fn check_routing<I: IndexStorage>(csr: &CsrMatrix, sym: &CsrMatrix, simd: bool) {
+    let level = if simd {
+        simd::detect()
+    } else {
+        SimdLevel::Scalar
+    };
+    let ctx = |what: &str| format!("{what}<{}> simd={simd}", I::NAME);
+    let general = |kind| routed_plan::<I>(csr, false, simd, kind);
+    let slab = |kind| routed_plan::<I>(sym, true, simd, kind);
+
+    let m = csr.reindex::<I>().unwrap();
+    let (spmv, spmm): (Spmv, Spmm) = if simd {
+        (&|x, y| spmv_csr_simd(&m, x, y), &|x, ld, y| {
+            spmm_csr_simd(&m, x, ld, y)
+        })
+    } else {
+        (&|x, y| spmv_single_loop(&m, x, y), &|x, ld, y| {
+            spmm_csr(&m, x, ld, y)
+        })
+    };
+    assert_routes(
+        csr,
+        &general((FormatKind::Csr, 1, 1)),
+        &ctx("csr"),
+        spmv,
+        spmm,
+    );
+
+    let m = GcsrMatrix::<I>::from_csr(csr).unwrap();
+    let plan = general((FormatKind::Gcsr, 1, 1));
+    let spmm: Spmm = &|x, ld, y| spmm_gcsr(&m, x, ld, y);
+    assert_routes(csr, &plan, &ctx("gcsr"), &|x, y| m.spmv(x, y), spmm);
+
+    let m = SellMatrix::<I>::from_csr(csr).unwrap();
+    let plan = general((FormatKind::Sell, 1, 1));
+    let spmv: Spmv = &|x, y| spmv_sell_at(level, &m, x, y);
+    let spmm: Spmm = &|x, ld, y| spmm_sell_at(level, &m, x, ld, y);
+    assert_routes(csr, &plan, &ctx("sell"), spmv, spmm);
+
+    let m = SymCsr::<I>::from_csr(sym).unwrap();
+    let spmm: Spmm = &|x, ld, y| {
+        (0..y.k()).for_each(|j| m.spmv_full(&x[j * ld..][..ld], y.col_mut(j)));
+    };
+    let plan = slab((FormatKind::SymCsr, 1, 1));
+    assert_routes(sym, &plan, &ctx("symcsr"), &|x, y| m.spmv_full(x, y), spmm);
+
+    for r in ALLOWED_BLOCK_DIMS {
+        for c in ALLOWED_BLOCK_DIMS {
+            let m = BcsrMatrix::<I>::from_csr(csr, r, c).unwrap();
+            let (spmv, spmm): (Spmv, Spmm) = if simd {
+                (&|x, y| spmv_bcsr_simd(&m, x, y), &|x, ld, y| {
+                    spmm_bcsr_simd(&m, x, ld, y)
+                })
+            } else {
+                (&|x, y| m.spmv(x, y), &|x, ld, y| spmm_bcsr(&m, x, ld, y))
+            };
+            let plan = general((FormatKind::Bcsr, r, c));
+            assert_routes(csr, &plan, &ctx(&format!("bcsr {r}x{c}")), spmv, spmm);
+
+            let m = BcooMatrix::<I>::from_csr(csr, r, c).unwrap();
+            let plan = general((FormatKind::Bcoo, r, c));
+            let spmm: Spmm = &|x, ld, y| spmm_bcoo(&m, x, ld, y);
+            let what = ctx(&format!("bcoo {r}x{c}"));
+            assert_routes(csr, &plan, &what, &|x, y| m.spmv(x, y), spmm);
+
+            let m = SymBcsr::<I>::from_csr(sym, r, c).unwrap();
+            let spmv: Spmv = if simd {
+                &|x, y| spmv_sym_bcsr_simd(&m, x, y)
+            } else {
+                &|x, y| m.spmv_full(x, y)
+            };
+            let spmm: Spmm = &|x, ld, y| {
+                (0..y.k()).for_each(|j| spmv(&x[j * ld..][..ld], y.col_mut(j)));
+            };
+            let plan = slab((FormatKind::SymBcsr, r, c));
+            assert_routes(sym, &plan, &ctx(&format!("symbcsr {r}x{c}")), spmv, spmm);
+        }
+    }
+}
+
+/// Pillar 4, routing: CSR, BCSR and BCOO at every shape up to 4×4, GCSR,
+/// sliced ELL and both symmetric slabs, at both index widths, with SIMD bound
+/// on and off, each reach their own kernel through `PreparedMatrix`.
+#[test]
+fn every_kind_width_and_simd_arm_reaches_its_own_kernel() {
+    let csr = random_csr(61, 43, 900, 26);
+    let sym = spmv_testutil::random_symmetric_csr(57, 500, 27);
+    for simd in [false, true] {
+        check_routing::<u16>(&csr, &sym, simd);
+        check_routing::<u32>(&csr, &sym, simd);
     }
 }
